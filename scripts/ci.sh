@@ -22,8 +22,14 @@
 #      validate every reply with json_check, prove malformed input
 #      comes back as a structured error, and check a clean SIGTERM
 #      shutdown
-#   7. AddressSanitizer build + full test suite
-#   8. ThreadSanitizer build + the "threaded" test label
+#   7. Benchmark reference check: bench/e2e/run.sh --self-test
+#      compares one Fig. 5 row under two policies at full windows
+#      bit for bit against the committed reference (and proves a
+#      perturbed value trips the check), then --smoke runs every
+#      benchmark workload at tiny windows with its exactness and
+#      determinism checks
+#   8. AddressSanitizer build + full test suite
+#   9. ThreadSanitizer build + the "threaded" test label
 #
 # An optional "lto" stage rebuilds Release with EMISSARY_LTO=ON and
 # reruns the suite (the GitHub workflow runs it as its own job).
@@ -33,7 +39,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${CI_JOBS:-$(nproc)}"
-STAGES="${*:-release smoke throughput timeparallel tracepack service asan tsan}"
+STAGES="${*:-release smoke throughput timeparallel tracepack service bench asan tsan}"
 
 run_stage() { echo; echo "=== ci: $* ==="; }
 
@@ -331,6 +337,15 @@ EOF
               exit 1; }
         rm -rf "$out"
         echo "service smoke OK"
+        ;;
+    bench)
+        run_stage "benchmark reference self-test + smoke"
+        # run.sh builds its own Release tree (build-bench/) with the
+        # harness target. Both steps exit nonzero on any mismatch
+        # with the reference or any failed check.
+        bash bench/e2e/run.sh --self-test
+        bash bench/e2e/run.sh --smoke
+        echo "bench OK"
         ;;
     lto)
         run_stage "Release + LTO build + tests"

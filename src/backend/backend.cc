@@ -19,9 +19,11 @@ mixPc(std::uint64_t pc)
 } // namespace
 
 Backend::Backend(const Config &config, cache::Hierarchy &hierarchy)
-    : config_(config), hierarchy_(hierarchy)
+    : config_(config),
+      hierarchy_(hierarchy),
+      rob_(config.robEntries),
+      calendar_(kCalendarSpan)
 {
-    completionRing_.assign(kRingSize, 0);
 }
 
 std::uint64_t
@@ -48,7 +50,7 @@ Backend::depReady(std::uint64_t seq, std::uint64_t pc) const
 bool
 Backend::canAccept() const
 {
-    return rob_.size() < config_.robEntries &&
+    return robCount_ < config_.robEntries &&
            inFlightExec_ < config_.iqEntries &&
            lqOccupancy_ < config_.lqEntries &&
            sqOccupancy_ < config_.sqEntries;
@@ -140,9 +142,12 @@ Backend::issueStage(std::uint64_t now,
         }
 
         completionRing_[inst.seq % kRingSize] = complete;
-        rob_.push_back(RobEntry{inst.seq, complete, is_store});
-        pending_.push(Pending{complete, inst.seq, is_load,
-                              inst.mispredicted});
+        unsigned tail = robHead_ + robCount_;
+        if (tail >= config_.robEntries)
+            tail -= config_.robEntries;
+        rob_[tail] = RobEntry{complete, is_store};
+        ++robCount_;
+        schedule(complete, inst.seq, is_load, inst.mispredicted);
         ++inFlightExec_;
         ++stats_.issued;
         ++moved;
@@ -152,23 +157,66 @@ Backend::issueStage(std::uint64_t now,
 }
 
 void
+Backend::schedule(std::uint64_t cycle, std::uint64_t seq, bool is_load,
+                  bool mispredicted)
+{
+    if (!mispredicted && cycle >= nextDrain_ &&
+        cycle - nextDrain_ < kCalendarSpan) {
+        Bucket &bucket = calendar_[cycle & (kCalendarSpan - 1)];
+        ++bucket.completions;
+        bucket.loads += is_load ? 1 : 0;
+        return;
+    }
+    // Insert after every entry of the same cycle, so equal cycles
+    // drain in dispatch order.
+    std::size_t pos = exact_.size();
+    while (pos > 0 && exact_[pos - 1].cycle > cycle)
+        --pos;
+    exact_.insert(exact_.begin() + static_cast<std::ptrdiff_t>(pos),
+                  Pending{cycle, seq, is_load, mispredicted});
+}
+
+void
 Backend::executeStage(std::uint64_t now)
 {
     bool any = false;
-    while (!pending_.empty() && pending_.top().cycle <= now) {
-        const Pending done = pending_.top();
-        pending_.pop();
+    if (now >= nextDrain_) {
+        // Every live bucket lies in [nextDrain_, nextDrain_ + span),
+        // so a gap longer than the span visits each bucket once.
+        const std::uint64_t cycles =
+            std::min<std::uint64_t>(now - nextDrain_ + 1, kCalendarSpan);
+        for (std::uint64_t c = nextDrain_; c < nextDrain_ + cycles; ++c) {
+            Bucket &bucket = calendar_[c & (kCalendarSpan - 1)];
+            if (bucket.completions == 0)
+                continue;
+            assert(inFlightExec_ >= bucket.completions);
+            assert(lqOccupancy_ >= bucket.loads);
+            inFlightExec_ -= bucket.completions;
+            lqOccupancy_ -= bucket.loads;
+            bucket = Bucket{};
+            any = true;
+        }
+        nextDrain_ = now + 1;
+    }
+
+    std::size_t done = 0;
+    for (; done < exact_.size() && exact_[done].cycle <= now; ++done) {
+        const Pending pending = exact_[done];
         assert(inFlightExec_ > 0);
         --inFlightExec_;
-        if (done.isLoad) {
+        if (pending.isLoad) {
             assert(lqOccupancy_ > 0);
             --lqOccupancy_;
         }
-        if (done.mispredicted) {
+        if (pending.mispredicted) {
             ++stats_.branchesResolved;
             if (resolve_)
-                resolve_(done.seq, done.cycle);
+                resolve_(pending.seq, pending.cycle);
         }
+    }
+    if (done > 0) {
+        exact_.erase(exact_.begin(),
+                     exact_.begin() + static_cast<std::ptrdiff_t>(done));
         any = true;
     }
     if (any)
@@ -180,18 +228,20 @@ Backend::commitStage(std::uint64_t now)
 {
     ++stats_.cycles;
     unsigned committed = 0;
-    while (committed < config_.width && !rob_.empty() &&
-           rob_.front().completeCycle <= now) {
-        if (rob_.front().isStore) {
+    while (committed < config_.width && robCount_ > 0 &&
+           rob_[robHead_].completeCycle <= now) {
+        if (rob_[robHead_].isStore) {
             assert(sqOccupancy_ > 0);
             --sqOccupancy_;
         }
-        rob_.pop_front();
+        if (++robHead_ == config_.robEntries)
+            robHead_ = 0;
+        --robCount_;
         ++committed;
     }
     stats_.committed += committed;
     if (committed == 0) {
-        if (rob_.empty())
+        if (robCount_ == 0)
             ++stats_.feStallCycles;
         else
             ++stats_.beStallCycles;

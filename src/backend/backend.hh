@@ -15,11 +15,11 @@
 #ifndef EMISSARY_BACKEND_BACKEND_HH
 #define EMISSARY_BACKEND_BACKEND_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -119,7 +119,11 @@ class Backend
     /** Retire up to width completed instructions; classify stalls. */
     void commitStage(std::uint64_t now);
 
-    /** Drain completions due this cycle; fire branch resolutions. */
+    /**
+     * Drain every completion due at or before @p now that an earlier
+     * call has not drained; fire branch resolutions. Calls may skip
+     * cycles: a gap drains all the cycles it covers at once.
+     */
     void executeStage(std::uint64_t now);
 
     /**
@@ -138,7 +142,7 @@ class Backend
     /** The paper's E signal: no incomplete instruction in flight. */
     bool issueQueueEmpty() const { return inFlightExec_ == 0; }
 
-    bool robEmpty() const { return rob_.empty(); }
+    bool robEmpty() const { return robCount_ == 0; }
 
     BackendStats &stats() { return stats_; }
     const BackendStats &stats() const { return stats_; }
@@ -146,43 +150,76 @@ class Backend
   private:
     struct RobEntry
     {
-        std::uint64_t seq = 0;
         std::uint64_t completeCycle = 0;
         bool isStore = false;
     };
 
-    /** Completion time of the pseudo-producer of @p seq. */
-    std::uint64_t depReady(std::uint64_t seq,
-                           std::uint64_t pc) const;
+    /**
+     * Span of the completion calendar in cycles (a power of two): a
+     * completion due within this many cycles of the next undrained
+     * one is counted in the bucket of its cycle. It covers a DRAM
+     * miss (about 250 cycles) four times over; only chains of
+     * dependent misses reach beyond it.
+     */
+    static constexpr unsigned kCalendarSpan = 1024;
 
-    Config config_;
-    cache::Hierarchy &hierarchy_;
-    ResolveCallback resolve_;
+    /** Completions due in one cycle. */
+    struct Bucket
+    {
+        std::uint32_t completions = 0;
+        std::uint32_t loads = 0;
+    };
 
-    std::deque<RobEntry> rob_;
-    unsigned lqOccupancy_ = 0;
-    unsigned sqOccupancy_ = 0;
-    unsigned inFlightExec_ = 0;
-
-    /** (completeCycle, seq, isLoad, mispredicted) min-heap. */
+    /** A completion kept with its exact cycle and seq. */
     struct Pending
     {
         std::uint64_t cycle;
         std::uint64_t seq;
         bool isLoad;
         bool mispredicted;
-        bool operator>(const Pending &o) const
-        {
-            return cycle > o.cycle;
-        }
     };
-    std::priority_queue<Pending, std::vector<Pending>,
-                        std::greater<Pending>>
-        pending_;
+
+    /** Completion time of the pseudo-producer of @p seq. */
+    std::uint64_t depReady(std::uint64_t seq,
+                           std::uint64_t pc) const;
+
+    /** Book the completion of an instruction just dispatched. */
+    void schedule(std::uint64_t cycle, std::uint64_t seq, bool is_load,
+                  bool mispredicted);
+
+    Config config_;
+    cache::Hierarchy &hierarchy_;
+    ResolveCallback resolve_;
+
+    /** In-order window: a ring of robEntries slots. */
+    std::vector<RobEntry> rob_;
+    unsigned robHead_ = 0;
+    unsigned robCount_ = 0;
+    unsigned lqOccupancy_ = 0;
+    unsigned sqOccupancy_ = 0;
+    unsigned inFlightExec_ = 0;
+
+    /**
+     * Completion calendar, indexed by cycle modulo kCalendarSpan.
+     * Everything executeStage does for a plain completion commutes
+     * (counter decrements), so a per-cycle count is exact. Every
+     * live bucket covers a cycle in
+     * [nextDrain_, nextDrain_ + kCalendarSpan).
+     */
+    std::vector<Bucket> calendar_;
+    /** First cycle executeStage has not drained yet. */
+    std::uint64_t nextDrain_ = 0;
+    /**
+     * Completions that need their exact cycle, ascending by cycle:
+     * mispredicted branches (the resolve callback takes seq and
+     * cycle) and the rare completion outside the calendar's span,
+     * such as the tail of a pointer-chasing chain of DRAM misses.
+     */
+    std::vector<Pending> exact_;
 
     /** Ring buffer of recent completion times for pseudo-deps. */
     static constexpr unsigned kRingSize = 128;
-    std::vector<std::uint64_t> completionRing_;
+    std::array<std::uint64_t, kRingSize> completionRing_{};
     /** Completion time of the most recent load (pointer chasing). */
     std::uint64_t lastLoadComplete_ = 0;
 

@@ -16,6 +16,16 @@ Hierarchy::Hierarchy(const Config &config)
 {
 }
 
+std::size_t
+Hierarchy::findMshr(std::uint64_t line_addr) const
+{
+    const std::size_t n = mshrLines_.size();
+    for (std::size_t i = 0; i < n; ++i)
+        if (mshrLines_[i] == line_addr)
+            return i;
+    return npos;
+}
+
 std::uint64_t
 Hierarchy::requestInstruction(std::uint64_t line_addr, std::uint64_t now,
                               RequestKind kind)
@@ -30,11 +40,10 @@ Hierarchy::requestInstruction(std::uint64_t line_addr, std::uint64_t now,
         return now + config_.l1i.hitLatency;
     }
 
-    const auto it = mshr_.find(line_addr);
-    if (it != mshr_.end()) {
+    if (const std::size_t i = findMshr(line_addr); i != npos) {
         if (demandish)
             ++stats_.l1iMisses;
-        return it->second.readyCycle;
+        return mshrs_[i].readyCycle;
     }
 
     if (demandish)
@@ -66,12 +75,11 @@ Hierarchy::requestData(std::uint64_t line_addr, std::uint64_t now,
         return now + config_.l1d.hitLatency;
     }
 
-    const auto it = mshr_.find(line_addr);
-    if (it != mshr_.end()) {
+    if (const std::size_t i = findMshr(line_addr); i != npos) {
         if (demandish)
             ++stats_.l1dMisses;
-        it->second.write = it->second.write || write;
-        return it->second.readyCycle;
+        mshrs_[i].write = mshrs_[i].write || write;
+        return mshrs_[i].readyCycle;
     }
 
     if (demandish)
@@ -158,8 +166,17 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
             lanes_->probe(line_addr, is_instruction, demandish);
 
     entry.readyCycle = now + latency;
-    mshr_.emplace(line_addr, entry);
-    completions_.emplace(entry.readyCycle, line_addr);
+    // Keep the table in (readyCycle, lineAddr) order. A line has at
+    // most one outstanding miss, so no key is equal to this one.
+    std::size_t pos = mshrs_.size();
+    while (pos > 0 &&
+           (mshrs_[pos - 1].readyCycle > entry.readyCycle ||
+            (mshrs_[pos - 1].readyCycle == entry.readyCycle &&
+             mshrLines_[pos - 1] > line_addr)))
+        --pos;
+    const auto offset = static_cast<std::ptrdiff_t>(pos);
+    mshrLines_.insert(mshrLines_.begin() + offset, line_addr);
+    mshrs_.insert(mshrs_.begin() + offset, entry);
     return entry.readyCycle;
 }
 
@@ -174,12 +191,13 @@ Hierarchy::setLanes(PolicyLaneBank *lanes)
 void
 Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty)
 {
-    const auto it = mshr_.find(line_addr);
-    if (it == mshr_.end())
+    const std::size_t i = findMshr(line_addr);
+    if (i == npos)
         return;
-    it->second.starved = true;
-    it->second.iqEmpty = it->second.iqEmpty || iq_empty;
-    ++it->second.starveCycles;
+    Mshr &entry = mshrs_[i];
+    entry.starved = true;
+    entry.iqEmpty = entry.iqEmpty || iq_empty;
+    ++entry.starveCycles;
     ++stats_.starvationNotes;
     if (starvationMapEnabled_)
         ++starvationByLine_[line_addr];
@@ -243,7 +261,7 @@ Hierarchy::fillL2(std::uint64_t line_addr, bool is_instruction,
 }
 
 void
-Hierarchy::complete(std::uint64_t line_addr, Mshr &entry)
+Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
 {
     if (entry.starveCycles > 0) {
         switch (entry.source) {
@@ -350,32 +368,31 @@ Hierarchy::complete(std::uint64_t line_addr, Mshr &entry)
 }
 
 void
+Hierarchy::completeFirst(std::size_t count)
+{
+    // Completing a fill only updates cache state; it never issues a
+    // request, so the table holds still until the prefix is erased.
+    for (std::size_t i = 0; i < count; ++i)
+        complete(mshrLines_[i], mshrs_[i]);
+    const auto end = static_cast<std::ptrdiff_t>(count);
+    mshrLines_.erase(mshrLines_.begin(), mshrLines_.begin() + end);
+    mshrs_.erase(mshrs_.begin(), mshrs_.begin() + end);
+}
+
+void
 Hierarchy::tick(std::uint64_t now)
 {
-    while (!completions_.empty() && completions_.top().first <= now) {
-        const std::uint64_t line_addr = completions_.top().second;
-        completions_.pop();
-        const auto it = mshr_.find(line_addr);
-        if (it == mshr_.end())
-            continue;  // Stale heap entry.
-        if (it->second.readyCycle > now)
-            continue;
-        Mshr entry = it->second;
-        mshr_.erase(it);
-        complete(line_addr, entry);
-    }
+    std::size_t due = 0;
+    while (due < mshrs_.size() && mshrs_[due].readyCycle <= now)
+        ++due;
+    if (due > 0)
+        completeFirst(due);
 }
 
 void
 Hierarchy::drain()
 {
-    while (!completions_.empty())
-        completions_.pop();
-    for (auto &[line_addr, entry] : mshr_) {
-        Mshr copy = entry;
-        complete(line_addr, copy);
-    }
-    mshr_.clear();
+    completeFirst(mshrs_.size());
 }
 
 void

@@ -9,7 +9,10 @@
  * returns the cycle at which the line becomes usable; state changes
  * (fills, evictions, priority selection) are applied when that cycle
  * is reached, via tick(). Outstanding misses live in an MSHR table;
- * requests to an in-flight line merge with it. Decode-starvation
+ * requests to an in-flight line merge with it. The table is a flat
+ * array kept in the (readyCycle, lineAddr) order fills apply in; a
+ * handful of misses are outstanding at a time, so a scan of their
+ * line addresses beats hashing. Decode-starvation
  * evidence is accumulated on the MSHR entry while the miss is
  * outstanding (the paper's observation that the signal is known
  * "many cycles before the line ... is inserted into the cache", §3)
@@ -19,8 +22,8 @@
 #ifndef EMISSARY_CACHE_HIERARCHY_HH
 #define EMISSARY_CACHE_HIERARCHY_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -231,10 +234,15 @@ class Hierarchy
      */
     void noteStarvation(std::uint64_t line_addr, bool iq_empty);
 
-    /** Apply fills whose completion time has been reached. */
+    /**
+     * Apply fills whose completion time has been reached, in
+     * ascending (readyCycle, lineAddr) order. That order fixes cache
+     * insertion order and, through it, every downstream counter.
+     */
     void tick(std::uint64_t now);
 
-    /** Force-complete every outstanding fill (end of simulation). */
+    /** Force-complete every outstanding fill (end of simulation), in
+     *  the same order tick() would apply them. */
     void drain();
 
     /** EMISSARY §6: clear every priority bit in L1I and L2. */
@@ -295,7 +303,7 @@ class Hierarchy
     const Config &config() const { return config_; }
 
     /** Outstanding-miss count (testing). */
-    std::size_t outstanding() const { return mshr_.size(); }
+    std::size_t outstanding() const { return mshrLines_.size(); }
 
     /**
      * Attach a monitor-lane bank (nullptr to detach): the bank's
@@ -310,13 +318,22 @@ class Hierarchy
     const PolicyLaneBank *lanes() const { return lanes_; }
 
   private:
+    /** Index of @p line_addr's outstanding miss, or npos. */
+    std::size_t findMshr(std::uint64_t line_addr) const;
+
+    /** Apply, in table order, the first @p count outstanding fills
+     *  and remove them from the table. */
+    void completeFirst(std::size_t count);
+
+    static constexpr std::size_t npos = ~std::size_t{0};
+
     /** Shared miss path after the L1 probe. */
     std::uint64_t missBelowL1(std::uint64_t line_addr,
                               std::uint64_t now, bool is_instruction,
                               bool write, bool demandish);
 
     /** Apply the fill actions of a completed miss. */
-    void complete(std::uint64_t line_addr, Mshr &entry);
+    void complete(std::uint64_t line_addr, const Mshr &entry);
 
     /** Insert into L2, handling inclusion and the victim path. */
     void fillL2(std::uint64_t line_addr, bool is_instruction,
@@ -332,11 +349,14 @@ class Hierarchy
     Cache l3_;
     HierarchyStats stats_;
 
-    std::unordered_map<std::uint64_t, Mshr> mshr_;
-    using HeapItem = std::pair<std::uint64_t, std::uint64_t>;
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>>
-        completions_;
+    /**
+     * The MSHR table: outstanding misses sorted by (readyCycle,
+     * lineAddr), line addresses and entries in parallel arrays so a
+     * lookup scans only the addresses. Both keep their capacity, so
+     * the table stops allocating once it has held its peak.
+     */
+    std::vector<std::uint64_t> mshrLines_;
+    std::vector<Mshr> mshrs_;
 
     /** Instruction lines previously resident in L2 (§5.6 ideal
      *  model's capacity/conflict-vs-compulsory distinction). */

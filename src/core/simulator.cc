@@ -111,8 +111,12 @@ Simulator::stepCycle()
     hierarchy_.tick(now_);
     backend_.executeStage(now_);
     backend_.commitStage(now_);
+    // issueStage reads the pending line only to blame a starved
+    // decode, i.e. when the decode queue is empty.
     backend_.issueStage(now_, decodeQueue_,
-                        frontend_.pendingFetchLine(now_));
+                        decodeQueue_.empty()
+                            ? frontend_.pendingFetchLine(now_)
+                            : std::nullopt);
     frontend_.fetch(now_, decodeQueue_);
     frontend_.prefetch(now_);
     frontend_.predict(now_);

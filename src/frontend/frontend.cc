@@ -1,7 +1,6 @@
 #include "frontend/frontend.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace emissary::frontend
 {
@@ -19,17 +18,22 @@ FrontEnd::FrontEnd(const Config &config, trace::TraceSource &source,
       btb_(config.btbEntries, config.btbWays),
       tage_(config.tage),
       ittage_(config.ittage),
-      ras_(config.rasDepth)
+      ras_(config.rasDepth),
+      ftq_(config.ftqEntries)
 {
 }
 
-FtqEntry
-FrontEnd::buildBlock()
+void
+FrontEnd::buildBlock(FtqEntry &entry)
 {
-    FtqEntry entry;
+    entry.instrs.clear();
+    entry.lines.clear();
+    entry.consumed = 0;
+    entry.lineIndex = 0;
+    entry.linesRequested = false;
     std::uint64_t last_line = ~std::uint64_t{0};
     while (true) {
-        core::DynInst inst;
+        core::DynInst &inst = entry.instrs.emplace_back();
         inst.rec = nextRecord();
         inst.seq = ++seq_;
 
@@ -38,13 +42,10 @@ FrontEnd::buildBlock()
             entry.lines.push_back(FtqEntry::LineState{line, 0, false});
             last_line = line;
         }
-        const bool is_control = trace::isControl(inst.rec.cls);
-        entry.instrs.push_back(inst);
-        if (is_control ||
+        if (trace::isControl(inst.rec.cls) ||
             entry.instrs.size() >= config_.maxBlockInstrs)
             break;
     }
-    return entry;
 }
 
 void
@@ -179,15 +180,16 @@ FrontEnd::predict(std::uint64_t now)
 {
     if (haltedOnSeq_ || now < bpuStallUntil_)
         return;
-    if (ftq_.size() >= config_.ftqEntries ||
+    if (ftqSize_ >= config_.ftqEntries ||
         ftqInstrCount_ >= config_.ftqInstrs)
         return;
 
-    FtqEntry entry = buildBlock();
+    FtqEntry &entry = ftqAt(ftqSize_);
+    buildBlock(entry);
     predictTerminator(entry, now);
     ftqInstrCount_ += static_cast<unsigned>(entry.instrs.size());
     ++stats_.blocksFormed;
-    ftq_.push_back(std::move(entry));
+    ++ftqSize_;
 }
 
 void
@@ -212,9 +214,9 @@ FrontEnd::prefetch(std::uint64_t now)
     if (!config_.fdip)
         return;
     unsigned budget = config_.fdipLinesPerCycle;
-    for (auto &entry : ftq_) {
-        if (budget == 0)
-            break;
+    unsigned offset = prefetchCursor_;
+    for (; offset < ftqSize_ && budget > 0; ++offset) {
+        FtqEntry &entry = ftqAt(offset);
         if (entry.linesRequested)
             continue;
         const unsigned cost =
@@ -222,6 +224,7 @@ FrontEnd::prefetch(std::uint64_t now)
         requestLines(entry, now, cache::RequestKind::Fdip);
         budget -= std::min(budget, cost);
     }
+    prefetchCursor_ = offset;
 }
 
 void
@@ -229,9 +232,9 @@ FrontEnd::fetch(std::uint64_t now,
                 std::deque<core::DynInst> &decode_queue)
 {
     unsigned budget = config_.fetchWidth;
-    while (budget > 0 && !ftq_.empty() &&
+    while (budget > 0 && ftqSize_ > 0 &&
            decode_queue.size() < config_.decodeQueueCap) {
-        FtqEntry &entry = ftq_.front();
+        FtqEntry &entry = ftq_[ftqHead_];
         if (!entry.linesRequested) {
             // FDIP disabled (or hasn't reached this entry): issue the
             // demand requests now.
@@ -240,25 +243,27 @@ FrontEnd::fetch(std::uint64_t now,
                                       : cache::RequestKind::Demand);
         }
 
-        const core::DynInst &inst = entry.instrs[entry.consumed];
-        const std::uint64_t line = inst.rec.pc >> kLineShift;
-        const auto it = std::find_if(
-            entry.lines.begin(), entry.lines.end(),
-            [line](const FtqEntry::LineState &ls) {
-                return ls.lineAddr == line;
-            });
-        assert(it != entry.lines.end());
-        if (it->readyCycle > now)
+        // A line that recurs in a block gets a second state, but all
+        // of a block's lines are requested in one call, so both
+        // states carry the same readyCycle.
+        if (entry.lines[entry.lineIndex].readyCycle > now)
             break;  // Head line still in flight: fetch stalls.
 
-        decode_queue.push_back(inst);
+        decode_queue.push_back(entry.instrs[entry.consumed]);
         ++stats_.fetchedInstrs;
         ++entry.consumed;
         --budget;
         if (entry.consumed == entry.instrs.size()) {
             ftqInstrCount_ -=
                 static_cast<unsigned>(entry.instrs.size());
-            ftq_.pop_front();
+            if (++ftqHead_ == config_.ftqEntries)
+                ftqHead_ = 0;
+            --ftqSize_;
+            if (prefetchCursor_ > 0)
+                --prefetchCursor_;
+        } else if ((entry.instrs[entry.consumed].rec.pc >> kLineShift) !=
+                   entry.lines[entry.lineIndex].lineAddr) {
+            ++entry.lineIndex;
         }
     }
 }
@@ -276,24 +281,19 @@ FrontEnd::onBranchResolved(std::uint64_t seq, std::uint64_t cycle)
 std::optional<std::uint64_t>
 FrontEnd::pendingFetchLine(std::uint64_t now) const
 {
-    if (ftq_.empty()) {
+    if (ftqSize_ == 0) {
         // The FTQ drained while the BPU waits for a cold block's
         // bytes: the decode stage is starving on that block's line.
         if (bpuWaitLine_ && now < bpuStallUntil_)
             return bpuWaitLine_;
         return std::nullopt;
     }
-    const FtqEntry &entry = ftq_.front();
+    const FtqEntry &entry = ftq_[ftqHead_];
     if (!entry.linesRequested)
         return std::nullopt;
-    const std::uint64_t line =
-        entry.instrs[entry.consumed].rec.pc >> kLineShift;
-    for (const auto &ls : entry.lines) {
-        if (ls.lineAddr == line)
-            return ls.readyCycle > now
-                       ? std::optional<std::uint64_t>(line)
-                       : std::nullopt;
-    }
+    const FtqEntry::LineState &line = entry.lines[entry.lineIndex];
+    if (line.readyCycle > now)
+        return line.lineAddr;
     return std::nullopt;
 }
 

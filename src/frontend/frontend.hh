@@ -74,7 +74,12 @@ struct FrontEndStats
     }
 };
 
-/** One FTQ entry: a predicted dynamic basic block. */
+/**
+ * One FTQ entry: a predicted dynamic basic block. The FTQ reuses a
+ * fixed set of entries and both vectors keep their capacity from one
+ * block to the next, so once they have grown to the largest block
+ * (at most maxBlockInstrs) building a block allocates nothing.
+ */
 struct FtqEntry
 {
     struct LineState
@@ -85,8 +90,11 @@ struct FtqEntry
     };
 
     std::vector<core::DynInst> instrs;
-    std::vector<LineState> lines;  ///< Unique lines, in PC order.
+    /** One state per change of line along the block, in PC order. */
+    std::vector<LineState> lines;
     unsigned consumed = 0;         ///< Instructions already fetched.
+    /** lines[] index of the line holding instrs[consumed]. */
+    unsigned lineIndex = 0;
     bool linesRequested = false;   ///< FDIP / fetch issued requests.
 };
 
@@ -141,7 +149,7 @@ class FrontEnd
     pendingFetchLine(std::uint64_t now) const;
 
     /** True when the FTQ holds no deliverable work. */
-    bool ftqEmpty() const { return ftq_.empty(); }
+    bool ftqEmpty() const { return ftqSize_ == 0; }
 
     /** Sequence number of the mispredicted branch the BPU is halted
      *  on, if any (testing/diagnosis). */
@@ -188,8 +196,19 @@ class FrontEnd
         return feed_[feedPos_++];
     }
 
-    /** Pull trace records to build the next dynamic basic block. */
-    FtqEntry buildBlock();
+    /** Pull trace records to build the next dynamic basic block
+     *  into @p entry, replacing its previous contents. */
+    void buildBlock(FtqEntry &entry);
+
+    /** The FTQ entry @p offset places behind the head. */
+    FtqEntry &
+    ftqAt(unsigned offset)
+    {
+        unsigned slot = ftqHead_ + offset;
+        if (slot >= config_.ftqEntries)
+            slot -= config_.ftqEntries;
+        return ftq_[slot];
+    }
 
     /** Predict/teach the terminator; set halt/penalty state. */
     void predictTerminator(FtqEntry &entry, std::uint64_t now);
@@ -210,8 +229,14 @@ class FrontEnd
     std::array<trace::TraceRecord, kFeedBatch> feed_;
     std::size_t feedPos_ = kFeedBatch;  ///< Empty until first refill.
 
-    std::deque<FtqEntry> ftq_;
+    /** The FTQ: a ring of ftqEntries reused entries. */
+    std::vector<FtqEntry> ftq_;
+    unsigned ftqHead_ = 0;
+    unsigned ftqSize_ = 0;
     unsigned ftqInstrCount_ = 0;
+    /** Offset from the head below which every entry has requested
+     *  its lines, so FDIP resumes its walk there. */
+    unsigned prefetchCursor_ = 0;
 
     std::uint64_t seq_ = 0;
     std::uint64_t bpuStallUntil_ = 0;

@@ -25,7 +25,7 @@ Ittage::Ittage(const Config &config) : config_(config), rng_(config.seed)
         indexFold_[t].init(len, config_.tableLog);
         tagFold_[t].init(len, config_.tagBits);
     }
-    history_.assign(max_len + 64, 0);
+    history_.assign(historyRingSize(max_len), 0);
 }
 
 unsigned
@@ -77,9 +77,9 @@ Ittage::pushHistory(std::uint64_t target)
     // distinct even for targets that agree in their low bits.
     const std::uint64_t folded =
         target ^ (target >> 7) ^ (target >> 13) ^ (target >> 23);
+    const unsigned mask = static_cast<unsigned>(history_.size()) - 1;
     for (int i = 0; i < 2; ++i) {
-        historyPos_ = (historyPos_ + 1) %
-                      static_cast<unsigned>(history_.size());
+        historyPos_ = (historyPos_ + 1) & mask;
         history_[historyPos_] =
             static_cast<std::uint8_t>((folded >> (2 + i)) & 1);
         for (unsigned t = 0; t < tables_.size(); ++t) {

@@ -1,9 +1,16 @@
 #include "frontend/tage.hh"
 
+#include <bit>
 #include <cassert>
 
 namespace emissary::frontend
 {
+
+unsigned
+historyRingSize(unsigned max_length)
+{
+    return std::bit_ceil(max_length + 1);
+}
 
 void
 FoldedHistory::init(unsigned orig_length, unsigned compressed_length)
@@ -20,10 +27,9 @@ FoldedHistory::update(const std::vector<std::uint8_t> &history,
 {
     // history[pos] is the newest bit; the bit leaving the window is
     // origLength_ positions older.
-    const unsigned size = static_cast<unsigned>(history.size());
+    const unsigned mask = static_cast<unsigned>(history.size()) - 1;
     const std::uint32_t in_bit = history[pos];
-    const std::uint32_t out_bit =
-        history[(pos + size - origLength_) % size];
+    const std::uint32_t out_bit = history[(pos - origLength_) & mask];
 
     comp_ = (comp_ << 1) | in_bit;
     comp_ ^= out_bit << outPoint_;
@@ -54,7 +60,7 @@ Tage::Tage(const Config &config) : config_(config), rng_(config.seed)
         tagFold1_[t].init(len, config_.tagBits);
         tagFold2_[t].init(len, config_.tagBits - 1);
     }
-    history_.assign(max_len + 64, 0);
+    history_.assign(historyRingSize(max_len), 0);
 }
 
 unsigned
@@ -132,7 +138,8 @@ Tage::predict(std::uint64_t pc)
 void
 Tage::pushHistory(bool bit)
 {
-    historyPos_ = (historyPos_ + 1) % history_.size();
+    historyPos_ = (historyPos_ + 1) &
+                  (static_cast<unsigned>(history_.size()) - 1);
     history_[historyPos_] = bit ? 1 : 0;
     const unsigned n = static_cast<unsigned>(tables_.size());
     for (unsigned t = 0; t < n; ++t) {

@@ -21,13 +21,24 @@
 namespace emissary::frontend
 {
 
+/**
+ * Size of a raw-history ring that holds the last @p max_length bits
+ * plus the incoming one: the smallest power of two above
+ * @p max_length, so ring positions wrap with a mask.
+ */
+unsigned historyRingSize(unsigned max_length);
+
 /** Incrementally folded global history for one table. */
 class FoldedHistory
 {
   public:
     void init(unsigned orig_length, unsigned compressed_length);
 
-    /** Shift in the newest bit and retire the oldest one. */
+    /**
+     * Shift in the newest bit and retire the oldest one. @p history
+     * is a ring whose size is a power of two longer than every
+     * folded length; @p pos indexes its newest bit.
+     */
     void update(const std::vector<std::uint8_t> &history, unsigned pos);
 
     std::uint32_t value() const { return comp_; }
@@ -101,7 +112,8 @@ class Tage
     std::vector<FoldedHistory> indexFold_;
     std::vector<FoldedHistory> tagFold1_;
     std::vector<FoldedHistory> tagFold2_;
-    std::vector<std::uint8_t> history_;  ///< Circular raw history.
+    /** Circular raw history, sized by historyRingSize(). */
+    std::vector<std::uint8_t> history_;
     unsigned historyPos_ = 0;
     Snapshot last_;
     Rng rng_;

@@ -2,12 +2,17 @@
  * @file
  * Tests for the back-end model: dispatch width, window capacity,
  * stall classification, the issue-queue-empty signal, starvation
- * accounting, and load-latency propagation.
+ * accounting, and load-latency propagation. The last group drives
+ * the edge paths of the completion calendar: completions beyond its
+ * span, several completions and a resolution in one cycle, and
+ * executeStage calls that skip cycles.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "backend/backend.hh"
 
@@ -233,6 +238,196 @@ TEST(Backend, DependenceChainsSlowConsumers)
     // The chain completes well after the bare load latency (~246).
     EXPECT_GT(now, 246u);
     EXPECT_EQ(backend.stats().committed, 6u);
+}
+
+/** Cold-miss load latency in hierConfig(): L1 + L2 + L3 + DRAM. */
+constexpr std::uint64_t kDramLoad = 2 + 12 + 32 + 200;
+
+TEST(BackendCalendar, CompletionsBeyondSpanStayExact)
+{
+    // Every load chases the previous one through a DRAM miss, so load
+    // k completes at k * kDramLoad: most of the chain lands far
+    // beyond the calendar's span when it dispatches at cycle 0.
+    Rig rig;
+    Backend::Config chained = Rig::config();
+    chained.loadChainFraction = 1.0;
+    Backend backend(chained, rig.hierarchy);
+    constexpr std::uint64_t kLoads = 12;
+    for (std::uint64_t s = 1; s <= kLoads; ++s)
+        rig.queue.push_back(load(s, 0x100000 + 0x10000 * s));
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> commits;
+    const std::uint64_t end = kLoads * kDramLoad + 10;
+    for (std::uint64_t now = 0; now <= end; ++now) {
+        rig.hierarchy.tick(now);
+        backend.executeStage(now);
+        const std::uint64_t before = backend.stats().committed;
+        backend.commitStage(now);
+        if (backend.stats().committed != before)
+            commits.emplace_back(now, backend.stats().committed);
+        backend.issueStage(now, rig.queue, std::nullopt);
+        // In flight until the last load's completion is drained.
+        EXPECT_EQ(backend.issueQueueEmpty(),
+                  now >= kLoads * kDramLoad)
+            << "cycle " << now;
+    }
+    ASSERT_EQ(commits.size(), kLoads);
+    for (std::uint64_t k = 1; k <= kLoads; ++k) {
+        EXPECT_EQ(commits[k - 1].first, k * kDramLoad);
+        EXPECT_EQ(commits[k - 1].second, k);
+    }
+    EXPECT_EQ(backend.stats().issueActiveCycles, kLoads);
+    EXPECT_EQ(backend.stats().loads, kLoads);
+}
+
+TEST(BackendCalendar, ResolutionIsNotHeldBehindFarCompletions)
+{
+    // A mispredicted branch dispatched after a far-off chain of loads
+    // still resolves at its own completion cycle.
+    Backend::Config chained = Rig::config();
+    chained.loadChainFraction = 1.0;
+    cache::Hierarchy hierarchy(hierConfig());
+    Backend backend(chained, hierarchy);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> resolved;
+    backend.setResolveCallback(
+        [&](std::uint64_t seq, std::uint64_t cycle) {
+            resolved.emplace_back(seq, cycle);
+        });
+    std::deque<core::DynInst> queue;
+    for (std::uint64_t s = 1; s <= 6; ++s)
+        queue.push_back(load(s, 0x100000 + 0x10000 * s));
+    core::DynInst branch = alu(7);
+    branch.rec.cls = trace::InstClass::CondBranch;
+    branch.mispredicted = true;
+    queue.push_back(branch);
+    backend.issueStage(0, queue, std::nullopt);
+    ASSERT_EQ(backend.stats().issued, 7u);
+
+    for (std::uint64_t now = 0; now <= 6 * kDramLoad; ++now) {
+        backend.executeStage(now);
+        EXPECT_EQ(resolved.size(), now < 2 ? 0u : 1u) << "cycle " << now;
+    }
+    ASSERT_EQ(resolved.size(), 1u);
+    EXPECT_EQ(resolved[0], std::make_pair(std::uint64_t{7},
+                                          std::uint64_t{2}));
+    EXPECT_TRUE(backend.issueQueueEmpty());
+}
+
+TEST(BackendCalendar, LoadQueueFreesOnFarCompletions)
+{
+    // A 4-entry load queue over the same chase: each dispatch waits
+    // for the oldest load's completion, whichever path booked it.
+    Rig rig;
+    Backend::Config chained = Rig::config();
+    chained.loadChainFraction = 1.0;
+    chained.lqEntries = 4;
+    Backend backend(chained, rig.hierarchy);
+    constexpr std::uint64_t kLoads = 10;
+    for (std::uint64_t s = 1; s <= kLoads; ++s)
+        rig.queue.push_back(load(s, 0x100000 + 0x10000 * s));
+    std::uint64_t now = 0;
+    for (; now < 100'000 && backend.stats().committed < kLoads; ++now) {
+        rig.hierarchy.tick(now);
+        backend.executeStage(now);
+        backend.commitStage(now);
+        backend.issueStage(now, rig.queue, std::nullopt);
+    }
+    EXPECT_EQ(backend.stats().committed, kLoads);
+    // The chain serialises regardless of the queue size.
+    EXPECT_EQ(now - 1, kLoads * kDramLoad);
+    EXPECT_TRUE(backend.issueQueueEmpty());
+    EXPECT_TRUE(backend.canAccept());
+}
+
+TEST(BackendCalendar, CompletionsAndResolutionInOneCycle)
+{
+    Backend::Config config = Rig::config();
+    config.branchLatency = config.intLatency;
+    cache::Hierarchy hierarchy(hierConfig());
+    Backend backend(config, hierarchy);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> resolved;
+    backend.setResolveCallback(
+        [&](std::uint64_t seq, std::uint64_t cycle) {
+            resolved.emplace_back(seq, cycle);
+        });
+
+    std::deque<core::DynInst> queue;
+    for (std::uint64_t s = 1; s <= 7; ++s)
+        queue.push_back(alu(s));
+    core::DynInst branch = alu(8);
+    branch.rec.cls = trace::InstClass::CondBranch;
+    branch.mispredicted = true;
+    queue.push_back(branch);
+    backend.issueStage(0, queue, std::nullopt);
+    ASSERT_EQ(backend.stats().issued, 8u);
+
+    backend.executeStage(0);
+    EXPECT_FALSE(backend.issueQueueEmpty());
+    EXPECT_TRUE(resolved.empty());
+
+    // All eight complete in cycle 1: one active cycle, one resolution
+    // carrying the branch's completion cycle.
+    backend.executeStage(1);
+    EXPECT_TRUE(backend.issueQueueEmpty());
+    EXPECT_EQ(backend.stats().issueActiveCycles, 1u);
+    EXPECT_EQ(backend.stats().branchesResolved, 1u);
+    ASSERT_EQ(resolved.size(), 1u);
+    EXPECT_EQ(resolved[0], std::make_pair(std::uint64_t{8},
+                                          std::uint64_t{1}));
+}
+
+TEST(BackendCalendar, GapInNowDrainsEverySkippedCycle)
+{
+    Backend::Config config = Rig::config();
+    config.mulLatency = 3;
+    config.fpLatency = 5;
+    cache::Hierarchy hierarchy(hierConfig());
+    Backend backend(config, hierarchy);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> resolved;
+    backend.setResolveCallback(
+        [&](std::uint64_t seq, std::uint64_t cycle) {
+            resolved.emplace_back(seq, cycle);
+        });
+
+    // Completions at cycles 1, 2 (the mispredict), 3, 5 and at the
+    // load's DRAM return.
+    std::deque<core::DynInst> queue;
+    queue.push_back(alu(1));
+    core::DynInst branch = alu(2);
+    branch.rec.cls = trace::InstClass::CondBranch;
+    branch.mispredicted = true;
+    queue.push_back(branch);
+    core::DynInst mul = alu(3);
+    mul.rec.cls = trace::InstClass::IntMul;
+    queue.push_back(mul);
+    core::DynInst fp = alu(4);
+    fp.rec.cls = trace::InstClass::FpAlu;
+    queue.push_back(fp);
+    queue.push_back(load(5, 0x100000));
+    backend.issueStage(0, queue, std::nullopt);
+
+    // One call covering cycles 0..9 drains the four short ones and
+    // counts one active cycle; the resolution keeps its own cycle.
+    backend.executeStage(9);
+    EXPECT_EQ(backend.stats().issueActiveCycles, 1u);
+    ASSERT_EQ(resolved.size(), 1u);
+    EXPECT_EQ(resolved[0], std::make_pair(std::uint64_t{2},
+                                          std::uint64_t{2}));
+    EXPECT_FALSE(backend.issueQueueEmpty());
+
+    // A gap longer than the calendar span still finds the load.
+    backend.executeStage(5000);
+    EXPECT_TRUE(backend.issueQueueEmpty());
+    EXPECT_EQ(backend.stats().issueActiveCycles, 2u);
+
+    // Dispatch after the gap books against the new cycle.
+    queue.push_back(alu(6));
+    backend.issueStage(5000, queue, std::nullopt);
+    backend.executeStage(5000);
+    EXPECT_FALSE(backend.issueQueueEmpty());
+    backend.executeStage(5001);
+    EXPECT_TRUE(backend.issueQueueEmpty());
+    EXPECT_EQ(backend.stats().issueActiveCycles, 3u);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the decoupled front-end: block formation, FTQ flow into
  * the decode queue, FDIP prefetching, BTB-miss pre-decode stalls,
- * mispredict halt/resume, and starvation-line attribution.
+ * mispredict halt/resume, starvation-line attribution, and the reuse
+ * of the FTQ's fixed entries.
  */
 
 #include <gtest/gtest.h>
@@ -226,6 +227,107 @@ TEST(FrontEnd, FdipOffDelaysRequestsUntilFetch)
     rig.cycle(0);
     // With FDIP off, the BPU formed a block but no FDIP stats accrue.
     EXPECT_EQ(rig.frontend.stats().fdipRequests, 0u);
+}
+
+/**
+ * A loop of a straight-line run of @p straight ALU ops (several
+ * lines long) followed by a few short blocks, back to the start.
+ */
+std::vector<trace::TraceRecord>
+mixedBlockScript(std::uint64_t base, unsigned straight)
+{
+    std::vector<trace::TraceRecord> script;
+    std::uint64_t pc = base;
+    auto add = [&](trace::InstClass cls, std::uint64_t next) {
+        trace::TraceRecord r;
+        r.pc = pc;
+        r.nextPc = next;
+        r.cls = cls;
+        r.taken = next != pc + 4;
+        script.push_back(r);
+        pc = next;
+    };
+    for (unsigned i = 0; i < straight; ++i)
+        add(trace::InstClass::IntAlu, pc + 4);
+    for (int block = 0; block < 3; ++block) {
+        add(trace::InstClass::IntAlu, pc + 4);
+        add(trace::InstClass::DirectJump, pc + 0x100);
+    }
+    add(trace::InstClass::DirectJump, base);
+    return script;
+}
+
+TEST(FrontEnd, FtqEntriesAreReusedAcrossManyBlocks)
+{
+    // A small FTQ recycles its entries many times over, and a
+    // 70-instruction straight run splits into a maxBlockInstrs block
+    // plus a remainder. Every instruction must still reach decode
+    // exactly once, in program order, with its own line state.
+    FrontEnd::Config fe;
+    fe.ftqEntries = 4;
+    fe.maxBlockInstrs = 64;
+    const auto script = mixedBlockScript(0x40000, 70);
+    Rig rig(script, fe);
+
+    std::uint64_t expected_seq = 1;
+    std::size_t expected_index = 0;
+    for (std::uint64_t now = 0; now < 20'000; ++now) {
+        rig.cycle(now);
+        for (const core::DynInst &inst : rig.decode_queue) {
+            ASSERT_EQ(inst.seq, expected_seq);
+            ASSERT_EQ(inst.rec.pc, script[expected_index].pc);
+            ++expected_seq;
+            expected_index = (expected_index + 1) % script.size();
+        }
+        rig.decode_queue.clear();
+    }
+    const FrontEndStats &stats = rig.frontend.stats();
+    EXPECT_GT(stats.blocksFormed, 100u * fe.ftqEntries);
+    EXPECT_EQ(stats.fetchedInstrs, expected_seq - 1);
+    // One pass of the script is five blocks of 64, 8, 2, 2 and 1
+    // instructions.
+    const std::uint64_t passes = stats.fetchedInstrs / script.size();
+    EXPECT_GE(stats.blocksFormed, 5 * passes);
+    EXPECT_LE(stats.blocksFormed, 5 * (passes + 1) + fe.ftqEntries);
+}
+
+TEST(FrontEnd, PendingLineFollowsFetchAcrossBlockLines)
+{
+    // A 64-instruction block spans four lines, the first two already
+    // in L1I. Fetch streams through them, then stalls on the third:
+    // the pending line is always the line of the next instruction.
+    FrontEnd::Config fe;
+    fe.fdip = false;
+    const auto script = mixedBlockScript(0x80000, 64);
+    Rig rig(script, fe);
+    const std::uint64_t first_line = script.front().pc >> 6;
+    rig.hierarchy.requestInstruction(first_line, 0,
+                                     cache::RequestKind::Demand);
+    rig.hierarchy.requestInstruction(first_line + 1, 0,
+                                     cache::RequestKind::Demand);
+    std::uint64_t now = 0;
+    for (; now < 300; ++now)
+        rig.hierarchy.tick(now);
+
+    std::uint64_t delivered = 0;
+    bool stalled_on_third = false;
+    for (; now < 3000 && delivered < 64; ++now) {
+        rig.cycle(now);
+        delivered += rig.decode_queue.size();
+        rig.decode_queue.clear();
+        if (delivered >= 64)
+            break;
+        const auto pending = rig.frontend.pendingFetchLine(now);
+        if (!pending)
+            continue;
+        EXPECT_EQ(*pending, script[delivered].pc >> 6)
+            << "cycle " << now;
+        stalled_on_third =
+            stalled_on_third ||
+            (delivered == 32 && *pending == first_line + 2);
+    }
+    EXPECT_TRUE(stalled_on_third);
+    EXPECT_EQ(delivered, 64u);
 }
 
 } // namespace

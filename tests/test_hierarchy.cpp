@@ -3,10 +3,14 @@
  * Tests for the three-level hierarchy: latency composition, MSHR
  * merging, inclusive back-invalidation, the exclusive L3 victim path
  * with the SFL bit, EMISSARY priority plumbing from starvation to
- * protection, and the §5.6 ideal-L2I model.
+ * protection, the §5.6 ideal-L2I model, and the order in which tick()
+ * and drain() apply fills.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 
@@ -255,6 +259,107 @@ TEST(Hierarchy, DrainCompletesEverything)
     EXPECT_EQ(h.outstanding(), 0u);
     EXPECT_NE(h.l1i().peek(1), nullptr);
     EXPECT_NE(h.l1d().peek(1000), nullptr);
+}
+
+TEST(Hierarchy, EqualReadyFillsApplyInAscendingLineOrder)
+{
+    // Three cold lines of one 2-way L1I set, requested in descending
+    // order in one cycle, all ready together. Fills apply in
+    // ascending line order, so the third fill evicts the lowest line.
+    Hierarchy h(tinyConfig());
+    const std::uint64_t a = 8;
+    const std::uint64_t b = 16;
+    const std::uint64_t c = 24;
+    const std::uint64_t ready =
+        h.requestInstruction(c, 0, RequestKind::Demand);
+    EXPECT_EQ(h.requestInstruction(b, 0, RequestKind::Demand), ready);
+    EXPECT_EQ(h.requestInstruction(a, 0, RequestKind::Demand), ready);
+    h.tick(ready - 1);
+    EXPECT_EQ(h.outstanding(), 3u);
+    h.tick(ready);
+    EXPECT_EQ(h.outstanding(), 0u);
+    EXPECT_EQ(h.l1i().peek(a), nullptr);
+    EXPECT_NE(h.l1i().peek(b), nullptr);
+    EXPECT_NE(h.l1i().peek(c), nullptr);
+}
+
+/** Presence and state bits of @p line in @p cache, for comparison. */
+std::vector<int>
+lineState(Cache &cache, std::uint64_t line)
+{
+    const CacheLine *l = cache.peek(line);
+    if (l == nullptr)
+        return {0};
+    return {1, l->dirty, l->isInstruction, l->priority, l->sfl};
+}
+
+/** Issue a mix of fills with distinct and equal ready cycles, served
+ *  from L2, L3 and memory, several of them conflicting in a set. */
+std::uint64_t
+issueMixedFills(Hierarchy &h)
+{
+    // Seed L2/L3 so some misses below are served from there: fill
+    // lines, then push them out of the tiny L1s (and some out of L2).
+    std::uint64_t now = 0;
+    for (std::uint64_t line = 0; line < 96; line += 4) {
+        h.requestInstruction(line, now, RequestKind::Demand);
+        h.requestData(1000 + line, now, line % 8 == 0);
+        now += 3;
+    }
+    runTo(h, now + 300);
+    now += 301;
+
+    std::uint64_t last_ready = 0;
+    for (std::uint64_t line = 96; line > 0; line -= 8) {
+        last_ready = std::max(
+            last_ready,
+            h.requestInstruction(line, now, RequestKind::Demand));
+        h.noteStarvation(line, line % 16 == 0);
+        last_ready = std::max(
+            last_ready, h.requestData(1000 + line, now, line % 24 == 0));
+    }
+    for (std::uint64_t line = 200; line < 216; ++line)
+        last_ready = std::max(
+            last_ready,
+            h.requestInstruction(line, now + (line % 3),
+                                 RequestKind::Demand));
+    return last_ready;
+}
+
+TEST(Hierarchy, DrainMatchesTickingToTheLastFill)
+{
+    for (const char *policy : {"TPLRU", "P(2):S&E", "SRRIP"}) {
+        SCOPED_TRACE(policy);
+        Hierarchy drained(tinyConfig(policy));
+        Hierarchy ticked(tinyConfig(policy));
+        const std::uint64_t last = issueMixedFills(drained);
+        ASSERT_EQ(issueMixedFills(ticked), last);
+        ASSERT_GT(drained.outstanding(), 20u);
+
+        drained.drain();
+        for (std::uint64_t now = 0; now <= last; ++now)
+            ticked.tick(now);
+        ASSERT_EQ(drained.outstanding(), 0u);
+        ASSERT_EQ(ticked.outstanding(), 0u);
+
+        for (std::uint64_t line = 0; line < 1300; ++line) {
+            EXPECT_EQ(lineState(drained.l1i(), line),
+                      lineState(ticked.l1i(), line)) << line;
+            EXPECT_EQ(lineState(drained.l1d(), line),
+                      lineState(ticked.l1d(), line)) << line;
+            EXPECT_EQ(lineState(drained.l2(), line),
+                      lineState(ticked.l2(), line)) << line;
+            EXPECT_EQ(lineState(drained.l3(), line),
+                      lineState(ticked.l3(), line)) << line;
+        }
+        EXPECT_EQ(drained.stats().l2Fills, ticked.stats().l2Fills);
+        EXPECT_EQ(drained.stats().l2Evictions,
+                  ticked.stats().l2Evictions);
+        EXPECT_EQ(drained.stats().dramWrites,
+                  ticked.stats().dramWrites);
+        EXPECT_EQ(drained.stats().highPriorityFills,
+                  ticked.stats().highPriorityFills);
+    }
 }
 
 TEST(Hierarchy, ResetPrioritiesClearsBothLevels)
