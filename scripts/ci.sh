@@ -2,6 +2,8 @@
 # CI driver: the exact sequence the GitHub workflow runs, kept as a
 # script so it can be reproduced locally with ./scripts/ci.sh.
 #
+#   0. Cited evidence: every results/ file and source path that
+#      README.md, EXPERIMENTS.md or docs/ cite must exist
 #   1. Release build + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
 #      --trace-out output must parse and carry the expected keys
@@ -39,7 +41,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${CI_JOBS:-$(nproc)}"
-STAGES="${*:-release smoke throughput timeparallel tracepack service bench asan tsan}"
+STAGES="${*:-evidence release smoke throughput timeparallel tracepack service bench asan tsan}"
 
 run_stage() { echo; echo "=== ci: $* ==="; }
 
@@ -52,6 +54,22 @@ configure_build_test() {
 
 for stage in $STAGES; do
     case "$stage" in
+    evidence)
+        run_stage "cited results/ files and source paths exist"
+        # A cited path starts a line or follows a space, backtick or
+        # parenthesis, so output paths like /tmp/bench/x.json do not
+        # count.
+        missing=0
+        while read -r path; do
+            [ -e "$path" ] ||
+                { echo "cited but missing: $path" >&2; missing=1; }
+        done < <(grep -ohE \
+            '(^|[ `(])(src|tools|bench|tests|scripts|results)/[A-Za-z0-9_./-]+\.[a-z]+' \
+            README.md EXPERIMENTS.md docs/*.md |
+            sed -E 's/^[ `(]//' | sort -u)
+        [ "$missing" -eq 0 ] || exit 1
+        echo "evidence OK"
+        ;;
     release)
         run_stage "Release build + tests"
         CTEST_ARGS=()

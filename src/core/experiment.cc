@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -121,6 +121,10 @@ runOverSource(trace::TraceSource &source,
             recorder->recordSpan("stat_export", recorder->toNs(stop),
                                  recorder->toNs(harvested));
         }
+        if (const auto *emissary =
+                dynamic_cast<const replacement::EmissaryPolicy *>(
+                    &simulator.hierarchy().l2().policy()))
+            telemetry->l2SameRunRange = emissary->sameRunRange();
     }
     return metrics;
 }
@@ -841,16 +845,9 @@ envU64(const char *name, std::uint64_t fallback)
     const char *value = std::getenv(name);
     if (!value || *value == '\0')
         return fallback;
-    const std::string text = trim(value);
-    const bool all_digits =
-        !text.empty() &&
-        text.find_first_not_of("0123456789") == std::string::npos;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        all_digits ? std::strtoull(text.c_str(), &end, 10) : 0;
-    if (!all_digits || end != text.c_str() + text.size() ||
-        errno == ERANGE)
+    std::uint64_t parsed = 0;
+    if (!parseDecimal(trim(value),
+                      std::numeric_limits<std::uint64_t>::max(), parsed))
         throw std::invalid_argument(
             std::string(name) +
             ": expected an unsigned decimal integer, got '" + value +

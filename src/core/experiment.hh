@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/metrics.hh"
+#include "replacement/emissary.hh"
 #include "replacement/spec.hh"
 #include "stats/registry.hh"
 #include "stats/sampler.hh"
@@ -123,7 +124,7 @@ struct RunInstrumentation
 };
 
 /**
- * Flight-recorder attachment and phase-timing output for one run.
+ * Flight-recorder attachment and run-level outputs for one run.
  * With @p spans set, the run records "warmup", "measure" and
  * "stat_export" child slices on the calling thread's track; the
  * phase seconds are filled either way, so the grid engine's
@@ -142,6 +143,11 @@ struct RunTelemetry
     /** Wall seconds harvesting stats after the window (registry
      *  export, sampler copy). */
     double statExportSeconds = 0.0;
+
+    /** The N values whose P(N) L2 would have run this run's exact
+     *  path (EmissaryPolicy::sameRunRange); empty unless the L2 runs
+     *  EMISSARY. The grid engine shares a P(N) result across it. */
+    replacement::ProtectRange l2SameRunRange{1, 0};
 };
 
 /** Instrumented variant: as above, plus structured observability. */

@@ -270,6 +270,8 @@ cellExecutionName(CellExecution execution)
         return "cached";
       case CellExecution::TimeParallel:
         return "time_parallel";
+      case CellExecution::Shared:
+        return "shared";
     }
     return "unknown";
 }
@@ -375,8 +377,12 @@ GridResults::GridResults(std::size_t workloads, std::size_t runs)
       execution_(workloads,
                  std::vector<CellExecution>(
                      runs, CellExecution::Sequential)),
+      sharedWith_(workloads, std::vector<std::size_t>(runs)),
       registries_(workloads, std::vector<stats::Registry>(runs))
 {
+    for (auto &row : sharedWith_)
+        for (std::size_t r = 0; r < runs; ++r)
+            row[r] = r;
     timing_.runSeconds.assign(workloads,
                               std::vector<double>(runs, 0.0));
     timing_.phaseSeconds.assign(
@@ -392,7 +398,8 @@ GridResults::anyFused() const
         for (const CellExecution execution : row)
             if (execution != CellExecution::Sequential &&
                 execution != CellExecution::Cached &&
-                execution != CellExecution::TimeParallel)
+                execution != CellExecution::TimeParallel &&
+                execution != CellExecution::Shared)
                 return true;
     return false;
 }
@@ -457,6 +464,11 @@ GridResults::timingTable(
                                          timing_.totalSeconds
                                    : 0.0,
                                2)});
+    std::size_t shared = 0;
+    for (const auto &row : execution_)
+        shared += static_cast<std::size_t>(
+            std::count(row.begin(), row.end(), CellExecution::Shared));
+    table.addRow({"cells shared (exact)", std::to_string(shared), "-"});
     table.addRow({"phase: replay build (serial s)", "-",
                   formatDouble(timing_.replayBuildSeconds, 2)});
     table.addRow({"phase: warmup (serial s)", "-",
@@ -693,8 +705,150 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     for (const double s : build_seconds)
         results.timing_.replayBuildSeconds += s;
 
+    // Every job's future, in submission order. A P(N) group leader
+    // submits its re-run members from inside its own job, so the
+    // vector is shared under a mutex with the wait loop below. submit
+    // and the cell runners live at this scope: they must outlive
+    // every job.
     std::vector<std::future<void>> cells;
+    std::mutex cells_mutex;
     cells.reserve(grid.cellCount());
+    const auto submit = [&](std::function<void()> job) {
+        std::future<void> future = pool.submit(std::move(job));
+        std::lock_guard<std::mutex> lock(cells_mutex);
+        cells.push_back(std::move(future));
+    };
+
+    // Sequential engine: one job per cell. run_cell simulates cell
+    // (w, r) into its slot and returns the L2's same-path N range
+    // (empty unless the L2 runs EMISSARY).
+    const auto run_cell = [&](std::size_t w, std::size_t r) {
+        const auto cell_start = std::chrono::steady_clock::now();
+        label_track();
+        // Each cell owns its source, simulator and seeded RNGs; it
+        // writes only its own result slot, so no locking — and
+        // completion order cannot reorder or perturb the results.
+        const GridWorkload &row = grid.workloads[w];
+        const RunOptions &run_options = grid.runs[r].options;
+        stats::ScopedTimer span(recorder, "cell");
+        RunTelemetry telemetry;
+        telemetry.spans = recorder;
+        RunInstrumentation instrumentation;
+        RunInstrumentation *const instr =
+            collect ? &instrumentation : nullptr;
+        // Chunked cells splice their window across time chunks
+        // (runPolicyTimeParallel); synthetic rows past the replay
+        // budget lack a random-access stream and stay sequential.
+        const bool chunked = run_options.timeChunks > 1 &&
+                             (buffers[w] || row.traceBacked());
+        Metrics metrics;
+        if (chunked && buffers[w]) {
+            metrics = runPolicyTimeParallel(
+                buffers[w], l2_specs[r], l1i_specs[r], run_options,
+                pool, instr, &telemetry);
+        } else if (chunked) {
+            const ChunkSourceFactory open_chunk =
+                [&row](std::uint64_t start_record) {
+                    return openTraceSource(row, start_record);
+                };
+            metrics = runPolicyTimeParallel(
+                open_chunk, l2_specs[r], l1i_specs[r], run_options,
+                pool, instr, &telemetry);
+        } else if (buffers[w]) {
+            metrics = runPolicy(buffers[w], l2_specs[r], l1i_specs[r],
+                                run_options, instr, &telemetry);
+        } else if (row.traceBacked()) {
+            // Past the replay budget: stream the file fresh for this
+            // cell. The decode is bit-exact, so the Metrics match the
+            // buffered path.
+            auto source = openTraceSource(row);
+            metrics = runPolicy(*source, l2_specs[r], l1i_specs[r],
+                                run_options, instr, &telemetry);
+        } else {
+            metrics = runPolicy(*programs[w], l2_specs[r],
+                                l1i_specs[r], run_options, instr,
+                                &telemetry);
+        }
+        if (chunked)
+            results.execution_[w][r] = CellExecution::TimeParallel;
+        // Normalise what the source reports: the grid row's name wins
+        // over the source's self-description, and trace-backed cells
+        // take the container's pack-time footprint census on both the
+        // buffered and the streaming path.
+        metrics.benchmark = row.name;
+        if (row.traceBacked())
+            metrics.codeFootprintLines = footprints[w];
+        if (options.cellCache) {
+            CellCacheEntry entry;
+            entry.metrics = metrics;
+            entry.counters = registryJson(instrumentation.registry);
+            options.cellCache->store(cache_keys[w][r],
+                                     cache_canonicals[w][r], entry);
+        }
+        const std::uint64_t cell_instructions = metrics.instructions;
+        results.cells_[w][r] = std::move(metrics);
+        if (collect)
+            results.registries_[w][r] =
+                std::move(instrumentation.registry);
+        const double cell_seconds = secondsSince(cell_start);
+        results.timing_.runSeconds[w][r] = cell_seconds;
+        results.timing_.phaseSeconds[w][r] = {
+            telemetry.warmupSeconds, telemetry.measureSeconds,
+            telemetry.statExportSeconds};
+        if (span.active()) {
+            span.arg("workload", stats::JsonValue(row.name));
+            span.arg("policy", stats::JsonValue(grid.runs[r].l2Policy));
+            // Grid-cell index: policy labels repeat across rows (and
+            // fused group slices cover several cells), so slices stay
+            // distinguishable.
+            span.arg("cell", stats::JsonValue(static_cast<std::uint64_t>(
+                                 w * grid.runs.size() + r)));
+            span.arg("instructions", stats::JsonValue(cell_instructions));
+            span.arg("minst_per_sec",
+                     stats::JsonValue(
+                         cell_seconds > 0.0
+                             ? static_cast<double>(cell_instructions) /
+                                   cell_seconds / 1e6
+                             : 0.0));
+        }
+        note_cell_done(w, r, cell_instructions);
+        return telemetry.l2SameRunRange;
+    };
+
+    // A group member inside its leader's range: the leader's run is
+    // this cell's run, bit for bit, so only the policy name differs.
+    // Runs in the leader's job, right after run_cell(w, leader).
+    const auto share_cell = [&](std::size_t w, std::size_t r,
+                                std::size_t leader) {
+        stats::ScopedTimer span(recorder, "cell");
+        Metrics metrics = results.cells_[w][leader];
+        metrics.policy = l2_specs[r].toString();
+        if (collect)
+            results.registries_[w][r] = results.registries_[w][leader];
+        if (options.cellCache) {
+            CellCacheEntry entry;
+            entry.metrics = metrics;
+            entry.counters = registryJson(results.registries_[w][r]);
+            options.cellCache->store(cache_keys[w][r],
+                                     cache_canonicals[w][r], entry);
+        }
+        const std::uint64_t instructions = metrics.instructions;
+        results.cells_[w][r] = std::move(metrics);
+        results.execution_[w][r] = CellExecution::Shared;
+        results.sharedWith_[w][r] = leader;
+        if (span.active()) {
+            span.arg("workload",
+                     stats::JsonValue(grid.workloads[w].name));
+            span.arg("policy", stats::JsonValue(grid.runs[r].l2Policy));
+            span.arg("cell", stats::JsonValue(static_cast<std::uint64_t>(
+                                 w * grid.runs.size() + r)));
+            span.arg("instructions", stats::JsonValue(instructions));
+            span.arg("minst_per_sec", stats::JsonValue(0.0));
+            span.arg("shared_with",
+                     stats::JsonValue(grid.runs[leader].l2Policy));
+        }
+        note_cell_done(w, r, instructions);
+    };
 
     if (fusable) {
         // Fused engine: one trace pass per (workload, lane chunk).
@@ -715,8 +869,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                         fresh.push_back(lane);
                 if (fresh.empty())
                     continue;
-                cells.push_back(pool.submit([&, w, base,
-                                             fresh]() {
+                submit([&, w, base, fresh]() {
                     const auto group_start =
                         std::chrono::steady_clock::now();
                     label_track();
@@ -862,133 +1015,86 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                             w, base + lane,
                             results.cells_[w][base + lane]
                                 .instructions);
-                }));
+                });
             }
         }
-    } else
-    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        for (std::size_t r = 0; r < grid.runs.size(); ++r) {
-            if (cell_cached(w, r))
-                continue;
-            cells.push_back(pool.submit([&, w, r]() {
-                const auto cell_start =
-                    std::chrono::steady_clock::now();
-                label_track();
-                // Each cell owns its source, simulator and seeded
-                // RNGs; it writes only its own result slot, so no
-                // locking — and completion order cannot reorder or
-                // perturb the results.
-                const GridWorkload &row = grid.workloads[w];
-                stats::ScopedTimer span(recorder, "cell");
-                RunTelemetry telemetry;
-                telemetry.spans = recorder;
-                RunInstrumentation instrumentation;
-                RunInstrumentation *const instr =
-                    collect ? &instrumentation : nullptr;
-                // Chunked cells splice their window across time
-                // chunks (runPolicyTimeParallel); synthetic rows
-                // past the replay budget lack a random-access
-                // stream and stay sequential.
-                const bool chunked =
-                    grid.runs[r].options.timeChunks > 1 &&
-                    (buffers[w] || row.traceBacked());
-                Metrics metrics;
-                if (chunked && buffers[w]) {
-                    metrics = runPolicyTimeParallel(
-                        buffers[w], l2_specs[r], l1i_specs[r],
-                        grid.runs[r].options, pool, instr,
-                        &telemetry);
-                } else if (chunked) {
-                    const ChunkSourceFactory open_chunk =
-                        [&row](std::uint64_t start_record) {
-                            return openTraceSource(row,
-                                                   start_record);
-                        };
-                    metrics = runPolicyTimeParallel(
-                        open_chunk, l2_specs[r], l1i_specs[r],
-                        grid.runs[r].options, pool, instr,
-                        &telemetry);
-                } else if (buffers[w]) {
-                    metrics = runPolicy(buffers[w], l2_specs[r],
-                                        l1i_specs[r],
-                                        grid.runs[r].options, instr,
-                                        &telemetry);
-                } else if (row.traceBacked()) {
-                    // Past the replay budget: stream the file fresh
-                    // for this cell. The decode is bit-exact, so the
-                    // Metrics match the buffered path.
-                    auto source = openTraceSource(row);
-                    metrics = runPolicy(*source, l2_specs[r],
-                                        l1i_specs[r],
-                                        grid.runs[r].options, instr,
-                                        &telemetry);
-                } else {
-                    metrics = runPolicy(*programs[w], l2_specs[r],
-                                        l1i_specs[r],
-                                        grid.runs[r].options, instr,
-                                        &telemetry);
+    } else {
+        // Two sequential P(N) columns share a group when they differ
+        // in N alone: same selector and the same run knobs (L1I
+        // policy and the EMISSARY tree flag included). Chunked
+        // columns never group.
+        const auto groupable = [&](std::size_t r) {
+            return l2_specs[r].family ==
+                       replacement::PolicyFamily::EmissaryP &&
+                   grid.runs[r].options.timeChunks <= 1;
+        };
+        const auto same_group = [&](std::size_t a, std::size_t b) {
+            return l2_specs[a].selector == l2_specs[b].selector &&
+                   sameRunKnobs(grid.runs[a].options,
+                                grid.runs[b].options);
+        };
+        for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+            // Groups form among the row's fresh cells only: a cached
+            // cell has no range to share. Each group's leader (largest
+            // N, the first column on a tie) goes first in its list.
+            std::vector<std::vector<std::size_t>> groups;
+            for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+                if (cell_cached(w, r) || !groupable(r))
+                    continue;
+                auto group = std::find_if(
+                    groups.begin(), groups.end(),
+                    [&](const std::vector<std::size_t> &g) {
+                        return same_group(g.front(), r);
+                    });
+                if (group == groups.end()) {
+                    groups.push_back({r});
+                    continue;
                 }
-                if (chunked)
-                    results.execution_[w][r] =
-                        CellExecution::TimeParallel;
-                // Normalise what the source reports: the grid row's
-                // name wins over the source's self-description, and
-                // trace-backed cells take the container's pack-time
-                // footprint census on both the buffered and the
-                // streaming path.
-                metrics.benchmark = row.name;
-                if (row.traceBacked())
-                    metrics.codeFootprintLines = footprints[w];
-                if (options.cellCache) {
-                    CellCacheEntry entry;
-                    entry.metrics = metrics;
-                    entry.counters =
-                        registryJson(instrumentation.registry);
-                    options.cellCache->store(cache_keys[w][r],
-                                             cache_canonicals[w][r],
-                                             entry);
-                }
-                const std::uint64_t cell_instructions =
-                    metrics.instructions;
-                results.cells_[w][r] = std::move(metrics);
-                if (collect)
-                    results.registries_[w][r] =
-                        std::move(instrumentation.registry);
-                const double cell_seconds = secondsSince(cell_start);
-                results.timing_.runSeconds[w][r] = cell_seconds;
-                results.timing_.phaseSeconds[w][r] = {
-                    telemetry.warmupSeconds, telemetry.measureSeconds,
-                    telemetry.statExportSeconds};
-                if (span.active()) {
-                    span.arg("workload", stats::JsonValue(row.name));
-                    span.arg("policy", stats::JsonValue(
-                                           grid.runs[r].l2Policy));
-                    // Grid-cell index: policy labels repeat across
-                    // rows (and fused group slices cover several
-                    // cells), so slices stay distinguishable.
-                    span.arg("cell",
-                             stats::JsonValue(
-                                 static_cast<std::uint64_t>(
-                                     w * grid.runs.size() + r)));
-                    span.arg("instructions",
-                             stats::JsonValue(cell_instructions));
-                    span.arg("minst_per_sec",
-                             stats::JsonValue(
-                                 cell_seconds > 0.0
-                                     ? static_cast<double>(
-                                           cell_instructions) /
-                                           cell_seconds / 1e6
-                                     : 0.0));
-                }
-                note_cell_done(w, r, cell_instructions);
-            }));
+                group->push_back(r);
+                if (l2_specs[r].protectN >
+                    l2_specs[group->front()].protectN)
+                    std::swap(group->front(), group->back());
+            }
+            std::vector<char> member(grid.runs.size(), 0);
+            for (const std::vector<std::size_t> &group : groups) {
+                if (group.size() < 2)
+                    continue;
+                for (const std::size_t r : group)
+                    member[r] = 1;
+                // Leaders go before the row's other cells: their
+                // members wait on them.
+                submit([&, w, group]() {
+                    const std::size_t leader = group.front();
+                    const replacement::ProtectRange same =
+                        run_cell(w, leader);
+                    for (std::size_t i = 1; i < group.size(); ++i) {
+                        const std::size_t r = group[i];
+                        if (same.contains(l2_specs[r].protectN))
+                            share_cell(w, r, leader);
+                        else
+                            submit([&, w, r]() { run_cell(w, r); });
+                    }
+                });
+            }
+            for (std::size_t r = 0; r < grid.runs.size(); ++r)
+                if (!cell_cached(w, r) && !member[r])
+                    submit([&, w, r]() { run_cell(w, r); });
         }
     }
 
-    // Wait for every cell; report the first failure only after the
-    // stragglers finish (their slots reference local state).
+    // Wait for every job; report the first failure only after the
+    // stragglers finish (their slots reference local state). A job
+    // appends its follow-ups before its own future completes, so once
+    // the index reaches the end no job is left that could append.
     std::exception_ptr first_error;
-    for (auto &future : cells) {
+    for (std::size_t i = 0;; ++i) {
+        std::future<void> future;
+        {
+            std::lock_guard<std::mutex> lock(cells_mutex);
+            if (i == cells.size())
+                break;
+            future = std::move(cells[i]);
+        }
         try {
             future.get();
         } catch (...) {
@@ -1103,6 +1209,11 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
             manifest.set("execution",
                          JsonValue(cellExecutionName(
                              results.executionAt(w, r))));
+            if (results.executionAt(w, r) == CellExecution::Shared)
+                manifest.set(
+                    "shared_with",
+                    JsonValue(
+                        grid.runs[results.sharedWith(w, r)].l2Policy));
             manifest.set("wall_seconds",
                          JsonValue(results.timing().runSeconds[w][r]));
             manifest.set("metrics", results.at(w, r).toJson());

@@ -21,6 +21,13 @@
  * replayed cells produce bit-identical Metrics to live generation,
  * so the sweep costs O(workloads) synthetic execution instead of
  * O(workloads x policies). See docs/performance.md.
+ *
+ * The sequential engine also simulates each distinct P(N) trajectory
+ * once: a row's P(N) columns that differ only in N form a group whose
+ * largest N runs first, and every member whose N lies in the
+ * leader's replacement::EmissaryPolicy::sameRunRange takes the
+ * leader's result (CellExecution::Shared); the others run as
+ * ordinary cells. Shared results are exact, not estimates.
  */
 
 #ifndef EMISSARY_CORE_GRID_HH
@@ -242,6 +249,9 @@ enum class CellExecution : std::uint8_t
     Cached,              ///< Served from the cell result cache.
     TimeParallel,        ///< Chunked time-parallel splice
                          ///< (core::runPolicyTimeParallel).
+    Shared,              ///< Copied from a larger-N P(N) cell of the
+                         ///< row whose run provably took the same
+                         ///< path (bit-identical to Sequential).
 };
 
 /** The execution mode's name as stored in the sweep JSON. */
@@ -315,6 +325,14 @@ class GridResults
         return execution_[w][r];
     }
 
+    /** Column of row @p w whose simulation produced the Shared
+     *  cell (@p w, @p r); @p r itself for every other cell. */
+    std::size_t
+    sharedWith(std::size_t w, std::size_t r) const
+    {
+        return sharedWith_[w][r];
+    }
+
     /** End-of-window counter registry of cell (@p w, @p r). Empty
      *  unless the grid ran with GridOptions::collectRegistries (or a
      *  cell cache, which implies it). */
@@ -337,8 +355,8 @@ class GridResults
     /**
      * Timing rendered through the stats table formatter: one row per
      * workload (summed across its runs) plus total rows with achieved
-     * runs/sec, Minst/s and the parallel speedup over the serial
-     * cell-time sum.
+     * runs/sec, Minst/s, the parallel speedup over the serial
+     * cell-time sum and the count of Shared cells.
      */
     stats::Table timingTable(
         const std::vector<GridWorkload> &workloads) const;
@@ -356,6 +374,7 @@ class GridResults
 
     std::vector<std::vector<Metrics>> cells_;
     std::vector<std::vector<CellExecution>> execution_;
+    std::vector<std::vector<std::size_t>> sharedWith_;
     std::vector<std::vector<stats::Registry>> registries_;
     GridTiming timing_;
 };
@@ -370,7 +389,8 @@ class GridResults
  * @param recorder Optional flight recorder. When set (and enabled),
  *        every grid cell becomes a "cell" slice on its worker's
  *        track (args: workload, policy, instructions, Minst/s) with
- *        "warmup"/"measure"/"stat_export" children, the shared
+ *        "warmup"/"measure"/"stat_export" children (a Shared cell's
+ *        slice has none and a "shared_with" arg instead), the shared
  *        program builds become "replay_build" slices, and the
  *        engine feeds two counter tracks: "cells_completed" and the
  *        aggregate "minst_per_sec". Export with
@@ -378,7 +398,8 @@ class GridResults
  *        pointer test per instrumentation point.
  *
  * Exceptions thrown by a cell (bad policy notation, simulator budget
- * overrun) are rethrown here after the remaining cells finish.
+ * overrun) are rethrown here after the remaining cells finish; the
+ * members of a P(N) group whose leader threw are left unrun.
  */
 GridResults runGrid(
     const PolicyGrid &grid, ThreadPool &pool,
@@ -411,10 +432,12 @@ GridResults runGrid(const PolicyGrid &grid,
 /**
  * The whole sweep as one JSON document ("emissary.sweep.v1"): a
  * per-run manifest for every cell — benchmark, policy notation,
- * label, seed, window config, wall seconds, full metrics — plus the
- * grid's timing aggregate (total / serial seconds, runs per second,
- * per-phase totals, a log2-bucketed per-cell wall-clock histogram)
- * and the binary's build provenance (core/buildinfo.hh).
+ * label, seed, window config, execution (a "shared" cell also names
+ * its leader's policy under "shared_with"), wall seconds, full
+ * metrics — plus the grid's timing aggregate (total / serial
+ * seconds, runs per second, per-phase totals, a log2-bucketed
+ * per-cell wall-clock histogram) and the binary's build provenance
+ * (core/buildinfo.hh).
  */
 stats::JsonValue sweepJson(const PolicyGrid &grid,
                            const GridResults &results);

@@ -1,10 +1,24 @@
 #include "replacement/emissary.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
 namespace emissary::replacement
 {
+
+namespace
+{
+
+/** Record bit of a compared count; counts past 63 only occur in
+ *  caches too wide for sameRunRange, which then ignores the record. */
+std::uint64_t
+countBit(unsigned count)
+{
+    return std::uint64_t{1} << (count & 63);
+}
+
+} // namespace
 
 EmissaryPolicy::EmissaryPolicy(unsigned num_sets, unsigned num_ways,
                                unsigned max_protected, bool tree_plru,
@@ -77,6 +91,7 @@ EmissaryPolicy::selectVictim(unsigned set)
     // holds no more than N high-priority lines, the victim comes from
     // the low-priority class; otherwise from the high-priority class.
     const unsigned high = highCount_[set];
+    victimCounts_ |= countBit(high);
     bool among_high = high > maxProtected_;
     if (!among_high && high == ways_) {
         // Degenerate guard: every line is high-priority (only
@@ -149,6 +164,7 @@ EmissaryPolicy::setPriority(unsigned set, unsigned way, bool high)
     // of 0..N only), which also keeps an oversubscribed set from
     // churning its own protected lines.
     if (high) {
+        upgradeCounts_ |= countBit(highCount_[set]);
         if (highCount_[set] >= maxProtected_)
             return false;
         p = 1;
@@ -161,6 +177,35 @@ EmissaryPolicy::setPriority(unsigned set, unsigned way, bool high)
         }
     }
     return true;
+}
+
+ProtectRange
+EmissaryPolicy::sameRunRange() const
+{
+    const unsigned n = maxProtected_;
+    if (ways_ >= 64)
+        return {n, n};
+    ProtectRange range;
+    for (unsigned count = 0; count <= ways_; ++count) {
+        // Upgrade: refused iff count >= N, so P(n) agrees iff n lies
+        // on the same side of count.
+        if (upgradeCounts_ & countBit(count)) {
+            if (count < n)
+                range.lo = std::max(range.lo, count + 1);
+            else
+                range.hi = std::min(range.hi, count);
+        }
+        // Victim class: high iff count > N, except that a set of only
+        // high-priority lines (count == ways) always evicts from the
+        // high class, whatever N is.
+        if (count < ways_ && (victimCounts_ & countBit(count))) {
+            if (count <= n)
+                range.lo = std::max(range.lo, count);
+            else
+                range.hi = std::min(range.hi, count - 1);
+        }
+    }
+    return range;
 }
 
 void

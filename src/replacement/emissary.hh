@@ -15,12 +15,24 @@
  * inside each priority class comes either from true LRU stamps (used
  * by the §2 overview experiments) or from two Tree-PLRU trees per
  * set, one per priority class (used by the paper's evaluation).
+ *
+ * N enters the policy in exactly two comparisons: an upgrade is
+ * refused when the set already protects count >= N lines, and the
+ * victim comes from the high class when the set holds h > N
+ * high-priority lines (or h == ways). The policy records every count
+ * it compares, so after a run sameRunRange() names the N values for
+ * which each comparison — and therefore the whole run, with the same
+ * lines, counters and RNG draws — comes out identically. The grid
+ * engine simulates one P(N) per range and shares its result with
+ * every other N inside it (docs/performance.md, N-equivalence
+ * sharing).
  */
 
 #ifndef EMISSARY_REPLACEMENT_EMISSARY_HH
 #define EMISSARY_REPLACEMENT_EMISSARY_HH
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "replacement/policy.hh"
@@ -28,6 +40,19 @@
 
 namespace emissary::replacement
 {
+
+/** A closed interval [lo, hi] of P(N)'s N. */
+struct ProtectRange
+{
+    /** hi of a range with no upper limit. */
+    static constexpr unsigned kUnbounded =
+        std::numeric_limits<unsigned>::max();
+
+    unsigned lo = 0;
+    unsigned hi = kUnbounded;
+
+    bool contains(unsigned n) const { return lo <= n && n <= hi; }
+};
 
 /** EMISSARY bimodal treatment P(N).
  *  Sealed: Cache devirtualizes its per-access notifications. */
@@ -60,6 +85,16 @@ class EmissaryPolicy final : public ReplacementPolicy
     /** The N parameter of P(N). */
     unsigned maxProtected() const { return maxProtected_; }
 
+    /**
+     * The N values for which every N comparison made so far (warm-up
+     * and §6 resets included) decides as it did under this policy's
+     * own N. A P(n) with n inside the range, fed the same access
+     * stream, makes exactly the same decisions. [0, kUnbounded] when
+     * no comparison was made; just {N} for caches of 64 ways or
+     * more, whose counts the 64-bit records cannot hold.
+     */
+    ProtectRange sameRunRange() const;
+
     /** Priority bit of a resident line (testing/inspection). */
     bool linePriority(unsigned set, unsigned way) const;
 
@@ -83,6 +118,11 @@ class EmissaryPolicy final : public ReplacementPolicy
     std::string label_;
     unsigned maxProtected_;
     bool treePlru_;
+
+    /** Bit c set: an upgrade compared a set's count c against N. */
+    std::uint64_t upgradeCounts_ = 0;
+    /** Bit h set: a victim choice compared h against N. */
+    std::uint64_t victimCounts_ = 0;
 
     /** Per-line priority bits (policy-side copy, kept in sync with
      *  the cache's line state via onInsert/setPriority). */

@@ -1,5 +1,6 @@
 #include "replacement/spec.hh"
 
+#include <limits>
 #include <stdexcept>
 
 #include "replacement/dclip.hh"
@@ -84,13 +85,12 @@ PolicySpec::parse(const std::string &text)
         spec.family = PolicyFamily::EmissaryP;
         const std::string n_text =
             treatment.substr(2, treatment.size() - 3);
-        try {
-            spec.protectN =
-                static_cast<unsigned>(std::stoul(n_text));
-        } catch (const std::logic_error &) {
+        std::uint64_t n = 0;
+        if (!parseDecimal(n_text, std::numeric_limits<unsigned>::max(),
+                          n))
             throw std::invalid_argument(
                 "PolicySpec: bad protect count '" + n_text + "'");
-        }
+        spec.protectN = static_cast<unsigned>(n);
         spec.selector = ModeSelector::parse(selection);
         return spec;
     }

@@ -1,9 +1,11 @@
 #include "util/rational.hh"
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "util/rng.hh"
+#include "util/strutil.hh"
 
 namespace emissary
 {
@@ -50,15 +52,18 @@ Rational
 Rational::parse(const std::string &text)
 {
     const auto slash = text.find('/');
-    try {
-        if (slash == std::string::npos)
-            return Rational(std::stoull(text), 1);
-        return Rational(std::stoull(text.substr(0, slash)),
-                        std::stoull(text.substr(slash + 1)));
-    } catch (const std::logic_error &) {
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t num = 0;
+    std::uint64_t den = 1;
+    const bool parsed =
+        slash == std::string::npos
+            ? parseDecimal(text, max, num)
+            : parseDecimal(text.substr(0, slash), max, num) &&
+                  parseDecimal(text.substr(slash + 1), max, den);
+    if (!parsed)
         throw std::invalid_argument("Rational: cannot parse '" + text +
                                     "'");
-    }
+    return Rational(num, den);
 }
 
 bool

@@ -1,6 +1,7 @@
 #include "util/strutil.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -35,6 +36,22 @@ trim(const std::string &text)
            std::isspace(static_cast<unsigned char>(text[end - 1])))
         --end;
     return text.substr(begin, end - begin);
+}
+
+bool
+parseDecimal(const std::string &text, std::uint64_t max,
+               std::uint64_t &out)
+{
+    // from_chars takes no sign or whitespace for an unsigned target
+    // and reports overflow, so only the full-match check is left.
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (text.empty() || error != std::errc() || stop != end ||
+        value > max)
+        return false;
+    out = value;
+    return true;
 }
 
 std::string

@@ -6,6 +6,7 @@
 #ifndef EMISSARY_UTIL_STRUTIL_HH
 #define EMISSARY_UTIL_STRUTIL_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,14 @@ std::vector<std::string> split(const std::string &text, char sep);
 
 /** Strip leading and trailing ASCII whitespace. */
 std::string trim(const std::string &text);
+
+/**
+ * Parse @p text as a plain unsigned decimal: ASCII digits only — no
+ * sign, space, prefix or suffix — with a value of at most @p max.
+ * @return False, leaving @p out untouched, for anything else.
+ */
+bool parseDecimal(const std::string &text, std::uint64_t max,
+                  std::uint64_t &out);
 
 /** Uppercase an ASCII string. */
 std::string toUpper(const std::string &text);

@@ -3,14 +3,24 @@
  * Tests for the EMISSARY P(N) replacement policy: Algorithm 1
  * semantics, priority persistence, the dual-tree TPLRU variant, the
  * §6 reset, and a randomized property test of the protection
- * invariants for both LRU bases.
+ * invariants for both LRU bases. The N-equivalence range
+ * (sameRunRange) is pinned case by case, against random event
+ * streams, and end to end: whenever one suite run's range contains
+ * another N, that N's run must reproduce its Metrics and registry.
  */
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <string>
 #include <vector>
 
+#include "core/experiment.hh"
+#include "core/observability.hh"
+#include "core/threadpool.hh"
 #include "replacement/emissary.hh"
+#include "trace/profile.hh"
+#include "trace/program.hh"
 #include "util/rng.hh"
 
 namespace emissary::replacement
@@ -249,6 +259,255 @@ TEST(EmissaryTreePlru, HitUpdatesOnlyOwnClassTree)
         policy.onHit(0, 7, info(true));
     }
     EXPECT_EQ(policy.selectVictim(0), low_victim_before);
+}
+
+// ---------------------------------------------------------------
+// sameRunRange: the N values whose run takes this run's path.
+// ---------------------------------------------------------------
+
+constexpr unsigned kUnbounded = ProtectRange::kUnbounded;
+
+TEST_P(EmissaryBase, NoComparisonMeansEveryN)
+{
+    auto policy = make(2, 8, 4);
+    // Fills, hits and invalidations never look at N.
+    for (unsigned w = 0; w < 8; ++w)
+        policy.onInsert(0, w, info(w < 2));
+    policy.onHit(0, 1, info(true));
+    policy.onInvalidate(0, 0);
+    // Re-raising a high line and lowering requests compare nothing.
+    EXPECT_TRUE(policy.setPriority(0, 1, true));
+    EXPECT_TRUE(policy.setPriority(0, 3, false));
+    const ProtectRange range = policy.sameRunRange();
+    EXPECT_EQ(range.lo, 0u);
+    EXPECT_EQ(range.hi, kUnbounded);
+}
+
+TEST_P(EmissaryBase, UpgradeBoundsTheRangeAtItsCount)
+{
+    // Accepted upgrades at counts 0 and 1 (count < N): any n > 1
+    // accepts them too.
+    auto policy = make(1, 8, 4);
+    for (unsigned w = 0; w < 8; ++w)
+        policy.onInsert(0, w, info(false));
+    ASSERT_TRUE(policy.setPriority(0, 0, true));
+    ASSERT_TRUE(policy.setPriority(0, 1, true));
+    EXPECT_EQ(policy.sameRunRange().lo, 2u);
+    EXPECT_EQ(policy.sameRunRange().hi, kUnbounded);
+
+    // A refused upgrade at count 2 (count >= N): only n <= 2 refuses.
+    auto tight = make(1, 8, 2);
+    for (unsigned w = 0; w < 8; ++w)
+        tight.onInsert(0, w, info(false));
+    ASSERT_TRUE(tight.setPriority(0, 0, true));
+    ASSERT_TRUE(tight.setPriority(0, 1, true));
+    ASSERT_FALSE(tight.setPriority(0, 2, true));
+    EXPECT_EQ(tight.sameRunRange().lo, 2u);
+    EXPECT_EQ(tight.sameRunRange().hi, 2u);
+}
+
+TEST_P(EmissaryBase, VictimChoiceBoundsTheRangeAtItsCount)
+{
+    // h = 3 <= N: low class, as for every n >= 3.
+    auto under = make(1, 8, 4);
+    for (unsigned w = 0; w < 8; ++w)
+        under.onInsert(0, w, info(w < 3));
+    under.selectVictim(0);
+    EXPECT_EQ(under.sameRunRange().lo, 3u);
+    EXPECT_EQ(under.sameRunRange().hi, kUnbounded);
+
+    // h = 5 > N: high class, as for every n <= 4.
+    auto over = make(1, 8, 4);
+    for (unsigned w = 0; w < 8; ++w)
+        over.onInsert(0, w, info(w < 5));
+    over.selectVictim(0);
+    EXPECT_EQ(over.sameRunRange().lo, 0u);
+    EXPECT_EQ(over.sameRunRange().hi, 4u);
+}
+
+TEST_P(EmissaryBase, AllHighGuardDoesNotBoundTheRange)
+{
+    // h == ways takes the high class whatever N is.
+    auto policy = make(1, 4, 2);
+    for (unsigned w = 0; w < 4; ++w)
+        policy.onInsert(0, w, info(true));
+    policy.selectVictim(0);
+    EXPECT_EQ(policy.sameRunRange().lo, 0u);
+    EXPECT_EQ(policy.sameRunRange().hi, kUnbounded);
+}
+
+TEST_P(EmissaryBase, ZeroProtectsNothing)
+{
+    // P(0) refuses every upgrade: only n = 0 refuses one at count 0.
+    auto policy = make(1, 8, 0);
+    for (unsigned w = 0; w < 8; ++w)
+        policy.onInsert(0, w, info(false));
+    policy.selectVictim(0); // h = 0: low class for every n.
+    EXPECT_EQ(policy.sameRunRange().lo, 0u);
+    EXPECT_EQ(policy.sameRunRange().hi, kUnbounded);
+    EXPECT_FALSE(policy.setPriority(0, 0, true));
+    EXPECT_EQ(policy.sameRunRange().lo, 0u);
+    EXPECT_EQ(policy.sameRunRange().hi, 0u);
+}
+
+TEST_P(EmissaryBase, NAtOrAboveWaysSharesWithEveryLargerN)
+{
+    // With N >= ways an upgrade is never refused and the high class
+    // is only taken through the guard: every n >= 4 behaves alike.
+    auto policy = make(1, 4, 8);
+    for (unsigned w = 0; w < 4; ++w)
+        policy.onInsert(0, w, info(false));
+    for (unsigned w = 0; w < 4; ++w)
+        ASSERT_TRUE(policy.setPriority(0, w, true));
+    policy.selectVictim(0);
+    EXPECT_EQ(policy.sameRunRange().lo, 4u);
+    EXPECT_EQ(policy.sameRunRange().hi, kUnbounded);
+}
+
+TEST_P(EmissaryBase, ResetKeepsTheRecord)
+{
+    auto policy = make(1, 8, 4);
+    for (unsigned w = 0; w < 8; ++w)
+        policy.onInsert(0, w, info(w < 6));
+    policy.selectVictim(0); // h = 6 > 4.
+    policy.resetPriorities();
+    EXPECT_EQ(policy.sameRunRange().hi, 5u);
+}
+
+TEST(EmissaryPolicy, WideCachesReportOnlyTheirOwnN)
+{
+    EmissaryPolicy policy(1, 64, 8, true, "P(8):S");
+    const ProtectRange range = policy.sameRunRange();
+    EXPECT_EQ(range.lo, 8u);
+    EXPECT_EQ(range.hi, 8u);
+}
+
+/**
+ * The rule against the policy itself: drive one random event stream
+ * through P(n) for every n in 0..ways+2 and check that whenever
+ * P(a)'s range contains b, P(b) made every decision P(a) made.
+ */
+TEST_P(EmissaryBase, RangeMembersDecideIdentically)
+{
+    constexpr unsigned kWays = 8;
+    constexpr unsigned kSets = 4;
+    constexpr unsigned kMaxN = kWays + 2;
+    std::vector<std::vector<unsigned>> decisions(kMaxN + 1);
+    std::vector<ProtectRange> ranges;
+    for (unsigned n = 0; n <= kMaxN; ++n) {
+        auto policy = make(kSets, kWays, n);
+        Rng rng(99);
+        for (unsigned set = 0; set < kSets; ++set)
+            for (unsigned w = 0; w < kWays; ++w)
+                policy.onInsert(set, w, info(false));
+        for (int step = 0; step < 4000; ++step) {
+            const unsigned set =
+                static_cast<unsigned>(rng.nextBelow(kSets));
+            const unsigned w =
+                static_cast<unsigned>(rng.nextBelow(kWays));
+            const auto action = rng.nextBelow(10);
+            if (action < 4) {
+                const unsigned v = policy.selectVictim(set);
+                decisions[n].push_back(v);
+                policy.onInvalidate(set, v);
+                policy.onInsert(set, v, info(rng.oneIn(16)));
+            } else if (action < 7) {
+                policy.onHit(set, w, info(policy.linePriority(set, w)));
+            } else {
+                decisions[n].push_back(
+                    policy.setPriority(set, w, true) ? 1000u : 1001u);
+            }
+        }
+        ranges.push_back(policy.sameRunRange());
+    }
+    unsigned shared = 0;
+    for (unsigned a = 0; a <= kMaxN; ++a) {
+        EXPECT_TRUE(ranges[a].contains(a));
+        for (unsigned b = 0; b <= kMaxN; ++b) {
+            if (!ranges[a].contains(b))
+                continue;
+            shared += a != b;
+            EXPECT_EQ(decisions[a], decisions[b])
+                << "P(" << a << ") range holds " << b;
+        }
+    }
+    EXPECT_GT(shared, 0u) << "stream too short to exercise sharing";
+}
+
+/**
+ * End to end on suite rows: for each row and selection, run P(N)
+ * for every N of the list; whenever P(a)'s reported range contains
+ * b, P(b)'s Metrics (policy name aside) and its full counter
+ * registry must equal P(a)'s.
+ */
+TEST(EmissarySameRun, SuiteRunsInsideARangeAreIdentical)
+{
+    core::RunOptions options;
+    options.warmupInstructions = 50'000;
+    options.measureInstructions = 150'000;
+    const std::vector<unsigned> ns = {0, 1, 2, 3, 6, 10, 14, 15, 16, 20};
+    const std::vector<std::string> selections = {"S&E", "S&E&R(1/32)",
+                                                 "S"};
+    struct Run
+    {
+        std::string metrics;
+        std::string registry;
+        ProtectRange range;
+    };
+    const auto tplru = PolicySpec::parse("TPLRU");
+    core::ThreadPool pool(4);
+    unsigned shared_pairs = 0;
+    unsigned distinct_pairs = 0;
+    for (const char *row : {"tomcat", "kafka", "verilator"}) {
+        const trace::SyntheticProgram program(
+            trace::profileByName(row));
+        for (const std::string &selection : selections) {
+            std::vector<std::future<Run>> futures;
+            for (const unsigned n : ns) {
+                futures.push_back(pool.submit([&, n]() {
+                    const PolicySpec spec = PolicySpec::parse(
+                        "P(" + std::to_string(n) + "):" + selection);
+                    core::RunInstrumentation instrumentation;
+                    core::RunTelemetry telemetry;
+                    core::Metrics metrics =
+                        core::runPolicy(program, spec, tplru, options,
+                                        &instrumentation, &telemetry);
+                    EXPECT_EQ(metrics.policy, spec.toString());
+                    metrics.policy.clear();
+                    return Run{metrics.toJson().dump(0),
+                               core::registryJson(
+                                   instrumentation.registry)
+                                   .dump(0),
+                               telemetry.l2SameRunRange};
+                }));
+            }
+            std::vector<Run> runs;
+            for (auto &future : futures)
+                runs.push_back(future.get());
+            for (std::size_t a = 0; a < ns.size(); ++a) {
+                EXPECT_TRUE(runs[a].range.contains(ns[a]));
+                for (std::size_t b = 0; b < ns.size(); ++b) {
+                    if (a == b)
+                        continue;
+                    if (!runs[a].range.contains(ns[b])) {
+                        distinct_pairs += runs[a].metrics !=
+                                          runs[b].metrics;
+                        continue;
+                    }
+                    ++shared_pairs;
+                    EXPECT_EQ(runs[a].metrics, runs[b].metrics)
+                        << row << " P(" << ns[a] << ") vs P(" << ns[b]
+                        << "):" << selection;
+                    EXPECT_EQ(runs[a].registry, runs[b].registry)
+                        << row << " P(" << ns[a] << ") vs P(" << ns[b]
+                        << "):" << selection;
+                }
+            }
+        }
+    }
+    // Both outcomes must occur, or the test proves nothing.
+    EXPECT_GT(shared_pairs, 0u);
+    EXPECT_GT(distinct_pairs, 0u);
 }
 
 TEST(EmissaryPolicy, MaxProtectedAccessor)

@@ -1,0 +1,385 @@
+/**
+ * @file
+ * N-equivalence sharing in the sequential grid engine. A row's P(N)
+ * columns that differ only in N run their largest N first; members
+ * inside the leader's EmissaryPolicy::sameRunRange take its result
+ * (CellExecution::Shared), the rest run as ordinary cells. Checked
+ * here on a Fig. 5-shaped grid:
+ *
+ *  - every cell equals its own per-cell runPolicy, Metrics and
+ *    counter registry, shared or not;
+ *  - results and provenance do not depend on the worker count;
+ *  - exactly the members inside the leader's range are Shared, and
+ *    the sweep JSON, timing table, flight recorder and progress
+ *    callback account for them;
+ *  - a cell cache holding only a leader changes nothing;
+ *  - a failing leader fails the grid without running its members.
+ */
+
+#include <gtest/gtest.h>
+
+#include <future>
+#include <map>
+#include <mutex>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/buildinfo.hh"
+#include "core/experiment.hh"
+#include "core/grid.hh"
+#include "core/observability.hh"
+#include "core/threadpool.hh"
+#include "replacement/spec.hh"
+#include "stats/span_recorder.hh"
+#include "trace/profile.hh"
+#include "trace/program.hh"
+
+namespace emissary
+{
+namespace
+{
+
+using core::CellExecution;
+using core::GridOptions;
+using core::GridResults;
+using core::PolicyGrid;
+using replacement::PolicySpec;
+
+/** TPLRU plus P(2/6/10/14) under both Fig. 5 selections. At these
+ *  windows tomcat and verilator each have shared and re-run
+ *  members. */
+PolicyGrid
+sharingGrid()
+{
+    core::RunOptions options;
+    options.warmupInstructions = 30'000;
+    options.measureInstructions = 100'000;
+    std::vector<std::string> policies = {"TPLRU"};
+    for (const unsigned n : {2u, 6u, 10u, 14u}) {
+        policies.push_back("P(" + std::to_string(n) + "):S&E");
+        policies.push_back("P(" + std::to_string(n) + "):S&E&R(1/32)");
+    }
+    return PolicyGrid::sweep(
+        std::vector<trace::WorkloadProfile>{
+            trace::profileByName("tomcat"),
+            trace::profileByName("verilator")},
+        policies, options);
+}
+
+/** The leader column of @p r: the largest N with r's selection. */
+std::size_t
+leaderOf(const PolicyGrid &grid, std::size_t r)
+{
+    const PolicySpec spec = PolicySpec::parse(grid.runs[r].l2Policy);
+    std::size_t leader = r;
+    for (std::size_t c = 0; c < grid.runs.size(); ++c) {
+        const PolicySpec other = PolicySpec::parse(grid.runs[c].l2Policy);
+        if (other.family == replacement::PolicyFamily::EmissaryP &&
+            other.selector == spec.selector &&
+            other.protectN >
+                PolicySpec::parse(grid.runs[leader].l2Policy).protectN)
+            leader = c;
+    }
+    return leader;
+}
+
+/** One cell simulated on its own, as the oracle. */
+struct CellRun
+{
+    std::string metrics;
+    std::string registry;
+    replacement::ProtectRange range;
+};
+
+std::vector<std::vector<CellRun>>
+perCellRuns(const PolicyGrid &grid)
+{
+    std::vector<std::vector<CellRun>> out(grid.workloads.size());
+    core::ThreadPool pool(4);
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+        const trace::SyntheticProgram program(grid.workloads[w].profile);
+        std::vector<std::future<CellRun>> futures;
+        for (const core::RunSpec &run : grid.runs)
+            futures.push_back(pool.submit([&program, &run]() {
+                core::RunInstrumentation instrumentation;
+                core::RunTelemetry telemetry;
+                const core::Metrics metrics = core::runPolicy(
+                    program, PolicySpec::parse(run.l2Policy),
+                    PolicySpec::parse(run.options.l1iPolicy),
+                    run.options, &instrumentation, &telemetry);
+                return CellRun{
+                    metrics.toJson().dump(0),
+                    core::registryJson(instrumentation.registry).dump(0),
+                    telemetry.l2SameRunRange};
+            }));
+        for (auto &future : futures)
+            out[w].push_back(future.get());
+    }
+    return out;
+}
+
+GridResults
+runSharingGrid(const PolicyGrid &grid, unsigned workers,
+               GridOptions options = {})
+{
+    options.collectRegistries = true;
+    core::ThreadPool pool(workers);
+    return core::runGrid(grid, pool, options);
+}
+
+std::string
+cellJson(const GridResults &results, std::size_t w, std::size_t r)
+{
+    return results.at(w, r).toJson().dump(0);
+}
+
+std::string
+registryText(const GridResults &results, std::size_t w, std::size_t r)
+{
+    return core::registryJson(results.registryAt(w, r)).dump(0);
+}
+
+class GridSharing : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        grid_ = new PolicyGrid(sharingGrid());
+        oracle_ = new std::vector<std::vector<CellRun>>(
+            perCellRuns(*grid_));
+        results_ = new GridResults(runSharingGrid(*grid_, 4));
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        delete results_;
+        delete oracle_;
+        delete grid_;
+    }
+
+    static PolicyGrid *grid_;
+    static std::vector<std::vector<CellRun>> *oracle_;
+    static GridResults *results_;
+};
+
+PolicyGrid *GridSharing::grid_ = nullptr;
+std::vector<std::vector<CellRun>> *GridSharing::oracle_ = nullptr;
+GridResults *GridSharing::results_ = nullptr;
+
+TEST_F(GridSharing, EveryCellEqualsItsOwnRun)
+{
+    for (std::size_t w = 0; w < grid_->workloads.size(); ++w)
+        for (std::size_t r = 0; r < grid_->runs.size(); ++r) {
+            EXPECT_EQ(cellJson(*results_, w, r), (*oracle_)[w][r].metrics)
+                << grid_->workloads[w].name << " "
+                << grid_->runs[r].l2Policy;
+            EXPECT_EQ(registryText(*results_, w, r),
+                      (*oracle_)[w][r].registry)
+                << grid_->workloads[w].name << " "
+                << grid_->runs[r].l2Policy;
+        }
+}
+
+TEST_F(GridSharing, ExactlyTheMembersInsideTheLeadersRangeAreShared)
+{
+    for (std::size_t w = 0; w < grid_->workloads.size(); ++w) {
+        std::size_t shared = 0;
+        std::size_t rerun = 0;
+        for (std::size_t r = 0; r < grid_->runs.size(); ++r) {
+            const PolicySpec spec =
+                PolicySpec::parse(grid_->runs[r].l2Policy);
+            const std::size_t leader =
+                spec.family == replacement::PolicyFamily::EmissaryP
+                    ? leaderOf(*grid_, r)
+                    : r;
+            const bool inside =
+                leader != r &&
+                (*oracle_)[w][leader].range.contains(spec.protectN);
+            EXPECT_EQ(results_->executionAt(w, r),
+                      inside ? CellExecution::Shared
+                             : CellExecution::Sequential)
+                << grid_->workloads[w].name << " "
+                << grid_->runs[r].l2Policy;
+            EXPECT_EQ(results_->sharedWith(w, r), inside ? leader : r);
+            shared += inside;
+            rerun += leader != r && !inside;
+        }
+        // The grid exercises both outcomes in every row.
+        EXPECT_GT(shared, 0u) << grid_->workloads[w].name;
+        EXPECT_GT(rerun, 0u) << grid_->workloads[w].name;
+    }
+}
+
+TEST_F(GridSharing, OneWorkerGivesTheSameGrid)
+{
+    const GridResults serial = runSharingGrid(*grid_, 1);
+    for (std::size_t w = 0; w < grid_->workloads.size(); ++w)
+        for (std::size_t r = 0; r < grid_->runs.size(); ++r) {
+            EXPECT_EQ(cellJson(serial, w, r), cellJson(*results_, w, r));
+            EXPECT_EQ(registryText(serial, w, r),
+                      registryText(*results_, w, r));
+            EXPECT_EQ(serial.executionAt(w, r),
+                      results_->executionAt(w, r));
+            EXPECT_EQ(serial.sharedWith(w, r),
+                      results_->sharedWith(w, r));
+        }
+}
+
+TEST_F(GridSharing, SweepJsonAndTimingTableNameTheSharedCells)
+{
+    const stats::JsonValue doc = core::sweepJson(*grid_, *results_);
+    EXPECT_EQ(doc.find("mode")->asString(), "sequential");
+    const stats::JsonValue *runs = doc.find("runs");
+    std::size_t shared = 0;
+    for (std::size_t i = 0; i < runs->size(); ++i) {
+        const stats::JsonValue &run = runs->at(i);
+        const std::size_t w = i / grid_->runs.size();
+        const std::size_t r = i % grid_->runs.size();
+        if (run.find("execution")->asString() != "shared") {
+            EXPECT_EQ(run.find("shared_with"), nullptr);
+            continue;
+        }
+        ++shared;
+        EXPECT_EQ(run.find("shared_with")->asString(),
+                  grid_->runs[results_->sharedWith(w, r)].l2Policy);
+        EXPECT_EQ(run.find("wall_seconds")->asDouble(), 0.0);
+    }
+    ASSERT_GT(shared, 0u);
+
+    const std::string table =
+        results_->timingTable(grid_->workloads).render();
+    const std::string label = "cells shared (exact)";
+    const std::size_t row = table.find(label);
+    ASSERT_NE(row, std::string::npos);
+    std::istringstream cells(table.substr(row + label.size()));
+    std::size_t count = 0;
+    cells >> count;
+    EXPECT_EQ(count, shared);
+}
+
+TEST_F(GridSharing, RecorderAndProgressSeeOneEventPerCell)
+{
+    stats::SpanRecorder recorder;
+    std::size_t progress_calls = 0;
+    core::ThreadPool pool(4);
+    const GridResults traced = core::runGrid(
+        *grid_, pool, GridOptions{},
+        [&progress_calls](std::size_t, std::size_t) { ++progress_calls; },
+        &recorder);
+    EXPECT_EQ(progress_calls, grid_->cellCount());
+
+    std::size_t cell_slices = 0;
+    std::size_t shared_slices = 0;
+    for (const auto &track : recorder.tracks())
+        for (const auto &span : track.spans) {
+            if (std::string(span.name) != "cell")
+                continue;
+            ++cell_slices;
+            for (const auto &[key, value] : span.args)
+                if (key == "shared_with")
+                    ++shared_slices;
+        }
+    std::size_t shared = 0;
+    for (std::size_t w = 0; w < grid_->workloads.size(); ++w)
+        for (std::size_t r = 0; r < grid_->runs.size(); ++r) {
+            shared += traced.executionAt(w, r) == CellExecution::Shared;
+            EXPECT_EQ(cellJson(traced, w, r), cellJson(*results_, w, r));
+        }
+    EXPECT_EQ(cell_slices, grid_->cellCount());
+    EXPECT_EQ(shared_slices, shared);
+}
+
+/** In-memory CellResultCache for the cache interplay checks. */
+class MapCache : public core::CellResultCache
+{
+  public:
+    bool
+    lookup(const std::string &key, const std::string &canonical,
+           core::CellCacheEntry &out) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries.find(key);
+        if (it == entries.end() || it->second.first != canonical)
+            return false;
+        out = it->second.second;
+        return true;
+    }
+
+    void
+    store(const std::string &key, const std::string &canonical,
+          const core::CellCacheEntry &entry) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries[key] = {canonical, entry};
+    }
+
+    std::map<std::string, std::pair<std::string, core::CellCacheEntry>>
+        entries;
+
+  private:
+    std::mutex mutex_;
+};
+
+TEST_F(GridSharing, CacheHoldingOnlyALeaderYieldsTheSameGrid)
+{
+    // A cold cached run stores every cell, shared ones included.
+    MapCache cold;
+    GridOptions cold_options;
+    cold_options.cellCache = &cold;
+    const GridResults first = runSharingGrid(*grid_, 4, cold_options);
+    EXPECT_EQ(cold.entries.size(), grid_->cellCount());
+
+    // Keep only row 0's P(14):S&E entry: its former members now
+    // group under the largest fresh N instead.
+    const std::size_t leader = leaderOf(*grid_, 1);
+    const std::string key = core::cellCacheKey(core::cellCacheCanonical(
+        grid_->workloads[0], grid_->runs[leader], "", 0,
+        core::buildInfo().gitSha));
+    ASSERT_EQ(cold.entries.count(key), 1u);
+    MapCache only_leader;
+    only_leader.entries[key] = cold.entries[key];
+
+    GridOptions options;
+    options.cellCache = &only_leader;
+    const GridResults warm = runSharingGrid(*grid_, 4, options);
+    EXPECT_EQ(warm.executionAt(0, leader), CellExecution::Cached);
+    for (std::size_t w = 0; w < grid_->workloads.size(); ++w)
+        for (std::size_t r = 0; r < grid_->runs.size(); ++r) {
+            EXPECT_EQ(cellJson(first, w, r), cellJson(*results_, w, r));
+            EXPECT_EQ(cellJson(warm, w, r), cellJson(*results_, w, r));
+            EXPECT_EQ(registryText(warm, w, r),
+                      registryText(*results_, w, r));
+            if (w != 0 || r != leader) {
+                EXPECT_NE(warm.executionAt(w, r), CellExecution::Cached);
+            }
+        }
+    EXPECT_EQ(only_leader.entries.size(), grid_->cellCount());
+}
+
+TEST(GridSharingErrors, FailedLeaderRethrowsAndLeavesMembersUnrun)
+{
+    // An empty window makes every simulation throw, the leader's
+    // first: its members must neither run nor wedge the wait loop.
+    core::RunOptions options;
+    options.warmupInstructions = 1'000;
+    options.measureInstructions = 0;
+    const PolicyGrid grid = PolicyGrid::sweep(
+        std::vector<trace::WorkloadProfile>{
+            trace::profileByName("tomcat")},
+        {"P(2):S&E", "P(6):S&E", "P(14):S&E"}, options);
+    std::size_t completed = 0;
+    core::ThreadPool pool(2);
+    EXPECT_THROW(core::runGrid(grid, pool, GridOptions{},
+                               [&completed](std::size_t, std::size_t) {
+                                   ++completed;
+                               }),
+                 std::invalid_argument);
+    EXPECT_EQ(completed, 0u);
+}
+
+} // namespace
+} // namespace emissary

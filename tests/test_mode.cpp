@@ -137,6 +137,25 @@ TEST(PolicySpec, MalformedThrows)
     EXPECT_THROW(PolicySpec::parse("garbage"), std::invalid_argument);
 }
 
+TEST(PolicySpec, NumbersArePlainDecimalsThatFit)
+{
+    // Signs, spaces, suffixes and values past the target type were
+    // once accepted and wrapped (P(-1) -> P(4294967295)).
+    for (const char *text :
+         {"P(-1):S&E", "P(4294967296):S&E", "P(8x):S&E", "P(+8):S&E",
+          "P( 8):S&E", "P(0x8):S&E", "M:R(1/32x)", "M:R(-1/-1)",
+          "M:R( 1/32)", "M:R(1/+32)", "M:R(/32)", "M:R(1/)",
+          "M:R(1/18446744073709551616)"})
+        EXPECT_THROW(PolicySpec::parse(text), std::invalid_argument)
+            << text;
+    EXPECT_EQ(PolicySpec::parse("P(4294967295):S&E").protectN,
+              4294967295u);
+    EXPECT_EQ(PolicySpec::parse("P(08):S&E").toString(), "P(8):S&E");
+    EXPECT_EQ(PolicySpec::parse("M:R(1/18446744073709551615)")
+                  .toString(),
+              "M:R(1/18446744073709551615)");
+}
+
 TEST(PolicySpec, PriorityScopingInstructionOnly)
 {
     Rng rng(3);

@@ -611,6 +611,8 @@ TEST(SweepServiceProtocol, MalformedRequestsNameTheField)
         {head + R"("op": "sweep"})", "policies"},
         {head + catalog + R"("policies": ["NOTAPOLICY("]})",
          "policies[0]"},
+        {head + catalog + R"("policies": ["TPLRU", "P(8x):S&E"]})",
+         "policies[1]"},
         {head + R"("policies": ["TPLRU"]})", "catalog"},
         {head + catalog +
              R"("catalog_path": "x.json", "policies": ["TPLRU"]})",
@@ -730,6 +732,47 @@ TEST(SweepService, ColdThenWarmSweepIsBitIdentical)
     EXPECT_EQ(stats.find("queue_depth")->asUint(), 0u);
     EXPECT_EQ(stats.find("latency")->find("count")->asUint(), 2u);
     EXPECT_EQ(stats.find("cache")->find("hits")->asUint(), 2u);
+}
+
+TEST(SweepService, WarmRerunServesSharedCellsByteIdentically)
+{
+    // P(N) columns differing only in N: the cold sweep shares some
+    // of them (CellExecution::Shared) and stores each under its own
+    // key, so the warm sweep serves every cell from the cache.
+    const std::string request =
+        R"({"schema": "emissary.request.v1", "id": "job-n",)"
+        R"( "op": "sweep",)"
+        R"( "catalog": {"schema": "emissary.catalog.v1", "workloads":)"
+        R"( [{"name": "t", "synthetic": {"profile": "tomcat"}}]},)"
+        R"json( "policies": ["TPLRU", "P(2):S&E&R(1/32)", "P(6):S&E",)json"
+        R"json( "P(10):S&E&R(1/32)", "P(14):S&E",)json"
+        R"json( "P(14):S&E&R(1/32)"],)json"
+        R"( "config": {"warmup_instructions": 30000,)"
+        R"( "measure_instructions": 100000}})";
+    SweepService svc(tinyServiceOptions());
+    const JsonValue cold = JsonValue::parse(svc.handle(request));
+    ASSERT_EQ(cold.find("schema")->asString(), "emissary.response.v1");
+    const JsonValue warm = JsonValue::parse(svc.handle(request));
+    EXPECT_EQ(warm.find("cache")->find("hits")->asUint(), 6u);
+
+    const JsonValue *cold_runs = cold.find("sweep")->find("runs");
+    const JsonValue *warm_runs = warm.find("sweep")->find("runs");
+    ASSERT_EQ(cold_runs->size(), warm_runs->size());
+    std::size_t shared = 0;
+    for (std::size_t i = 0; i < cold_runs->size(); ++i) {
+        const JsonValue &run = cold_runs->at(i);
+        if (run.find("execution")->asString() == "shared") {
+            ++shared;
+            EXPECT_NE(run.find("shared_with"), nullptr);
+        }
+        EXPECT_EQ(warm_runs->at(i).find("execution")->asString(),
+                  "cached");
+        EXPECT_EQ(warm_runs->at(i).find("metrics")->dump(0),
+                  run.find("metrics")->dump(0));
+        EXPECT_EQ(warm_runs->at(i).find("counters")->dump(0),
+                  run.find("counters")->dump(0));
+    }
+    EXPECT_GT(shared, 0u);
 }
 
 TEST(SweepService, ControlOpsAckAndShutdownRaisesTheFlag)

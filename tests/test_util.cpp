@@ -163,6 +163,16 @@ TEST(Rational, InvalidInputsThrow)
     EXPECT_THROW(Rational::parse("x/y"), std::invalid_argument);
 }
 
+TEST(Rational, ParseTakesOnlyPlainDecimals)
+{
+    for (const char *text : {"", "/", "1/", "/2", "-1/-1", "+1/2",
+                             " 1/2", "1/2 ", "1/32x", "1/2/3",
+                             "1/18446744073709551616"})
+        EXPECT_THROW(Rational::parse(text), std::invalid_argument)
+            << '"' << text << '"';
+    EXPECT_EQ(Rational::parse("2/64").toString(), "1/32");
+}
+
 TEST(Rational, DrawRate)
 {
     Rng rng(17);
@@ -189,6 +199,23 @@ TEST(StrUtil, Trim)
     EXPECT_EQ(trim("  x y  "), "x y");
     EXPECT_EQ(trim(""), "");
     EXPECT_EQ(trim("   "), "");
+}
+
+TEST(StrUtil, ParseDecimal)
+{
+    std::uint64_t out = 7;
+    EXPECT_TRUE(parseDecimal("0", 10, out));
+    EXPECT_EQ(out, 0u);
+    EXPECT_TRUE(parseDecimal("0010", 10, out));
+    EXPECT_EQ(out, 10u);
+    EXPECT_TRUE(parseDecimal("18446744073709551615",
+                             ~std::uint64_t{0}, out));
+    EXPECT_EQ(out, ~std::uint64_t{0});
+    out = 7;
+    for (const char *text : {"", "11", "-1", "+1", " 1", "1 ", "1x",
+                             "0x1", "1.0", "18446744073709551616"})
+        EXPECT_FALSE(parseDecimal(text, 10, out)) << text;
+    EXPECT_EQ(out, 7u);
 }
 
 TEST(StrUtil, Formatting)
