@@ -6,7 +6,9 @@
 #      README.md, EXPERIMENTS.md or docs/ cite must exist
 #   1. Release build + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
-#      --trace-out output must parse and carry the expected keys
+#      --trace-out output must parse and carry the expected keys, and
+#      the CLI's single-run paths (live, --record, --trace of the
+#      recording, --trace of a packed container) must agree
 #   3. Throughput smoke: a short policy sweep that prints Minst/s;
 #      the numbers are informational — the stage gates only on the
 #      bench exiting cleanly
@@ -100,6 +102,37 @@ for stage in $STAGES; do
             2>/dev/null; then
             echo "unknown flag did not fail" >&2; exit 1
         fi
+        # One run four ways: live, teeing its stream to an EMTR file,
+        # that recording replayed, and a packed container of the same
+        # stream at --time-chunks 1. All must report the same cycles
+        # and counters, and recording must not change any metric.
+        run_one() {
+            local name="$1"; shift
+            build-ci-release/tools/emissary_sim --policy "P(8):S&E" \
+                --instructions 300000 --warmup 100000 \
+                --stats-json "$out/$name.json" "$@" >/dev/null
+        }
+        # Prints one top-level object of a pretty-printed run JSON.
+        block() {
+            awk -v open="  \"$2\": {" \
+                '$0 == open {on = 1} on {print} on && /^  }/ {exit}' \
+                "$out/$1.json"
+        }
+        run_one plain --benchmark tomcat
+        run_one record --benchmark tomcat --record "$out/tomcat.emtr"
+        run_one replay --trace "$out/tomcat.emtr"
+        build-ci-release/tools/trace_pack pack "$out/tomcat.emtc" \
+            --benchmark tomcat --records 500000 >/dev/null
+        run_one packed --trace "$out/tomcat.emtc" --time-chunks 1
+        for run in record replay packed; do
+            [ "$(block plain counters)" = "$(block "$run" counters)" ] &&
+                [ "$(block plain metrics | grep '"cycles"')" = \
+                  "$(block "$run" metrics | grep '"cycles"')" ] ||
+                { echo "$run run differs from the live run" >&2
+                  exit 1; }
+        done
+        [ "$(block plain metrics)" = "$(block record metrics)" ] ||
+            { echo "--record changed the run's metrics" >&2; exit 1; }
         rm -rf "$out"
         echo "smoke OK"
         ;;

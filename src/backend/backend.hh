@@ -56,7 +56,7 @@ struct BackendStats
     void reset() { *this = BackendStats{}; }
 
     /** Component-wise sum — the time-parallel chunk splice
-     *  (core::runPolicyTimeParallel) adds window slices. */
+     *  (core::run) adds window slices. */
     BackendStats &
     operator+=(const BackendStats &other)
     {

@@ -132,7 +132,7 @@ struct HierarchyStats
     void reset() { *this = HierarchyStats{}; }
 
     /** Component-wise sum — the time-parallel chunk splice
-     *  (core::runPolicyTimeParallel) adds window slices. */
+     *  (core::run) adds window slices. */
     HierarchyStats &
     operator+=(const HierarchyStats &other)
     {

@@ -1,18 +1,27 @@
 /**
  * @file
- * High-level experiment runner shared by the bench harnesses and the
- * examples: build a benchmark's synthetic program once, replay the
- * identical instruction stream under different L2 policies, and
- * compare against the TPLRU + FDIP baseline exactly as the paper
- * does.
+ * The one way to run a simulation, shared by the grid engine, the
+ * CLI, the bench harnesses and the examples.
+ *
+ * core::run drives one record stream (a RunSource) through one
+ * machine whose L2 runs an ordered lane list: lane 0 is the timing
+ * lane, every later lane a monitor lane. A window with
+ * RunOptions::timeChunks > 1 over a random-access source is split
+ * into time chunks spliced back into one result; every other run is
+ * the one-chunk case of that scheduler, and a single policy is the
+ * one-lane case of a fused pass. runPolicy is the convenience for
+ * one live program under one policy string, compared against the
+ * TPLRU + FDIP baseline exactly as the paper does.
  */
 
 #ifndef EMISSARY_CORE_EXPERIMENT_HH
 #define EMISSARY_CORE_EXPERIMENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/metrics.hh"
@@ -30,8 +39,15 @@ class TraceSink;
 class SpanRecorder;
 }
 
+namespace emissary::trace
+{
+class TraceWriter;
+}
+
 namespace emissary::core
 {
+
+class ThreadPool;
 
 /** Window sizing and machine knobs for one run. */
 struct RunOptions
@@ -50,24 +66,15 @@ struct RunOptions
     std::uint64_t priorityResetInstructions = 0;
     std::uint64_t seed = 0x5EEDULL;
     /**
-     * Fast mode: monitor lanes of a fused runPolicyGroup model only
-     * 1 set in every @c sampledSets (a power of two; 0 or 1 = full
-     * fidelity), with counters scaled back by the sampling factor at
-     * collection. Ignored by the sequential runPolicy path and by
-     * the group's timing lane, which always runs full-size arrays.
-     * Measured error bounds: docs/performance.md.
-     */
-    unsigned sampledSets = 0;
-    /**
      * Time-parallel mode: simulate the measurement window as this
-     * many contiguous chunks running concurrently on the shared
-     * ThreadPool, each non-first chunk preceded by a
-     * functional-warming prefix of chunkWarmupRecords records, then
-     * splice the per-chunk counters and cycle estimates into one
-     * result (runPolicyTimeParallel / runPolicyGroupTimeParallel).
-     * 0 or 1 = exact sequential simulation (the default). Results
-     * are deterministic for fixed (timeChunks, chunkWarmupRecords)
-     * at any worker count; measured error bounds:
+     * many contiguous chunks running concurrently on the ThreadPool,
+     * each non-first chunk preceded by a functional-warming prefix
+     * of chunkWarmupRecords records, then splice the per-chunk
+     * counters and cycle estimates into one result. Applies only to
+     * random-access sources (RunSource::randomAccess); 0 or 1 =
+     * exact sequential simulation (the default). Results are
+     * deterministic for fixed (timeChunks, chunkWarmupRecords) at
+     * any worker count; measured error bounds:
      * results/timeparallel_validation.txt, docs/performance.md.
      */
     unsigned timeChunks = 1;
@@ -92,148 +99,6 @@ Metrics runPolicy(const trace::SyntheticProgram &program,
                   const RunOptions &options);
 
 /**
- * Pre-parsed variant: the grid engine parses each policy string once
- * per sweep and reuses the specs for every workload, keeping
- * PolicySpec::parse out of the per-run path.
- */
-Metrics runPolicy(const trace::SyntheticProgram &program,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options);
-
-/**
- * Observability attachments for one run. Inputs (sampleInterval,
- * traceSink) are read before the run; outputs (registry, sampler,
- * wallSeconds) are filled when it completes. All off by default —
- * the plain runPolicy overloads pay no observability cost.
- */
-struct RunInstrumentation
-{
-    /** Snapshot cadence in committed instructions (0 = off). */
-    std::uint64_t sampleInterval = 0;
-    /** JSONL event sink, armed for the measurement window only
-     *  (nullptr = off). Not owned. */
-    stats::TraceSink *traceSink = nullptr;
-
-    /** End-of-window counters under their dotted names. */
-    stats::Registry registry;
-    /** Interval snapshots (empty unless sampleInterval > 0). */
-    stats::Sampler sampler;
-    /** Wall-clock of the simulate call, excluding program build. */
-    double wallSeconds = 0.0;
-};
-
-/**
- * Flight-recorder attachment and run-level outputs for one run.
- * With @p spans set, the run records "warmup", "measure" and
- * "stat_export" child slices on the calling thread's track; the
- * phase seconds are filled either way, so the grid engine's
- * per-phase totals cost four steady_clock reads per cell even when
- * the recorder is off.
- */
-struct RunTelemetry
-{
-    /** Flight recorder for phase spans (nullptr = none). Not owned. */
-    stats::SpanRecorder *spans = nullptr;
-
-    /** Wall seconds from simulate start to the measurement window. */
-    double warmupSeconds = 0.0;
-    /** Wall seconds of the measurement window itself. */
-    double measureSeconds = 0.0;
-    /** Wall seconds harvesting stats after the window (registry
-     *  export, sampler copy). */
-    double statExportSeconds = 0.0;
-
-    /** The N values whose P(N) L2 would have run this run's exact
-     *  path (EmissaryPolicy::sameRunRange); empty unless the L2 runs
-     *  EMISSARY. The grid engine shares a P(N) result across it. */
-    replacement::ProtectRange l2SameRunRange{1, 0};
-};
-
-/** Instrumented variant: as above, plus structured observability. */
-Metrics runPolicy(const trace::SyntheticProgram &program,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options,
-                  RunInstrumentation *instrumentation,
-                  RunTelemetry *telemetry = nullptr);
-
-/**
- * Replay variant: feed the run from a pre-generated RecordBuffer
- * instead of a live SyntheticExecutor. Produces bit-identical Metrics
- * to the live overloads for the same workload and options
- * (tests/test_replay.cpp); the grid engine uses it so a sweep
- * generates each workload's stream once instead of once per cell.
- */
-Metrics runPolicy(std::shared_ptr<const trace::RecordBuffer> buffer,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options,
-                  RunInstrumentation *instrumentation = nullptr,
-                  RunTelemetry *telemetry = nullptr);
-
-/**
- * Generic-source variant: run over any TraceSource — a file-backed
- * trace (trace::FileTraceSource, workload::PackedTraceSource) or any
- * other stream honouring the infinite-stream contract. The source is
- * consumed from its current position. Metrics.codeFootprintLines is
- * left 0; callers with footprint metadata (e.g. an EMTC container's
- * pack-time census) fill it themselves.
- */
-Metrics runPolicy(trace::TraceSource &source,
-                  const replacement::PolicySpec &l2_spec,
-                  const replacement::PolicySpec &l1i_spec,
-                  const RunOptions &options,
-                  RunInstrumentation *instrumentation = nullptr,
-                  RunTelemetry *telemetry = nullptr);
-
-/**
- * Fused multi-policy pass: one trace replay drives every policy in
- * @p l2_specs at once. The first spec is the *timing lane* — it runs
- * the full Hierarchy and its Metrics are bit-identical to a
- * sequential runPolicy of that spec (tests/test_fused.cpp). The
- * remaining specs run as monitor lanes (cache/lanes.hh): per-policy
- * L2+L3 arrays fed by the shared pipeline's access stream, so their
- * cache counters match a sequential run up to the L2-latency
- * feedback into fetch timing, and their cycle counts are first-order
- * estimates (errors quantified by bench_fastmode_validation).
- *
- * With options.sampledSets = K > 1, monitor lanes keep only 1-in-K
- * sets (the timing lane stays exact).
- *
- * @param registries When non-null, resized to l2_specs.size() and
- *        filled with each lane's end-of-window counter registry.
- * @return One Metrics per spec, in l2_specs order.
- */
-std::vector<Metrics>
-runPolicyGroup(std::shared_ptr<const trace::RecordBuffer> buffer,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries = nullptr,
-               RunTelemetry *telemetry = nullptr);
-
-/** Live-program variant of the fused pass. */
-std::vector<Metrics>
-runPolicyGroup(const trace::SyntheticProgram &program,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries = nullptr,
-               RunTelemetry *telemetry = nullptr);
-
-/** Generic-source variant of the fused pass. */
-std::vector<Metrics>
-runPolicyGroup(trace::TraceSource &source,
-               const std::vector<replacement::PolicySpec> &l2_specs,
-               const replacement::PolicySpec &l1i_spec,
-               const RunOptions &options,
-               std::vector<stats::Registry> *registries = nullptr,
-               RunTelemetry *telemetry = nullptr);
-
-class ThreadPool;
-
-/**
  * Factory producing an independent TraceSource positioned at
  * absolute record @p start_record of the workload's served stream —
  * the random-access contract time-parallel chunking needs. For EMTC
@@ -246,68 +111,155 @@ using ChunkSourceFactory =
         std::uint64_t start_record)>;
 
 /**
- * Time-parallel run (options.timeChunks = T > 1): the window's
- * record stream is split into T contiguous measure slices simulated
+ * The record stream of one run: exactly one of four kinds. The kind
+ * decides whether the window can be chunked (random access) and how
+ * the run counts Metrics::codeFootprintLines. Kinds serving the same
+ * records give bit-identical results up to that footprint rule and
+ * the benchmark name the stream reports (tests/test_runner.cpp).
+ */
+class RunSource
+{
+  public:
+    /** Live generation: every pass runs a fresh SyntheticExecutor
+     *  over @p program (not owned). No random access; the footprint
+     *  is the executor's count. */
+    RunSource(const trace::SyntheticProgram &program)
+        : kind_(&program)
+    {
+    }
+
+    /** A shared packed stream with random access. The footprint is
+     *  the cursor's count, or the union of the chunks' bitmaps when
+     *  chunked; a trace-backed buffer keeps no bitmap and reports
+     *  @p census instead. */
+    RunSource(std::shared_ptr<const trace::RecordBuffer> buffer,
+              std::uint64_t census = 0)
+        : kind_(std::move(buffer)), census_(census)
+    {
+    }
+
+    /** A trace opened at any record: random access. The footprint
+     *  is @p census (an EMTC container's pack-time count). */
+    RunSource(ChunkSourceFactory open, std::uint64_t census = 0)
+        : kind_(std::move(open)), census_(census)
+    {
+    }
+
+    /** A stream consumed from its current position (not owned): no
+     *  random access. The footprint is @p census. */
+    RunSource(trace::TraceSource &stream, std::uint64_t census = 0)
+        : kind_(&stream), census_(census)
+    {
+    }
+
+    /** True when a chunk may start at any record of the stream. */
+    bool
+    randomAccess() const
+    {
+        return std::holds_alternative<
+                   std::shared_ptr<const trace::RecordBuffer>>(kind_) ||
+               std::holds_alternative<ChunkSourceFactory>(kind_);
+    }
+
+  private:
+    /** Opens a chunk's stream per kind (core/experiment.cc). */
+    friend class ChunkStream;
+
+    std::variant<const trace::SyntheticProgram *,
+                 std::shared_ptr<const trace::RecordBuffer>,
+                 ChunkSourceFactory, trace::TraceSource *>
+        kind_;
+    std::uint64_t census_ = 0;
+};
+
+/**
+ * Attachments and report of one run. The inputs are read before the
+ * run; the outputs are filled when it completes. Interval sampling,
+ * the event trace and the record tee observe one sequential machine,
+ * so they apply to one-chunk runs only (as does the P(N) same-path
+ * range); the span recorder and every other output apply to all.
+ */
+struct RunTelemetry
+{
+    /** Snapshot cadence in committed instructions (0 = off). */
+    std::uint64_t sampleInterval = 0;
+    /** JSONL event sink, armed for the measurement window only
+     *  (nullptr = off). Not owned. */
+    stats::TraceSink *traceSink = nullptr;
+    /** Every record the run consumes is also appended here
+     *  (nullptr = off). Not owned. */
+    trace::TraceWriter *recordTo = nullptr;
+    /** Flight recorder (nullptr = none). Not owned. A one-chunk run
+     *  records "warmup", "measure" and "stat_export" slices on the
+     *  calling thread's track, a chunked run one "chunk" slice per
+     *  chunk on the worker that ran it. */
+    stats::SpanRecorder *spans = nullptr;
+
+    /** End-of-window counters of every lane, in lane order. */
+    std::vector<stats::Registry> registries;
+    /** Interval snapshots (empty unless sampleInterval > 0). */
+    stats::Sampler sampler;
+    /** Wall seconds of the simulation, excluding stat export. */
+    double wallSeconds = 0.0;
+    /** Phase seconds, summed over chunks (CPU seconds, so a grid's
+     *  per-phase totals stay comparable across execution modes). */
+    double warmupSeconds = 0.0;
+    double measureSeconds = 0.0;
+    double statExportSeconds = 0.0;
+    /** The N values whose P(N) L2 would have run this run's exact
+     *  path (EmissaryPolicy::sameRunRange); empty unless the timing
+     *  lane runs EMISSARY. The grid engine shares a P(N) result
+     *  across it. */
+    replacement::ProtectRange l2SameRunRange{1, 0};
+    /** Chunks the window actually ran as: 1 unless timeChunks > 1
+     *  on a random-access source (and the window long enough). */
+    unsigned chunks = 0;
+};
+
+/**
+ * Run @p l2_lanes over @p source in one pass per time chunk.
+ *
+ * The lanes are the L2 policies of one machine, in order. Lane 0
+ * runs the full Hierarchy: its Metrics are those of a one-lane run
+ * of its policy, bit for bit (tests/test_fused.cpp). Every later lane
+ * is a monitor (cache/lanes.hh): per-policy L2+L3 arrays fed by the
+ * shared pipeline's access stream, so their cache counters match a
+ * one-lane run up to the L2-latency feedback into fetch timing, and
+ * their cycle counts are first-order estimates (errors quantified by
+ * bench_fastmode_validation). With @p sampled_sets = K > 1 (a power
+ * of two) the monitors model only 1 set in every K, with counters
+ * scaled back at collection (fast mode; error bounds in
+ * docs/performance.md); the timing lane always models every set.
+ *
+ * With options.timeChunks = T > 1 on a random-access source, the
+ * measurement window is split into T contiguous slices simulated
  * concurrently on @p pool, each non-first slice preceded by an
  * overlapped functional-warming prefix of
  * options.chunkWarmupRecords records (min'd against the records
- * available before the slice). Per-chunk hierarchy/backend/frontend
- * counters and window cycles are summed into one Metrics via
- * composeMetrics; the priority-bit distribution is the last chunk's
- * end state and the code footprint is the union of the chunks'
- * touched-line bitmaps.
+ * available before the slice). Per-chunk counters and window cycles
+ * are summed per lane before Metrics are derived once; the
+ * priority-bit distribution is the last chunk's end state. Chunk 0
+ * reproduces the sequential prefix exactly; later chunks start from
+ * warmed-but-not-identical state, so spliced counters carry a
+ * boundary error (results/timeparallel_validation.txt). Results are
+ * bit-deterministic for fixed (T, W) at any worker count.
  *
- * Approximation contract: chunk 0 reproduces the sequential run's
- * prefix exactly; later chunks start from warmed-but-not-identical
- * machine state, so counters carry a boundary error that shrinks
- * with warmup length (measured: results/timeparallel_validation.txt).
- * Results are bit-deterministic for fixed (T, W) at any worker
- * count and scheduling order — each chunk depends only on the
- * buffer contents and its own bounds, and splicing is by chunk
- * index. With timeChunks <= 1 this is exactly runPolicy.
+ * Every other run is one chunk over the whole window, simulated on
+ * the calling thread. Safe to call from inside a pool job: the
+ * calling thread helps execute queued chunks instead of blocking.
  *
- * Safe to call from inside a pool job: the calling thread helps
- * execute queued chunks instead of blocking (ThreadPool::helpWhile).
+ * @param sampled_sets Monitor-lane set sampling (0 or 1 = every set).
+ * @param pool Workers for a chunked run (nullptr = the calling
+ *        thread runs every chunk in order).
+ * @param telemetry Attachments and report (nullptr = none).
+ * @return One Metrics per lane, in lane order.
+ * @throws std::invalid_argument when @p l2_lanes is empty.
  */
-Metrics runPolicyTimeParallel(
-    std::shared_ptr<const trace::RecordBuffer> buffer,
-    const replacement::PolicySpec &l2_spec,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    RunInstrumentation *instrumentation = nullptr,
-    RunTelemetry *telemetry = nullptr);
-
-/** Chunk-source variant for workloads too large to buffer: every
- *  chunk opens its own source at its start record. */
-Metrics runPolicyTimeParallel(
-    const ChunkSourceFactory &chunk_source,
-    const replacement::PolicySpec &l2_spec,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    RunInstrumentation *instrumentation = nullptr,
-    RunTelemetry *telemetry = nullptr);
-
-/**
- * Time-parallel fused pass: each chunk runs a full
- * runPolicyGroup-style lane bank over its slice, and the per-lane
- * counters / cycle estimates are spliced chunk-wise exactly like the
- * single-policy variant. Lane order matches @p l2_specs.
- */
-std::vector<Metrics> runPolicyGroupTimeParallel(
-    std::shared_ptr<const trace::RecordBuffer> buffer,
-    const std::vector<replacement::PolicySpec> &l2_specs,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    std::vector<stats::Registry> *registries = nullptr,
-    RunTelemetry *telemetry = nullptr);
-
-/** Chunk-source variant of the time-parallel fused pass. */
-std::vector<Metrics> runPolicyGroupTimeParallel(
-    const ChunkSourceFactory &chunk_source,
-    const std::vector<replacement::PolicySpec> &l2_specs,
-    const replacement::PolicySpec &l1i_spec,
-    const RunOptions &options, ThreadPool &pool,
-    std::vector<stats::Registry> *registries = nullptr,
+std::vector<Metrics>
+run(const RunSource &source,
+    const std::vector<replacement::PolicySpec> &l2_lanes,
+    unsigned sampled_sets, const replacement::PolicySpec &l1i,
+    const RunOptions &options, ThreadPool *pool = nullptr,
     RunTelemetry *telemetry = nullptr);
 
 /**

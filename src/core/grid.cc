@@ -5,6 +5,7 @@
 #include <exception>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -45,19 +46,12 @@ struct BuildDone
     ~BuildDone() { out = secondsSince(start); }
 };
 
-/** Local alias for the shared helper (core/replay_build.hh). */
-bool
-isPackedTrace(const std::string &path)
-{
-    return isPackedTracePath(path);
-}
-
 /** Pack-time unique-code-line census of an EMTC container (0 for
  *  EMTR traces, which carry no footprint metadata). */
 std::uint64_t
 traceFootprintLines(const GridWorkload &w)
 {
-    if (!w.traceBacked() || !isPackedTrace(w.tracePath))
+    if (!w.traceBacked() || !isPackedTracePath(w.tracePath))
         return 0;
     return readTraceInfo(w.tracePath).uniqueCodeLines;
 }
@@ -95,8 +89,7 @@ sameRunKnobs(const RunOptions &a, const RunOptions &b)
            a.bypassLowPriorityInst == b.bypassLowPriorityInst &&
            a.priorityResetInstructions ==
                b.priorityResetInstructions &&
-           a.seed == b.seed && a.sampledSets == b.sampledSets &&
-           a.timeChunks == b.timeChunks &&
+           a.seed == b.seed && a.timeChunks == b.timeChunks &&
            a.chunkWarmupRecords == b.chunkWarmupRecords;
 }
 
@@ -134,7 +127,7 @@ cellCacheCanonical(const GridWorkload &workload, const RunSpec &run,
     // must not change its cached result.
     JsonValue source = JsonValue::object();
     if (workload.traceBacked()) {
-        if (isPackedTrace(workload.tracePath)) {
+        if (isPackedTracePath(workload.tracePath)) {
             // The index CRC transitively digests every block's own
             // CRC, so these header fields identify the full payload
             // without decoding it.
@@ -538,6 +531,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
 
     GridResults results(grid.workloads.size(), grid.runs.size());
     results.timing_.workers = pool.workerCount();
+    results.sampledSets_ =
+        fusable && options.sampledSets > 1 ? options.sampledSets : 0;
     std::mutex progress_mutex;
     // Progress-state shared by the completion counters; guarded by
     // progress_mutex like the user callback.
@@ -646,11 +641,12 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         replayable = std::min<std::uint64_t>(
             grid.workloads.size(), budget_bytes / bytes_per_buffer);
 
+    // Each row's source, picked once: its replay buffer within the
+    // budget, otherwise the live program or the trace file itself.
+    // Programs outlive the sources that reference them.
     std::vector<std::unique_ptr<trace::SyntheticProgram>> programs(
         grid.workloads.size());
-    std::vector<std::shared_ptr<const trace::RecordBuffer>> buffers(
-        grid.workloads.size());
-    std::vector<std::uint64_t> footprints(grid.workloads.size(), 0);
+    std::vector<std::optional<RunSource>> sources(grid.workloads.size());
     std::vector<double> build_seconds(grid.workloads.size(), 0.0);
     {
         std::vector<std::future<void>> built;
@@ -662,11 +658,10 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
             if (row_fully_cached[w])
                 continue;
             const bool replay = w < replayable;
-            built.push_back(pool.submit([&grid, &programs, &buffers,
-                                         &footprints, &build_seconds,
-                                         &label_track, &pool,
-                                         recorder, records, replay,
-                                         w]() {
+            built.push_back(pool.submit([&grid, &programs, &sources,
+                                         &build_seconds, &label_track,
+                                         &pool, recorder, records,
+                                         replay, w]() {
                 const auto build_start =
                     std::chrono::steady_clock::now();
                 label_track();
@@ -682,20 +677,33 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                     // overrun position via the tail factory. EMTC
                     // containers decode their blocks in parallel
                     // across the same pool (this job helps), bit-
-                    // identically to a serial streaming build.
-                    footprints[w] = traceFootprintLines(row);
-                    if (!replay)
-                        return;
-                    buffers[w] = buildTraceReplay(row, records, pool);
+                    // identically to a serial streaming build. Both
+                    // kinds report the container's pack-time
+                    // footprint census.
+                    const std::uint64_t census = traceFootprintLines(row);
+                    if (replay)
+                        sources[w].emplace(
+                            buildTraceReplay(row, records, pool),
+                            census);
+                    else
+                        sources[w].emplace(
+                            ChunkSourceFactory(
+                                [&row](std::uint64_t start_record) {
+                                    return openTraceSource(
+                                        row, start_record);
+                                }),
+                            census);
                     return;
                 }
                 programs[w] =
                     std::make_unique<trace::SyntheticProgram>(
                         row.profile);
                 if (replay)
-                    buffers[w] = std::make_shared<
-                        const trace::RecordBuffer>(*programs[w],
-                                                   records);
+                    sources[w].emplace(
+                        std::make_shared<const trace::RecordBuffer>(
+                            *programs[w], records));
+                else
+                    sources[w].emplace(*programs[w]);
             }));
         }
         for (auto &future : built)
@@ -708,8 +716,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     // Every job's future, in submission order. A P(N) group leader
     // submits its re-run members from inside its own job, so the
     // vector is shared under a mutex with the wait loop below. submit
-    // and the cell runners live at this scope: they must outlive
-    // every job.
+    // and the job body live at this scope: they must outlive every
+    // job.
     std::vector<std::future<void>> cells;
     std::mutex cells_mutex;
     cells.reserve(grid.cellCount());
@@ -719,105 +727,107 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         cells.push_back(std::move(future));
     };
 
-    // Sequential engine: one job per cell. run_cell simulates cell
-    // (w, r) into its slot and returns the L2's same-path N range
-    // (empty unless the L2 runs EMISSARY).
-    const auto run_cell = [&](std::size_t w, std::size_t r) {
-        const auto cell_start = std::chrono::steady_clock::now();
+    // The one job body: simulate @p columns of row w in one pass.
+    // columns[0] is the timing column, every later column a monitor
+    // lane (fused groups only). Fills each column's slot except a
+    // cached timing column, which drives the pass but keeps its
+    // cached result: monitor results depend on the timing lane's
+    // policy through the shared pipeline, and the cache keyed them
+    // under that policy. Returns the timing lane's same-path N range
+    // (empty unless its L2 runs EMISSARY).
+    const auto run_columns = [&](std::size_t w,
+                                 const std::vector<std::size_t>
+                                     &columns) {
+        const auto pass_start = std::chrono::steady_clock::now();
         label_track();
-        // Each cell owns its source, simulator and seeded RNGs; it
-        // writes only its own result slot, so no locking — and
+        // Each pass owns its stream, simulator and seeded RNGs; it
+        // writes only its own result slots, so no locking — and
         // completion order cannot reorder or perturb the results.
         const GridWorkload &row = grid.workloads[w];
-        const RunOptions &run_options = grid.runs[r].options;
-        stats::ScopedTimer span(recorder, "cell");
+        const std::size_t lead = columns.front();
+        stats::ScopedTimer span(recorder, fusable ? "group" : "cell");
+        std::vector<replacement::PolicySpec> lanes;
+        for (const std::size_t r : columns)
+            lanes.push_back(l2_specs[r]);
         RunTelemetry telemetry;
         telemetry.spans = recorder;
-        RunInstrumentation instrumentation;
-        RunInstrumentation *const instr =
-            collect ? &instrumentation : nullptr;
-        // Chunked cells splice their window across time chunks
-        // (runPolicyTimeParallel); synthetic rows past the replay
-        // budget lack a random-access stream and stay sequential.
-        const bool chunked = run_options.timeChunks > 1 &&
-                             (buffers[w] || row.traceBacked());
-        Metrics metrics;
-        if (chunked && buffers[w]) {
-            metrics = runPolicyTimeParallel(
-                buffers[w], l2_specs[r], l1i_specs[r], run_options,
-                pool, instr, &telemetry);
-        } else if (chunked) {
-            const ChunkSourceFactory open_chunk =
-                [&row](std::uint64_t start_record) {
-                    return openTraceSource(row, start_record);
-                };
-            metrics = runPolicyTimeParallel(
-                open_chunk, l2_specs[r], l1i_specs[r], run_options,
-                pool, instr, &telemetry);
-        } else if (buffers[w]) {
-            metrics = runPolicy(buffers[w], l2_specs[r], l1i_specs[r],
-                                run_options, instr, &telemetry);
-        } else if (row.traceBacked()) {
-            // Past the replay budget: stream the file fresh for this
-            // cell. The decode is bit-exact, so the Metrics match the
-            // buffered path.
-            auto source = openTraceSource(row);
-            metrics = runPolicy(*source, l2_specs[r], l1i_specs[r],
-                                run_options, instr, &telemetry);
-        } else {
-            metrics = runPolicy(*programs[w], l2_specs[r],
-                                l1i_specs[r], run_options, instr,
-                                &telemetry);
+        std::vector<Metrics> metrics =
+            run(*sources[w], lanes, options.sampledSets, l1i_specs[lead],
+                grid.runs[lead].options, &pool, &telemetry);
+
+        std::vector<std::size_t> filled;
+        for (std::size_t lane = 0; lane < columns.size(); ++lane)
+            if (lane > 0 || !cell_cached(w, lead))
+                filled.push_back(lane);
+        // One pass produced every filled cell: wall and phase time
+        // split evenly over them so row and phase totals still sum
+        // to real wall clock.
+        const double pass_seconds = secondsSince(pass_start);
+        const double denom = static_cast<double>(filled.size());
+        const GridTiming::CellPhases phase_share = {
+            telemetry.warmupSeconds / denom,
+            telemetry.measureSeconds / denom,
+            telemetry.statExportSeconds / denom};
+        std::uint64_t pass_instructions = 0;
+        for (const std::size_t lane : filled) {
+            const std::size_t r = columns[lane];
+            Metrics &m = metrics[lane];
+            // The grid row's name wins over the source's
+            // self-description.
+            m.benchmark = row.name;
+            pass_instructions += m.instructions;
+            if (options.cellCache) {
+                CellCacheEntry entry;
+                entry.metrics = m;
+                entry.counters = registryJson(telemetry.registries[lane]);
+                options.cellCache->store(cache_keys[w][r],
+                                         cache_canonicals[w][r], entry);
+            }
+            results.cells_[w][r] = std::move(m);
+            if (collect)
+                results.registries_[w][r] =
+                    std::move(telemetry.registries[lane]);
+            results.timing_.runSeconds[w][r] = pass_seconds / denom;
+            results.timing_.phaseSeconds[w][r] = phase_share;
+            // A chunked timing lane is a splice, not an exact run —
+            // its provenance must say so.
+            results.execution_[w][r] =
+                lane > 0 ? (options.sampledSets > 1
+                                ? CellExecution::FusedMonitorSampled
+                                : CellExecution::FusedMonitor)
+                : telemetry.chunks > 1 ? CellExecution::TimeParallel
+                : fusable              ? CellExecution::FusedTiming
+                                       : CellExecution::Sequential;
         }
-        if (chunked)
-            results.execution_[w][r] = CellExecution::TimeParallel;
-        // Normalise what the source reports: the grid row's name wins
-        // over the source's self-description, and trace-backed cells
-        // take the container's pack-time footprint census on both the
-        // buffered and the streaming path.
-        metrics.benchmark = row.name;
-        if (row.traceBacked())
-            metrics.codeFootprintLines = footprints[w];
-        if (options.cellCache) {
-            CellCacheEntry entry;
-            entry.metrics = metrics;
-            entry.counters = registryJson(instrumentation.registry);
-            options.cellCache->store(cache_keys[w][r],
-                                     cache_canonicals[w][r], entry);
-        }
-        const std::uint64_t cell_instructions = metrics.instructions;
-        results.cells_[w][r] = std::move(metrics);
-        if (collect)
-            results.registries_[w][r] =
-                std::move(instrumentation.registry);
-        const double cell_seconds = secondsSince(cell_start);
-        results.timing_.runSeconds[w][r] = cell_seconds;
-        results.timing_.phaseSeconds[w][r] = {
-            telemetry.warmupSeconds, telemetry.measureSeconds,
-            telemetry.statExportSeconds};
         if (span.active()) {
             span.arg("workload", stats::JsonValue(row.name));
-            span.arg("policy", stats::JsonValue(grid.runs[r].l2Policy));
+            if (fusable)
+                span.arg("lanes",
+                         stats::JsonValue(static_cast<std::uint64_t>(
+                             columns.size())));
+            span.arg("policy", stats::JsonValue(grid.runs[lead].l2Policy));
             // Grid-cell index: policy labels repeat across rows (and
-            // fused group slices cover several cells), so slices stay
+            // group slices cover several cells), so slices stay
             // distinguishable.
             span.arg("cell", stats::JsonValue(static_cast<std::uint64_t>(
-                                 w * grid.runs.size() + r)));
-            span.arg("instructions", stats::JsonValue(cell_instructions));
+                                 w * grid.runs.size() + lead)));
+            span.arg("instructions", stats::JsonValue(pass_instructions));
             span.arg("minst_per_sec",
                      stats::JsonValue(
-                         cell_seconds > 0.0
-                             ? static_cast<double>(cell_instructions) /
-                                   cell_seconds / 1e6
+                         pass_seconds > 0.0
+                             ? static_cast<double>(pass_instructions) /
+                                   pass_seconds / 1e6
                              : 0.0));
         }
-        note_cell_done(w, r, cell_instructions);
+        for (const std::size_t lane : filled)
+            note_cell_done(w, columns[lane],
+                           results.cells_[w][columns[lane]].instructions);
         return telemetry.l2SameRunRange;
     };
 
     // A group member inside its leader's range: the leader's run is
     // this cell's run, bit for bit, so only the policy name differs.
-    // Runs in the leader's job, right after run_cell(w, leader).
+    // Runs in the leader's job, right after the leader's pass.
     const auto share_cell = [&](std::size_t w, std::size_t r,
                                 std::size_t leader) {
         stats::ScopedTimer span(recorder, "cell");
@@ -851,171 +861,24 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     };
 
     if (fusable) {
-        // Fused engine: one trace pass per (workload, lane chunk).
-        // The chunk's first run is its timing lane; chunks past
-        // kMaxLanes get their own pass (and timing lane).
+        // Fused engine: one pass per (workload, lane chunk). The
+        // chunk's first run is its timing lane; chunks past kMaxLanes
+        // get their own pass (and timing lane).
         const std::size_t max_lanes = cache::PolicyLaneBank::kMaxLanes;
         for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
             for (std::size_t base = 0; base < grid.runs.size();
                  base += max_lanes) {
                 const std::size_t count = std::min(
                     max_lanes, grid.runs.size() - base);
-                // Lanes this pass must still produce; cache hits
-                // already sit in their result slots.
-                std::vector<std::size_t> fresh;
-                fresh.reserve(count);
-                for (std::size_t lane = 0; lane < count; ++lane)
-                    if (!cell_cached(w, base + lane))
-                        fresh.push_back(lane);
-                if (fresh.empty())
+                // The timing column drives the pass even when cached;
+                // cached monitors already sit in their result slots.
+                std::vector<std::size_t> columns = {base};
+                for (std::size_t r = base + 1; r < base + count; ++r)
+                    if (!cell_cached(w, r))
+                        columns.push_back(r);
+                if (columns.size() == 1 && cell_cached(w, base))
                     continue;
-                submit([&, w, base, fresh]() {
-                    const auto group_start =
-                        std::chrono::steady_clock::now();
-                    label_track();
-                    const GridWorkload &row = grid.workloads[w];
-                    stats::ScopedTimer span(recorder, "group");
-                    // The chunk's designated timing policy always
-                    // drives the pass, even when its own cell was a
-                    // cache hit: monitor results depend on the
-                    // timing lane's policy through the shared
-                    // pipeline, and the cache keyed them under this
-                    // driver. A cached lane-0 result is recomputed
-                    // and discarded, never served wrong.
-                    std::vector<replacement::PolicySpec> group_specs;
-                    group_specs.reserve(fresh.size() + 1);
-                    group_specs.push_back(l2_specs[base]);
-                    for (const std::size_t lane : fresh)
-                        if (lane != 0)
-                            group_specs.push_back(
-                                l2_specs[base + lane]);
-                    RunOptions group_options =
-                        grid.runs[base].options;
-                    group_options.sampledSets = options.sampledSets;
-                    RunTelemetry telemetry;
-                    telemetry.spans = recorder;
-                    std::vector<stats::Registry> lane_registries;
-                    std::vector<stats::Registry> *const regs =
-                        collect ? &lane_registries : nullptr;
-                    // Chunked rows splice the lane bank across time
-                    // chunks; a synthetic row past the replay budget
-                    // has no random-access stream, so it falls back
-                    // to the exact one-pass group.
-                    const bool chunked =
-                        group_options.timeChunks > 1 &&
-                        (buffers[w] || row.traceBacked());
-                    std::vector<Metrics> metrics;
-                    if (chunked && buffers[w]) {
-                        metrics = runPolicyGroupTimeParallel(
-                            buffers[w], group_specs, l1i_specs[base],
-                            group_options, pool, regs, &telemetry);
-                    } else if (chunked) {
-                        const ChunkSourceFactory open_chunk =
-                            [&row](std::uint64_t start_record) {
-                                return openTraceSource(row,
-                                                       start_record);
-                            };
-                        metrics = runPolicyGroupTimeParallel(
-                            open_chunk, group_specs, l1i_specs[base],
-                            group_options, pool, regs, &telemetry);
-                    } else if (buffers[w]) {
-                        metrics = runPolicyGroup(
-                            buffers[w], group_specs, l1i_specs[base],
-                            group_options, regs, &telemetry);
-                    } else if (row.traceBacked()) {
-                        auto source = openTraceSource(row);
-                        metrics = runPolicyGroup(
-                            *source, group_specs, l1i_specs[base],
-                            group_options, regs, &telemetry);
-                    } else {
-                        metrics = runPolicyGroup(
-                            *programs[w], group_specs,
-                            l1i_specs[base], group_options, regs,
-                            &telemetry);
-                    }
-                    const double group_seconds =
-                        secondsSince(group_start);
-                    // One pass produced every fresh cell: wall and
-                    // phase time split evenly over them so row and
-                    // phase totals still sum to real wall clock.
-                    const double denom =
-                        static_cast<double>(fresh.size());
-                    const double share = group_seconds / denom;
-                    const GridTiming::CellPhases phase_share = {
-                        telemetry.warmupSeconds / denom,
-                        telemetry.measureSeconds / denom,
-                        telemetry.statExportSeconds / denom};
-                    std::uint64_t group_instructions = 0;
-                    std::size_t next_monitor = 1;
-                    for (const std::size_t lane : fresh) {
-                        const std::size_t r = base + lane;
-                        const std::size_t slot =
-                            lane == 0 ? 0 : next_monitor++;
-                        Metrics &m = metrics[slot];
-                        m.benchmark = row.name;
-                        if (row.traceBacked())
-                            m.codeFootprintLines = footprints[w];
-                        group_instructions += m.instructions;
-                        if (options.cellCache) {
-                            CellCacheEntry entry;
-                            entry.metrics = m;
-                            entry.counters =
-                                registryJson(lane_registries[slot]);
-                            options.cellCache->store(
-                                cache_keys[w][r],
-                                cache_canonicals[w][r], entry);
-                        }
-                        results.cells_[w][r] = std::move(m);
-                        if (collect)
-                            results.registries_[w][r] = std::move(
-                                lane_registries[slot]);
-                        results.timing_.runSeconds[w][r] = share;
-                        results.timing_.phaseSeconds[w][r] =
-                            phase_share;
-                        // A chunked timing lane is a splice, not an
-                        // exact run — its provenance must say so.
-                        results.execution_[w][r] =
-                            lane == 0
-                                ? (chunked
-                                       ? CellExecution::TimeParallel
-                                       : CellExecution::FusedTiming)
-                                : (options.sampledSets > 1
-                                       ? CellExecution::
-                                             FusedMonitorSampled
-                                       : CellExecution::FusedMonitor);
-                    }
-                    if (span.active()) {
-                        span.arg("workload",
-                                 stats::JsonValue(row.name));
-                        span.arg("lanes",
-                                 stats::JsonValue(
-                                     static_cast<std::uint64_t>(
-                                         group_specs.size())));
-                        span.arg("cell",
-                                 stats::JsonValue(
-                                     static_cast<std::uint64_t>(
-                                         w * grid.runs.size() +
-                                         base)));
-                        span.arg("policy",
-                                 stats::JsonValue(
-                                     grid.runs[base].l2Policy));
-                        span.arg("instructions",
-                                 stats::JsonValue(group_instructions));
-                        span.arg(
-                            "minst_per_sec",
-                            stats::JsonValue(
-                                group_seconds > 0.0
-                                    ? static_cast<double>(
-                                          group_instructions) /
-                                          group_seconds / 1e6
-                                    : 0.0));
-                    }
-                    for (const std::size_t lane : fresh)
-                        note_cell_done(
-                            w, base + lane,
-                            results.cells_[w][base + lane]
-                                .instructions);
-                });
+                submit([&, w, columns]() { run_columns(w, columns); });
             }
         }
     } else {
@@ -1066,19 +929,21 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 submit([&, w, group]() {
                     const std::size_t leader = group.front();
                     const replacement::ProtectRange same =
-                        run_cell(w, leader);
+                        run_columns(w, {leader});
                     for (std::size_t i = 1; i < group.size(); ++i) {
                         const std::size_t r = group[i];
                         if (same.contains(l2_specs[r].protectN))
                             share_cell(w, r, leader);
                         else
-                            submit([&, w, r]() { run_cell(w, r); });
+                            submit([&, w, r]() {
+                                run_columns(w, {r});
+                            });
                     }
                 });
             }
             for (std::size_t r = 0; r < grid.runs.size(); ++r)
                 if (!cell_cached(w, r) && !member[r])
-                    submit([&, w, r]() { run_cell(w, r); });
+                    submit([&, w, r]() { run_columns(w, {r}); });
         }
     }
 
@@ -1124,6 +989,32 @@ runGrid(const PolicyGrid &grid, const GridOptions &options)
 }
 
 stats::JsonValue
+workloadProvenanceJson(const GridWorkload &row)
+{
+    using stats::JsonValue;
+    JsonValue provenance = JsonValue::object();
+    if (!row.traceBacked()) {
+        provenance.set("type", JsonValue("synthetic"));
+        provenance.set("profile", JsonValue(row.profile.name));
+        return provenance;
+    }
+    provenance.set("type", JsonValue("trace"));
+    provenance.set("path", JsonValue(row.tracePath));
+    provenance.set("skip_records", JsonValue(row.skipRecords));
+    provenance.set("max_records", JsonValue(row.maxRecords));
+    if (isPackedTracePath(row.tracePath)) {
+        const auto info = readTraceInfo(row.tracePath);
+        provenance.set("records", JsonValue(info.recordCount));
+        provenance.set("unique_code_lines",
+                       JsonValue(info.uniqueCodeLines));
+        provenance.set("file_bytes", JsonValue(info.fileBytes));
+        provenance.set("compression_ratio",
+                       JsonValue(info.compressionRatio()));
+    }
+    return provenance;
+}
+
+stats::JsonValue
 sweepJson(const PolicyGrid &grid, const GridResults &results)
 {
     using stats::JsonValue;
@@ -1137,6 +1028,8 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
                             grid.runs.size())));
     doc.set("mode", JsonValue(results.anyFused() ? "fused"
                                                  : "sequential"));
+    doc.set("sampled_sets", JsonValue(static_cast<std::uint64_t>(
+                                results.sampledSets())));
 
     // Splice provenance: readers of the sweep must see at the top
     // level that (some) cells carry the chunked approximation, not
@@ -1169,29 +1062,7 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
         const GridWorkload &row = grid.workloads[w];
 
-        // Workload provenance, shared by every run of this row.
-        JsonValue provenance = JsonValue::object();
-        if (row.traceBacked()) {
-            provenance.set("type", JsonValue("trace"));
-            provenance.set("path", JsonValue(row.tracePath));
-            provenance.set("skip_records",
-                           JsonValue(row.skipRecords));
-            provenance.set("max_records", JsonValue(row.maxRecords));
-            if (isPackedTrace(row.tracePath)) {
-                const auto info = readTraceInfo(row.tracePath);
-                provenance.set("records",
-                               JsonValue(info.recordCount));
-                provenance.set("unique_code_lines",
-                               JsonValue(info.uniqueCodeLines));
-                provenance.set("file_bytes",
-                               JsonValue(info.fileBytes));
-                provenance.set("compression_ratio",
-                               JsonValue(info.compressionRatio()));
-            }
-        } else {
-            provenance.set("type", JsonValue("synthetic"));
-            provenance.set("profile", JsonValue(row.profile.name));
-        }
+        const JsonValue provenance = workloadProvenanceJson(row);
 
         for (std::size_t r = 0; r < grid.runs.size(); ++r) {
             const RunSpec &spec = grid.runs[r];

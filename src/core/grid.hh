@@ -214,16 +214,18 @@ struct GridOptions
 {
     /**
      * Fused scheduling: the cells of one workload row run as a
-     * single trace pass (core::runPolicyGroup) instead of one pass
-     * per cell — the row's first run is the group's timing lane, the
-     * rest are monitor lanes. Rows whose runs disagree on any run
-     * knob (window, seed, FDIP, ...) fall back to per-cell
+     * single trace pass (core::run over several L2 lanes) instead of
+     * one pass per cell — the row's first run is the group's timing
+     * lane, the rest are monitor lanes. Rows whose runs disagree on
+     * any run knob (window, seed, FDIP, ...) fall back to per-cell
      * scheduling; rows wider than PolicyLaneBank::kMaxLanes split
      * into chunks, each with its own timing lane.
      */
     bool fused = false;
     /** Fast mode: 1-in-K set sampling for the monitor lanes of
-     *  fused groups (0 or 1 = full fidelity monitors). */
+     *  fused groups (core::run's sampled_sets; 0 or 1 = full fidelity
+     *  monitors). The timing lane and sequential cells always model
+     *  every set. */
     unsigned sampledSets = 0;
     /** Collect each cell's end-of-window counter registry into
      *  GridResults (implied by cellCache, which must store them). */
@@ -248,7 +250,7 @@ enum class CellExecution : std::uint8_t
     FusedMonitorSampled, ///< Sampled-set monitor lane.
     Cached,              ///< Served from the cell result cache.
     TimeParallel,        ///< Chunked time-parallel splice
-                         ///< (core::runPolicyTimeParallel).
+                         ///< (RunTelemetry::chunks > 1).
     Shared,              ///< Copied from a larger-N P(N) cell of the
                          ///< row whose run provably took the same
                          ///< path (bit-identical to Sequential).
@@ -345,6 +347,10 @@ class GridResults
     /** True when any cell ran inside a fused group. */
     bool anyFused() const;
 
+    /** The 1-in-K set sampling the grid's monitor lanes ran with;
+     *  0 when they modelled every set or the grid fused no rows. */
+    unsigned sampledSets() const { return sampledSets_; }
+
     /** Committed (measured-window) instructions summed over every
      *  cell of the grid. */
     std::uint64_t totalInstructions() const;
@@ -377,6 +383,7 @@ class GridResults
     std::vector<std::vector<std::size_t>> sharedWith_;
     std::vector<std::vector<stats::Registry>> registries_;
     GridTiming timing_;
+    unsigned sampledSets_ = 0;
 };
 
 /**
@@ -413,7 +420,10 @@ GridResults runGrid(
  * with a "lanes" arg); each cell's provenance lands in
  * GridResults::executionAt and the sweep JSON. The timing lane of
  * every group is bit-identical to the sequential engine; monitor
- * lanes carry the fused approximation (see core::runPolicyGroup).
+ * lanes carry the fused approximation (see core::run). A chunked
+ * column runs time-parallel only on a row whose source has random
+ * access (a replay buffer or a trace); a synthetic row past the
+ * replay budget runs it as one exact pass, marked sequential.
  */
 GridResults runGrid(
     const PolicyGrid &grid, ThreadPool &pool,
@@ -430,14 +440,22 @@ GridResults runGrid(const PolicyGrid &grid,
                     const GridOptions &options);
 
 /**
- * The whole sweep as one JSON document ("emissary.sweep.v1"): a
- * per-run manifest for every cell — benchmark, policy notation,
- * label, seed, window config, execution (a "shared" cell also names
- * its leader's policy under "shared_with"), wall seconds, full
- * metrics — plus the grid's timing aggregate (total / serial
- * seconds, runs per second, per-phase totals, a log2-bucketed
- * per-cell wall-clock histogram) and the binary's build provenance
- * (core/buildinfo.hh).
+ * A workload row's provenance object, as every sweep-JSON run
+ * manifest and a single trace run's JSON carry it: path, window and
+ * container facts for traces; the profile name for synthetic rows.
+ */
+stats::JsonValue workloadProvenanceJson(const GridWorkload &workload);
+
+/**
+ * The whole sweep as one JSON document ("emissary.sweep.v1"): the
+ * execution mode and the monitor lanes' set-sampling factor
+ * (GridResults::sampledSets), a per-run manifest for every cell —
+ * benchmark, policy notation, label, seed, window config, execution
+ * (a "shared" cell also names its leader's policy under
+ * "shared_with"), wall seconds, full metrics — plus the grid's
+ * timing aggregate (total / serial seconds, runs per second,
+ * per-phase totals, a log2-bucketed per-cell wall-clock histogram)
+ * and the binary's build provenance (core/buildinfo.hh).
  */
 stats::JsonValue sweepJson(const PolicyGrid &grid,
                            const GridResults &results);

@@ -39,9 +39,6 @@ runOptionsJson(const RunOptions &options)
                JsonValue(options.bypassLowPriorityInst));
     config.set("priority_reset_instructions",
                JsonValue(options.priorityResetInstructions));
-    config.set("sampled_sets",
-               JsonValue(static_cast<std::uint64_t>(
-                   options.sampledSets)));
     config.set("time_chunks",
                JsonValue(static_cast<std::uint64_t>(
                    options.timeChunks)));

@@ -190,8 +190,8 @@ composeMetrics(const MetricsInputs &inputs)
     return m;
 }
 
-Metrics
-Simulator::collect(std::uint64_t window_cycles) const
+MetricsInputs
+Simulator::collect() const
 {
     const auto &bs = backend_.stats();
 
@@ -201,7 +201,7 @@ Simulator::collect(std::uint64_t window_cycles) const
     inputs.hierarchy = hierarchy_.stats();
     inputs.backend = bs;
     inputs.frontend = frontend_.stats();
-    inputs.windowCycles = window_cycles;
+    inputs.windowCycles = lastWindowCycles_;
     inputs.starvationCycles = bs.starvationCycles;
     inputs.starvationIqEmptyCycles = bs.starvationIqEmptyCycles;
     inputs.emissaryBits =
@@ -212,11 +212,10 @@ Simulator::collect(std::uint64_t window_cycles) const
     inputs.priorityDistribution.resize(hist.domain());
     for (std::size_t i = 0; i < hist.domain(); ++i)
         inputs.priorityDistribution[i] = hist.fraction(i);
-
-    return composeMetrics(inputs);
+    return inputs;
 }
 
-Metrics
+MetricsInputs
 Simulator::collectLane(unsigned lane) const
 {
     const cache::PolicyLaneBank *lanes = hierarchy_.lanes();
@@ -250,21 +249,7 @@ Simulator::collectLane(unsigned lane) const
     inputs.priorityDistribution.resize(hist.domain());
     for (std::size_t i = 0; i < hist.domain(); ++i)
         inputs.priorityDistribution[i] = hist.fraction(i);
-
-    return composeMetrics(inputs);
-}
-
-void
-Simulator::exportLaneRegistry(unsigned lane,
-                              stats::Registry &registry) const
-{
-    const cache::PolicyLaneBank *lanes = hierarchy_.lanes();
-    if (!lanes || lane >= lanes->laneCount())
-        throw std::invalid_argument("exportLaneRegistry: no such lane");
-    const cache::HierarchyStats hs =
-        lanes->laneStats(lane, hierarchy_.stats());
-    populateRegistry(registry, hs, backend_.stats(),
-                     frontend_.stats());
+    return inputs;
 }
 
 Metrics
@@ -322,7 +307,7 @@ Simulator::run()
         traceSink_->flush();
 
     lastWindowCycles_ = now_ - measure_start;
-    return collect(lastWindowCycles_);
+    return composeMetrics(collect());
 }
 
 } // namespace emissary::core

@@ -34,7 +34,7 @@ namespace emissary::core
  * Metrics is a pure function of these fields, so summing the stats
  * structs and cycle counts of N window slices and composing once
  * yields the exact whole-window derivation — the splice rule of the
- * time-parallel engine (core::runPolicyTimeParallel).
+ * time-parallel scheduler (core::run).
  */
 struct MetricsInputs
 {
@@ -112,33 +112,25 @@ class Simulator
      *  under their dotted names (core/observability.hh). */
     void exportRegistry(stats::Registry &registry) const;
 
+    /** Raw inputs of the last measurement window's Metrics (what
+     *  run() composes). Valid after run(). */
+    MetricsInputs collect() const;
+
     /**
-     * Metrics of one monitor lane of the attached PolicyLaneBank
-     * (fused multi-policy sweep): the shared pipeline's numbers with
+     * Raw inputs of one monitor lane of the attached PolicyLaneBank
+     * (fused multi-policy pass): the shared pipeline's counters with
      * the policy-dependent cache counters replaced by the lane's
      * own, cycles adjusted by the lane's first-order delta, and
      * starvation taken from the lane estimators. Valid after run();
      * requires a bank attached via hierarchy().setLanes().
      */
-    Metrics collectLane(unsigned lane) const;
-
-    /** Lane variant of exportRegistry: hierarchy counters come from
-     *  the lane's view, pipeline counters from the shared run. */
-    void exportLaneRegistry(unsigned lane,
-                            stats::Registry &registry) const;
+    MetricsInputs collectLane(unsigned lane) const;
 
     cache::Hierarchy &hierarchy() { return hierarchy_; }
     frontend::FrontEnd &frontEnd() { return frontend_; }
     backend::Backend &backend() { return backend_; }
     std::uint64_t now() const { return now_; }
     std::uint64_t committed() const;
-
-    /** Cycles of the last completed measurement window (the chunk
-     *  splicer and lane collection build on this). */
-    std::uint64_t lastWindowCycles() const
-    {
-        return lastWindowCycles_;
-    }
 
   private:
     /** HierarchyObserver → TraceSink adapter, armed at window start. */
@@ -163,7 +155,6 @@ class Simulator
 
     void resetWindowStats();
     void takeSample(std::uint64_t measure_start);
-    Metrics collect(std::uint64_t window_cycles) const;
 
     Config config_;
     trace::TraceSource &source_;

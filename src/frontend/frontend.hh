@@ -55,7 +55,7 @@ struct FrontEndStats
     void reset() { *this = FrontEndStats{}; }
 
     /** Component-wise sum — the time-parallel chunk splice
-     *  (core::runPolicyTimeParallel) adds window slices. */
+     *  (core::run) adds window slices. */
     FrontEndStats &
     operator+=(const FrontEndStats &other)
     {

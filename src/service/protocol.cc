@@ -89,8 +89,10 @@ runOptionsFromJson(const JsonValue &config)
         } else if (key == "seed") {
             options.seed = uintField(value, field);
         } else if (key == "sampled_sets") {
-            options.sampledSets = static_cast<unsigned>(
-                uintField(value, field));
+            throw RequestError(field,
+                               "'sampled_sets' is a top-level request "
+                               "key (it applies to fused monitor "
+                               "lanes), not a config key");
         } else if (key == "time_chunks") {
             options.timeChunks = static_cast<unsigned>(
                 uintField(value, field));

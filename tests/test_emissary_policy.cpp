@@ -467,16 +467,16 @@ TEST(EmissarySameRun, SuiteRunsInsideARangeAreIdentical)
                 futures.push_back(pool.submit([&, n]() {
                     const PolicySpec spec = PolicySpec::parse(
                         "P(" + std::to_string(n) + "):" + selection);
-                    core::RunInstrumentation instrumentation;
                     core::RunTelemetry telemetry;
                     core::Metrics metrics =
-                        core::runPolicy(program, spec, tplru, options,
-                                        &instrumentation, &telemetry);
+                        core::run(program, {spec}, 0, tplru, options,
+                                  nullptr, &telemetry)
+                            .front();
                     EXPECT_EQ(metrics.policy, spec.toString());
                     metrics.policy.clear();
                     return Run{metrics.toJson().dump(0),
                                core::registryJson(
-                                   instrumentation.registry)
+                                   telemetry.registries.front())
                                    .dump(0),
                                telemetry.l2SameRunRange};
                 }));

@@ -194,15 +194,19 @@ TEST(Emtc, StreamingRunMatchesBufferedEmtrRun)
     const auto l2 = replacement::PolicySpec::parse("P(8):S&E");
     const auto l1i = replacement::PolicySpec::parse("TPLRU");
 
-    core::RunInstrumentation emtr_instr;
+    core::RunTelemetry emtr_instr;
     trace::FileTraceSource emtr_source(emtr_path);
-    core::Metrics emtr_metrics = core::runPolicy(
-        emtr_source, l2, l1i, options, &emtr_instr);
+    core::Metrics emtr_metrics =
+        core::run(emtr_source, {l2}, 0, l1i, options, nullptr,
+                  &emtr_instr)
+            .front();
 
-    core::RunInstrumentation emtc_instr;
+    core::RunTelemetry emtc_instr;
     workload::PackedTraceSource emtc_source(emtc_path);
-    core::Metrics emtc_metrics = core::runPolicy(
-        emtc_source, l2, l1i, options, &emtc_instr);
+    core::Metrics emtc_metrics =
+        core::run(emtc_source, {l2}, 0, l1i, options, nullptr,
+                  &emtc_instr)
+            .front();
 
     // The sources describe themselves differently; everything the
     // simulation computed must not.
@@ -210,11 +214,11 @@ TEST(Emtc, StreamingRunMatchesBufferedEmtrRun)
     EXPECT_EQ(emtc_metrics.toJson().dump(),
               emtr_metrics.toJson().dump());
 
-    ASSERT_EQ(emtc_instr.registry.names(),
-              emtr_instr.registry.names());
-    for (const std::string &name : emtc_instr.registry.names())
-        EXPECT_EQ(emtc_instr.registry.value(name),
-                  emtr_instr.registry.value(name))
+    ASSERT_EQ(emtc_instr.registries.front().names(),
+              emtr_instr.registries.front().names());
+    for (const std::string &name : emtc_instr.registries.front().names())
+        EXPECT_EQ(emtc_instr.registries.front().value(name),
+                  emtr_instr.registries.front().value(name))
             << name;
 
     std::remove(emtc_path.c_str());

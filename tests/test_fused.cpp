@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the fused multi-policy sweep (core::runPolicyGroup and
- * runGrid's fused engine).
+ * Tests for the fused multi-policy sweep (core::run over several L2
+ * lanes, and runGrid's fused engine).
  *
  * Fidelity contract under test:
  *  - the *timing lane* (first policy of a group) is bit-identical to
- *    a sequential runPolicy of that policy — Metrics and the full
- *    counter registry;
- *  - a single-policy group degenerates to the sequential engine
- *    exactly;
+ *    a one-lane run of that policy — Metrics and the full counter
+ *    registry;
+ *  - a one-lane run over the shared buffer is the live program's
+ *    sequential run exactly;
  *  - *monitor lanes* are invariant to group composition and to the
  *    grid engine's worker count (their inputs are the shared
  *    pipeline's stream plus their own RNG, nothing else);
@@ -136,38 +136,44 @@ TEST(FusedRun, TimingLaneBitIdenticalToSequential)
             SCOPED_TRACE("timing lane " + rotation.front());
             const auto specs = parseAll(rotation);
 
-            core::RunInstrumentation sequential_instr;
+            core::RunTelemetry sequential_report;
             const Metrics sequential =
-                core::runPolicy(buffer, specs.front(), l1i, options,
-                                &sequential_instr);
+                core::run(buffer, {specs.front()}, 0, l1i, options,
+                          nullptr, &sequential_report)
+                    .front();
 
-            std::vector<stats::Registry> registries;
-            const std::vector<Metrics> fused = core::runPolicyGroup(
-                buffer, specs, l1i, options, &registries);
+            core::RunTelemetry fused_report;
+            const std::vector<Metrics> fused = core::run(
+                buffer, specs, 0, l1i, options, nullptr, &fused_report);
             ASSERT_EQ(fused.size(), rotation.size());
-            ASSERT_EQ(registries.size(), rotation.size());
+            ASSERT_EQ(fused_report.registries.size(), rotation.size());
 
             expectMetricsIdentical(sequential, fused.front());
-            expectRegistriesIdentical(sequential_instr.registry,
-                                      registries.front());
+            expectRegistriesIdentical(
+                sequential_report.registries.front(),
+                fused_report.registries.front());
         }
     }
 }
 
 TEST(FusedRun, SingleLaneGroupMatchesSequential)
 {
+    // A one-lane pass over the shared buffer is the sequential
+    // engine: it must equal the live program's run of that policy.
     const RunOptions options = smallWindow();
     const auto l1i =
         replacement::PolicySpec::parse(options.l1iPolicy);
+    const trace::SyntheticProgram program(
+        trace::profileByName("verilator"));
     const auto buffer = packWorkload("verilator", options);
 
     for (const char *policy : {"TPLRU", "P(8):S&E&R(1/32)"}) {
         SCOPED_TRACE(policy);
         const auto spec = replacement::PolicySpec::parse(policy);
         const Metrics sequential =
-            core::runPolicy(buffer, spec, l1i, options);
+            core::runPolicy(program, policy, options);
         const std::vector<Metrics> fused =
-            core::runPolicyGroup(buffer, {spec}, l1i, options);
+            core::run(buffer, {spec}, 0, l1i, options);
         ASSERT_EQ(fused.size(), 1u);
         expectMetricsIdentical(sequential, fused.front());
     }
@@ -188,9 +194,9 @@ TEST(FusedRun, MonitorLanesInvariantToGroupComposition)
                                  "P(8):S&E&R(1/32)", "LRU"});
 
     const std::vector<Metrics> few =
-        core::runPolicyGroup(buffer, small, l1i, options);
+        core::run(buffer, small, 0, l1i, options);
     const std::vector<Metrics> many =
-        core::runPolicyGroup(buffer, large, l1i, options);
+        core::run(buffer, large, 0, l1i, options);
     expectMetricsIdentical(few.at(1), many.at(3));
     // And the shared timing lane is oblivious to the bank's width.
     expectMetricsIdentical(few.at(0), many.at(0));
@@ -205,9 +211,9 @@ TEST(FusedRun, MonitorLaneTracksSequentialOracle)
     const auto specs = parseAll({"TPLRU", "P(8):S&E&R(1/32)"});
 
     const Metrics oracle =
-        core::runPolicy(buffer, specs.at(1), l1i, options);
+        core::run(buffer, {specs.at(1)}, 0, l1i, options).front();
     const std::vector<Metrics> fused =
-        core::runPolicyGroup(buffer, specs, l1i, options);
+        core::run(buffer, specs, 0, l1i, options);
     const Metrics &monitor = fused.at(1);
 
     // Structural sanity: same committed work, plausible cycles.
@@ -239,20 +245,19 @@ TEST(FusedRun, MonitorLaneTracksSequentialOracle)
 
 TEST(FusedRun, SampledMonitorStaysNearFullMonitor)
 {
-    RunOptions options = smallWindow();
+    const RunOptions options = smallWindow();
     const auto l1i =
         replacement::PolicySpec::parse(options.l1iPolicy);
     const auto buffer = packWorkload("kafka", options);
     const auto specs = parseAll({"TPLRU", "P(8):S&E&R(1/32)"});
 
     const std::vector<Metrics> full =
-        core::runPolicyGroup(buffer, specs, l1i, options);
+        core::run(buffer, specs, 0, l1i, options);
 
     for (const unsigned k : {8u, 16u}) {
         SCOPED_TRACE("1-in-" + std::to_string(k));
-        options.sampledSets = k;
         const std::vector<Metrics> sampled =
-            core::runPolicyGroup(buffer, specs, l1i, options);
+            core::run(buffer, specs, k, l1i, options);
 
         // The timing lane never samples: still bit-identical.
         expectMetricsIdentical(full.at(0), sampled.at(0));
@@ -328,7 +333,7 @@ TEST(FusedGrid, MatchesSequentialTimingAndIsWorkerCountInvariant)
 TEST(FusedGrid, ChunkedFusedRowsAreDeterministicAndTagged)
 {
     // A fused row whose runs ask for time chunking runs the whole
-    // lane bank chunk-wise (core::runPolicyGroupTimeParallel): the
+    // lane bank chunk-wise (core::run over a chunked window): the
     // timing lane is tagged as the time-parallel approximation, the
     // monitors keep their fused tags, and — like every chunked
     // splice — no cell may move with the grid's worker count.

@@ -103,15 +103,15 @@ perCellRuns(const PolicyGrid &grid)
         std::vector<std::future<CellRun>> futures;
         for (const core::RunSpec &run : grid.runs)
             futures.push_back(pool.submit([&program, &run]() {
-                core::RunInstrumentation instrumentation;
                 core::RunTelemetry telemetry;
-                const core::Metrics metrics = core::runPolicy(
-                    program, PolicySpec::parse(run.l2Policy),
-                    PolicySpec::parse(run.options.l1iPolicy),
-                    run.options, &instrumentation, &telemetry);
+                const core::Metrics metrics =
+                    core::run(program, {PolicySpec::parse(run.l2Policy)}, 0,
+                              PolicySpec::parse(run.options.l1iPolicy),
+                              run.options, nullptr, &telemetry)
+                        .front();
                 return CellRun{
                     metrics.toJson().dump(0),
-                    core::registryJson(instrumentation.registry).dump(0),
+                    core::registryJson(telemetry.registries.front()).dump(0),
                     telemetry.l2SameRunRange};
             }));
         for (auto &future : futures)

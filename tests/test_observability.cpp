@@ -57,6 +57,17 @@ window()
     return o;
 }
 
+/** One observed live run of @p l2_policy (L1I TPLRU). */
+Metrics
+observedRun(const trace::SyntheticProgram &program, const char *l2_policy,
+            const RunOptions &options, RunTelemetry &telemetry)
+{
+    return run(program, {replacement::PolicySpec::parse(l2_policy)}, 0,
+               replacement::PolicySpec::parse("TPLRU"), options, nullptr,
+               &telemetry)
+        .front();
+}
+
 /** Count "event" values per category in a JSONL trace file. */
 std::map<std::string, std::uint64_t>
 traceCounts(const std::string &path)
@@ -119,12 +130,11 @@ TEST(Sampler, CadenceAndToJson)
 TEST(Observability, SamplerSnapshotsDuringRun)
 {
     const trace::SyntheticProgram program(hostileProfile());
-    RunInstrumentation instr;
+    RunTelemetry instr;
     instr.sampleInterval = 100000;
 
-    const Metrics m = runPolicy(
-        program, replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
-        replacement::PolicySpec::parse("TPLRU"), window(), &instr);
+    const Metrics m =
+        observedRun(program, "P(8):S&E&R(1/32)", window(), instr);
 
     // 400k measured instructions at 100k cadence: 4 samples (the
     // acceptance bar is >= 2).
@@ -147,8 +157,8 @@ TEST(Observability, SamplerSnapshotsDuringRun)
     // cannot exceed the end-of-window registry.
     const auto &last = samples.back();
     for (const auto &[name, value] : last.counters)
-        EXPECT_LE(value, instr.registry.value(name)) << name;
-    EXPECT_EQ(instr.registry.value("backend.committed"),
+        EXPECT_LE(value, instr.registries.front().value(name)) << name;
+    EXPECT_EQ(instr.registries.front().value("backend.committed"),
               m.instructions);
     EXPECT_GT(instr.wallSeconds, 0.0);
 }
@@ -160,12 +170,9 @@ TEST(Observability, TraceReconcilesWithRegistry)
     const trace::SyntheticProgram program(hostileProfile());
 
     stats::TraceSink sink(path);
-    RunInstrumentation instr;
+    RunTelemetry instr;
     instr.traceSink = &sink;
-    runPolicy(program,
-              replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
-              replacement::PolicySpec::parse("TPLRU"), window(),
-              &instr);
+    observedRun(program, "P(8):S&E&R(1/32)", window(), instr);
     sink.close();
 
     // Replay check: per-category event counts in the file must equal
@@ -180,7 +187,7 @@ TEST(Observability, TraceReconcilesWithRegistry)
                 : 0;
         EXPECT_EQ(in_file, sink.count(category.name))
             << category.name;
-        EXPECT_EQ(in_file, instr.registry.value(category.counter))
+        EXPECT_EQ(in_file, instr.registries.front().value(category.counter))
             << category.name << " vs " << category.counter;
         total += in_file;
     }
@@ -198,37 +205,32 @@ TEST(Observability, TraceCategoryFilter)
     const trace::SyntheticProgram program(hostileProfile());
 
     stats::TraceSink sink(path, {"l2_fill"});
-    RunInstrumentation instr;
+    RunTelemetry instr;
     instr.traceSink = &sink;
-    runPolicy(program,
-              replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
-              replacement::PolicySpec::parse("TPLRU"), window(),
-              &instr);
+    observedRun(program, "P(8):S&E&R(1/32)", window(), instr);
     sink.close();
 
     const auto replayed = traceCounts(path);
     ASSERT_EQ(replayed.size(), 1u);
     EXPECT_EQ(replayed.begin()->first, "l2_fill");
     EXPECT_EQ(replayed.begin()->second,
-              instr.registry.value("l2.fills"));
+              instr.registries.front().value("l2.fills"));
 }
 
 TEST(Observability, RegistryExportMatchesMetrics)
 {
     const trace::SyntheticProgram program(hostileProfile());
-    RunInstrumentation instr;
-    const Metrics m = runPolicy(
-        program, replacement::PolicySpec::parse("TPLRU"),
-        replacement::PolicySpec::parse("TPLRU"), window(), &instr);
+    RunTelemetry instr;
+    const Metrics m = observedRun(program, "TPLRU", window(), instr);
 
-    EXPECT_EQ(instr.registry.value("backend.committed"),
+    EXPECT_EQ(instr.registries.front().value("backend.committed"),
               m.instructions);
-    EXPECT_EQ(instr.registry.value("l2.priority_upgrades"),
+    EXPECT_EQ(instr.registries.front().value("l2.priority_upgrades"),
               m.priorityUpgrades);
-    EXPECT_GT(instr.registry.value("l1i.accesses"), 0u);
+    EXPECT_GT(instr.registries.front().value("l1i.accesses"), 0u);
     // Fills and evictions are present even under non-EMISSARY
     // policies (the counters are policy-independent).
-    EXPECT_GT(instr.registry.value("l2.fills"), 0u);
+    EXPECT_GT(instr.registries.front().value("l2.fills"), 0u);
 
     // Metrics::toJson carries every headline field.
     const stats::JsonValue doc = m.toJson();
@@ -247,14 +249,13 @@ TEST(Observability, DisabledByDefaultCostsNothing)
     o.measureInstructions = 100000;
     o.warmupInstructions = 50000;
 
-    // Identical results with and without the instrumentation struct:
+    // Identical results with and without the telemetry struct:
     // observability must not perturb the simulation.
-    RunInstrumentation instr;
+    RunTelemetry instr;
     const Metrics plain =
         runPolicy(program, "P(8):S&E&R(1/32)", o);
-    const Metrics observed = runPolicy(
-        program, replacement::PolicySpec::parse("P(8):S&E&R(1/32)"),
-        replacement::PolicySpec::parse("TPLRU"), o, &instr);
+    const Metrics observed =
+        observedRun(program, "P(8):S&E&R(1/32)", o, instr);
     EXPECT_EQ(plain.cycles, observed.cycles);
     EXPECT_EQ(plain.instructions, observed.instructions);
     EXPECT_TRUE(instr.sampler.samples().empty());

@@ -3,10 +3,10 @@
  * Tests for the trace replay cache: RecordBuffer must pack the live
  * executor's stream exactly, ReplayCursor must decode it (and fall
  * back to the tail snapshot on overrun) without perturbing a single
- * field, and — the headline determinism contract — a replayed
- * runPolicy must produce bit-identical Metrics and registry counters
- * to a live run. The grid engine's replay path is checked against a
- * budget-disabled live grid the same way.
+ * field, and — the headline determinism contract — a run over the
+ * buffer must produce bit-identical Metrics and registry counters to
+ * a run of the live program. The grid engine's replay path is checked
+ * against a budget-disabled live grid the same way.
  *
  * The per-workload equivalence test runs a fast subset by default;
  * set EMISSARY_REPLAY_FULL=1 (the test_replay_full ctest entry) to
@@ -33,7 +33,7 @@ namespace
 {
 
 using core::Metrics;
-using core::RunInstrumentation;
+using core::RunTelemetry;
 using core::RunOptions;
 
 void
@@ -171,21 +171,23 @@ expectReplayMatchesLive(const trace::WorkloadProfile &profile,
     const auto l1i = replacement::PolicySpec::parse(options.l1iPolicy);
 
     const trace::SyntheticProgram program(profile);
-    RunInstrumentation live_instr;
+    RunTelemetry live_instr;
     const Metrics live =
-        core::runPolicy(program, l2, l1i, options, &live_instr);
+        core::run(program, {l2}, 0, l1i, options, nullptr, &live_instr)
+            .front();
 
     auto buffer = std::make_shared<const trace::RecordBuffer>(
         program, trace::RecordBuffer::recordsForWindow(
                      options.warmupInstructions +
                      options.measureInstructions));
-    RunInstrumentation replay_instr;
+    RunTelemetry replay_instr;
     const Metrics replay =
-        core::runPolicy(buffer, l2, l1i, options, &replay_instr);
+        core::run(buffer, {l2}, 0, l1i, options, nullptr, &replay_instr)
+            .front();
 
     expectMetricsIdentical(live, replay);
-    expectRegistriesIdentical(live_instr.registry,
-                              replay_instr.registry);
+    expectRegistriesIdentical(live_instr.registries.front(),
+                              replay_instr.registries.front());
 }
 
 TEST(ReplayRun, MetricsBitIdenticalToLiveFastSubset)

@@ -631,6 +631,14 @@ TEST(SweepServiceProtocol, MalformedRequestsNameTheField)
         {head + catalog +
              R"("policies": ["TPLRU"], "sampled_sets": 3})",
          "sampled_sets"},
+        // Set sampling shapes fused monitor lanes only; it is a
+        // top-level key, never a per-cell config knob.
+        {head + catalog +
+             R"("policies": ["TPLRU"], "config": {"sampled_sets": 8}})",
+         "config.sampled_sets"},
+        {head + catalog +
+             R"("policies": ["TPLRU"], "config": {"sampled_sets": 3}})",
+         "config.sampled_sets"},
         {head + catalog +
              R"("policies": ["TPLRU"], "workloads": ["nope"]})",
          "workloads"},
@@ -773,6 +781,56 @@ TEST(SweepService, WarmRerunServesSharedCellsByteIdentically)
                   run.find("counters")->dump(0));
     }
     EXPECT_GT(shared, 0u);
+}
+
+TEST(SweepService, SweepStatesTheMonitorSamplingFactorOnce)
+{
+    // The factor the monitors ran with sits next to "mode", once;
+    // no cell's config carries it.
+    const std::string head =
+        R"({"schema": "emissary.request.v1", "op": "sweep",)"
+        R"( "catalog": {"schema": "emissary.catalog.v1", "workloads":)"
+        R"( [{"name": "k", "synthetic": {"profile": "kafka"}}]},)"
+        R"json( "policies": ["TPLRU", "P(8):S&E"],)json"
+        R"( "config": {"warmup_instructions": 20000,)"
+        R"( "measure_instructions": 60000})";
+    SweepService svc(tinyServiceOptions());
+    const struct
+    {
+        std::string extra;
+        const char *mode;
+        std::uint64_t factor;
+        const char *monitor;
+    } kCases[] = {
+        {"}", "sequential", 0, "sequential"},
+        {R"(, "sampled_sets": 8})", "sequential", 0, "cached"},
+        {R"(, "fused": true, "sampled_sets": 8})", "fused", 8,
+         "fused_monitor_sampled"},
+        {R"(, "fused": true})", "fused", 0, "fused_monitor"},
+    };
+    for (const auto &test_case : kCases) {
+        SCOPED_TRACE(test_case.extra);
+        const JsonValue reply =
+            JsonValue::parse(svc.handle(head + test_case.extra));
+        ASSERT_EQ(reply.find("schema")->asString(),
+                  "emissary.response.v1");
+        const JsonValue *sweep = reply.find("sweep");
+        EXPECT_EQ(sweep->find("mode")->asString(), test_case.mode);
+        EXPECT_EQ(sweep->find("sampled_sets")->asUint(),
+                  test_case.factor);
+        const JsonValue *runs = sweep->find("runs");
+        ASSERT_EQ(runs->size(), 2u);
+        EXPECT_EQ(runs->at(1).find("execution")->asString(),
+                  test_case.monitor);
+        for (std::size_t i = 0; i < runs->size(); ++i)
+            EXPECT_EQ(runs->at(i).find("config")->find("sampled_sets"),
+                      nullptr);
+    }
+    // A sequential request is exact whatever sampling it names, so
+    // the second request is served entirely from the first's cells;
+    // each fused request reuses the exact timing lane and simulates
+    // only its monitor.
+    EXPECT_EQ(svc.statsJson().find("cells_fresh")->asUint(), 4u);
 }
 
 TEST(SweepService, ControlOpsAckAndShutdownRaisesTheFlag)

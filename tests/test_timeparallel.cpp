@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for time-parallel chunked replay (core::runPolicyTimeParallel
- * and friends) and the parallel EMTC decode (core::buildTraceReplay).
+ * Tests for time-parallel chunked replay (core::run with
+ * RunOptions::timeChunks > 1) and the parallel EMTC decode
+ * (core::buildTraceReplay).
  *
  * Determinism contract under test:
- *  - with timeChunks <= 1 the time-parallel entry points ARE the
- *    sequential engine — bit-identical Metrics and counter registry;
+ *  - with timeChunks <= 1 a chunkable source runs the sequential
+ *    engine — bit-identical Metrics and counter registry;
  *  - for fixed (timeChunks, chunkWarmupRecords) the spliced result is
  *    bit-identical at any worker count and scheduling order, for the
  *    buffer variant, the chunk-source-factory variant, and the grid
@@ -125,24 +126,30 @@ TEST(TimeParallelRun, SequentialDefaultBitIdentical)
     const auto l2 =
         replacement::PolicySpec::parse("P(8):S&E&R(1/32)");
 
-    core::RunInstrumentation sequential_instr;
-    const Metrics sequential = core::runPolicy(
-        buffer, l2, l1i, options, &sequential_instr);
+    const trace::SyntheticProgram program(
+        trace::profileByName("tomcat"));
+    core::RunTelemetry sequential_report;
+    const Metrics sequential =
+        core::run(program, {l2}, 0, l1i, options, nullptr,
+                  &sequential_report)
+            .front();
 
-    // timeChunks of 0 and 1 both mean "not chunked": the
-    // time-parallel entry point must degenerate to the sequential
-    // engine exactly, whatever the pool width.
+    // timeChunks of 0 and 1 both mean "not chunked": a chunkable
+    // buffer must run the live program's sequential engine exactly,
+    // whatever the pool width.
     core::ThreadPool pool(3);
     for (const unsigned chunks : {0u, 1u}) {
         SCOPED_TRACE("timeChunks=" + std::to_string(chunks));
         RunOptions spelled = options;
         spelled.timeChunks = chunks;
-        core::RunInstrumentation instr;
-        const Metrics chunked = core::runPolicyTimeParallel(
-            buffer, l2, l1i, spelled, pool, &instr);
+        core::RunTelemetry report;
+        const Metrics chunked =
+            core::run(buffer, {l2}, 0, l1i, spelled, &pool, &report)
+                .front();
+        EXPECT_EQ(report.chunks, 1u);
         expectMetricsIdentical(sequential, chunked);
-        expectRegistriesIdentical(sequential_instr.registry,
-                                  instr.registry);
+        expectRegistriesIdentical(sequential_report.registries.front(),
+                                  report.registries.front());
     }
 }
 
@@ -161,16 +168,19 @@ TEST(TimeParallelRun, DeterministicAcrossWorkerCounts)
 
             core::ThreadPool one(1);
             core::ThreadPool four(4);
-            core::RunInstrumentation instr1;
-            core::RunInstrumentation instr4;
-            const Metrics serial = core::runPolicyTimeParallel(
-                buffer, l2, l1i, options, one, &instr1);
-            const Metrics wide = core::runPolicyTimeParallel(
-                buffer, l2, l1i, options, four, &instr4);
+            core::RunTelemetry report1;
+            core::RunTelemetry report4;
+            const Metrics serial =
+                core::run(buffer, {l2}, 0, l1i, options, &one, &report1)
+                    .front();
+            const Metrics wide =
+                core::run(buffer, {l2}, 0, l1i, options, &four, &report4)
+                    .front();
 
+            EXPECT_EQ(report1.chunks, 4u);
             expectMetricsIdentical(serial, wide);
-            expectRegistriesIdentical(instr1.registry,
-                                      instr4.registry);
+            expectRegistriesIdentical(report1.registries.front(),
+                                      report4.registries.front());
         }
     }
 }
@@ -185,7 +195,7 @@ TEST(TimeParallelRun, TracksSequentialOracle)
         replacement::PolicySpec::parse("P(8):S&E&R(1/32)");
 
     const Metrics oracle =
-        core::runPolicy(buffer, l2, l1i, sequential_options);
+        core::run(buffer, {l2}, 0, l1i, sequential_options).front();
     core::ThreadPool pool(4);
 
     const auto near = [](double got, double want, double rel,
@@ -200,8 +210,10 @@ TEST(TimeParallelRun, TracksSequentialOracle)
     // and the splice is near-exact — only the per-chunk commit-batch
     // overshoot at chunk boundaries can move the counters.
     {
-        const Metrics chunked = core::runPolicyTimeParallel(
-            buffer, l2, l1i, chunkedWindow(4, 1'000'000), pool);
+        const Metrics chunked =
+            core::run(buffer, {l2}, 0, l1i, chunkedWindow(4, 1'000'000),
+                      &pool)
+                .front();
         EXPECT_TRUE(near(static_cast<double>(chunked.instructions),
                          static_cast<double>(oracle.instructions),
                          0.001, 64.0))
@@ -233,8 +245,10 @@ TEST(TimeParallelRun, TracksSequentialOracle)
     // error (mean L2I MPKI error <= 0.2 at default warming) is
     // measured by bench_timeparallel_validation.
     {
-        const Metrics chunked = core::runPolicyTimeParallel(
-            buffer, l2, l1i, chunkedWindow(4, 20'000), pool);
+        const Metrics chunked =
+            core::run(buffer, {l2}, 0, l1i, chunkedWindow(4, 20'000),
+                      &pool)
+                .front();
         EXPECT_TRUE(near(static_cast<double>(chunked.cycles),
                          static_cast<double>(oracle.cycles), 0.5,
                          0.0))
@@ -279,10 +293,10 @@ TEST(TimeParallelRun, FactoryVariantDeterministicOnEmtc)
     }
 
     const core::GridWorkload row("tomcat-trace", path);
-    const core::ChunkSourceFactory open_chunk =
+    const core::RunSource open_chunk(core::ChunkSourceFactory(
         [&row](std::uint64_t start_record) {
             return core::openTraceSource(row, start_record);
-        };
+        }));
     const auto l1i =
         replacement::PolicySpec::parse(options.l1iPolicy);
     const auto l2 =
@@ -290,17 +304,17 @@ TEST(TimeParallelRun, FactoryVariantDeterministicOnEmtc)
 
     core::ThreadPool one(1);
     core::ThreadPool four(4);
-    const Metrics factory1 = core::runPolicyTimeParallel(
-        open_chunk, l2, l1i, options, one);
-    const Metrics factory4 = core::runPolicyTimeParallel(
-        open_chunk, l2, l1i, options, four);
+    const Metrics factory1 =
+        core::run(open_chunk, {l2}, 0, l1i, options, &one).front();
+    const Metrics factory4 =
+        core::run(open_chunk, {l2}, 0, l1i, options, &four).front();
     expectMetricsIdentical(factory1, factory4);
 
     // A replay buffer of the same container serves the identical
     // records, so the buffer variant must splice the same result.
     const auto buffer = core::buildTraceReplay(row, records, four);
-    const Metrics buffered = core::runPolicyTimeParallel(
-        buffer, l2, l1i, options, four);
+    const Metrics buffered =
+        core::run(buffer, {l2}, 0, l1i, options, &four).front();
     expectMetricsIdentical(factory4, buffered);
 
     std::remove(path.c_str());
@@ -319,14 +333,14 @@ TEST(TimeParallelGroup, DeterministicAcrossWorkerCounts)
 
     core::ThreadPool one(1);
     core::ThreadPool four(4);
-    std::vector<stats::Registry> registries1;
-    std::vector<stats::Registry> registries4;
+    core::RunTelemetry report1;
+    core::RunTelemetry report4;
     const std::vector<Metrics> serial =
-        core::runPolicyGroupTimeParallel(buffer, specs, l1i, options,
-                                         one, &registries1);
+        core::run(buffer, specs, 0, l1i, options, &one, &report1);
     const std::vector<Metrics> wide =
-        core::runPolicyGroupTimeParallel(buffer, specs, l1i, options,
-                                         four, &registries4);
+        core::run(buffer, specs, 0, l1i, options, &four, &report4);
+    const std::vector<stats::Registry> &registries1 = report1.registries;
+    const std::vector<stats::Registry> &registries4 = report4.registries;
 
     ASSERT_EQ(serial.size(), specs.size());
     ASSERT_EQ(wide.size(), specs.size());
@@ -339,13 +353,25 @@ TEST(TimeParallelGroup, DeterministicAcrossWorkerCounts)
                                   registries4[lane]);
     }
 
-    // A single-lane chunked group is the chunked single run exactly.
+    // A single-lane chunked run is the chunked group's timing lane,
+    // and the scheduler slices every random-access kind alike: a
+    // factory opening cursors over the same buffer splices the same
+    // result. Only the footprint rule differs by kind (a factory
+    // reports its census, here 0).
     const std::vector<Metrics> solo =
-        core::runPolicyGroupTimeParallel(
-            buffer, {specs.front()}, l1i, options, four);
-    const Metrics single = core::runPolicyTimeParallel(
-        buffer, specs.front(), l1i, options, four);
+        core::run(buffer, {specs.front()}, 0, l1i, options, &four);
+    const core::RunSource cursors(core::ChunkSourceFactory(
+        [&buffer](std::uint64_t start_record) {
+            return std::make_unique<trace::ReplayCursor>(buffer,
+                                                         start_record);
+        }));
+    Metrics single =
+        core::run(cursors, {specs.front()}, 0, l1i, options, &one)
+            .front();
     ASSERT_EQ(solo.size(), 1u);
+    expectMetricsIdentical(solo.front(), serial.front());
+    EXPECT_EQ(single.codeFootprintLines, 0u);
+    single.codeFootprintLines = solo.front().codeFootprintLines;
     expectMetricsIdentical(solo.front(), single);
 }
 

@@ -21,12 +21,12 @@
 
 #include <unistd.h>
 
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +37,6 @@
 #include "core/grid.hh"
 #include "core/observability.hh"
 #include "core/replay_build.hh"
-#include "core/simulator.hh"
 #include "core/threadpool.hh"
 #include "stats/chrome_trace.hh"
 #include "stats/json.hh"
@@ -45,7 +44,6 @@
 #include "stats/span_recorder.hh"
 #include "stats/table.hh"
 #include "stats/trace_sink.hh"
-#include "trace/executor.hh"
 #include "trace/file.hh"
 #include "util/strutil.hh"
 #include "workload/emtc.hh"
@@ -60,14 +58,9 @@ using namespace emissary;
 std::uint64_t
 parseU64(const std::string &flag, const char *text)
 {
-    const std::string value = text;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos ||
-        end != value.c_str() + value.size() || errno == ERANGE) {
+    std::uint64_t parsed = 0;
+    if (!parseDecimal(text, std::numeric_limits<std::uint64_t>::max(),
+                      parsed)) {
         std::fprintf(stderr,
                      "%s: expected an unsigned decimal integer, "
                      "got '%s'\n",
@@ -283,17 +276,14 @@ main(int argc, char **argv)
     std::string catalog_path;
     std::string benchmarks_csv;
     std::string policies_csv;
-    core::MachineOptions machine_options;
-    std::uint64_t instructions = 1'500'000;
+    std::string l2_policy = "TPLRU";
+    core::RunOptions run_options;
+    run_options.measureInstructions = 1'500'000;
     std::uint64_t warmup = 0;
-    std::uint64_t reset = 0;
     std::uint64_t jobs = 0;
     bool fused = false;
     bool fast_mode = false;
     std::uint64_t sampled_sets = 0;
-    std::uint64_t time_chunks = 0;
-    std::uint64_t chunk_warmup_records = 0;
-    bool warmup_records_set = false;
     bool csv = false;
     bool progress = false;
     std::string stats_json_path;
@@ -325,7 +315,7 @@ main(int argc, char **argv)
         } else if (arg == "--catalog") {
             catalog_path = value();
         } else if (arg == "--policy") {
-            machine_options.l2Policy = value();
+            l2_policy = value();
         } else if (arg == "--benchmarks") {
             benchmarks_csv = value();
         } else if (arg == "--policies") {
@@ -339,14 +329,14 @@ main(int argc, char **argv)
         } else if (arg == "--sampled-sets") {
             sampled_sets = parseU64(arg, value());
         } else if (arg == "--time-chunks") {
-            time_chunks = parseU64(arg, value());
+            run_options.timeChunks = static_cast<unsigned>(
+                std::max<std::uint64_t>(1, parseU64(arg, value())));
         } else if (arg == "--warmup-records") {
-            chunk_warmup_records = parseU64(arg, value());
-            warmup_records_set = true;
+            run_options.chunkWarmupRecords = parseU64(arg, value());
         } else if (arg == "--l1i-policy") {
-            machine_options.l1iPolicy = value();
+            run_options.l1iPolicy = value();
         } else if (arg == "--instructions") {
-            instructions = parseU64(arg, value());
+            run_options.measureInstructions = parseU64(arg, value());
         } else if (arg == "--warmup") {
             warmup = parseU64(arg, value());
         } else if (arg == "--stats-json") {
@@ -362,19 +352,20 @@ main(int argc, char **argv)
         } else if (arg == "--trace-categories") {
             trace_categories_csv = value();
         } else if (arg == "--no-fdip") {
-            machine_options.fdip = false;
+            run_options.fdip = false;
         } else if (arg == "--no-nlp") {
-            machine_options.nextLinePrefetch = false;
+            run_options.nextLinePrefetch = false;
         } else if (arg == "--ideal-l2i") {
-            machine_options.idealL2Inst = true;
+            run_options.idealL2Inst = true;
         } else if (arg == "--true-lru") {
-            machine_options.emissaryTreePlru = false;
+            run_options.emissaryTreePlru = false;
         } else if (arg == "--bypass") {
-            machine_options.bypassLowPriorityInst = true;
+            run_options.bypassLowPriorityInst = true;
         } else if (arg == "--reset") {
-            reset = parseU64(arg, value());
+            run_options.priorityResetInstructions =
+                parseU64(arg, value());
         } else if (arg == "--seed") {
-            machine_options.seed = parseU64(arg, value());
+            run_options.seed = parseU64(arg, value());
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -386,30 +377,10 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    run_options.warmupInstructions =
+        warmup > 0 ? warmup : run_options.measureInstructions / 4;
 
     try {
-        // Everything the grid engine needs for one cell.
-        core::RunOptions run_options;
-        run_options.measureInstructions = instructions;
-        run_options.warmupInstructions =
-            warmup > 0 ? warmup : instructions / 4;
-        run_options.l1iPolicy = machine_options.l1iPolicy;
-        run_options.fdip = machine_options.fdip;
-        run_options.nextLinePrefetch =
-            machine_options.nextLinePrefetch;
-        run_options.idealL2Inst = machine_options.idealL2Inst;
-        run_options.emissaryTreePlru =
-            machine_options.emissaryTreePlru;
-        run_options.bypassLowPriorityInst =
-            machine_options.bypassLowPriorityInst;
-        run_options.priorityResetInstructions = reset;
-        run_options.seed = machine_options.seed;
-        if (time_chunks > 0)
-            run_options.timeChunks =
-                static_cast<unsigned>(time_chunks);
-        if (warmup_records_set)
-            run_options.chunkWarmupRecords = chunk_warmup_records;
-
         // Observability attachments (single-run paths). Categories
         // are validated up front so a typo is a usage error, not a
         // silently empty trace.
@@ -468,9 +439,8 @@ main(int argc, char **argv)
             }
             std::vector<std::string> policies;
             for (const std::string &raw :
-                 split(policies_csv.empty()
-                           ? machine_options.l2Policy
-                           : policies_csv,
+                 split(policies_csv.empty() ? l2_policy
+                                            : policies_csv,
                        ',')) {
                 const std::string spec = trim(raw);
                 if (!spec.empty())
@@ -545,291 +515,95 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // Single synthetic run with no recording: one instrumented
-        // runPolicy call.
-        if (trace_path.empty() && record_path.empty()) {
-            const trace::SyntheticProgram program(
-                trace::profileByName(benchmark));
-            core::RunInstrumentation instr;
-            instr.sampleInterval = sample_interval;
-            std::unique_ptr<stats::TraceSink> sink;
-            if (!trace_out_path.empty()) {
-                sink = std::make_unique<stats::TraceSink>(
-                    trace_out_path, trace_categories);
-                instr.traceSink = sink.get();
-            }
-            std::unique_ptr<stats::SpanRecorder> flight;
-            if (!perf_trace_path.empty()) {
-                flight = std::make_unique<stats::SpanRecorder>();
-                flight->labelThread("main");
-            }
-            core::Metrics m;
-            {
-                stats::ScopedTimer span(flight.get(), "run");
-                span.arg("benchmark", stats::JsonValue(benchmark));
-                span.arg("policy", stats::JsonValue(
-                                       machine_options.l2Policy));
-                core::RunTelemetry telemetry;
-                telemetry.spans = flight.get();
-                if (run_options.timeChunks > 1) {
-                    // Chunked run: pack the stream once, then let
-                    // the pool splice the window. Interval sampling
-                    // and event traces are per-cycle observations of
-                    // one sequential machine and stay disabled here.
-                    if (instr.sampleInterval > 0 || instr.traceSink)
-                        std::fprintf(stderr,
-                                     "note: --sample-interval/"
-                                     "--trace-out are ignored with "
-                                     "--time-chunks\n");
-                    auto buffer = std::make_shared<
-                        const trace::RecordBuffer>(
-                        program,
-                        trace::RecordBuffer::recordsForWindow(
-                            run_options.warmupInstructions +
-                            run_options.measureInstructions));
-                    core::ThreadPool pool(
-                        static_cast<unsigned>(jobs));
-                    m = core::runPolicyTimeParallel(
-                        std::move(buffer),
-                        replacement::PolicySpec::parse(
-                            machine_options.l2Policy),
-                        replacement::PolicySpec::parse(
-                            run_options.l1iPolicy),
-                        run_options, pool, &instr, &telemetry);
-                } else {
-                    m = core::runPolicy(
-                        program,
-                        replacement::PolicySpec::parse(
-                            machine_options.l2Policy),
-                        replacement::PolicySpec::parse(
-                            run_options.l1iPolicy),
-                        run_options, &instr, &telemetry);
-                }
-            }
-            if (flight)
-                stats::ChromeTraceWriter::write(perf_trace_path,
-                                                *flight);
-            if (sink)
-                sink->close();
-            if (stats_json_path != "-")
-                printMetrics(m, csv);
-            if (!stats_json_path.empty())
-                writeJsonOut(
-                    stats_json_path,
-                    runJson(m, run_options, instr.registry,
-                            instr.sampler, instr.wallSeconds));
-            return 0;
+        // Single run: one source choice and one core::run call.
+        // Interval sampling, event traces and recording observe one
+        // sequential machine; a chunked run cannot record and
+        // ignores the other two.
+        const bool chunked = run_options.timeChunks > 1;
+        if (chunked && !record_path.empty()) {
+            std::fprintf(stderr, "error: --time-chunks cannot be "
+                                 "combined with --record (recording "
+                                 "needs one sequential pass)\n");
+            return 2;
         }
+        if (chunked && (sample_interval > 0 || !trace_out_path.empty()))
+            std::fprintf(stderr, "note: --sample-interval/--trace-out "
+                                 "are ignored with --time-chunks\n");
 
-        // Chunked trace replay: every chunk opens its own cursor
-        // into the container (O(1) block-index seek for .emtc), so
-        // the direct stateful-source path below is bypassed.
-        if (run_options.timeChunks > 1) {
-            if (!record_path.empty()) {
-                std::fprintf(stderr,
-                             "error: --time-chunks cannot be "
-                             "combined with --record (recording "
-                             "needs one sequential pass)\n");
-                return 2;
-            }
-            if (sample_interval > 0 || !trace_out_path.empty())
-                std::fprintf(stderr,
-                             "note: --sample-interval/--trace-out "
-                             "are ignored with --time-chunks\n");
-            const core::GridWorkload row(benchmark, trace_path);
-            const core::ChunkSourceFactory open_chunk =
-                [&row](std::uint64_t start_record) {
-                    return core::openTraceSource(row, start_record);
-                };
-            core::RunInstrumentation instr;
-            std::unique_ptr<stats::SpanRecorder> flight;
-            if (!perf_trace_path.empty()) {
-                flight = std::make_unique<stats::SpanRecorder>();
-                flight->labelThread("main");
-            }
-            core::Metrics m;
-            {
-                stats::ScopedTimer span(flight.get(), "run");
-                span.arg("policy", stats::JsonValue(
-                                       machine_options.l2Policy));
-                core::RunTelemetry telemetry;
-                telemetry.spans = flight.get();
-                core::ThreadPool pool(static_cast<unsigned>(jobs));
-                m = core::runPolicyTimeParallel(
-                    open_chunk,
-                    replacement::PolicySpec::parse(
-                        machine_options.l2Policy),
-                    replacement::PolicySpec::parse(
-                        run_options.l1iPolicy),
-                    run_options, pool, &instr, &telemetry);
-            }
-            if (flight)
-                stats::ChromeTraceWriter::write(perf_trace_path,
-                                                *flight);
-            const bool packed =
-                core::isPackedTracePath(trace_path);
-            if (packed)
-                // The container's pack-time census, as in the
-                // sequential replay path: chunk cursors cannot
-                // count a whole-trace footprint themselves.
-                m.codeFootprintLines =
-                    workload::readTraceInfo(trace_path)
-                        .uniqueCodeLines;
-            if (stats_json_path != "-")
-                printMetrics(m, csv);
-            if (!stats_json_path.empty()) {
-                stats::JsonValue doc =
-                    runJson(m, run_options, instr.registry,
-                            stats::Sampler(), instr.wallSeconds);
-                stats::JsonValue provenance =
-                    stats::JsonValue::object();
-                provenance.set("type", stats::JsonValue("trace"));
-                provenance.set("path", stats::JsonValue(trace_path));
-                if (packed) {
-                    const workload::TraceInfo info =
-                        workload::readTraceInfo(trace_path);
-                    provenance.set("file_bytes",
-                                   stats::JsonValue(info.fileBytes));
-                    provenance.set(
-                        "unique_code_lines",
-                        stats::JsonValue(info.uniqueCodeLines));
-                    provenance.set(
-                        "compression_ratio",
-                        stats::JsonValue(info.compressionRatio()));
-                }
-                doc.set("workload", std::move(provenance));
-                writeJsonOut(stats_json_path, doc);
-            }
-            return 0;
-        }
-
-        // Trace replay / recording keeps the direct simulator path:
-        // file sources are stateful and cannot be grid cells.
+        // A trace opens at any record (EMTC: block-index seek); a
+        // synthetic benchmark runs live, or is packed once when its
+        // window is chunked.
+        const core::GridWorkload row(benchmark, trace_path);
         std::unique_ptr<trace::SyntheticProgram> program;
-        std::unique_ptr<trace::TraceSource> base_source;
-        workload::PackedTraceSource *packed_source = nullptr;
-        trace::FileTraceSource *file_source = nullptr;
-        if (!trace_path.empty()) {
-            const std::string emtc = ".emtc";
-            if (trace_path.size() >= emtc.size() &&
-                trace_path.compare(trace_path.size() - emtc.size(),
-                                   emtc.size(), emtc) == 0) {
-                auto packed =
-                    std::make_unique<workload::PackedTraceSource>(
-                        trace_path);
-                packed_source = packed.get();
-                base_source = std::move(packed);
-            } else {
-                auto file = std::make_unique<trace::FileTraceSource>(
-                    trace_path);
-                file_source = file.get();
-                base_source = std::move(file);
-            }
-        } else {
+        const core::RunSource source = [&]() -> core::RunSource {
+            if (row.traceBacked())
+                return core::RunSource(
+                    core::ChunkSourceFactory(
+                        [&row](std::uint64_t start_record) {
+                            return core::openTraceSource(row,
+                                                         start_record);
+                        }),
+                    core::isPackedTracePath(trace_path)
+                        ? workload::readTraceInfo(trace_path)
+                              .uniqueCodeLines
+                        : 0);
             program = std::make_unique<trace::SyntheticProgram>(
                 trace::profileByName(benchmark));
-            base_source =
-                std::make_unique<trace::SyntheticExecutor>(*program);
-        }
-        std::unique_ptr<trace::TraceWriter> writer;
-        std::unique_ptr<trace::RecordingSource> recorder;
-        trace::TraceSource *source = base_source.get();
-        if (!record_path.empty()) {
-            writer =
-                std::make_unique<trace::TraceWriter>(record_path);
-            recorder = std::make_unique<trace::RecordingSource>(
-                *base_source, *writer);
-            source = recorder.get();
-        }
+            if (!chunked)
+                return *program;
+            return std::make_shared<const trace::RecordBuffer>(
+                *program, trace::RecordBuffer::recordsForWindow(
+                              run_options.warmupInstructions +
+                              run_options.measureInstructions));
+        }();
 
-        core::Simulator::Config config;
-        config.machine = core::alderlakeConfig(machine_options);
-        config.measureInstructions = instructions;
-        config.warmupInstructions = run_options.warmupInstructions;
-        config.priorityResetInstructions = reset;
-        config.sampleInterval = sample_interval;
-
-        core::Simulator simulator(config, *source);
+        core::RunTelemetry telemetry;
+        telemetry.sampleInterval = sample_interval;
         std::unique_ptr<stats::TraceSink> sink;
         if (!trace_out_path.empty()) {
-            sink = std::make_unique<stats::TraceSink>(
-                trace_out_path, trace_categories);
-            simulator.setTraceSink(sink.get());
+            sink = std::make_unique<stats::TraceSink>(trace_out_path,
+                                                      trace_categories);
+            telemetry.traceSink = sink.get();
+        }
+        std::unique_ptr<trace::TraceWriter> writer;
+        if (!record_path.empty()) {
+            writer = std::make_unique<trace::TraceWriter>(record_path);
+            telemetry.recordTo = writer.get();
         }
         std::unique_ptr<stats::SpanRecorder> flight;
         if (!perf_trace_path.empty()) {
             flight = std::make_unique<stats::SpanRecorder>();
             flight->labelThread("main");
+            telemetry.spans = flight.get();
         }
-        const auto run_start = std::chrono::steady_clock::now();
+        core::ThreadPool pool(static_cast<unsigned>(jobs));
         core::Metrics m;
         {
             stats::ScopedTimer span(flight.get(), "run");
-            span.arg("policy",
-                     stats::JsonValue(machine_options.l2Policy));
-            m = simulator.run();
+            span.arg("benchmark", stats::JsonValue(row.name));
+            span.arg("policy", stats::JsonValue(l2_policy));
+            m = core::run(source,
+                          {replacement::PolicySpec::parse(l2_policy)}, 0,
+                          replacement::PolicySpec::parse(
+                              run_options.l1iPolicy),
+                          run_options, &pool, &telemetry)
+                    .front();
         }
-        const double wall_seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - run_start)
-                .count();
         if (flight)
-            stats::ChromeTraceWriter::write(perf_trace_path,
-                                            *flight);
+            stats::ChromeTraceWriter::write(perf_trace_path, *flight);
         if (sink)
             sink->close();
         if (writer)
             writer->finish();
 
-        // An EMTC container carries the pack-time footprint census
-        // the streaming replay cannot count itself.
-        if (packed_source)
-            m.codeFootprintLines =
-                packed_source->info().uniqueCodeLines;
-
         if (stats_json_path != "-")
             printMetrics(m, csv);
         if (!stats_json_path.empty()) {
-            stats::Registry registry;
-            simulator.exportRegistry(registry);
-            stats::JsonValue doc =
-                runJson(m, run_options, registry,
-                        simulator.sampler(), wall_seconds);
-            if (!trace_path.empty()) {
-                // Trace provenance: which file fed the run and how
-                // it was consumed.
-                stats::JsonValue provenance =
-                    stats::JsonValue::object();
-                provenance.set("type", stats::JsonValue("trace"));
-                provenance.set("path", stats::JsonValue(trace_path));
-                if (packed_source) {
-                    const workload::TraceInfo &info =
-                        packed_source->info();
-                    provenance.set(
-                        "records",
-                        stats::JsonValue(
-                            packed_source->recordCount()));
-                    provenance.set(
-                        "wraps",
-                        stats::JsonValue(packed_source->wraps()));
-                    provenance.set("file_bytes",
-                                   stats::JsonValue(info.fileBytes));
-                    provenance.set(
-                        "unique_code_lines",
-                        stats::JsonValue(info.uniqueCodeLines));
-                    provenance.set(
-                        "compression_ratio",
-                        stats::JsonValue(info.compressionRatio()));
-                } else if (file_source) {
-                    provenance.set(
-                        "records",
-                        stats::JsonValue(file_source->recordCount()));
-                    provenance.set(
-                        "wraps",
-                        stats::JsonValue(file_source->wraps()));
-                }
-                doc.set("workload", std::move(provenance));
-            }
+            stats::JsonValue doc = runJson(
+                m, run_options, telemetry.registries.front(),
+                telemetry.sampler, telemetry.wallSeconds);
+            if (row.traceBacked())
+                doc.set("workload", core::workloadProvenanceJson(row));
             writeJsonOut(stats_json_path, doc);
         }
         return 0;
