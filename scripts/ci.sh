@@ -3,47 +3,47 @@
 # script so it can be reproduced locally with ./scripts/ci.sh.
 #
 #   0. Cited evidence: every results/ file and source path that
-#      README.md, EXPERIMENTS.md or docs/ cite must exist
+#      README.md, EXPERIMENTS.md or docs/ cite must exist; a cited
+#      glob must match a file and a <placeholder> never does
 #   1. Release build + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
-#      --trace-out output must parse and carry the expected keys, and
-#      the CLI's single-run paths (live, --record, --trace of the
-#      recording, --trace of a packed container) must agree
-#   3. Throughput smoke: a short policy sweep that prints Minst/s;
-#      the numbers are informational — the stage gates only on the
-#      bench exiting cleanly
-#   4. Time-parallel smoke: chunked single runs, trace replay and
-#      sweeps must be bit-identical across worker counts, carry the
-#      time_slicing provenance, and the validation bench must
-#      produce its error table end-to-end
-#   5. trace_pack smoke: pack a synthetic benchmark into an EMTC
+#      --trace-out output must parse and carry the expected keys,
+#      bad flags must exit 2, the CLI's single-run paths (live,
+#      --record, --trace of the recording, --trace of a packed
+#      container) must agree, and a short fig5 bench sweep, plain
+#      and fused, must write a parseable flight trace and sweep JSON
+#   3. Time-parallel smoke: chunked single runs, trace replay and
+#      sweeps must be bit-identical across worker counts and carry
+#      the time_slicing provenance, and the mode validation bench
+#      must pass its gates on a two-workload subset
+#   4. trace_pack smoke: pack a synthetic benchmark into an EMTC
 #      container, verify its CRCs, prove that verify *fails* on a
 #      flipped byte, import the committed ChampSim fixture, and run
 #      a 2x2 catalog sweep whose JSON must parse
-#   6. Service smoke: start the emissary_serve daemon, run a mixed
+#   5. Service smoke: start the emissary_serve daemon, run a mixed
 #      synthetic + packed-trace catalog sweep twice (the second must
 #      be served >= 90% from the content-addressed result cache),
 #      validate every reply with json_check, prove malformed input
 #      comes back as a structured error, and check a clean SIGTERM
 #      shutdown
-#   7. Benchmark reference check: bench/e2e/run.sh --self-test
+#   6. Benchmark reference check: bench/e2e/run.sh --self-test
 #      compares one Fig. 5 row under two policies at full windows
 #      bit for bit against the committed reference (and proves a
 #      perturbed value trips the check), then --smoke runs every
 #      benchmark workload at tiny windows with its exactness and
 #      determinism checks
-#   8. AddressSanitizer build + full test suite
-#   9. ThreadSanitizer build + the "threaded" test label
+#   7. AddressSanitizer build + full test suite
+#   8. ThreadSanitizer build + the "threaded" test label
 #
 # An optional "lto" stage rebuilds Release with EMISSARY_LTO=ON and
 # reruns the suite (the GitHub workflow runs it as its own job).
 #
-# Stages can be selected: ./scripts/ci.sh release smoke throughput
+# Stages can be selected: ./scripts/ci.sh release smoke
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${CI_JOBS:-$(nproc)}"
-STAGES="${*:-evidence release smoke throughput timeparallel tracepack service bench asan tsan}"
+STAGES="${*:-evidence release smoke timeparallel tracepack service bench asan tsan}"
 
 run_stage() { echo; echo "=== ci: $* ==="; }
 
@@ -60,13 +60,14 @@ for stage in $STAGES; do
         run_stage "cited results/ files and source paths exist"
         # A cited path starts a line or follows a space, backtick or
         # parenthesis, so output paths like /tmp/bench/x.json do not
-        # count.
+        # count. A glob must match at least one file; a <placeholder>
+        # names none.
         missing=0
         while read -r path; do
-            [ -e "$path" ] ||
+            [[ "$path" != *'<'* ]] && compgen -G "$path" >/dev/null ||
                 { echo "cited but missing: $path" >&2; missing=1; }
         done < <(grep -ohE \
-            '(^|[ `(])(src|tools|bench|tests|scripts|results)/[A-Za-z0-9_./-]+\.[a-z]+' \
+            '(^|[ `(])(src|tools|bench|tests|scripts|results)/[A-Za-z0-9_./*<>-]+\.[a-z*]+' \
             README.md EXPERIMENTS.md docs/*.md |
             sed -E 's/^[ `(]//' | sort -u)
         [ "$missing" -eq 0 ] || exit 1
@@ -97,11 +98,17 @@ for stage in $STAGES; do
             build-ci-release/tools/json_check "$out/event.json" \
                 event cycle
         done < <(head -100 "$out/trace.jsonl")
-        # Unknown flags must fail loudly.
-        if build-ci-release/tools/emissary_sim --no-such-flag \
-            2>/dev/null; then
-            echo "unknown flag did not fail" >&2; exit 1
-        fi
+        # Unknown flags, and 32-bit knobs past 2^32 - 1, must fail
+        # loudly with exit 2 instead of wrapping ($bad word-splits
+        # into flag and value).
+        for bad in --no-such-flag "--sampled-sets 4294967296" \
+            "--time-chunks 4294967298"; do
+            rc=0
+            build-ci-release/tools/emissary_sim $bad \
+                >/dev/null 2>&1 || rc=$?
+            [ "$rc" -eq 2 ] ||
+                { echo "'$bad' did not exit 2 (rc=$rc)" >&2; exit 1; }
+        done
         # One run four ways: live, teeing its stream to an EMTR file,
         # that recording replayed, and a packed container of the same
         # stream at --time-chunks 1. All must report the same cycles
@@ -134,80 +141,38 @@ for stage in $STAGES; do
         [ "$(block plain metrics)" = "$(block record metrics)" ] ||
             { echo "--record changed the run's metrics" >&2; exit 1; }
         rm -rf "$out"
-        echo "smoke OK"
-        ;;
-    throughput)
-        run_stage "throughput smoke + flight recorder + bench gate"
-        [ -x build-ci-release/bench/bench_fig5_policy_sweep ] ||
-            { echo "run the release stage first" >&2; exit 1; }
-        # Short window, three workloads, one worker: finishes in a few
-        # seconds anywhere. The sweep JSON, the flight-recorder Chrome
-        # trace and the bench_gate report land in ci-artifacts/ (the
-        # GitHub workflow uploads the directory). bench_gate runs in
-        # warn mode — CI machines differ too much from the machine
-        # that recorded results/BENCH_throughput.json for a hard gate
-        # (docs/performance.md) — but its self-test, which must catch
-        # a synthetically halved throughput, is strict.
+        # A short fig5 bench sweep exercises the grid benches'
+        # artifact hooks: EMISSARY_BENCH_JSON, EMISSARY_PERF_TRACE
+        # and, run again, EMISSARY_FUSED. The outputs land in
+        # ci-artifacts/, which the GitHub workflow uploads.
         art=build-ci-release/ci-artifacts
-        mkdir -p "$art"
-        EMISSARY_JOBS=1 \
-        EMISSARY_BENCHMARKS=tomcat,kafka,verilator \
-        EMISSARY_BENCH_INSTRUCTIONS=200000 \
-        EMISSARY_BENCH_JSON="$art" \
-        EMISSARY_PERF_TRACE="$art/fig5_flight_trace.json" \
-            build-ci-release/bench/bench_fig5_policy_sweep \
+        mkdir -p "$art/fused"
+        fig5() {
+            env EMISSARY_JOBS=1 EMISSARY_BENCH_INSTRUCTIONS=200000 \
+                EMISSARY_BENCHMARKS=tomcat,kafka,verilator "$@" \
+                build-ci-release/bench/bench_fig5_policy_sweep
+        }
+        fig5 EMISSARY_BENCH_JSON="$art" \
+            EMISSARY_PERF_TRACE="$art/fig5_flight_trace.json" \
             >"$art/fig5_smoke.txt"
-        grep -E 'throughput \((runs/sec|Minst/s)\)' \
+        fig5 EMISSARY_FUSED=1 EMISSARY_BENCH_JSON="$art/fused" \
+            >"$art/fig5_fused_smoke.txt"
+        grep -qE 'throughput \((runs/sec|Minst/s)\)' \
             "$art/fig5_smoke.txt" ||
             { echo "no throughput rows in sweep output" >&2; exit 1; }
-        # The flight trace must be valid JSON, and the sweep JSON must
-        # carry the phase totals, cell histogram and provenance.
         build-ci-release/tools/json_check \
             "$art/fig5_flight_trace.json"
         build-ci-release/tools/json_check \
             "$art/fig5_policy_sweep_sweep.json" \
             timing.phases.measure_seconds \
-            timing.cell_wall_histogram.total \
-            provenance.git_sha
-        build-ci-release/tools/bench_gate \
-            --measured "$art/fig5_policy_sweep_sweep.json" \
-            --report "$art/bench_gate_report.json"
-        build-ci-release/tools/bench_gate \
-            --measured "$art/fig5_policy_sweep_sweep.json" \
-            --self-test
-        build-ci-release/tools/json_check \
-            "$art/bench_gate_report.json" status ratio tolerance
-        # The same short sweep fused: one trace pass per workload
-        # drives all policy lanes. The sweep JSON must say so, and
-        # the gate (warn mode, like above) sees the fused numbers so
-        # its report tracks the engine the big sweeps actually use.
-        mkdir -p "$art/fused"
-        EMISSARY_FUSED=1 \
-        EMISSARY_JOBS=1 \
-        EMISSARY_BENCHMARKS=tomcat,kafka,verilator \
-        EMISSARY_BENCH_INSTRUCTIONS=200000 \
-        EMISSARY_BENCH_JSON="$art/fused" \
-            build-ci-release/bench/bench_fig5_policy_sweep \
-            >"$art/fig5_fused_smoke.txt"
+            timing.cell_wall_histogram.total provenance.git_sha
         grep -q 'scheduling: fused' "$art/fig5_fused_smoke.txt" ||
             { echo "fused sweep did not report fused scheduling" >&2
               exit 1; }
         build-ci-release/tools/json_check \
             "$art/fused/fig5_policy_sweep_sweep.json" \
             mode timing.phases.measure_seconds provenance.git_sha
-        build-ci-release/tools/bench_gate \
-            --measured "$art/fused/fig5_policy_sweep_sweep.json" \
-            --report "$art/bench_gate_fused_report.json"
-        # On the baseline machine (opt-in: CI machines are too
-        # variable to publish baselines), append the measured sweep
-        # as the new results/BENCH_throughput.json history entry.
-        if [ "${CI_APPEND_BASELINE:-0}" != 0 ]; then
-            build-ci-release/tools/bench_gate \
-                --measured "$art/fig5_policy_sweep_sweep.json" \
-                --append --note "${CI_APPEND_NOTE:-ci throughput \
-stage append}"
-        fi
-        echo "throughput smoke OK"
+        echo "smoke OK"
         ;;
     timeparallel)
         run_stage "time-parallel chunked replay smoke"
@@ -262,17 +227,15 @@ stage append}"
             echo "--time-chunks with --record did not fail" >&2
             exit 1
         fi
-        # Validation-bench subset: a small suite at a reduced window
-        # just proves the harness runs end-to-end; the committed
-        # error table (results/timeparallel_validation.txt) is
-        # regenerated at full scale on the baseline machine, so the
-        # error gate is informational here (CI hosts differ).
+        # Mode validation on a two-workload subset, gated: its
+        # results are bit-deterministic on any host, so the stage
+        # fails when a fused timing lane leaves the sequential oracle
+        # or a chunked mode misses the L2I MPKI gate.
         EMISSARY_BENCHMARKS=tomcat,kafka \
         EMISSARY_BENCH_INSTRUCTIONS=1000000 \
-        EMISSARY_VALIDATION_OUT="$out/tp_validation.txt" \
-            build-ci-release/bench/bench_timeparallel_validation \
-            >"$out/tp_validation_stdout.txt" || true
-        grep -q 'L2I MPKI err max' "$out/tp_validation.txt" ||
+        EMISSARY_VALIDATION_OUT="$out/mode_validation.txt" \
+            build-ci-release/bench/bench_mode_validation
+        grep -q 'L2I MPKI err max' "$out/mode_validation.txt" ||
             { echo "validation bench wrote no error table" >&2
               exit 1; }
         rm -rf "$out"

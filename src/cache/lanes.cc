@@ -181,7 +181,7 @@ PolicyLaneBank::completeLane(Lane &lane, std::uint64_t line_addr,
     // Savings are capped by the starvation the miss actually
     // exposed; added latency on never-starved misses is assumed
     // half-hidden by the frontend's lookahead. Validated against
-    // the sequential oracle by bench_fastmode_validation.
+    // the sequential oracle by bench_mode_validation.
     const unsigned lane_latency = levelLatency(code - 1);
     const unsigned timing_latency =
         levelLatency(static_cast<unsigned>(entry.source));

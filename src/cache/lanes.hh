@@ -19,7 +19,7 @@
  * counters match a sequential run of their policy up to the
  * L2-latency feedback into the frontend; cycle counts are
  * first-order estimates built from per-miss latency deltas capped
- * by observed starvation. bench/bench_fastmode_validation.cpp
+ * by observed starvation. bench/bench_mode_validation.cpp
  * measures both errors against the sequential oracle.
  *
  * An optional 1-in-K sampled-set mode shrinks each monitor lane to

@@ -3,9 +3,9 @@
  * Build provenance baked into the binaries at configure time: the
  * git commit the tree was configured from, the CMake build type and
  * the compiler. Every machine-readable artifact (emissary.run.v1,
- * emissary.sweep.v1, bench_gate history entries) carries this block
- * so results can be keyed by code version — the content-addressed
- * result cache planned in ROADMAP item 2 needs exactly that key.
+ * emissary.sweep.v1, emissary.stats.v1) carries this block so
+ * results can be keyed by code version, as the service's
+ * content-addressed result cache keys its cells by the SHA.
  *
  * The SHA is resolved when CMake configures, not per build, so a
  * commit without a reconfigure can lag one revision; outside a git

@@ -75,7 +75,7 @@ struct RunOptions
      * exact sequential simulation (the default). Results are
      * deterministic for fixed (timeChunks, chunkWarmupRecords) at
      * any worker count; measured error bounds:
-     * results/timeparallel_validation.txt, docs/performance.md.
+     * results/mode_validation.txt, docs/performance.md.
      */
     unsigned timeChunks = 1;
     /**
@@ -226,7 +226,7 @@ struct RunTelemetry
  * shared pipeline's access stream, so their cache counters match a
  * one-lane run up to the L2-latency feedback into fetch timing, and
  * their cycle counts are first-order estimates (errors quantified by
- * bench_fastmode_validation). With @p sampled_sets = K > 1 (a power
+ * bench_mode_validation). With @p sampled_sets = K > 1 (a power
  * of two) the monitors model only 1 set in every K, with counters
  * scaled back at collection (fast mode; error bounds in
  * docs/performance.md); the timing lane always models every set.
@@ -241,7 +241,7 @@ struct RunTelemetry
  * priority-bit distribution is the last chunk's end state. Chunk 0
  * reproduces the sequential prefix exactly; later chunks start from
  * warmed-but-not-identical state, so spliced counters carry a
- * boundary error (results/timeparallel_validation.txt). Results are
+ * boundary error (results/mode_validation.txt). Results are
  * bit-deterministic for fixed (T, W) at any worker count.
  *
  * Every other run is one chunk over the whole window, simulated on

@@ -1,5 +1,7 @@
 #include "service/protocol.hh"
 
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "core/catalog.hh"
@@ -38,6 +40,17 @@ uintField(const JsonValue &value, const std::string &field)
                            "request field '" + field +
                                "' must be an unsigned integer");
     }
+}
+
+/** uintField for knobs held in 32 bits: a larger value would wrap. */
+unsigned
+u32Field(const JsonValue &value, const std::string &field)
+{
+    const std::uint64_t parsed = uintField(value, field);
+    if (parsed > std::numeric_limits<std::uint32_t>::max())
+        throw RequestError(field, "request field '" + field +
+                                      "' must be at most 4294967295");
+    return static_cast<unsigned>(parsed);
 }
 
 bool
@@ -94,8 +107,7 @@ runOptionsFromJson(const JsonValue &config)
                                "key (it applies to fused monitor "
                                "lanes), not a config key");
         } else if (key == "time_chunks") {
-            options.timeChunks = static_cast<unsigned>(
-                uintField(value, field));
+            options.timeChunks = u32Field(value, field);
         } else if (key == "chunk_warmup_records") {
             options.chunkWarmupRecords = uintField(value, field);
         } else {
@@ -267,13 +279,12 @@ parseRequest(const std::string &text)
     if (const JsonValue *fused = doc.find("fused"))
         request.fused = boolField(*fused, "fused");
     if (const JsonValue *sampled = doc.find("sampled_sets")) {
-        const std::uint64_t factor =
-            uintField(*sampled, "sampled_sets");
+        const unsigned factor = u32Field(*sampled, "sampled_sets");
         if (factor > 1 && (factor & (factor - 1)) != 0)
             throw RequestError("sampled_sets",
                                "sampling factor must be a power of "
                                "two");
-        request.sampledSets = static_cast<unsigned>(factor);
+        request.sampledSets = factor;
     }
     return request;
 }

@@ -675,10 +675,9 @@ void
 writeJsonFile(const std::string &path, const JsonValue &value)
 {
     // Artifact paths routinely point into directories that do not
-    // exist yet (EMISSARY_BENCH_JSON, bench_gate --append/--report,
-    // the service's --cache-dir): create the parents rather than
-    // failing on open, and name the directory when creation itself
-    // fails.
+    // exist yet (EMISSARY_BENCH_JSON, the service's --cache-dir):
+    // create the parents rather than failing on open, and name the
+    // directory when creation itself fails.
     const std::filesystem::path parent =
         std::filesystem::path(path).parent_path();
     if (!parent.empty()) {

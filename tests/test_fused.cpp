@@ -14,7 +14,7 @@
  *    pipeline's stream plus their own RNG, nothing else);
  *  - monitor-lane cache counters track the sequential oracle of the
  *    same policy within a loose structural bound (the tight,
- *    measured bounds live in bench/bench_fastmode_validation.cpp and
+ *    measured bounds live in bench/bench_mode_validation.cpp and
  *    docs/performance.md);
  *  - sampled-set monitors (fast mode) stay within a scaled-error
  *    envelope of their full-fidelity selves.
@@ -224,7 +224,7 @@ TEST(FusedRun, MonitorLaneTracksSequentialOracle)
     // its miss counters track the oracle up to the L2-latency
     // feedback into fetch. These are deliberately loose structural
     // bounds; the measured bounds (a few percent) are enforced and
-    // documented by bench_fastmode_validation.
+    // documented by bench_mode_validation.
     const auto within = [](double got, double want, double rel,
                            double abs_slack) {
         return std::fabs(got - want) <=

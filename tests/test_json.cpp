@@ -153,8 +153,8 @@ TEST(JsonValue, WriteJsonFile)
     EXPECT_EQ(text.str().back(), '\n');
 
     // Artifact paths routinely point into directories that do not
-    // exist yet (EMISSARY_BENCH_JSON, bench_gate --append, the
-    // service cache): the writer creates the parents.
+    // exist yet (EMISSARY_BENCH_JSON, the service cache): the
+    // writer creates the parents.
     const std::string nested = ::testing::TempDir() +
                                "/test_json_parents/a/b/c.json";
     writeJsonFile(nested, doc);

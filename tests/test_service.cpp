@@ -631,6 +631,16 @@ TEST(SweepServiceProtocol, MalformedRequestsNameTheField)
         {head + catalog +
              R"("policies": ["TPLRU"], "sampled_sets": 3})",
          "sampled_sets"},
+        // 32-bit knobs reject larger values instead of wrapping: 2^32
+        // would run unsampled and 2^32 + 2 as two chunks.
+        {head + catalog +
+             R"("policies": ["TPLRU"], "fused": true,)"
+             R"( "sampled_sets": 4294967296})",
+         "sampled_sets"},
+        {head + catalog +
+             R"("policies": ["TPLRU"],)"
+             R"( "config": {"time_chunks": 4294967298}})",
+         "config.time_chunks"},
         // Set sampling shapes fused monitor lanes only; it is a
         // top-level key, never a per-cell config knob.
         {head + catalog +

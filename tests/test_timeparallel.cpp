@@ -13,7 +13,7 @@
  *    engine;
  *  - the spliced counters track the sequential oracle within loose
  *    structural bounds (the tight, measured bounds live in
- *    bench/bench_timeparallel_validation.cpp and docs/performance.md);
+ *    bench/bench_mode_validation.cpp and docs/performance.md);
  *  - chunked runs carry their own cache identity: canonicalRunOptions
  *    normalises every sequential spelling to one string, and
  *    cellCacheCanonical embeds a time_slicing clause only for chunked
@@ -242,8 +242,8 @@ TEST(TimeParallelRun, TracksSequentialOracle)
     // Short warming on a deliberately tiny window (20k-instruction
     // slices behind a 20k-record prefix) maximises the boundary
     // error; it must stay bounded, not exact. The production-scale
-    // error (mean L2I MPKI error <= 0.2 at default warming) is
-    // measured by bench_timeparallel_validation.
+    // error (mean L2I MPKI error <= 0.2 at 1M warming records) is
+    // measured by bench_mode_validation.
     {
         const Metrics chunked =
             core::run(buffer, {l2}, 0, l1i, chunkedWindow(4, 20'000),

@@ -53,21 +53,30 @@ namespace
 
 using namespace emissary;
 
-/** Strict unsigned parse: any non-digit (or overflow) is a usage
- *  error, not a silent zero. */
+/** Strict unsigned parse: any non-digit, or a value above @p max,
+ *  is a usage error, not a silent zero or a wrapped value. */
 std::uint64_t
-parseU64(const std::string &flag, const char *text)
+parseU64(const std::string &flag, const char *text,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     std::uint64_t parsed = 0;
-    if (!parseDecimal(text, std::numeric_limits<std::uint64_t>::max(),
-                      parsed)) {
+    if (!parseDecimal(text, max, parsed)) {
         std::fprintf(stderr,
-                     "%s: expected an unsigned decimal integer, "
-                     "got '%s'\n",
-                     flag.c_str(), text);
+                     "%s: expected an unsigned decimal integer of at "
+                     "most %llu, got '%s'\n",
+                     flag.c_str(), static_cast<unsigned long long>(max),
+                     text);
         std::exit(2);
     }
     return parsed;
+}
+
+/** parseU64 for knobs held in 32 bits. */
+unsigned
+parseU32(const std::string &flag, const char *text)
+{
+    return static_cast<unsigned>(
+        parseU64(flag, text, std::numeric_limits<std::uint32_t>::max()));
 }
 
 void
@@ -283,7 +292,7 @@ main(int argc, char **argv)
     std::uint64_t jobs = 0;
     bool fused = false;
     bool fast_mode = false;
-    std::uint64_t sampled_sets = 0;
+    unsigned sampled_sets = 0;
     bool csv = false;
     bool progress = false;
     std::string stats_json_path;
@@ -327,10 +336,10 @@ main(int argc, char **argv)
         } else if (arg == "--fast-mode") {
             fast_mode = true;
         } else if (arg == "--sampled-sets") {
-            sampled_sets = parseU64(arg, value());
+            sampled_sets = parseU32(arg, value());
         } else if (arg == "--time-chunks") {
-            run_options.timeChunks = static_cast<unsigned>(
-                std::max<std::uint64_t>(1, parseU64(arg, value())));
+            run_options.timeChunks =
+                std::max(1u, parseU32(arg, value()));
         } else if (arg == "--warmup-records") {
             run_options.chunkWarmupRecords = parseU64(arg, value());
         } else if (arg == "--l1i-policy") {
@@ -470,9 +479,8 @@ main(int argc, char **argv)
             core::GridOptions grid_options;
             grid_options.fused =
                 fused || fast_mode || sampled_sets > 1;
-            grid_options.sampledSets = static_cast<unsigned>(
-                sampled_sets > 0 ? sampled_sets
-                                 : (fast_mode ? 8 : 0));
+            grid_options.sampledSets =
+                sampled_sets > 0 ? sampled_sets : (fast_mode ? 8 : 0);
             const core::GridResults results = core::runGrid(
                 grid, pool, grid_options, on_cell, flight.get());
             if (flight)
