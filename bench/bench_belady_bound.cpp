@@ -32,7 +32,7 @@ class StreamRecorder : public cache::HierarchyObserver
 {
   public:
     void onL2InstMiss(std::uint64_t) override {}
-    void onStarvationCycle(std::uint64_t) override {}
+    void onStarvationCycle(std::uint64_t, std::uint64_t) override {}
     void
     onL2InstAccess(std::uint64_t line) override
     {

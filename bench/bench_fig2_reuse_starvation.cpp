@@ -38,7 +38,7 @@ class ReuseTrackingSource : public trace::TraceSource,
     }
 
     void
-    onStarvationCycle(std::uint64_t line) override
+    onStarvationCycle(std::uint64_t line, std::uint64_t) override
     {
         ++starvByClass_[classOf(line)];
     }

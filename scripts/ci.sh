@@ -5,7 +5,8 @@
 #   0. Cited evidence: every results/ file and source path that
 #      README.md, EXPERIMENTS.md or docs/ cite must exist; a cited
 #      glob must match a file and a <placeholder> never does
-#   1. Release build + full test suite
+#   1. Release build (whole-program IPO where the toolchain has it)
+#      + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
 #      --trace-out output must parse and carry the expected keys,
 #      bad flags must exit 2, the CLI's single-run paths (live,
@@ -34,9 +35,6 @@
 #      determinism checks
 #   7. AddressSanitizer build + full test suite
 #   8. ThreadSanitizer build + the "threaded" test label
-#
-# An optional "lto" stage rebuilds Release with EMISSARY_LTO=ON and
-# reruns the suite (the GitHub workflow runs it as its own job).
 #
 # Stages can be selected: ./scripts/ci.sh release smoke
 set -euo pipefail
@@ -360,13 +358,6 @@ EOF
         bash bench/e2e/run.sh --self-test
         bash bench/e2e/run.sh --smoke
         echo "bench OK"
-        ;;
-    lto)
-        run_stage "Release + LTO build + tests"
-        CTEST_ARGS=()
-        configure_build_test build-ci-lto \
-            -DCMAKE_BUILD_TYPE=Release \
-            -DEMISSARY_LTO=ON
         ;;
     asan)
         run_stage "AddressSanitizer build + tests"

@@ -1,6 +1,7 @@
 #include "backend/backend.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace emissary::backend
@@ -8,6 +9,8 @@ namespace emissary::backend
 
 namespace
 {
+
+constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
 std::uint64_t
 mixPc(std::uint64_t pc)
@@ -62,21 +65,7 @@ Backend::issueStage(std::uint64_t now,
                     std::optional<std::uint64_t> pending_line)
 {
     if (decode_queue.empty()) {
-        // Decode starvation (§3): the decode stage wants to pull but
-        // the queue feeding it is empty. It only counts as starvation
-        // when the back-end could actually accept instructions (a
-        // stalled decode cannot starve).
-        if (canAccept()) {
-            if (pending_line) {
-                ++stats_.starvationCycles;
-                const bool iq_empty = issueQueueEmpty();
-                if (iq_empty)
-                    ++stats_.starvationIqEmptyCycles;
-                hierarchy_.noteStarvation(*pending_line, iq_empty);
-            } else {
-                ++stats_.resteerEmptyCycles;
-            }
-        }
+        starveDecode(now, 1, pending_line);
         return;
     }
 
@@ -157,14 +146,92 @@ Backend::issueStage(std::uint64_t now,
 }
 
 void
+Backend::starveDecode(std::uint64_t now, std::uint64_t cycles,
+                      std::optional<std::uint64_t> pending_line)
+{
+    // Decode starvation (§3): the decode stage wants to pull but the
+    // queue feeding it is empty. It only counts as starvation when
+    // the back-end could actually accept instructions (a stalled
+    // decode cannot starve).
+    if (!canAccept())
+        return;
+    if (pending_line) {
+        stats_.starvationCycles += cycles;
+        const bool iq_empty = issueQueueEmpty();
+        if (iq_empty)
+            stats_.starvationIqEmptyCycles += cycles;
+        hierarchy_.noteStarvation(*pending_line, iq_empty, now, cycles);
+    } else {
+        stats_.resteerEmptyCycles += cycles;
+    }
+}
+
+void
+Backend::idleCycles(std::uint64_t now, std::uint64_t cycles,
+                    bool decode_empty,
+                    std::optional<std::uint64_t> pending_line)
+{
+    // Nothing commits, so each cycle is an FE or BE stall, and a
+    // non-empty decode queue stays blocked without a count.
+    stats_.cycles += cycles;
+    if (robCount_ == 0)
+        stats_.feStallCycles += cycles;
+    else
+        stats_.beStallCycles += cycles;
+    if (decode_empty)
+        starveDecode(now, cycles, pending_line);
+}
+
+std::uint64_t
+Backend::nextEvent(std::uint64_t horizon) const
+{
+    std::uint64_t next = horizon;
+    if (robCount_ > 0)
+        next = std::min(next, rob_[robHead_].completeCycle);
+    if (!exact_.empty())
+        next = std::min(next, exact_.front().cycle);
+    // The calendar scan stops at the earliest event found so far.
+    if (next > nextDrain_)
+        next = std::min(next, nextBooked(next - 1));
+    return next;
+}
+
+std::uint64_t
+Backend::nextBooked(std::uint64_t horizon) const
+{
+    if (horizon < nextDrain_)
+        return kNever;
+    // Every live bucket covers a cycle in [nextDrain_, nextDrain_ +
+    // span), so one lap of the bitmap from nextDrain_ finds them all.
+    const std::uint64_t window =
+        std::min<std::uint64_t>(horizon - nextDrain_,
+                                kCalendarSpan - 1) + 1;
+    std::uint64_t offset = 0;
+    while (offset < window) {
+        const unsigned slot = static_cast<unsigned>(
+            (nextDrain_ + offset) & (kCalendarSpan - 1));
+        const std::uint64_t bits = booked_[slot / 64] >> (slot % 64);
+        if (bits != 0) {
+            offset += static_cast<unsigned>(std::countr_zero(bits));
+            return offset < window ? nextDrain_ + offset : kNever;
+        }
+        offset += 64 - slot % 64;
+    }
+    return kNever;
+}
+
+void
 Backend::schedule(std::uint64_t cycle, std::uint64_t seq, bool is_load,
                   bool mispredicted)
 {
     if (!mispredicted && cycle >= nextDrain_ &&
         cycle - nextDrain_ < kCalendarSpan) {
-        Bucket &bucket = calendar_[cycle & (kCalendarSpan - 1)];
+        const unsigned slot =
+            static_cast<unsigned>(cycle & (kCalendarSpan - 1));
+        Bucket &bucket = calendar_[slot];
         ++bucket.completions;
         bucket.loads += is_load ? 1 : 0;
+        booked_[slot / 64] |= std::uint64_t{1} << (slot % 64);
         return;
     }
     // Insert after every entry of the same cycle, so equal cycles
@@ -181,19 +248,19 @@ Backend::executeStage(std::uint64_t now)
 {
     bool any = false;
     if (now >= nextDrain_) {
-        // Every live bucket lies in [nextDrain_, nextDrain_ + span),
-        // so a gap longer than the span visits each bucket once.
-        const std::uint64_t cycles =
-            std::min<std::uint64_t>(now - nextDrain_ + 1, kCalendarSpan);
-        for (std::uint64_t c = nextDrain_; c < nextDrain_ + cycles; ++c) {
-            Bucket &bucket = calendar_[c & (kCalendarSpan - 1)];
-            if (bucket.completions == 0)
-                continue;
+        // A gap drains the booked buckets it covers, in cycle order.
+        for (std::uint64_t c = nextBooked(now); c != kNever;
+             c = nextBooked(now)) {
+            const unsigned slot =
+                static_cast<unsigned>(c & (kCalendarSpan - 1));
+            Bucket &bucket = calendar_[slot];
             assert(inFlightExec_ >= bucket.completions);
             assert(lqOccupancy_ >= bucket.loads);
             inFlightExec_ -= bucket.completions;
             lqOccupancy_ -= bucket.loads;
             bucket = Bucket{};
+            booked_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+            nextDrain_ = c + 1;
             any = true;
         }
         nextDrain_ = now + 1;

@@ -136,6 +136,25 @@ class Backend
                     std::deque<core::DynInst> &decode_queue,
                     std::optional<std::uint64_t> pending_line);
 
+    /**
+     * Account @p cycles cycles from @p now in which no stage can act
+     * (the simulator's idle-cycle fast-forward): add what
+     * commitStage and issueStage count in each such cycle. The
+     * decode queue is empty when @p decode_empty; @p pending_line is
+     * then the line fetch waits on, as issueStage takes it.
+     */
+    void idleCycles(std::uint64_t now, std::uint64_t cycles,
+                    bool decode_empty,
+                    std::optional<std::uint64_t> pending_line);
+
+    /**
+     * The earliest cycle at which executeStage or commitStage can
+     * act, the next completion or the ROB head's completion, when
+     * that is before @p horizon; else @p horizon. A value before the
+     * current cycle means commit still has completed work.
+     */
+    std::uint64_t nextEvent(std::uint64_t horizon) const;
+
     /** True when dispatch has window space this cycle. */
     bool canAccept() const;
 
@@ -187,6 +206,15 @@ class Backend
     void schedule(std::uint64_t cycle, std::uint64_t seq, bool is_load,
                   bool mispredicted);
 
+    /** First cycle in [nextDrain_, @p horizon] whose calendar bucket
+     *  holds a completion, or ~0 when there is none. */
+    std::uint64_t nextBooked(std::uint64_t horizon) const;
+
+    /** Count @p cycles decode-empty cycles from @p now: starvation
+     *  blamed on @p pending_line, or re-steer shadow without one. */
+    void starveDecode(std::uint64_t now, std::uint64_t cycles,
+                      std::optional<std::uint64_t> pending_line);
+
     Config config_;
     cache::Hierarchy &hierarchy_;
     ResolveCallback resolve_;
@@ -207,6 +235,9 @@ class Backend
      * [nextDrain_, nextDrain_ + kCalendarSpan).
      */
     std::vector<Bucket> calendar_;
+    /** One bit per calendar bucket, set while it holds completions,
+     *  so the next booked cycle is a bit scan away. */
+    std::array<std::uint64_t, kCalendarSpan / 64> booked_{};
     /** First cycle executeStage has not drained yet. */
     std::uint64_t nextDrain_ = 0;
     /**

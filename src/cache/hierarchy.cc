@@ -189,7 +189,8 @@ Hierarchy::setLanes(PolicyLaneBank *lanes)
 }
 
 void
-Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty)
+Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty,
+                          std::uint64_t now, std::uint64_t cycles)
 {
     const std::size_t i = findMshr(line_addr);
     if (i == npos)
@@ -197,12 +198,13 @@ Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty)
     Mshr &entry = mshrs_[i];
     entry.starved = true;
     entry.iqEmpty = entry.iqEmpty || iq_empty;
-    ++entry.starveCycles;
-    ++stats_.starvationNotes;
+    entry.starveCycles += static_cast<std::uint32_t>(cycles);
+    stats_.starvationNotes += cycles;
     if (starvationMapEnabled_)
-        ++starvationByLine_[line_addr];
+        starvationByLine_[line_addr] += cycles;
     if (observer_)
-        observer_->onStarvationCycle(line_addr);
+        for (std::uint64_t c = now; c < now + cycles; ++c)
+            observer_->onStarvationCycle(line_addr, c);
 }
 
 void

@@ -53,8 +53,11 @@ class HierarchyObserver
     virtual ~HierarchyObserver() = default;
     /** A fetch-path L2 instruction miss for @p line_addr. */
     virtual void onL2InstMiss(std::uint64_t line_addr) = 0;
-    /** One decode-starvation cycle blamed on @p line_addr. */
-    virtual void onStarvationCycle(std::uint64_t line_addr) = 0;
+    /** One decode-starvation cycle, @p cycle, blamed on
+     *  @p line_addr. A run of idle cycles is reported at once, one
+     *  call per cycle, so the cycle travels with the event. */
+    virtual void onStarvationCycle(std::uint64_t line_addr,
+                                   std::uint64_t cycle) = 0;
     /** A fetch-path L2 instruction access (hit or miss); default
      *  no-op so existing observers are unaffected. */
     virtual void
@@ -118,7 +121,7 @@ struct HierarchyStats
     std::uint64_t highPriorityFills = 0;  ///< L1I fills with P=1.
     std::uint64_t priorityUpgrades = 0;   ///< L1I evicts raising L2 P.
     /** Starvation cycles charged to an outstanding miss (the exact
-     *  count of accepted noteStarvation calls this window). */
+     *  count of cycles noteStarvation accepted this window). */
     std::uint64_t starvationNotes = 0;
     std::uint64_t l2InstHitsProtected = 0; ///< L2 I-hits on P=1 lines.
     std::uint64_t l2ProtectedEvictions = 0; ///< P=1 lines evicted.
@@ -228,11 +231,13 @@ class Hierarchy
                               RequestKind kind = RequestKind::Demand);
 
     /**
-     * Record that decode starved this cycle while waiting on
-     * @p line_addr; @p iq_empty is the issue-queue-empty signal E.
-     * No-op when the line has no outstanding miss.
+     * Record that decode starved in the @p cycles cycles from
+     * @p now on while waiting on @p line_addr; @p iq_empty is the
+     * issue-queue-empty signal E. No-op when the line has no
+     * outstanding miss.
      */
-    void noteStarvation(std::uint64_t line_addr, bool iq_empty);
+    void noteStarvation(std::uint64_t line_addr, bool iq_empty,
+                        std::uint64_t now, std::uint64_t cycles = 1);
 
     /**
      * Apply fills whose completion time has been reached, in
@@ -244,6 +249,15 @@ class Hierarchy
     /** Force-complete every outstanding fill (end of simulation), in
      *  the same order tick() would apply them. */
     void drain();
+
+    /** The cycle of the next fill tick() will apply, or ~0 when no
+     *  miss is outstanding. */
+    std::uint64_t
+    nextFill() const
+    {
+        return mshrs_.empty() ? ~std::uint64_t{0}
+                              : mshrs_.front().readyCycle;
+    }
 
     /** EMISSARY §6: clear every priority bit in L1I and L2. */
     void resetPriorities();

@@ -169,7 +169,23 @@ struct ChunkResult
     Clock::time_point measureStart;
     Clock::time_point stop;
     Clock::time_point harvested;
+    /** Simulated and stepped cycles of the warm-up and of the whole
+     *  pass (the flight recorder's `cycles` / `stepped_cycles`). */
+    std::uint64_t warmupCycles = 0;
+    std::uint64_t warmupStepped = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t stepped = 0;
 };
+
+/** Span args naming how many of @p cycles the engine stepped. */
+std::vector<std::pair<std::string, stats::JsonValue>>
+cycleArgs(std::uint64_t cycles, std::uint64_t stepped)
+{
+    std::vector<std::pair<std::string, stats::JsonValue>> args;
+    args.emplace_back("cycles", stats::JsonValue(cycles));
+    args.emplace_back("stepped_cycles", stats::JsonValue(stepped));
+    return args;
+}
 
 /**
  * The pass body: build the machine for @p plan's window, attach a
@@ -233,10 +249,15 @@ simulatePass(trace::TraceSource &source,
     // Phase boundary: the simulator fires this exactly when the
     // warm-up counters reset and the measurement window opens.
     result.measureStart = result.start;
-    simulator.setOnMeasureStart(
-        [&result]() { result.measureStart = Clock::now(); });
+    simulator.setOnMeasureStart([&result, &simulator]() {
+        result.measureStart = Clock::now();
+        result.warmupCycles = simulator.now();
+        result.warmupStepped = simulator.steppedCycles();
+    });
     simulator.run();
     result.stop = Clock::now();
+    result.cycles = simulator.now();
+    result.stepped = simulator.steppedCycles();
 
     result.lanes.push_back(simulator.collect());
     for (unsigned lane = 0; lane < monitor_specs.size(); ++lane)
@@ -291,7 +312,7 @@ run(const RunSource &source,
             return;
         chunks[i].touchedBitmap = chunk.touchedBitmap();
         if (spans) {
-            std::vector<std::pair<std::string, stats::JsonValue>> args;
+            auto args = cycleArgs(chunks[i].cycles, chunks[i].stepped);
             args.emplace_back("start_record",
                               stats::JsonValue(plans[i].startRecord));
             args.emplace_back("warmup_records",
@@ -400,9 +421,13 @@ run(const RunSource &source,
     if (whole && spans) {
         const ChunkResult &pass = chunks.front();
         spans->recordSpan("warmup", spans->toNs(pass.start),
-                          spans->toNs(pass.measureStart));
+                          spans->toNs(pass.measureStart),
+                          cycleArgs(pass.warmupCycles,
+                                    pass.warmupStepped));
         spans->recordSpan("measure", spans->toNs(pass.measureStart),
-                          spans->toNs(pass.stop));
+                          spans->toNs(pass.stop),
+                          cycleArgs(pass.cycles - pass.warmupCycles,
+                                    pass.stepped - pass.warmupStepped));
         spans->recordSpan("stat_export", spans->toNs(pass.stop),
                           spans->toNs(pass.harvested));
     }

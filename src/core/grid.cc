@@ -244,7 +244,12 @@ cellCacheCanonical(const GridWorkload &workload, const RunSpec &run,
 std::string
 cellCacheKey(const std::string &canonical)
 {
-    return "emc1-" + hex64(fnv1a64(canonical));
+    // Appended rather than `"emc1-" + hex64(...)`: inlined across
+    // libraries in an IPO build, that form trips GCC 12's false
+    // -Wstringop-overread.
+    std::string key = "emc1-";
+    key += hex64(fnv1a64(canonical));
+    return key;
 }
 
 const char *

@@ -9,19 +9,25 @@
 namespace emissary::core
 {
 
-void
-Simulator::TraceAdapter::onL2InstMiss(std::uint64_t line_addr)
+stats::TraceSink *
+Simulator::TraceAdapter::sink() const
 {
-    if (armed_ && sim_.traceSink_)
-        sim_.traceSink_->eventLine("l2_inst_miss", sim_.now_,
-                                   line_addr);
+    return sim_.hierarchy_.warming() ? nullptr : sim_.traceSink_;
 }
 
 void
-Simulator::TraceAdapter::onStarvationCycle(std::uint64_t line_addr)
+Simulator::TraceAdapter::onL2InstMiss(std::uint64_t line_addr)
 {
-    if (armed_ && sim_.traceSink_)
-        sim_.traceSink_->eventLine("starvation", sim_.now_, line_addr);
+    if (stats::TraceSink *out = sink())
+        out->eventLine("l2_inst_miss", sim_.now_, line_addr);
+}
+
+void
+Simulator::TraceAdapter::onStarvationCycle(std::uint64_t line_addr,
+                                           std::uint64_t cycle)
+{
+    if (stats::TraceSink *out = sink())
+        out->eventLine("starvation", cycle, line_addr);
 }
 
 void
@@ -29,34 +35,35 @@ Simulator::TraceAdapter::onL2Fill(std::uint64_t line_addr,
                                   bool is_instruction,
                                   bool high_priority)
 {
-    if (!armed_ || !sim_.traceSink_)
+    stats::TraceSink *out = sink();
+    if (!out)
         return;
     stats::JsonValue fields = stats::JsonValue::object();
     fields.set("line", stats::JsonValue(line_addr));
     fields.set("instruction", stats::JsonValue(is_instruction));
     fields.set("priority", stats::JsonValue(high_priority));
-    sim_.traceSink_->event("l2_fill", sim_.now_, fields);
+    out->event("l2_fill", sim_.now_, fields);
 }
 
 void
 Simulator::TraceAdapter::onL2Eviction(std::uint64_t line_addr,
                                       bool was_priority, bool dirty)
 {
-    if (!armed_ || !sim_.traceSink_)
+    stats::TraceSink *out = sink();
+    if (!out)
         return;
     stats::JsonValue fields = stats::JsonValue::object();
     fields.set("line", stats::JsonValue(line_addr));
     fields.set("priority", stats::JsonValue(was_priority));
     fields.set("dirty", stats::JsonValue(dirty));
-    sim_.traceSink_->event("l2_evict", sim_.now_, fields);
+    out->event("l2_evict", sim_.now_, fields);
 }
 
 void
 Simulator::TraceAdapter::onPriorityUpgrade(std::uint64_t line_addr)
 {
-    if (armed_ && sim_.traceSink_)
-        sim_.traceSink_->eventLine("priority_upgrade", sim_.now_,
-                                   line_addr);
+    if (stats::TraceSink *out = sink())
+        out->eventLine("priority_upgrade", sim_.now_, line_addr);
 }
 
 Simulator::Simulator(const Config &config, trace::TraceSource &source)
@@ -93,13 +100,13 @@ Simulator::exportRegistry(stats::Registry &registry) const
 }
 
 void
-Simulator::takeSample(std::uint64_t measure_start)
+Simulator::takeSample()
 {
     stats::Registry registry;
     exportRegistry(registry);
     stats::Sample sample;
     sample.instructions = committed();
-    sample.cycles = now_ - measure_start;
+    sample.cycles = backend_.stats().cycles;
     sample.counters = stats::Sampler::snapshotCounters(registry);
     sample.priorityOccupancy = hierarchy_.l2().priorityOccupancy();
     sampler_.record(std::move(sample));
@@ -121,6 +128,36 @@ Simulator::stepCycle()
     frontend_.prefetch(now_);
     frontend_.predict(now_);
     ++now_;
+    ++stepped_;
+}
+
+void
+Simulator::advance(std::uint64_t budget)
+{
+    // A cycle is idle when no stage can act in it: no fill is due, no
+    // completion or commit, no dispatch, and predict, FDIP and fetch
+    // have nothing to do. Its state changes are the per-cycle
+    // counters alone, and the cycles up to the next event all add
+    // the same ones, so they go in at once. The cheap tests go first:
+    // most stepped cycles stop at one of them.
+    std::uint64_t next = now_;
+    if (decodeQueue_.empty() || !backend_.canAccept())
+        next = std::min(
+            frontend_.nextEvent(now_, decodeQueue_.size()),
+            hierarchy_.nextFill());
+    if (next > now_)
+        next = std::max(now_, backend_.nextEvent(next));
+    if (next > now_) {
+        const std::uint64_t stop = std::min(next, budget + 1);
+        const bool decode_empty = decodeQueue_.empty();
+        backend_.idleCycles(now_, stop - now_, decode_empty,
+                            decode_empty ? frontend_.pendingFetchLine(now_)
+                                         : std::nullopt);
+        now_ = stop;
+        if (now_ > budget)
+            return;
+    }
+    stepCycle();
 }
 
 void
@@ -201,7 +238,7 @@ Simulator::collect() const
     inputs.hierarchy = hierarchy_.stats();
     inputs.backend = bs;
     inputs.frontend = frontend_.stats();
-    inputs.windowCycles = lastWindowCycles_;
+    inputs.windowCycles = bs.cycles;
     inputs.starvationCycles = bs.starvationCycles;
     inputs.starvationIqEmptyCycles = bs.starvationIqEmptyCycles;
     inputs.emissaryBits =
@@ -231,12 +268,11 @@ Simulator::collectLane(unsigned lane) const
 
     // The lane's window length: the shared window adjusted by the
     // lane's first-order per-miss latency delta.
+    const std::uint64_t window = backend_.stats().cycles;
     const std::int64_t cycles =
-        static_cast<std::int64_t>(lastWindowCycles_) +
-        lanes->cycleDelta(lane);
-    inputs.windowCycles = cycles > 0
-                              ? static_cast<std::uint64_t>(cycles)
-                              : lastWindowCycles_;
+        static_cast<std::int64_t>(window) + lanes->cycleDelta(lane);
+    inputs.windowCycles =
+        cycles > 0 ? static_cast<std::uint64_t>(cycles) : window;
 
     inputs.starvationCycles = lanes->estStarvationCycles(lane);
     inputs.starvationIqEmptyCycles =
@@ -272,7 +308,7 @@ Simulator::run()
     hierarchy_.setWarming(true);
     frontend_.setWarming(true);
     while (committed() < warmup) {
-        stepCycle();
+        advance(budget);
         if (now_ > budget)
             throw std::runtime_error("Simulator: warm-up exceeded "
                                      "cycle budget");
@@ -283,16 +319,14 @@ Simulator::run()
     lastPriorityReset_ = 0;
     if (onMeasureStart_)
         onMeasureStart_();
-    // Arm observability for the window: events emitted from here on
-    // match the just-reset counters one-for-one.
-    traceAdapter_.arm();
     sampler_ = stats::Sampler(config_.sampleInterval);
-    const std::uint64_t measure_start = now_;
 
+    // Only a stepped cycle commits, so the sampler and reset checks
+    // below see every committed count they would stepping each cycle.
     while (committed() < measure) {
-        stepCycle();
+        advance(budget);
         if (sampler_.due(committed()))
-            takeSample(measure_start);
+            takeSample();
         if (config_.priorityResetInstructions > 0 &&
             committed() - lastPriorityReset_ >=
                 config_.priorityResetInstructions) {
@@ -305,8 +339,6 @@ Simulator::run()
     }
     if (traceSink_ != nullptr)
         traceSink_->flush();
-
-    lastWindowCycles_ = now_ - measure_start;
     return composeMetrics(collect());
 }
 

@@ -94,14 +94,20 @@ class Simulator
         onMeasureStart_ = std::move(callback);
     }
 
-    /** Advance one cycle (exposed for fine-grained tests). */
+    /**
+     * Advance one cycle: every stage runs once. run() calls it only
+     * for cycles in which some stage can act and adds the idle
+     * cycles between them in bulk, with the same counters and
+     * events; stepping every cycle is the oracle for that.
+     */
     void stepCycle();
 
     /**
      * Attach a JSONL event sink (nullptr to detach). Claims the
-     * hierarchy's observer slot; events are emitted only inside the
-     * measurement window so per-category counts reconcile exactly
-     * with the window's registry counters.
+     * hierarchy's observer slot; events are emitted only outside
+     * functional warming, i.e. inside the measurement window, so
+     * per-category counts reconcile exactly with the window's
+     * registry counters.
      */
     void setTraceSink(stats::TraceSink *sink);
 
@@ -130,18 +136,22 @@ class Simulator
     frontend::FrontEnd &frontEnd() { return frontend_; }
     backend::Backend &backend() { return backend_; }
     std::uint64_t now() const { return now_; }
+    /** Cycles simulated by stepCycle; now() minus this is the
+     *  cycles run() added in bulk. */
+    std::uint64_t steppedCycles() const { return stepped_; }
     std::uint64_t committed() const;
 
   private:
-    /** HierarchyObserver → TraceSink adapter, armed at window start. */
+    /** HierarchyObserver → TraceSink adapter, silent while the
+     *  hierarchy warms. */
     class TraceAdapter : public cache::HierarchyObserver
     {
       public:
         explicit TraceAdapter(Simulator &sim) : sim_(sim) {}
-        void arm() { armed_ = true; }
 
         void onL2InstMiss(std::uint64_t line_addr) override;
-        void onStarvationCycle(std::uint64_t line_addr) override;
+        void onStarvationCycle(std::uint64_t line_addr,
+                               std::uint64_t cycle) override;
         void onL2Fill(std::uint64_t line_addr, bool is_instruction,
                       bool high_priority) override;
         void onL2Eviction(std::uint64_t line_addr, bool was_priority,
@@ -149,12 +159,23 @@ class Simulator
         void onPriorityUpgrade(std::uint64_t line_addr) override;
 
       private:
+        /** The sink to write to, or nullptr while warming. */
+        stats::TraceSink *sink() const;
+
         Simulator &sim_;
-        bool armed_ = false;
     };
 
+    /**
+     * Fast-forward over the idle cycles before the next cycle in
+     * which some stage can act, then step that cycle. Stops at
+     * @p budget + 1 instead when nothing can act before it, so the
+     * caller's budget check fires at the cycle it would have
+     * stepping.
+     */
+    void advance(std::uint64_t budget);
+
     void resetWindowStats();
-    void takeSample(std::uint64_t measure_start);
+    void takeSample();
 
     Config config_;
     trace::TraceSource &source_;
@@ -163,10 +184,8 @@ class Simulator
     backend::Backend backend_;
     std::deque<DynInst> decodeQueue_;
     std::uint64_t now_ = 0;
+    std::uint64_t stepped_ = 0;
     std::uint64_t lastPriorityReset_ = 0;
-    /** Cycles of the last completed measurement window (the base of
-     *  collectLane's per-lane cycle adjustment). */
-    std::uint64_t lastWindowCycles_ = 0;
     std::function<void()> onMeasureStart_;
     stats::Sampler sampler_;
     stats::TraceSink *traceSink_ = nullptr;

@@ -278,6 +278,31 @@ FrontEnd::onBranchResolved(std::uint64_t seq, std::uint64_t cycle)
     }
 }
 
+std::uint64_t
+FrontEnd::nextEvent(std::uint64_t now, std::size_t decode_queued) const
+{
+    // FDIP walks (or at least advances its cursor over) the entries
+    // past the cursor.
+    if (config_.fdip && prefetchCursor_ < ftqSize_)
+        return now;
+    std::uint64_t next = ~std::uint64_t{0};
+    // The end of a BPU stall frees predict, and it ends the window
+    // in which a drained FTQ blames bpuWaitLine_, halted or not.
+    if (now < bpuStallUntil_)
+        next = bpuStallUntil_;
+    else if (!haltedOnSeq_ && ftqSize_ < config_.ftqEntries &&
+             ftqInstrCount_ < config_.ftqInstrs)
+        return now;
+    if (ftqSize_ > 0 && decode_queued < config_.decodeQueueCap) {
+        const FtqEntry &head = ftq_[ftqHead_];
+        if (!head.linesRequested)
+            return now;
+        const std::uint64_t arrival = head.lines[head.lineIndex].readyCycle;
+        next = std::min(next, std::max(now, arrival));
+    }
+    return next;
+}
+
 std::optional<std::uint64_t>
 FrontEnd::pendingFetchLine(std::uint64_t now) const
 {

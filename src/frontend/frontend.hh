@@ -148,6 +148,16 @@ class FrontEnd
     std::optional<std::uint64_t>
     pendingFetchLine(std::uint64_t now) const;
 
+    /**
+     * The earliest cycle at or after @p now at which predict, FDIP or
+     * fetch can act, or at which pendingFetchLine changes (~0 when
+     * only another stage can wake the front-end): now when one of the
+     * three has work, else the FTQ-head line's arrival or the end of
+     * a BPU stall. @p decode_queued is the decode queue's length.
+     */
+    std::uint64_t nextEvent(std::uint64_t now,
+                            std::size_t decode_queued) const;
+
     /** True when the FTQ holds no deliverable work. */
     bool ftqEmpty() const { return ftqSize_ == 0; }
 

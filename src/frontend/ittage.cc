@@ -90,7 +90,7 @@ Ittage::pushHistory(std::uint64_t target)
 }
 
 void
-Ittage::update(std::uint64_t pc, std::uint64_t target)
+Ittage::update([[maybe_unused]] std::uint64_t pc, std::uint64_t target)
 {
     assert(last_.pc == pc && "update must follow predict for same pc");
     const unsigned n = static_cast<unsigned>(tables_.size());

@@ -200,8 +200,9 @@ TEST_P(EmissaryBase, RandomizedProtectionInvariant)
                 for (unsigned w = 0; w < kWays; ++w)
                     if (!policy.linePriority(set, w))
                         any_low = true;
-                if (any_low)
+                if (any_low) {
                     EXPECT_FALSE(victim_high) << "step " << step;
+                }
             } else {
                 EXPECT_TRUE(victim_high) << "step " << step;
             }

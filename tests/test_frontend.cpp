@@ -330,5 +330,46 @@ TEST(FrontEnd, PendingLineFollowsFetchAcrossBlockLines)
     EXPECT_EQ(delivered, 64u);
 }
 
+TEST(FrontEnd, NextEventStopsWhereTheBlamedLineChanges)
+{
+    // One cold block ending in an indirect jump: the BTB misses, so
+    // the BPU stalls until the block's bytes are pre-decoded, and the
+    // cold ITTAGE mispredicts the target, so the BPU is halted too.
+    std::vector<trace::TraceRecord> script;
+    for (int i = 0; i < 3; ++i) {
+        trace::TraceRecord r;
+        r.pc = 0x40000 + 4 * static_cast<std::uint64_t>(i);
+        r.nextPc = r.pc + 4;
+        r.cls = trace::InstClass::IntAlu;
+        script.push_back(r);
+    }
+    trace::TraceRecord jump;
+    jump.pc = 0x4000c;
+    jump.nextPc = 0x80000;
+    jump.cls = trace::InstClass::IndirectJump;
+    script.push_back(jump);
+    Rig rig(script);
+    rig.frontend.predict(0);
+    ASSERT_TRUE(rig.frontend.haltedBranch().has_value());
+
+    // Fetch drains the block once its line arrives; nothing resolves
+    // the jump, so the BPU stays halted.
+    std::uint64_t now = 0;
+    while (!rig.frontend.ftqEmpty())
+        rig.cycle(++now);
+    ASSERT_TRUE(rig.frontend.haltedBranch().has_value());
+
+    // The drained FTQ blames the block's line until the pre-decode
+    // stall ends. Only another stage can wake predict, but the blame
+    // still changes there, so the front-end's next event must too.
+    const std::uint64_t next = now + 1;
+    ASSERT_TRUE(rig.frontend.pendingFetchLine(next).has_value());
+    std::uint64_t blame_ends = next;
+    while (rig.frontend.pendingFetchLine(blame_ends).has_value())
+        ++blame_ends;
+    EXPECT_EQ(rig.frontend.nextEvent(next, rig.decode_queue.size()),
+              blame_ends);
+}
+
 } // namespace
 } // namespace emissary::frontend

@@ -314,9 +314,10 @@ TEST(FusedGrid, MatchesSequentialTimingAndIsWorkerCountInvariant)
                       fused3.executionAt(w, r));
             EXPECT_EQ(sequential.executionAt(w, r),
                       CellExecution::Sequential);
-            if (r > 0)
+            if (r > 0) {
                 EXPECT_EQ(fused1.executionAt(w, r),
                           CellExecution::FusedMonitor);
+            }
         }
     }
     EXPECT_FALSE(sequential.anyFused());

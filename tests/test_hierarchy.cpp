@@ -156,7 +156,7 @@ TEST(Hierarchy, StarvationDrivesEmissarySelection)
     Hierarchy h(tinyConfig("P(2):S&E"));
     const std::uint64_t target = 100;
     h.requestInstruction(target, 0, RequestKind::Demand);
-    h.noteStarvation(target, /*iq_empty=*/true);
+    h.noteStarvation(target, /*iq_empty=*/true, /*now=*/1);
     runTo(h, 300);
     // The L1I copy carries P=1; the L2 copy stays P=0 until the L1I
     // eviction communicates it.
@@ -193,7 +193,7 @@ TEST(Hierarchy, StarvationWithoutIqEmptyFailsSAndE)
 {
     Hierarchy h(tinyConfig("P(2):S&E"));
     h.requestInstruction(100, 0, RequestKind::Demand);
-    h.noteStarvation(100, /*iq_empty=*/false);
+    h.noteStarvation(100, /*iq_empty=*/false, /*now=*/1);
     runTo(h, 300);
     EXPECT_FALSE(h.l1i().peek(100)->priority);
 }
@@ -314,7 +314,7 @@ issueMixedFills(Hierarchy &h)
         last_ready = std::max(
             last_ready,
             h.requestInstruction(line, now, RequestKind::Demand));
-        h.noteStarvation(line, line % 16 == 0);
+        h.noteStarvation(line, line % 16 == 0, now);
         last_ready = std::max(
             last_ready, h.requestData(1000 + line, now, line % 24 == 0));
     }
@@ -366,7 +366,7 @@ TEST(Hierarchy, ResetPrioritiesClearsBothLevels)
 {
     Hierarchy h(tinyConfig("P(2):S"));
     h.requestInstruction(100, 0, RequestKind::Demand);
-    h.noteStarvation(100, true);
+    h.noteStarvation(100, true, 1);
     runTo(h, 300);
     ASSERT_TRUE(h.l1i().peek(100)->priority);
     h.resetPriorities();

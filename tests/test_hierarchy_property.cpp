@@ -77,7 +77,7 @@ TEST_P(HierarchyStorm, InvariantsSurviveRandomTraffic)
             // Starvation note for a random line; must be harmless
             // whether or not a miss is outstanding.
             h.noteStarvation(rng.nextBelow(kInstLines),
-                             rng.oneIn(2));
+                             rng.oneIn(2), now);
             break;
           }
           default:

@@ -40,9 +40,10 @@ class Recorder : public HierarchyObserver
         misses.push_back(line);
     }
     void
-    onStarvationCycle(std::uint64_t line) override
+    onStarvationCycle(std::uint64_t line, std::uint64_t cycle) override
     {
         starved.push_back(line);
+        starvedAt.push_back(cycle);
     }
     void
     onL2InstAccess(std::uint64_t line) override
@@ -52,6 +53,7 @@ class Recorder : public HierarchyObserver
 
     std::vector<std::uint64_t> misses;
     std::vector<std::uint64_t> starved;
+    std::vector<std::uint64_t> starvedAt;
     std::vector<std::uint64_t> accesses;
 };
 
@@ -62,8 +64,8 @@ TEST(Observer, SeesMissesAccessesAndStarvation)
     h.setObserver(&rec);
 
     h.requestInstruction(100, 0, RequestKind::Demand);
-    h.noteStarvation(100, true);
-    h.noteStarvation(100, true);
+    h.noteStarvation(100, true, 1);
+    h.noteStarvation(100, true, 2);
     for (std::uint64_t c = 0; c <= 300; ++c)
         h.tick(c);
 
@@ -73,10 +75,30 @@ TEST(Observer, SeesMissesAccessesAndStarvation)
     EXPECT_EQ(rec.accesses[0], 100u);
     ASSERT_EQ(rec.starved.size(), 2u);
     EXPECT_EQ(rec.starved[0], 100u);
+    EXPECT_EQ(rec.starvedAt, (std::vector<std::uint64_t>{1, 2}));
 
     // L1I hit: no new L2 events.
     h.requestInstruction(100, 301, RequestKind::Demand);
     EXPECT_EQ(rec.accesses.size(), 1u);
+}
+
+TEST(Observer, BulkStarvationFiresOncePerCycle)
+{
+    Hierarchy h(tinyConfig());
+    Recorder rec;
+    h.setObserver(&rec);
+
+    h.requestInstruction(100, 0, RequestKind::Demand);
+    h.noteStarvation(100, false, 5, 3);
+    h.noteStarvation(7, true, 8, 4);  // No miss outstanding: no-op.
+    EXPECT_EQ(rec.starved, (std::vector<std::uint64_t>{100, 100, 100}));
+    EXPECT_EQ(rec.starvedAt, (std::vector<std::uint64_t>{5, 6, 7}));
+    EXPECT_EQ(h.stats().starvationNotes, 3u);
+    for (std::uint64_t c = 0; c <= 300; ++c)
+        h.tick(c);
+    EXPECT_EQ(h.stats().starveCyclesL2 + h.stats().starveCyclesL3 +
+                  h.stats().starveCyclesMem,
+              3u);
 }
 
 TEST(Observer, AccessWithoutMissOnL2Hit)

@@ -91,8 +91,9 @@ TEST_P(PolicyProperty, SurvivesRandomEventSoup)
             bool full = true;
             for (unsigned w = 0; w < 8; ++w)
                 full = full && valid[set][w];
-            if (full)
+            if (full) {
                 ASSERT_LT(policy->selectVictim(set), 8u);
+            }
             break;
           }
         }

@@ -242,6 +242,7 @@ TEST(SpanRecorderGrid, TraceFileReconcilesWithGrid)
     std::set<std::uint64_t> cell_tids;
     std::set<std::string> phase_children;
     std::set<std::uint64_t> labelled_tids;
+    std::multiset<std::uint64_t> measure_cycles;
     for (std::size_t i = 0; i < doc.size(); ++i) {
         const JsonValue &event = doc.at(i);
         const std::string phase = event.find("ph")->asString();
@@ -267,8 +268,25 @@ TEST(SpanRecorderGrid, TraceFileReconcilesWithGrid)
         } else if (name == "warmup" || name == "measure" ||
                    name == "stat_export") {
             phase_children.insert(name);
+            if (name == "stat_export")
+                continue;
+            // The engine steps some of a phase's cycles and adds
+            // the idle rest in bulk.
+            const std::uint64_t cycles =
+                event.find("args")->find("cycles")->asUint();
+            const std::uint64_t stepped =
+                event.find("args")->find("stepped_cycles")->asUint();
+            EXPECT_GT(stepped, 0u);
+            EXPECT_LE(stepped, cycles);
+            if (name == "measure")
+                measure_cycles.insert(cycles);
         }
     }
+    std::multiset<std::uint64_t> cell_cycles;
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w)
+        for (std::size_t r = 0; r < grid.runs.size(); ++r)
+            cell_cycles.insert(recorded.at(w, r).cycles);
+    EXPECT_EQ(measure_cycles, cell_cycles);
     // Exactly one slice per grid cell, each on a labelled track.
     EXPECT_EQ(cell_slices, grid.cellCount());
     for (const std::uint64_t tid : cell_tids)

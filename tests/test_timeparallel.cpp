@@ -33,6 +33,7 @@
 #include "core/grid.hh"
 #include "core/replay_build.hh"
 #include "core/threadpool.hh"
+#include "stats/span_recorder.hh"
 #include "trace/executor.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
@@ -183,6 +184,39 @@ TEST(TimeParallelRun, DeterministicAcrossWorkerCounts)
                                       report4.registries.front());
         }
     }
+}
+
+TEST(TimeParallelRun, ChunkSlicesCountSteppedCycles)
+{
+    const RunOptions options = chunkedWindow(4);
+    const auto l1i =
+        replacement::PolicySpec::parse(options.l1iPolicy);
+    const auto buffer = packWorkload("verilator", options);
+    stats::SpanRecorder spans;
+    core::RunTelemetry report;
+    report.spans = &spans;
+    core::ThreadPool pool(2);
+    core::run(buffer, {replacement::PolicySpec::parse("TPLRU")}, 0, l1i,
+              options, &pool, &report);
+
+    // Each chunk slice says how many of its cycles were stepped; the
+    // rest were idle cycles added in bulk.
+    unsigned chunks = 0;
+    for (const stats::SpanRecorder::Track &track : spans.tracks()) {
+        for (const stats::SpanRecorder::Span &span : track.spans) {
+            if (std::string(span.name) != "chunk")
+                continue;
+            ++chunks;
+            ASSERT_GE(span.args.size(), 2u);
+            EXPECT_EQ(span.args[0].first, "cycles");
+            EXPECT_EQ(span.args[1].first, "stepped_cycles");
+            const std::uint64_t cycles = span.args[0].second.asUint();
+            const std::uint64_t stepped = span.args[1].second.asUint();
+            EXPECT_GT(stepped, 0u);
+            EXPECT_LT(stepped, cycles);
+        }
+    }
+    EXPECT_EQ(chunks, 4u);
 }
 
 TEST(TimeParallelRun, TracksSequentialOracle)

@@ -100,8 +100,9 @@ TEST(Program, BlockStructureInvariants)
                 ADD_FAILURE() << "FallThrough must not be generated";
                 break;
             }
-            if (!last)
+            if (!last) {
                 EXPECT_NE(block.term, TermKind::ReturnTerm);
+            }
         }
     }
 }
