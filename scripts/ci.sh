@@ -209,6 +209,35 @@ for stage in $STAGES; do
         diff "$out/trace_j1.txt" "$out/trace_j4.txt" ||
             { echo "chunked trace run differs across worker counts" \
                 >&2; exit 1; }
+        # The same container as a one-row catalog sweep. The grid
+        # streams EMTC rows chunk by chunk, so its sweep JSON must say
+        # "source": "stream", the row must repeat exactly at any
+        # worker count, and its cycles must be the chunked --trace
+        # run's above.
+        cat >"$out/catalog.json" <<EOF
+{"schema": "emissary.catalog.v1",
+ "workloads": [{"name": "tomcat.packed",
+                "trace": {"path": "tomcat.emtc"}}]}
+EOF
+        for jobs in 1 4; do
+            "$sim" --catalog "$out/catalog.json" --policies "EMISSARY" \
+                --instructions 300000 --warmup 100000 \
+                --time-chunks 4 --jobs "$jobs" \
+                --stats-json "$out/catalog$jobs.json" |
+                sed '/sweep wall-clock/,$d' >"$out/catalog_j$jobs.txt"
+            awk '/^      "metrics": \{/ {on = 1} on {print}
+                 on && /^      \}/ {exit}' "$out/catalog$jobs.json" \
+                >>"$out/catalog_j$jobs.txt"
+        done
+        diff "$out/catalog_j1.txt" "$out/catalog_j4.txt" ||
+            { echo "streamed catalog row differs across worker counts" \
+                >&2; exit 1; }
+        grep -q '"source": "stream"' "$out/catalog1.json" ||
+            { echo "EMTC catalog row did not stream" >&2; exit 1; }
+        [ "$(grep -o '"cycles": [0-9]*' "$out/trace1.json")" = \
+          "$(grep -o '"cycles": [0-9]*' "$out/catalog1.json")" ] ||
+            { echo "catalog row cycles differ from the --trace run" \
+                >&2; exit 1; }
         # Chunked sweep: the sweep JSON must carry the top-level
         # time_parallel clause and per-cell execution provenance.
         "$sim" --benchmarks tomcat,kafka --policies "TPLRU,EMISSARY" \

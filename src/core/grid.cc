@@ -274,6 +274,22 @@ cellExecutionName(CellExecution execution)
     return "unknown";
 }
 
+const char *
+rowSourceName(RowSource source)
+{
+    switch (source) {
+      case RowSource::None:
+        return "none";
+      case RowSource::Replay:
+        return "replay";
+      case RowSource::Stream:
+        return "stream";
+      case RowSource::Live:
+        return "live";
+    }
+    return "unknown";
+}
+
 PolicyGrid
 PolicyGrid::sweep(std::vector<trace::WorkloadProfile> workloads,
                   const std::vector<std::string> &policies,
@@ -375,6 +391,7 @@ GridResults::GridResults(std::size_t workloads, std::size_t runs)
       execution_(workloads,
                  std::vector<CellExecution>(
                      runs, CellExecution::Sequential)),
+      sources_(workloads, RowSource::None),
       sharedWith_(workloads, std::vector<std::size_t>(runs)),
       registries_(workloads, std::vector<stats::Registry>(runs))
 {
@@ -627,27 +644,42 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         return options.cellCache != nullptr && cache_hits[w][r] != 0;
     };
 
-    // One immutable program per workload, generated in parallel and
-    // then shared by every policy run of that workload. Within the
-    // replay budget, the workload's committed stream is also packed
-    // once into a RecordBuffer so every policy cell replays it
-    // instead of re-running the synthetic executor; workloads past
-    // the budget fall back to live generation per cell, and a cursor
-    // that outruns its buffer continues from the buffer's tail
-    // executor snapshot. Either way the Metrics are bit-identical
-    // (tests/test_replay.cpp).
+    // One source per row, picked here and shared by every pass of
+    // the row. EMTC rows stream: each pass, and each time-parallel
+    // chunk, opens the container at its own start record through the
+    // block index and decodes only the blocks it reads, so no cell
+    // waits on a whole-trace decode. Synthetic rows and raw EMTR
+    // rows (FileTraceSource loads the whole file at open) pack their
+    // stream once into a RecordBuffer that every pass replays, within
+    // the replay budget; past it, a synthetic row generates live and
+    // an EMTR row reopens its file per pass. A cursor that outruns its
+    // buffer continues from the buffer's tail. Every kind serves the
+    // same records, so the Metrics are bit-identical
+    // (tests/test_replay.cpp, tests/test_runner.cpp).
     const std::uint64_t budget_bytes =
         envU64("EMISSARY_REPLAY_BUDGET_MB", 1024) * 1024 * 1024;
     const std::uint64_t records = recordsNeeded(grid);
     const std::uint64_t bytes_per_buffer =
         records * trace::RecordBuffer::kBytesPerRecord;
-    std::uint64_t replayable = 0;
-    if (bytes_per_buffer > 0)
-        replayable = std::min<std::uint64_t>(
-            grid.workloads.size(), budget_bytes / bytes_per_buffer);
+    std::uint64_t buffers_left =
+        bytes_per_buffer > 0 ? budget_bytes / bytes_per_buffer : 0;
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+        // A fully cached row never simulates, so it needs no source
+        // either: the warm path costs identity probes only.
+        if (row_fully_cached[w])
+            continue;
+        const GridWorkload &row = grid.workloads[w];
+        if (row.traceBacked() && isPackedTracePath(row.tracePath)) {
+            results.sources_[w] = RowSource::Stream;
+        } else if (buffers_left > 0) {
+            --buffers_left;
+            results.sources_[w] = RowSource::Replay;
+        } else {
+            results.sources_[w] =
+                row.traceBacked() ? RowSource::Stream : RowSource::Live;
+        }
+    }
 
-    // Each row's source, picked once: its replay buffer within the
-    // budget, otherwise the live program or the trace file itself.
     // Programs outlive the sources that reference them.
     std::vector<std::unique_ptr<trace::SyntheticProgram>> programs(
         grid.workloads.size());
@@ -657,36 +689,31 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         std::vector<std::future<void>> built;
         built.reserve(grid.workloads.size());
         for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-            // A fully cached row never simulates, so it does not
-            // need its program or replay buffer either — the warm
-            // path costs identity probes only.
-            if (row_fully_cached[w])
+            const RowSource kind = results.sources_[w];
+            if (kind == RowSource::None)
                 continue;
-            const bool replay = w < replayable;
             built.push_back(pool.submit([&grid, &programs, &sources,
                                          &build_seconds, &label_track,
-                                         &pool, recorder, records,
-                                         replay, w]() {
+                                         &pool, recorder, records, kind,
+                                         w]() {
                 const auto build_start =
                     std::chrono::steady_clock::now();
                 label_track();
                 stats::ScopedTimer span(recorder, "replay_build");
                 span.arg("workload",
                          stats::JsonValue(grid.workloads[w].name));
+                span.arg("source", stats::JsonValue(rowSourceName(kind)));
                 const BuildDone done{build_seconds[w], build_start};
                 const GridWorkload &row = grid.workloads[w];
                 if (row.traceBacked()) {
                     // The buffer unrolls the trace's wrap-around, so
                     // any window length replays correctly; a cursor
                     // that still overruns re-opens the file at the
-                    // overrun position via the tail factory. EMTC
-                    // containers decode their blocks in parallel
-                    // across the same pool (this job helps), bit-
-                    // identically to a serial streaming build. Both
+                    // overrun position via the tail factory. Both
                     // kinds report the container's pack-time
                     // footprint census.
                     const std::uint64_t census = traceFootprintLines(row);
-                    if (replay)
+                    if (kind == RowSource::Replay)
                         sources[w].emplace(
                             buildTraceReplay(row, records, pool),
                             census);
@@ -703,7 +730,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 programs[w] =
                     std::make_unique<trace::SyntheticProgram>(
                         row.profile);
-                if (replay)
+                if (kind == RowSource::Replay)
                     sources[w].emplace(
                         std::make_shared<const trace::RecordBuffer>(
                             *programs[w], records));
@@ -1085,6 +1112,9 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
             manifest.set("execution",
                          JsonValue(cellExecutionName(
                              results.executionAt(w, r))));
+            if (results.executionAt(w, r) != CellExecution::Cached)
+                manifest.set("source", JsonValue(rowSourceName(
+                                           results.sourceAt(w))));
             if (results.executionAt(w, r) == CellExecution::Shared)
                 manifest.set(
                     "shared_with",

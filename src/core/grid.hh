@@ -16,11 +16,14 @@
  * parsed specs shared read-only by every workload's cell.
  *
  * Within the EMISSARY_REPLAY_BUDGET_MB memory budget (default 1024,
- * 0 disables), each workload's committed stream is generated once
- * into an immutable trace::RecordBuffer shared by all of its cells;
- * replayed cells produce bit-identical Metrics to live generation,
- * so the sweep costs O(workloads) synthetic execution instead of
- * O(workloads x policies). See docs/performance.md.
+ * 0 disables), each synthetic or raw EMTR row's committed stream is
+ * packed once into an immutable trace::RecordBuffer shared by all of
+ * its cells; replayed cells produce bit-identical Metrics to live
+ * generation, so the sweep costs O(workloads) synthetic execution
+ * instead of O(workloads x policies). EMTC rows take no buffer: each
+ * pass (and each time-parallel chunk) opens the container at its own
+ * start record and decodes only the blocks it reads. The choice is
+ * reported per row (RowSource). See docs/performance.md.
  *
  * The sequential engine also simulates each distinct P(N) trajectory
  * once: a row's P(N) columns that differ only in N form a group whose
@@ -259,6 +262,22 @@ enum class CellExecution : std::uint8_t
 /** The execution mode's name as stored in the sweep JSON. */
 const char *cellExecutionName(CellExecution execution);
 
+/** Where one workload row's records came from in a runGrid call. */
+enum class RowSource : std::uint8_t
+{
+    None,   ///< Nothing built: every cell of the row was cached.
+    Replay, ///< One RecordBuffer shared by the row's passes
+            ///< (synthetic and raw EMTR rows within the budget).
+    Stream, ///< Each pass opens the trace at its own start record
+            ///< (EMTC rows; EMTR rows past the budget).
+    Live,   ///< Each pass regenerates the synthetic stream (a
+            ///< synthetic row past the budget).
+};
+
+/** The row source's name as stored in the sweep JSON and the
+ *  "replay_build" slice ("none", "replay", "stream", "live"). */
+const char *rowSourceName(RowSource source);
+
 /** Wall-clock accounting for one runGrid call. */
 struct GridTiming
 {
@@ -327,6 +346,9 @@ class GridResults
         return execution_[w][r];
     }
 
+    /** Where row @p w's records came from. */
+    RowSource sourceAt(std::size_t w) const { return sources_[w]; }
+
     /** Column of row @p w whose simulation produced the Shared
      *  cell (@p w, @p r); @p r itself for every other cell. */
     std::size_t
@@ -380,6 +402,7 @@ class GridResults
 
     std::vector<std::vector<Metrics>> cells_;
     std::vector<std::vector<CellExecution>> execution_;
+    std::vector<RowSource> sources_;
     std::vector<std::vector<std::size_t>> sharedWith_;
     std::vector<std::vector<stats::Registry>> registries_;
     GridTiming timing_;
@@ -397,8 +420,9 @@ class GridResults
  *        every grid cell becomes a "cell" slice on its worker's
  *        track (args: workload, policy, instructions, Minst/s) with
  *        "warmup"/"measure"/"stat_export" children (a Shared cell's
- *        slice has none and a "shared_with" arg instead), the shared
- *        program builds become "replay_build" slices, and the
+ *        slice has none and a "shared_with" arg instead), each
+ *        row's source preparation becomes a "replay_build" slice
+ *        (args: workload, source — rowSourceName), and the
  *        engine feeds two counter tracks: "cells_completed" and the
  *        aggregate "minst_per_sec". Export with
  *        stats::ChromeTraceWriter. A null recorder costs one
@@ -452,7 +476,8 @@ stats::JsonValue workloadProvenanceJson(const GridWorkload &workload);
  * (GridResults::sampledSets), a per-run manifest for every cell —
  * benchmark, policy notation, label, seed, window config, execution
  * (a "shared" cell also names its leader's policy under
- * "shared_with"), wall seconds, full metrics — plus the grid's
+ * "shared_with"), the row's source (rowSourceName; omitted for a
+ * "cached" cell), wall seconds, full metrics — plus the grid's
  * timing aggregate (total / serial seconds, runs per second,
  * per-phase totals, a log2-bucketed per-cell wall-clock histogram)
  * and the binary's build provenance (core/buildinfo.hh).

@@ -1,17 +1,19 @@
 /**
  * @file
- * Trace-backed replay-buffer construction for the grid engine.
+ * Trace-backed sources and replay buffers for the grid engine.
  *
- * A sweep over an on-disk trace packs the served record window into
- * one immutable trace::RecordBuffer before any cell simulates. For
- * EMTC containers that decode was the grid's only serial phase: one
- * thread streamed every block while the pool sat idle. The builder
- * here fans the decode out instead — the container's block index
+ * runGrid opens every trace row through openTraceSource: an EMTC row
+ * streams, each pass and each time-parallel chunk opening the
+ * container at its own start record, while a raw EMTR row (loaded
+ * whole at open) is packed once into an immutable
+ * trace::RecordBuffer by buildTraceReplay. For EMTC containers
+ * buildTraceReplay fans the decode out — the container's block index
  * gives O(1) random access (workload::PackedTraceSource::skipRecords
  * is pure cursor arithmetic), so independent tasks can decode
  * disjoint record spans of the same file into disjoint slots of a
  * preallocated buffer, bit-identically to the streaming build
- * (tests/test_timeparallel.cpp).
+ * (tests/test_timeparallel.cpp). No grid row takes that path any
+ * more; the benchmark harness still times it.
  */
 
 #ifndef EMISSARY_CORE_REPLAY_BUILD_HH

@@ -84,7 +84,7 @@ class RecordBuffer
 
     /**
      * Pack the next @p records pulled from @p source — the generic
-     * path the grid engine uses for file-backed workloads (the
+     * path the grid engine uses for raw EMTR workloads (the
      * source's wrap-around is unrolled into the buffer). No
      * footprint bitmap is kept: trace-backed cells take their
      * Fig. 4 footprint from the container's pack-time metadata, not
@@ -100,7 +100,7 @@ class RecordBuffer
     /**
      * Preallocated trace-backed buffer of @p records zeroed slots,
      * to be populated by writeRange — the parallel EMTC decode path
-     * (core::buildTraceReplayParallel) fills disjoint spans from
+     * (core::buildTraceReplay) fills disjoint spans from
      * several workers at once. The buffer must be fully written
      * before any cursor replays it; no footprint bitmap is kept,
      * exactly like the streaming trace constructor.

@@ -55,6 +55,12 @@ putVarint(std::vector<unsigned char> &out, std::uint64_t v)
     out.push_back(static_cast<unsigned char>(v));
 }
 
+[[noreturn]] void
+failVarint(const std::string &path, std::uint32_t block)
+{
+    fail(path, "block " + std::to_string(block) + ": truncated varint");
+}
+
 std::uint64_t
 getVarint(const unsigned char *data, std::size_t size,
           std::size_t &pos, const std::string &path,
@@ -64,14 +70,41 @@ getVarint(const unsigned char *data, std::size_t size,
     unsigned shift = 0;
     while (true) {
         if (pos >= size || shift >= 64)
-            fail(path, "block " + std::to_string(block) +
-                           ": truncated varint");
+            failVarint(path, block);
         const unsigned char byte = data[pos++];
         value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
         if (!(byte & 0x80))
             return value;
         shift += 7;
     }
+}
+
+/** Longest varint getVarint accepts: 10 bytes carry 64 bits. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/** Longest encoded record: header byte plus three varints. */
+constexpr std::size_t kMaxRecordBytes = 1 + 3 * kMaxVarintBytes;
+
+/**
+ * getVarint for a caller that guarantees kMaxVarintBytes bytes at
+ * @p pos: no per-byte bounds check, the same value, and the same
+ * error for a varint longer than 10 bytes.
+ */
+inline std::uint64_t
+getVarintUnchecked(const unsigned char *data, std::size_t &pos,
+                   const std::string &path, std::uint32_t block)
+{
+    std::uint64_t byte = data[pos++];
+    if (!(byte & 0x80))
+        return byte;
+    std::uint64_t value = byte & 0x7f;
+    for (unsigned shift = 7; shift < 64; shift += 7) {
+        byte = data[pos++];
+        value |= (byte & 0x7f) << shift;
+        if (!(byte & 0x80))
+            return value;
+    }
+    failVarint(path, block);
 }
 
 void
@@ -110,9 +143,50 @@ struct RawIndexEntry
 };
 
 /**
+ * Decode one record at @p pos; @p read_varint reads the next varint.
+ * The class check comes before any varint, as the format requires.
+ */
+template <typename ReadVarint>
+inline trace::TraceRecord
+decodeRecord(const unsigned char *data, std::size_t &pos,
+             std::uint64_t &prev_pc, std::uint64_t &prev_next,
+             std::uint64_t &prev_mem, const std::string &path,
+             std::uint32_t block, ReadVarint read_varint)
+{
+    const unsigned char header = data[pos++];
+    const std::uint8_t cls_bits = header & 0x0f;
+    if (cls_bits > kMaxClass)
+        fail(path, "block " + std::to_string(block) +
+                       ": invalid instruction class " +
+                       std::to_string(cls_bits));
+
+    trace::TraceRecord rec;
+    rec.cls = static_cast<trace::InstClass>(cls_bits);
+    rec.taken = (header & kTakenBit) != 0;
+    rec.pc = (header & kChainPcBit)
+                 ? prev_next
+                 : prev_pc + unzigzag(read_varint());
+    rec.nextPc = (header & kSeqNextBit)
+                     ? rec.pc + trace::kInstBytes
+                     : rec.pc + unzigzag(read_varint());
+    if (trace::isMemory(rec.cls)) {
+        rec.memAddr = prev_mem + unzigzag(read_varint());
+        prev_mem = rec.memAddr;
+    }
+    prev_pc = rec.pc;
+    prev_next = rec.nextPc;
+    return rec;
+}
+
+/**
  * Decode one packed block into @p out (exactly @p n records).
  * prevPc/prevNextPc/prevMem start at zero, mirroring the encoder's
  * per-block reset, so any block decodes without its predecessors.
+ *
+ * While a whole longest record (kMaxRecordBytes) remains, varints
+ * are read without per-byte bounds checks: no record can run past
+ * the block there. The block's tail takes the checked path, so both
+ * report every defect with the same error.
  */
 void
 decodeBlock(const unsigned char *data, std::size_t size,
@@ -123,40 +197,24 @@ decodeBlock(const unsigned char *data, std::size_t size,
     std::uint64_t prev_pc = 0;
     std::uint64_t prev_next = 0;
     std::uint64_t prev_mem = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    std::size_t i = 0;
+    const auto unchecked = [&] {
+        return getVarintUnchecked(data, pos, path, block);
+    };
+    for (; i < n && size - pos >= kMaxRecordBytes; ++i)
+        out[i] = decodeRecord(data, pos, prev_pc, prev_next, prev_mem,
+                              path, block, unchecked);
+    const auto checked = [&] {
+        return getVarint(data, size, pos, path, block);
+    };
+    for (; i < n; ++i) {
         if (pos >= size)
             fail(path, "block " + std::to_string(block) +
                            ": truncated at record " +
                            std::to_string(i) + " of " +
                            std::to_string(n));
-        const unsigned char header = data[pos++];
-        const std::uint8_t cls_bits = header & 0x0f;
-        if (cls_bits > kMaxClass)
-            fail(path, "block " + std::to_string(block) +
-                           ": invalid instruction class " +
-                           std::to_string(cls_bits));
-
-        trace::TraceRecord rec;
-        rec.cls = static_cast<trace::InstClass>(cls_bits);
-        rec.taken = (header & kTakenBit) != 0;
-        rec.pc = (header & kChainPcBit)
-                     ? prev_next
-                     : prev_pc + unzigzag(getVarint(data, size, pos,
-                                                    path, block));
-        rec.nextPc =
-            (header & kSeqNextBit)
-                ? rec.pc + trace::kInstBytes
-                : rec.pc + unzigzag(getVarint(data, size, pos, path,
-                                              block));
-        if (trace::isMemory(rec.cls)) {
-            rec.memAddr =
-                prev_mem + unzigzag(getVarint(data, size, pos, path,
-                                              block));
-            prev_mem = rec.memAddr;
-        }
-        prev_pc = rec.pc;
-        prev_next = rec.nextPc;
-        out[i] = rec;
+        out[i] = decodeRecord(data, pos, prev_pc, prev_next, prev_mem,
+                              path, block, checked);
     }
     if (pos != size)
         fail(path, "block " + std::to_string(block) + ": " +

@@ -192,9 +192,11 @@ TEST(WorkloadCatalog, LoadNamesTheFileOnFailure)
 
 /**
  * The grid contract over a catalog mixing synthetic and trace-backed
- * workloads: replay-cached cells and per-cell streaming cells are
- * bit-identical, and both name the grid row (not the file) in their
- * Metrics.
+ * workloads: the budget moves the synthetic row between replay and
+ * live generation (the EMTC row streams under both) without changing
+ * a bit, and every cell names the grid row (not the file) in its
+ * Metrics. tests/test_runner.cpp holds streamed EMTC rows to their
+ * replay buffer.
  */
 TEST(WorkloadCatalog, GridMetricsIdenticalAcrossReplayBudgets)
 {

@@ -4,12 +4,15 @@
  * round trip must be record-exact, a simulation fed from the
  * streaming decoder must be bit-identical to one fed from the
  * buffered EMTR path, corruption anywhere must be caught by a CRC,
- * and skip/limit windows must wrap exactly like the legacy source.
+ * skip/limit windows must wrap exactly like the legacy source, and
+ * the block decoder must name every defect of a crafted block the
+ * same way wherever in the block it sits.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <unistd.h>
@@ -20,6 +23,7 @@
 #include "trace/file.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
+#include "util/crc32.hh"
 #include "workload/emtc.hh"
 
 namespace emissary
@@ -359,6 +363,208 @@ TEST(Emtc, WindowMatchesFileTraceSourceWindow)
 
     std::remove(emtc_path.c_str());
     std::remove(emtr_path.c_str());
+}
+
+/**
+ * Write a one-block EMTC container whose block holds @p payload and
+ * whose header declares @p records records. The block and index CRCs
+ * are recomputed, so only the block decoder can object.
+ */
+std::string
+craftContainer(const std::vector<unsigned char> &payload,
+               std::uint32_t records, const char *tag)
+{
+    const auto put = [](std::string &out, auto value) {
+        char bytes[sizeof(value)];
+        std::memcpy(bytes, &value, sizeof(value));
+        out.append(bytes, sizeof(value));
+    };
+    std::string file = "EMTC";
+    put(file, std::uint32_t{1});
+    put(file, std::uint64_t{records});
+    put(file, std::uint32_t{records}); // One block holds them all.
+    put(file, std::uint32_t{0});       // No name.
+    put(file, std::uint64_t{0});       // Unique code lines.
+    put(file, std::uint64_t{0});       // Reserved.
+    const std::uint64_t block_offset = file.size();
+    file.append(payload.begin(), payload.end());
+
+    std::string index;
+    put(index, block_offset);
+    put(index, static_cast<std::uint32_t>(payload.size()));
+    put(index, crc32(payload.data(), payload.size()));
+    const std::uint64_t index_offset = file.size();
+    file += index;
+    put(file, index_offset);
+    put(file, std::uint32_t{1});
+    put(file, crc32(index.data(), index.size()));
+    file += "EMTE";
+
+    const std::string path = tempPath(tag, ".emtc");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr) << path;
+    std::fwrite(file.data(), 1, file.size(), f);
+    std::fclose(f);
+    return path;
+}
+
+/**
+ * The decoder's error for @p path with its "EMTC: <path>: " prefix
+ * cut, or "" when the block decodes. The verifier and the streaming
+ * source must agree on it.
+ */
+std::string
+decodeError(const std::string &path)
+{
+    const std::string prefix = "EMTC: " + path + ": ";
+    const auto defect = [&prefix](const std::runtime_error &error) {
+        const std::string what = error.what();
+        EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+        return what.substr(std::min(prefix.size(), what.size()));
+    };
+    std::string verified;
+    try {
+        workload::verifyPackedTrace(path);
+    } catch (const std::runtime_error &error) {
+        verified = defect(error);
+    }
+    std::string streamed;
+    try {
+        workload::PackedTraceSource source(path);
+        source.next();
+    } catch (const std::runtime_error &error) {
+        streamed = defect(error);
+    }
+    EXPECT_EQ(verified, streamed);
+    return verified;
+}
+
+/** Record header bytes (docs/workloads.md): class in bits 0-3, bit 5
+ *  sequential nextPc, bit 6 pc chained from the last nextPc. */
+constexpr unsigned char kPlainRecord = 0x60;       // IntAlu, 1 byte.
+constexpr unsigned char kUnchainedRecord = 0x20;   // pc varint next.
+
+TEST(Emtc, BlockDefectsAreNamedWhereverTheyFall)
+{
+    // Each defect sits once at the head of a block with 40 more bytes
+    // after it (the decoder's unchecked path, which runs while a
+    // whole 31-byte record fits) and once in the block's last bytes
+    // (its checked tail). Both must report the same named error.
+    struct Defect
+    {
+        const char *what;
+        std::vector<unsigned char> record;
+        std::string error;
+    };
+    std::vector<unsigned char> over_long = {kUnchainedRecord};
+    over_long.insert(over_long.end(), 10, 0xff); // 11th byte needed.
+    over_long.push_back(0x01);
+    const std::vector<Defect> defects = {
+        {"over-long varint", over_long, "block 0: truncated varint"},
+        {"class above Return", {0x6b},
+         "block 0: invalid instruction class 11"},
+        {"class 15", {0x6f}, "block 0: invalid instruction class 15"},
+    };
+    const std::vector<unsigned char> filler(40, kPlainRecord);
+    for (const Defect &defect : defects) {
+        std::vector<unsigned char> head = defect.record;
+        head.insert(head.end(), filler.begin(), filler.end());
+        const std::string head_path = craftContainer(
+            head, static_cast<std::uint32_t>(1 + filler.size()),
+            "defect_head");
+        EXPECT_EQ(decodeError(head_path), defect.error) << defect.what;
+        std::remove(head_path.c_str());
+
+        std::vector<unsigned char> tail = filler;
+        tail.insert(tail.end(), defect.record.begin(),
+                    defect.record.end());
+        const std::string tail_path = craftContainer(
+            tail, static_cast<std::uint32_t>(filler.size() + 1),
+            "defect_tail");
+        EXPECT_EQ(decodeError(tail_path), defect.error) << defect.what;
+        std::remove(tail_path.c_str());
+    }
+
+    // Truncation: a block that ends one record early, both when it is
+    // long enough to start unchecked and when it is shorter than one
+    // longest record; and a varint cut by the block's end.
+    const std::string short_long =
+        craftContainer(filler, 41, "truncated_long");
+    EXPECT_EQ(decodeError(short_long),
+              "block 0: truncated at record 40 of 41");
+    std::remove(short_long.c_str());
+    const std::string short_short = craftContainer(
+        std::vector<unsigned char>(5, kPlainRecord), 6,
+        "truncated_short");
+    EXPECT_EQ(decodeError(short_short),
+              "block 0: truncated at record 5 of 6");
+    std::remove(short_short.c_str());
+    std::vector<unsigned char> cut = filler;
+    cut.insert(cut.end(), {kUnchainedRecord, 0x80, 0x80});
+    const std::string cut_path = craftContainer(cut, 41, "cut_varint");
+    EXPECT_EQ(decodeError(cut_path), "block 0: truncated varint");
+    std::remove(cut_path.c_str());
+    // The longest cut record: a Load with two whole 10-byte varints
+    // and a third cut after 9 bytes, 30 bytes from the block's end,
+    // one byte short of what the unchecked reads need.
+    std::vector<unsigned char> longest = filler;
+    longest.push_back(0x03); // Load, pc and nextPc both explicit.
+    for (int varint = 0; varint < 2; ++varint) {
+        longest.insert(longest.end(), 9, 0xff);
+        longest.push_back(0x01);
+    }
+    longest.insert(longest.end(), 9, 0x80);
+    ASSERT_EQ(longest.size() - filler.size(), 30u);
+    const std::string longest_path =
+        craftContainer(longest, 41, "cut_longest");
+    EXPECT_EQ(decodeError(longest_path), "block 0: truncated varint");
+    std::remove(longest_path.c_str());
+
+    // Trailing bytes after the last record: 40 of them (the unchecked
+    // path decodes every record and stops) and 3.
+    for (const std::size_t extra : {std::size_t{40}, std::size_t{3}}) {
+        std::vector<unsigned char> trailing(10 + extra, kPlainRecord);
+        const std::string path =
+            craftContainer(trailing, 10, "trailing");
+        EXPECT_EQ(decodeError(path),
+                  "block 0: " + std::to_string(extra) +
+                      " undecoded trailing bytes");
+        std::remove(path.c_str());
+    }
+
+    // Control: the same filler declared with its true count decodes.
+    const std::string clean = craftContainer(filler, 40, "clean");
+    EXPECT_EQ(decodeError(clean), "");
+    std::remove(clean.c_str());
+}
+
+TEST(Emtc, LongestRecordsRoundTripOnBothDecodePaths)
+{
+    // Deltas of 2^63 and more take 10-byte varints, so these records
+    // are 31 bytes each, the longest the format has. 96-record blocks
+    // put records at every distance from a block's end, across the
+    // unchecked and checked decode paths.
+    const std::uint64_t extremes[] = {0, 4, ~0ull, 1ull << 63,
+                                      (1ull << 63) - 4, 0x7f, 0x80};
+    std::vector<trace::TraceRecord> records;
+    for (std::size_t i = 0; i < 1'000; ++i) {
+        trace::TraceRecord rec;
+        rec.cls = i % 3 == 0   ? trace::InstClass::Load
+                  : i % 3 == 1 ? trace::InstClass::Store
+                               : trace::InstClass::Return;
+        rec.pc = extremes[i % 7];
+        rec.nextPc = extremes[(i / 7 + 3) % 7];
+        rec.memAddr =
+            trace::isMemory(rec.cls) ? extremes[(i / 49 + 5) % 7] : 0;
+        rec.taken = i % 2 == 0;
+        records.push_back(rec);
+    }
+    const std::string path = packRecords(records, "longest", 96);
+    EXPECT_EQ(workload::verifyPackedTrace(path), records.size());
+    workload::PackedTraceSource source(path);
+    for (std::uint64_t i = 0; i < records.size(); ++i)
+        expectRecordsEqual(source.next(), records[i], i);
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -11,13 +11,19 @@
  *  - a chunked window on a source without random access runs one
  *    exact pass and reports one chunk; the grid marks such a cell
  *    sequential while a trace row stays time-parallel;
- *  - the record tee captures the stream without changing the run.
+ *  - the record tee captures the stream without changing the run;
+ *  - runGrid streams EMTC rows (RowSource::Stream) and still gives
+ *    what core::run gives over the row's replay buffer, while
+ *    synthetic and raw EMTR rows keep their buffer within the replay
+ *    budget; the sweep JSON and the "replay_build" slices name each
+ *    row's source.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +33,7 @@
 #include "core/observability.hh"
 #include "core/replay_build.hh"
 #include "core/threadpool.hh"
+#include "stats/span_recorder.hh"
 #include "trace/executor.hh"
 #include "trace/file.hh"
 #include "trace/profile.hh"
@@ -41,6 +48,7 @@ namespace
 
 using core::CellExecution;
 using core::Metrics;
+using core::RowSource;
 using core::RunOptions;
 using core::RunTelemetry;
 using replacement::PolicySpec;
@@ -79,10 +87,44 @@ packProgram(const trace::SyntheticProgram &program,
     writer.finish();
 }
 
+/** Write @p records of @p program's stream as a raw EMTR file. */
+void
+writeProgram(const trace::SyntheticProgram &program,
+             const std::string &path, std::uint64_t records)
+{
+    trace::SyntheticExecutor executor(program);
+    trace::TraceWriter writer(path);
+    std::vector<trace::TraceRecord> all(records);
+    executor.fill(all.data(), all.size());
+    writer.append(all.data(), all.size());
+    writer.finish();
+}
+
 std::string
 registryText(const RunTelemetry &report)
 {
     return core::registryJson(report.registries.front()).dump(0);
+}
+
+std::string
+registryText(const stats::Registry &registry)
+{
+    return core::registryJson(registry).dump(0);
+}
+
+/** The "source" of every run manifest of @p grid's sweep JSON. */
+std::vector<std::string>
+sweepSources(const core::PolicyGrid &grid,
+             const core::GridResults &results)
+{
+    const stats::JsonValue doc = core::sweepJson(grid, results);
+    const stats::JsonValue *runs = doc.find("runs");
+    std::vector<std::string> sources;
+    for (std::size_t i = 0; i < runs->size(); ++i) {
+        const stats::JsonValue *source = runs->at(i).find("source");
+        sources.push_back(source ? source->asString() : "(none)");
+    }
+    return sources;
 }
 
 /** Sets an environment variable for one scope. */
@@ -278,6 +320,162 @@ TEST(RunnerGrid, ReplayBudgetZeroChunksOnlyTraceRows)
     EXPECT_EQ(results.at(0, 0).toJson().dump(0),
               oracle.toJson().dump(0));
     std::remove(path.c_str());
+}
+
+TEST(RunnerGrid, EmtcRowsStreamAndMatchTheirReplayBuffer)
+{
+    // Every EMTC row streams from its container, and each of its
+    // cells equals core::run over the row's whole-window replay
+    // buffer: one policy and a 4-lane fused row, at T = 1 and T = 4,
+    // over the whole container and over a window that wraps it.
+    const trace::SyntheticProgram program(
+        trace::profileByName("tomcat"));
+    const RunOptions base = smallWindow();
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/emissary_runner_stream.emtc";
+    packProgram(program, path, windowRecords(base));
+    const std::uint64_t census =
+        workload::readTraceInfo(path).uniqueCodeLines;
+
+    const std::vector<core::GridWorkload> rows = {
+        core::GridWorkload("tomcat.emtc", path),
+        // 30k served records under an 80k-record window, skipping
+        // the container's first 1000.
+        core::GridWorkload("tomcat.window", path, 1'000, 30'000)};
+    const std::vector<std::vector<std::string>> lane_sets = {
+        {"P(8):S&E"}, {"TPLRU", "P(8):S&E", "DRRIP", "LRU"}};
+    core::ThreadPool pool(3);
+    for (const core::GridWorkload &row : rows) {
+        for (const std::vector<std::string> &policies : lane_sets) {
+            for (const unsigned chunks : {1u, 4u}) {
+                SCOPED_TRACE(row.name + " lanes " +
+                             std::to_string(policies.size()) + " T " +
+                             std::to_string(chunks));
+                RunOptions options = base;
+                options.timeChunks = chunks;
+                options.chunkWarmupRecords = 10'000;
+                const core::PolicyGrid grid = core::PolicyGrid::sweep(
+                    std::vector<core::GridWorkload>{row}, policies,
+                    options);
+                core::GridOptions grid_options;
+                grid_options.fused = policies.size() > 1;
+                grid_options.collectRegistries = true;
+                const core::GridResults results =
+                    core::runGrid(grid, pool, grid_options);
+                EXPECT_EQ(results.sourceAt(0), RowSource::Stream);
+                EXPECT_EQ(sweepSources(grid, results),
+                          std::vector<std::string>(policies.size(),
+                                                   "stream"));
+
+                std::vector<PolicySpec> lanes;
+                for (const std::string &policy : policies)
+                    lanes.push_back(PolicySpec::parse(policy));
+                RunTelemetry report;
+                std::vector<Metrics> oracle = core::run(
+                    core::RunSource(
+                        core::buildTraceReplay(
+                            row, windowRecords(options), pool),
+                        census),
+                    lanes, 0, PolicySpec::parse(options.l1iPolicy),
+                    options, &pool, &report);
+                ASSERT_EQ(oracle.size(), policies.size());
+                for (std::size_t r = 0; r < policies.size(); ++r) {
+                    oracle[r].benchmark = row.name;
+                    EXPECT_EQ(results.at(0, r).toJson().dump(0),
+                              oracle[r].toJson().dump(0))
+                        << policies[r];
+                    EXPECT_EQ(registryText(results.registryAt(0, r)),
+                              registryText(report.registries[r]))
+                        << policies[r];
+                }
+                EXPECT_EQ(results.executionAt(0, 0),
+                          chunks > 1 ? CellExecution::TimeParallel
+                          : grid_options.fused
+                              ? CellExecution::FusedTiming
+                              : CellExecution::Sequential);
+            }
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(RunnerGrid, SourcesAreNamedPerRow)
+{
+    // One stream three ways: generated, packed as EMTC and written as
+    // raw EMTR. Within the budget the synthetic and EMTR rows replay
+    // a buffer and the EMTC row streams; without one the synthetic
+    // row runs live and the EMTR row reopens its file per pass.
+    const trace::SyntheticProgram program(
+        trace::profileByName("tomcat"));
+    const RunOptions options = smallWindow();
+    const std::string emtc = std::string(::testing::TempDir()) +
+                             "/emissary_runner_sources.emtc";
+    const std::string emtr = std::string(::testing::TempDir()) +
+                             "/emissary_runner_sources.emtr";
+    packProgram(program, emtc, windowRecords(options));
+    writeProgram(program, emtr, windowRecords(options));
+    const core::PolicyGrid grid = core::PolicyGrid::sweep(
+        std::vector<core::GridWorkload>{
+            core::GridWorkload(trace::profileByName("tomcat")),
+            core::GridWorkload("tomcat.emtc", emtc),
+            core::GridWorkload("tomcat.emtr", emtr)},
+        {"TPLRU", "P(8):S&E"}, options);
+    core::GridOptions grid_options;
+    grid_options.collectRegistries = true;
+    core::ThreadPool pool(3);
+
+    stats::SpanRecorder recorder;
+    const core::GridResults buffered =
+        core::runGrid(grid, pool, grid_options, {}, &recorder);
+    EXPECT_EQ(buffered.sourceAt(0), RowSource::Replay);
+    EXPECT_EQ(buffered.sourceAt(1), RowSource::Stream);
+    EXPECT_EQ(buffered.sourceAt(2), RowSource::Replay);
+    EXPECT_EQ(sweepSources(grid, buffered),
+              (std::vector<std::string>{"replay", "replay", "stream",
+                                        "stream", "replay", "replay"}));
+    std::map<std::string, std::string> slices;
+    for (const stats::SpanRecorder::Track &track : recorder.tracks())
+        for (const stats::SpanRecorder::Span &span : track.spans) {
+            if (std::string(span.name) != "replay_build")
+                continue;
+            std::map<std::string, std::string> args;
+            for (const auto &[key, value] : span.args)
+                args[key] = value.asString();
+            slices[args["workload"]] = args["source"];
+        }
+    EXPECT_EQ(slices, (std::map<std::string, std::string>{
+                          {"tomcat", "replay"},
+                          {"tomcat.emtc", "stream"},
+                          {"tomcat.emtr", "replay"}}));
+
+    // The EMTR row matches the EMTC row in every counter; only the
+    // name and the footprint rule (EMTR carries no census) differ.
+    for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+        EXPECT_EQ(registryText(buffered.registryAt(2, r)),
+                  registryText(buffered.registryAt(1, r)));
+        Metrics emtr_cell = buffered.at(2, r);
+        emtr_cell.benchmark = buffered.at(1, r).benchmark;
+        emtr_cell.codeFootprintLines =
+            buffered.at(1, r).codeFootprintLines;
+        EXPECT_EQ(emtr_cell.toJson().dump(0),
+                  buffered.at(1, r).toJson().dump(0));
+    }
+
+    const ScopedEnv no_budget("EMISSARY_REPLAY_BUDGET_MB", "0");
+    const core::GridResults unbuffered =
+        core::runGrid(grid, pool, grid_options);
+    EXPECT_EQ(unbuffered.sourceAt(0), RowSource::Live);
+    EXPECT_EQ(unbuffered.sourceAt(1), RowSource::Stream);
+    EXPECT_EQ(unbuffered.sourceAt(2), RowSource::Stream);
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w)
+        for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+            EXPECT_EQ(unbuffered.at(w, r).toJson().dump(0),
+                      buffered.at(w, r).toJson().dump(0));
+            EXPECT_EQ(registryText(unbuffered.registryAt(w, r)),
+                      registryText(buffered.registryAt(w, r)));
+        }
+    std::remove(emtc.c_str());
+    std::remove(emtr.c_str());
 }
 
 } // namespace

@@ -730,6 +730,10 @@ TEST(SweepService, ColdThenWarmSweepIsBitIdentical)
                   "sequential");
         EXPECT_EQ(warm_runs->at(i).find("execution")->asString(),
                   "cached");
+        // A cached cell built no source, so it names none.
+        EXPECT_EQ(cold_runs->at(i).find("source")->asString(),
+                  "replay");
+        EXPECT_EQ(warm_runs->at(i).find("source"), nullptr);
         // The memoization contract on the wire: cached responses
         // reproduce metrics and the full counter registry
         // bit-identically.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util library: RNG, Zipf sampling, rationals,
- * bit helpers and string/statistic helpers.
+ * bit helpers, string/statistic helpers and CRC-32.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <set>
 
 #include "util/bitutil.hh"
+#include "util/crc32.hh"
 #include "util/rational.hh"
 #include "util/rng.hh"
 #include "util/strutil.hh"
@@ -236,6 +237,54 @@ TEST(StrUtil, Mean)
 {
     EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
+}
+
+/** Bytewise CRC-32/IEEE, one bit at a time: the definition that the
+ *  table-driven crc32 must reproduce. */
+std::uint32_t
+referenceCrc32(std::uint32_t crc, const unsigned char *data,
+               std::size_t size)
+{
+    crc = ~crc;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+    return ~crc;
+}
+
+TEST(Crc32, CheckValue)
+{
+    // The CRC-32/IEEE catalogue check value.
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceWholeAndChained)
+{
+    // Every length 0-64 at every start offset 0-7 (so the 8-byte
+    // steps meet every alignment and every tail length), whole and
+    // split at every point into two chained updates.
+    unsigned char bytes[72];
+    Rng rng(0xC3C32u);
+    for (unsigned char &byte : bytes)
+        byte = static_cast<unsigned char>(rng.nextBelow(256));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        const unsigned char *data = bytes + offset;
+        for (std::size_t size = 0; size <= 64; ++size) {
+            const std::uint32_t expected =
+                referenceCrc32(0, data, size);
+            ASSERT_EQ(crc32(data, size), expected)
+                << "offset " << offset << " size " << size;
+            for (std::size_t split = 0; split <= size; ++split)
+                ASSERT_EQ(crc32(crc32(data, split), data + split,
+                                size - split),
+                          expected)
+                    << "offset " << offset << " size " << size
+                    << " split " << split;
+        }
+    }
 }
 
 } // namespace
