@@ -11,12 +11,14 @@
 #      --trace-out output must parse and carry the expected keys,
 #      bad flags must exit 2, the CLI's single-run paths (live,
 #      --record, --trace of the recording, --trace of a packed
-#      container) must agree, and a short fig5 bench sweep, plain
-#      and fused, must write a parseable flight trace and sweep JSON
+#      container) must agree, and a short one-worker fig5 bench
+#      sweep, plain and fused, must write a parseable flight trace
+#      and sweep JSON within its deadline
 #   3. Time-parallel smoke: chunked single runs, trace replay and
 #      sweeps must be bit-identical across worker counts and carry
-#      the time_slicing provenance, and the mode validation bench
-#      must pass its gates on a two-workload subset
+#      the time_slicing provenance, the one-worker runs must finish
+#      within their deadlines, and the mode validation bench must
+#      pass its gates on a two-workload subset
 #   4. trace_pack smoke: pack a synthetic benchmark into an EMTC
 #      container, verify its CRCs, prove that verify *fails* on a
 #      flipped byte, import the committed ChampSim fixture, and run
@@ -44,6 +46,24 @@ JOBS="${CI_JOBS:-$(nproc)}"
 STAGES="${*:-evidence release smoke timeparallel tracepack service bench asan tsan}"
 
 run_stage() { echo; echo "=== ci: $* ==="; }
+
+# Run "$@" with a deadline of $1 seconds, named $2 in the failure
+# message. Used on one-worker runs: there a wrong job order in the
+# pool would hang rather than fail, so a run that outlives about ten
+# times its usual time fails the stage instead of stalling it (on a
+# 4-vCPU host, Release: the fig5 sweep takes 2.0 s, each chunked run
+# 0.15-0.19 s).
+deadline() {
+    local seconds="$1" name="$2" rc=0
+    shift 2
+    timeout "$seconds" "$@" || rc=$?
+    if [ "$rc" -eq 124 ]; then
+        echo "$name did not finish in ${seconds} s (scheduling" \
+            "deadlock?)" >&2
+        exit 1
+    fi
+    return "$rc"
+}
 
 configure_build_test() {
     local dir="$1"; shift
@@ -146,7 +166,8 @@ for stage in $STAGES; do
         art=build-ci-release/ci-artifacts
         mkdir -p "$art/fused"
         fig5() {
-            env EMISSARY_JOBS=1 EMISSARY_BENCH_INSTRUCTIONS=200000 \
+            deadline 20 "one-worker fig5 smoke sweep" \
+                env EMISSARY_JOBS=1 EMISSARY_BENCH_INSTRUCTIONS=200000 \
                 EMISSARY_BENCHMARKS=tomcat,kafka,verilator "$@" \
                 build-ci-release/bench/bench_fig5_policy_sweep
         }
@@ -181,7 +202,8 @@ for stage in $STAGES; do
         # Single chunked run: the stats JSON must carry the slicing
         # knobs, and the printed metrics must be bit-identical at
         # any worker count (the determinism contract).
-        "$sim" --benchmark tomcat --policy "EMISSARY" \
+        deadline 2 "one-worker chunked synthetic run" \
+            "$sim" --benchmark tomcat --policy "EMISSARY" \
             --instructions 400000 --time-chunks 4 --jobs 1 \
             --stats-json "$out/tp1.json" >"$out/tp_j1.txt"
         "$sim" --benchmark tomcat --policy "EMISSARY" \
@@ -197,7 +219,8 @@ for stage in $STAGES; do
         # check worker-count determinism there too.
         build-ci-release/tools/trace_pack pack "$out/tomcat.emtc" \
             --benchmark tomcat --records 500000 >/dev/null
-        "$sim" --trace "$out/tomcat.emtc" --policy "EMISSARY" \
+        deadline 2 "one-worker chunked trace run" \
+            "$sim" --trace "$out/tomcat.emtc" --policy "EMISSARY" \
             --instructions 300000 --warmup 100000 \
             --time-chunks 4 --jobs 1 \
             --stats-json "$out/trace1.json" >"$out/trace_j1.txt"
@@ -220,7 +243,8 @@ for stage in $STAGES; do
                 "trace": {"path": "tomcat.emtc"}}]}
 EOF
         for jobs in 1 4; do
-            "$sim" --catalog "$out/catalog.json" --policies "EMISSARY" \
+            deadline 2 "$jobs-worker chunked catalog sweep" \
+                "$sim" --catalog "$out/catalog.json" --policies "EMISSARY" \
                 --instructions 300000 --warmup 100000 \
                 --time-chunks 4 --jobs "$jobs" \
                 --stats-json "$out/catalog$jobs.json" |

@@ -59,6 +59,7 @@ class ChunkStream
                        &source.kind_)) {
             auto cursor = std::make_unique<trace::ReplayCursor>(
                 *buffer, start_record);
+            replay_ = cursor.get();
             if ((*buffer)->synthetic())
                 cursor_ = cursor.get();
             owned_ = std::move(cursor);
@@ -82,6 +83,13 @@ class ChunkStream
         return cursor_ ? cursor_->uniqueCodeLines() : census_;
     }
 
+    /** Seconds the stream blocked on a buffer still packing. */
+    double
+    replayWaitSeconds() const
+    {
+        return replay_ ? replay_->waitSeconds() : 0.0;
+    }
+
     /** The served lines as a bitmap, for the chunk splice's union;
      *  empty unless the source is a synthetic buffer. */
     std::vector<std::uint64_t>
@@ -96,6 +104,7 @@ class ChunkStream
     trace::TraceSource *stream_ = nullptr;
     const trace::SyntheticExecutor *executor_ = nullptr;
     const trace::ReplayCursor *cursor_ = nullptr;
+    const trace::ReplayCursor *replay_ = nullptr;
     std::uint64_t census_ = 0;
 };
 
@@ -164,6 +173,7 @@ struct ChunkResult
 {
     std::vector<MetricsInputs> lanes;
     std::uint64_t footprint = 0;
+    double replayWaitSeconds = 0.0;
     std::vector<std::uint64_t> touchedBitmap;
     Clock::time_point start;
     Clock::time_point measureStart;
@@ -308,6 +318,7 @@ run(const RunSource &source,
                                  options, plans[i],
                                  whole ? &report : nullptr);
         chunks[i].footprint = chunk.footprint();
+        chunks[i].replayWaitSeconds = chunk.replayWaitSeconds();
         if (whole)
             return;
         chunks[i].touchedBitmap = chunk.touchedBitmap();
@@ -319,6 +330,9 @@ run(const RunSource &source,
                               stats::JsonValue(plans[i].warmup));
             args.emplace_back("measure_records",
                               stats::JsonValue(plans[i].measure));
+            args.emplace_back(
+                "replay_wait_ms",
+                stats::JsonValue(1e3 * chunks[i].replayWaitSeconds));
             spans->recordSpan("chunk", spans->toNs(chunks[i].start),
                               spans->toNs(chunks[i].harvested),
                               std::move(args));
@@ -413,7 +427,9 @@ run(const RunSource &source,
     report.warmupSeconds = 0.0;
     report.measureSeconds = 0.0;
     report.statExportSeconds = 0.0;
+    report.replayWaitSeconds = 0.0;
     for (const ChunkResult &chunk : chunks) {
+        report.replayWaitSeconds += chunk.replayWaitSeconds;
         report.warmupSeconds += seconds(chunk.start, chunk.measureStart);
         report.measureSeconds += seconds(chunk.measureStart, chunk.stop);
         report.statExportSeconds += seconds(chunk.stop, chunk.harvested);

@@ -128,10 +128,11 @@ class RunSource
     {
     }
 
-    /** A shared packed stream with random access. The footprint is
-     *  the cursor's count, or the union of the chunks' bitmaps when
-     *  chunked; a trace-backed buffer keeps no bitmap and reports
-     *  @p census instead. */
+    /** A shared packed stream with random access. The buffer may
+     *  still be packing: a pass blocks only on records not yet
+     *  published. The footprint is the cursor's count, or the union
+     *  of the chunks' bitmaps when chunked; a trace-backed buffer
+     *  keeps no bitmap and reports @p census instead. */
     RunSource(std::shared_ptr<const trace::RecordBuffer> buffer,
               std::uint64_t census = 0)
         : kind_(std::move(buffer)), census_(census)
@@ -206,6 +207,10 @@ struct RunTelemetry
     double warmupSeconds = 0.0;
     double measureSeconds = 0.0;
     double statExportSeconds = 0.0;
+    /** Seconds the run's cursors blocked on a replay buffer that was
+     *  still packing, summed over chunks (0 for every other source,
+     *  and for a buffer packed before the run reached it). */
+    double replayWaitSeconds = 0.0;
     /** The N values whose P(N) L2 would have run this run's exact
      *  path (EmissaryPolicy::sameRunRange); empty unless the timing
      *  lane runs EMISSARY. The grid engine shares a P(N) result

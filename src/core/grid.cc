@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -680,24 +681,44 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         }
     }
 
-    // Programs outlive the sources that reference them.
+    // Every job's future, in submission order: the row builds, then
+    // the cells. A P(N) group leader submits its re-run members from
+    // inside its own job, so the vector is shared under a mutex with
+    // the wait loop at the end. submit and the state the jobs use
+    // live at this scope: they must outlive every job.
+    std::vector<std::future<void>> jobs;
+    std::mutex jobs_mutex;
+    jobs.reserve(grid.workloads.size() + grid.cellCount());
+    const auto submit = [&](std::function<void()> job) {
+        std::future<void> future = pool.submit(std::move(job));
+        std::lock_guard<std::mutex> lock(jobs_mutex);
+        jobs.push_back(std::move(future));
+    };
+
+    // Programs outlive the sources that reference them. A row's
+    // source exists once its build job settles the row's promise
+    // (with the build's error, if it failed); a synthetic replay row
+    // publishes its buffer before packing it, so the row's cells
+    // start on records as the packer publishes them. Build jobs never
+    // wait and the pool is FIFO, so every build starts before any
+    // cell: no worker count can leave a cell waiting on a build that
+    // no worker runs.
     std::vector<std::unique_ptr<trace::SyntheticProgram>> programs(
         grid.workloads.size());
     std::vector<std::optional<RunSource>> sources(grid.workloads.size());
     std::vector<double> build_seconds(grid.workloads.size(), 0.0);
-    {
-        std::vector<std::future<void>> built;
-        built.reserve(grid.workloads.size());
-        for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-            const RowSource kind = results.sources_[w];
-            if (kind == RowSource::None)
-                continue;
-            built.push_back(pool.submit([&grid, &programs, &sources,
-                                         &build_seconds, &label_track,
-                                         &pool, recorder, records, kind,
-                                         w]() {
-                const auto build_start =
-                    std::chrono::steady_clock::now();
+    std::vector<std::promise<void>> published(grid.workloads.size());
+    std::vector<std::shared_future<void>> source_ready;
+    source_ready.reserve(grid.workloads.size());
+    for (std::promise<void> &promise : published)
+        source_ready.push_back(promise.get_future().share());
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+        const RowSource kind = results.sources_[w];
+        if (kind == RowSource::None)
+            continue;
+        submit([&, kind, w]() {
+            try {
+                const auto build_start = std::chrono::steady_clock::now();
                 label_track();
                 stats::ScopedTimer span(recorder, "replay_build");
                 span.arg("workload",
@@ -705,13 +726,15 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 span.arg("source", stats::JsonValue(rowSourceName(kind)));
                 const BuildDone done{build_seconds[w], build_start};
                 const GridWorkload &row = grid.workloads[w];
+                std::shared_ptr<trace::RecordBuffer> deferred;
                 if (row.traceBacked()) {
                     // The buffer unrolls the trace's wrap-around, so
                     // any window length replays correctly; a cursor
                     // that still overruns re-opens the file at the
                     // overrun position via the tail factory. Both
                     // kinds report the container's pack-time
-                    // footprint census.
+                    // footprint census. A raw EMTR row packs before
+                    // it publishes.
                     const std::uint64_t census = traceFootprintLines(row);
                     if (kind == RowSource::Replay)
                         sources[w].emplace(
@@ -725,39 +748,32 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                                         row, start_record);
                                 }),
                             census);
-                    return;
+                } else {
+                    programs[w] =
+                        std::make_unique<trace::SyntheticProgram>(
+                            row.profile);
+                    if (kind == RowSource::Replay) {
+                        deferred = std::make_shared<trace::RecordBuffer>(
+                            *programs[w], records,
+                            trace::RecordBuffer::Packing::Deferred);
+                        sources[w].emplace(
+                            std::shared_ptr<const trace::RecordBuffer>(
+                                deferred));
+                    } else {
+                        sources[w].emplace(*programs[w]);
+                    }
                 }
-                programs[w] =
-                    std::make_unique<trace::SyntheticProgram>(
-                        row.profile);
-                if (kind == RowSource::Replay)
-                    sources[w].emplace(
-                        std::make_shared<const trace::RecordBuffer>(
-                            *programs[w], records));
-                else
-                    sources[w].emplace(*programs[w]);
-            }));
-        }
-        for (auto &future : built)
-            future.get();
+                published[w].set_value();
+                // Nothing past the publication throws: pack() is
+                // noexcept.
+                if (deferred)
+                    deferred->pack();
+            } catch (...) {
+                published[w].set_exception(std::current_exception());
+                throw;
+            }
+        });
     }
-
-    for (const double s : build_seconds)
-        results.timing_.replayBuildSeconds += s;
-
-    // Every job's future, in submission order. A P(N) group leader
-    // submits its re-run members from inside its own job, so the
-    // vector is shared under a mutex with the wait loop below. submit
-    // and the job body live at this scope: they must outlive every
-    // job.
-    std::vector<std::future<void>> cells;
-    std::mutex cells_mutex;
-    cells.reserve(grid.cellCount());
-    const auto submit = [&](std::function<void()> job) {
-        std::future<void> future = pool.submit(std::move(job));
-        std::lock_guard<std::mutex> lock(cells_mutex);
-        cells.push_back(std::move(future));
-    };
 
     // The one job body: simulate @p columns of row w in one pass.
     // columns[0] is the timing column, every later column a monitor
@@ -770,6 +786,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     const auto run_columns = [&](std::size_t w,
                                  const std::vector<std::size_t>
                                      &columns) {
+        // Rethrows the row build's error, which fails this cell.
+        source_ready[w].get();
         const auto pass_start = std::chrono::steady_clock::now();
         label_track();
         // Each pass owns its stream, simulator and seeded RNGs; it
@@ -850,6 +868,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                              ? static_cast<double>(pass_instructions) /
                                    pass_seconds / 1e6
                              : 0.0));
+            span.arg("replay_wait_ms",
+                     stats::JsonValue(1e3 * telemetry.replayWaitSeconds));
         }
         for (const std::size_t lane : filled)
             note_cell_done(w, columns[lane],
@@ -886,6 +906,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                                  w * grid.runs.size() + r)));
             span.arg("instructions", stats::JsonValue(instructions));
             span.arg("minst_per_sec", stats::JsonValue(0.0));
+            span.arg("replay_wait_ms", stats::JsonValue(0.0));
             span.arg("shared_with",
                      stats::JsonValue(grid.runs[leader].l2Policy));
         }
@@ -956,8 +977,9 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                     continue;
                 for (const std::size_t r : group)
                     member[r] = 1;
-                // Leaders go before the row's other cells: their
-                // members wait on them.
+                // Leaders go before the row's other cells, and the
+                // FIFO pool starts them first: their members wait on
+                // them.
                 submit([&, w, group]() {
                     const std::size_t leader = group.front();
                     const replacement::ProtectRange same =
@@ -979,18 +1001,19 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         }
     }
 
-    // Wait for every job; report the first failure only after the
-    // stragglers finish (their slots reference local state). A job
-    // appends its follow-ups before its own future completes, so once
-    // the index reaches the end no job is left that could append.
+    // Wait for every build and every cell; report the first failure,
+    // in submission order, only after the stragglers finish (they
+    // write local state). A job appends its follow-ups before its own
+    // future completes, so once the index reaches the end no job is
+    // left that could append.
     std::exception_ptr first_error;
     for (std::size_t i = 0;; ++i) {
         std::future<void> future;
         {
-            std::lock_guard<std::mutex> lock(cells_mutex);
-            if (i == cells.size())
+            std::lock_guard<std::mutex> lock(jobs_mutex);
+            if (i == jobs.size())
                 break;
-            future = std::move(cells[i]);
+            future = std::move(jobs[i]);
         }
         try {
             future.get();
@@ -1002,6 +1025,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     if (first_error)
         std::rethrow_exception(first_error);
 
+    for (const double s : build_seconds)
+        results.timing_.replayBuildSeconds += s;
     results.timing_.totalSeconds = secondsSince(wall_start);
     return results;
 }

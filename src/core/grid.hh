@@ -20,7 +20,9 @@
  * packed once into an immutable trace::RecordBuffer shared by all of
  * its cells; replayed cells produce bit-identical Metrics to live
  * generation, so the sweep costs O(workloads) synthetic execution
- * instead of O(workloads x policies). EMTC rows take no buffer: each
+ * instead of O(workloads x policies). A synthetic row's cells start
+ * as soon as its buffer exists and read records as the row's build
+ * job packs them. EMTC rows take no buffer: each
  * pass (and each time-parallel chunk) opens the container at its own
  * start record and decodes only the blocks it reads. The choice is
  * reported per row (RowSource). See docs/performance.md.
@@ -284,7 +286,8 @@ struct GridTiming
     /** End-to-end wall seconds for the whole grid. */
     double totalSeconds = 0.0;
     /** Serial sum of the shared program / replay-buffer build jobs
-     *  (they run in parallel; this is their cost, not their span). */
+     *  (they run in parallel, and a synthetic row's pack overlaps
+     *  its cells; this is their cost, not their span). */
     double replayBuildSeconds = 0.0;
     /** Worker threads the grid ran on. */
     unsigned workers = 0;

@@ -11,10 +11,6 @@ namespace emissary::core
 namespace
 {
 thread_local int current_worker_index = -1;
-/** The pool the calling worker belongs to: a worker helping its own
- *  pool may pop from its own deque, but a worker of pool A helping
- *  pool B must behave like an external thief. */
-thread_local const ThreadPool *current_worker_pool = nullptr;
 } // namespace
 
 int
@@ -27,9 +23,6 @@ ThreadPool::ThreadPool(unsigned workers)
 {
     const unsigned count =
         workers > 0 ? workers : defaultWorkerCount();
-    queues_.reserve(count);
-    for (unsigned i = 0; i < count; ++i)
-        queues_.push_back(std::make_unique<Queue>());
     workers_.reserve(count);
     for (unsigned i = 0; i < count; ++i)
         workers_.emplace_back([this, i]() { workerLoop(i); });
@@ -38,8 +31,8 @@ ThreadPool::ThreadPool(unsigned workers)
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        stopping_.store(true);
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
     }
     wake_.notify_all();
     for (std::thread &worker : workers_)
@@ -59,64 +52,26 @@ ThreadPool::defaultWorkerCount()
 void
 ThreadPool::post(std::function<void()> job)
 {
-    const unsigned target =
-        nextQueue_.fetch_add(1) % queues_.size();
     {
-        std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-        queues_[target]->jobs.push_back(std::move(job));
-    }
-    {
-        // Hold the sleep mutex so the increment cannot slip between a
-        // worker's predicate check and its wait.
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        queued_.fetch_add(1);
+        std::lock_guard<std::mutex> lock(mutex_);
+        jobs_.push_back(std::move(job));
     }
     wake_.notify_one();
 }
 
 bool
-ThreadPool::runOne(unsigned self)
+ThreadPool::tryRunOne()
 {
     std::function<void()> job;
     {
-        // Own work first, newest job first (better locality)...
-        Queue &own = *queues_[self];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.jobs.empty()) {
-            job = std::move(own.jobs.back());
-            own.jobs.pop_back();
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (jobs_.empty())
+            return false;
+        job = std::move(jobs_.front());
+        jobs_.pop_front();
     }
-    if (!job) {
-        // ...then steal the oldest job from the next busy victim.
-        for (std::size_t i = 1; !job && i < queues_.size(); ++i) {
-            Queue &victim = *queues_[(self + i) % queues_.size()];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (!victim.jobs.empty()) {
-                job = std::move(victim.jobs.front());
-                victim.jobs.pop_front();
-            }
-        }
-    }
-    if (!job)
-        return false;
-    queued_.fetch_sub(1);
     job();
     return true;
-}
-
-bool
-ThreadPool::tryRunOne()
-{
-    // A worker helping its own pool reuses its deque identity (own
-    // work LIFO, then steal); any other thread scans as a thief
-    // starting from queue 0 — runOne's own-queue pop is just the
-    // first victim probed, which is safe from any thread.
-    const unsigned self =
-        current_worker_pool == this && current_worker_index >= 0
-            ? static_cast<unsigned>(current_worker_index)
-            : 0;
-    return runOne(self);
 }
 
 void
@@ -138,16 +93,19 @@ void
 ThreadPool::workerLoop(unsigned self)
 {
     current_worker_index = static_cast<int>(self);
-    current_worker_pool = this;
     while (true) {
-        if (runOne(self))
-            continue;
-        std::unique_lock<std::mutex> lock(sleepMutex_);
-        wake_.wait(lock, [this]() {
-            return stopping_.load() || queued_.load() > 0;
-        });
-        if (stopping_.load() && queued_.load() == 0)
-            return;
+        std::function<void()> job;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_.wait(lock,
+                       [this]() { return stopping_ || !jobs_.empty(); });
+            // Stopping with an empty queue: every job has drained.
+            if (jobs_.empty())
+                return;
+            job = std::move(jobs_.front());
+            jobs_.pop_front();
+        }
+        job();
     }
 }
 

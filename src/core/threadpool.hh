@@ -1,14 +1,18 @@
 /**
  * @file
- * Work-stealing thread pool for the parallel experiment engine.
+ * First-in, first-out thread pool for the parallel experiment engine.
  *
  * Every cell of a (benchmark x policy) sweep is an independent
- * multi-second simulation, so the pool optimises for simplicity and
- * drain semantics rather than sub-microsecond dispatch: each worker
- * owns a deque (own work popped LIFO from the back, steals taken FIFO
- * from the front of a victim), submissions return std::future so
- * exceptions thrown inside a job surface at the caller's get(), and
- * the destructor drains every queued job before joining.
+ * multi-millisecond simulation, so the pool optimises for simplicity,
+ * ordering and drain semantics rather than sub-microsecond dispatch:
+ * one queue under one mutex, and every worker takes the oldest job.
+ * Jobs therefore start in submission order, which the grid engine
+ * relies on twice: a P(N) group leader submitted before its row's
+ * other cells starts before them, and a row's buffer build starts
+ * before any cell that reads the buffer while it packs. Submissions
+ * return std::future so exceptions thrown inside a job surface at the
+ * caller's get(), and the destructor drains every queued job before
+ * joining.
  *
  * Sizing: std::thread::hardware_concurrency() by default, overridden
  * by the EMISSARY_JOBS environment variable.
@@ -17,9 +21,7 @@
 #ifndef EMISSARY_CORE_THREADPOOL_HH
 #define EMISSARY_CORE_THREADPOOL_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -33,7 +35,7 @@
 namespace emissary::core
 {
 
-/** A fixed-size pool of workers with per-worker stealing deques. */
+/** A fixed-size pool of workers sharing one FIFO job queue. */
 class ThreadPool
 {
   public:
@@ -50,8 +52,9 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * Queue @p fn for execution. The returned future yields the
-     * job's result, or rethrows whatever the job threw.
+     * Queue @p fn behind every job submitted before it. The returned
+     * future yields the job's result, or rethrows whatever the job
+     * threw.
      */
     template <typename F>
     std::future<std::invoke_result_t<std::decay_t<F>>>
@@ -76,15 +79,14 @@ class ThreadPool
     static unsigned defaultWorkerCount();
 
     /**
-     * Execute one queued job on the calling thread, if any is
+     * Execute the oldest queued job on the calling thread, if any is
      * queued. Callable from a pool worker (inside a job) or from any
-     * external thread; a worker drains its own deque first, an
-     * external caller steals. The building block that lets a job
-     * submit sub-jobs to its own pool and then *help* execute them
-     * instead of blocking a worker on their futures — which would
-     * deadlock once every worker waits.
+     * external thread. The building block that lets a job submit
+     * sub-jobs to its own pool and then *help* execute them instead
+     * of blocking a worker on their futures — which would deadlock
+     * once every worker waits.
      *
-     * @return False when every queue was empty.
+     * @return False when the queue was empty.
      */
     bool tryRunOne();
 
@@ -110,24 +112,14 @@ class ThreadPool
     static int currentWorkerIndex();
 
   private:
-    /** One worker's deque; stealing locks the victim's mutex. */
-    struct Queue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> jobs;
-    };
-
     void post(std::function<void()> job);
-    bool runOne(unsigned self);
     void workerLoop(unsigned self);
 
-    std::vector<std::unique_ptr<Queue>> queues_;
-    std::vector<std::thread> workers_;
-    std::mutex sleepMutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
-    std::atomic<std::size_t> queued_{0};
-    std::atomic<bool> stopping_{false};
-    std::atomic<unsigned> nextQueue_{0};
+    std::deque<std::function<void()>> jobs_;
+    bool stopping_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace emissary::core

@@ -1,6 +1,7 @@
 #include "trace/replay.hh"
 
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 
 namespace emissary::trace
@@ -9,9 +10,10 @@ namespace emissary::trace
 void
 RecordBuffer::appendFrom(TraceSource &source, std::uint64_t records)
 {
-    constexpr std::size_t kChunk = 4096;
+    constexpr std::size_t kChunk = kPublishRecords;
     TraceRecord chunk[kChunk];
     std::uint64_t remaining = records;
+    std::uint64_t packed = 0;
     while (remaining > 0) {
         const std::size_t n = static_cast<std::size_t>(
             remaining < kChunk ? remaining : kChunk);
@@ -27,12 +29,17 @@ RecordBuffer::appendFrom(TraceSource &source, std::uint64_t records)
                 (rec.taken ? std::uint8_t{0x80} : std::uint8_t{0}));
         }
         remaining -= n;
+        // Publish the chunk; the last store also publishes the
+        // source's final state (a synthetic buffer's tail snapshot).
+        packed += n;
+        packed_.store(packed, std::memory_order_release);
+        packed_.notify_all();
     }
 }
 
 RecordBuffer::RecordBuffer(const SyntheticProgram &program,
-                           std::uint64_t records)
-    : name_(program.profile().name)
+                           std::uint64_t records, Packing packing)
+    : records_(records), name_(program.profile().name)
 {
     pc_.reserve(records);
     nextPc_.reserve(records);
@@ -43,14 +50,33 @@ RecordBuffer::RecordBuffer(const SyntheticProgram &program,
         (program.staticCodeBytes() + 63) / 64 + 1;
     codeBitmapWords_ = (code_lines + 63) / 64;
 
-    auto generator = std::make_unique<SyntheticExecutor>(program);
-    appendFrom(*generator, records);
-    tail_ = std::move(generator);
+    tail_ = std::make_unique<SyntheticExecutor>(program);
+    if (packing == Packing::Now)
+        pack();
+}
+
+void
+RecordBuffer::pack() noexcept
+{
+    assert(tail_ && packed() == 0);
+    appendFrom(*tail_, records_);
+}
+
+void
+RecordBuffer::waitPacked(std::uint64_t records) const
+{
+    std::uint64_t now = packed();
+    while (now < records) {
+        packed_.wait(now, std::memory_order_acquire);
+        now = packed();
+    }
 }
 
 RecordBuffer::RecordBuffer(TraceSource &source, std::uint64_t records,
                            TailFactory tail_factory)
-    : name_(source.name()), tailFactory_(std::move(tail_factory))
+    : records_(records),
+      name_(source.name()),
+      tailFactory_(std::move(tail_factory))
 {
     pc_.reserve(records);
     nextPc_.reserve(records);
@@ -65,6 +91,8 @@ RecordBuffer::RecordBuffer(std::string name, std::uint64_t records,
       nextPc_(records, 0),
       memAddr_(records, 0),
       clsTaken_(records, 0),
+      records_(records),
+      packed_(records),
       name_(std::move(name)),
       tailFactory_(std::move(tail_factory))
 {
@@ -74,7 +102,7 @@ void
 RecordBuffer::writeRange(std::uint64_t start, const TraceRecord *recs,
                          std::size_t n)
 {
-    if (start + n > pc_.size())
+    if (start + n > records_)
         throw std::out_of_range(
             "RecordBuffer::writeRange: span past the buffer (" +
             name_ + ")");
@@ -143,10 +171,26 @@ ReplayCursor::touchCode(std::uint64_t pc)
     }
 }
 
+void
+ReplayCursor::awaitPacked(std::uint64_t records)
+{
+    if (buffer_->packed() >= records)
+        return;
+    const auto start = std::chrono::steady_clock::now();
+    buffer_->waitPacked(records);
+    waitSeconds_ += std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+}
+
 TraceSource &
 ReplayCursor::tail()
 {
     if (!tailSource_) {
+        // The tail continues after the last record, so it needs the
+        // whole buffer (a synthetic buffer's snapshot is published
+        // with the final count).
+        awaitPacked(buffer_->size());
         if (buffer_->synthetic()) {
             // Overran the buffer: continue the stream from the
             // generator snapshot. The snapshot's footprint bitmap
@@ -174,6 +218,7 @@ TraceRecord
 ReplayCursor::next()
 {
     if (pos_ < buffer_->size()) {
+        awaitPacked(pos_ + 1);
         const TraceRecord rec = buffer_->record(pos_++);
         touchCode(rec.pc);
         return rec;
@@ -190,6 +235,8 @@ ReplayCursor::fill(TraceRecord *out, std::size_t n)
         pos_, buffer_->size());
     const std::size_t from_buffer = static_cast<std::size_t>(
         std::min<std::uint64_t>(n, avail));
+    if (from_buffer > 0)
+        awaitPacked(pos_ + from_buffer);
     for (; i < from_buffer; ++i, ++pos_) {
         out[i] = buffer_->record(pos_);
         touchCode(out[i].pc);

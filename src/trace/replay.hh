@@ -12,6 +12,13 @@
  * any number of policy runs (and worker threads) can replay
  * concurrently through their own cursors.
  *
+ * A buffer may also be read while it packs: its record arrays are
+ * allocated up front, the packer publishes the packed prefix through
+ * one atomic count, and a cursor that would read past that count
+ * blocks until the packer gets there. The grid engine uses this to
+ * start a row's cells as soon as the row's buffer exists instead of
+ * after its whole stream is generated (core::runGrid).
+ *
  * Determinism contract: a run fed by a ReplayCursor produces
  * bit-identical Metrics to the same run fed by a live
  * SyntheticExecutor (tests/test_replay.cpp). The buffer therefore
@@ -26,6 +33,7 @@
 #ifndef EMISSARY_TRACE_REPLAY_HH
 #define EMISSARY_TRACE_REPLAY_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -68,11 +76,37 @@ class RecordBuffer
         return window_instructions + kLookaheadRecords;
     }
 
+    /** Whether a synthetic buffer packs in its constructor. */
+    enum class Packing
+    {
+        Now,      ///< The constructor returns a complete buffer.
+        Deferred  ///< pack() fills it, while cursors may read it.
+    };
+
     /**
-     * Generate and pack the first @p records of @p program's stream
-     * (profile-seeded, exactly as runPolicy's live executor).
+     * Allocate room for the first @p records of @p program's stream
+     * (profile-seeded, exactly as runPolicy's live executor) and,
+     * unless @p packing is Deferred, generate and pack them. The
+     * buffer's storage is allocated here, so everything that may
+     * throw happens before a deferred buffer is shared. @p program
+     * must outlive a deferred buffer's pack().
      */
-    RecordBuffer(const SyntheticProgram &program, std::uint64_t records);
+    RecordBuffer(const SyntheticProgram &program, std::uint64_t records,
+                 Packing packing = Packing::Now);
+
+    /**
+     * Generate and pack a Deferred buffer's records, publishing the
+     * packed prefix every kPublishRecords records and the tail
+     * executor snapshot together with the final count. Call once,
+     * from one thread; cursors on other threads may read the buffer
+     * meanwhile. Never waits on anything, so a packer always makes
+     * progress. Noexcept because a reader waiting on a record that a
+     * failed pack never publishes would wait forever.
+     */
+    void pack() noexcept;
+
+    /** Records between two publications of the packed count. */
+    static constexpr std::uint64_t kPublishRecords = 4096;
 
     /**
      * Produces a TraceSource continuing the stream from absolute
@@ -101,9 +135,10 @@ class RecordBuffer
      * Preallocated trace-backed buffer of @p records zeroed slots,
      * to be populated by writeRange — the parallel EMTC decode path
      * (core::buildTraceReplay) fills disjoint spans from
-     * several workers at once. The buffer must be fully written
-     * before any cursor replays it; no footprint bitmap is kept,
-     * exactly like the streaming trace constructor.
+     * several workers at once. It counts as packed from the start,
+     * so it must be fully written before any cursor replays it; no
+     * footprint bitmap is kept, exactly like the streaming trace
+     * constructor.
      */
     RecordBuffer(std::string name, std::uint64_t records,
                  TailFactory tail_factory);
@@ -117,7 +152,19 @@ class RecordBuffer
     void writeRange(std::uint64_t start, const TraceRecord *recs,
                     std::size_t n);
 
-    std::uint64_t size() const { return pc_.size(); }
+    /** Records the buffer holds once packed. */
+    std::uint64_t size() const { return records_; }
+
+    /** Records packed and published so far (acquire): records below
+     *  this count may be read. Equals size() once packing is done. */
+    std::uint64_t
+    packed() const
+    {
+        return packed_.load(std::memory_order_acquire);
+    }
+
+    /** Block until at least @p records (<= size()) are packed. */
+    void waitPacked(std::uint64_t records) const;
 
     /** Packed bytes held (excludes the tail snapshot). */
     std::uint64_t
@@ -129,16 +176,19 @@ class RecordBuffer
     /** Workload name, as the live executor reports it. */
     const std::string &name() const { return name_; }
 
-    /** Decode record @p i. */
+    /** Decode record @p i, which must be below packed(). Reads go
+     *  through data(): the vectors may still be growing, and only
+     *  their (fixed) start pointers are safe to read meanwhile. */
     TraceRecord
     record(std::uint64_t i) const
     {
+        const std::uint8_t cls_taken = clsTaken_.data()[i];
         TraceRecord rec;
-        rec.pc = pc_[i];
-        rec.nextPc = nextPc_[i];
-        rec.memAddr = memAddr_[i];
-        rec.cls = static_cast<InstClass>(clsTaken_[i] & 0x7f);
-        rec.taken = (clsTaken_[i] & 0x80) != 0;
+        rec.pc = pc_.data()[i];
+        rec.nextPc = nextPc_.data()[i];
+        rec.memAddr = memAddr_.data()[i];
+        rec.cls = static_cast<InstClass>(cls_taken & 0x7f);
+        rec.taken = (cls_taken & 0x80) != 0;
         return rec;
     }
 
@@ -152,7 +202,8 @@ class RecordBuffer
     bool synthetic() const { return tail_ != nullptr; }
 
     /** Generator snapshot at end-of-buffer; cursors that exhaust a
-     *  synthetic buffer copy it and continue the stream live. */
+     *  synthetic buffer copy it and continue the stream live. Valid
+     *  once packed() == size(). */
     const SyntheticExecutor &tailExecutor() const { return *tail_; }
 
     /** Overrun continuation for a trace-backed buffer.
@@ -163,13 +214,20 @@ class RecordBuffer
   private:
     void appendFrom(TraceSource &source, std::uint64_t records);
 
+    /** Reserved for size() records up front and appended in place,
+     *  so their start pointers never move while cursors read. */
     std::vector<std::uint64_t> pc_;
     std::vector<std::uint64_t> nextPc_;
     std::vector<std::uint64_t> memAddr_;
     /** Bits 0..6: InstClass; bit 7: branch taken. */
     std::vector<std::uint8_t> clsTaken_;
+    std::uint64_t records_ = 0;
+    /** The published prefix (release stores, acquire loads). */
+    std::atomic<std::uint64_t> packed_{0};
     std::string name_;
     std::uint64_t codeBitmapWords_ = 0;
+    /** A synthetic buffer's generator: it packs the records, and its
+     *  state after the last one is the tail snapshot. */
     std::unique_ptr<SyntheticExecutor> tail_;
     TailFactory tailFactory_;
 };
@@ -180,7 +238,9 @@ class RecordBuffer
  * The class is final and its fill() is a straight SoA decode loop, so
  * per-instruction cost is a few loads and stores — no program walk,
  * no RNG draws, no virtual dispatch inside the batch. Each cursor is
- * independent; share one buffer across any number of threads.
+ * independent; share one buffer across any number of threads. A
+ * cursor on a buffer that is still packing reads the published count
+ * once per fill() and blocks only when the batch would read past it.
  */
 class ReplayCursor final : public TraceSource
 {
@@ -224,14 +284,21 @@ class ReplayCursor final : public TraceSource
         return touchedBitmap_;
     }
 
+    /** Seconds spent blocked on records the buffer had not packed
+     *  yet (0 for a buffer packed before the cursor reached it). */
+    double waitSeconds() const { return waitSeconds_; }
+
   private:
     void touchCode(std::uint64_t pc);
+    /** Block, timed, until the buffer has packed @p records. */
+    void awaitPacked(std::uint64_t records);
     TraceSource &tail();
 
     std::shared_ptr<const RecordBuffer> buffer_;
     std::uint64_t pos_ = 0;
     std::vector<std::uint64_t> touchedBitmap_;
     std::uint64_t touchedLines_ = 0;
+    double waitSeconds_ = 0.0;
     std::unique_ptr<TraceSource> tailSource_;
     /** Non-null when the tail is a copied executor snapshot (the
      *  footprint count then hands over to the snapshot's bitmap). */

@@ -13,7 +13,8 @@
  *    the sweep JSON, timing table, flight recorder and progress
  *    callback account for them;
  *  - a cell cache holding only a leader changes nothing;
- *  - a failing leader fails the grid without running its members.
+ *  - a failing leader fails the grid without running its members;
+ *  - on one worker a row's first simulated cell is a group leader.
  */
 
 #include <gtest/gtest.h>
@@ -291,6 +292,38 @@ TEST_F(GridSharing, RecorderAndProgressSeeOneEventPerCell)
         }
     EXPECT_EQ(cell_slices, grid_->cellCount());
     EXPECT_EQ(shared_slices, shared);
+}
+
+TEST_F(GridSharing, OneWorkerStartsARowWithAGroupLeader)
+{
+    // Leaders are submitted before their row's other cells, and the
+    // pool starts jobs in submission order: the first cell slice of
+    // a row must be one of its two leaders, P(14) under either
+    // selection.
+    PolicyGrid grid = *grid_;
+    grid.workloads.resize(1);
+    stats::SpanRecorder recorder;
+    core::ThreadPool pool(1);
+    const GridResults traced =
+        core::runGrid(grid, pool, GridOptions{}, {}, &recorder);
+
+    const std::vector<stats::SpanRecorder::Track> tracks =
+        recorder.tracks();
+    const stats::SpanRecorder::Span *first = nullptr;
+    for (const auto &track : tracks)
+        for (const auto &span : track.spans)
+            if (std::string(span.name) == "cell" &&
+                (!first || span.startNs < first->startNs))
+                first = &span;
+    ASSERT_NE(first, nullptr);
+    std::string policy;
+    for (const auto &[key, value] : first->args)
+        if (key == "policy")
+            policy = value.asString();
+    EXPECT_TRUE(policy == "P(14):S&E" || policy == "P(14):S&E&R(1/32)")
+        << "first cell: " << policy;
+    for (std::size_t r = 0; r < grid.runs.size(); ++r)
+        EXPECT_EQ(cellJson(traced, 0, r), cellJson(*results_, 0, r));
 }
 
 /** In-memory CellResultCache for the cache interplay checks. */

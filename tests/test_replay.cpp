@@ -6,7 +6,9 @@
  * field, and — the headline determinism contract — a run over the
  * buffer must produce bit-identical Metrics and registry counters to
  * a run of the live program. The grid engine's replay path is checked
- * against a budget-disabled live grid the same way.
+ * against a budget-disabled live grid the same way. A buffer read
+ * while another thread packs it must serve exactly what the same
+ * buffer packed up front serves.
  *
  * The per-workload equivalence test runs a fast subset by default;
  * set EMISSARY_REPLAY_FULL=1 (the test_replay_full ctest entry) to
@@ -15,8 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -158,6 +163,102 @@ TEST(ReplayCursor, OverrunContinuesFromTheTailSnapshot)
     }
     EXPECT_TRUE(cursor.overran());
     EXPECT_EQ(cursor.uniqueCodeLines(), live.uniqueCodeLines());
+}
+
+/** What one cursor served: its records, footprint and overrun. */
+struct Served
+{
+    std::vector<trace::TraceRecord> records;
+    std::uint64_t uniqueCodeLines = 0;
+    bool overran = false;
+};
+
+/** Read @p count records from record @p start: one next(), then
+ *  fill()s of an odd batch size that straddles publications. */
+Served
+serve(const std::shared_ptr<const trace::RecordBuffer> &buffer,
+      std::uint64_t start, std::uint64_t count)
+{
+    trace::ReplayCursor cursor(buffer, start);
+    Served out;
+    out.records.resize(count);
+    out.records[0] = cursor.next();
+    for (std::uint64_t i = 1; i < count;) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(777, count - i));
+        cursor.fill(out.records.data() + i, n);
+        i += n;
+    }
+    out.uniqueCodeLines = cursor.uniqueCodeLines();
+    out.overran = cursor.overran();
+    return out;
+}
+
+void
+expectServedEqual(const Served &got, const Served &want)
+{
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (std::size_t i = 0; i < want.records.size(); ++i) {
+        const trace::TraceRecord &a = got.records[i];
+        const trace::TraceRecord &b = want.records[i];
+        if (a.pc != b.pc || a.nextPc != b.nextPc ||
+            a.memAddr != b.memAddr || a.cls != b.cls ||
+            a.taken != b.taken) {
+            expectRecordsEqual(a, b, i);
+            return;
+        }
+    }
+    EXPECT_EQ(got.uniqueCodeLines, want.uniqueCodeLines);
+    EXPECT_EQ(got.overran, want.overran);
+}
+
+TEST(ReplayCursor, ReadersOfAPackingBufferSeeTheEagerBuffer)
+{
+    const trace::SyntheticProgram program(
+        trace::profileByName("tomcat"));
+    const std::uint64_t records = 200'000;
+    const auto eager =
+        std::make_shared<const trace::RecordBuffer>(program, records);
+    const auto packing = std::make_shared<trace::RecordBuffer>(
+        program, records, trace::RecordBuffer::Packing::Deferred);
+    EXPECT_EQ(packing->size(), records);
+    EXPECT_EQ(packing->packed(), 0u);
+
+    // From the start, from mid-stream, across the end into the tail
+    // executor, and from the end itself (tail only).
+    struct Reader
+    {
+        std::uint64_t start;
+        std::uint64_t count;
+    };
+    const std::vector<Reader> readers = {{0, records},
+                                         {records / 2 + 123, 60'000},
+                                         {records - 1'000, 20'000},
+                                         {records, 5'000}};
+    std::vector<Served> got(readers.size());
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < readers.size(); ++i)
+        threads.emplace_back([&, i]() {
+            ready.fetch_add(1);
+            got[i] = serve(packing, readers[i].start, readers[i].count);
+        });
+    // Pack once every reader is about to read, so they race it.
+    while (ready.load() < readers.size())
+        std::this_thread::yield();
+    packing->pack();
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(packing->packed(), records);
+
+    for (std::size_t i = 0; i < readers.size(); ++i) {
+        SCOPED_TRACE("reader from record " +
+                     std::to_string(readers[i].start));
+        expectServedEqual(
+            got[i], serve(eager, readers[i].start, readers[i].count));
+    }
+    EXPECT_TRUE(got.back().overran);
+    EXPECT_FALSE(got.front().overran);
 }
 
 /** Replay vs live for one workload under one policy. */

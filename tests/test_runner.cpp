@@ -16,14 +16,18 @@
  *    what core::run gives over the row's replay buffer, while
  *    synthetic and raw EMTR rows keep their buffer within the replay
  *    budget; the sweep JSON and the "replay_build" slices name each
- *    row's source.
+ *    row's source;
+ *  - a row whose build fails fails the grid with the build's own
+ *    error, and only after every other row's build and cell is done.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <stdexcept>
 #include <memory>
 #include <string>
 #include <vector>
@@ -476,6 +480,38 @@ TEST(RunnerGrid, SourcesAreNamedPerRow)
         }
     std::remove(emtc.c_str());
     std::remove(emtr.c_str());
+}
+
+TEST(RunnerGrid, FailedRowBuildThrowsAfterEveryOtherJob)
+{
+    // Row 0's container is corrupt, so its build throws at once while
+    // row 1 still generates and packs 4M records. runGrid must wait
+    // for row 1's build and cell before it rethrows (they write state
+    // local to runGrid; the ASan stage catches a write after it
+    // returned), and the error is the container's.
+    const std::string corrupt = std::string(::testing::TempDir()) +
+                                "/emissary_runner_corrupt.emtc";
+    {
+        std::ofstream out(corrupt, std::ios::binary);
+        out << "this is not an EMTC container";
+    }
+    RunOptions options;
+    options.warmupInstructions = 1'000'000;
+    options.measureInstructions = 3'000'000;
+    const core::PolicyGrid grid = core::PolicyGrid::sweep(
+        std::vector<core::GridWorkload>{
+            core::GridWorkload("corrupt.emtc", corrupt),
+            core::GridWorkload(trace::profileByName("tomcat"))},
+        {"TPLRU"}, options);
+    core::ThreadPool pool(2);
+    try {
+        core::runGrid(grid, pool);
+        ADD_FAILURE() << "a corrupt container must fail the grid";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()).rfind("EMTC: " + corrupt, 0), 0u)
+            << e.what();
+    }
+    std::remove(corrupt.c_str());
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the parallel experiment engine: ThreadPool semantics
- * (submit/wait, exception propagation, drain on destruction), the
- * strict envU64 parser that sizes it, and the engine's headline
- * guarantee — runGrid with 1 worker and N workers produce identical
- * Metrics for the same grid.
+ * (submit/wait, exception propagation, drain on destruction,
+ * first-in first-out start order), the strict envU64 parser that
+ * sizes it, and the engine's headline guarantee — runGrid with 1, 2
+ * and 4 workers produces identical Metrics for the same grid.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,6 +79,36 @@ TEST(ThreadPool, DestructorDrainsQueuedJobs)
         // Destruction must wait for all 32 jobs, not abandon them.
     }
     EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ThreadPool, JobsStartInSubmissionOrder)
+{
+    // Hold the only worker so that every later job is queued before
+    // any of them can start; the worker must then take them oldest
+    // first (the grid engine relies on it to start P(N) leaders and
+    // buffer builds before the cells that wait on them).
+    ThreadPool pool(1);
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    std::future<void> held = pool.submit([open]() { open.wait(); });
+
+    std::mutex mutex;
+    std::vector<int> order;
+    std::vector<std::future<void>> jobs;
+    for (int i = 0; i < 16; ++i)
+        jobs.push_back(pool.submit([&mutex, &order, i]() {
+            std::lock_guard<std::mutex> lock(mutex);
+            order.push_back(i);
+        }));
+    gate.set_value();
+    held.get();
+    for (std::future<void> &job : jobs)
+        job.get();
+
+    std::vector<int> expected(16);
+    for (int i = 0; i < 16; ++i)
+        expected[i] = i;
+    EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, DefaultWorkerCountHonoursEmissaryJobs)
@@ -164,16 +197,20 @@ TEST(RunGrid, ParallelResultsAreBitIdenticalToSerial)
     const PolicyGrid grid =
         PolicyGrid::sweep(workloads, policies, options);
 
+    // The rows replay buffers that pack while their cells run: on
+    // more than one worker the cells read each buffer as it fills.
     ThreadPool serial(1);
-    ThreadPool parallel(4);
     const GridResults one = runGrid(grid, serial);
-    const GridResults many = runGrid(grid, parallel);
-
     ASSERT_EQ(one.workloadCount(), grid.workloads.size());
     ASSERT_EQ(one.runCount(), grid.runs.size());
-    for (std::size_t w = 0; w < one.workloadCount(); ++w)
-        for (std::size_t r = 0; r < one.runCount(); ++r)
-            expectMetricsIdentical(one.at(w, r), many.at(w, r));
+    for (const unsigned workers : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        ThreadPool parallel(workers);
+        const GridResults many = runGrid(grid, parallel);
+        for (std::size_t w = 0; w < one.workloadCount(); ++w)
+            for (std::size_t r = 0; r < one.runCount(); ++r)
+                expectMetricsIdentical(one.at(w, r), many.at(w, r));
+    }
 }
 
 TEST(RunGrid, MatchesDirectRunPolicyAndOrdersResults)

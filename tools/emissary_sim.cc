@@ -540,9 +540,14 @@ main(int argc, char **argv)
 
         // A trace opens at any record (EMTC: block-index seek); a
         // synthetic benchmark runs live, or is packed once when its
-        // window is chunked.
+        // window is chunked. The pack runs on the pool while the
+        // chunks replay the buffer: chunk 0 starts at once, chunk k
+        // as soon as the packer reaches its warming start. The pool
+        // is declared after the program, so it drains the pack job
+        // before the program goes.
         const core::GridWorkload row(benchmark, trace_path);
         std::unique_ptr<trace::SyntheticProgram> program;
+        core::ThreadPool pool(static_cast<unsigned>(jobs));
         const core::RunSource source = [&]() -> core::RunSource {
             if (row.traceBacked())
                 return core::RunSource(
@@ -559,10 +564,14 @@ main(int argc, char **argv)
                 trace::profileByName(benchmark));
             if (!chunked)
                 return *program;
-            return std::make_shared<const trace::RecordBuffer>(
-                *program, trace::RecordBuffer::recordsForWindow(
-                              run_options.warmupInstructions +
-                              run_options.measureInstructions));
+            auto buffer = std::make_shared<trace::RecordBuffer>(
+                *program,
+                trace::RecordBuffer::recordsForWindow(
+                    run_options.warmupInstructions +
+                    run_options.measureInstructions),
+                trace::RecordBuffer::Packing::Deferred);
+            pool.submit([buffer]() { buffer->pack(); });
+            return std::shared_ptr<const trace::RecordBuffer>(buffer);
         }();
 
         core::RunTelemetry telemetry;
@@ -584,7 +593,6 @@ main(int argc, char **argv)
             flight->labelThread("main");
             telemetry.spans = flight.get();
         }
-        core::ThreadPool pool(static_cast<unsigned>(jobs));
         core::Metrics m;
         {
             stats::ScopedTimer span(flight.get(), "run");
