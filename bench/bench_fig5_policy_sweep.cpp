@@ -64,6 +64,8 @@ main()
                       formatDouble(base.l2DataMpki, 2)});
         for (std::size_t p = 1; p < policies.size(); ++p) {
             const core::Metrics &m = results.at(w, p);
+            // A fused monitor cell is untimed: n/a, not a number.
+            const bool timed = base.timed() && m.timed();
             const double dstarv =
                 base.starvationIqEmptyCycles > 0
                     ? 100.0 *
@@ -76,9 +78,11 @@ main()
                     : 0.0;
             table.addRow(
                 {policies[p],
-                 formatDouble(core::speedupPercent(base, m), 2),
+                 formatDouble(core::timedFigure(
+                                  timed, core::speedupPercent(base, m)),
+                              2),
                  formatDouble(m.l2InstMpki, 2),
-                 formatDouble(dstarv, 1),
+                 formatDouble(core::timedFigure(timed, dstarv), 1),
                  formatDouble(m.l2DataMpki, 2)});
         }
         std::printf("--- %s ---\n%s\n",

@@ -55,8 +55,13 @@ main()
         std::vector<std::string> erow = {workloads[w].name};
         for (std::size_t p = 0; p < policies.size(); ++p) {
             const core::Metrics &m = results.at(w, p + 1);
-            const double s = core::speedupPercent(base, m);
-            const double e = core::energyReductionPercent(base, m);
+            // A fused monitor cell is untimed: its figures, and the
+            // geomean and mean over them, print as n/a.
+            const bool timed = base.timed() && m.timed();
+            const double s =
+                core::timedFigure(timed, core::speedupPercent(base, m));
+            const double e = core::timedFigure(
+                timed, core::energyReductionPercent(base, m));
             speedups[policies[p]].push_back(s);
             energies[policies[p]].push_back(e);
             srow.push_back(formatDouble(s, 2));

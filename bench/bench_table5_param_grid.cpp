@@ -65,11 +65,16 @@ main()
     std::size_t policy_index = 1;
     for (const unsigned n : protect_ns) {
         for (const auto &column : columns) {
+            // A fused monitor cell is untimed: its column's geomean
+            // prints as n/a and is never best.
             std::vector<double> speedups;
-            for (std::size_t b = 0; b < benchmarks.size(); ++b)
-                speedups.push_back(core::speedupPercent(
-                    results.at(b, 0),
-                    results.at(b, policy_index)));
+            for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+                const core::Metrics &base = results.at(b, 0);
+                const core::Metrics &m = results.at(b, policy_index);
+                speedups.push_back(core::timedFigure(
+                    base.timed() && m.timed(),
+                    core::speedupPercent(base, m)));
+            }
             grid[{n, column}] =
                 core::geomeanSpeedupPercent(speedups);
             ++policy_index;

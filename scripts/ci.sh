@@ -4,16 +4,19 @@
 #
 #   0. Cited evidence: every results/ file and source path that
 #      README.md, EXPERIMENTS.md or docs/ cite must exist; a cited
-#      glob must match a file and a <placeholder> never does
+#      glob must match a file, a <placeholder> never does, and a
+#      brace citation such as src/x/{a,b}.cc names every member
 #   1. Release build (whole-program IPO where the toolchain has it)
 #      + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
 #      --trace-out output must parse and carry the expected keys,
 #      bad flags must exit 2, the CLI's single-run paths (live,
 #      --record, --trace of the recording, --trace of a packed
-#      container) must agree, and a short one-worker fig5 bench
+#      container) must agree, a short one-worker fig5 bench
 #      sweep, plain and fused, must write a parseable flight trace
-#      and sweep JSON within its deadline
+#      and sweep JSON within its deadline, and a fused emissary_sim
+#      sweep must print and write its monitor lanes' IPC,
+#      starvation and speedup as n/a (null in JSON)
 #   3. Time-parallel smoke: chunked single runs, trace replay and
 #      sweeps must be bit-identical across worker counts and carry
 #      the time_slicing provenance, the one-worker runs must finish
@@ -65,6 +68,23 @@ deadline() {
     return "$rc"
 }
 
+# Print each path a brace citation names, one per line:
+# src/x/{a,b}.cc gives src/x/a.cc and src/x/b.cc. Any other path
+# prints as it is.
+expand_braces() {
+    local pattern='^([^{]*)[{]([^{}]*)[}](.*)$' head tail alt
+    local -a alts
+    if [[ "$1" =~ $pattern ]]; then
+        head="${BASH_REMATCH[1]}" tail="${BASH_REMATCH[3]}"
+        IFS=, read -ra alts <<<"${BASH_REMATCH[2]}"
+        for alt in "${alts[@]}"; do
+            expand_braces "$head$alt$tail"
+        done
+    else
+        printf '%s\n' "$1"
+    fi
+}
+
 configure_build_test() {
     local dir="$1"; shift
     cmake -B "$dir" -S . "$@" >/dev/null
@@ -79,13 +99,15 @@ for stage in $STAGES; do
         # A cited path starts a line or follows a space, backtick or
         # parenthesis, so output paths like /tmp/bench/x.json do not
         # count. A glob must match at least one file; a <placeholder>
-        # names none.
+        # names none; every member of a brace citation must exist.
         missing=0
-        while read -r path; do
-            [[ "$path" != *'<'* ]] && compgen -G "$path" >/dev/null ||
-                { echo "cited but missing: $path" >&2; missing=1; }
+        while read -r cited; do
+            while read -r path; do
+                [[ "$path" != *'<'* ]] && compgen -G "$path" >/dev/null ||
+                    { echo "cited but missing: $path" >&2; missing=1; }
+            done < <(expand_braces "$cited")
         done < <(grep -ohE \
-            '(^|[ `(])(src|tools|bench|tests|scripts|results)/[A-Za-z0-9_./*<>-]+\.[a-z*]+' \
+            '(^|[ `(])(src|tools|bench|tests|scripts|results)/[A-Za-z0-9_./*<>{},-]+\.([a-z*]+|[{][a-z,]+[}])' \
             README.md EXPERIMENTS.md docs/*.md |
             sed -E 's/^[ `(]//' | sort -u)
         [ "$missing" -eq 0 ] || exit 1
@@ -191,6 +213,27 @@ for stage in $STAGES; do
         build-ci-release/tools/json_check \
             "$art/fused/fig5_policy_sweep_sweep.json" \
             mode timing.phases.measure_seconds provenance.git_sha
+        # Monitor lanes keep no clock: a fused sweep prints their IPC,
+        # starvation and speedup as n/a and writes "ipc": null for
+        # them, while its timing lane (TPLRU) prints numbers.
+        build-ci-release/tools/emissary_sim --benchmarks tomcat \
+            --policies "TPLRU,P(8):S&E,LRU" --instructions 200000 \
+            --fused --stats-json "$art/fused_sweep.json" \
+            >"$art/fused_sweep.txt"
+        awk '/sweep wall-clock/ { exit }
+             $1 == "tomcat" {
+                 ++rows
+                 na = ($3 == "n/a") + ($6 == "n/a") + ($7 == "n/a")
+                 if (na != ($2 == "TPLRU" ? 0 : 3)) bad = 1
+             }
+             END { exit bad || rows != 3 }' "$art/fused_sweep.txt" ||
+            { echo "fused sweep table: monitor timing is not n/a" >&2
+              exit 1; }
+        awk '/"execution":/ { monitor = /fused_monitor/ }
+             /"ipc":/ { ++runs; if (/null/ != monitor) bad = 1 }
+             END { exit bad || runs != 3 }' "$art/fused_sweep.json" ||
+            { echo "fused sweep JSON: ipc null on a run other than" \
+                "the monitors" >&2; exit 1; }
         echo "smoke OK"
         ;;
     timeparallel)

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Measured worker curves of the repository benchmark: one 30 s run of
-# fig5_exact and of trace_long at EMISSARY_JOBS=1, 2 and 4 (seed 7,
-# the build bench/e2e/run.sh makes), printed as the table committed in
-# results/worker_scaling.txt. Run from the repository root on an idle
-# host:
+# Measured worker curves of the repository benchmark: fig5_exact and
+# trace_long at EMISSARY_JOBS=1, 2 and 4, one 30 s run per seed (7, 8
+# and 9, the build bench/e2e/run.sh makes), printed as the table
+# committed in results/worker_scaling.txt. Run from the repository
+# root on an idle host:
 #
 #   bash scripts/worker_scaling.sh > results/worker_scaling.txt
+#
+# Each row is the median over the seeds with the min-max range next
+# to it: one run per row moved a 4-worker speedup by 0.6x between two
+# runs minutes apart. The job counts of a seed run back to back, so a
+# slow spell of the host lands on neighbouring rows alike.
 #
 # fig5_exact runs one Fig. 5 row's 13 cells per op, so its workers
 # share cells; trace_long runs one T = 4 time-chunked single run per
@@ -13,7 +18,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-seed=7
+seeds="7 8 9"
 seconds=30
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
@@ -23,27 +28,45 @@ metric() {
     grep -o "\"$1\":{\"value\":[^,}]*" | sed 's/.*://'
 }
 
+for workload in fig5_exact trace_long; do
+    for seed in $seeds; do
+        for jobs in 1 2 4; do
+            line="$(EMISSARY_JOBS=$jobs bash bench/e2e/run.sh \
+                --workload "$workload" --seed "$seed" \
+                --seconds "$seconds" --trace 0 --out "$out" \
+                2>/dev/null | tail -1)"
+            echo "$workload $jobs $(metric ref_minst_per_s <<<"$line")" \
+                "$(metric ref_op_p50_ms <<<"$line")"
+        done
+    done
+done >"$out/rows"
+
 echo "# Worker curves: bash scripts/worker_scaling.sh"
 echo "# $(nproc) vCPUs ($(uname -m)), $(date -u +%F), Release build," \
-    "seed $seed, one ${seconds} s run per row."
-echo "# speedup = ref_minst_per_s over the same workload at 1 job."
-printf '%-11s %4s %15s %13s %9s %7s\n' workload jobs \
-    ref_minst_per_s ref_op_p50_ms attempted speedup
-for workload in fig5_exact trace_long; do
-    base=""
-    for jobs in 1 2 4; do
-        line="$(EMISSARY_JOBS=$jobs bash bench/e2e/run.sh \
-            --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace 0 --out "$out" 2>/dev/null |
-            tail -1)"
-        minst="$(metric ref_minst_per_s <<<"$line")"
-        p50="$(metric ref_op_p50_ms <<<"$line")"
-        attempted="$(grep -o '"attempted":[0-9]*' <<<"$line" |
-            sed 's/.*://')"
-        base="${base:-$minst}"
-        awk -v w="$workload" -v j="$jobs" -v m="$minst" -v p="$p50" \
-            -v a="$attempted" -v b="$base" 'BEGIN {
-                printf "%-11s %4d %15.2f %13.1f %9d %6.2fx\n",
-                    w, j, m, p, a, m / b }'
-    done
-done
+    "seeds ${seeds// /, }, one ${seconds} s run per seed and row."
+echo "# Each value is the median over the seeds, [min-max] next to it."
+echo "# speedup = median ref_minst_per_s over the same workload's at 1 job."
+sort -k1,1 -k2,2n "$out/rows" | awk '
+    function isort(a, k,    i, t, x) {
+        for (i = 2; i <= k; ++i)
+            for (x = i; x > 1 && a[x - 1] > a[x]; --x) {
+                t = a[x]; a[x] = a[x - 1]; a[x - 1] = t
+            }
+    }
+    function flush(    mid) {
+        if (n == 0) return
+        isort(m, n); isort(p, n); mid = int((n + 1) / 2)
+        if (j == 1) base = m[mid]
+        printf "%-11s %4d %15.2f  %-13s %13.1f  %-15s %6.2fx\n", w, j,
+            m[mid], sprintf("[%.2f-%.2f]", m[1], m[n]), p[mid],
+            sprintf("[%.1f-%.1f]", p[1], p[n]), m[mid] / base
+        n = 0
+    }
+    BEGIN {
+        printf "%-11s %4s %15s  %-13s %13s  %-15s %7s\n", "workload",
+            "jobs", "ref_minst_per_s", "[min-max]", "ref_op_p50_ms",
+            "[min-max]", "speedup"
+    }
+    $1 != w || $2 != j { flush(); w = $1; j = $2 }
+    { m[++n] = $3; p[n] = $4 }
+    END { flush() }'

@@ -154,8 +154,7 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
                 // the fill still happens but latency collapses to an
                 // L2 hit.
                 latency = l1_latency + config_.l2.hitLatency;
-                entry.idealHidden = true;
-                ++stats_.idealHiddenMisses;
+                ++stats_.idealCollapsedMisses;
             }
             seenL2Inst_.insert(line_addr);
         }

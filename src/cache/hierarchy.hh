@@ -125,7 +125,7 @@ struct HierarchyStats
     std::uint64_t starvationNotes = 0;
     std::uint64_t l2InstHitsProtected = 0; ///< L2 I-hits on P=1 lines.
     std::uint64_t l2ProtectedEvictions = 0; ///< P=1 lines evicted.
-    std::uint64_t idealHiddenMisses = 0;  ///< §5.6 ideal-L2I saves.
+    std::uint64_t idealCollapsedMisses = 0;  ///< §5.6 ideal-L2I saves.
     /** Starvation cycles attributed to misses served by each level
      *  (classified when the starved fill completes). */
     std::uint64_t starveCyclesL2 = 0;
@@ -159,7 +159,7 @@ struct HierarchyStats
         starvationNotes += other.starvationNotes;
         l2InstHitsProtected += other.l2InstHitsProtected;
         l2ProtectedEvictions += other.l2ProtectedEvictions;
-        idealHiddenMisses += other.idealHiddenMisses;
+        idealCollapsedMisses += other.idealCollapsedMisses;
         starveCyclesL2 += other.starveCyclesL2;
         starveCyclesL3 += other.starveCyclesL3;
         starveCyclesMem += other.starveCyclesMem;
@@ -187,8 +187,6 @@ class Hierarchy
         bool starved = false;
         bool iqEmpty = false;
         std::uint32_t starveCycles = 0;
-        /** §5.6: latency was collapsed by the ideal-L2I model. */
-        bool idealHidden = false;
         /** Packed per-monitor-lane fill sources (2 bits per lane:
          *  0 = not sampled, 1 = L2, 2 = L3, 3 = memory). Stays 0
          *  when no lane bank is attached. */

@@ -20,8 +20,6 @@ PolicyLaneBank::PolicyLaneBank(
         throw std::invalid_argument(
             "PolicyLaneBank: sampledSets must be a power of two");
     sampleOffset_ = 0;
-    l3HitLatency_ = timing.l3.hitLatency;
-    dramLatency_ = timing.dramLatency;
     bypassLowPriorityInst_ = timing.bypassLowPriorityInst;
 
     const unsigned shift = floorLog2(sampleK_);
@@ -60,23 +58,6 @@ PolicyLaneBank::bindShared(const Cache *l1i, const Cache *l1d)
         std::size_t{l1i->numSets()} * l1i->numWays();
     for (Lane &lane : lanes_)
         lane.l1iShadow.assign(slots, 0);
-}
-
-unsigned
-PolicyLaneBank::levelLatency(unsigned code) const
-{
-    // Latency beyond the shared L1+L2-probe baseline for each
-    // FillSource; only differences between lanes matter, so the
-    // common l1 + l2.hitLatency term cancels out.
-    switch (static_cast<Hierarchy::FillSource>(code)) {
-      case Hierarchy::FillSource::L2:
-        return 0;
-      case Hierarchy::FillSource::L3:
-        return l3HitLatency_;
-      case Hierarchy::FillSource::Memory:
-      default:
-        return l3HitLatency_ + dramLatency_;
-    }
 }
 
 std::uint64_t
@@ -176,46 +157,6 @@ PolicyLaneBank::completeLane(Lane &lane, std::uint64_t line_addr,
                              const Hierarchy::Mshr &entry,
                              const replacement::MissContext &ctx)
 {
-    // First-order timing estimate: compare where this lane would
-    // have served the miss against where the timing lane did.
-    // Savings are capped by the starvation the miss actually
-    // exposed; added latency on never-starved misses is assumed
-    // half-hidden by the frontend's lookahead. Validated against
-    // the sequential oracle by bench_mode_validation.
-    const unsigned lane_latency = levelLatency(code - 1);
-    const unsigned timing_latency =
-        levelLatency(static_cast<unsigned>(entry.source));
-    std::uint64_t est = entry.starveCycles;
-    if (!entry.idealHidden) {
-        if (lane_latency < timing_latency) {
-            const std::uint64_t saved = std::min<std::uint64_t>(
-                timing_latency - lane_latency, entry.starveCycles);
-            lane.savedCycles += saved;
-            est -= saved;
-        } else if (lane_latency > timing_latency) {
-            const unsigned diff = lane_latency - timing_latency;
-            lane.addedCycles += entry.starved ? diff : diff / 2;
-            if (entry.starved)
-                est += diff;
-        }
-    }
-    if (est > 0) {
-        lane.estStarve += est;
-        if (entry.iqEmpty)
-            lane.estStarveIq += est;
-        switch (static_cast<Hierarchy::FillSource>(code - 1)) {
-          case Hierarchy::FillSource::L2:
-            lane.stats.starveCyclesL2 += est;
-            break;
-          case Hierarchy::FillSource::L3:
-            lane.stats.starveCyclesL3 += est;
-            break;
-          case Hierarchy::FillSource::Memory:
-            lane.stats.starveCyclesMem += est;
-            break;
-        }
-    }
-
     // Mode selection with the lane's own RNG — the only per-lane
     // nondeterminism; the miss context itself is produced by the
     // shared pipeline and is lane-invariant.
@@ -224,11 +165,10 @@ PolicyLaneBank::completeLane(Lane &lane, std::uint64_t line_addr,
     if (entry.isInstruction || !lane.emissaryL2)
         selected = spec.computePriority(ctx, lane.l2.selectionRng());
 
-    if (static_cast<Hierarchy::FillSource>(code - 1) !=
-        Hierarchy::FillSource::L2) {
+    const auto source = static_cast<Hierarchy::FillSource>(code - 1);
+    if (source != Hierarchy::FillSource::L2) {
         bool sfl = false;
-        if (static_cast<Hierarchy::FillSource>(code - 1) ==
-            Hierarchy::FillSource::L3) {
+        if (source == Hierarchy::FillSource::L3) {
             lane.l3.invalidate(line_addr);  // exclusive: move
             sfl = true;
         }
@@ -330,13 +270,8 @@ PolicyLaneBank::resetPriorities()
 void
 PolicyLaneBank::resetStats()
 {
-    for (Lane &lane : lanes_) {
+    for (Lane &lane : lanes_)
         lane.stats.reset();
-        lane.savedCycles = 0;
-        lane.addedCycles = 0;
-        lane.estStarve = 0;
-        lane.estStarveIq = 0;
-    }
 }
 
 HierarchyStats
@@ -345,11 +280,17 @@ PolicyLaneBank::laneStats(unsigned lane,
 {
     const Lane &l = lanes_[lane];
     const std::uint64_t k = sampleK_;
-    // Lane-invariant counters (L1 traffic, NLP issue, starvation
-    // notes, ideal-model hides) pass through from the shared
-    // pipeline; policy-dependent counters come from the lane's own
-    // arrays, scaled back by the sampling factor.
+    // Lane-invariant event counters (L1 traffic, NLP issue,
+    // ideal-model hides) pass through from the shared pipeline;
+    // policy-dependent counters come from the lane's own arrays,
+    // scaled back by the sampling factor. Starvation is counted in
+    // the timing lane's cycles, which are not this lane's: it reads
+    // 0 (core::Metrics::timed).
     HierarchyStats out = shared;
+    out.starvationNotes = 0;
+    out.starveCyclesL2 = 0;
+    out.starveCyclesL3 = 0;
+    out.starveCyclesMem = 0;
     out.l2InstAccesses = l.stats.l2InstAccesses * k;
     out.l2InstMisses = l.stats.l2InstMisses * k;
     out.l2DataAccesses = l.stats.l2DataAccesses * k;
@@ -364,31 +305,7 @@ PolicyLaneBank::laneStats(unsigned lane,
     out.priorityUpgrades = l.stats.priorityUpgrades * k;
     out.l2InstHitsProtected = l.stats.l2InstHitsProtected * k;
     out.l2ProtectedEvictions = l.stats.l2ProtectedEvictions * k;
-    out.starveCyclesL2 = l.stats.starveCyclesL2 * k;
-    out.starveCyclesL3 = l.stats.starveCyclesL3 * k;
-    out.starveCyclesMem = l.stats.starveCyclesMem * k;
     return out;
-}
-
-std::int64_t
-PolicyLaneBank::cycleDelta(unsigned lane) const
-{
-    const Lane &l = lanes_[lane];
-    return (static_cast<std::int64_t>(l.addedCycles) -
-            static_cast<std::int64_t>(l.savedCycles)) *
-           static_cast<std::int64_t>(sampleK_);
-}
-
-std::uint64_t
-PolicyLaneBank::estStarvationCycles(unsigned lane) const
-{
-    return lanes_[lane].estStarve * sampleK_;
-}
-
-std::uint64_t
-PolicyLaneBank::estStarvationIqEmptyCycles(unsigned lane) const
-{
-    return lanes_[lane].estStarveIq * sampleK_;
 }
 
 } // namespace emissary::cache

@@ -17,10 +17,11 @@
  * attached to) is bit-identical to a sequential run of its policy.
  * Monitor lanes see the timing lane's access *stream*, so their
  * counters match a sequential run of their policy up to the
- * L2-latency feedback into the frontend; cycle counts are
- * first-order estimates built from per-miss latency deltas capped
- * by observed starvation. bench/bench_mode_validation.cpp
- * measures both errors against the sequential oracle.
+ * L2-latency feedback into the frontend
+ * (bench/bench_mode_validation.cpp measures that error). A monitor
+ * lane counts cache events only: it never sees the decode
+ * starvation its own policy would cause, so it reports no cycles,
+ * starvation or energy (core::Metrics::timed).
  *
  * An optional 1-in-K sampled-set mode shrinks each monitor lane to
  * sets/K sets (Cache::Config::indexShift) and filters the stream by
@@ -105,9 +106,9 @@ class PolicyLaneBank
      *  priority shadows (the shared L1I clears its own bits). */
     void resetPriorities();
 
-    /** Start of the measurement window: zero counters and the
-     *  cycle/starvation estimators. Lane cache *state* persists,
-     *  exactly like the timing arrays across the warmup boundary. */
+    /** Start of the measurement window: zero the counters. Lane
+     *  cache *state* persists, exactly like the timing arrays
+     *  across the warmup boundary. */
     void resetStats();
 
     // ------ collection ------
@@ -115,24 +116,12 @@ class PolicyLaneBank
     /**
      * The lane's view of the window: @p shared with the
      * policy-dependent counters replaced by the lane's own (scaled
-     * by K in sampled mode). Lane-invariant counters (L1 hits,
-     * NLP issue, starvation notes) pass through.
+     * by K in sampled mode). Lane-invariant event counters (L1
+     * traffic, NLP issue) pass through; the starvation counters,
+     * which count the timing lane's cycles, read 0.
      */
     HierarchyStats laneStats(unsigned lane,
                              const HierarchyStats &shared) const;
-
-    /**
-     * First-order cycle delta vs the timing lane: per-miss latency
-     * differences, with savings capped by the miss's observed
-     * starvation and costs halved for never-starved (lookahead-
-     * hidden) misses. Scaled by K in sampled mode.
-     */
-    std::int64_t cycleDelta(unsigned lane) const;
-
-    /** First-order decode-starvation estimate for the lane. */
-    std::uint64_t estStarvationCycles(unsigned lane) const;
-    /** The subset of the estimate with the issue queue empty. */
-    std::uint64_t estStarvationIqEmptyCycles(unsigned lane) const;
 
     const Cache &l2(unsigned lane) const { return lanes_[lane].l2; }
     const replacement::PolicySpec &spec(unsigned lane) const
@@ -150,10 +139,6 @@ class PolicyLaneBank
         /** Shared-L1I (set*ways + way) -> this lane's P bit for the
          *  line resident there. */
         std::vector<std::uint8_t> l1iShadow;
-        std::uint64_t savedCycles = 0;
-        std::uint64_t addedCycles = 0;
-        std::uint64_t estStarve = 0;
-        std::uint64_t estStarveIq = 0;
 
         Lane(const Cache::Config &l2_config,
              const Cache::Config &l3_config)
@@ -162,12 +147,9 @@ class PolicyLaneBank
         }
     };
 
-    /** Latency of a fill source beyond the L2-hit baseline. */
-    unsigned levelLatency(unsigned code) const;
-
-    /** Shared body of the two complete hooks: stats attribution,
-     *  mode selection and the lane L2/L3 insertion. Returns the
-     *  lane's selection outcome for the L1I shadow. */
+    /** Shared body of the two complete hooks: mode selection and
+     *  the lane L2/L3 insertion. Returns the lane's selection
+     *  outcome for the L1I shadow. */
     bool completeLane(Lane &lane, std::uint64_t line_addr,
                       unsigned code, const Hierarchy::Mshr &entry,
                       const replacement::MissContext &ctx);
@@ -188,8 +170,6 @@ class PolicyLaneBank
     unsigned l1iWays_ = 0;
     unsigned sampleK_ = 1;
     std::uint64_t sampleOffset_ = 0;
-    unsigned l3HitLatency_ = 0;
-    unsigned dramLatency_ = 0;
     bool bypassLowPriorityInst_ = false;
 };
 

@@ -403,10 +403,6 @@ run(const RunSource &source,
             inputs.hierarchy += slice.hierarchy;
             inputs.backend += slice.backend;
             inputs.frontend += slice.frontend;
-            inputs.windowCycles += slice.windowCycles;
-            inputs.starvationCycles += slice.starvationCycles;
-            inputs.starvationIqEmptyCycles +=
-                slice.starvationIqEmptyCycles;
         }
         // The priority-bit census is occupancy, not a flow count:
         // the last chunk's end state stands for the window's end
@@ -508,6 +504,12 @@ geomeanSpeedupPercent(const std::vector<double> &percents)
                      static_cast<double>(percents.size())) -
             1.0) *
            100.0;
+}
+
+double
+timedFigure(bool timed, double value)
+{
+    return timed ? value : std::numeric_limits<double>::quiet_NaN();
 }
 
 std::uint64_t

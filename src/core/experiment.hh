@@ -70,7 +70,7 @@ struct RunOptions
      * many contiguous chunks running concurrently on the ThreadPool,
      * each non-first chunk preceded by a functional-warming prefix
      * of chunkWarmupRecords records, then splice the per-chunk
-     * counters and cycle estimates into one result. Applies only to
+     * counters and cycles into one result. Applies only to
      * random-access sources (RunSource::randomAccess); 0 or 1 =
      * exact sequential simulation (the default). Results are
      * deterministic for fixed (timeChunks, chunkWarmupRecords) at
@@ -229,9 +229,10 @@ struct RunTelemetry
  * of its policy, bit for bit (tests/test_fused.cpp). Every later lane
  * is a monitor (cache/lanes.hh): per-policy L2+L3 arrays fed by the
  * shared pipeline's access stream, so their cache counters match a
- * one-lane run up to the L2-latency feedback into fetch timing, and
- * their cycle counts are first-order estimates (errors quantified by
- * bench_mode_validation). With @p sampled_sets = K > 1 (a power
+ * one-lane run up to the L2-latency feedback into fetch timing
+ * (error quantified by bench_mode_validation). A monitor keeps no
+ * clock: its Metrics are untimed (Metrics::timed), with every
+ * clock-derived field 0. With @p sampled_sets = K > 1 (a power
  * of two) the monitors model only 1 set in every K, with counters
  * scaled back at collection (fast mode; error bounds in
  * docs/performance.md); the timing lane always models every set.
@@ -277,7 +278,8 @@ run(const RunSource &source,
  */
 std::string canonicalRunOptions(const RunOptions &options);
 
-/** Speedup of @p test over @p base in percent (paper convention). */
+/** Speedup of @p test over @p base in percent (paper convention);
+ *  0 when @p test is untimed (Metrics::timed). */
 double speedupPercent(const Metrics &base, const Metrics &test);
 
 /** Energy reduction of @p test vs @p base in percent. */
@@ -285,6 +287,13 @@ double energyReductionPercent(const Metrics &base, const Metrics &test);
 
 /** Geomean of percent speedups: gmean(1 + s_i/100) - 1, in percent. */
 double geomeanSpeedupPercent(const std::vector<double> &percents);
+
+/**
+ * A table's clock-derived figure: @p value when every run it
+ * involves is timed (Metrics::timed), NaN otherwise. formatDouble
+ * prints NaN as "n/a", and a mean or geomean over it stays NaN.
+ */
+double timedFigure(bool timed, double value);
 
 /**
  * Read an unsigned environment override, e.g.

@@ -5,6 +5,7 @@
 #include <exception>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -686,13 +687,34 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     // inside its own job, so the vector is shared under a mutex with
     // the wait loop at the end. submit and the state the jobs use
     // live at this scope: they must outlive every job.
+    //
+    // Once a job has thrown, the grid has failed: a cell job
+    // submitted after it returns without simulating. The first
+    // failure in submission order never skips, so it is still the
+    // error runGrid rethrows. Builds always run: a cell that already
+    // started may be waiting on its row's promise.
     std::vector<std::future<void>> jobs;
     std::mutex jobs_mutex;
+    std::size_t first_failed = std::numeric_limits<std::size_t>::max();
     jobs.reserve(grid.workloads.size() + grid.cellCount());
-    const auto submit = [&](std::function<void()> job) {
-        std::future<void> future = pool.submit(std::move(job));
+    const auto submit = [&](bool is_cell, std::function<void()> job) {
         std::lock_guard<std::mutex> lock(jobs_mutex);
-        jobs.push_back(std::move(future));
+        const std::size_t index = jobs.size();
+        jobs.push_back(pool.submit([&, is_cell, index,
+                                    job = std::move(job)]() {
+            {
+                std::lock_guard<std::mutex> check(jobs_mutex);
+                if (is_cell && first_failed < index)
+                    return;
+            }
+            try {
+                job();
+            } catch (...) {
+                std::lock_guard<std::mutex> mark(jobs_mutex);
+                first_failed = std::min(first_failed, index);
+                throw;
+            }
+        }));
     };
 
     // Programs outlive the sources that reference them. A row's
@@ -716,7 +738,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         const RowSource kind = results.sources_[w];
         if (kind == RowSource::None)
             continue;
-        submit([&, kind, w]() {
+        submit(false, [&, kind, w]() {
             try {
                 const auto build_start = std::chrono::steady_clock::now();
                 label_track();
@@ -931,7 +953,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                         columns.push_back(r);
                 if (columns.size() == 1 && cell_cached(w, base))
                     continue;
-                submit([&, w, columns]() { run_columns(w, columns); });
+                submit(true,
+                       [&, w, columns]() { run_columns(w, columns); });
             }
         }
     } else {
@@ -980,7 +1003,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 // Leaders go before the row's other cells, and the
                 // FIFO pool starts them first: their members wait on
                 // them.
-                submit([&, w, group]() {
+                submit(true, [&, w, group]() {
                     const std::size_t leader = group.front();
                     const replacement::ProtectRange same =
                         run_columns(w, {leader});
@@ -989,7 +1012,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                         if (same.contains(l2_specs[r].protectN))
                             share_cell(w, r, leader);
                         else
-                            submit([&, w, r]() {
+                            submit(true, [&, w, r]() {
                                 run_columns(w, {r});
                             });
                     }
@@ -997,7 +1020,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
             }
             for (std::size_t r = 0; r < grid.runs.size(); ++r)
                 if (!cell_cached(w, r) && !member[r])
-                    submit([&, w, r]() { run_columns(w, {r}); });
+                    submit(true, [&, w, r]() { run_columns(w, {r}); });
         }
     }
 

@@ -193,12 +193,13 @@ class CellResultCache
  *  - the execution role: sequential cells and fused timing lanes are
  *    bit-identical by construction and share the "exact" role
  *    (@p timing_policy empty, @p sampled_sets ignored), while fused
- *    monitor lanes carry the fused approximation and are keyed by
- *    the policy of the timing lane that drove their pass (the shared
- *    pipeline's stream depends on it through the L2-latency feedback
- *    into fetch) plus the sampling factor — so an exact request can
- *    never be served a monitor-lane estimate, and a monitor estimate
- *    is only reused behind the identical driver;
+ *    monitor lanes carry the fused approximation (cache counts,
+ *    untimed) and are keyed by the policy of the timing lane that
+ *    drove their pass (the shared pipeline's stream depends on it
+ *    through the L2-latency feedback into fetch) plus the sampling
+ *    factor — so an exact request can never be served a monitor-lane
+ *    result, and a monitor result is only reused behind the
+ *    identical driver;
  *  - @p build_sha, the binary's code version (core::buildInfo).
  *
  * @throws std::runtime_error when a trace-backed workload's file
@@ -431,9 +432,13 @@ class GridResults
  *        stats::ChromeTraceWriter. A null recorder costs one
  *        pointer test per instrumentation point.
  *
- * Exceptions thrown by a cell (bad policy notation, simulator budget
- * overrun) are rethrown here after the remaining cells finish; the
- * members of a P(N) group whose leader threw are left unrun.
+ * Exceptions thrown by a row build (an unreadable trace) or a cell
+ * (bad policy notation, simulator budget overrun) are rethrown here,
+ * the first in submission order, once every started job has
+ * finished. A failure stops the grid: a cell that has not started
+ * by then returns without simulating, and the members of a P(N)
+ * group whose leader threw are left unrun. Row builds still run,
+ * since cells that already started may wait on them.
  */
 GridResults runGrid(
     const PolicyGrid &grid, ThreadPool &pool,
@@ -447,7 +452,8 @@ GridResults runGrid(
  * with a "lanes" arg); each cell's provenance lands in
  * GridResults::executionAt and the sweep JSON. The timing lane of
  * every group is bit-identical to the sequential engine; monitor
- * lanes carry the fused approximation (see core::run). A chunked
+ * lanes count cache events only and are untimed (Metrics::timed;
+ * see core::run). A chunked
  * column runs time-parallel only on a row whose source has random
  * access (a replay buffer or a trace); a synthetic row past the
  * replay budget runs it as one exact pass, marked sequential.

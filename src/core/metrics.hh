@@ -65,8 +65,19 @@ struct Metrics
     // Workload characterization (Fig. 4).
     std::uint64_t codeFootprintLines = 0;
 
+    /**
+     * Whether the run kept a clock. Every exact or spliced run has
+     * at least one cycle; a fused monitor lane counts cache events
+     * but never sees the decode starvation its own policy would
+     * cause, so it has none. An untimed run's ten clock-derived
+     * fields (cycles, ipc, issueRate, decodeRate, the two starvation
+     * counts, the three stall counts and energy) read 0, toJson
+     * writes them as null, and tables print them as n/a.
+     */
+    bool timed() const { return cycles != 0; }
+
     /** Speedup of this run over @p baseline, as a fraction
-     *  (0.0324 = +3.24%). */
+     *  (0.0324 = +3.24%); 0 when this run is untimed. */
     double
     speedupOver(const Metrics &baseline) const
     {
@@ -88,7 +99,8 @@ struct Metrics
     }
 
     /** Every field as a JSON object (the --stats-json "metrics"
-     *  section; defined in core/observability.cc). */
+     *  section; defined in core/observability.cc). An untimed run
+     *  writes its ten clock-derived keys as null. */
     stats::JsonValue toJson() const;
 };
 

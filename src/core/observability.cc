@@ -79,7 +79,7 @@ populateRegistry(stats::Registry &registry,
     setCounter(registry, "l1i.high_priority_fills",
                hierarchy.highPriorityFills);
     setCounter(registry, "ideal.hidden_misses",
-               hierarchy.idealHiddenMisses);
+               hierarchy.idealCollapsedMisses);
     setCounter(registry, "starve.noted", hierarchy.starvationNotes);
     setCounter(registry, "starve.served_l2",
                hierarchy.starveCyclesL2);
@@ -211,31 +211,14 @@ metricsFromJson(const stats::JsonValue &json)
     m.benchmark = benchmark.asString();
     m.policy = policy.asString();
     m.instructions = uintOf(json, "instructions");
-    m.cycles = uintOf(json, "cycles");
-    m.ipc = doubleOf(json, "ipc");
     m.l1iMpki = doubleOf(json, "l1i_mpki");
     m.l1dMpki = doubleOf(json, "l1d_mpki");
     m.l2InstMpki = doubleOf(json, "l2_inst_mpki");
     m.l2DataMpki = doubleOf(json, "l2_data_mpki");
     m.l3Mpki = doubleOf(json, "l3_mpki");
-    m.starvationCycles = uintOf(json, "starvation_cycles");
-    m.starvationIqEmptyCycles =
-        uintOf(json, "starvation_iq_empty_cycles");
-    m.feStallCycles = uintOf(json, "fe_stall_cycles");
-    m.beStallCycles = uintOf(json, "be_stall_cycles");
-    m.totalStallCycles = uintOf(json, "total_stall_cycles");
-    m.decodeRate = doubleOf(json, "decode_rate");
-    m.issueRate = doubleOf(json, "issue_rate");
     m.condMispredictsPerKi =
         doubleOf(json, "cond_mispredicts_per_ki");
     m.btbMissesPerKi = doubleOf(json, "btb_misses_per_ki");
-
-    const stats::JsonValue &energy = needField(json, "energy");
-    m.energy.coreDynamicJ = doubleOf(energy, "core_dynamic_j");
-    m.energy.cacheDynamicJ = doubleOf(energy, "cache_dynamic_j");
-    m.energy.dramJ = doubleOf(energy, "dram_j");
-    m.energy.leakageJ = doubleOf(energy, "leakage_j");
-    needField(energy, "total_j");
 
     const stats::JsonValue &distribution =
         needField(json, "priority_distribution");
@@ -250,6 +233,36 @@ metricsFromJson(const stats::JsonValue &json)
     m.highPriorityFills = uintOf(json, "high_priority_fills");
     m.priorityUpgrades = uintOf(json, "priority_upgrades");
     m.codeFootprintLines = uintOf(json, "code_footprint_lines");
+
+    // An untimed run writes its clock-derived keys as null: the keys
+    // that toJson of the untimed struct parsed so far writes as null.
+    // They read back as 0; a partly-null set is malformed.
+    if (needField(json, "cycles").isNull()) {
+        const stats::JsonValue untimed = m.toJson();
+        for (const auto &[key, value] : untimed.members())
+            if (value.isNull() && !needField(json, key.c_str()).isNull())
+                throw std::runtime_error(
+                    "metricsFromJson: field '" + key +
+                    "' must be null when 'cycles' is null");
+        return m;
+    }
+    m.cycles = uintOf(json, "cycles");
+    m.ipc = doubleOf(json, "ipc");
+    m.starvationCycles = uintOf(json, "starvation_cycles");
+    m.starvationIqEmptyCycles =
+        uintOf(json, "starvation_iq_empty_cycles");
+    m.feStallCycles = uintOf(json, "fe_stall_cycles");
+    m.beStallCycles = uintOf(json, "be_stall_cycles");
+    m.totalStallCycles = uintOf(json, "total_stall_cycles");
+    m.decodeRate = doubleOf(json, "decode_rate");
+    m.issueRate = doubleOf(json, "issue_rate");
+
+    const stats::JsonValue &energy = needField(json, "energy");
+    m.energy.coreDynamicJ = doubleOf(energy, "core_dynamic_j");
+    m.energy.cacheDynamicJ = doubleOf(energy, "cache_dynamic_j");
+    m.energy.dramJ = doubleOf(energy, "dram_j");
+    m.energy.leakageJ = doubleOf(energy, "leakage_j");
+    needField(energy, "total_j");
     return m;
 }
 
@@ -279,25 +292,29 @@ stats::JsonValue
 Metrics::toJson() const
 {
     using stats::JsonValue;
+    // An untimed run's clock-derived keys are null, not 0.
+    const auto clock = [timed = timed()](auto value) {
+        return timed ? JsonValue(value) : JsonValue();
+    };
     JsonValue out = JsonValue::object();
     out.set("benchmark", JsonValue(benchmark));
     out.set("policy", JsonValue(policy));
     out.set("instructions", JsonValue(instructions));
-    out.set("cycles", JsonValue(cycles));
-    out.set("ipc", JsonValue(ipc));
+    out.set("cycles", clock(cycles));
+    out.set("ipc", clock(ipc));
     out.set("l1i_mpki", JsonValue(l1iMpki));
     out.set("l1d_mpki", JsonValue(l1dMpki));
     out.set("l2_inst_mpki", JsonValue(l2InstMpki));
     out.set("l2_data_mpki", JsonValue(l2DataMpki));
     out.set("l3_mpki", JsonValue(l3Mpki));
-    out.set("starvation_cycles", JsonValue(starvationCycles));
+    out.set("starvation_cycles", clock(starvationCycles));
     out.set("starvation_iq_empty_cycles",
-            JsonValue(starvationIqEmptyCycles));
-    out.set("fe_stall_cycles", JsonValue(feStallCycles));
-    out.set("be_stall_cycles", JsonValue(beStallCycles));
-    out.set("total_stall_cycles", JsonValue(totalStallCycles));
-    out.set("decode_rate", JsonValue(decodeRate));
-    out.set("issue_rate", JsonValue(issueRate));
+            clock(starvationIqEmptyCycles));
+    out.set("fe_stall_cycles", clock(feStallCycles));
+    out.set("be_stall_cycles", clock(beStallCycles));
+    out.set("total_stall_cycles", clock(totalStallCycles));
+    out.set("decode_rate", clock(decodeRate));
+    out.set("issue_rate", clock(issueRate));
     out.set("cond_mispredicts_per_ki",
             JsonValue(condMispredictsPerKi));
     out.set("btb_misses_per_ki", JsonValue(btbMissesPerKi));
@@ -309,7 +326,7 @@ Metrics::toJson() const
     energy_json.set("dram_j", JsonValue(energy.dramJ));
     energy_json.set("leakage_j", JsonValue(energy.leakageJ));
     energy_json.set("total_j", JsonValue(energy.total()));
-    out.set("energy", std::move(energy_json));
+    out.set("energy", timed() ? std::move(energy_json) : JsonValue());
 
     JsonValue distribution = JsonValue::array();
     for (const double fraction : priorityDistribution)

@@ -176,21 +176,14 @@ composeMetrics(const MetricsInputs &inputs)
     const cache::HierarchyStats &hs = inputs.hierarchy;
     const backend::BackendStats &bs = inputs.backend;
     const frontend::FrontEndStats &fs = inputs.frontend;
-    const std::uint64_t window_cycles = inputs.windowCycles;
 
     Metrics m;
     m.benchmark = inputs.benchmark;
     m.policy = inputs.policy;
     m.instructions = bs.committed;
-    m.cycles = window_cycles;
     const double ki =
         static_cast<double>(m.instructions) / 1000.0;
     const double safe_ki = ki > 0.0 ? ki : 1.0;
-
-    m.ipc = window_cycles > 0
-                ? static_cast<double>(m.instructions) /
-                      static_cast<double>(window_cycles)
-                : 0.0;
 
     m.l1iMpki = static_cast<double>(hs.l1iMisses) / safe_ki;
     m.l1dMpki = static_cast<double>(hs.l1dMisses) / safe_ki;
@@ -198,49 +191,47 @@ composeMetrics(const MetricsInputs &inputs)
     m.l2DataMpki = static_cast<double>(hs.l2DataMisses) / safe_ki;
     m.l3Mpki = static_cast<double>(hs.l3Misses) / safe_ki;
 
-    m.starvationCycles = inputs.starvationCycles;
-    m.starvationIqEmptyCycles = inputs.starvationIqEmptyCycles;
+    m.condMispredictsPerKi =
+        static_cast<double>(fs.condMispredicts) / safe_ki;
+    m.btbMissesPerKi =
+        static_cast<double>(fs.btbMisses) / safe_ki;
+
+    m.priorityDistribution = inputs.priorityDistribution;
+    m.highPriorityFills = hs.highPriorityFills;
+    m.priorityUpgrades = hs.priorityUpgrades;
+
+    // A window without cycles is a monitor lane's: untimed, so the
+    // clock-derived fields stay 0 (Metrics::timed).
+    if (bs.cycles == 0)
+        return m;
+    m.cycles = bs.cycles;
+    m.ipc = static_cast<double>(m.instructions) /
+            static_cast<double>(bs.cycles);
+    m.starvationCycles = bs.starvationCycles;
+    m.starvationIqEmptyCycles = bs.starvationIqEmptyCycles;
     m.feStallCycles = bs.feStallCycles;
     m.beStallCycles = bs.beStallCycles;
     m.totalStallCycles = bs.feStallCycles + bs.beStallCycles;
-
     m.decodeRate =
         bs.decodeActiveCycles > 0
             ? static_cast<double>(bs.issued) /
                   static_cast<double>(bs.decodeActiveCycles)
             : 0.0;
     m.issueRate = m.ipc;
-
-    m.condMispredictsPerKi =
-        static_cast<double>(fs.condMispredicts) / safe_ki;
-    m.btbMissesPerKi =
-        static_cast<double>(fs.btbMisses) / safe_ki;
-
-    m.energy = energy::computeEnergy(hs, window_cycles,
-                                     m.instructions,
+    m.energy = energy::computeEnergy(hs, bs.cycles, m.instructions,
                                      inputs.emissaryBits);
-
-    m.priorityDistribution = inputs.priorityDistribution;
-    m.highPriorityFills = hs.highPriorityFills;
-    m.priorityUpgrades = hs.priorityUpgrades;
-
     return m;
 }
 
 MetricsInputs
 Simulator::collect() const
 {
-    const auto &bs = backend_.stats();
-
     MetricsInputs inputs;
     inputs.benchmark = source_.name();
     inputs.policy = hierarchy_.l2().policy().name();
     inputs.hierarchy = hierarchy_.stats();
-    inputs.backend = bs;
+    inputs.backend = backend_.stats();
     inputs.frontend = frontend_.stats();
-    inputs.windowCycles = bs.cycles;
-    inputs.starvationCycles = bs.starvationCycles;
-    inputs.starvationIqEmptyCycles = bs.starvationIqEmptyCycles;
     inputs.emissaryBits =
         hierarchy_.l2().spec().family ==
         replacement::PolicyFamily::EmissaryP;
@@ -263,20 +254,15 @@ Simulator::collectLane(unsigned lane) const
     inputs.benchmark = source_.name();
     inputs.policy = lanes->l2(lane).policy().name();
     inputs.hierarchy = lanes->laneStats(lane, hierarchy_.stats());
-    inputs.backend = backend_.stats();
+    // The shared stream's events are the lane's too; its cycles are
+    // the timing lane's, so every cycle counter stays 0.
+    const backend::BackendStats &shared = backend_.stats();
+    inputs.backend.committed = shared.committed;
+    inputs.backend.issued = shared.issued;
+    inputs.backend.loads = shared.loads;
+    inputs.backend.stores = shared.stores;
+    inputs.backend.branchesResolved = shared.branchesResolved;
     inputs.frontend = frontend_.stats();
-
-    // The lane's window length: the shared window adjusted by the
-    // lane's first-order per-miss latency delta.
-    const std::uint64_t window = backend_.stats().cycles;
-    const std::int64_t cycles =
-        static_cast<std::int64_t>(window) + lanes->cycleDelta(lane);
-    inputs.windowCycles =
-        cycles > 0 ? static_cast<std::uint64_t>(cycles) : window;
-
-    inputs.starvationCycles = lanes->estStarvationCycles(lane);
-    inputs.starvationIqEmptyCycles =
-        lanes->estStarvationIqEmptyCycles(lane);
     inputs.emissaryBits =
         lanes->spec(lane).family ==
         replacement::PolicyFamily::EmissaryP;

@@ -32,9 +32,11 @@ namespace emissary::core
  * Raw inputs from which one run's (or one lane's, or one spliced
  * time-parallel run's) Metrics are composed. Every derived number in
  * Metrics is a pure function of these fields, so summing the stats
- * structs and cycle counts of N window slices and composing once
- * yields the exact whole-window derivation — the splice rule of the
- * time-parallel scheduler (core::run).
+ * structs of N window slices and composing once yields the exact
+ * whole-window derivation — the splice rule of the time-parallel
+ * scheduler (core::run). The window's cycles are backend.cycles; a
+ * monitor lane's are 0, which makes its Metrics untimed
+ * (Metrics::timed).
  */
 struct MetricsInputs
 {
@@ -43,12 +45,6 @@ struct MetricsInputs
     cache::HierarchyStats hierarchy;
     backend::BackendStats backend;
     frontend::FrontEndStats frontend;
-    /** Cycles of the (possibly spliced) measurement window. */
-    std::uint64_t windowCycles = 0;
-    /** Decode-starvation cycles: the backend counter for exact runs,
-     *  the lane estimator for fused monitor lanes. */
-    std::uint64_t starvationCycles = 0;
-    std::uint64_t starvationIqEmptyCycles = 0;
     /** Policy keeps EMISSARY P bits (energy model surcharge). */
     bool emissaryBits = false;
     /** End-of-window L2 priority-distribution fractions. */
@@ -124,11 +120,10 @@ class Simulator
 
     /**
      * Raw inputs of one monitor lane of the attached PolicyLaneBank
-     * (fused multi-policy pass): the shared pipeline's counters with
-     * the policy-dependent cache counters replaced by the lane's
-     * own, cycles adjusted by the lane's first-order delta, and
-     * starvation taken from the lane estimators. Valid after run();
-     * requires a bank attached via hierarchy().setLanes().
+     * (fused multi-policy pass): the lane's own L2/L3 counters and
+     * the shared pipeline's event counters, with every cycle
+     * counter 0, since a monitor lane keeps no clock. Valid after
+     * run(); requires a bank attached via hierarchy().setLanes().
      */
     MetricsInputs collectLane(unsigned lane) const;
 

@@ -66,6 +66,8 @@ toUpper(const std::string &text)
 std::string
 formatDouble(double value, int decimals)
 {
+    if (std::isnan(value))
+        return "n/a";
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
     return buf;

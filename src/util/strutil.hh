@@ -30,7 +30,8 @@ bool parseDecimal(const std::string &text, std::uint64_t max,
 /** Uppercase an ASCII string. */
 std::string toUpper(const std::string &text);
 
-/** Format @p value with @p decimals digits, e.g. 3.24 -> "3.24". */
+/** Format @p value with @p decimals digits, e.g. 3.24 -> "3.24";
+ *  a NaN, a figure the run did not measure, prints as "n/a". */
 std::string formatDouble(double value, int decimals);
 
 /** Format a ratio as a signed percentage string, e.g. "+3.24%". */

@@ -145,9 +145,7 @@ describe(const MetricsInputs &inputs)
     std::ostringstream out;
     out.precision(17);
     out << inputs.benchmark << ' ' << inputs.policy << ' '
-        << inputs.windowCycles << ' ' << inputs.starvationCycles << ' '
-        << inputs.starvationIqEmptyCycles << ' ' << inputs.emissaryBits
-        << ' ' << registryJson(registry).dump(0);
+        << inputs.emissaryBits << ' ' << registryJson(registry).dump(0);
     for (const double fraction : inputs.priorityDistribution)
         out << ' ' << fraction;
     return out.str();

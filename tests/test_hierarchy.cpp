@@ -220,7 +220,7 @@ TEST(Hierarchy, IdealL2InstHidesCapacityMisses)
     const std::uint64_t ready =
         h.requestInstruction(target, now, RequestKind::Demand);
     EXPECT_EQ(ready, now + 2 + 12);
-    EXPECT_EQ(h.stats().idealHiddenMisses, 1u);
+    EXPECT_EQ(h.stats().idealCollapsedMisses, 1u);
 }
 
 TEST(Hierarchy, DataPathFillsL1dAndDirtyWriteback)

@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/observability.hh"
@@ -240,6 +242,70 @@ TEST(Observability, RegistryExportMatchesMetrics)
           "priority_distribution", "code_footprint_lines"})
         EXPECT_NE(doc.find(key), nullptr) << key;
     EXPECT_EQ(doc.find("instructions")->asUint(), m.instructions);
+}
+
+TEST(Observability, UntimedMetricsRoundTripWithNullClockKeys)
+{
+    // A fused pass: lane 0 keeps the clock, lane 1 is a monitor.
+    const trace::SyntheticProgram program(hostileProfile());
+    RunOptions o;
+    o.warmupInstructions = 20000;
+    o.measureInstructions = 60000;
+    const std::vector<Metrics> lanes =
+        run(program,
+            {replacement::PolicySpec::parse("TPLRU"),
+             replacement::PolicySpec::parse("LRU")},
+            0, replacement::PolicySpec::parse(o.l1iPolicy), o);
+    const Metrics &timing = lanes.at(0);
+    const Metrics &monitor = lanes.at(1);
+    ASSERT_TRUE(timing.timed());
+    ASSERT_FALSE(monitor.timed());
+
+    // Exactly the ten clock-derived keys are null.
+    const std::set<std::string> clock = {
+        "cycles", "ipc", "issue_rate", "decode_rate",
+        "starvation_cycles", "starvation_iq_empty_cycles",
+        "fe_stall_cycles", "be_stall_cycles", "total_stall_cycles",
+        "energy"};
+    const stats::JsonValue json = monitor.toJson();
+    std::size_t nulls = 0;
+    for (const auto &[key, value] : json.members()) {
+        EXPECT_EQ(value.isNull(), clock.count(key) == 1) << key;
+        nulls += value.isNull() ? 1 : 0;
+    }
+    EXPECT_EQ(nulls, clock.size());
+    EXPECT_GT(json.find("l2_inst_mpki")->asDouble(), 0.0);
+
+    // They read back as 0, and every event field as written.
+    const Metrics back = metricsFromJson(json);
+    EXPECT_EQ(back.toJson(), json);
+    EXPECT_EQ(back.cycles, monitor.cycles);
+    EXPECT_EQ(back.ipc, monitor.ipc);
+    EXPECT_EQ(back.issueRate, monitor.issueRate);
+    EXPECT_EQ(back.decodeRate, monitor.decodeRate);
+    EXPECT_EQ(back.starvationCycles, monitor.starvationCycles);
+    EXPECT_EQ(back.starvationIqEmptyCycles,
+              monitor.starvationIqEmptyCycles);
+    EXPECT_EQ(back.feStallCycles, monitor.feStallCycles);
+    EXPECT_EQ(back.beStallCycles, monitor.beStallCycles);
+    EXPECT_EQ(back.totalStallCycles, monitor.totalStallCycles);
+    EXPECT_EQ(back.energy.coreDynamicJ, monitor.energy.coreDynamicJ);
+    EXPECT_EQ(back.energy.cacheDynamicJ, monitor.energy.cacheDynamicJ);
+    EXPECT_EQ(back.energy.dramJ, monitor.energy.dramJ);
+    EXPECT_EQ(back.energy.leakageJ, monitor.energy.leakageJ);
+    EXPECT_EQ(metricsFromJson(timing.toJson()).toJson(),
+              timing.toJson());
+
+    // null means n/a for an untimed run's clock keys only.
+    stats::JsonValue event_null = json;
+    *event_null.find("l2_inst_mpki") = stats::JsonValue();
+    EXPECT_THROW(metricsFromJson(event_null), std::runtime_error);
+    stats::JsonValue partly_null = json;
+    *partly_null.find("ipc") = stats::JsonValue(1.5);
+    EXPECT_THROW(metricsFromJson(partly_null), std::runtime_error);
+    stats::JsonValue timed_null = timing.toJson();
+    *timed_null.find("energy") = stats::JsonValue();
+    EXPECT_THROW(metricsFromJson(timed_null), std::runtime_error);
 }
 
 TEST(Observability, DisabledByDefaultCostsNothing)

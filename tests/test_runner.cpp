@@ -486,9 +486,11 @@ TEST(RunnerGrid, FailedRowBuildThrowsAfterEveryOtherJob)
 {
     // Row 0's container is corrupt, so its build throws at once while
     // row 1 still generates and packs 4M records. runGrid must wait
-    // for row 1's build and cell before it rethrows (they write state
-    // local to runGrid; the ASan stage catches a write after it
-    // returned), and the error is the container's.
+    // for row 1's build before it rethrows (it writes state local to
+    // runGrid; the ASan stage catches a write after it returned), and
+    // the error is the container's. The failed build stops the grid:
+    // at one worker, where jobs start in submission order, row 1's
+    // cell starts after the failure and never simulates.
     const std::string corrupt = std::string(::testing::TempDir()) +
                                 "/emissary_runner_corrupt.emtc";
     {
@@ -503,13 +505,24 @@ TEST(RunnerGrid, FailedRowBuildThrowsAfterEveryOtherJob)
             core::GridWorkload("corrupt.emtc", corrupt),
             core::GridWorkload(trace::profileByName("tomcat"))},
         {"TPLRU"}, options);
-    core::ThreadPool pool(2);
-    try {
-        core::runGrid(grid, pool);
-        ADD_FAILURE() << "a corrupt container must fail the grid";
-    } catch (const std::runtime_error &e) {
-        EXPECT_EQ(std::string(e.what()).rfind("EMTC: " + corrupt, 0), 0u)
-            << e.what();
+    for (const unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE(workers);
+        core::ThreadPool pool(workers);
+        std::size_t tomcat_cells = 0;
+        try {
+            core::runGrid(grid, pool,
+                          [&](std::size_t w, std::size_t) {
+                              tomcat_cells += w == 1 ? 1 : 0;
+                          });
+            ADD_FAILURE() << "a corrupt container must fail the grid";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("EMTC: " + corrupt, 0),
+                      0u)
+                << e.what();
+        }
+        if (workers == 1) {
+            EXPECT_EQ(tomcat_cells, 0u);
+        }
     }
     std::remove(corrupt.c_str());
 }

@@ -26,6 +26,7 @@
 
 #include <arpa/inet.h>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -309,6 +310,7 @@ makeEntry(std::uint64_t tag)
     entry.metrics.benchmark = "bench-" + std::to_string(tag);
     entry.metrics.policy = "TPLRU";
     entry.metrics.instructions = tag;
+    entry.metrics.cycles = 1000 + tag;
     entry.metrics.ipc = 1.25 + static_cast<double>(tag);
     JsonValue counters = JsonValue::object();
     counters.set("sim.l2.misses", JsonValue(tag * 11));
@@ -493,6 +495,26 @@ TEST(GridCache, FusedWarmRunServesEveryLane)
         ASSERT_EQ(warm.executionAt(0, r), CellExecution::Cached);
         expectMetricsIdentical(warm.at(0, r), cold.at(0, r));
     }
+
+    // The same from disk, through a fresh cache instance: the
+    // monitor lanes' null clock keys must parse, not turn every
+    // monitor entry into a rejected miss.
+    const std::string dir = tempPath("cache_fused");
+    std::filesystem::remove_all(dir);
+    ResultCache writer(dir);
+    fused.cellCache = &writer;
+    runGrid(grid, pool, fused);
+    ResultCache reader(dir);
+    fused.cellCache = &reader;
+    const core::GridResults reread = runGrid(grid, pool, fused);
+    for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+        ASSERT_EQ(reread.executionAt(0, r), CellExecution::Cached);
+        expectMetricsIdentical(reread.at(0, r), cold.at(0, r));
+    }
+    EXPECT_FALSE(reread.at(0, 1).timed());
+    const ResultCache::Snapshot snap = reader.snapshot();
+    EXPECT_EQ(snap.diskHits, grid.runs.size());
+    EXPECT_EQ(snap.rejected, 0u);
 }
 
 TEST(GridCache, ExactRequestsNeverReuseMonitorEstimates)

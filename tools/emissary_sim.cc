@@ -103,7 +103,9 @@ usage(const char *argv0)
         "  --fused              sweep: one trace pass per workload\n"
         "                       drives all policies at once (first\n"
         "                       policy is the exact timing lane, the\n"
-        "                       rest are monitor lanes)\n"
+        "                       rest are monitor lanes that count\n"
+        "                       cache events only: IPC, starvation\n"
+        "                       and speedup print as n/a)\n"
         "  --fast-mode          sweep: --fused with 1-in-8 sampled-\n"
         "                       set monitor lanes (error bounds:\n"
         "                       docs/performance.md)\n"
@@ -487,6 +489,8 @@ main(int argc, char **argv)
                 stats::ChromeTraceWriter::write(perf_trace_path,
                                                 *flight);
 
+            // A monitor lane is untimed: its IPC, starvation and
+            // speedup print as n/a.
             stats::Table table({"benchmark", "policy", "IPC",
                                 "L2I MPKI", "L2D MPKI",
                                 "starv (IQ-empty)", "speedup%"});
@@ -496,12 +500,18 @@ main(int argc, char **argv)
                     const core::Metrics &m = results.at(w, p);
                     table.addRow(
                         {workloads[w].name, policies[p],
-                         formatDouble(m.ipc, 3),
+                         formatDouble(core::timedFigure(m.timed(), m.ipc),
+                                      3),
                          formatDouble(m.l2InstMpki, 2),
                          formatDouble(m.l2DataMpki, 2),
-                         std::to_string(m.starvationIqEmptyCycles),
+                         m.timed() ? std::to_string(
+                                         m.starvationIqEmptyCycles)
+                                   : "n/a",
                          formatDouble(
-                             core::speedupPercent(base, m), 2)});
+                             core::timedFigure(
+                                 base.timed() && m.timed(),
+                                 core::speedupPercent(base, m)),
+                             2)});
                 }
             }
             if (stats_json_path == "-") {
