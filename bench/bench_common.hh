@@ -146,19 +146,19 @@ runGridRecorded(const char *bench_name, const core::PolicyGrid &grid,
 /** Print the sweep's wall-clock accounting (tracked in results/). */
 inline void
 reportSweepTiming(const core::GridResults &results,
-                  const std::vector<trace::WorkloadProfile> &workloads)
+                  const std::vector<core::GridWorkload> &workloads)
 {
     std::printf("sweep wall-clock:\n%s\n",
                 results.timingTable(workloads).render().c_str());
 }
 
-/** Grid-row overload for harnesses sweeping mixed workload lists. */
+/** Profile-list overload for harnesses that keep WorkloadProfiles. */
 inline void
 reportSweepTiming(const core::GridResults &results,
-                  const std::vector<core::GridWorkload> &workloads)
+                  const std::vector<trace::WorkloadProfile> &workloads)
 {
-    std::printf("sweep wall-clock:\n%s\n",
-                results.timingTable(workloads).render().c_str());
+    reportSweepTiming(results, std::vector<core::GridWorkload>(
+                                   workloads.begin(), workloads.end()));
 }
 
 /**

@@ -21,6 +21,12 @@
  *
  * Each mode's speedups are taken against its own baseline column;
  * for fused modes that column is the exact timing lane.
+ *
+ * Every mode and the oracle run three times, interleaved, and the
+ * wall-clock column is the ratio of their median pass times, with the
+ * range over the mode's fastest and slowest pass. Results are
+ * deterministic, so the run fails when a repeated pass's cells differ
+ * from its first pass's.
  */
 
 #include <algorithm>
@@ -28,6 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,7 +85,14 @@ struct Mode
     unsigned timeChunks = 1;
     ErrorStats l2Inst, l2Data, l3, ipcPct, speedupPct;
     std::uint64_t timingMismatches = 0;
-    double seconds = 0.0;
+    /** The first pass's cells, which every error is taken from. */
+    std::optional<core::GridResults> results;
+    /** Cells of a later pass that differ from the first pass's. */
+    std::uint64_t repeatMismatches = 0;
+    /** Wall seconds of each pass, sorted once every pass has run. */
+    std::vector<double> seconds;
+
+    double median() const { return seconds[seconds.size() / 2]; }
 };
 
 } // namespace
@@ -97,6 +111,7 @@ main()
     // IPC well before they move the MPKI columns.
     const core::RunOptions options = bench::defaultOptions(4'000'000);
     constexpr std::uint64_t kWarmRecords = 1'000'000;
+    constexpr int kPasses = 3;
     bench::banner("mode validation - fused, sampled and chunked "
                   "error bounds",
                   "methodology check (approximate execution modes)",
@@ -129,6 +144,8 @@ main()
         modes.push_back(mode);
     }
 
+    // One pass of @p mode: its first pass keeps the cells, and every
+    // later pass must reproduce them.
     const auto run_mode = [&](Mode &mode) {
         core::RunOptions run_options = options;
         if (mode.timeChunks > 1) {
@@ -137,24 +154,42 @@ main()
         }
         const core::PolicyGrid grid =
             core::PolicyGrid::sweep(workloads, policies, run_options);
-        std::printf("pass: %s, %zu cells\n", mode.label.c_str(),
+        std::printf("pass %zu/%d: %s, %zu cells\n",
+                    mode.seconds.size() + 1, kPasses, mode.label.c_str(),
                     grid.cellCount());
         std::fflush(stdout);
         const auto start = std::chrono::steady_clock::now();
         core::GridResults results =
-            core::runGrid(grid, pool, mode.scheduling, {});
-        mode.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-        return results;
+            core::runGrid(grid, pool, mode.scheduling);
+        mode.seconds.push_back(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   start)
+                                   .count());
+        if (!mode.results) {
+            mode.results.emplace(std::move(results));
+            return;
+        }
+        for (std::size_t w = 0; w < workloads.size(); ++w)
+            for (std::size_t p = 0; p < policies.size(); ++p)
+                if (results.at(w, p).toJson() !=
+                    mode.results->at(w, p).toJson())
+                    ++mode.repeatMismatches;
     };
 
+    // Interleaved, so a drift in machine speed reaches every mode.
     Mode oracle;
     oracle.label = "sequential oracle";
-    const core::GridResults reference = run_mode(oracle);
+    for (int pass = 0; pass < kPasses; ++pass) {
+        run_mode(oracle);
+        for (Mode &mode : modes)
+            run_mode(mode);
+    }
+    std::sort(oracle.seconds.begin(), oracle.seconds.end());
+    const core::GridResults &reference = *oracle.results;
 
     for (Mode &mode : modes) {
-        const core::GridResults results = run_mode(mode);
+        std::sort(mode.seconds.begin(), mode.seconds.end());
+        const core::GridResults &results = *mode.results;
         for (std::size_t w = 0; w < workloads.size(); ++w) {
             for (std::size_t p = 0; p < policies.size(); ++p) {
                 const core::Metrics &ref = reference.at(w, p);
@@ -185,7 +220,7 @@ main()
                         "L2D MPKI err max", "mean", "L3 MPKI err max",
                         "mean", "IPC err% max", "mean",
                         "speedup% err max", "mean", "timing lane",
-                        "wall vs seq"});
+                        "wall vs seq", "range"});
     for (const Mode &mode : modes)
         table.addRow(
             {mode.label, formatDouble(mode.l2Inst.max(), 3),
@@ -201,18 +236,24 @@ main()
              !mode.scheduling.fused       ? "none"
              : mode.timingMismatches == 0 ? "bit-identical"
                                           : "MISMATCH",
-             formatDouble(oracle.seconds / (mode.seconds > 0.0
-                                                ? mode.seconds
-                                                : 1.0),
-                          2) +
+             formatDouble(oracle.median() / mode.median(), 2) + "x",
+             formatDouble(oracle.median() / mode.seconds.back(), 2) +
+                 "-" +
+                 formatDouble(oracle.median() / mode.seconds.front(),
+                              2) +
                  "x"});
 
     const std::string rendered = table.render();
     std::printf("\nerror vs the sequential oracle (%zu workloads x "
                 "%zu policies):\n%s\n",
                 workloads.size(), policies.size(), rendered.c_str());
-    std::printf("sequential oracle: %.2f s wall; %u pool workers\n",
-                oracle.seconds, pool.workerCount());
+    const std::string oracle_wall =
+        formatDouble(oracle.median(), 2) + " s wall, median of " +
+        std::to_string(kPasses) + " passes (" +
+        formatDouble(oracle.seconds.front(), 2) + "-" +
+        formatDouble(oracle.seconds.back(), 2) + " s)";
+    std::printf("sequential oracle: %s; %u pool workers\n",
+                oracle_wall.c_str(), pool.workerCount());
 
     // Archive the table for docs/performance.md (opt-out by
     // pointing EMISSARY_VALIDATION_OUT at an empty string).
@@ -235,20 +276,25 @@ main()
                 "Chunked rows count every cell.\n"
                 "Speedups are taken against each mode's own TPLRU "
                 "column.\n"
+                "Every mode and the oracle run %d passes, interleaved;\n"
+                "\"wall vs seq\" is the ratio of their median pass\n"
+                "times, \"range\" the oracle median over the mode's\n"
+                "slowest and fastest pass.\n"
                 "Regenerate from the repo root:\n"
                 "  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release\n"
                 "  cmake --build build -j && "
                 "./build/bench/bench_mode_validation\n\n%s\n"
-                "sequential oracle: %.2f s wall\n"
-                "gates: fused timing lanes bit-identical; chunked "
-                "mean L2I MPKI error <= 0.2\n",
+                "sequential oracle: %s\n"
+                "gates: fused timing lanes bit-identical; repeated "
+                "passes bit-identical;\nchunked mean L2I MPKI error "
+                "<= 0.2\n",
                 workloads.size(),
                 static_cast<unsigned long long>(
                     options.warmupInstructions),
                 static_cast<unsigned long long>(
                     options.measureInstructions),
-                static_cast<unsigned long long>(kWarmRecords),
-                rendered.c_str(), oracle.seconds);
+                static_cast<unsigned long long>(kWarmRecords), kPasses,
+                rendered.c_str(), oracle_wall.c_str());
             std::fclose(out);
             std::printf("validation table: %s\n", out_path.c_str());
         } else {
@@ -259,7 +305,19 @@ main()
     }
 
     int status = 0;
+    const auto check_repeats = [&status](const Mode &mode) {
+        if (mode.repeatMismatches == 0)
+            return;
+        std::printf("FAIL: %s: %llu cells of a repeated pass differ "
+                    "from the first pass\n",
+                    mode.label.c_str(),
+                    static_cast<unsigned long long>(
+                        mode.repeatMismatches));
+        status = 1;
+    };
+    check_repeats(oracle);
     for (const Mode &mode : modes) {
+        check_repeats(mode);
         if (mode.timingMismatches != 0) {
             std::printf("FAIL: %s: %llu timing lanes differ from "
                         "the oracle\n",

@@ -126,8 +126,6 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
         if (demandish) {
             if (is_instruction) {
                 ++stats_.l2InstMisses;
-                if (starvationMapEnabled_)
-                    ++l2InstMissByLine_[line_addr];
                 if (observer_)
                     observer_->onL2InstMiss(line_addr);
             } else {
@@ -199,8 +197,6 @@ Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty,
     entry.iqEmpty = entry.iqEmpty || iq_empty;
     entry.starveCycles += static_cast<std::uint32_t>(cycles);
     stats_.starvationNotes += cycles;
-    if (starvationMapEnabled_)
-        starvationByLine_[line_addr] += cycles;
     if (observer_)
         for (std::uint64_t c = now; c < now + cycles; ++c)
             observer_->onStarvationCycle(line_addr, c);

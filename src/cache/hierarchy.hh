@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -260,28 +259,10 @@ class Hierarchy
     /** EMISSARY §6: clear every priority bit in L1I and L2. */
     void resetPriorities();
 
-    /** Enable per-line starvation-cycle accounting (Fig. 2 bench and
-     *  diagnosis; off by default to keep the hot path lean). */
-    void enableStarvationMap(bool on) { starvationMapEnabled_ = on; }
-
     /** Register an event-time observer (nullptr to clear). */
     void setObserver(HierarchyObserver *observer)
     {
         observer_ = observer;
-    }
-
-    /** Per-line starvation cycles (only when enabled). */
-    const std::unordered_map<std::uint64_t, std::uint64_t> &
-    starvationByLine() const
-    {
-        return starvationByLine_;
-    }
-
-    /** Per-line L2 instruction misses (only when enabled). */
-    const std::unordered_map<std::uint64_t, std::uint64_t> &
-    l2InstMissByLine() const
-    {
-        return l2InstMissByLine_;
     }
 
     Cache &l1i() { return l1i_; }
@@ -377,9 +358,6 @@ class Hierarchy
     HierarchyObserver *observer_ = nullptr;
     PolicyLaneBank *lanes_ = nullptr;
     bool warming_ = false;
-    bool starvationMapEnabled_ = false;
-    std::unordered_map<std::uint64_t, std::uint64_t> starvationByLine_;
-    std::unordered_map<std::uint64_t, std::uint64_t> l2InstMissByLine_;
 };
 
 } // namespace emissary::cache

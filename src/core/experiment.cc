@@ -449,34 +449,18 @@ run(const RunSource &source,
 std::string
 canonicalRunOptions(const RunOptions &options)
 {
-    using stats::JsonValue;
-    JsonValue doc = JsonValue::object();
-    doc.set("warmup_instructions",
-            JsonValue(options.warmupInstructions));
-    doc.set("measure_instructions",
-            JsonValue(options.measureInstructions));
-    doc.set("fdip", JsonValue(options.fdip));
-    doc.set("next_line_prefetch",
-            JsonValue(options.nextLinePrefetch));
-    doc.set("ideal_l2_inst", JsonValue(options.idealL2Inst));
-    doc.set("emissary_tree_plru",
-            JsonValue(options.emissaryTreePlru));
-    doc.set("l1i_policy", JsonValue(options.l1iPolicy));
-    doc.set("bypass_low_priority_inst",
-            JsonValue(options.bypassLowPriorityInst));
-    doc.set("priority_reset_instructions",
-            JsonValue(options.priorityResetInstructions));
-    doc.set("seed", JsonValue(options.seed));
     // Normalised so every sequential spelling (timeChunks 0 or 1,
     // any warmup value) maps to one identity: the warmup knob only
     // shapes results when the window is actually chunked.
-    const bool chunked = options.timeChunks > 1;
-    doc.set("time_chunks",
-            JsonValue(static_cast<std::uint64_t>(
-                chunked ? options.timeChunks : 1)));
-    doc.set("chunk_warmup_records",
-            JsonValue(chunked ? options.chunkWarmupRecords
-                              : std::uint64_t{0}));
+    RunOptions normal = options;
+    if (normal.timeChunks <= 1) {
+        normal.timeChunks = 1;
+        normal.chunkWarmupRecords = 0;
+    }
+    stats::JsonValue doc = stats::JsonValue::object();
+    forEachRunOption([&](const char *key, auto member) {
+        doc.set(key, stats::JsonValue(normal.*member));
+    });
     return doc.dump(0);
 }
 

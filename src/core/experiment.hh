@@ -87,6 +87,50 @@ struct RunOptions
 };
 
 /**
+ * Calls @p visit(key, member) once per RunOptions field, with its
+ * JSON key and a pointer to the member, in the one order every use
+ * of the knobs follows: operator==, the manifest "config"
+ * (runOptionsJson), the cache identity (canonicalRunOptions) and the
+ * service's request parser. A field left out here would be missing
+ * from all four, so two configs that differ in it would share a
+ * cache entry: a new field joins this list, append-only. Written
+ * over member pointers rather than as a defaulted operator== so the
+ * header stays C++17: the benchmark harness (bench/e2e) includes it
+ * from a C++17 target.
+ */
+template <typename Visit>
+void
+forEachRunOption(Visit &&visit)
+{
+    visit("warmup_instructions", &RunOptions::warmupInstructions);
+    visit("measure_instructions", &RunOptions::measureInstructions);
+    visit("fdip", &RunOptions::fdip);
+    visit("next_line_prefetch", &RunOptions::nextLinePrefetch);
+    visit("ideal_l2_inst", &RunOptions::idealL2Inst);
+    visit("emissary_tree_plru", &RunOptions::emissaryTreePlru);
+    visit("l1i_policy", &RunOptions::l1iPolicy);
+    visit("bypass_low_priority_inst",
+          &RunOptions::bypassLowPriorityInst);
+    visit("priority_reset_instructions",
+          &RunOptions::priorityResetInstructions);
+    visit("seed", &RunOptions::seed);
+    visit("time_chunks", &RunOptions::timeChunks);
+    visit("chunk_warmup_records", &RunOptions::chunkWarmupRecords);
+}
+
+/** Every knob equal: two runs then share one machine and window, and
+ *  may share a fused pass or a P(N) result (core::planGrid). */
+inline bool
+operator==(const RunOptions &a, const RunOptions &b)
+{
+    bool equal = true;
+    forEachRunOption([&](const char *, auto member) {
+        equal = equal && a.*member == b.*member;
+    });
+    return equal;
+}
+
+/**
  * Run one benchmark under one L2 policy.
  *
  * @param program The benchmark's generated program (reuse across
@@ -269,12 +313,12 @@ run(const RunSource &source,
     RunTelemetry *telemetry = nullptr);
 
 /**
- * Every RunOptions field as one canonical compact-JSON string, the
- * machine-config component of a grid cell's cache identity
- * (core::cellCacheCanonical). Unlike the manifest "config" object
- * this includes the seed, and its layout is append-only: adding a
- * RunOptions field must extend this string, otherwise two configs
- * that differ in the new knob would collide in the result cache.
+ * Every RunOptions field (forEachRunOption) as one canonical
+ * compact-JSON string, the machine-config component of a grid cell's
+ * cache identity (core::cellCacheCanonical). Unlike the manifest
+ * "config" object this includes the seed, and the two chunk fields
+ * are normalised: every sequential spelling reads time_chunks 1 and
+ * chunk_warmup_records 0.
  */
 std::string canonicalRunOptions(const RunOptions &options);
 

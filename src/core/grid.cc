@@ -39,15 +39,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Stores seconds-since-@p start into @p out on scope exit; the
- *  program-build lambda has several return paths. */
-struct BuildDone
-{
-    double &out;
-    std::chrono::steady_clock::time_point start;
-    ~BuildDone() { out = secondsSince(start); }
-};
-
 /** Pack-time unique-code-line census of an EMTC container (0 for
  *  EMTR traces, which carry no footprint metadata). */
 std::uint64_t
@@ -71,28 +62,6 @@ recordsNeeded(const PolicyGrid &grid)
         window = std::max(window, run.options.warmupInstructions +
                                       run.options.measureInstructions);
     return trace::RecordBuffer::recordsForWindow(window);
-}
-
-/**
- * Two run specs may share one fused pass only when every knob that
- * shapes the simulated machine or window agrees; the L2 policy is
- * the one axis the lanes vary.
- */
-bool
-sameRunKnobs(const RunOptions &a, const RunOptions &b)
-{
-    return a.warmupInstructions == b.warmupInstructions &&
-           a.measureInstructions == b.measureInstructions &&
-           a.fdip == b.fdip &&
-           a.nextLinePrefetch == b.nextLinePrefetch &&
-           a.idealL2Inst == b.idealL2Inst &&
-           a.emissaryTreePlru == b.emissaryTreePlru &&
-           a.l1iPolicy == b.l1iPolicy &&
-           a.bypassLowPriorityInst == b.bypassLowPriorityInst &&
-           a.priorityResetInstructions ==
-               b.priorityResetInstructions &&
-           a.seed == b.seed && a.timeChunks == b.timeChunks &&
-           a.chunkWarmupRecords == b.chunkWarmupRecords;
 }
 
 /** CRC-32 of a whole file, streamed in 64 KiB chunks — the content
@@ -406,21 +375,6 @@ GridResults::GridResults(std::size_t workloads, std::size_t runs)
         workloads, std::vector<GridTiming::CellPhases>(runs));
 }
 
-bool
-GridResults::anyFused() const
-{
-    // Time-parallel cells are chunked, not fused: the splice never
-    // runs monitor lanes unless the grid also fused the row.
-    for (const auto &row : execution_)
-        for (const CellExecution execution : row)
-            if (execution != CellExecution::Sequential &&
-                execution != CellExecution::Cached &&
-                execution != CellExecution::TimeParallel &&
-                execution != CellExecution::Shared)
-                return true;
-    return false;
-}
-
 std::uint64_t
 GridResults::totalInstructions() const
 {
@@ -438,17 +392,6 @@ GridResults::instructionsPerSecond() const
                ? static_cast<double>(totalInstructions()) /
                      timing_.totalSeconds
                : 0.0;
-}
-
-stats::Table
-GridResults::timingTable(
-    const std::vector<trace::WorkloadProfile> &workloads) const
-{
-    std::vector<GridWorkload> rows;
-    rows.reserve(workloads.size());
-    for (const trace::WorkloadProfile &profile : workloads)
-        rows.emplace_back(profile);
-    return timingTable(rows);
 }
 
 stats::Table
@@ -497,12 +440,167 @@ GridResults::timingTable(
     return table;
 }
 
-GridResults
-runGrid(const PolicyGrid &grid, ThreadPool &pool,
-        const std::function<void(std::size_t w, std::size_t r)>
-            &progress, stats::SpanRecorder *recorder)
+GridPlan
+planGrid(const PolicyGrid &grid, const GridOptions &options)
 {
-    return runGrid(grid, pool, GridOptions{}, progress, recorder);
+    if (grid.workloads.empty() || grid.runs.empty())
+        throw std::invalid_argument("planGrid: empty grid");
+    const std::size_t rows = grid.workloads.size();
+    const std::size_t columns = grid.runs.size();
+    const std::size_t max_lanes = cache::PolicyLaneBank::kMaxLanes;
+    GridPlan plan;
+    for (const RunSpec &run : grid.runs) {
+        plan.l2Specs.push_back(
+            replacement::PolicySpec::parse(run.l2Policy));
+        plan.l1iSpecs.push_back(
+            replacement::PolicySpec::parse(run.options.l1iPolicy));
+    }
+
+    // Fused scheduling applies when every run of a row can share one
+    // machine; with heterogeneous run knobs the whole grid falls back
+    // to the per-cell engine (simplest correct rule — mixed grids are
+    // the ablation harnesses, which are not throughput-bound).
+    plan.fused = options.fused &&
+                 std::all_of(grid.runs.begin(), grid.runs.end(),
+                             [&grid](const RunSpec &run) {
+                                 return run.options ==
+                                        grid.runs.front().options;
+                             });
+    // A fused row's second column is the grid's first monitor lane.
+    plan.sampledSets = plan.fused && columns > 1 && options.sampledSets > 1
+                           ? options.sampledSets
+                           : 0;
+    plan.bufferRecords = recordsNeeded(grid);
+
+    // Cache roles follow the request layout, not the miss set: with
+    // fused scheduling, the first column of every kMaxLanes chunk is
+    // the exact timing lane and the rest are monitor lanes driven by
+    // that column's policy. Hits are served before the row builds,
+    // so a fully cached row skips even its source.
+    const std::string &sha = buildInfo().gitSha;
+    plan.cells.assign(rows, std::vector<CellPlan>(columns));
+    for (std::size_t w = 0; w < rows; ++w) {
+        for (std::size_t r = 0; r < columns; ++r) {
+            CellPlan &cell = plan.cells[w][r];
+            cell.timingColumn = plan.fused ? r - r % max_lanes : r;
+            if (!options.cellCache)
+                continue;
+            cell.cacheCanonical = cellCacheCanonical(
+                grid.workloads[w], grid.runs[r],
+                cell.timingColumn != r
+                    ? grid.runs[cell.timingColumn].l2Policy
+                    : std::string(),
+                plan.sampledSets, sha);
+            cell.cacheKey = cellCacheKey(cell.cacheCanonical);
+            CellCacheEntry entry;
+            if (options.cellCache->lookup(cell.cacheKey,
+                                          cell.cacheCanonical, entry))
+                cell.hit = std::move(entry);
+        }
+    }
+
+    // One source per row, shared by every pass of the row. EMTC rows
+    // stream: each pass, and each time-parallel chunk, opens the
+    // container at its own start record through the block index and
+    // decodes only the blocks it reads, so no cell waits on a
+    // whole-trace decode. Synthetic rows and raw EMTR rows
+    // (FileTraceSource loads the whole file at open) pack their
+    // stream once into a RecordBuffer that every pass replays, within
+    // the replay budget; past it, a synthetic row generates live and
+    // an EMTR row reopens its file per pass. A cursor that outruns its
+    // buffer continues from the buffer's tail. Every kind serves the
+    // same records, so the Metrics are bit-identical
+    // (tests/test_replay.cpp, tests/test_runner.cpp).
+    const std::uint64_t budget_bytes =
+        envU64("EMISSARY_REPLAY_BUDGET_MB", 1024) * 1024 * 1024;
+    const std::uint64_t bytes_per_buffer =
+        plan.bufferRecords * trace::RecordBuffer::kBytesPerRecord;
+    std::uint64_t buffers_left =
+        bytes_per_buffer > 0 ? budget_bytes / bytes_per_buffer : 0;
+    plan.sources.assign(rows, RowSource::None);
+    for (std::size_t w = 0; w < rows; ++w) {
+        // A fully cached row never simulates, so it needs no source
+        // either: the warm path costs identity probes only.
+        const std::vector<CellPlan> &cells = plan.cells[w];
+        if (std::all_of(cells.begin(), cells.end(),
+                        [](const CellPlan &cell) { return cell.cached(); }))
+            continue;
+        const GridWorkload &row = grid.workloads[w];
+        if (row.traceBacked() && isPackedTracePath(row.tracePath)) {
+            plan.sources[w] = RowSource::Stream;
+        } else if (buffers_left > 0) {
+            --buffers_left;
+            plan.sources[w] = RowSource::Replay;
+        } else {
+            plan.sources[w] =
+                row.traceBacked() ? RowSource::Stream : RowSource::Live;
+        }
+    }
+
+    for (std::size_t w = 0; w < rows; ++w) {
+        const auto fresh = [&](std::size_t r) {
+            return !plan.cells[w][r].cached();
+        };
+        if (plan.fused) {
+            // One pass per lane chunk. The timing column drives the
+            // pass even when cached; cached monitors already hold
+            // their results.
+            for (std::size_t base = 0; base < columns; base += max_lanes) {
+                GridPass pass{w, {base}, {}};
+                for (std::size_t r = base + 1;
+                     r < std::min(columns, base + max_lanes); ++r)
+                    if (fresh(r))
+                        pass.columns.push_back(r);
+                if (pass.columns.size() > 1 || fresh(base))
+                    plan.passes.push_back(std::move(pass));
+            }
+            continue;
+        }
+        // Two P(N) columns share a group when they differ in N alone:
+        // same selector and the same run knobs (L1I policy and the
+        // EMISSARY tree flag included). Chunked columns never group.
+        // Groups form among the row's fresh cells only: a cached cell
+        // has no range to share. A group's leader is its largest N,
+        // the first column on a tie.
+        const std::vector<replacement::PolicySpec> &specs = plan.l2Specs;
+        std::vector<GridPass> groups;
+        for (std::size_t r = 0; r < columns; ++r) {
+            if (!fresh(r) ||
+                specs[r].family != replacement::PolicyFamily::EmissaryP ||
+                grid.runs[r].options.timeChunks > 1)
+                continue;
+            const auto group = std::find_if(
+                groups.begin(), groups.end(), [&](const GridPass &g) {
+                    const std::size_t lead = g.columns.front();
+                    return specs[lead].selector == specs[r].selector &&
+                           grid.runs[lead].options == grid.runs[r].options;
+                });
+            if (group == groups.end()) {
+                groups.push_back({w, {r}, {}});
+            } else if (specs[r].protectN >
+                       specs[group->columns.front()].protectN) {
+                group->members.push_back(group->columns.front());
+                group->columns.front() = r;
+            } else {
+                group->members.push_back(r);
+            }
+        }
+        // Leaders go before the row's other cells, and the FIFO pool
+        // starts them first: their members wait on them.
+        std::vector<char> grouped(columns, 0);
+        for (GridPass &group : groups) {
+            if (group.members.empty())
+                continue;
+            grouped[group.columns.front()] = 1;
+            for (const std::size_t r : group.members)
+                grouped[r] = 1;
+            plan.passes.push_back(std::move(group));
+        }
+        for (std::size_t r = 0; r < columns; ++r)
+            if (fresh(r) && !grouped[r])
+                plan.passes.push_back({w, {r}, {}});
+    }
+    return plan;
 }
 
 GridResults
@@ -511,17 +609,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         const std::function<void(std::size_t w, std::size_t r)>
             &progress, stats::SpanRecorder *recorder)
 {
-    if (grid.workloads.empty() || grid.runs.empty())
-        throw std::invalid_argument("runGrid: empty grid");
-
-    // Fused scheduling applies when every run of a row can share one
-    // machine; with heterogeneous run knobs the whole grid falls back
-    // to the per-cell engine (simplest correct rule — mixed grids are
-    // the ablation harnesses, which are not throughput-bound).
-    bool fusable = options.fused;
-    for (std::size_t r = 1; fusable && r < grid.runs.size(); ++r)
-        fusable = sameRunKnobs(grid.runs.front().options,
-                               grid.runs[r].options);
+    const auto wall_start = std::chrono::steady_clock::now();
+    const GridPlan plan = planGrid(grid, options);
 
     // A disabled recorder behaves exactly like no recorder: all the
     // instrumentation below keys off this one pointer.
@@ -538,32 +627,18 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                         : "caller");
     };
 
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    // Parse every policy once per grid; the specs are shared
-    // read-only by all workers.
-    std::vector<replacement::PolicySpec> l2_specs;
-    std::vector<replacement::PolicySpec> l1i_specs;
-    l2_specs.reserve(grid.runs.size());
-    l1i_specs.reserve(grid.runs.size());
-    for (const RunSpec &run : grid.runs) {
-        l2_specs.push_back(
-            replacement::PolicySpec::parse(run.l2Policy));
-        l1i_specs.push_back(
-            replacement::PolicySpec::parse(run.options.l1iPolicy));
-    }
-
     GridResults results(grid.workloads.size(), grid.runs.size());
     results.timing_.workers = pool.workerCount();
-    results.sampledSets_ =
-        fusable && options.sampledSets > 1 ? options.sampledSets : 0;
+    results.sources_ = plan.sources;
+    results.fused_ = plan.fused;
+    results.sampledSets_ = plan.sampledSets;
     std::mutex progress_mutex;
     // Progress-state shared by the completion counters; guarded by
     // progress_mutex like the user callback.
     std::size_t completed_cells = 0;
     std::uint64_t completed_instructions = 0;
 
-    // Serialized completion bookkeeping shared by both engines.
+    // Serialized completion bookkeeping shared by every cell.
     const auto note_cell_done = [&](std::size_t w, std::size_t r,
                                     std::uint64_t instructions) {
         if (!progress && !recorder)
@@ -589,101 +664,26 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     const bool collect = options.collectRegistries ||
                          options.cellCache != nullptr;
 
-    // Cache probe: resolve every cell's content identity and serve
-    // hits before the build phase, so a fully cached row skips even
-    // its replay-buffer build. Roles follow the request layout, not
-    // the miss set: with fused scheduling, the first column of every
-    // kMaxLanes chunk is the exact timing lane and the rest are
-    // monitor lanes driven by that column's policy.
-    std::vector<std::vector<std::string>> cache_keys;
-    std::vector<std::vector<std::string>> cache_canonicals;
-    std::vector<std::vector<char>> cache_hits;
-    std::vector<char> row_fully_cached(grid.workloads.size(), 0);
-    if (options.cellCache) {
-        const std::size_t chunk_lanes =
-            cache::PolicyLaneBank::kMaxLanes;
-        const std::string &sha = buildInfo().gitSha;
-        cache_keys.assign(grid.workloads.size(),
-                          std::vector<std::string>(grid.runs.size()));
-        cache_canonicals = cache_keys;
-        cache_hits.assign(grid.workloads.size(),
-                          std::vector<char>(grid.runs.size(), 0));
-        for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-            bool all_hit = true;
-            for (std::size_t r = 0; r < grid.runs.size(); ++r) {
-                const bool monitor = fusable && r % chunk_lanes != 0;
-                cache_canonicals[w][r] = cellCacheCanonical(
-                    grid.workloads[w], grid.runs[r],
-                    monitor ? grid.runs[r - r % chunk_lanes].l2Policy
-                            : std::string(),
-                    options.sampledSets, sha);
-                cache_keys[w][r] =
-                    cellCacheKey(cache_canonicals[w][r]);
-                CellCacheEntry entry;
-                if (!options.cellCache->lookup(
-                        cache_keys[w][r], cache_canonicals[w][r],
-                        entry)) {
-                    all_hit = false;
-                    continue;
-                }
-                // The display name sits outside the identity, so
-                // restamp it; every other field (footprint included)
-                // was stored post-stamp and comes back as simulated.
-                entry.metrics.benchmark = grid.workloads[w].name;
-                results.cells_[w][r] = std::move(entry.metrics);
-                results.execution_[w][r] = CellExecution::Cached;
-                if (collect)
-                    results.registries_[w][r] =
-                        registryFromJson(entry.counters);
-                cache_hits[w][r] = 1;
-                note_cell_done(w, r,
-                               results.cells_[w][r].instructions);
-            }
-            row_fully_cached[w] = all_hit ? 1 : 0;
-        }
-    }
-    const auto cell_cached = [&](std::size_t w, std::size_t r) {
-        return options.cellCache != nullptr && cache_hits[w][r] != 0;
-    };
-
-    // One source per row, picked here and shared by every pass of
-    // the row. EMTC rows stream: each pass, and each time-parallel
-    // chunk, opens the container at its own start record through the
-    // block index and decodes only the blocks it reads, so no cell
-    // waits on a whole-trace decode. Synthetic rows and raw EMTR
-    // rows (FileTraceSource loads the whole file at open) pack their
-    // stream once into a RecordBuffer that every pass replays, within
-    // the replay budget; past it, a synthetic row generates live and
-    // an EMTR row reopens its file per pass. A cursor that outruns its
-    // buffer continues from the buffer's tail. Every kind serves the
-    // same records, so the Metrics are bit-identical
-    // (tests/test_replay.cpp, tests/test_runner.cpp).
-    const std::uint64_t budget_bytes =
-        envU64("EMISSARY_REPLAY_BUDGET_MB", 1024) * 1024 * 1024;
-    const std::uint64_t records = recordsNeeded(grid);
-    const std::uint64_t bytes_per_buffer =
-        records * trace::RecordBuffer::kBytesPerRecord;
-    std::uint64_t buffers_left =
-        bytes_per_buffer > 0 ? budget_bytes / bytes_per_buffer : 0;
+    // The plan's cache hits land first. The display name sits outside
+    // the identity, so restamp it; every other field (footprint
+    // included) was stored post-stamp and comes back as simulated.
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        // A fully cached row never simulates, so it needs no source
-        // either: the warm path costs identity probes only.
-        if (row_fully_cached[w])
-            continue;
-        const GridWorkload &row = grid.workloads[w];
-        if (row.traceBacked() && isPackedTracePath(row.tracePath)) {
-            results.sources_[w] = RowSource::Stream;
-        } else if (buffers_left > 0) {
-            --buffers_left;
-            results.sources_[w] = RowSource::Replay;
-        } else {
-            results.sources_[w] =
-                row.traceBacked() ? RowSource::Stream : RowSource::Live;
+        for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+            const CellPlan &cell = plan.cells[w][r];
+            if (!cell.cached())
+                continue;
+            results.cells_[w][r] = cell.hit->metrics;
+            results.cells_[w][r].benchmark = grid.workloads[w].name;
+            results.execution_[w][r] = CellExecution::Cached;
+            if (collect)
+                results.registries_[w][r] =
+                    registryFromJson(cell.hit->counters);
+            note_cell_done(w, r, results.cells_[w][r].instructions);
         }
     }
 
     // Every job's future, in submission order: the row builds, then
-    // the cells. A P(N) group leader submits its re-run members from
+    // the passes. A P(N) group leader submits its re-run members from
     // inside its own job, so the vector is shared under a mutex with
     // the wait loop at the end. submit and the state the jobs use
     // live at this scope: they must outlive every job.
@@ -735,7 +735,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     for (std::promise<void> &promise : published)
         source_ready.push_back(promise.get_future().share());
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        const RowSource kind = results.sources_[w];
+        const RowSource kind = plan.sources[w];
         if (kind == RowSource::None)
             continue;
         submit(false, [&, kind, w]() {
@@ -746,7 +746,6 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 span.arg("workload",
                          stats::JsonValue(grid.workloads[w].name));
                 span.arg("source", stats::JsonValue(rowSourceName(kind)));
-                const BuildDone done{build_seconds[w], build_start};
                 const GridWorkload &row = grid.workloads[w];
                 std::shared_ptr<trace::RecordBuffer> deferred;
                 if (row.traceBacked()) {
@@ -760,7 +759,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                     const std::uint64_t census = traceFootprintLines(row);
                     if (kind == RowSource::Replay)
                         sources[w].emplace(
-                            buildTraceReplay(row, records, pool),
+                            buildTraceReplay(row, plan.bufferRecords,
+                                             pool),
                             census);
                     else
                         sources[w].emplace(
@@ -776,7 +776,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                             row.profile);
                     if (kind == RowSource::Replay) {
                         deferred = std::make_shared<trace::RecordBuffer>(
-                            *programs[w], records,
+                            *programs[w], plan.bufferRecords,
                             trace::RecordBuffer::Packing::Deferred);
                         sources[w].emplace(
                             std::shared_ptr<const trace::RecordBuffer>(
@@ -790,6 +790,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 // noexcept.
                 if (deferred)
                     deferred->pack();
+                build_seconds[w] = secondsSince(build_start);
             } catch (...) {
                 published[w].set_exception(std::current_exception());
                 throw;
@@ -797,9 +798,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         });
     }
 
-    // The one job body: simulate @p columns of row w in one pass.
-    // columns[0] is the timing column, every later column a monitor
-    // lane (fused groups only). Fills each column's slot except a
+    // The one job body: simulate @p columns of row w in one pass
+    // (GridPass::columns). Fills each column's slot except a
     // cached timing column, which drives the pass but keeps its
     // cached result: monitor results depend on the timing lane's
     // policy through the shared pipeline, and the cache keyed them
@@ -817,19 +817,19 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         // completion order cannot reorder or perturb the results.
         const GridWorkload &row = grid.workloads[w];
         const std::size_t lead = columns.front();
-        stats::ScopedTimer span(recorder, fusable ? "group" : "cell");
+        stats::ScopedTimer span(recorder, plan.fused ? "group" : "cell");
         std::vector<replacement::PolicySpec> lanes;
         for (const std::size_t r : columns)
-            lanes.push_back(l2_specs[r]);
+            lanes.push_back(plan.l2Specs[r]);
         RunTelemetry telemetry;
         telemetry.spans = recorder;
         std::vector<Metrics> metrics =
-            run(*sources[w], lanes, options.sampledSets, l1i_specs[lead],
+            run(*sources[w], lanes, plan.sampledSets, plan.l1iSpecs[lead],
                 grid.runs[lead].options, &pool, &telemetry);
 
         std::vector<std::size_t> filled;
         for (std::size_t lane = 0; lane < columns.size(); ++lane)
-            if (lane > 0 || !cell_cached(w, lead))
+            if (lane > 0 || !plan.cells[w][lead].cached())
                 filled.push_back(lane);
         // One pass produced every filled cell: wall and phase time
         // split evenly over them so row and phase totals still sum
@@ -852,8 +852,9 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 CellCacheEntry entry;
                 entry.metrics = m;
                 entry.counters = registryJson(telemetry.registries[lane]);
-                options.cellCache->store(cache_keys[w][r],
-                                         cache_canonicals[w][r], entry);
+                options.cellCache->store(plan.cells[w][r].cacheKey,
+                                         plan.cells[w][r].cacheCanonical,
+                                         entry);
             }
             results.cells_[w][r] = std::move(m);
             if (collect)
@@ -864,16 +865,16 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
             // A chunked timing lane is a splice, not an exact run —
             // its provenance must say so.
             results.execution_[w][r] =
-                lane > 0 ? (options.sampledSets > 1
+                lane > 0 ? (plan.sampledSets > 1
                                 ? CellExecution::FusedMonitorSampled
                                 : CellExecution::FusedMonitor)
                 : telemetry.chunks > 1 ? CellExecution::TimeParallel
-                : fusable              ? CellExecution::FusedTiming
+                : plan.fused           ? CellExecution::FusedTiming
                                        : CellExecution::Sequential;
         }
         if (span.active()) {
             span.arg("workload", stats::JsonValue(row.name));
-            if (fusable)
+            if (plan.fused)
                 span.arg("lanes",
                          stats::JsonValue(static_cast<std::uint64_t>(
                              columns.size())));
@@ -906,15 +907,16 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                                 std::size_t leader) {
         stats::ScopedTimer span(recorder, "cell");
         Metrics metrics = results.cells_[w][leader];
-        metrics.policy = l2_specs[r].toString();
+        metrics.policy = plan.l2Specs[r].toString();
         if (collect)
             results.registries_[w][r] = results.registries_[w][leader];
         if (options.cellCache) {
             CellCacheEntry entry;
             entry.metrics = metrics;
             entry.counters = registryJson(results.registries_[w][r]);
-            options.cellCache->store(cache_keys[w][r],
-                                     cache_canonicals[w][r], entry);
+            options.cellCache->store(plan.cells[w][r].cacheKey,
+                                     plan.cells[w][r].cacheCanonical,
+                                     entry);
         }
         const std::uint64_t instructions = metrics.instructions;
         results.cells_[w][r] = std::move(metrics);
@@ -935,93 +937,24 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         note_cell_done(w, r, instructions);
     };
 
-    if (fusable) {
-        // Fused engine: one pass per (workload, lane chunk). The
-        // chunk's first run is its timing lane; chunks past kMaxLanes
-        // get their own pass (and timing lane).
-        const std::size_t max_lanes = cache::PolicyLaneBank::kMaxLanes;
-        for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-            for (std::size_t base = 0; base < grid.runs.size();
-                 base += max_lanes) {
-                const std::size_t count = std::min(
-                    max_lanes, grid.runs.size() - base);
-                // The timing column drives the pass even when cached;
-                // cached monitors already sit in their result slots.
-                std::vector<std::size_t> columns = {base};
-                for (std::size_t r = base + 1; r < base + count; ++r)
-                    if (!cell_cached(w, r))
-                        columns.push_back(r);
-                if (columns.size() == 1 && cell_cached(w, base))
-                    continue;
-                submit(true,
-                       [&, w, columns]() { run_columns(w, columns); });
-            }
-        }
-    } else {
-        // Two sequential P(N) columns share a group when they differ
-        // in N alone: same selector and the same run knobs (L1I
-        // policy and the EMISSARY tree flag included). Chunked
-        // columns never group.
-        const auto groupable = [&](std::size_t r) {
-            return l2_specs[r].family ==
-                       replacement::PolicyFamily::EmissaryP &&
-                   grid.runs[r].options.timeChunks <= 1;
-        };
-        const auto same_group = [&](std::size_t a, std::size_t b) {
-            return l2_specs[a].selector == l2_specs[b].selector &&
-                   sameRunKnobs(grid.runs[a].options,
-                                grid.runs[b].options);
-        };
-        for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-            // Groups form among the row's fresh cells only: a cached
-            // cell has no range to share. Each group's leader (largest
-            // N, the first column on a tie) goes first in its list.
-            std::vector<std::vector<std::size_t>> groups;
-            for (std::size_t r = 0; r < grid.runs.size(); ++r) {
-                if (cell_cached(w, r) || !groupable(r))
-                    continue;
-                auto group = std::find_if(
-                    groups.begin(), groups.end(),
-                    [&](const std::vector<std::size_t> &g) {
-                        return same_group(g.front(), r);
+    // The one submission loop: every pass in plan order. The only
+    // decision left to a running job is a P(N) member's: inside the
+    // leader's same-path range it shares the leader's result,
+    // otherwise it re-runs as a single cell queued behind the jobs
+    // already submitted.
+    for (const GridPass &planned : plan.passes) {
+        submit(true, [&, pass = &planned]() {
+            const replacement::ProtectRange same =
+                run_columns(pass->row, pass->columns);
+            for (const std::size_t r : pass->members) {
+                if (same.contains(plan.l2Specs[r].protectN))
+                    share_cell(pass->row, r, pass->columns.front());
+                else
+                    submit(true, [&, w = pass->row, r]() {
+                        run_columns(w, {r});
                     });
-                if (group == groups.end()) {
-                    groups.push_back({r});
-                    continue;
-                }
-                group->push_back(r);
-                if (l2_specs[r].protectN >
-                    l2_specs[group->front()].protectN)
-                    std::swap(group->front(), group->back());
             }
-            std::vector<char> member(grid.runs.size(), 0);
-            for (const std::vector<std::size_t> &group : groups) {
-                if (group.size() < 2)
-                    continue;
-                for (const std::size_t r : group)
-                    member[r] = 1;
-                // Leaders go before the row's other cells, and the
-                // FIFO pool starts them first: their members wait on
-                // them.
-                submit(true, [&, w, group]() {
-                    const std::size_t leader = group.front();
-                    const replacement::ProtectRange same =
-                        run_columns(w, {leader});
-                    for (std::size_t i = 1; i < group.size(); ++i) {
-                        const std::size_t r = group[i];
-                        if (same.contains(l2_specs[r].protectN))
-                            share_cell(w, r, leader);
-                        else
-                            submit(true, [&, w, r]() {
-                                run_columns(w, {r});
-                            });
-                    }
-                });
-            }
-            for (std::size_t r = 0; r < grid.runs.size(); ++r)
-                if (!cell_cached(w, r) && !member[r])
-                    submit(true, [&, w, r]() { run_columns(w, {r}); });
-        }
+        });
     }
 
     // Wait for every build and every cell; report the first failure,
@@ -1052,20 +985,6 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         results.timing_.replayBuildSeconds += s;
     results.timing_.totalSeconds = secondsSince(wall_start);
     return results;
-}
-
-GridResults
-runGrid(const PolicyGrid &grid)
-{
-    ThreadPool pool;
-    return runGrid(grid, pool);
-}
-
-GridResults
-runGrid(const PolicyGrid &grid, const GridOptions &options)
-{
-    ThreadPool pool;
-    return runGrid(grid, pool, options);
 }
 
 stats::JsonValue
@@ -1106,8 +1025,7 @@ sweepJson(const PolicyGrid &grid, const GridResults &results)
                 grid.workloads.size())));
     doc.set("policies", JsonValue(static_cast<std::uint64_t>(
                             grid.runs.size())));
-    doc.set("mode", JsonValue(results.anyFused() ? "fused"
-                                                 : "sequential"));
+    doc.set("mode", JsonValue(results.fused() ? "fused" : "sequential"));
     doc.set("sampled_sets", JsonValue(static_cast<std::uint64_t>(
                                 results.sampledSets())));
 

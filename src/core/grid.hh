@@ -3,36 +3,29 @@
  * Parallel experiment engine: run a (workload x policy) grid of
  * independent simulations across a ThreadPool.
  *
- * Every figure and table of the paper is such a grid — 13 workloads
- * against up to a dozen P(N) variants — and the runs share nothing
- * but the immutable SyntheticProgram of their workload, so the engine
- * fans all cells out across workers and collects Metrics into slots
- * indexed by grid position. Each run builds its own executor,
- * simulator and seeded RNGs, which makes the parallel output
- * bit-identical to a serial sweep: runGrid with EMISSARY_JOBS=1 and
+ * Every figure and table of the paper is such a grid. runGrid plans,
+ * then executes: planGrid makes every scheduling decision before a
+ * job starts (GridPlan), and runGrid starts the row builds and
+ * submits the plan's passes through one loop. Results land in slots
+ * indexed by grid position, and each pass builds its own simulator
+ * and seeded RNGs, so runGrid with EMISSARY_JOBS=1 and
  * EMISSARY_JOBS=N produce the same Metrics for the same grid.
  *
- * Policy strings are parsed once per grid (not once per run) and the
- * parsed specs shared read-only by every workload's cell.
- *
  * Within the EMISSARY_REPLAY_BUDGET_MB memory budget (default 1024,
- * 0 disables), each synthetic or raw EMTR row's committed stream is
- * packed once into an immutable trace::RecordBuffer shared by all of
- * its cells; replayed cells produce bit-identical Metrics to live
- * generation, so the sweep costs O(workloads) synthetic execution
- * instead of O(workloads x policies). A synthetic row's cells start
- * as soon as its buffer exists and read records as the row's build
- * job packs them. EMTC rows take no buffer: each
- * pass (and each time-parallel chunk) opens the container at its own
- * start record and decodes only the blocks it reads. The choice is
- * reported per row (RowSource). See docs/performance.md.
+ * 0 disables), each synthetic or raw EMTR row's stream is packed
+ * once into a trace::RecordBuffer that all of its cells replay, so
+ * the sweep costs O(workloads) synthetic execution instead of
+ * O(workloads x policies); a synthetic row's cells read records as
+ * its build job packs them. EMTC rows take no buffer: each pass (and
+ * each time-parallel chunk) opens the container at its own start
+ * record. Every source serves the same records, so the Metrics are
+ * bit-identical (RowSource; docs/performance.md).
  *
- * The sequential engine also simulates each distinct P(N) trajectory
- * once: a row's P(N) columns that differ only in N form a group whose
- * largest N runs first, and every member whose N lies in the
- * leader's replacement::EmissaryPolicy::sameRunRange takes the
- * leader's result (CellExecution::Shared); the others run as
- * ordinary cells. Shared results are exact, not estimates.
+ * A row's P(N) columns that differ only in N form a group whose
+ * largest N runs first; every member whose N lies in the leader's
+ * replacement::EmissaryPolicy::sameRunRange takes the leader's exact
+ * result (CellExecution::Shared), the others run as ordinary cells.
+ * That share-or-rerun is the one decision made while jobs run.
  */
 
 #ifndef EMISSARY_CORE_GRID_HH
@@ -40,12 +33,14 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/metrics.hh"
 #include "core/threadpool.hh"
+#include "replacement/spec.hh"
 #include "stats/histogram.hh"
 #include "stats/json.hh"
 #include "stats/registry.hh"
@@ -218,15 +213,11 @@ std::string cellCacheKey(const std::string &canonical);
 /** Scheduling knobs for one runGrid call. */
 struct GridOptions
 {
-    /**
-     * Fused scheduling: the cells of one workload row run as a
-     * single trace pass (core::run over several L2 lanes) instead of
-     * one pass per cell — the row's first run is the group's timing
-     * lane, the rest are monitor lanes. Rows whose runs disagree on
-     * any run knob (window, seed, FDIP, ...) fall back to per-cell
-     * scheduling; rows wider than PolicyLaneBank::kMaxLanes split
-     * into chunks, each with its own timing lane.
-     */
+    /** Fused scheduling: a row runs as one trace pass per
+     *  PolicyLaneBank::kMaxLanes columns (core::run over several L2
+     *  lanes), each chunk's first column its timing lane and the rest
+     *  monitor lanes. Columns that differ in any run knob make the
+     *  whole grid fall back to per-cell scheduling (GridPlan). */
     bool fused = false;
     /** Fast mode: 1-in-K set sampling for the monitor lanes of
      *  fused groups (core::run's sampled_sets; 0 or 1 = full fidelity
@@ -280,6 +271,66 @@ enum class RowSource : std::uint8_t
 /** The row source's name as stored in the sweep JSON and the
  *  "replay_build" slice ("none", "replay", "stream", "live"). */
 const char *rowSourceName(RowSource source);
+
+/** One simulation of a plan over one row: a fused lane chunk, a P(N)
+ *  group (its leader, then the members that may share its result)
+ *  or a single cell. */
+struct GridPass
+{
+    std::size_t row = 0;
+    /** Lane order: columns[0] is the exact timing lane, the rest
+     *  fused monitor lanes. A cached timing column still drives a
+     *  pass whose monitors are fresh, and keeps its cached result. */
+    std::vector<std::size_t> columns;
+    /** P(N) members: each takes columns[0]'s result when its N lies
+     *  in that run's same-path range, else re-runs on its own. */
+    std::vector<std::size_t> members;
+};
+
+/** One cell's cache role, identity and hit. */
+struct CellPlan
+{
+    /** The column whose policy runs the cell's timing lane: its own,
+     *  or for a fused monitor lane its chunk's first column. */
+    std::size_t timingColumn = 0;
+    /** The identity under that role; empty without a cell cache. */
+    std::string cacheKey;
+    std::string cacheCanonical;
+    std::optional<CellCacheEntry> hit;
+
+    bool cached() const { return hit.has_value(); }
+};
+
+/** Every decision of one runGrid call that precedes its jobs. */
+struct GridPlan
+{
+    /** Fusion was requested and every column's RunOptions are equal;
+     *  otherwise every cell runs on its own. */
+    bool fused = false;
+    /** The monitor lanes' 1-in-K set sampling; 0 when they model
+     *  every set or no cell is a monitor lane. */
+    unsigned sampledSets = 0;
+    /** Records per replay buffer: the largest window plus the
+     *  cursor's lookahead slack. */
+    std::uint64_t bufferRecords = 0;
+    /** Each column's parsed L2 and L1I policies, read by every job. */
+    std::vector<replacement::PolicySpec> l2Specs;
+    std::vector<replacement::PolicySpec> l1iSpecs;
+    /** Per row; None when every cell of the row hit. */
+    std::vector<RowSource> sources;
+    std::vector<std::vector<CellPlan>> cells; ///< [workload][run]
+    /** Submission order, which the FIFO pool keeps: a row's P(N)
+     *  leaders come before its other cells. */
+    std::vector<GridPass> passes;
+};
+
+/**
+ * Plan @p grid under @p options without a pool or a simulation. Reads
+ * EMISSARY_REPLAY_BUDGET_MB and probes options.cellCache once per cell
+ * (a trace row's identity reads its file).
+ * @throws std::invalid_argument on an empty grid or bad notation.
+ */
+GridPlan planGrid(const PolicyGrid &grid, const GridOptions &options);
 
 /** Wall-clock accounting for one runGrid call. */
 struct GridTiming
@@ -370,11 +421,11 @@ class GridResults
         return registries_[w][r];
     }
 
-    /** True when any cell ran inside a fused group. */
-    bool anyFused() const;
+    /** The plan fused the grid (GridPlan::fused), even when every
+     *  cell was served from the cache. */
+    bool fused() const { return fused_; }
 
-    /** The 1-in-K set sampling the grid's monitor lanes ran with;
-     *  0 when they modelled every set or the grid fused no rows. */
+    /** The plan's monitor sampling factor (GridPlan::sampledSets). */
     unsigned sampledSets() const { return sampledSets_; }
 
     /** Committed (measured-window) instructions summed over every
@@ -393,11 +444,6 @@ class GridResults
     stats::Table timingTable(
         const std::vector<GridWorkload> &workloads) const;
 
-    /** Profile-vector convenience (bench harnesses that keep their
-     *  own WorkloadProfile lists). */
-    stats::Table timingTable(
-        const std::vector<trace::WorkloadProfile> &workloads) const;
-
   private:
     friend GridResults runGrid(
         const PolicyGrid &, ThreadPool &, const GridOptions &,
@@ -410,11 +456,19 @@ class GridResults
     std::vector<std::vector<std::size_t>> sharedWith_;
     std::vector<std::vector<stats::Registry>> registries_;
     GridTiming timing_;
+    bool fused_ = false;
     unsigned sampledSets_ = 0;
 };
 
 /**
- * Run every cell of @p grid on @p pool.
+ * Run every cell of @p grid on @p pool: plan it (planGrid), serve the
+ * cache hits, start the row builds, then submit every pass in plan
+ * order. A fused lane chunk is one "group" slice in the flight
+ * recorder (with a "lanes" arg); its timing lane is bit-identical to
+ * the sequential engine, and its monitor lanes are untimed
+ * (Metrics::timed). A chunked column runs time-parallel only on a
+ * row whose source has random access; on a Live row it runs as one
+ * exact pass, marked sequential.
  *
  * @param progress Optional callback fired after each cell completes;
  *        invocations are serialized by the engine, so the callback
@@ -442,35 +496,10 @@ class GridResults
  */
 GridResults runGrid(
     const PolicyGrid &grid, ThreadPool &pool,
+    const GridOptions &options = {},
     const std::function<void(std::size_t w, std::size_t r)>
         &progress = {},
     stats::SpanRecorder *recorder = nullptr);
-
-/**
- * Scheduling-mode variant: with options.fused, same-workload cells
- * run as fused policy groups ("group" slices in the flight recorder,
- * with a "lanes" arg); each cell's provenance lands in
- * GridResults::executionAt and the sweep JSON. The timing lane of
- * every group is bit-identical to the sequential engine; monitor
- * lanes count cache events only and are untimed (Metrics::timed;
- * see core::run). A chunked
- * column runs time-parallel only on a row whose source has random
- * access (a replay buffer or a trace); a synthetic row past the
- * replay budget runs it as one exact pass, marked sequential.
- */
-GridResults runGrid(
-    const PolicyGrid &grid, ThreadPool &pool,
-    const GridOptions &options,
-    const std::function<void(std::size_t w, std::size_t r)>
-        &progress = {},
-    stats::SpanRecorder *recorder = nullptr);
-
-/** Convenience overload: a private pool of defaultWorkerCount(). */
-GridResults runGrid(const PolicyGrid &grid);
-
-/** Convenience overload with scheduling options. */
-GridResults runGrid(const PolicyGrid &grid,
-                    const GridOptions &options);
 
 /**
  * A workload row's provenance object, as every sweep-JSON run
@@ -481,13 +510,13 @@ stats::JsonValue workloadProvenanceJson(const GridWorkload &workload);
 
 /**
  * The whole sweep as one JSON document ("emissary.sweep.v1"): the
- * execution mode and the monitor lanes' set-sampling factor
- * (GridResults::sampledSets), a per-run manifest for every cell —
- * benchmark, policy notation, label, seed, window config, execution
- * (a "shared" cell also names its leader's policy under
- * "shared_with"), the row's source (rowSourceName; omitted for a
- * "cached" cell), wall seconds, full metrics — plus the grid's
- * timing aggregate (total / serial seconds, runs per second,
+ * plan's mode ("fused" when GridResults::fused, else "sequential")
+ * and monitor sampling factor (GridResults::sampledSets), a per-run
+ * manifest for every cell — benchmark, policy notation, label, seed,
+ * window config, execution (a "shared" cell also names its leader's
+ * policy under "shared_with"), the row's source (rowSourceName;
+ * omitted for a "cached" cell), wall seconds, full metrics — plus the
+ * grid's timing aggregate (total / serial seconds, runs per second,
  * per-phase totals, a log2-bucketed per-cell wall-clock histogram)
  * and the binary's build provenance (core/buildinfo.hh).
  */

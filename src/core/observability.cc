@@ -1,6 +1,7 @@
 #include "core/observability.hh"
 
 #include <stdexcept>
+#include <string_view>
 
 namespace emissary::core
 {
@@ -22,28 +23,11 @@ setCounter(stats::Registry &registry, const char *name,
 stats::JsonValue
 runOptionsJson(const RunOptions &options)
 {
-    using stats::JsonValue;
-    JsonValue config = JsonValue::object();
-    config.set("warmup_instructions",
-               JsonValue(options.warmupInstructions));
-    config.set("measure_instructions",
-               JsonValue(options.measureInstructions));
-    config.set("fdip", JsonValue(options.fdip));
-    config.set("next_line_prefetch",
-               JsonValue(options.nextLinePrefetch));
-    config.set("ideal_l2_inst", JsonValue(options.idealL2Inst));
-    config.set("emissary_tree_plru",
-               JsonValue(options.emissaryTreePlru));
-    config.set("l1i_policy", JsonValue(options.l1iPolicy));
-    config.set("bypass_low_priority_inst",
-               JsonValue(options.bypassLowPriorityInst));
-    config.set("priority_reset_instructions",
-               JsonValue(options.priorityResetInstructions));
-    config.set("time_chunks",
-               JsonValue(static_cast<std::uint64_t>(
-                   options.timeChunks)));
-    config.set("chunk_warmup_records",
-               JsonValue(options.chunkWarmupRecords));
+    stats::JsonValue config = stats::JsonValue::object();
+    forEachRunOption([&](const char *key, auto member) {
+        if (std::string_view(key) != "seed")
+            config.set(key, stats::JsonValue(options.*member));
+    });
     return config;
 }
 

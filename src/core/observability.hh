@@ -29,7 +29,8 @@
 namespace emissary::core
 {
 
-/** A run's window/machine knobs as the manifest "config" object. */
+/** A run's window/machine knobs as the manifest "config" object:
+ *  every forEachRunOption key but the seed, in that order. */
 stats::JsonValue runOptionsJson(const RunOptions &options);
 
 /**

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "core/catalog.hh"
@@ -62,6 +63,21 @@ boolField(const JsonValue &value, const std::string &field)
     return value.asBool();
 }
 
+/** The one string config knob, l1i_policy: policy notation. */
+std::string
+policyField(const JsonValue &value, const std::string &field)
+{
+    if (!value.isString())
+        throw RequestError(field, "request field '" + field +
+                                      "' must be a string");
+    try {
+        replacement::PolicySpec::parse(value.asString());
+    } catch (const std::exception &error) {
+        throw RequestError(field, error.what());
+    }
+    return value.asString();
+}
+
 /** Strict inverse of core::runOptionsJson, plus "seed". */
 core::RunOptions
 runOptionsFromJson(const JsonValue &config)
@@ -72,48 +88,30 @@ runOptionsFromJson(const JsonValue &config)
     core::RunOptions options;
     for (const auto &[key, value] : config.members()) {
         const std::string field = "config." + key;
-        if (key == "warmup_instructions") {
-            options.warmupInstructions = uintField(value, field);
-        } else if (key == "measure_instructions") {
-            options.measureInstructions = uintField(value, field);
-        } else if (key == "fdip") {
-            options.fdip = boolField(value, field);
-        } else if (key == "next_line_prefetch") {
-            options.nextLinePrefetch = boolField(value, field);
-        } else if (key == "ideal_l2_inst") {
-            options.idealL2Inst = boolField(value, field);
-        } else if (key == "emissary_tree_plru") {
-            options.emissaryTreePlru = boolField(value, field);
-        } else if (key == "l1i_policy") {
-            if (!value.isString())
-                throw RequestError(field, "request field '" + field +
-                                              "' must be a string");
-            try {
-                replacement::PolicySpec::parse(value.asString());
-            } catch (const std::exception &error) {
-                throw RequestError(field, error.what());
-            }
-            options.l1iPolicy = value.asString();
-        } else if (key == "bypass_low_priority_inst") {
-            options.bypassLowPriorityInst = boolField(value, field);
-        } else if (key == "priority_reset_instructions") {
-            options.priorityResetInstructions =
-                uintField(value, field);
-        } else if (key == "seed") {
-            options.seed = uintField(value, field);
-        } else if (key == "sampled_sets") {
+        if (key == "sampled_sets")
             throw RequestError(field,
                                "'sampled_sets' is a top-level request "
                                "key (it applies to fused monitor "
                                "lanes), not a config key");
-        } else if (key == "time_chunks") {
-            options.timeChunks = u32Field(value, field);
-        } else if (key == "chunk_warmup_records") {
-            options.chunkWarmupRecords = uintField(value, field);
-        } else {
+        bool known = false;
+        core::forEachRunOption([&](const char *name, auto member) {
+            if (key != name)
+                return;
+            known = true;
+            auto &knob = options.*member;
+            using Knob = std::decay_t<decltype(knob)>;
+            if constexpr (std::is_same_v<Knob, bool>)
+                knob = boolField(value, field);
+            else if constexpr (std::is_same_v<Knob, unsigned>)
+                knob = u32Field(value, field);
+            else if constexpr (std::is_same_v<Knob, std::string>)
+                knob = policyField(value, field);
+            else
+                knob = uintField(value, field);
+        });
+        if (!known)
             throw RequestError(field, "unknown config key '" + key +
                                           "'");
-        }
     }
     if (options.measureInstructions == 0)
         throw RequestError("config.measure_instructions",

@@ -334,8 +334,8 @@ TEST(FusedGrid, MatchesSequentialTimingAndIsWorkerCountInvariant)
             }
         }
     }
-    EXPECT_FALSE(sequential.anyFused());
-    EXPECT_TRUE(fused1.anyFused());
+    EXPECT_FALSE(sequential.fused());
+    EXPECT_TRUE(fused1.fused());
 
     // Execution provenance reaches the sweep artifact.
     const stats::JsonValue doc = core::sweepJson(grid, fused1);

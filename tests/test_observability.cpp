@@ -308,6 +308,45 @@ TEST(Observability, UntimedMetricsRoundTripWithNullClockKeys)
     EXPECT_THROW(metricsFromJson(timed_null), std::runtime_error);
 }
 
+TEST(Observability, RunOptionsJsonShapesKeepTheirBytes)
+{
+    // One key list (forEachRunOption) drives both shapes; these are
+    // the strings the per-field code wrote. A changed canonical string
+    // strands every stored cell of the result cache.
+    EXPECT_EQ(canonicalRunOptions(RunOptions{}),
+              R"({"warmup_instructions":400000,)"
+              R"("measure_instructions":1600000,"fdip":true,)"
+              R"("next_line_prefetch":true,"ideal_l2_inst":false,)"
+              R"("emissary_tree_plru":true,"l1i_policy":"TPLRU",)"
+              R"("bypass_low_priority_inst":false,)"
+              R"("priority_reset_instructions":0,"seed":24301,)"
+              R"("time_chunks":1,"chunk_warmup_records":0})");
+    RunOptions chunked;
+    chunked.measureInstructions = 3'000'000;
+    chunked.fdip = false;
+    chunked.l1iPolicy = "LRU";
+    chunked.priorityResetInstructions = 500'000;
+    chunked.seed = 7;
+    chunked.timeChunks = 4;
+    chunked.chunkWarmupRecords = 50'000;
+    EXPECT_EQ(canonicalRunOptions(chunked),
+              R"({"warmup_instructions":400000,)"
+              R"("measure_instructions":3000000,"fdip":false,)"
+              R"("next_line_prefetch":true,"ideal_l2_inst":false,)"
+              R"("emissary_tree_plru":true,"l1i_policy":"LRU",)"
+              R"("bypass_low_priority_inst":false,)"
+              R"("priority_reset_instructions":500000,"seed":7,)"
+              R"("time_chunks":4,"chunk_warmup_records":50000})");
+    EXPECT_EQ(runOptionsJson(RunOptions{}).dump(0),
+              R"({"warmup_instructions":400000,)"
+              R"("measure_instructions":1600000,"fdip":true,)"
+              R"("next_line_prefetch":true,"ideal_l2_inst":false,)"
+              R"("emissary_tree_plru":true,"l1i_policy":"TPLRU",)"
+              R"("bypass_low_priority_inst":false,)"
+              R"("priority_reset_instructions":0,"time_chunks":1,)"
+              R"("chunk_warmup_records":250000})");
+}
+
 TEST(Observability, DisabledByDefaultCostsNothing)
 {
     const trace::SyntheticProgram program(hostileProfile());

@@ -510,7 +510,7 @@ TEST(RunnerGrid, FailedRowBuildThrowsAfterEveryOtherJob)
         core::ThreadPool pool(workers);
         std::size_t tomcat_cells = 0;
         try {
-            core::runGrid(grid, pool,
+            core::runGrid(grid, pool, {},
                           [&](std::size_t w, std::size_t) {
                               tomcat_cells += w == 1 ? 1 : 0;
                           });

@@ -827,22 +827,38 @@ TEST(SweepService, SweepStatesTheMonitorSamplingFactorOnce)
         R"({"schema": "emissary.request.v1", "op": "sweep",)"
         R"( "catalog": {"schema": "emissary.catalog.v1", "workloads":)"
         R"( [{"name": "k", "synthetic": {"profile": "kafka"}}]},)"
-        R"json( "policies": ["TPLRU", "P(8):S&E"],)json"
         R"( "config": {"warmup_instructions": 20000,)"
-        R"( "measure_instructions": 60000})";
+        R"( "measure_instructions": 60000)";
+    // Each input closes the config the head leaves open.
+    const std::string two = R"json(}, "policies": ["TPLRU", "P(8):S&E"])json";
+    const std::string one = R"json(}, "policies": ["TPLRU"])json";
+    const std::string chunked =
+        R"(, "time_chunks": 2, "chunk_warmup_records": 10000)";
     SweepService svc(tinyServiceOptions());
     const struct
     {
         std::string extra;
         const char *mode;
         std::uint64_t factor;
-        const char *monitor;
+        std::size_t runs;
+        const char *last;
     } kCases[] = {
-        {"}", "sequential", 0, "sequential"},
-        {R"(, "sampled_sets": 8})", "sequential", 0, "cached"},
-        {R"(, "fused": true, "sampled_sets": 8})", "fused", 8,
+        {two + "}", "sequential", 0, 2, "sequential"},
+        {two + R"(, "sampled_sets": 8})", "sequential", 0, 2, "cached"},
+        {two + R"(, "fused": true, "sampled_sets": 8})", "fused", 8, 2,
          "fused_monitor_sampled"},
-        {R"(, "fused": true})", "fused", 0, "fused_monitor"},
+        {two + R"(, "fused": true})", "fused", 0, 2, "fused_monitor"},
+        // The plan states the mode and factor, also when every cell is
+        // served from the cache ...
+        {two + R"(, "fused": true, "sampled_sets": 8})", "fused", 8, 2,
+         "cached"},
+        // ... states no factor when no cell is a monitor lane ...
+        {one + R"(, "fused": true, "sampled_sets": 8})", "fused", 0, 1,
+         "cached"},
+        // ... and says "fused" for a fused grid whose one column runs
+        // time-parallel.
+        {chunked + one + R"(, "fused": true})", "fused", 0, 1,
+         "time_parallel"},
     };
     for (const auto &test_case : kCases) {
         SCOPED_TRACE(test_case.extra);
@@ -855,18 +871,19 @@ TEST(SweepService, SweepStatesTheMonitorSamplingFactorOnce)
         EXPECT_EQ(sweep->find("sampled_sets")->asUint(),
                   test_case.factor);
         const JsonValue *runs = sweep->find("runs");
-        ASSERT_EQ(runs->size(), 2u);
-        EXPECT_EQ(runs->at(1).find("execution")->asString(),
-                  test_case.monitor);
+        ASSERT_EQ(runs->size(), test_case.runs);
+        EXPECT_EQ(runs->at(runs->size() - 1).find("execution")->asString(),
+                  test_case.last);
         for (std::size_t i = 0; i < runs->size(); ++i)
             EXPECT_EQ(runs->at(i).find("config")->find("sampled_sets"),
                       nullptr);
     }
     // A sequential request is exact whatever sampling it names, so
     // the second request is served entirely from the first's cells;
-    // each fused request reuses the exact timing lane and simulates
-    // only its monitor.
-    EXPECT_EQ(svc.statsJson().find("cells_fresh")->asUint(), 4u);
+    // each new fused request reuses the exact timing lane and
+    // simulates only its monitor, the two after them simulate
+    // nothing, and the chunked column is a cell of its own.
+    EXPECT_EQ(svc.statsJson().find("cells_fresh")->asUint(), 5u);
 }
 
 TEST(SweepService, ControlOpsAckAndShutdownRaisesTheFlag)

@@ -225,7 +225,7 @@ TEST(SpanRecorderGrid, TraceFileReconcilesWithGrid)
     SpanRecorder recorder;
     core::ThreadPool pool(2);
     const core::GridResults recorded =
-        core::runGrid(grid, pool, {}, &recorder);
+        core::runGrid(grid, pool, {}, {}, &recorder);
 
     const std::string path =
         std::string(::testing::TempDir()) + "flight_trace.json";

@@ -433,7 +433,7 @@ TEST(TimeParallelGrid, ProvenanceAndWorkerCountInvariance)
         }
     }
     // A chunked splice is an approximation, not a fused estimate.
-    EXPECT_FALSE(narrow.anyFused());
+    EXPECT_FALSE(narrow.fused());
 
     // Provenance reaches the sweep artifact: per-cell execution tags
     // plus the top-level time_parallel clause.
