@@ -12,7 +12,9 @@
 #      --trace-out output must parse and carry the expected keys,
 #      bad flags must exit 2, the CLI's single-run paths (live,
 #      --record, --trace of the recording, --trace of a packed
-#      container) must agree, a short one-worker fig5 bench
+#      container) must agree, one-worker sweeps whose rows predict
+#      inline and share one prediction stream must give the same
+#      TPLRU cells, a short one-worker fig5 bench
 #      sweep, plain and fused, must write a parseable flight trace
 #      and sweep JSON within its deadline, and a fused emissary_sim
 #      sweep must print and write its monitor lanes' IPC,
@@ -142,7 +144,7 @@ for stage in $STAGES; do
         # loudly with exit 2 instead of wrapping ($bad word-splits
         # into flag and value).
         for bad in --no-such-flag "--sampled-sets 4294967296" \
-            "--time-chunks 4294967298"; do
+            "--sampled-sets 3" "--time-chunks 4294967298"; do
             rc=0
             build-ci-release/tools/emissary_sim $bad \
                 >/dev/null 2>&1 || rc=$?
@@ -180,6 +182,38 @@ for stage in $STAGES; do
         done
         [ "$(block plain metrics)" = "$(block record metrics)" ] ||
             { echo "--record changed the run's metrics" >&2; exit 1; }
+        # Shared against inline branch prediction: a replay row with
+        # one pass predicts inline, and a row with three reads the
+        # outcomes its build job predicted once. Both sweeps run on
+        # one worker, and their TPLRU cells must agree bit for bit.
+        predict_sweep() {
+            local name="$1" policies="$2"
+            deadline 20 "one-worker $name-prediction sweep" \
+                build-ci-release/tools/emissary_sim \
+                --benchmarks tomcat,verilator --policies "$policies" \
+                --instructions 200000 --warmup 50000 --jobs 1 \
+                --stats-json "$out/$name.json" \
+                --perf-trace "$out/${name}_trace.json" >/dev/null
+        }
+        # The benchmark and metrics of every TPLRU run of a sweep JSON.
+        tplru_metrics() {
+            awk '/^      "benchmark": / { bench = $2 }
+                 /^      "policy": / { tplru = $2 == "\"TPLRU\"," }
+                 /^      "metrics": \{/ { on = tplru }
+                 on { print bench, $0 }
+                 on && /^      \}/ { on = 0 }' "$out/$1.json"
+        }
+        predict_sweep inline TPLRU
+        predict_sweep shared "TPLRU,P(8):S&E,LRU"
+        grep -Eq '"predicted_blocks": ?[1-9]' "$out/shared_trace.json" &&
+            ! grep -Eq '"predicted_blocks": ?[1-9]' \
+                "$out/inline_trace.json" ||
+            { echo "prediction stream not shared exactly on the" \
+                "three-pass rows" >&2; exit 1; }
+        [ -n "$(tplru_metrics inline)" ] &&
+            [ "$(tplru_metrics inline)" = "$(tplru_metrics shared)" ] ||
+            { echo "shared prediction changed the TPLRU cells" >&2
+              exit 1; }
         rm -rf "$out"
         # A short fig5 bench sweep exercises the grid benches'
         # artifact hooks: EMISSARY_BENCH_JSON, EMISSARY_PERF_TRACE

@@ -174,6 +174,7 @@ struct ChunkResult
     std::vector<MetricsInputs> lanes;
     std::uint64_t footprint = 0;
     double replayWaitSeconds = 0.0;
+    double predictionWaitSeconds = 0.0;
     std::vector<std::uint64_t> touchedBitmap;
     Clock::time_point start;
     Clock::time_point measureStart;
@@ -197,28 +198,12 @@ cycleArgs(std::uint64_t cycles, std::uint64_t stepped)
     return args;
 }
 
-/**
- * The pass body: build the machine for @p plan's window, attach a
- * lane bank when @p lanes has monitors (sampling 1-in-@p sampled_sets
- * sets), run over @p source and
- * harvest one MetricsInputs per lane. The only place RunOptions
- * becomes a machine. @p whole carries the attachments that observe
- * one sequential machine; it is null for the chunks of a splice,
- * which touch no shared state and so may run on any worker in any
- * order.
- */
-ChunkResult
-simulatePass(trace::TraceSource &source,
-             const std::vector<replacement::PolicySpec> &lanes,
-             unsigned sampled_sets, const replacement::PolicySpec &l1i,
-             const RunOptions &options, const ChunkPlan &plan,
-             RunTelemetry *whole)
+/** The machine knobs of a run under @p options, with the L2 and
+ *  L1I policies left at their defaults. */
+MachineOptions
+machineOptions(const RunOptions &options)
 {
     MachineOptions machine_options;
-    machine_options.l2Spec = lanes.front();
-    machine_options.l1iSpec = l1i;
-    machine_options.l2Policy = lanes.front().toString();
-    machine_options.l1iPolicy = l1i.toString();
     machine_options.emissaryTreePlru = options.emissaryTreePlru;
     machine_options.bypassLowPriorityInst =
         options.bypassLowPriorityInst;
@@ -226,9 +211,40 @@ simulatePass(trace::TraceSource &source,
     machine_options.nextLinePrefetch = options.nextLinePrefetch;
     machine_options.idealL2Inst = options.idealL2Inst;
     machine_options.seed = options.seed;
+    return machine_options;
+}
+
+/**
+ * The pass body: build the machine for @p plan's window, attach a
+ * lane bank when @p lanes has monitors (sampling 1-in-@p sampled_sets
+ * sets), run over @p source and
+ * harvest one MetricsInputs per lane. The only place RunOptions
+ * becomes a machine. The machine replays @p predictions (the
+ * source's block outcomes from record 0, or nullptr) when their
+ * config is its own, and predicts inline otherwise. @p whole carries
+ * the attachments that observe one sequential machine; it is null
+ * for the chunks of a splice, which touch no shared state and so may
+ * run on any worker in any order.
+ */
+ChunkResult
+simulatePass(trace::TraceSource &source,
+             const frontend::PredictionStream *predictions,
+             const std::vector<replacement::PolicySpec> &lanes,
+             unsigned sampled_sets, const replacement::PolicySpec &l1i,
+             const RunOptions &options, const ChunkPlan &plan,
+             RunTelemetry *whole)
+{
+    MachineOptions machine_options = machineOptions(options);
+    machine_options.l2Spec = lanes.front();
+    machine_options.l1iSpec = l1i;
+    machine_options.l2Policy = lanes.front().toString();
+    machine_options.l1iPolicy = l1i.toString();
 
     Simulator::Config sim_config;
     sim_config.machine = alderlakeConfig(machine_options);
+    if (predictions &&
+        !(predictions->config() == sim_config.machine.frontend))
+        predictions = nullptr;
     sim_config.warmupInstructions = plan.warmup;
     sim_config.measureInstructions = plan.measure;
     sim_config.priorityResetInstructions =
@@ -248,7 +264,7 @@ simulatePass(trace::TraceSource &source,
         bank = std::make_unique<cache::PolicyLaneBank>(
             sim_config.machine.hierarchy, monitor_specs, sampled_sets);
 
-    Simulator simulator(sim_config, source);
+    Simulator simulator(sim_config, source, predictions);
     if (bank)
         simulator.hierarchy().setLanes(bank.get());
     if (whole && whole->traceSink)
@@ -268,6 +284,8 @@ simulatePass(trace::TraceSource &source,
     result.stop = Clock::now();
     result.cycles = simulator.now();
     result.stepped = simulator.steppedCycles();
+    result.predictionWaitSeconds =
+        simulator.frontEnd().predictionWaitSeconds();
 
     result.lanes.push_back(simulator.collect());
     for (unsigned lane = 0; lane < monitor_specs.size(); ++lane)
@@ -314,9 +332,12 @@ run(const RunSource &source,
                 *stream, *report.recordTo);
             stream = tee.get();
         }
-        chunks[i] = simulatePass(*stream, l2_lanes, sampled_sets, l1i,
-                                 options, plans[i],
-                                 whole ? &report : nullptr);
+        // The shared outcomes cover the stream from record 0 only.
+        chunks[i] = simulatePass(
+            *stream,
+            plans[i].startRecord == 0 ? source.predictions() : nullptr,
+            l2_lanes, sampled_sets, l1i, options, plans[i],
+            whole ? &report : nullptr);
         chunks[i].footprint = chunk.footprint();
         chunks[i].replayWaitSeconds = chunk.replayWaitSeconds();
         if (whole)
@@ -333,6 +354,9 @@ run(const RunSource &source,
             args.emplace_back(
                 "replay_wait_ms",
                 stats::JsonValue(1e3 * chunks[i].replayWaitSeconds));
+            args.emplace_back(
+                "prediction_wait_ms",
+                stats::JsonValue(1e3 * chunks[i].predictionWaitSeconds));
             spans->recordSpan("chunk", spans->toNs(chunks[i].start),
                               spans->toNs(chunks[i].harvested),
                               std::move(args));
@@ -424,8 +448,10 @@ run(const RunSource &source,
     report.measureSeconds = 0.0;
     report.statExportSeconds = 0.0;
     report.replayWaitSeconds = 0.0;
+    report.predictionWaitSeconds = 0.0;
     for (const ChunkResult &chunk : chunks) {
         report.replayWaitSeconds += chunk.replayWaitSeconds;
+        report.predictionWaitSeconds += chunk.predictionWaitSeconds;
         report.warmupSeconds += seconds(chunk.start, chunk.measureStart);
         report.measureSeconds += seconds(chunk.measureStart, chunk.stop);
         report.statExportSeconds += seconds(chunk.stop, chunk.harvested);
@@ -462,6 +488,12 @@ canonicalRunOptions(const RunOptions &options)
         doc.set(key, stats::JsonValue(normal.*member));
     });
     return doc.dump(0);
+}
+
+frontend::PredictorConfig
+predictorConfig(const RunOptions &options)
+{
+    return alderlakeConfig(machineOptions(options)).frontend;
 }
 
 double

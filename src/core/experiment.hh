@@ -44,6 +44,12 @@ namespace emissary::trace
 class TraceWriter;
 }
 
+namespace emissary::frontend
+{
+class PredictionStream;
+struct PredictorConfig;
+}
+
 namespace emissary::core
 {
 
@@ -176,10 +182,16 @@ class RunSource
      *  still be packing: a pass blocks only on records not yet
      *  published. The footprint is the cursor's count, or the union
      *  of the chunks' bitmaps when chunked; a trace-backed buffer
-     *  keeps no bitmap and reports @p census instead. */
+     *  keeps no bitmap and reports @p census instead. A machine that
+     *  replays the buffer from record 0 under @p predictions'
+     *  predictor config reads its block outcomes from there (may
+     *  still be predicting; nullptr = every machine predicts). */
     RunSource(std::shared_ptr<const trace::RecordBuffer> buffer,
-              std::uint64_t census = 0)
-        : kind_(std::move(buffer)), census_(census)
+              std::uint64_t census = 0,
+              std::shared_ptr<const frontend::PredictionStream>
+                  predictions = nullptr)
+        : kind_(std::move(buffer)), census_(census),
+          predictions_(std::move(predictions))
     {
     }
 
@@ -206,6 +218,13 @@ class RunSource
                std::holds_alternative<ChunkSourceFactory>(kind_);
     }
 
+    /** The block outcomes shared by the source's passes, if any. */
+    const frontend::PredictionStream *
+    predictions() const
+    {
+        return predictions_.get();
+    }
+
   private:
     /** Opens a chunk's stream per kind (core/experiment.cc). */
     friend class ChunkStream;
@@ -215,6 +234,7 @@ class RunSource
                  ChunkSourceFactory, trace::TraceSource *>
         kind_;
     std::uint64_t census_ = 0;
+    std::shared_ptr<const frontend::PredictionStream> predictions_;
 };
 
 /**
@@ -255,6 +275,10 @@ struct RunTelemetry
      *  still packing, summed over chunks (0 for every other source,
      *  and for a buffer packed before the run reached it). */
     double replayWaitSeconds = 0.0;
+    /** Seconds the run's front-ends blocked on block outcomes the
+     *  source's PredictionStream had not published yet, summed over
+     *  chunks (0 for a machine that predicted inline). */
+    double predictionWaitSeconds = 0.0;
     /** The N values whose P(N) L2 would have run this run's exact
      *  path (EmissaryPolicy::sameRunRange); empty unless the timing
      *  lane runs EMISSARY. The grid engine shares a P(N) result
@@ -298,6 +322,12 @@ struct RunTelemetry
  * the calling thread. Safe to call from inside a pool job: the
  * calling thread helps execute queued chunks instead of blocking.
  *
+ * A chunk that starts at record 0 (a one-chunk run, or chunk 0 of a
+ * splice) on a source with predictions() whose config equals the
+ * machine's (predictorConfig) replays those block outcomes; every
+ * other machine predicts inline. Either way the result is the same,
+ * bit for bit.
+ *
  * @param sampled_sets Monitor-lane set sampling (0 or 1 = every set).
  * @param pool Workers for a chunked run (nullptr = the calling
  *        thread runs every chunk in order).
@@ -321,6 +351,10 @@ run(const RunSource &source,
  * chunk_warmup_records 0.
  */
 std::string canonicalRunOptions(const RunOptions &options);
+
+/** The predictor part of the machine a run under @p options builds:
+ *  the key of a PredictionStream its passes may share. */
+frontend::PredictorConfig predictorConfig(const RunOptions &options);
 
 /** Speedup of @p test over @p base in percent (paper convention);
  *  0 when @p test is untimed (Metrics::timed). */

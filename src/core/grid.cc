@@ -15,9 +15,11 @@
 #include "core/buildinfo.hh"
 #include "core/observability.hh"
 #include "core/replay_build.hh"
+#include "frontend/frontend.hh"
 #include "trace/file.hh"
 #include "trace/program.hh"
 #include "trace/replay.hh"
+#include "util/bitutil.hh"
 #include "util/crc32.hh"
 #include "util/hash.hh"
 #include "util/strutil.hh"
@@ -440,11 +442,21 @@ GridResults::timingTable(
     return table;
 }
 
+void
+checkSampledSets(unsigned factor)
+{
+    if (factor != 0 && !isPowerOfTwo(factor))
+        throw std::invalid_argument(
+            "sampling factor " + std::to_string(factor) +
+            " is not a power of two");
+}
+
 GridPlan
 planGrid(const PolicyGrid &grid, const GridOptions &options)
 {
     if (grid.workloads.empty() || grid.runs.empty())
         throw std::invalid_argument("planGrid: empty grid");
+    checkSampledSets(options.sampledSets);
     const std::size_t rows = grid.workloads.size();
     const std::size_t columns = grid.runs.size();
     const std::size_t max_lanes = cache::PolicyLaneBank::kMaxLanes;
@@ -600,6 +612,23 @@ planGrid(const PolicyGrid &grid, const GridOptions &options)
             if (fresh(r) && !grouped[r])
                 plan.passes.push_back({w, {r}, {}});
     }
+
+    // A replay row predicts its block outcomes once when two or more
+    // machines replay it from record 0: two passes, or one P(N) group
+    // whose members may re-run. Its first pass keys the stream; a
+    // pass under another predictor config predicts inline.
+    plan.predictionColumns.assign(rows, std::nullopt);
+    std::vector<std::size_t> machines(rows, 0);
+    for (const GridPass &pass : plan.passes) {
+        if (plan.sources[pass.row] != RowSource::Replay)
+            continue;
+        if (machines[pass.row] == 0)
+            plan.predictionColumns[pass.row] = pass.columns.front();
+        machines[pass.row] += 1 + pass.members.size();
+    }
+    for (std::size_t w = 0; w < rows; ++w)
+        if (machines[w] < 2)
+            plan.predictionColumns[w].reset();
     return plan;
 }
 
@@ -721,7 +750,10 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     // source exists once its build job settles the row's promise
     // (with the build's error, if it failed); a synthetic replay row
     // publishes its buffer before packing it, so the row's cells
-    // start on records as the packer publishes them. Build jobs never
+    // start on records as the packer publishes them. A row's
+    // prediction stream sees each chunk before the buffer publishes
+    // it, so a machine never needs an outcome the stream has not
+    // published, except after the last record. Build jobs never
     // wait and the pool is FIFO, so every build starts before any
     // cell: no worker count can leave a cell waiting on a build that
     // no worker runs.
@@ -748,21 +780,37 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 span.arg("source", stats::JsonValue(rowSourceName(kind)));
                 const GridWorkload &row = grid.workloads[w];
                 std::shared_ptr<trace::RecordBuffer> deferred;
+                std::shared_ptr<frontend::PredictionStream> predictions;
+                trace::RecordBuffer::ChunkObserver predict;
+                if (const auto column = plan.predictionColumns[w]) {
+                    // A block has at least one record.
+                    predictions =
+                        std::make_shared<frontend::PredictionStream>(
+                            predictorConfig(grid.runs[*column].options),
+                            plan.bufferRecords);
+                    predict = [stream = predictions.get()](
+                                  const trace::TraceRecord *records,
+                                  std::size_t n) {
+                        stream->append(records, n);
+                    };
+                }
                 if (row.traceBacked()) {
                     // The buffer unrolls the trace's wrap-around, so
                     // any window length replays correctly; a cursor
                     // that still overruns re-opens the file at the
                     // overrun position via the tail factory. Both
                     // kinds report the container's pack-time
-                    // footprint census. A raw EMTR row packs before
-                    // it publishes.
+                    // footprint census. A raw EMTR row packs (and
+                    // predicts) before it publishes.
                     const std::uint64_t census = traceFootprintLines(row);
-                    if (kind == RowSource::Replay)
-                        sources[w].emplace(
-                            buildTraceReplay(row, plan.bufferRecords,
-                                             pool),
-                            census);
-                    else
+                    if (kind == RowSource::Replay) {
+                        auto buffer = buildTraceReplay(
+                            row, plan.bufferRecords, pool, predict);
+                        if (predictions)
+                            predictions->finish();
+                        sources[w].emplace(std::move(buffer), census,
+                                           predictions);
+                    } else
                         sources[w].emplace(
                             ChunkSourceFactory(
                                 [&row](std::uint64_t start_record) {
@@ -780,16 +828,24 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                             trace::RecordBuffer::Packing::Deferred);
                         sources[w].emplace(
                             std::shared_ptr<const trace::RecordBuffer>(
-                                deferred));
+                                deferred),
+                            0, predictions);
                     } else {
                         sources[w].emplace(*programs[w]);
                     }
                 }
                 published[w].set_value();
-                // Nothing past the publication throws: pack() is
-                // noexcept.
-                if (deferred)
-                    deferred->pack();
+                // Nothing past the publication throws: pack(),
+                // append() and finish() are noexcept.
+                if (deferred) {
+                    deferred->pack(predict);
+                    if (predictions)
+                        predictions->finish();
+                }
+                span.arg("predicted_blocks",
+                         stats::JsonValue(predictions
+                                              ? predictions->published()
+                                              : std::uint64_t{0}));
                 build_seconds[w] = secondsSince(build_start);
             } catch (...) {
                 published[w].set_exception(std::current_exception());
@@ -893,6 +949,9 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                              : 0.0));
             span.arg("replay_wait_ms",
                      stats::JsonValue(1e3 * telemetry.replayWaitSeconds));
+            span.arg("prediction_wait_ms",
+                     stats::JsonValue(1e3 *
+                                      telemetry.predictionWaitSeconds));
         }
         for (const std::size_t lane : filled)
             note_cell_done(w, columns[lane],
@@ -931,6 +990,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
             span.arg("instructions", stats::JsonValue(instructions));
             span.arg("minst_per_sec", stats::JsonValue(0.0));
             span.arg("replay_wait_ms", stats::JsonValue(0.0));
+            span.arg("prediction_wait_ms", stats::JsonValue(0.0));
             span.arg("shared_with",
                      stats::JsonValue(grid.runs[leader].l2Policy));
         }

@@ -21,6 +21,14 @@
  * record. Every source serves the same records, so the Metrics are
  * bit-identical (RowSource; docs/performance.md).
  *
+ * A replay row with two or more passes also predicts its block
+ * outcomes once: the build job feeds every packed chunk to a
+ * frontend::PredictionStream before publishing it, and each pass's
+ * machine that starts at record 0 under the stream's predictor
+ * config replays the outcomes instead of running its own BTB, TAGE,
+ * ITTAGE and RAS. The outcomes depend on the records and that config
+ * alone, so the Metrics are bit-identical to predicting inline.
+ *
  * A row's P(N) columns that differ only in N form a group whose
  * largest N runs first; every member whose N lies in the leader's
  * replacement::EmissaryPolicy::sameRunRange takes the leader's exact
@@ -210,6 +218,14 @@ std::string cellCacheCanonical(const GridWorkload &workload,
  *  FNV-1a 64 hash (also the on-disk store's file stem). */
 std::string cellCacheKey(const std::string &canonical);
 
+/**
+ * The one check of a monitor sampling factor (GridOptions::sampledSets,
+ * the service's "sampled_sets", emissary_sim --sampled-sets): 0 or a
+ * power of two.
+ * @throws std::invalid_argument naming @p factor otherwise.
+ */
+void checkSampledSets(unsigned factor);
+
 /** Scheduling knobs for one runGrid call. */
 struct GridOptions
 {
@@ -221,8 +237,8 @@ struct GridOptions
     bool fused = false;
     /** Fast mode: 1-in-K set sampling for the monitor lanes of
      *  fused groups (core::run's sampled_sets; 0 or 1 = full fidelity
-     *  monitors). The timing lane and sequential cells always model
-     *  every set. */
+     *  monitors; K a power of two, checkSampledSets). The timing lane
+     *  and sequential cells always model every set. */
     unsigned sampledSets = 0;
     /** Collect each cell's end-of-window counter registry into
      *  GridResults (implied by cellCache, which must store them). */
@@ -318,6 +334,12 @@ struct GridPlan
     std::vector<replacement::PolicySpec> l1iSpecs;
     /** Per row; None when every cell of the row hit. */
     std::vector<RowSource> sources;
+    /** Per row, the column whose predictor config
+     *  (core::predictorConfig) keys the row's shared PredictionStream:
+     *  the row's first pass's. Set for a Replay row with at least two
+     *  passes, a P(N) member counting as one since it may re-run;
+     *  nullopt when every machine of the row predicts inline. */
+    std::vector<std::optional<std::size_t>> predictionColumns;
     std::vector<std::vector<CellPlan>> cells; ///< [workload][run]
     /** Submission order, which the FIFO pool keeps: a row's P(N)
      *  leaders come before its other cells. */
@@ -328,7 +350,8 @@ struct GridPlan
  * Plan @p grid under @p options without a pool or a simulation. Reads
  * EMISSARY_REPLAY_BUDGET_MB and probes options.cellCache once per cell
  * (a trace row's identity reads its file).
- * @throws std::invalid_argument on an empty grid or bad notation.
+ * @throws std::invalid_argument on an empty grid, bad notation or a
+ *         sampling factor checkSampledSets rejects.
  */
 GridPlan planGrid(const PolicyGrid &grid, const GridOptions &options);
 
@@ -480,9 +503,12 @@ class GridResults
  *        "warmup"/"measure"/"stat_export" children (a Shared cell's
  *        slice has none and a "shared_with" arg instead), each
  *        row's source preparation becomes a "replay_build" slice
- *        (args: workload, source — rowSourceName), and the
+ *        (args: workload, source — rowSourceName, predicted_blocks —
+ *        the row's PredictionStream length, 0 without one), and the
  *        engine feeds two counter tracks: "cells_completed" and the
- *        aggregate "minst_per_sec". Export with
+ *        aggregate "minst_per_sec". Cell and group slices carry
+ *        replay_wait_ms and prediction_wait_ms, the time the pass
+ *        blocked on its row's packer and predictor. Export with
  *        stats::ChromeTraceWriter. A null recorder costs one
  *        pointer test per instrumentation point.
  *

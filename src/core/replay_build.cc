@@ -59,7 +59,8 @@ openTraceSource(const GridWorkload &w,
 
 std::shared_ptr<const trace::RecordBuffer>
 buildTraceReplay(const GridWorkload &w, std::uint64_t records,
-                 ThreadPool &pool)
+                 ThreadPool &pool,
+                 const trace::RecordBuffer::ChunkObserver &observer)
 {
     trace::RecordBuffer::TailFactory tail =
         [w](std::uint64_t position) {
@@ -69,11 +70,11 @@ buildTraceReplay(const GridWorkload &w, std::uint64_t records,
     // Raw EMTR files have no block index, so a mid-stream seek costs
     // a record-by-record skip that would erase the parallel win;
     // short windows are not worth the per-task file opens either.
-    if (!isPackedTracePath(w.tracePath) ||
+    if (observer || !isPackedTracePath(w.tracePath) ||
         pool.workerCount() <= 1 || records < 2 * kMinTaskRecords) {
         auto source = openTraceSource(w);
         return std::make_shared<const trace::RecordBuffer>(
-            *source, records, std::move(tail));
+            *source, records, std::move(tail), observer);
     }
 
     // The probe names the buffer exactly as the streaming build would

@@ -47,17 +47,19 @@ openTraceSource(const GridWorkload &workload,
 /**
  * Pack the first @p records of @p workload's served stream into a
  * RecordBuffer, decoding EMTC containers in parallel across @p pool
- * (raw EMTR files, which have no block index, stream serially). The
- * output is bit-identical to the serial streaming constructor at any
- * worker count: tasks own disjoint record spans and the span
- * partition depends only on (records, worker count), never on
- * scheduling order. Safe to call from inside a pool job — the caller
- * helps execute decode tasks instead of blocking
- * (ThreadPool::helpWhile).
+ * (raw EMTR files, which have no block index, stream serially, and so
+ * does every build with an @p observer, which sees the packed chunks
+ * in stream order). The output is bit-identical to the serial
+ * streaming constructor at any worker count: tasks own disjoint
+ * record spans and the span partition depends only on (records,
+ * worker count), never on scheduling order. Safe to call from inside
+ * a pool job — the caller helps execute decode tasks instead of
+ * blocking (ThreadPool::helpWhile).
  */
 std::shared_ptr<const trace::RecordBuffer>
 buildTraceReplay(const GridWorkload &workload, std::uint64_t records,
-                 ThreadPool &pool);
+                 ThreadPool &pool,
+                 const trace::RecordBuffer::ChunkObserver &observer = {});
 
 } // namespace emissary::core
 

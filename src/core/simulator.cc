@@ -66,11 +66,12 @@ Simulator::TraceAdapter::onPriorityUpgrade(std::uint64_t line_addr)
         out->eventLine("priority_upgrade", sim_.now_, line_addr);
 }
 
-Simulator::Simulator(const Config &config, trace::TraceSource &source)
+Simulator::Simulator(const Config &config, trace::TraceSource &source,
+                     const frontend::PredictionStream *predictions)
     : config_(config),
       source_(source),
       hierarchy_(config.machine.hierarchy),
-      frontend_(config.machine.frontend, source, hierarchy_),
+      frontend_(config.machine.frontend, source, hierarchy_, predictions),
       backend_(config.machine.backend, hierarchy_)
 {
     backend_.setResolveCallback(

@@ -77,7 +77,11 @@ class Simulator
         std::uint64_t sampleInterval = 0;
     };
 
-    Simulator(const Config &config, trace::TraceSource &source);
+    /** @param predictions Block outcomes of @p source's stream from
+     *  its first record, replayed instead of predicted (not owned;
+     *  nullptr = predict inline; see frontend::FrontEnd). */
+    Simulator(const Config &config, trace::TraceSource &source,
+              const frontend::PredictionStream *predictions = nullptr);
 
     /** Warm up, measure, and return the window's metrics. */
     Metrics run();

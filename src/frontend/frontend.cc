@@ -1,6 +1,8 @@
 #include "frontend/frontend.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <stdexcept>
 
 namespace emissary::frontend
 {
@@ -10,17 +12,179 @@ namespace
 constexpr unsigned kLineShift = 6;  // 64 B lines.
 } // namespace
 
+bool
+operator==(const PredictorConfig &a, const PredictorConfig &b)
+{
+    // A field added to PredictorConfig, Tage::Config or
+    // Ittage::Config joins this list.
+    return a.maxBlockInstrs == b.maxBlockInstrs &&
+           a.btbEntries == b.btbEntries && a.btbWays == b.btbWays &&
+           a.tage.bimodalLog == b.tage.bimodalLog &&
+           a.tage.tableLog == b.tage.tableLog &&
+           a.tage.tagBits == b.tage.tagBits &&
+           a.tage.historyLengths == b.tage.historyLengths &&
+           a.tage.seed == b.tage.seed &&
+           a.ittage.tableLog == b.ittage.tableLog &&
+           a.ittage.tagBits == b.ittage.tagBits &&
+           a.ittage.historyLengths == b.ittage.historyLengths &&
+           a.ittage.seed == b.ittage.seed && a.rasDepth == b.rasDepth;
+}
+
+BranchPredictor::BranchPredictor(const PredictorConfig &config)
+    : btb_(config.btbEntries, config.btbWays),
+      tage_(config.tage),
+      ittage_(config.ittage),
+      ras_(config.rasDepth)
+{
+}
+
+std::uint8_t
+BranchPredictor::predict(std::uint64_t start_pc,
+                         const trace::TraceRecord &rec, unsigned instrs)
+{
+    if (!trace::isControl(rec.cls))
+        return 0;  // Oversized straight-line block; nothing to predict.
+
+    const BtbEntry *btb_entry = btb_.lookup(start_pc);
+    const bool btb_hit = btb_entry != nullptr;
+
+    bool mispredict = false;
+    // Pre-decode wait: block boundary/target unknown until the
+    // block's bytes arrive and the pre-decoder fills the BTB.
+    bool predecode_wait = !btb_hit;
+
+    switch (rec.cls) {
+      case trace::InstClass::CondBranch: {
+        const bool pred_taken = tage_.predict(rec.pc);
+        tage_.update(rec.pc, rec.taken);
+        if (btb_hit) {
+            if (pred_taken != rec.taken) {
+                mispredict = true;
+            } else if (rec.taken && btb_entry->takenTarget != 0 &&
+                       btb_entry->takenTarget != rec.nextPc) {
+                // Stale target (aliased entry): re-steer like a
+                // mispredict.
+                mispredict = true;
+            } else if (rec.taken && btb_entry->takenTarget == 0) {
+                // Direction known but target never observed; the
+                // pre-decoder supplies it from the block's bytes.
+                predecode_wait = true;
+            }
+        }
+        break;
+      }
+      case trace::InstClass::DirectJump:
+      case trace::InstClass::Call: {
+        if (rec.cls == trace::InstClass::Call)
+            ras_.push(rec.pc + trace::kInstBytes);
+        tage_.updateUnconditional(rec.pc);
+        break;
+      }
+      case trace::InstClass::IndirectJump:
+      case trace::InstClass::IndirectCall: {
+        const std::uint64_t base =
+            btb_hit ? btb_entry->takenTarget : 0;
+        const std::uint64_t pred = ittage_.predict(rec.pc, base);
+        ittage_.update(rec.pc, rec.nextPc);
+        mispredict = pred != rec.nextPc;
+        if (rec.cls == trace::InstClass::IndirectCall)
+            ras_.push(rec.pc + trace::kInstBytes);
+        tage_.updateUnconditional(rec.pc);
+        break;
+      }
+      case trace::InstClass::Return: {
+        mispredict = ras_.pop() != rec.nextPc;
+        tage_.updateUnconditional(rec.pc);
+        break;
+      }
+      default:
+        break;
+    }
+
+    // Teach the BTB the block descriptor (pre-decoder path). For
+    // conditional branches the taken target is only learnable once
+    // observed taken.
+    BtbEntry teach;
+    teach.startPc = start_pc;
+    teach.instrCount = static_cast<std::uint16_t>(instrs);
+    teach.endClass = rec.cls;
+    if (rec.cls == trace::InstClass::CondBranch && !rec.taken) {
+        teach.takenTarget = btb_hit ? btb_entry->takenTarget : 0;
+    } else {
+        teach.takenTarget = rec.nextPc;
+    }
+    btb_.install(teach);
+
+    return static_cast<std::uint8_t>((btb_hit ? kBtbHit : 0) |
+                                     (mispredict ? kMispredict : 0) |
+                                     (predecode_wait ? kPredecodeWait : 0));
+}
+
+PredictionStream::PredictionStream(const PredictorConfig &config,
+                                   std::uint64_t max_blocks)
+    : config_(config),
+      predictor_(config),
+      // Default-initialised: only the pages the producer writes are
+      // ever touched.
+      outcomes_(new std::uint8_t[max_blocks]),
+      capacity_(max_blocks)
+{
+}
+
+void
+PredictionStream::append(const trace::TraceRecord *records,
+                         std::size_t n) noexcept
+{
+    // FrontEnd::buildBlock's cut: a block ends at a control
+    // instruction or at maxBlockInstrs records.
+    for (std::size_t i = 0; i < n && blocks_ < capacity_; ++i) {
+        const trace::TraceRecord &rec = records[i];
+        if (blockInstrs_++ == 0)
+            blockStart_ = rec.pc;
+        if (!trace::isControl(rec.cls) &&
+            blockInstrs_ < config_.maxBlockInstrs)
+            continue;
+        outcomes_[blocks_++] =
+            predictor_.predict(blockStart_, rec, blockInstrs_);
+        blockInstrs_ = 0;
+    }
+    published_.store(blocks_ << 1, std::memory_order_release);
+    published_.notify_all();
+}
+
+void
+PredictionStream::finish() noexcept
+{
+    published_.store((blocks_ << 1) | 1, std::memory_order_release);
+    published_.notify_all();
+}
+
+std::uint64_t
+PredictionStream::await(std::uint64_t block) const
+{
+    std::uint64_t state = published_.load(std::memory_order_acquire);
+    while ((state >> 1) <= block && !(state & 1)) {
+        published_.wait(state, std::memory_order_acquire);
+        state = published_.load(std::memory_order_acquire);
+    }
+    return state >> 1;
+}
+
 FrontEnd::FrontEnd(const Config &config, trace::TraceSource &source,
-                   cache::Hierarchy &hierarchy)
+                   cache::Hierarchy &hierarchy,
+                   const PredictionStream *predictions)
     : config_(config),
       source_(source),
       hierarchy_(hierarchy),
-      btb_(config.btbEntries, config.btbWays),
-      tage_(config.tage),
-      ittage_(config.ittage),
-      ras_(config.rasDepth),
+      stream_(predictions),
       ftq_(config.ftqEntries)
 {
+    if (!stream_)
+        bpu_.emplace(config);
+    else if (!(stream_->config() == config))
+        throw std::invalid_argument(
+            "FrontEnd: the prediction stream's predictor config differs "
+            "from the machine's");
 }
 
 void
@@ -48,106 +212,63 @@ FrontEnd::buildBlock(FtqEntry &entry)
     }
 }
 
+bool
+FrontEnd::awaitStream()
+{
+    streamReady_ = stream_->published();
+    if (streamBlock_ < streamReady_)
+        return true;
+    const auto start = std::chrono::steady_clock::now();
+    streamReady_ = stream_->await(streamBlock_);
+    predictionWaitSeconds_ += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    return streamBlock_ < streamReady_;
+}
+
 void
-FrontEnd::predictTerminator(FtqEntry &entry, std::uint64_t now)
+FrontEnd::predictPastStream()
+{
+    bpu_.emplace(stream_->finalState());
+    stream_ = nullptr;
+}
+
+void
+FrontEnd::applyOutcome(FtqEntry &entry, std::uint8_t outcome,
+                       std::uint64_t now)
 {
     core::DynInst &term = entry.instrs.back();
     const trace::TraceRecord &rec = term.rec;
     if (!trace::isControl(rec.cls))
-        return;  // Oversized straight-line block; nothing to predict.
+        return;  // Oversized straight-line block; nothing predicted.
 
-    const std::uint64_t start_pc = entry.instrs.front().rec.pc;
-    const BtbEntry *btb_entry = btb_.lookup(start_pc);
-    const bool btb_hit = btb_entry != nullptr;
-    if (!btb_hit)
+    if (!(outcome & kBtbHit))
         ++stats_.btbMisses;
-
-    bool mispredict = false;
-    // Pre-decode wait: block boundary/target unknown until the
-    // block's bytes arrive and the pre-decoder fills the BTB.
-    bool predecode_wait = !btb_hit;
-
+    const bool mispredict = (outcome & kMispredict) != 0;
     switch (rec.cls) {
-      case trace::InstClass::CondBranch: {
+      case trace::InstClass::CondBranch:
         ++stats_.condBranches;
-        const bool pred_taken = tage_.predict(rec.pc);
-        tage_.update(rec.pc, rec.taken);
-        if (btb_hit) {
-            if (pred_taken != rec.taken) {
-                mispredict = true;
-            } else if (rec.taken && btb_entry->takenTarget != 0 &&
-                       btb_entry->takenTarget != rec.nextPc) {
-                // Stale target (aliased entry): re-steer like a
-                // mispredict.
-                mispredict = true;
-            } else if (rec.taken && btb_entry->takenTarget == 0) {
-                // Direction known but target never observed; the
-                // pre-decoder supplies it from the block's bytes.
-                predecode_wait = true;
-            }
-        }
-        if (mispredict)
-            ++stats_.condMispredicts;
+        stats_.condMispredicts += mispredict;
         break;
-      }
-      case trace::InstClass::DirectJump:
-      case trace::InstClass::Call: {
-        if (rec.cls == trace::InstClass::Call)
-            ras_.push(rec.pc + trace::kInstBytes);
-        tage_.updateUnconditional(rec.pc);
-        break;
-      }
       case trace::InstClass::IndirectJump:
-      case trace::InstClass::IndirectCall: {
+      case trace::InstClass::IndirectCall:
         ++stats_.indirectBranches;
-        const std::uint64_t base =
-            btb_hit ? btb_entry->takenTarget : 0;
-        const std::uint64_t pred = ittage_.predict(rec.pc, base);
-        ittage_.update(rec.pc, rec.nextPc);
-        if (pred != rec.nextPc) {
-            mispredict = true;
-            ++stats_.indirectMispredicts;
-        }
-        if (rec.cls == trace::InstClass::IndirectCall)
-            ras_.push(rec.pc + trace::kInstBytes);
-        tage_.updateUnconditional(rec.pc);
+        stats_.indirectMispredicts += mispredict;
         break;
-      }
-      case trace::InstClass::Return: {
+      case trace::InstClass::Return:
         ++stats_.returns;
-        const std::uint64_t pred = ras_.pop();
-        if (pred != rec.nextPc) {
-            mispredict = true;
-            ++stats_.returnMispredicts;
-        }
-        tage_.updateUnconditional(rec.pc);
+        stats_.returnMispredicts += mispredict;
         break;
-      }
       default:
         break;
     }
-
-    // Teach the BTB the block descriptor (pre-decoder path). For
-    // conditional branches the taken target is only learnable once
-    // observed taken.
-    BtbEntry teach;
-    teach.startPc = start_pc;
-    teach.instrCount =
-        static_cast<std::uint16_t>(entry.instrs.size());
-    teach.endClass = rec.cls;
-    if (rec.cls == trace::InstClass::CondBranch && !rec.taken) {
-        teach.takenTarget = btb_hit ? btb_entry->takenTarget : 0;
-    } else {
-        teach.takenTarget = rec.nextPc;
-    }
-    btb_.install(teach);
 
     if (mispredict) {
         term.mispredicted = true;
         haltedOnSeq_ = term.seq;
     }
 
-    if (predecode_wait) {
+    if (outcome & kPredecodeWait) {
         // Enqueuing stalls on BTB misses (§5.2): the next block's
         // prediction cannot start until this block's bytes reach the
         // pre-decoder, i.e. until its lines arrive. This serializes
@@ -186,7 +307,8 @@ FrontEnd::predict(std::uint64_t now)
 
     FtqEntry &entry = ftqAt(ftqSize_);
     buildBlock(entry);
-    predictTerminator(entry, now);
+    lastOutcome_ = outcomeOf(entry);
+    applyOutcome(entry, lastOutcome_, now);
     ftqInstrCount_ += static_cast<unsigned>(entry.instrs.size());
     ++stats_.blocksFormed;
     ++ftqSize_;

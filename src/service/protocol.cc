@@ -278,10 +278,11 @@ parseRequest(const std::string &text)
         request.fused = boolField(*fused, "fused");
     if (const JsonValue *sampled = doc.find("sampled_sets")) {
         const unsigned factor = u32Field(*sampled, "sampled_sets");
-        if (factor > 1 && (factor & (factor - 1)) != 0)
-            throw RequestError("sampled_sets",
-                               "sampling factor must be a power of "
-                               "two");
+        try {
+            core::checkSampledSets(factor);
+        } catch (const std::invalid_argument &error) {
+            throw RequestError("sampled_sets", error.what());
+        }
         request.sampledSets = factor;
     }
     return request;

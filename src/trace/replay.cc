@@ -8,7 +8,8 @@ namespace emissary::trace
 {
 
 void
-RecordBuffer::appendFrom(TraceSource &source, std::uint64_t records)
+RecordBuffer::appendFrom(TraceSource &source, std::uint64_t records,
+                         const ChunkObserver &observer)
 {
     constexpr std::size_t kChunk = kPublishRecords;
     TraceRecord chunk[kChunk];
@@ -29,6 +30,8 @@ RecordBuffer::appendFrom(TraceSource &source, std::uint64_t records)
                 (rec.taken ? std::uint8_t{0x80} : std::uint8_t{0}));
         }
         remaining -= n;
+        if (observer)
+            observer(chunk, n);
         // Publish the chunk; the last store also publishes the
         // source's final state (a synthetic buffer's tail snapshot).
         packed += n;
@@ -56,10 +59,10 @@ RecordBuffer::RecordBuffer(const SyntheticProgram &program,
 }
 
 void
-RecordBuffer::pack() noexcept
+RecordBuffer::pack(const ChunkObserver &observer) noexcept
 {
     assert(tail_ && packed() == 0);
-    appendFrom(*tail_, records_);
+    appendFrom(*tail_, records_, observer);
 }
 
 void
@@ -73,7 +76,8 @@ RecordBuffer::waitPacked(std::uint64_t records) const
 }
 
 RecordBuffer::RecordBuffer(TraceSource &source, std::uint64_t records,
-                           TailFactory tail_factory)
+                           TailFactory tail_factory,
+                           const ChunkObserver &observer)
     : records_(records),
       name_(source.name()),
       tailFactory_(std::move(tail_factory))
@@ -82,7 +86,7 @@ RecordBuffer::RecordBuffer(TraceSource &source, std::uint64_t records,
     nextPc_.reserve(records);
     memAddr_.reserve(records);
     clsTaken_.reserve(records);
-    appendFrom(source, records);
+    appendFrom(source, records, observer);
 }
 
 RecordBuffer::RecordBuffer(std::string name, std::uint64_t records,

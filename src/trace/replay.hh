@@ -17,7 +17,11 @@
  * one atomic count, and a cursor that would read past that count
  * blocks until the packer gets there. The grid engine uses this to
  * start a row's cells as soon as the row's buffer exists instead of
- * after its whole stream is generated (core::runGrid).
+ * after its whole stream is generated (core::runGrid). The packing
+ * loop also hands each chunk to an optional observer before it
+ * publishes the chunk: the grid's row builds predict the row's block
+ * outcomes there (frontend::PredictionStream), so whatever a cursor
+ * can read has already been predicted.
  *
  * Determinism contract: a run fed by a ReplayCursor produces
  * bit-identical Metrics to the same run fed by a live
@@ -95,15 +99,24 @@ class RecordBuffer
                  Packing packing = Packing::Now);
 
     /**
+     * Sees each chunk of up to kPublishRecords records, in stream
+     * order, after the buffer stores the chunk and before it publishes
+     * it. Runs on the packing thread and must not throw.
+     */
+    using ChunkObserver =
+        std::function<void(const TraceRecord *records, std::size_t n)>;
+
+    /**
      * Generate and pack a Deferred buffer's records, publishing the
      * packed prefix every kPublishRecords records and the tail
-     * executor snapshot together with the final count. Call once,
+     * executor snapshot together with the final count. Each chunk
+     * goes to @p observer (if set) before it is published. Call once,
      * from one thread; cursors on other threads may read the buffer
      * meanwhile. Never waits on anything, so a packer always makes
      * progress. Noexcept because a reader waiting on a record that a
      * failed pack never publishes would wait forever.
      */
-    void pack() noexcept;
+    void pack(const ChunkObserver &observer = {}) noexcept;
 
     /** Records between two publications of the packed count. */
     static constexpr std::uint64_t kPublishRecords = 4096;
@@ -127,9 +140,11 @@ class RecordBuffer
      * @param tail_factory Optional overrun fallback; a cursor that
      *        runs off the buffer continues from the source this
      *        produces. Without one, overrun throws.
+     * @param observer Optional; sees every packed chunk (pack()).
      */
     RecordBuffer(TraceSource &source, std::uint64_t records,
-                 TailFactory tail_factory);
+                 TailFactory tail_factory,
+                 const ChunkObserver &observer = {});
 
     /**
      * Preallocated trace-backed buffer of @p records zeroed slots,
@@ -212,7 +227,8 @@ class RecordBuffer
     makeTail(std::uint64_t position) const;
 
   private:
-    void appendFrom(TraceSource &source, std::uint64_t records);
+    void appendFrom(TraceSource &source, std::uint64_t records,
+                    const ChunkObserver &observer);
 
     /** Reserved for size() records up front and appended in place,
      *  so their start pointers never move while cursors read. */

@@ -2,17 +2,23 @@
  * @file
  * Tests for the decoupled front-end: block formation, FTQ flow into
  * the decode queue, FDIP prefetching, BTB-miss pre-decode stalls,
- * mispredict halt/resume, starvation-line attribution, and the reuse
- * of the FTQ's fixed entries.
+ * mispredict halt/resume, starvation-line attribution, the reuse of
+ * the FTQ's fixed entries, and the trace-only contract behind a
+ * shared PredictionStream: block outcomes depend on the records and
+ * the PredictorConfig alone, never on timing.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "frontend/frontend.hh"
+#include "trace/executor.hh"
+#include "trace/profile.hh"
+#include "trace/program.hh"
 
 namespace emissary::frontend
 {
@@ -83,10 +89,12 @@ hierConfig()
 struct Rig
 {
     explicit Rig(std::vector<trace::TraceRecord> script,
-                 FrontEnd::Config fe_config = FrontEnd::Config())
+                 FrontEnd::Config fe_config = FrontEnd::Config(),
+                 cache::Hierarchy::Config hier_config = hierConfig(),
+                 const PredictionStream *predictions = nullptr)
         : source(std::move(script)),
-          hierarchy(hierConfig()),
-          frontend(fe_config, source, hierarchy)
+          hierarchy(hier_config),
+          frontend(fe_config, source, hierarchy, predictions)
     {
     }
 
@@ -369,6 +377,142 @@ TEST(FrontEnd, NextEventStopsWhereTheBlamedLineChanges)
         ++blame_ends;
     EXPECT_EQ(rig.frontend.nextEvent(next, rig.decode_queue.size()),
               blame_ends);
+}
+
+/** The first @p records records of tomcat's committed path. */
+std::vector<trace::TraceRecord>
+tomcatRecords(std::size_t records)
+{
+    const trace::SyntheticProgram program(trace::profileByName("tomcat"));
+    trace::SyntheticExecutor executor(program);
+    std::vector<trace::TraceRecord> out(records);
+    executor.fill(out.data(), out.size());
+    return out;
+}
+
+/**
+ * The outcome bits of the first @p blocks blocks a front-end forms
+ * over @p records, driven cycle by cycle with decode always free and
+ * each mispredict resolved @p resolve_delay cycles after it halts the
+ * BPU.
+ */
+std::vector<std::uint8_t>
+frontEndOutcomes(const std::vector<trace::TraceRecord> &records,
+                 std::size_t blocks, const FrontEnd::Config &fe,
+                 const cache::Hierarchy::Config &hier,
+                 std::uint64_t resolve_delay,
+                 const PredictionStream *predictions = nullptr)
+{
+    Rig rig(records, fe, hier, predictions);
+    std::vector<std::uint8_t> outcomes;
+    for (std::uint64_t now = 0; outcomes.size() < blocks; ++now) {
+        const std::uint64_t formed = rig.frontend.stats().blocksFormed;
+        rig.cycle(now);
+        if (rig.frontend.stats().blocksFormed != formed)
+            outcomes.push_back(rig.frontend.lastOutcome());
+        rig.decode_queue.clear();
+        if (const auto seq = rig.frontend.haltedBranch())
+            rig.frontend.onBranchResolved(*seq, now + resolve_delay);
+    }
+    return outcomes;
+}
+
+/**
+ * A PredictionStream fed @p records gives the per-block outcomes of
+ * two inline front-ends under @p fe with different timing: the
+ * default machine, and FDIP off over an ideal L2I with slower
+ * re-steers.
+ */
+void
+expectStreamMatchesInline(const std::vector<trace::TraceRecord> &records,
+                          const FrontEnd::Config &fe)
+{
+    // Fed in uneven pieces, so blocks straddle the calls.
+    PredictionStream stream(fe, records.size());
+    std::size_t fed = 0;
+    for (const std::size_t piece : {1u, 7u, 4096u, 333u}) {
+        stream.append(records.data() + fed, piece);
+        fed += piece;
+    }
+    stream.append(records.data() + fed, records.size() - fed);
+    stream.finish();
+    const std::size_t blocks = stream.published();
+    // The script source wraps, so only blocks that end inside the
+    // records are compared; the stream holds exactly those.
+    ASSERT_GT(blocks, records.size() / 20);
+    ASSERT_EQ(stream.await(blocks), blocks);
+
+    FrontEnd::Config no_fdip = fe;
+    no_fdip.fdip = false;
+    cache::Hierarchy::Config ideal = hierConfig();
+    ideal.idealL2Inst = true;
+    const std::vector<std::uint8_t> timed =
+        frontEndOutcomes(records, blocks, fe, hierConfig(), 5);
+    const std::vector<std::uint8_t> other =
+        frontEndOutcomes(records, blocks, no_fdip, ideal, 40);
+
+    std::size_t hits = 0, mispredicts = 0, waits = 0;
+    for (std::size_t i = 0; i < blocks; ++i) {
+        ASSERT_EQ(timed[i], stream.outcome(i)) << "block " << i;
+        ASSERT_EQ(other[i], stream.outcome(i)) << "block " << i;
+        hits += (timed[i] & kBtbHit) != 0;
+        mispredicts += (timed[i] & kMispredict) != 0;
+        waits += (timed[i] & kPredecodeWait) != 0;
+    }
+    // Every kind of outcome occurs, so the comparison covers them.
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(mispredicts, 0u);
+    EXPECT_GT(waits, 0u);
+    EXPECT_LT(hits, blocks);
+}
+
+TEST(PredictionStream, OutcomesDependOnTheRecordsAloneNotOnTiming)
+{
+    const std::vector<trace::TraceRecord> records = tomcatRecords(40'000);
+    expectStreamMatchesInline(records, FrontEnd::Config());
+    // A block cap below some of tomcat's blocks: the stream must cut
+    // them where the front-end does.
+    FrontEnd::Config capped;
+    capped.maxBlockInstrs = 10;
+    expectStreamMatchesInline(records, capped);
+}
+
+TEST(PredictionStream, ReaderPastTheEndContinuesFromTheFinalState)
+{
+    const std::vector<trace::TraceRecord> records = tomcatRecords(40'000);
+    const FrontEnd::Config fe;
+    PredictionStream full(fe, records.size());
+    full.append(records.data(), records.size());
+    full.finish();
+    const std::size_t blocks = full.published();
+
+    // A stream capped at a third of the blocks: a front-end reading
+    // it forms the rest inline from the producer's final state, and
+    // sees every outcome the uncapped stream holds.
+    PredictionStream capped(fe, blocks / 3);
+    capped.append(records.data(), records.size());
+    capped.finish();
+    ASSERT_EQ(capped.published(), blocks / 3);
+    const std::vector<std::uint8_t> read =
+        frontEndOutcomes(records, blocks, fe, hierConfig(), 5, &capped);
+    for (std::size_t i = 0; i < blocks; ++i)
+        ASSERT_EQ(read[i], full.outcome(i)) << "block " << i;
+}
+
+TEST(PredictionStream, FrontEndRejectsAnotherPredictorConfig)
+{
+    FrontEnd::Config fe;
+    PredictionStream stream(fe, 16);
+    stream.finish();
+    fe.tage.seed ^= 1;
+    EXPECT_THROW(Rig(loopScript(0x10000), fe, hierConfig(), &stream),
+                 std::invalid_argument);
+    // Timing knobs are not part of the key.
+    FrontEnd::Config timing;
+    timing.fdip = false;
+    timing.ftqEntries = 4;
+    EXPECT_NO_THROW(
+        Rig(loopScript(0x10000), timing, hierConfig(), &stream));
 }
 
 } // namespace

@@ -11,7 +11,10 @@
  *  - cache roles, keys and hits, and the passes they leave;
  *  - row sources at EMISSARY_REPLAY_BUDGET_MB 0 and at exactly one
  *    buffer;
- *  - the sampling factor is stated only when a monitor lane exists.
+ *  - which rows predict their block outcomes once, and which column
+ *    keys the stream;
+ *  - the sampling factor is stated only when a monitor lane exists,
+ *    and must be 0 or a power of two.
  *
  * The last test runs a mixed grid and holds runGrid's provenance to
  * its plan.
@@ -23,7 +26,9 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -308,6 +313,82 @@ TEST(GridPlan, OnePolicyFusedGridSamplesNothing)
         planGrid(suiteGrid({"TPLRU", "LRU"}, 2), fusedOptions(8));
     EXPECT_EQ(two.sampledSets, 8u);
     EXPECT_EQ(two.passes[1].columns, Columns({0, 1}));
+}
+
+TEST(GridPlan, ReplayRowsWithTwoMachinesOrMoreSharePredictions)
+{
+    using Keys = std::vector<std::optional<std::size_t>>;
+    const Keys none = {std::nullopt};
+
+    // A Fig. 5 row: its first pass, the P(14):S&E leader, keys it.
+    EXPECT_EQ(planGrid(suiteGrid(fig5Policies(), 2), GridOptions{})
+                  .predictionColumns,
+              (Keys{11, 11}));
+    // One P(N) group is one pass, but its member may re-run.
+    EXPECT_EQ(planGrid(suiteGrid({"P(2):S&E", "P(8):S&E"}), GridOptions{})
+                  .predictionColumns,
+              Keys{1});
+    // One machine per row predicts for itself: a one-policy grid, or
+    // a fused row of up to kMaxLanes lanes. A wider fused row runs
+    // two passes.
+    EXPECT_EQ(planGrid(suiteGrid({"TPLRU"}, 2), GridOptions{})
+                  .predictionColumns,
+              (Keys{std::nullopt, std::nullopt}));
+    EXPECT_EQ(planGrid(suiteGrid(fig5Policies()), fusedOptions(8))
+                  .predictionColumns,
+              none);
+    std::vector<std::string> wide(cache::PolicyLaneBank::kMaxLanes + 1,
+                                  "LRU");
+    EXPECT_EQ(planGrid(suiteGrid(wide), fusedOptions(0)).predictionColumns,
+              Keys{0});
+
+    // Only replay rows: an EMTC row streams, and past the budget a
+    // synthetic row runs live and an EMTR row streams.
+    const PolicyGrid mixed = PolicyGrid::sweep(
+        std::vector<GridWorkload>{trace::datacenterSuite()[0],
+                                  GridWorkload("packed", "packed.emtc"),
+                                  GridWorkload("raw", "raw.emtr")},
+        {"TPLRU", "LRU"}, smallWindow());
+    EXPECT_EQ(planGrid(mixed, GridOptions{}).predictionColumns,
+              (Keys{0, std::nullopt, 0}));
+    {
+        const ScopedEnv budget("EMISSARY_REPLAY_BUDGET_MB", "0");
+        EXPECT_EQ(planGrid(mixed, GridOptions{}).predictionColumns,
+                  (Keys{std::nullopt, std::nullopt, std::nullopt}));
+    }
+
+    // Only fresh passes count: row 0 keeps one, row 1 none.
+    const PolicyGrid two = suiteGrid({"TPLRU", "LRU", "P(8):S&E"}, 2);
+    FakeCache cache;
+    for (const auto &[w, r] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, 0}, {0, 2}, {1, 0}, {1, 1}, {1, 2}})
+        cache.serve.insert(cellCacheCanonical(
+            two.workloads[w], two.runs[r], "", 0, buildInfo().gitSha));
+    GridOptions cached;
+    cached.cellCache = &cache;
+    const GridPlan plan = planGrid(two, cached);
+    EXPECT_EQ(plan.sources[1], RowSource::None);
+    EXPECT_EQ(plan.predictionColumns, (Keys{std::nullopt, std::nullopt}));
+}
+
+TEST(GridPlan, SamplingFactorIsZeroOrAPowerOfTwo)
+{
+    const PolicyGrid grid = suiteGrid({"TPLRU", "LRU"});
+    try {
+        planGrid(grid, fusedOptions(3));
+        ADD_FAILURE() << "factor 3 planned";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("sampling factor 3"),
+                  std::string::npos)
+            << error.what();
+    }
+    // A sequential grid does not sample, but the request is still bad.
+    GridOptions sequential;
+    sequential.sampledSets = 12;
+    EXPECT_THROW(planGrid(grid, sequential), std::invalid_argument);
+    for (const unsigned factor : {0u, 1u, 8u})
+        EXPECT_NO_THROW(planGrid(grid, fusedOptions(factor))) << factor;
 }
 
 TEST(GridPlan, EmptyGridThrows)

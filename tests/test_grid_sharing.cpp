@@ -15,23 +15,34 @@
  *  - a cell cache holding only a leader changes nothing;
  *  - a failing leader fails the grid without running its members;
  *  - on one worker a row's first simulated cell is a group leader.
+ *
+ * Prediction sharing: a replay row's machines read the block outcomes
+ * its build job predicted once (frontend::PredictionStream). On the
+ * 13 Fig. 5 policies every cell, re-run P(N) members included, still
+ * equals its own inline run at 1 and 4 workers; a fused row of two
+ * lane chunks equals the same grid predicted inline; columns under
+ * another seed predict for themselves and match their own runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cache/lanes.hh"
 #include "core/buildinfo.hh"
 #include "core/experiment.hh"
 #include "core/grid.hh"
 #include "core/observability.hh"
 #include "core/threadpool.hh"
+#include "frontend/frontend.hh"
 #include "replacement/spec.hh"
 #include "stats/span_recorder.hh"
 #include "trace/profile.hh"
@@ -412,6 +423,131 @@ TEST(GridSharingErrors, FailedLeaderRethrowsAndLeavesMembersUnrun)
                                }),
                  std::invalid_argument);
     EXPECT_EQ(completed, 0u);
+}
+
+/** The Fig. 5 policies (bench_fig5_policy_sweep), TPLRU first. */
+std::vector<std::string>
+fig5Policies()
+{
+    std::vector<std::string> policies = {"TPLRU", "M:0", "M:R(1/32)",
+                                         "M:S&E", "M:S&E&R(1/32)"};
+    for (const unsigned n : {2u, 6u, 10u, 14u}) {
+        policies.push_back("P(" + std::to_string(n) + "):S&E");
+        policies.push_back("P(" + std::to_string(n) + "):S&E&R(1/32)");
+    }
+    return policies;
+}
+
+core::RunOptions
+predictionWindow()
+{
+    core::RunOptions options;
+    options.warmupInstructions = 50'000;
+    options.measureInstructions = 150'000;
+    return options;
+}
+
+/** Every row of @p grid predicts once under @p options' plan. */
+void
+expectEveryRowPredictsOnce(const PolicyGrid &grid,
+                           const GridOptions &options)
+{
+    const core::GridPlan plan = core::planGrid(grid, options);
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w)
+        EXPECT_TRUE(plan.predictionColumns[w].has_value()) << w;
+}
+
+TEST(PredictionSharing, Fig5CellsEqualTheirInlineRunsAtOneAndFourWorkers)
+{
+    const PolicyGrid grid = PolicyGrid::sweep(
+        std::vector<trace::WorkloadProfile>{
+            trace::profileByName("tomcat"),
+            trace::profileByName("verilator"),
+            trace::profileByName("kafka")},
+        fig5Policies(), predictionWindow());
+    expectEveryRowPredictsOnce(grid, GridOptions{});
+    const core::GridPlan plan = core::planGrid(grid, GridOptions{});
+    const std::vector<std::vector<CellRun>> oracle = perCellRuns(grid);
+    std::size_t rerun_members = 0;
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        const GridResults results = runSharingGrid(grid, workers);
+        for (std::size_t w = 0; w < grid.workloads.size(); ++w)
+            for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+                EXPECT_EQ(cellJson(results, w, r), oracle[w][r].metrics)
+                    << w << "," << r;
+                EXPECT_EQ(registryText(results, w, r),
+                          oracle[w][r].registry)
+                    << w << "," << r;
+            }
+        for (const core::GridPass &pass : plan.passes)
+            for (const std::size_t r : pass.members)
+                rerun_members += results.executionAt(pass.row, r) ==
+                                 CellExecution::Sequential;
+    }
+    // Some members left their leader's range and ran on their own.
+    EXPECT_GT(rerun_members, 0u);
+}
+
+TEST(PredictionSharing, TwoLaneChunkFusedRowEqualsInlinePrediction)
+{
+    std::vector<std::string> policies;
+    while (policies.size() <= cache::PolicyLaneBank::kMaxLanes)
+        for (const std::string &policy : fig5Policies())
+            policies.push_back(policy);
+    const PolicyGrid grid = PolicyGrid::sweep(
+        std::vector<trace::WorkloadProfile>{
+            trace::profileByName("tomcat"),
+            trace::profileByName("verilator")},
+        policies, predictionWindow());
+    GridOptions fused;
+    fused.fused = true;
+    expectEveryRowPredictsOnce(grid, fused);
+    const GridResults shared = runSharingGrid(grid, 4, fused);
+
+    // Without a replay budget the rows run live, and every machine
+    // predicts for itself.
+    ::setenv("EMISSARY_REPLAY_BUDGET_MB", "0", 1);
+    const GridResults inline_grid = runSharingGrid(grid, 4, fused);
+    ::unsetenv("EMISSARY_REPLAY_BUDGET_MB");
+    EXPECT_EQ(inline_grid.sourceAt(0), core::RowSource::Live);
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w)
+        for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+            EXPECT_EQ(shared.executionAt(w, r),
+                      inline_grid.executionAt(w, r));
+            EXPECT_EQ(cellJson(shared, w, r), cellJson(inline_grid, w, r))
+                << w << "," << r;
+            EXPECT_EQ(registryText(shared, w, r),
+                      registryText(inline_grid, w, r))
+                << w << "," << r;
+        }
+}
+
+TEST(PredictionSharing, OtherSeedColumnsPredictInlineAndMatchTheirRuns)
+{
+    core::RunOptions seed_a = predictionWindow();
+    core::RunOptions seed_b = seed_a;
+    seed_b.seed ^= 0x5A5A;
+    ASSERT_FALSE(core::predictorConfig(seed_a) ==
+                 core::predictorConfig(seed_b));
+    PolicyGrid grid;
+    grid.workloads = {trace::profileByName("tomcat")};
+    grid.runs = {core::RunSpec("TPLRU", seed_a),
+                 core::RunSpec("P(8):S&E", seed_a),
+                 core::RunSpec("TPLRU", seed_b),
+                 core::RunSpec("P(8):S&E", seed_b)};
+    // The first pass's seed keys the row's stream.
+    EXPECT_EQ(core::planGrid(grid, GridOptions{}).predictionColumns,
+              std::vector<std::optional<std::size_t>>{0});
+    const std::vector<std::vector<CellRun>> oracle = perCellRuns(grid);
+    const GridResults results = runSharingGrid(grid, 4);
+    for (std::size_t r = 0; r < grid.runs.size(); ++r) {
+        EXPECT_EQ(cellJson(results, 0, r), oracle[0][r].metrics) << r;
+        EXPECT_EQ(registryText(results, 0, r), oracle[0][r].registry)
+            << r;
+    }
+    // The seeds make different machines.
+    EXPECT_NE(oracle[0][0].metrics, oracle[0][2].metrics);
 }
 
 } // namespace

@@ -8,7 +8,10 @@
  * a run of the live program. The grid engine's replay path is checked
  * against a budget-disabled live grid the same way. A buffer read
  * while another thread packs it must serve exactly what the same
- * buffer packed up front serves.
+ * buffer packed up front serves. A run that reads its block outcomes
+ * from a frontend::PredictionStream equals the live run too: when
+ * the stream is still being predicted as its readers start, when the
+ * run outruns a capped stream, and for chunk 0 of a chunked run.
  *
  * The per-workload equivalence test runs a fast subset by default;
  * set EMISSARY_REPLAY_FULL=1 (the test_replay_full ctest entry) to
@@ -19,6 +22,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -27,6 +31,7 @@
 #include "core/experiment.hh"
 #include "core/grid.hh"
 #include "core/threadpool.hh"
+#include "frontend/frontend.hh"
 #include "trace/executor.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
@@ -342,6 +347,153 @@ TEST(ReplayRun, GridReplayMatchesBudgetDisabledLiveGrid)
     // Both report the same committed work in the Minst/s aggregate.
     EXPECT_EQ(live.totalInstructions(), replayed.totalInstructions());
     EXPECT_GT(replayed.instructionsPerSecond(), 0.0);
+}
+
+/** A tomcat window, its live run (the inline oracle) and its
+ *  records packed into a buffer. */
+struct PredictionCase
+{
+    RunOptions options;
+    replacement::PolicySpec l2 = replacement::PolicySpec::parse("P(8):S&E");
+    replacement::PolicySpec l1i = replacement::PolicySpec::parse("TPLRU");
+    trace::SyntheticProgram program{trace::profileByName("tomcat")};
+    std::shared_ptr<const trace::RecordBuffer> buffer;
+    Metrics live;
+    RunTelemetry liveReport;
+
+    PredictionCase()
+    {
+        options.warmupInstructions = 20'000;
+        options.measureInstructions = 60'000;
+        live = core::run(program, {l2}, 0, l1i, options, nullptr,
+                         &liveReport)
+                   .front();
+        buffer = std::make_shared<const trace::RecordBuffer>(
+            program, trace::RecordBuffer::recordsForWindow(
+                         options.warmupInstructions +
+                         options.measureInstructions));
+    }
+
+    /** A stream of at most @p max_blocks outcomes, fed the buffer's
+     *  records in 4096-record chunks, @p finished or not. */
+    std::shared_ptr<frontend::PredictionStream>
+    predict(std::uint64_t max_blocks) const
+    {
+        auto stream = std::make_shared<frontend::PredictionStream>(
+            core::predictorConfig(options), max_blocks);
+        std::vector<trace::TraceRecord> chunk(4096);
+        for (std::uint64_t i = 0; i < buffer->size();) {
+            std::size_t n = 0;
+            for (; n < chunk.size() && i < buffer->size(); ++n, ++i)
+                chunk[n] = buffer->record(i);
+            stream->append(chunk.data(), n);
+        }
+        stream->finish();
+        return stream;
+    }
+
+    void
+    expectLive(const Metrics &metrics, const RunTelemetry &report) const
+    {
+        expectMetricsIdentical(live, metrics);
+        expectRegistriesIdentical(liveReport.registries.front(),
+                                  report.registries.front());
+    }
+};
+
+TEST(PredictionRun, ReadersStartedBeforeTheFirstOutcomeMatchTheLiveRun)
+{
+    const PredictionCase test_case;
+    auto stream = std::make_shared<frontend::PredictionStream>(
+        core::predictorConfig(test_case.options),
+        test_case.buffer->size());
+    constexpr std::size_t kReaders = 3;
+    std::vector<Metrics> got(kReaders);
+    std::vector<RunTelemetry> reports(kReaders);
+    std::atomic<std::size_t> started{0};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kReaders; ++i)
+        threads.emplace_back([&, i]() {
+            started.fetch_add(1);
+            got[i] = core::run(core::RunSource(test_case.buffer, 0, stream),
+                               {test_case.l2}, 0, test_case.l1i,
+                               test_case.options, nullptr, &reports[i])
+                         .front();
+        });
+    // The records are all there; the outcomes start only once every
+    // reader runs, so the readers wait on the stream.
+    while (started.load() < kReaders)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto full = test_case.predict(test_case.buffer->size());
+    std::vector<trace::TraceRecord> chunk(1000);
+    for (std::uint64_t i = 0; i < test_case.buffer->size();) {
+        std::size_t n = 0;
+        for (; n < chunk.size() && i < test_case.buffer->size(); ++n, ++i)
+            chunk[n] = test_case.buffer->record(i);
+        stream->append(chunk.data(), n);
+    }
+    stream->finish();
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(stream->published(), full->published());
+    double longest_wait = 0.0;
+    for (std::size_t i = 0; i < kReaders; ++i) {
+        SCOPED_TRACE("reader " + std::to_string(i));
+        test_case.expectLive(got[i], reports[i]);
+        EXPECT_EQ(reports[i].replayWaitSeconds, 0.0);
+        longest_wait =
+            std::max(longest_wait, reports[i].predictionWaitSeconds);
+    }
+    // A reader blocked for its first outcome instead of predicting
+    // for itself: it reached block 0 well within the 100 ms before
+    // the producer started.
+    EXPECT_GT(longest_wait, 0.02);
+}
+
+TEST(PredictionRun, RunPastACappedStreamPredictsFromItsFinalState)
+{
+    const PredictionCase test_case;
+    const auto capped = test_case.predict(2'000);
+    ASSERT_EQ(capped->published(), 2'000u);
+    RunTelemetry report;
+    const Metrics metrics =
+        core::run(core::RunSource(test_case.buffer, 0, capped),
+                  {test_case.l2}, 0, test_case.l1i, test_case.options,
+                  nullptr, &report)
+            .front();
+    test_case.expectLive(metrics, report);
+    // The measured window alone formed more blocks than the stream
+    // held, so the run went on inline.
+    EXPECT_GT(report.registries.front().value("frontend.blocks_formed"),
+              2'000u);
+}
+
+TEST(PredictionRun, ChunkZeroReadsTheStreamAndTheSpliceIsUnchanged)
+{
+    const PredictionCase test_case;
+    RunOptions chunked = test_case.options;
+    chunked.timeChunks = 3;
+    chunked.chunkWarmupRecords = 10'000;
+    core::ThreadPool pool(3);
+    RunTelemetry plain_report;
+    const Metrics plain =
+        core::run(test_case.buffer, {test_case.l2}, 0, test_case.l1i,
+                  chunked, &pool, &plain_report)
+            .front();
+    RunTelemetry shared_report;
+    const Metrics shared =
+        core::run(core::RunSource(test_case.buffer, 0,
+                                  test_case.predict(
+                                      test_case.buffer->size())),
+                  {test_case.l2}, 0, test_case.l1i, chunked, &pool,
+                  &shared_report)
+            .front();
+    EXPECT_EQ(shared_report.chunks, 3u);
+    expectMetricsIdentical(plain, shared);
+    expectRegistriesIdentical(plain_report.registries.front(),
+                              shared_report.registries.front());
 }
 
 } // namespace

@@ -438,19 +438,27 @@ TEST(RunnerGrid, SourcesAreNamedPerRow)
               (std::vector<std::string>{"replay", "replay", "stream",
                                         "stream", "replay", "replay"}));
     std::map<std::string, std::string> slices;
+    std::map<std::string, double> predicted;
     for (const stats::SpanRecorder::Track &track : recorder.tracks())
         for (const stats::SpanRecorder::Span &span : track.spans) {
             if (std::string(span.name) != "replay_build")
                 continue;
-            std::map<std::string, std::string> args;
-            for (const auto &[key, value] : span.args)
-                args[key] = value.asString();
-            slices[args["workload"]] = args["source"];
+            std::map<std::string, stats::JsonValue> args(
+                span.args.begin(), span.args.end());
+            slices[args["workload"].asString()] =
+                args["source"].asString();
+            predicted[args["workload"].asString()] =
+                args["predicted_blocks"].asDouble();
         }
     EXPECT_EQ(slices, (std::map<std::string, std::string>{
                           {"tomcat", "replay"},
                           {"tomcat.emtc", "stream"},
                           {"tomcat.emtr", "replay"}}));
+    // Both replay rows predict their one stream for their two cells;
+    // the streamed row's cells predict for themselves.
+    EXPECT_GT(predicted["tomcat"], 0.0);
+    EXPECT_GT(predicted["tomcat.emtr"], 0.0);
+    EXPECT_EQ(predicted["tomcat.emtc"], 0.0);
 
     // The EMTR row matches the EMTC row in every counter; only the
     // name and the footprint rule (EMTR carries no census) differ.

@@ -339,6 +339,13 @@ main(int argc, char **argv)
             fast_mode = true;
         } else if (arg == "--sampled-sets") {
             sampled_sets = parseU32(arg, value());
+            try {
+                core::checkSampledSets(sampled_sets);
+            } catch (const std::invalid_argument &error) {
+                std::fprintf(stderr, "--sampled-sets: %s\n",
+                             error.what());
+                return 2;
+            }
         } else if (arg == "--time-chunks") {
             run_options.timeChunks =
                 std::max(1u, parseU32(arg, value()));
