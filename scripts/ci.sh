@@ -18,7 +18,10 @@
 #      sweep, plain and fused, must write a parseable flight trace
 #      and sweep JSON within its deadline, and a fused emissary_sim
 #      sweep must print and write its monitor lanes' IPC,
-#      starvation and speedup as n/a (null in JSON)
+#      starvation and speedup as n/a (null in JSON), and a one-worker
+#      fused Fig. 5 sweep must finish within its deadline, equal the
+#      same sweep on four workers and trace one lane job per monitor
+#      cell, some P(N) member lanes sharing their leader's replay
 #   3. Time-parallel smoke: chunked single runs, trace replay and
 #      sweeps must be bit-identical across worker counts and carry
 #      the time_slicing provenance, the one-worker runs must finish
@@ -268,6 +271,43 @@ for stage in $STAGES; do
              END { exit bad || runs != 3 }' "$art/fused_sweep.json" ||
             { echo "fused sweep JSON: ipc null on a run other than" \
                 "the monitors" >&2; exit 1; }
+        # Monitor lanes are pool jobs that the timing pass queues from
+        # inside its own job: on one worker they must not stall, and
+        # they must give the results of four workers. The flight trace
+        # holds one lane slice per monitor cell; some P(N) member lanes
+        # share their leader's replay (shared_with), not all.
+        fig5_policies="TPLRU,M:0,M:R(1/32),M:S&E,M:S&E&R(1/32)"
+        for n in 2 6 10 14; do
+            fig5_policies+=",P($n):S&E,P($n):S&E&R(1/32)"
+        done
+        run_metrics() {
+            awk '/^      "metrics": \{/ { on = 1 } on { print }
+                 on && /^      \}/ { on = 0 }' "$1"
+        }
+        deadline 5 "one-worker fused lane sweep" \
+            build-ci-release/tools/emissary_sim \
+            --benchmarks tomcat,verilator --policies "$fig5_policies" \
+            --instructions 200000 --warmup 50000 --fused --jobs 1 \
+            --stats-json "$art/fused_lanes_j1.json" \
+            --perf-trace "$art/fused_lanes_trace.json" >/dev/null
+        build-ci-release/tools/emissary_sim \
+            --benchmarks tomcat,verilator --policies "$fig5_policies" \
+            --instructions 200000 --warmup 50000 --fused --jobs 4 \
+            --stats-json "$art/fused_lanes_j4.json" >/dev/null
+        [ -n "$(run_metrics "$art/fused_lanes_j1.json")" ] &&
+            [ "$(run_metrics "$art/fused_lanes_j1.json")" = \
+              "$(run_metrics "$art/fused_lanes_j4.json")" ] ||
+            { echo "fused lane sweep differs between 1 and 4 workers" \
+                >&2; exit 1; }
+        lanes=$(grep -o '"name":"lane"' "$art/fused_lanes_trace.json" |
+            wc -l)
+        shared=$(grep -o '"shared_with":' "$art/fused_lanes_trace.json" |
+            wc -l)
+        # 2 rows x 12 monitor lanes, of which 2 x 6 are P(N) members.
+        [ "$lanes" -eq 24 ] && [ "$shared" -gt 0 ] &&
+            [ "$shared" -lt 12 ] ||
+            { echo "fused lane trace: $lanes lane slices, $shared" \
+                "shared (want 24, and 1-11 shared)" >&2; exit 1; }
         echo "smoke OK"
         ;;
     timeparallel)

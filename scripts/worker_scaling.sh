@@ -1,25 +1,29 @@
 #!/usr/bin/env bash
-# Measured worker curves of the repository benchmark: fig5_exact and
-# trace_long at EMISSARY_JOBS=1, 2 and 4, one 30 s run per seed (7, 8
-# and 9, the build bench/e2e/run.sh makes), printed as the table
-# committed in results/worker_scaling.txt. Run from the repository
-# root on an idle host:
+# Measured worker curves of the repository benchmark: fig5_exact,
+# fig5_fused and trace_long at EMISSARY_JOBS=1, 2 and 4, one run per
+# seed (7, 8 and 9, the build bench/e2e/run.sh makes), printed as the
+# table committed in results/worker_scaling.txt. Run from the
+# repository root on an idle host:
 #
 #   bash scripts/worker_scaling.sh > results/worker_scaling.txt
 #
 # Each row is the median over the seeds with the min-max range next
 # to it: one run per row moved a 4-worker speedup by 0.6x between two
 # runs minutes apart. The job counts of a seed run back to back, so a
-# slow spell of the host lands on neighbouring rows alike.
+# slow spell of the host lands on neighbouring rows alike. A 1-job run
+# lasts 60 s, the others 30 s: a 1-job op is up to four times longer,
+# and 30 s held too few of them (about 10 of trace_long's) for a
+# steady median.
 #
 # fig5_exact runs one Fig. 5 row's 13 cells per op, so its workers
-# share cells; trace_long runs one T = 4 time-chunked single run per
+# share cells; fig5_fused runs four rows per op, each a timing pass
+# and then its monitor lanes' replays, so its workers share passes
+# and lanes; trace_long runs one T = 4 time-chunked single run per
 # op, so its workers share the chunks of one run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 seeds="7 8 9"
-seconds=30
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
@@ -28,9 +32,10 @@ metric() {
     grep -o "\"$1\":{\"value\":[^,}]*" | sed 's/.*://'
 }
 
-for workload in fig5_exact trace_long; do
+for workload in fig5_exact fig5_fused trace_long; do
     for seed in $seeds; do
         for jobs in 1 2 4; do
+            seconds=$((jobs == 1 ? 60 : 30))
             line="$(EMISSARY_JOBS=$jobs bash bench/e2e/run.sh \
                 --workload "$workload" --seed "$seed" \
                 --seconds "$seconds" --trace 0 --out "$out" \
@@ -43,7 +48,8 @@ done >"$out/rows"
 
 echo "# Worker curves: bash scripts/worker_scaling.sh"
 echo "# $(nproc) vCPUs ($(uname -m)), $(date -u +%F), Release build," \
-    "seeds ${seeds// /, }, one ${seconds} s run per seed and row."
+    "seeds ${seeds// /, }, one run per seed and row (60 s at 1 job," \
+    "30 s at 2 and 4)."
 echo "# Each value is the median over the seeds, [min-max] next to it."
 echo "# speedup = median ref_minst_per_s over the same workload's at 1 job."
 sort -k1,1 -k2,2n "$out/rows" | awk '

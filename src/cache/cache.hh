@@ -75,7 +75,7 @@ class Cache
      * the operation touched — where the new line landed (insert) or
      * the line was removed from (invalidate) — and are filled even
      * when no line was displaced, so callers can maintain
-     * position-keyed shadow state (cache/lanes.hh).
+     * position-keyed state (the L1 slots of cache/miss_log.hh).
      */
     struct Eviction
     {
@@ -100,9 +100,9 @@ class Cache
     CacheLine *peek(std::uint64_t line_addr);
 
     /**
-     * Non-mutating position probe: where @p line_addr lives. Used by
-     * monitor lanes to key shadow state by (set, way) of a shared
-     * cache without touching its replacement state.
+     * Non-mutating position probe: where @p line_addr lives, without
+     * touching replacement state. The hierarchy names the L1D slot of
+     * a logged store with it (cache/miss_log.hh).
      * @return true and fills @p set / @p way when resident.
      */
     bool findPosition(std::uint64_t line_addr, unsigned &set,

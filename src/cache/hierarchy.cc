@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "cache/lanes.hh"
+#include "cache/miss_log.hh"
 
 namespace emissary::cache
 {
@@ -68,7 +68,12 @@ Hierarchy::requestData(std::uint64_t line_addr, std::uint64_t now,
     if (demandish)
         ++stats_.l1dAccesses;
 
-    if (l1d_.peek(line_addr)) {
+    if (const CacheLine *line = l1d_.peek(line_addr)) {
+        if (write && log_ && !line->dirty && log_->keeps(line_addr)) {
+            unsigned set = 0, way = 0;
+            l1d_.findPosition(line_addr, set, way);
+            log_->dirtyStore(line_addr, set * l1d_.numWays() + way);
+        }
         l1d_.touch(line_addr);
         if (write)
             l1d_.markDirty(line_addr);
@@ -158,9 +163,8 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
         }
     }
 
-    if (lanes_)
-        entry.laneSources =
-            lanes_->probe(line_addr, is_instruction, demandish);
+    if (log_ && log_->keeps(line_addr))
+        log_->probe(line_addr, is_instruction, demandish);
 
     entry.readyCycle = now + latency;
     // Keep the table in (readyCycle, lineAddr) order. A line has at
@@ -175,14 +179,6 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
     mshrLines_.insert(mshrLines_.begin() + offset, line_addr);
     mshrs_.insert(mshrs_.begin() + offset, entry);
     return entry.readyCycle;
-}
-
-void
-Hierarchy::setLanes(PolicyLaneBank *lanes)
-{
-    lanes_ = lanes;
-    if (lanes_)
-        lanes_->bindShared(&l1i_, &l1d_);
 }
 
 void
@@ -220,11 +216,16 @@ Hierarchy::handleL2Eviction(const Cache::Eviction &ev)
     // L1I priority bit dies with the line (it is leaving both
     // caches); a dirty L1D copy folds its data into the victim.
     const Cache::Eviction ii = l1i_.invalidate(ev.lineAddr);
-    if (lanes_ && ii.valid)
-        lanes_->onSharedL1IInvalidate(ii.set, ii.way);
+    if (log_ && ii.valid && log_->keeps(ev.lineAddr))
+        log_->slotEvent(MissLog::Kind::L1IInvalidate,
+                        ii.set * l1i_.numWays() + ii.way);
     const Cache::Eviction d = l1d_.invalidate(ev.lineAddr);
-    if (d.valid && d.line.dirty)
+    if (d.valid && d.line.dirty) {
         dirty = true;
+        if (log_ && log_->keeps(ev.lineAddr))
+            log_->slotEvent(MissLog::Kind::L1DInvalidate,
+                            d.set * l1d_.numWays() + d.way);
+    }
 
     // Exclusive victim L3: the line enters L3 only now. The SFL bit
     // recorded at L2-fill time selects MRU insertion (§5.1).
@@ -341,9 +342,14 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
             if (observer_)
                 observer_->onPriorityUpgrade(ev.lineAddr);
         }
-        if (lanes_)
-            lanes_->completeInstruction(line_addr, entry, ctx,
-                                        l1i_selected, ev);
+        // A sampled log also keeps a fill that displaces a sampled
+        // line: a lane must see that line leave the slot (and lend
+        // its P bit to the L2 copy).
+        if (log_ && (log_->keeps(line_addr) ||
+                     (ev.valid && log_->keeps(ev.lineAddr))))
+            log_->instructionFill(line_addr, entry.starved,
+                                  entry.iqEmpty, l1i_selected,
+                                  ev.set * l1i_.numWays() + ev.way);
     } else {
         replacement::LineInfo info;
         info.isInstruction = false;
@@ -359,8 +365,13 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
             else
                 ++stats_.dramWrites;
         }
-        if (lanes_)
-            lanes_->completeData(line_addr, entry, ctx, ev);
+        // Likewise a fill that displaces a dirty sampled line, which
+        // a lane writes back.
+        if (log_ && (log_->keeps(line_addr) ||
+                     (ev.valid && ev.line.dirty &&
+                      log_->keeps(ev.lineAddr))))
+            log_->dataFill(line_addr, entry.starved, entry.iqEmpty,
+                           entry.write, ev.set * l1d_.numWays() + ev.way);
     }
 }
 
@@ -397,8 +408,8 @@ Hierarchy::resetPriorities()
 {
     l1i_.resetPriorities();
     l2_.resetPriorities();
-    if (lanes_)
-        lanes_->resetPriorities();
+    if (log_)
+        log_->mark(MissLog::Kind::PriorityReset);
 }
 
 } // namespace emissary::cache

@@ -166,7 +166,7 @@ struct HierarchyStats
     }
 };
 
-class PolicyLaneBank;
+class MissLog;
 
 /** The three-level hierarchy. */
 class Hierarchy
@@ -175,8 +175,7 @@ class Hierarchy
     /** Where a below-L1 miss is served from. */
     enum class FillSource : std::uint8_t { L2, L3, Memory };
 
-    /** One outstanding below-L1 miss. Public so the monitor-lane
-     *  bank (cache/lanes.hh) can consume the completion context. */
+    /** One outstanding below-L1 miss. */
     struct Mshr
     {
         std::uint64_t readyCycle = 0;
@@ -186,10 +185,6 @@ class Hierarchy
         bool starved = false;
         bool iqEmpty = false;
         std::uint32_t starveCycles = 0;
-        /** Packed per-monitor-lane fill sources (2 bits per lane:
-         *  0 = not sampled, 1 = L2, 2 = L3, 3 = memory). Stays 0
-         *  when no lane bank is attached. */
-        std::uint64_t laneSources = 0;
     };
 
     struct Config
@@ -299,16 +294,15 @@ class Hierarchy
     std::size_t outstanding() const { return mshrLines_.size(); }
 
     /**
-     * Attach a monitor-lane bank (nullptr to detach): the bank's
-     * per-policy L2/L3 instances observe every below-L1 access and
-     * fill completion of this hierarchy. The bank must outlive the
-     * attachment. The timing path is unchanged — with no bank
-     * attached the fused hooks cost one pointer test on the miss
-     * path only.
+     * Record every below-L1 event into @p log (nullptr to stop):
+     * probes, fills, L1 back-invalidations, clean-to-dirty L1D
+     * stores and §6 resets, which is all a monitor lane replays
+     * (cache/lanes.hh). The log must outlive the attachment. Timing
+     * is unchanged; without a log the hooks cost one pointer test on
+     * the miss path and on L1D store hits.
      */
-    void setLanes(PolicyLaneBank *lanes);
-    PolicyLaneBank *lanes() { return lanes_; }
-    const PolicyLaneBank *lanes() const { return lanes_; }
+    void setMissLog(MissLog *log) { log_ = log; }
+    MissLog *missLog() const { return log_; }
 
   private:
     /** Index of @p line_addr's outstanding miss, or npos. */
@@ -356,7 +350,7 @@ class Hierarchy
     std::unordered_set<std::uint64_t> seenL2Inst_;
 
     HierarchyObserver *observer_ = nullptr;
-    PolicyLaneBank *lanes_ = nullptr;
+    MissLog *log_ = nullptr;
     bool warming_ = false;
 };
 

@@ -1,284 +1,298 @@
 #include "cache/lanes.hh"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/bitutil.hh"
 
 namespace emissary::cache
 {
 
-PolicyLaneBank::PolicyLaneBank(
-    const Hierarchy::Config &timing,
-    const std::vector<replacement::PolicySpec> &l2_specs,
-    unsigned sampled_sets)
+namespace
 {
-    if (l2_specs.size() > kMaxLanes)
-        throw std::invalid_argument(
-            "PolicyLaneBank: more than kMaxLanes monitor lanes");
-    sampleK_ = sampled_sets <= 1 ? 1 : sampled_sets;
+
+/** @p config sized down to 1 set in every @p k (k > 1). Both levels
+ *  index from bit 0 of the line address, so residue 0 selects
+ *  consistent L2 and L3 subsets. */
+Cache::Config
+sampledConfig(Cache::Config config, unsigned k)
+{
+    config.name += ".lane";
+    if (k > 1) {
+        config.sizeBytes /= k;
+        config.indexShift = floorLog2(k);
+        config.indexOffset = 0;
+    }
+    return config;
+}
+
+Cache::Config
+withPolicy(Cache::Config config, const replacement::PolicySpec &spec)
+{
+    config.policy = spec;
+    return config;
+}
+
+} // namespace
+
+MonitorLane::SlotCopy::SlotCopy(const Cache::Config &config)
+    : ways(config.ways)
+{
+    const std::uint64_t slots = config.sizeBytes / config.lineBytes;
+    setMask = static_cast<unsigned>(slots / ways) - 1;
+    lines.assign(static_cast<std::size_t>(slots), kEmpty);
+}
+
+MonitorLane::MonitorLane(const Hierarchy::Config &timing,
+                         const replacement::PolicySpec &l2,
+                         unsigned sampled_sets)
+    : l2_(sampledConfig(withPolicy(timing.l2, l2),
+                        std::max(1u, sampled_sets))),
+      l3_(sampledConfig(timing.l3, std::max(1u, sampled_sets))),
+      emissaryL2_(l2.family == replacement::PolicyFamily::EmissaryP),
+      bypassLowPriorityInst_(timing.bypassLowPriorityInst),
+      sampleK_(std::max(1u, sampled_sets)),
+      l1i_(timing.l1i),
+      l1iPriority_(l1i_.lines.size(), 0),
+      l1dDirty_(timing.l1d)
+{
     if (!isPowerOfTwo(sampleK_))
         throw std::invalid_argument(
-            "PolicyLaneBank: sampledSets must be a power of two");
-    sampleOffset_ = 0;
-    bypassLowPriorityInst_ = timing.bypassLowPriorityInst;
+            "MonitorLane: sampledSets must be a power of two");
+}
 
-    const unsigned shift = floorLog2(sampleK_);
-    lanes_.reserve(l2_specs.size());
-    for (std::size_t i = 0; i < l2_specs.size(); ++i) {
-        Cache::Config l2_config = timing.l2;
-        l2_config.name += ".lane" + std::to_string(i);
-        l2_config.policy = l2_specs[i];
-        Cache::Config l3_config = timing.l3;
-        l3_config.name += ".lane" + std::to_string(i);
-        if (sampleK_ > 1) {
-            // A 1-in-K sampled monitor models sets/K sets; both
-            // levels index from bit 0 of the line address, so one
-            // residue class selects consistent L2 and L3 subsets.
-            l2_config.sizeBytes /= sampleK_;
-            l2_config.indexShift = shift;
-            l2_config.indexOffset = sampleOffset_;
-            l3_config.sizeBytes /= sampleK_;
-            l3_config.indexShift = shift;
-            l3_config.indexOffset = sampleOffset_;
+void
+MonitorLane::replay(const MissLog &log,
+                    const std::function<void()> &on_window_start)
+{
+    if (log.sampledSets() != 1 && log.sampledSets() != sampleK_)
+        throw std::invalid_argument(
+            "MonitorLane: log recorded for another sampling factor");
+    MissLog::Reader reader(log);
+    MissLog::Event event;
+    while (reader.next(event)) {
+        switch (event.kind) {
+          case MissLog::Kind::Probe:
+            probe(event.line, event.flags & MissLog::kInstruction,
+                  event.flags & MissLog::kDemand);
+            break;
+          case MissLog::Kind::InstructionFill:
+            instructionFill(event);
+            break;
+          case MissLog::Kind::DataFill:
+            dataFill(event);
+            break;
+          case MissLog::Kind::L1IInvalidate:
+            // The timing L2 removed the line from the shared L1I:
+            // its P bit leaves with it.
+            l1i_.lines[event.slot] = SlotCopy::kEmpty;
+            l1iPriority_[event.slot] = 0;
+            break;
+          case MissLog::Kind::L1DInvalidate:
+            l1dDirty_.lines[event.slot] = SlotCopy::kEmpty;
+            break;
+          case MissLog::Kind::DirtyStore:
+            l1dDirty_.lines[event.slot] = event.line;
+            break;
+          case MissLog::Kind::PriorityReset:
+            // The shared L1I clears its own P bits; the lane's view
+            // of them lives in l1iPriority_.
+            l2_.resetPriorities();
+            std::fill(l1iPriority_.begin(), l1iPriority_.end(), 0);
+            break;
+          case MissLog::Kind::WindowStart:
+            // Cache state persists, exactly like the timing arrays
+            // across the warm-up boundary.
+            stats_.reset();
+            if (on_window_start)
+                on_window_start();
+            break;
         }
-        lanes_.emplace_back(l2_config, l3_config);
-        lanes_.back().emissaryL2 =
-            l2_specs[i].family ==
-            replacement::PolicyFamily::EmissaryP;
     }
 }
 
 void
-PolicyLaneBank::bindShared(const Cache *l1i, const Cache *l1d)
+MonitorLane::probe(std::uint64_t line, bool is_instruction,
+                   bool demand)
 {
-    sharedL1i_ = l1i;
-    sharedL1d_ = l1d;
-    l1iWays_ = l1i->numWays();
-    const std::size_t slots =
-        std::size_t{l1i->numSets()} * l1i->numWays();
-    for (Lane &lane : lanes_)
-        lane.l1iShadow.assign(slots, 0);
-}
-
-std::uint64_t
-PolicyLaneBank::probe(std::uint64_t line_addr, bool is_instruction,
-                      bool demandish)
-{
-    if (!sampled(line_addr))
-        return 0;  // every lane: not sampled
-
-    std::uint64_t packed = 0;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        Lane &lane = lanes_[i];
-        unsigned code;
-        if (demandish) {
+    if (!sampled(line))
+        return;  // Only a full log holds other lines' probes.
+    unsigned code;
+    if (demand) {
+        if (is_instruction)
+            ++stats_.l2InstAccesses;
+        else
+            ++stats_.l2DataAccesses;
+    }
+    if (CacheLine *l2_line = l2_.peek(line)) {
+        if (is_instruction && l2_line->priority)
+            ++stats_.l2InstHitsProtected;
+        l2_.touch(line);
+        code = static_cast<unsigned>(Hierarchy::FillSource::L2) + 1;
+    } else {
+        if (demand) {
             if (is_instruction)
-                ++lane.stats.l2InstAccesses;
+                ++stats_.l2InstMisses;
             else
-                ++lane.stats.l2DataAccesses;
+                ++stats_.l2DataMisses;
+            l2_.noteDemandMiss(line);
         }
-        if (CacheLine *l2_line = lane.l2.peek(line_addr)) {
-            if (is_instruction && l2_line->priority)
-                ++lane.stats.l2InstHitsProtected;
-            lane.l2.touch(line_addr);
-            code = static_cast<unsigned>(Hierarchy::FillSource::L2) + 1;
+        ++stats_.l3Accesses;
+        if (l3_.peek(line)) {
+            code = static_cast<unsigned>(Hierarchy::FillSource::L3) + 1;
         } else {
-            if (demandish) {
-                if (is_instruction)
-                    ++lane.stats.l2InstMisses;
-                else
-                    ++lane.stats.l2DataMisses;
-                lane.l2.noteDemandMiss(line_addr);
-            }
-            ++lane.stats.l3Accesses;
-            if (lane.l3.peek(line_addr)) {
-                code = static_cast<unsigned>(
-                           Hierarchy::FillSource::L3) + 1;
-            } else {
-                ++lane.stats.l3Misses;
-                ++lane.stats.dramReads;
-                code = static_cast<unsigned>(
-                           Hierarchy::FillSource::Memory) + 1;
-            }
+            ++stats_.l3Misses;
+            ++stats_.dramReads;
+            code =
+                static_cast<unsigned>(Hierarchy::FillSource::Memory) + 1;
         }
-        packed |= std::uint64_t{code} << (2 * i);
     }
-    return packed;
+    outstanding_.emplace_back(line, code);
+}
+
+unsigned
+MonitorLane::takeSource(std::uint64_t line)
+{
+    for (std::size_t i = 0; i < outstanding_.size(); ++i) {
+        if (outstanding_[i].first != line)
+            continue;
+        const unsigned code = outstanding_[i].second;
+        outstanding_[i] = outstanding_.back();
+        outstanding_.pop_back();
+        return code;
+    }
+    return 0;  // Not sampled.
 }
 
 void
-PolicyLaneBank::laneFillL2(Lane &lane, std::uint64_t line_addr,
-                           bool is_instruction, bool high_priority,
-                           bool sfl)
+MonitorLane::fillL2(std::uint64_t line, bool is_instruction,
+                    bool high_priority, bool sfl)
 {
-    if (lane.l2.peek(line_addr))
+    if (l2_.peek(line))
         return;  // Raced with another fill path; already resident.
 
     replacement::LineInfo info;
     info.isInstruction = is_instruction;
     info.highPriority = high_priority;
     const Cache::Eviction ev =
-        lane.l2.insert(line_addr, info, is_instruction,
-                       /*dirty=*/false, sfl, /*prefetched=*/false);
-    ++lane.stats.l2Fills;
+        l2_.insert(line, info, is_instruction, /*dirty=*/false, sfl,
+                   /*prefetched=*/false);
+    ++stats_.l2Fills;
     if (!ev.valid)
         return;
 
-    ++lane.stats.l2Evictions;
+    ++stats_.l2Evictions;
     if (ev.line.priority)
-        ++lane.stats.l2ProtectedEvictions;
+        ++stats_.l2ProtectedEvictions;
 
     // Inclusion: the timing lane back-invalidates the L1s here. The
-    // L1s are shared (and must not be perturbed), so the lane only
-    // drops its own priority shadow for the displaced line and folds
-    // the shared L1D copy's dirty state read-only.
+    // L1s are the timing lane's, so the lane only drops its own P
+    // bit for the displaced line and folds a dirty L1D copy in.
     bool dirty = ev.line.dirty;
-    unsigned set = 0, way = 0;
-    if (sharedL1i_->findPosition(ev.lineAddr, set, way))
-        lane.l1iShadow[std::size_t{set} * l1iWays_ + way] = 0;
-    if (const CacheLine *d = sharedL1d_->peek(ev.lineAddr);
-        d && d->dirty)
+    if (const long slot = l1i_.find(ev.lineAddr); slot >= 0)
+        l1iPriority_[static_cast<std::size_t>(slot)] = 0;
+    if (l1dDirty_.find(ev.lineAddr) >= 0)
         dirty = true;
 
     // Exclusive victim L3 with the SFL insertion hint (§5.1).
     replacement::LineInfo l3_info;
     l3_info.isInstruction = ev.line.isInstruction;
     l3_info.insertMru = ev.line.sfl;
-    const Cache::Eviction l3_ev = lane.l3.insert(
+    const Cache::Eviction l3_ev = l3_.insert(
         ev.lineAddr, l3_info, ev.line.isInstruction, dirty,
         /*sfl=*/false, /*prefetched=*/false);
     if (l3_ev.valid && l3_ev.line.dirty)
-        ++lane.stats.dramWrites;
+        ++stats_.dramWrites;
 }
 
 bool
-PolicyLaneBank::completeLane(Lane &lane, std::uint64_t line_addr,
-                             unsigned code,
-                             const Hierarchy::Mshr &entry,
-                             const replacement::MissContext &ctx)
+MonitorLane::fill(std::uint64_t line, unsigned code,
+                  bool is_instruction,
+                  const replacement::MissContext &ctx)
 {
     // Mode selection with the lane's own RNG — the only per-lane
     // nondeterminism; the miss context itself is produced by the
     // shared pipeline and is lane-invariant.
     bool selected = false;
-    const replacement::PolicySpec &spec = lane.l2.spec();
-    if (entry.isInstruction || !lane.emissaryL2)
-        selected = spec.computePriority(ctx, lane.l2.selectionRng());
+    if (is_instruction || !emissaryL2_)
+        selected = l2_.spec().computePriority(ctx, l2_.selectionRng());
 
     const auto source = static_cast<Hierarchy::FillSource>(code - 1);
     if (source != Hierarchy::FillSource::L2) {
         bool sfl = false;
         if (source == Hierarchy::FillSource::L3) {
-            lane.l3.invalidate(line_addr);  // exclusive: move
+            l3_.invalidate(line);  // exclusive: move
             sfl = true;
         }
-        const bool bypass = bypassLowPriorityInst_ &&
-                            lane.emissaryL2 && entry.isInstruction &&
-                            !selected;
-        if (!bypass) {
-            const bool l2_priority =
-                lane.emissaryL2 ? false : selected;
-            laneFillL2(lane, line_addr, entry.isInstruction,
-                       l2_priority, sfl);
-        }
+        const bool bypass = bypassLowPriorityInst_ && emissaryL2_ &&
+                            is_instruction && !selected;
+        if (!bypass)
+            fillL2(line, is_instruction,
+                   emissaryL2_ ? false : selected, sfl);
     }
     return selected;
 }
 
 void
-PolicyLaneBank::completeInstruction(std::uint64_t line_addr,
-                                    const Hierarchy::Mshr &entry,
-                                    const replacement::MissContext &ctx,
-                                    bool l1i_selected,
-                                    const Cache::Eviction &l1i_ev)
+MonitorLane::instructionFill(const MissLog::Event &event)
 {
-    // The shared L1I just placed line_addr into slot (set, way),
-    // displacing l1i_ev's line if valid. Each lane refreshes its
-    // priority shadow for that slot and, like the timing lane's
-    // raisePriority path, lets the displaced line's shadow bit
-    // upgrade the lane's resident L2 copy (§3).
-    const std::size_t pos =
-        std::size_t{l1i_ev.set} * l1iWays_ + l1i_ev.way;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        Lane &lane = lanes_[i];
-        const unsigned code = (entry.laneSources >> (2 * i)) & 3;
-        const bool old_shadow = lane.l1iShadow[pos] != 0;
-        bool new_shadow = false;
-        if (code != 0) {
-            const bool selected =
-                completeLane(lane, line_addr, code, entry, ctx);
-            bool l1_priority =
-                (lane.emissaryL2 && selected) || l1i_selected;
-            if (const CacheLine *l2_line = lane.l2.peek(line_addr))
-                l1_priority = l1_priority || l2_line->priority;
-            if (l1_priority)
-                ++lane.stats.highPriorityFills;
-            new_shadow = l1_priority;
-        }
-        if (l1i_ev.valid && old_shadow) {
-            lane.l2.raisePriority(l1i_ev.lineAddr);
-            ++lane.stats.priorityUpgrades;
-        }
-        lane.l1iShadow[pos] = new_shadow ? 1 : 0;
+    // The shared L1I just placed the line into this slot, displacing
+    // the copy's line there if any. The lane refreshes its P bit for
+    // the slot and, like the timing lane's raisePriority path, lets
+    // the displaced line's bit upgrade the lane's L2 copy (§3).
+    const std::size_t pos = event.slot;
+    const std::uint64_t displaced = l1i_.lines[pos];
+    l1i_.lines[pos] = event.line;
+    const bool old_priority = l1iPriority_[pos] != 0;
+    bool new_priority = false;
+    if (const unsigned code = takeSource(event.line); code != 0) {
+        replacement::MissContext ctx;
+        ctx.isInstruction = true;
+        ctx.causedStarvation = event.flags & MissLog::kStarved;
+        ctx.issueQueueEmpty = event.flags & MissLog::kIqEmpty;
+        const bool selected = fill(event.line, code, true, ctx);
+        new_priority = (emissaryL2_ && selected) ||
+                       (event.flags & MissLog::kSelected);
+        if (const CacheLine *l2_line = l2_.peek(event.line))
+            new_priority = new_priority || l2_line->priority;
+        if (new_priority)
+            ++stats_.highPriorityFills;
     }
-}
-
-void
-PolicyLaneBank::completeData(std::uint64_t line_addr,
-                             const Hierarchy::Mshr &entry,
-                             const replacement::MissContext &ctx,
-                             const Cache::Eviction &l1d_ev)
-{
-    const bool writeback = l1d_ev.valid && l1d_ev.line.dirty &&
-                           sampled(l1d_ev.lineAddr);
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        Lane &lane = lanes_[i];
-        const unsigned code = (entry.laneSources >> (2 * i)) & 3;
-        if (code != 0)
-            completeLane(lane, line_addr, code, entry, ctx);
-        if (writeback) {
-            // The shared L1D displaced a dirty line: fold it into
-            // the lane's L2 copy, or count a DRAM write when the
-            // lane no longer holds it.
-            if (lane.l2.peek(l1d_ev.lineAddr))
-                lane.l2.markDirty(l1d_ev.lineAddr);
-            else
-                ++lane.stats.dramWrites;
-        }
+    if (displaced != SlotCopy::kEmpty && old_priority) {
+        l2_.raisePriority(displaced);
+        ++stats_.priorityUpgrades;
     }
+    l1iPriority_[pos] = new_priority ? 1 : 0;
 }
 
 void
-PolicyLaneBank::onSharedL1IInvalidate(unsigned set, unsigned way)
+MonitorLane::dataFill(const MissLog::Event &event)
 {
-    const std::size_t pos = std::size_t{set} * l1iWays_ + way;
-    for (Lane &lane : lanes_)
-        lane.l1iShadow[pos] = 0;
-}
-
-void
-PolicyLaneBank::resetPriorities()
-{
-    for (Lane &lane : lanes_) {
-        lane.l2.resetPriorities();
-        // The shared L1I clears its own P bits; the lanes' view of
-        // them lives in the shadows.
-        std::fill(lane.l1iShadow.begin(), lane.l1iShadow.end(), 0);
+    const std::uint64_t displaced = l1dDirty_.lines[event.slot];
+    l1dDirty_.lines[event.slot] =
+        event.flags & MissLog::kWrite ? event.line : SlotCopy::kEmpty;
+    if (const unsigned code = takeSource(event.line); code != 0) {
+        replacement::MissContext ctx;
+        ctx.isInstruction = false;
+        ctx.causedStarvation = event.flags & MissLog::kStarved;
+        ctx.issueQueueEmpty = event.flags & MissLog::kIqEmpty;
+        fill(event.line, code, false, ctx);
     }
-}
-
-void
-PolicyLaneBank::resetStats()
-{
-    for (Lane &lane : lanes_)
-        lane.stats.reset();
+    if (displaced != SlotCopy::kEmpty && sampled(displaced)) {
+        // The shared L1D displaced a dirty line: fold it into the
+        // lane's L2 copy, or count a DRAM write when the lane no
+        // longer holds it.
+        if (l2_.peek(displaced))
+            l2_.markDirty(displaced);
+        else
+            ++stats_.dramWrites;
+    }
 }
 
 HierarchyStats
-PolicyLaneBank::laneStats(unsigned lane,
-                          const HierarchyStats &shared) const
+MonitorLane::stats(const HierarchyStats &shared) const
 {
-    const Lane &l = lanes_[lane];
     const std::uint64_t k = sampleK_;
     // Lane-invariant event counters (L1 traffic, NLP issue,
     // ideal-model hides) pass through from the shared pipeline;
@@ -291,20 +305,20 @@ PolicyLaneBank::laneStats(unsigned lane,
     out.starveCyclesL2 = 0;
     out.starveCyclesL3 = 0;
     out.starveCyclesMem = 0;
-    out.l2InstAccesses = l.stats.l2InstAccesses * k;
-    out.l2InstMisses = l.stats.l2InstMisses * k;
-    out.l2DataAccesses = l.stats.l2DataAccesses * k;
-    out.l2DataMisses = l.stats.l2DataMisses * k;
-    out.l3Accesses = l.stats.l3Accesses * k;
-    out.l3Misses = l.stats.l3Misses * k;
-    out.dramReads = l.stats.dramReads * k;
-    out.dramWrites = l.stats.dramWrites * k;
-    out.l2Fills = l.stats.l2Fills * k;
-    out.l2Evictions = l.stats.l2Evictions * k;
-    out.highPriorityFills = l.stats.highPriorityFills * k;
-    out.priorityUpgrades = l.stats.priorityUpgrades * k;
-    out.l2InstHitsProtected = l.stats.l2InstHitsProtected * k;
-    out.l2ProtectedEvictions = l.stats.l2ProtectedEvictions * k;
+    out.l2InstAccesses = stats_.l2InstAccesses * k;
+    out.l2InstMisses = stats_.l2InstMisses * k;
+    out.l2DataAccesses = stats_.l2DataAccesses * k;
+    out.l2DataMisses = stats_.l2DataMisses * k;
+    out.l3Accesses = stats_.l3Accesses * k;
+    out.l3Misses = stats_.l3Misses * k;
+    out.dramReads = stats_.dramReads * k;
+    out.dramWrites = stats_.dramWrites * k;
+    out.l2Fills = stats_.l2Fills * k;
+    out.l2Evictions = stats_.l2Evictions * k;
+    out.highPriorityFills = stats_.highPriorityFills * k;
+    out.priorityUpgrades = stats_.priorityUpgrades * k;
+    out.l2InstHitsProtected = stats_.l2InstHitsProtected * k;
+    out.l2ProtectedEvictions = stats_.l2ProtectedEvictions * k;
     return out;
 }
 

@@ -1,176 +1,157 @@
 /**
  * @file
- * Monitor-lane bank for the fused multi-policy sweep: one shared
+ * Monitor lane of the fused multi-policy sweep: one policy's L2+L3
+ * replaying the below-L1 event log (cache/miss_log.hh) of a shared
  * cycle-exact pipeline (frontend, branch predictors, L1I/L1D,
- * backend, and the timing L2/L3) drives N-1 additional per-policy
- * L2+L3 instances that observe the same below-L1 access stream.
+ * backend, and the timing L2/L3).
  *
  * This is the auxiliary-tag-directory idiom of UMON (Qureshi &
- * Patt) and DEW-style sampled simulators: the monitor lanes replay
- * every replacement-relevant event of the shared pipeline — probe,
- * fill, exclusive L3 move, SFL bit, EMISSARY mode selection with a
- * per-lane RNG, L1I priority-bit shadowing and the eviction-time
- * priority upgrade (§3) — against their own arrays, so per-policy
- * hit/miss/protection counters come out of a single trace pass.
+ * Patt) and DEW-style trace-driven simulators: a lane replays every
+ * replacement-relevant event of the shared pipeline — probe, fill,
+ * exclusive L3 move, SFL bit, EMISSARY mode selection with the
+ * lane's own RNG, L1I priority-bit shadowing and the eviction-time
+ * priority upgrade (§3) — against its own arrays, so per-policy
+ * hit/miss/protection counters come out of a single timing pass.
+ * Each lane replays on its own, so the lanes of one pass can run on
+ * any worker in any order.
  *
- * Fidelity contract: the timing lane (the Hierarchy the bank is
- * attached to) is bit-identical to a sequential run of its policy.
+ * In place of the live L1s, a lane keeps two small copies it updates
+ * from the log: which line each L1I slot holds (with the lane's own
+ * view of that line's P bit), and which L1D slots hold a dirty line.
+ * They are exactly what a lane's L2 eviction reads of the shared L1s.
+ *
+ * Fidelity contract: the timing lane (the Hierarchy that recorded
+ * the log) is bit-identical to a sequential run of its policy.
  * Monitor lanes see the timing lane's access *stream*, so their
  * counters match a sequential run of their policy up to the
  * L2-latency feedback into the frontend
- * (bench/bench_mode_validation.cpp measures that error). A monitor
- * lane counts cache events only: it never sees the decode
- * starvation its own policy would cause, so it reports no cycles,
- * starvation or energy (core::Metrics::timed).
+ * (bench/bench_mode_validation.cpp measures that error); a lane
+ * under the timing lane's own policy reproduces the timing lane's
+ * cache counters exactly (tests/test_fused.cpp). A monitor lane
+ * counts cache events only: it never sees the decode starvation its
+ * own policy would cause, so it reports no cycles, starvation or
+ * energy (core::Metrics::timed).
  *
- * An optional 1-in-K sampled-set mode shrinks each monitor lane to
- * sets/K sets (Cache::Config::indexShift) and filters the stream by
- * set residue; counters are scaled back by K at collection.
+ * An optional 1-in-K sampled-set mode shrinks the lane to sets/K
+ * sets (Cache::Config::indexShift) and replays a log recorded for
+ * that set residue (MissLog::keeps); counters are scaled back by K at
+ * collection.
  */
 
 #ifndef EMISSARY_CACHE_LANES_HH
 #define EMISSARY_CACHE_LANES_HH
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "cache/miss_log.hh"
 
 namespace emissary::cache
 {
 
-/** Bank of monitor L2/L3 lanes attached to one Hierarchy. */
-class PolicyLaneBank
+/** One monitor L2/L3 replaying a MissLog. */
+class MonitorLane
 {
   public:
-    /** Packed per-lane fill sources are 2 bits each in a uint64. */
-    static constexpr unsigned kMaxLanes = 32;
+    /**
+     * @param timing The config of the hierarchy that recorded the
+     *        log: the lane clones its L2/L3 geometry, latencies and
+     *        seeds, and copies its L1 geometry.
+     * @param l2 The lane's L2 policy.
+     * @param sampled_sets 1-in-K set sampling (0 or 1 = full
+     *        fidelity; otherwise a power of two dividing both set
+     *        counts).
+     */
+    MonitorLane(const Hierarchy::Config &timing,
+                const replacement::PolicySpec &l2,
+                unsigned sampled_sets = 0);
 
     /**
-     * @param timing The timing hierarchy's config: monitor lanes
-     *        clone its L2/L3 geometry, latencies and seeds.
-     * @param l2_specs One parsed L2 policy per monitor lane.
-     * @param sampled_sets 1-in-K set sampling for the monitor
-     *        arrays (0 or 1 = full fidelity; otherwise a power of
-     *        two dividing both set counts).
+     * Apply every event of @p log in order. A lane replays one log,
+     * recorded for its own sampling factor or for every set (the two
+     * give the same counts), from a fresh state. @p on_window_start
+     * fires at the log's WindowStart event, after the counters
+     * restart.
+     * @throws std::invalid_argument when the log was recorded for
+     *         another sampling factor.
      */
-    PolicyLaneBank(const Hierarchy::Config &timing,
-                   const std::vector<replacement::PolicySpec> &l2_specs,
-                   unsigned sampled_sets = 0);
-
-    unsigned laneCount() const
-    {
-        return static_cast<unsigned>(lanes_.size());
-    }
-    /** Sampling factor K (1 = full fidelity). */
-    unsigned sampledSets() const { return sampleK_; }
-
-    // ------ hooks driven by Hierarchy (one call site each) ------
-
-    /** Bind the shared L1 arrays (position probes only; the bank
-     *  never mutates them). Called by Hierarchy::setLanes. */
-    void bindShared(const Cache *l1i, const Cache *l1d);
+    void replay(const MissLog &log,
+                const std::function<void()> &on_window_start = {});
 
     /**
-     * Mirror of missBelowL1's L2/L3 probe, for every lane.
-     * @return Packed per-lane fill sources for the MSHR entry.
+     * The lane's view of the window: @p shared (the timing lane's
+     * counters) with the policy-dependent counters replaced by the
+     * lane's own (scaled by K in sampled mode). Lane-invariant event
+     * counters (L1 traffic, NLP issue) pass through; the starvation
+     * counters, which count the timing lane's cycles, read 0.
      */
-    std::uint64_t probe(std::uint64_t line_addr, bool is_instruction,
-                        bool demandish);
+    HierarchyStats stats(const HierarchyStats &shared) const;
 
-    /**
-     * Mirror of complete()'s fill half for an instruction miss.
-     * @param l1i_selected The shared L1I EMISSARY ablation's own
-     *        selection outcome (lane-invariant).
-     * @param l1i_ev The shared L1I insert's result: the slot the
-     *        line landed in, plus the displaced line if any.
-     */
-    void completeInstruction(std::uint64_t line_addr,
-                             const Hierarchy::Mshr &entry,
-                             const replacement::MissContext &ctx,
-                             bool l1i_selected,
-                             const Cache::Eviction &l1i_ev);
-
-    /** Mirror of complete()'s fill half for a data miss; @p l1d_ev
-     *  is the shared L1D insert's result (dirty writeback path). */
-    void completeData(std::uint64_t line_addr,
-                      const Hierarchy::Mshr &entry,
-                      const replacement::MissContext &ctx,
-                      const Cache::Eviction &l1d_ev);
-
-    /** The shared L1I slot (set, way) was back-invalidated by the
-     *  timing L2: the lanes' shadow bits there are stale. */
-    void onSharedL1IInvalidate(unsigned set, unsigned way);
-
-    /** EMISSARY §6 reset: clear lane L2 priority bits and the L1I
-     *  priority shadows (the shared L1I clears its own bits). */
-    void resetPriorities();
-
-    /** Start of the measurement window: zero the counters. Lane
-     *  cache *state* persists, exactly like the timing arrays
-     *  across the warmup boundary. */
-    void resetStats();
-
-    // ------ collection ------
-
-    /**
-     * The lane's view of the window: @p shared with the
-     * policy-dependent counters replaced by the lane's own (scaled
-     * by K in sampled mode). Lane-invariant event counters (L1
-     * traffic, NLP issue) pass through; the starvation counters,
-     * which count the timing lane's cycles, read 0.
-     */
-    HierarchyStats laneStats(unsigned lane,
-                             const HierarchyStats &shared) const;
-
-    const Cache &l2(unsigned lane) const { return lanes_[lane].l2; }
-    const replacement::PolicySpec &spec(unsigned lane) const
-    {
-        return lanes_[lane].l2.spec();
-    }
+    const Cache &l2() const { return l2_; }
 
   private:
-    struct Lane
+    /** Which line each slot of a shared L1 holds, as far as the lane
+     *  needs to know. */
+    struct SlotCopy
     {
-        Cache l2;
-        Cache l3;
-        bool emissaryL2 = false;
-        HierarchyStats stats;
-        /** Shared-L1I (set*ways + way) -> this lane's P bit for the
-         *  line resident there. */
-        std::vector<std::uint8_t> l1iShadow;
+        static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-        Lane(const Cache::Config &l2_config,
-             const Cache::Config &l3_config)
-            : l2(l2_config), l3(l3_config)
+        std::vector<std::uint64_t> lines;
+        unsigned ways = 0;
+        unsigned setMask = 0;
+
+        explicit SlotCopy(const Cache::Config &config);
+
+        /** The slot holding @p line, or -1. */
+        long
+        find(std::uint64_t line) const
         {
+            const std::size_t base =
+                std::size_t{static_cast<unsigned>(line) & setMask} *
+                ways;
+            for (unsigned w = 0; w < ways; ++w)
+                if (lines[base + w] == line)
+                    return static_cast<long>(base + w);
+            return -1;
         }
     };
 
-    /** Shared body of the two complete hooks: mode selection and
-     *  the lane L2/L3 insertion. Returns the lane's selection
-     *  outcome for the L1I shadow. */
-    bool completeLane(Lane &lane, std::uint64_t line_addr,
-                      unsigned code, const Hierarchy::Mshr &entry,
-                      const replacement::MissContext &ctx);
-
+    void probe(std::uint64_t line, bool is_instruction, bool demand);
+    /** The fill source the probe of @p line chose (0 = unsampled). */
+    unsigned takeSource(std::uint64_t line);
+    /** Mode selection and the L2/L3 insertion of one fill; returns
+     *  the lane's selection outcome. */
+    bool fill(std::uint64_t line, unsigned code, bool is_instruction,
+              const replacement::MissContext &ctx);
+    void instructionFill(const MissLog::Event &event);
+    void dataFill(const MissLog::Event &event);
     /** Mirror of fillL2 + handleL2Eviction against lane arrays. */
-    void laneFillL2(Lane &lane, std::uint64_t line_addr,
-                    bool is_instruction, bool high_priority, bool sfl);
+    void fillL2(std::uint64_t line, bool is_instruction,
+                bool high_priority, bool sfl);
 
-    bool sampled(std::uint64_t line_addr) const
+    bool
+    sampled(std::uint64_t line) const
     {
-        return sampleK_ == 1 ||
-               (line_addr & (sampleK_ - 1)) == sampleOffset_;
+        return sampleK_ == 1 || (line & (sampleK_ - 1)) == 0;
     }
 
-    std::vector<Lane> lanes_;
-    const Cache *sharedL1i_ = nullptr;
-    const Cache *sharedL1d_ = nullptr;
-    unsigned l1iWays_ = 0;
-    unsigned sampleK_ = 1;
-    std::uint64_t sampleOffset_ = 0;
+    Cache l2_;
+    Cache l3_;
+    bool emissaryL2_ = false;
     bool bypassLowPriorityInst_ = false;
+    unsigned sampleK_ = 1;
+    HierarchyStats stats_;
+    /** Outstanding probes' fill sources (line, code): a line has at
+     *  most one outstanding miss. */
+    std::vector<std::pair<std::uint64_t, unsigned>> outstanding_;
+    /** The shared L1I's lines and this lane's P bit for each. */
+    SlotCopy l1i_;
+    std::vector<std::uint8_t> l1iPriority_;
+    /** The shared L1D's dirty lines. */
+    SlotCopy l1dDirty_;
 };
 
 } // namespace emissary::cache

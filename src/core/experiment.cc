@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "cache/lanes.hh"
+#include "cache/miss_log.hh"
 #include "stats/json.hh"
 
 #include "core/observability.hh"
@@ -108,6 +109,23 @@ class ChunkStream
     std::uint64_t census_ = 0;
 };
 
+struct MonitorFeed
+{
+    /** The recording machine's hierarchy: a monitor clones its L2/L3
+     *  and copies its L1 geometry. */
+    cache::Hierarchy::Config hierarchy;
+    /** Applied to every monitor's policy, as to the timing lane's. */
+    bool emissaryTreePlru = true;
+    std::uint64_t footprint = 0;
+
+    struct Chunk
+    {
+        cache::MissLog log;
+        MetricsInputs timing;
+    };
+    std::vector<Chunk> chunks;
+};
+
 namespace
 {
 
@@ -166,12 +184,12 @@ planChunks(const RunOptions &options, unsigned chunk_count)
     return plans;
 }
 
-/** Everything one chunk's pass contributes to the splice: each
+/** Everything one chunk's pass contributes to the splice: the timing
  *  lane's raw inputs (not Metrics, so the splice sums counters and
  *  derives rates once over the whole window) and the phase clock. */
 struct ChunkResult
 {
-    std::vector<MetricsInputs> lanes;
+    MetricsInputs timing;
     std::uint64_t footprint = 0;
     double replayWaitSeconds = 0.0;
     double predictionWaitSeconds = 0.0;
@@ -215,10 +233,9 @@ machineOptions(const RunOptions &options)
 }
 
 /**
- * The pass body: build the machine for @p plan's window, attach a
- * lane bank when @p lanes has monitors (sampling 1-in-@p sampled_sets
- * sets), run over @p source and
- * harvest one MetricsInputs per lane. The only place RunOptions
+ * The pass body: build the machine for @p plan's window, run it over
+ * @p source and harvest the timing lane's inputs, recording the
+ * below-L1 events into @p log when set. The only place RunOptions
  * becomes a machine. The machine replays @p predictions (the
  * source's block outcomes from record 0, or nullptr) when their
  * config is its own, and predicts inline otherwise. @p whole carries
@@ -229,19 +246,12 @@ machineOptions(const RunOptions &options)
 ChunkResult
 simulatePass(trace::TraceSource &source,
              const frontend::PredictionStream *predictions,
-             const std::vector<replacement::PolicySpec> &lanes,
-             unsigned sampled_sets, const replacement::PolicySpec &l1i,
-             const RunOptions &options, const ChunkPlan &plan,
-             RunTelemetry *whole)
+             const MachineConfig &machine, const RunOptions &options,
+             const ChunkPlan &plan, RunTelemetry *whole,
+             cache::MissLog *log)
 {
-    MachineOptions machine_options = machineOptions(options);
-    machine_options.l2Spec = lanes.front();
-    machine_options.l1iSpec = l1i;
-    machine_options.l2Policy = lanes.front().toString();
-    machine_options.l1iPolicy = l1i.toString();
-
     Simulator::Config sim_config;
-    sim_config.machine = alderlakeConfig(machine_options);
+    sim_config.machine = machine;
     if (predictions &&
         !(predictions->config() == sim_config.machine.frontend))
         predictions = nullptr;
@@ -252,21 +262,8 @@ simulatePass(trace::TraceSource &source,
     if (whole)
         sim_config.sampleInterval = whole->sampleInterval;
 
-    // Monitor lanes for every policy past the first. The option knob
-    // alderlakeConfig applies to the timing spec must reach them the
-    // same way.
-    std::vector<replacement::PolicySpec> monitor_specs(lanes.begin() + 1,
-                                                       lanes.end());
-    for (replacement::PolicySpec &spec : monitor_specs)
-        spec.emissaryTreePlru = options.emissaryTreePlru;
-    std::unique_ptr<cache::PolicyLaneBank> bank;
-    if (!monitor_specs.empty())
-        bank = std::make_unique<cache::PolicyLaneBank>(
-            sim_config.machine.hierarchy, monitor_specs, sampled_sets);
-
     Simulator simulator(sim_config, source, predictions);
-    if (bank)
-        simulator.hierarchy().setLanes(bank.get());
+    simulator.hierarchy().setMissLog(log);
     if (whole && whole->traceSink)
         simulator.setTraceSink(whole->traceSink);
 
@@ -287,9 +284,7 @@ simulatePass(trace::TraceSource &source,
     result.predictionWaitSeconds =
         simulator.frontEnd().predictionWaitSeconds();
 
-    result.lanes.push_back(simulator.collect());
-    for (unsigned lane = 0; lane < monitor_specs.size(); ++lane)
-        result.lanes.push_back(simulator.collectLane(lane));
+    result.timing = simulator.collect();
     if (whole) {
         whole->sampler = simulator.sampler();
         if (const auto *emissary =
@@ -297,23 +292,56 @@ simulatePass(trace::TraceSource &source,
                     &simulator.hierarchy().l2().policy()))
             whole->l2SameRunRange = emissary->sameRunRange();
     }
+    if (log)
+        log->finish();
     result.harvested = Clock::now();
     return result;
 }
 
-} // namespace
-
-std::vector<Metrics>
-run(const RunSource &source,
-    const std::vector<replacement::PolicySpec> &l2_lanes,
-    unsigned sampled_sets, const replacement::PolicySpec &l1i,
-    const RunOptions &options, ThreadPool *pool,
-    RunTelemetry *telemetry)
+/**
+ * One lane's inputs over the whole window from its per-chunk inputs,
+ * in chunk-index order, which makes the result independent of worker
+ * count and completion order: counters sum, and the priority-bit
+ * census is the last chunk's. A single chunk passes through.
+ */
+MetricsInputs
+splice(const std::vector<MetricsInputs> &chunks)
 {
-    if (l2_lanes.empty())
-        throw std::invalid_argument("core::run: no L2 policies");
-    RunTelemetry unobserved;
-    RunTelemetry &report = telemetry ? *telemetry : unobserved;
+    MetricsInputs inputs = chunks.back();
+    // The census is occupancy, not a flow count: the last chunk's
+    // end state stands for the window's end state, exactly as a
+    // sequential run reports its own. Counters sum from chunk 0.
+    inputs.hierarchy = chunks.front().hierarchy;
+    inputs.backend = chunks.front().backend;
+    inputs.frontend = chunks.front().frontend;
+    for (std::size_t i = 1; i < chunks.size(); ++i) {
+        inputs.hierarchy += chunks[i].hierarchy;
+        inputs.backend += chunks[i].backend;
+        inputs.frontend += chunks[i].frontend;
+    }
+    return inputs;
+}
+
+/** @p inputs composed into Metrics and @p registry. */
+Metrics
+metricsOf(const MetricsInputs &inputs, std::uint64_t footprint,
+          stats::Registry &registry)
+{
+    Metrics m = composeMetrics(inputs);
+    m.codeFootprintLines = footprint;
+    populateRegistry(registry, inputs.hierarchy, inputs.backend,
+                     inputs.frontend);
+    return m;
+}
+
+/** The timing lane of run(), recording a MonitorFeed for monitors
+ *  sampled 1-in-@p sampled_sets into @p feed when set. */
+Metrics
+runPass(const RunSource &source, const replacement::PolicySpec &l2,
+        const replacement::PolicySpec &l1i, const RunOptions &options,
+        unsigned sampled_sets, ThreadPool *pool, RunTelemetry &report,
+        std::shared_ptr<const MonitorFeed> *feed)
+{
     report.sampler = stats::Sampler();
     report.l2SameRunRange = replacement::ProtectRange{1, 0};
 
@@ -321,6 +349,23 @@ run(const RunSource &source,
         options, source.randomAccess() ? options.timeChunks : 1);
     const bool whole = plans.size() == 1;
     stats::SpanRecorder *spans = report.spans;
+
+    MachineOptions machine_options = machineOptions(options);
+    machine_options.l2Spec = l2;
+    machine_options.l1iSpec = l1i;
+    machine_options.l2Policy = l2.toString();
+    machine_options.l1iPolicy = l1i.toString();
+    const MachineConfig machine = alderlakeConfig(machine_options);
+
+    std::shared_ptr<MonitorFeed> recorded;
+    if (feed) {
+        recorded = std::make_shared<MonitorFeed>();
+        recorded->hierarchy = machine.hierarchy;
+        recorded->emissaryTreePlru = options.emissaryTreePlru;
+        recorded->chunks.resize(plans.size());
+        for (MonitorFeed::Chunk &chunk : recorded->chunks)
+            chunk.log = cache::MissLog(sampled_sets);
+    }
 
     std::vector<ChunkResult> chunks(plans.size());
     const auto run_chunk = [&](std::size_t i) {
@@ -336,8 +381,8 @@ run(const RunSource &source,
         chunks[i] = simulatePass(
             *stream,
             plans[i].startRecord == 0 ? source.predictions() : nullptr,
-            l2_lanes, sampled_sets, l1i, options, plans[i],
-            whole ? &report : nullptr);
+            machine, options, plans[i], whole ? &report : nullptr,
+            recorded ? &recorded->chunks[i].log : nullptr);
         chunks[i].footprint = chunk.footprint();
         chunks[i].replayWaitSeconds = chunk.replayWaitSeconds();
         if (whole)
@@ -414,32 +459,19 @@ run(const RunSource &source,
             footprint += static_cast<std::uint64_t>(std::popcount(word));
     }
 
-    // Splice in chunk-index order, which makes the result independent
-    // of worker count and completion order. A single chunk's inputs
-    // pass through unchanged.
-    std::vector<Metrics> metrics;
-    metrics.reserve(l2_lanes.size());
-    report.registries.assign(l2_lanes.size(), {});
-    for (std::size_t lane = 0; lane < l2_lanes.size(); ++lane) {
-        MetricsInputs inputs = chunks.front().lanes[lane];
-        for (std::size_t i = 1; i < chunks.size(); ++i) {
-            const MetricsInputs &slice = chunks[i].lanes[lane];
-            inputs.hierarchy += slice.hierarchy;
-            inputs.backend += slice.backend;
-            inputs.frontend += slice.frontend;
-        }
-        // The priority-bit census is occupancy, not a flow count:
-        // the last chunk's end state stands for the window's end
-        // state, exactly as a sequential run reports its own.
-        inputs.policy = chunks.back().lanes[lane].policy;
-        inputs.priorityDistribution =
-            chunks.back().lanes[lane].priorityDistribution;
-        Metrics m = composeMetrics(inputs);
-        m.codeFootprintLines = footprint;
-        populateRegistry(report.registries[lane], inputs.hierarchy,
-                         inputs.backend, inputs.frontend);
-        metrics.push_back(std::move(m));
+    std::vector<MetricsInputs> timing;
+    timing.reserve(chunks.size());
+    for (const ChunkResult &chunk : chunks)
+        timing.push_back(chunk.timing);
+    if (recorded) {
+        for (std::size_t i = 0; i < chunks.size(); ++i)
+            recorded->chunks[i].timing = chunks[i].timing;
+        recorded->footprint = footprint;
+        *feed = std::move(recorded);
     }
+    report.registries.assign(1, {});
+    Metrics metrics = metricsOf(splice(timing), footprint,
+                                report.registries.front());
     if (whole)
         chunks.front().harvested = Clock::now();
 
@@ -468,6 +500,128 @@ run(const RunSource &source,
                                     pass.stepped - pass.warmupStepped));
         spans->recordSpan("stat_export", spans->toNs(pass.stop),
                           spans->toNs(pass.harvested));
+    }
+    return metrics;
+}
+
+} // namespace
+
+std::uint64_t
+feedEvents(const MonitorFeed &feed)
+{
+    std::uint64_t events = 0;
+    for (const MonitorFeed::Chunk &chunk : feed.chunks)
+        events += chunk.log.events();
+    return events;
+}
+
+std::uint64_t
+feedBytes(const MonitorFeed &feed)
+{
+    std::uint64_t bytes = 0;
+    for (const MonitorFeed::Chunk &chunk : feed.chunks)
+        bytes += chunk.log.bytes();
+    return bytes;
+}
+
+Metrics
+runTiming(const RunSource &source, const replacement::PolicySpec &l2,
+          const replacement::PolicySpec &l1i, const RunOptions &options,
+          unsigned sampled_sets, std::shared_ptr<const MonitorFeed> &feed,
+          ThreadPool *pool, RunTelemetry *telemetry)
+{
+    RunTelemetry unobserved;
+    return runPass(source, l2, l1i, options, sampled_sets, pool,
+                   telemetry ? *telemetry : unobserved, &feed);
+}
+
+Metrics
+replayMonitor(const MonitorFeed &feed, const replacement::PolicySpec &l2,
+              RunTelemetry *telemetry)
+{
+    replacement::PolicySpec spec = l2;
+    spec.emissaryTreePlru = feed.emissaryTreePlru;
+    const auto start = Clock::now();
+    double warmup_seconds = 0.0;
+    double measure_seconds = 0.0;
+    replacement::ProtectRange same{1, 0};
+    std::vector<MetricsInputs> chunks;
+    for (const MonitorFeed::Chunk &chunk : feed.chunks) {
+        cache::MonitorLane lane(feed.hierarchy, spec,
+                                chunk.log.sampledSets());
+        const auto chunk_start = Clock::now();
+        auto window = chunk_start;
+        lane.replay(chunk.log, [&window]() { window = Clock::now(); });
+        warmup_seconds += seconds(chunk_start, window);
+        measure_seconds += seconds(window, Clock::now());
+
+        // The shared stream's events are the lane's too; its cycles
+        // are the timing lane's, so every cycle counter stays 0.
+        const MetricsInputs &timing = chunk.timing;
+        MetricsInputs inputs;
+        inputs.benchmark = timing.benchmark;
+        inputs.policy = lane.l2().policy().name();
+        inputs.hierarchy = lane.stats(timing.hierarchy);
+        inputs.backend.committed = timing.backend.committed;
+        inputs.backend.issued = timing.backend.issued;
+        inputs.backend.loads = timing.backend.loads;
+        inputs.backend.stores = timing.backend.stores;
+        inputs.backend.branchesResolved =
+            timing.backend.branchesResolved;
+        inputs.frontend = timing.frontend;
+        inputs.emissaryBits =
+            spec.family == replacement::PolicyFamily::EmissaryP;
+        const auto hist = lane.l2().priorityDistribution();
+        inputs.priorityDistribution.resize(hist.domain());
+        for (std::size_t i = 0; i < hist.domain(); ++i)
+            inputs.priorityDistribution[i] = hist.fraction(i);
+        chunks.push_back(std::move(inputs));
+
+        if (feed.chunks.size() == 1)
+            if (const auto *emissary =
+                    dynamic_cast<const replacement::EmissaryPolicy *>(
+                        &lane.l2().policy()))
+                same = emissary->sameRunRange();
+    }
+
+    RunTelemetry unobserved;
+    RunTelemetry &report = telemetry ? *telemetry : unobserved;
+    report.registries.assign(1, {});
+    const Metrics metrics = metricsOf(splice(chunks), feed.footprint,
+                                      report.registries.front());
+    report.wallSeconds = seconds(start, Clock::now());
+    report.warmupSeconds = warmup_seconds;
+    report.measureSeconds = measure_seconds;
+    report.statExportSeconds = 0.0;
+    report.l2SameRunRange = same;
+    report.chunks = static_cast<unsigned>(feed.chunks.size());
+    return metrics;
+}
+
+std::vector<Metrics>
+run(const RunSource &source,
+    const std::vector<replacement::PolicySpec> &l2_lanes,
+    unsigned sampled_sets, const replacement::PolicySpec &l1i,
+    const RunOptions &options, ThreadPool *pool,
+    RunTelemetry *telemetry)
+{
+    if (l2_lanes.empty())
+        throw std::invalid_argument("core::run: no L2 policies");
+    RunTelemetry unobserved;
+    RunTelemetry &report = telemetry ? *telemetry : unobserved;
+    std::shared_ptr<const MonitorFeed> feed;
+    std::vector<Metrics> metrics{
+        runPass(source, l2_lanes.front(), l1i, options, sampled_sets,
+                pool, report, l2_lanes.size() > 1 ? &feed : nullptr)};
+    for (std::size_t lane = 1; lane < l2_lanes.size(); ++lane) {
+        RunTelemetry monitor;
+        metrics.push_back(
+            replayMonitor(*feed, l2_lanes[lane], &monitor));
+        report.registries.push_back(
+            std::move(monitor.registries.front()));
+        report.wallSeconds += monitor.wallSeconds;
+        report.warmupSeconds += monitor.warmupSeconds;
+        report.measureSeconds += monitor.measureSeconds;
     }
     return metrics;
 }

@@ -281,8 +281,8 @@ struct RunTelemetry
     double predictionWaitSeconds = 0.0;
     /** The N values whose P(N) L2 would have run this run's exact
      *  path (EmissaryPolicy::sameRunRange); empty unless the timing
-     *  lane runs EMISSARY. The grid engine shares a P(N) result
-     *  across it. */
+     *  lane runs EMISSARY (for replayMonitor: unless the monitor
+     *  does). The grid engine shares a P(N) result across it. */
     replacement::ProtectRange l2SameRunRange{1, 0};
     /** Chunks the window actually ran as: 1 unless timeChunks > 1
      *  on a random-access source (and the window long enough). */
@@ -295,11 +295,12 @@ struct RunTelemetry
  * The lanes are the L2 policies of one machine, in order. Lane 0
  * runs the full Hierarchy: its Metrics are those of a one-lane run
  * of its policy, bit for bit (tests/test_fused.cpp). Every later lane
- * is a monitor (cache/lanes.hh): per-policy L2+L3 arrays fed by the
- * shared pipeline's access stream, so their cache counters match a
- * one-lane run up to the L2-latency feedback into fetch timing
- * (error quantified by bench_mode_validation). A monitor keeps no
- * clock: its Metrics are untimed (Metrics::timed), with every
+ * is a monitor (cache/lanes.hh): per-policy L2+L3 arrays that replay
+ * the below-L1 events the pass recorded (runTiming, then
+ * replayMonitor per lane), so their cache counters match a one-lane
+ * run up to the L2-latency feedback into fetch timing (error
+ * quantified by bench_mode_validation). A monitor keeps no clock:
+ * its Metrics are untimed (Metrics::timed), with every
  * clock-derived field 0. With @p sampled_sets = K > 1 (a power
  * of two) the monitors model only 1 set in every K, with counters
  * scaled back at collection (fast mode; error bounds in
@@ -351,6 +352,51 @@ run(const RunSource &source,
  * chunk_warmup_records 0.
  */
 std::string canonicalRunOptions(const RunOptions &options);
+
+/**
+ * What one fused pass leaves its monitor lanes: each time chunk's
+ * cache::MissLog, with the timing lane's counters that a monitor
+ * reports as its own lane-invariant ones. Written once by
+ * runTiming, then read by any number of concurrent replayMonitor
+ * calls; its memory goes with its last owner. Defined in
+ * core/experiment.cc.
+ */
+struct MonitorFeed;
+
+/** Events @p feed's logs hold, summed over its time chunks. */
+std::uint64_t feedEvents(const MonitorFeed &feed);
+/** Bytes @p feed's logs hold, summed over its time chunks. */
+std::uint64_t feedBytes(const MonitorFeed &feed);
+
+/**
+ * The timing lane of a fused pass on its own: run @p l2 over
+ * @p source as run() runs lane 0 of a lane list (the same Metrics,
+ * registry and telemetry, bit for bit), recording into @p feed each
+ * time chunk's below-L1 events that monitors modelling 1 set in
+ * every @p sampled_sets (0 or 1 = every set) can see, for
+ * replayMonitor.
+ */
+Metrics runTiming(const RunSource &source,
+                  const replacement::PolicySpec &l2,
+                  const replacement::PolicySpec &l1i,
+                  const RunOptions &options, unsigned sampled_sets,
+                  std::shared_ptr<const MonitorFeed> &feed,
+                  ThreadPool *pool = nullptr,
+                  RunTelemetry *telemetry = nullptr);
+
+/**
+ * One monitor lane of a fused pass: replay @p feed's logs against a
+ * fresh L2/L3 under @p l2, sampled as the feed was recorded, one time
+ * chunk after another, and splice the chunks as run() does. The
+ * Metrics equal run()'s for that lane of the same pass. @p telemetry
+ * receives the lane's registry (registries[0]), its replay seconds
+ * (wallSeconds, split at the window start into warmupSeconds and
+ * measureSeconds) and, for a one-chunk feed, the lane's
+ * l2SameRunRange.
+ */
+Metrics replayMonitor(const MonitorFeed &feed,
+                      const replacement::PolicySpec &l2,
+                      RunTelemetry *telemetry = nullptr);
 
 /** The predictor part of the machine a run under @p options builds:
  *  the key of a PredictionStream its passes may share. */

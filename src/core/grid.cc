@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cache/lanes.hh"
 #include "core/buildinfo.hh"
 #include "core/observability.hh"
 #include "core/replay_build.hh"
@@ -459,7 +458,6 @@ planGrid(const PolicyGrid &grid, const GridOptions &options)
     checkSampledSets(options.sampledSets);
     const std::size_t rows = grid.workloads.size();
     const std::size_t columns = grid.runs.size();
-    const std::size_t max_lanes = cache::PolicyLaneBank::kMaxLanes;
     GridPlan plan;
     for (const RunSpec &run : grid.runs) {
         plan.l2Specs.push_back(
@@ -485,16 +483,16 @@ planGrid(const PolicyGrid &grid, const GridOptions &options)
     plan.bufferRecords = recordsNeeded(grid);
 
     // Cache roles follow the request layout, not the miss set: with
-    // fused scheduling, the first column of every kMaxLanes chunk is
-    // the exact timing lane and the rest are monitor lanes driven by
-    // that column's policy. Hits are served before the row builds,
-    // so a fully cached row skips even its source.
+    // fused scheduling, the first column of every kFusedLaneColumns
+    // chunk is the exact timing lane and the rest are monitor lanes
+    // driven by that column's policy. Hits are served before the row
+    // builds, so a fully cached row skips even its source.
     const std::string &sha = buildInfo().gitSha;
     plan.cells.assign(rows, std::vector<CellPlan>(columns));
     for (std::size_t w = 0; w < rows; ++w) {
         for (std::size_t r = 0; r < columns; ++r) {
             CellPlan &cell = plan.cells[w][r];
-            cell.timingColumn = plan.fused ? r - r % max_lanes : r;
+            cell.timingColumn = plan.fused ? r - r % kFusedLaneColumns : r;
             if (!options.cellCache)
                 continue;
             cell.cacheCanonical = cellCacheCanonical(
@@ -549,68 +547,78 @@ planGrid(const PolicyGrid &grid, const GridOptions &options)
         }
     }
 
-    for (std::size_t w = 0; w < rows; ++w) {
-        const auto fresh = [&](std::size_t r) {
-            return !plan.cells[w][r].cached();
-        };
-        if (plan.fused) {
-            // One pass per lane chunk. The timing column drives the
-            // pass even when cached; cached monitors already hold
-            // their results.
-            for (std::size_t base = 0; base < columns; base += max_lanes) {
-                GridPass pass{w, {base}, {}};
-                for (std::size_t r = base + 1;
-                     r < std::min(columns, base + max_lanes); ++r)
-                    if (fresh(r))
-                        pass.columns.push_back(r);
-                if (pass.columns.size() > 1 || fresh(base))
-                    plan.passes.push_back(std::move(pass));
-            }
-            continue;
-        }
-        // Two P(N) columns share a group when they differ in N alone:
-        // same selector and the same run knobs (L1I policy and the
-        // EMISSARY tree flag included). Chunked columns never group.
-        // Groups form among the row's fresh cells only: a cached cell
-        // has no range to share. A group's leader is its largest N,
-        // the first column on a tie.
-        const std::vector<replacement::PolicySpec> &specs = plan.l2Specs;
+    // Two P(N) columns share a group when they differ in N alone:
+    // same selector and the same run knobs (L1I policy and the
+    // EMISSARY tree flag included). Chunked columns never group.
+    // Groups form among the columns given, fresh cells only: a cached
+    // cell has no range to share. A group's leader is its largest N,
+    // the first column on a tie. Leaders come first, and the FIFO
+    // pool starts them first: their members wait on them.
+    const std::vector<replacement::PolicySpec> &specs = plan.l2Specs;
+    const auto group = [&](std::size_t w,
+                           const std::vector<std::size_t> &candidates) {
         std::vector<GridPass> groups;
-        for (std::size_t r = 0; r < columns; ++r) {
-            if (!fresh(r) ||
-                specs[r].family != replacement::PolicyFamily::EmissaryP ||
+        for (const std::size_t r : candidates) {
+            if (specs[r].family != replacement::PolicyFamily::EmissaryP ||
                 grid.runs[r].options.timeChunks > 1)
                 continue;
-            const auto group = std::find_if(
+            const auto found = std::find_if(
                 groups.begin(), groups.end(), [&](const GridPass &g) {
                     const std::size_t lead = g.columns.front();
                     return specs[lead].selector == specs[r].selector &&
                            grid.runs[lead].options == grid.runs[r].options;
                 });
-            if (group == groups.end()) {
-                groups.push_back({w, {r}, {}});
+            if (found == groups.end()) {
+                groups.push_back({w, {r}, {}, {}});
             } else if (specs[r].protectN >
-                       specs[group->columns.front()].protectN) {
-                group->members.push_back(group->columns.front());
-                group->columns.front() = r;
+                       specs[found->columns.front()].protectN) {
+                found->members.push_back(found->columns.front());
+                found->columns.front() = r;
             } else {
-                group->members.push_back(r);
+                found->members.push_back(r);
             }
         }
-        // Leaders go before the row's other cells, and the FIFO pool
-        // starts them first: their members wait on them.
+        std::vector<GridPass> passes;
         std::vector<char> grouped(columns, 0);
-        for (GridPass &group : groups) {
-            if (group.members.empty())
+        for (GridPass &g : groups) {
+            if (g.members.empty())
                 continue;
-            grouped[group.columns.front()] = 1;
-            for (const std::size_t r : group.members)
+            grouped[g.columns.front()] = 1;
+            for (const std::size_t r : g.members)
                 grouped[r] = 1;
-            plan.passes.push_back(std::move(group));
+            passes.push_back(std::move(g));
         }
+        for (const std::size_t r : candidates)
+            if (!grouped[r])
+                passes.push_back({w, {r}, {}, {}});
+        return passes;
+    };
+
+    for (std::size_t w = 0; w < rows; ++w) {
+        std::vector<std::size_t> fresh;
         for (std::size_t r = 0; r < columns; ++r)
-            if (fresh(r) && !grouped[r])
-                plan.passes.push_back({w, {r}, {}});
+            if (!plan.cells[w][r].cached())
+                fresh.push_back(r);
+        if (!plan.fused) {
+            for (GridPass &pass : group(w, fresh))
+                plan.passes.push_back(std::move(pass));
+            continue;
+        }
+        // One timing pass per lane chunk, driven by its first column
+        // even when that is cached; cached monitors already hold
+        // their results, and the fresh ones replay the pass's log.
+        for (std::size_t base = 0; base < columns;
+             base += kFusedLaneColumns) {
+            GridPass pass{w, {base}, {}, {}};
+            for (const std::size_t r : fresh)
+                if (r > base && r < base + kFusedLaneColumns)
+                    pass.columns.push_back(r);
+            pass.monitors = group(
+                w, std::vector<std::size_t>(pass.columns.begin() + 1,
+                                            pass.columns.end()));
+            if (pass.columns.size() > 1 || !plan.cells[w][base].cached())
+                plan.passes.push_back(std::move(pass));
+        }
     }
 
     // A replay row predicts its block outcomes once when two or more
@@ -854,97 +862,101 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         });
     }
 
-    // The one job body: simulate @p columns of row w in one pass
-    // (GridPass::columns). Fills each column's slot except a
-    // cached timing column, which drives the pass but keeps its
-    // cached result: monitor results depend on the timing lane's
-    // policy through the shared pipeline, and the cache keyed them
-    // under that policy. Returns the timing lane's same-path N range
-    // (empty unless its L2 runs EMISSARY).
-    const auto run_columns = [&](std::size_t w,
-                                 const std::vector<std::size_t>
-                                     &columns) {
+    // A fresh cell's result lands in its slot (and the cell cache);
+    // every job writes only its own slots, so no locking, and
+    // completion order cannot reorder or perturb the results.
+    const auto fill_cell = [&](std::size_t w, std::size_t r, Metrics m,
+                               stats::Registry &registry,
+                               CellExecution execution, double seconds,
+                               const GridTiming::CellPhases &phases) {
+        // The grid row's name wins over the source's
+        // self-description.
+        m.benchmark = grid.workloads[w].name;
+        if (options.cellCache) {
+            CellCacheEntry entry;
+            entry.metrics = m;
+            entry.counters = registryJson(registry);
+            options.cellCache->store(plan.cells[w][r].cacheKey,
+                                     plan.cells[w][r].cacheCanonical,
+                                     entry);
+        }
+        const std::uint64_t instructions = m.instructions;
+        results.cells_[w][r] = std::move(m);
+        if (collect)
+            results.registries_[w][r] = std::move(registry);
+        results.timing_.runSeconds[w][r] = seconds;
+        results.timing_.phaseSeconds[w][r] = phases;
+        results.execution_[w][r] = execution;
+        return instructions;
+    };
+
+    // The one pass body: simulate column @p lead of row w, the timing
+    // lane of a fused pass or a cell of its own. Fills the column's
+    // slot unless it is a cached timing column, which drives the
+    // pass but keeps its cached result: monitor results depend on the
+    // timing lane's policy through the shared pipeline, and the cache
+    // keyed them under that policy. With @p record the pass also
+    // records the feed its monitor lanes replay. Returns the run's
+    // same-path N range (empty unless its L2 runs EMISSARY).
+    const auto run_pass = [&](std::size_t w, std::size_t lead,
+                              std::size_t lanes, bool record,
+                              std::shared_ptr<const MonitorFeed> &feed) {
         // Rethrows the row build's error, which fails this cell.
         source_ready[w].get();
         const auto pass_start = std::chrono::steady_clock::now();
         label_track();
-        // Each pass owns its stream, simulator and seeded RNGs; it
-        // writes only its own result slots, so no locking — and
-        // completion order cannot reorder or perturb the results.
         const GridWorkload &row = grid.workloads[w];
-        const std::size_t lead = columns.front();
         stats::ScopedTimer span(recorder, plan.fused ? "group" : "cell");
-        std::vector<replacement::PolicySpec> lanes;
-        for (const std::size_t r : columns)
-            lanes.push_back(plan.l2Specs[r]);
         RunTelemetry telemetry;
         telemetry.spans = recorder;
-        std::vector<Metrics> metrics =
-            run(*sources[w], lanes, plan.sampledSets, plan.l1iSpecs[lead],
-                grid.runs[lead].options, &pool, &telemetry);
-
-        std::vector<std::size_t> filled;
-        for (std::size_t lane = 0; lane < columns.size(); ++lane)
-            if (lane > 0 || !plan.cells[w][lead].cached())
-                filled.push_back(lane);
-        // One pass produced every filled cell: wall and phase time
-        // split evenly over them so row and phase totals still sum
-        // to real wall clock.
+        Metrics metrics =
+            record ? runTiming(*sources[w], plan.l2Specs[lead],
+                               plan.l1iSpecs[lead],
+                               grid.runs[lead].options, plan.sampledSets,
+                               feed, &pool, &telemetry)
+                   : run(*sources[w], {plan.l2Specs[lead]}, 0,
+                         plan.l1iSpecs[lead], grid.runs[lead].options,
+                         &pool, &telemetry)
+                         .front();
         const double pass_seconds = secondsSince(pass_start);
-        const double denom = static_cast<double>(filled.size());
-        const GridTiming::CellPhases phase_share = {
-            telemetry.warmupSeconds / denom,
-            telemetry.measureSeconds / denom,
-            telemetry.statExportSeconds / denom};
-        std::uint64_t pass_instructions = 0;
-        for (const std::size_t lane : filled) {
-            const std::size_t r = columns[lane];
-            Metrics &m = metrics[lane];
-            // The grid row's name wins over the source's
-            // self-description.
-            m.benchmark = row.name;
-            pass_instructions += m.instructions;
-            if (options.cellCache) {
-                CellCacheEntry entry;
-                entry.metrics = m;
-                entry.counters = registryJson(telemetry.registries[lane]);
-                options.cellCache->store(plan.cells[w][r].cacheKey,
-                                         plan.cells[w][r].cacheCanonical,
-                                         entry);
-            }
-            results.cells_[w][r] = std::move(m);
-            if (collect)
-                results.registries_[w][r] =
-                    std::move(telemetry.registries[lane]);
-            results.timing_.runSeconds[w][r] = pass_seconds / denom;
-            results.timing_.phaseSeconds[w][r] = phase_share;
+        if (feed && span.active()) {
+            std::vector<std::pair<std::string, stats::JsonValue>> args;
+            args.emplace_back("events", stats::JsonValue(feedEvents(*feed)));
+            args.emplace_back("bytes", stats::JsonValue(feedBytes(*feed)));
+            recorder->recordSpan(
+                "miss_log", recorder->toNs(pass_start),
+                recorder->toNs(std::chrono::steady_clock::now()),
+                std::move(args));
+        }
+        const bool fresh = !plan.cells[w][lead].cached();
+        std::uint64_t instructions = 0;
+        if (fresh)
             // A chunked timing lane is a splice, not an exact run —
             // its provenance must say so.
-            results.execution_[w][r] =
-                lane > 0 ? (plan.sampledSets > 1
-                                ? CellExecution::FusedMonitorSampled
-                                : CellExecution::FusedMonitor)
-                : telemetry.chunks > 1 ? CellExecution::TimeParallel
-                : plan.fused           ? CellExecution::FusedTiming
-                                       : CellExecution::Sequential;
-        }
+            instructions = fill_cell(
+                w, lead, std::move(metrics), telemetry.registries.front(),
+                telemetry.chunks > 1 ? CellExecution::TimeParallel
+                : plan.fused         ? CellExecution::FusedTiming
+                                     : CellExecution::Sequential,
+                pass_seconds,
+                {telemetry.warmupSeconds, telemetry.measureSeconds,
+                 telemetry.statExportSeconds});
         if (span.active()) {
             span.arg("workload", stats::JsonValue(row.name));
             if (plan.fused)
-                span.arg("lanes",
-                         stats::JsonValue(static_cast<std::uint64_t>(
-                             columns.size())));
+                span.arg("lanes", stats::JsonValue(
+                                      static_cast<std::uint64_t>(lanes)));
             span.arg("policy", stats::JsonValue(grid.runs[lead].l2Policy));
             // Grid-cell index: policy labels repeat across rows (and
             // group slices cover several cells), so slices stay
             // distinguishable.
             span.arg("cell", stats::JsonValue(static_cast<std::uint64_t>(
                                  w * grid.runs.size() + lead)));
-            span.arg("instructions", stats::JsonValue(pass_instructions));
+            span.arg("instructions", stats::JsonValue(instructions));
             span.arg("minst_per_sec",
                      stats::JsonValue(
                          pass_seconds > 0.0
-                             ? static_cast<double>(pass_instructions) /
+                             ? static_cast<double>(instructions) /
                                    pass_seconds / 1e6
                              : 0.0));
             span.arg("replay_wait_ms",
@@ -953,44 +965,70 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                      stats::JsonValue(1e3 *
                                       telemetry.predictionWaitSeconds));
         }
-        for (const std::size_t lane : filled)
-            note_cell_done(w, columns[lane],
-                           results.cells_[w][columns[lane]].instructions);
+        if (fresh)
+            note_cell_done(w, lead, instructions);
+        return telemetry.l2SameRunRange;
+    };
+
+    // One monitor lane: replay @p feed under column r's policy.
+    const CellExecution monitor_execution =
+        plan.sampledSets > 1 ? CellExecution::FusedMonitorSampled
+                             : CellExecution::FusedMonitor;
+    const auto run_lane = [&](std::size_t w, std::size_t r,
+                              const MonitorFeed &feed) {
+        label_track();
+        stats::ScopedTimer span(recorder, "lane");
+        RunTelemetry telemetry;
+        Metrics metrics =
+            replayMonitor(feed, plan.l2Specs[r], &telemetry);
+        const std::uint64_t instructions = fill_cell(
+            w, r, std::move(metrics), telemetry.registries.front(),
+            monitor_execution,
+            telemetry.wallSeconds,
+            {telemetry.warmupSeconds, telemetry.measureSeconds, 0.0});
+        if (span.active()) {
+            span.arg("workload", stats::JsonValue(grid.workloads[w].name));
+            span.arg("policy", stats::JsonValue(grid.runs[r].l2Policy));
+            span.arg("cell", stats::JsonValue(static_cast<std::uint64_t>(
+                                 w * grid.runs.size() + r)));
+            span.arg("events", stats::JsonValue(feedEvents(feed)));
+        }
+        note_cell_done(w, r, instructions);
         return telemetry.l2SameRunRange;
     };
 
     // A group member inside its leader's range: the leader's run is
     // this cell's run, bit for bit, so only the policy name differs.
-    // Runs in the leader's job, right after the leader's pass.
+    // Runs in the leader's job, right after the leader's pass. An
+    // exact member is marked shared; a monitor lane (@p feed set)
+    // keeps its fused tag, and only its "lane" slice names the
+    // leader.
     const auto share_cell = [&](std::size_t w, std::size_t r,
-                                std::size_t leader) {
-        stats::ScopedTimer span(recorder, "cell");
+                                std::size_t leader,
+                                const MonitorFeed *feed) {
+        stats::ScopedTimer span(recorder, feed ? "lane" : "cell");
         Metrics metrics = results.cells_[w][leader];
         metrics.policy = plan.l2Specs[r].toString();
-        if (collect)
-            results.registries_[w][r] = results.registries_[w][leader];
-        if (options.cellCache) {
-            CellCacheEntry entry;
-            entry.metrics = metrics;
-            entry.counters = registryJson(results.registries_[w][r]);
-            options.cellCache->store(plan.cells[w][r].cacheKey,
-                                     plan.cells[w][r].cacheCanonical,
-                                     entry);
-        }
-        const std::uint64_t instructions = metrics.instructions;
-        results.cells_[w][r] = std::move(metrics);
-        results.execution_[w][r] = CellExecution::Shared;
-        results.sharedWith_[w][r] = leader;
+        stats::Registry registry = results.registries_[w][leader];
+        const std::uint64_t instructions = fill_cell(
+            w, r, std::move(metrics), registry,
+            feed ? monitor_execution : CellExecution::Shared, 0.0, {});
+        if (!feed)
+            results.sharedWith_[w][r] = leader;
         if (span.active()) {
             span.arg("workload",
                      stats::JsonValue(grid.workloads[w].name));
             span.arg("policy", stats::JsonValue(grid.runs[r].l2Policy));
             span.arg("cell", stats::JsonValue(static_cast<std::uint64_t>(
                                  w * grid.runs.size() + r)));
-            span.arg("instructions", stats::JsonValue(instructions));
-            span.arg("minst_per_sec", stats::JsonValue(0.0));
-            span.arg("replay_wait_ms", stats::JsonValue(0.0));
-            span.arg("prediction_wait_ms", stats::JsonValue(0.0));
+            if (feed) {
+                span.arg("events", stats::JsonValue(feedEvents(*feed)));
+            } else {
+                span.arg("instructions", stats::JsonValue(instructions));
+                span.arg("minst_per_sec", stats::JsonValue(0.0));
+                span.arg("replay_wait_ms", stats::JsonValue(0.0));
+                span.arg("prediction_wait_ms", stats::JsonValue(0.0));
+            }
             span.arg("shared_with",
                      stats::JsonValue(grid.runs[leader].l2Policy));
         }
@@ -998,21 +1036,45 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     };
 
     // The one submission loop: every pass in plan order. The only
-    // decision left to a running job is a P(N) member's: inside the
+    // decisions left to running jobs are a P(N) member's: inside the
     // leader's same-path range it shares the leader's result,
-    // otherwise it re-runs as a single cell queued behind the jobs
-    // already submitted.
+    // otherwise it re-runs (or replays) on its own, queued behind the
+    // jobs already submitted. A fused pass queues its monitor lanes
+    // when it ends; each lane job holds the pass's feed, which goes
+    // when the last of them ends.
     for (const GridPass &planned : plan.passes) {
         submit(true, [&, pass = &planned]() {
+            const std::size_t w = pass->row;
+            const std::size_t lead = pass->columns.front();
+            std::shared_ptr<const MonitorFeed> feed;
             const replacement::ProtectRange same =
-                run_columns(pass->row, pass->columns);
+                run_pass(w, lead, pass->columns.size(),
+                         !pass->monitors.empty(), feed);
             for (const std::size_t r : pass->members) {
                 if (same.contains(plan.l2Specs[r].protectN))
-                    share_cell(pass->row, r, pass->columns.front());
+                    share_cell(w, r, lead, nullptr);
                 else
-                    submit(true, [&, w = pass->row, r]() {
-                        run_columns(w, {r});
+                    submit(true, [&, w, r]() {
+                        std::shared_ptr<const MonitorFeed> none;
+                        run_pass(w, r, 1, false, none);
                     });
+            }
+            for (const GridPass &lanes : pass->monitors) {
+                submit(true, [&, w, lanes = &lanes, feed]() mutable {
+                    const std::size_t leader = lanes->columns.front();
+                    const replacement::ProtectRange lane_same =
+                        run_lane(w, leader, *feed);
+                    for (const std::size_t r : lanes->members) {
+                        if (lane_same.contains(plan.l2Specs[r].protectN))
+                            share_cell(w, r, leader, feed.get());
+                        else
+                            submit(true, [&, w, r, feed]() mutable {
+                                run_lane(w, r, *feed);
+                                feed.reset();
+                            });
+                    }
+                    feed.reset();
+                });
             }
         });
     }

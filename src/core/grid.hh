@@ -34,6 +34,14 @@
  * replacement::EmissaryPolicy::sameRunRange takes the leader's exact
  * result (CellExecution::Shared), the others run as ordinary cells.
  * That share-or-rerun is the one decision made while jobs run.
+ *
+ * A fused lane chunk runs its timing lane as one pass that records
+ * the below-L1 events (core::runTiming); when the pass ends, each of
+ * its monitor lanes becomes its own job replaying that log
+ * (core::replayMonitor). The monitor columns are grouped the same
+ * way: a P(N) member lane whose N lies in its leader lane's range
+ * takes the leader lane's result, which is its own replay bit for
+ * bit, and keeps its fused_monitor tag.
  */
 
 #ifndef EMISSARY_CORE_GRID_HH
@@ -226,13 +234,20 @@ std::string cellCacheKey(const std::string &canonical);
  */
 void checkSampledSets(unsigned factor);
 
+/**
+ * Columns per fused lane chunk: the first column of every chunk is
+ * its timing lane, whose policy drives the chunk's monitor lanes and
+ * so is part of their results and cache keys.
+ */
+inline constexpr std::size_t kFusedLaneColumns = 32;
+
 /** Scheduling knobs for one runGrid call. */
 struct GridOptions
 {
-    /** Fused scheduling: a row runs as one trace pass per
-     *  PolicyLaneBank::kMaxLanes columns (core::run over several L2
-     *  lanes), each chunk's first column its timing lane and the rest
-     *  monitor lanes. Columns that differ in any run knob make the
+    /** Fused scheduling: a row runs as one timing pass per
+     *  kFusedLaneColumns columns, each chunk's first column its
+     *  timing lane and the rest monitor lanes replayed from the
+     *  pass's miss log. Columns that differ in any run knob make the
      *  whole grid fall back to per-cell scheduling (GridPlan). */
     bool fused = false;
     /** Fast mode: 1-in-K set sampling for the monitor lanes of
@@ -301,6 +316,11 @@ struct GridPass
     /** P(N) members: each takes columns[0]'s result when its N lies
      *  in that run's same-path range, else re-runs on its own. */
     std::vector<std::size_t> members;
+    /** A fused pass's monitor lanes, columns[1..] grouped as exact
+     *  cells are: each entry is one lane job, submitted when the
+     *  timing pass ends, that replays its columns[0] and shares or
+     *  replays its members. Empty for every other pass. */
+    std::vector<GridPass> monitors;
 };
 
 /** One cell's cache role, identity and hit. */
@@ -486,12 +506,16 @@ class GridResults
 /**
  * Run every cell of @p grid on @p pool: plan it (planGrid), serve the
  * cache hits, start the row builds, then submit every pass in plan
- * order. A fused lane chunk is one "group" slice in the flight
- * recorder (with a "lanes" arg); its timing lane is bit-identical to
- * the sequential engine, and its monitor lanes are untimed
- * (Metrics::timed). A chunked column runs time-parallel only on a
- * row whose source has random access; on a Live row it runs as one
- * exact pass, marked sequential.
+ * order. A fused lane chunk's timing pass is one "group" slice in
+ * the flight recorder (with a "lanes" arg) holding a "miss_log" slice
+ * (args: events, bytes), and each fresh monitor cell one "lane" slice
+ * (args: workload, policy, cell, events, and shared_with for a P(N)
+ * member lane that took its leader lane's result); its timing lane
+ * is bit-identical to the sequential engine, and its monitor lanes
+ * are untimed (Metrics::timed). A monitor cell's wall seconds are
+ * its own replay's (0 when shared). A chunked column runs
+ * time-parallel only on a row whose source has random access; on a
+ * Live row it runs as one exact pass, marked sequential.
  *
  * @param progress Optional callback fired after each cell completes;
  *        invocations are serialized by the engine, so the callback

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cache/lanes.hh"
+#include "cache/miss_log.hh"
 #include "core/observability.hh"
 
 namespace emissary::core
@@ -167,8 +167,8 @@ Simulator::resetWindowStats()
     hierarchy_.stats().reset();
     backend_.stats().reset();
     frontend_.stats().reset();
-    if (cache::PolicyLaneBank *lanes = hierarchy_.lanes())
-        lanes->resetStats();
+    if (cache::MissLog *log = hierarchy_.missLog())
+        log->mark(cache::MissLog::Kind::WindowStart);
 }
 
 Metrics
@@ -238,37 +238,6 @@ Simulator::collect() const
         replacement::PolicyFamily::EmissaryP;
 
     const auto hist = hierarchy_.l2().priorityDistribution();
-    inputs.priorityDistribution.resize(hist.domain());
-    for (std::size_t i = 0; i < hist.domain(); ++i)
-        inputs.priorityDistribution[i] = hist.fraction(i);
-    return inputs;
-}
-
-MetricsInputs
-Simulator::collectLane(unsigned lane) const
-{
-    const cache::PolicyLaneBank *lanes = hierarchy_.lanes();
-    if (!lanes || lane >= lanes->laneCount())
-        throw std::invalid_argument("collectLane: no such lane");
-
-    MetricsInputs inputs;
-    inputs.benchmark = source_.name();
-    inputs.policy = lanes->l2(lane).policy().name();
-    inputs.hierarchy = lanes->laneStats(lane, hierarchy_.stats());
-    // The shared stream's events are the lane's too; its cycles are
-    // the timing lane's, so every cycle counter stays 0.
-    const backend::BackendStats &shared = backend_.stats();
-    inputs.backend.committed = shared.committed;
-    inputs.backend.issued = shared.issued;
-    inputs.backend.loads = shared.loads;
-    inputs.backend.stores = shared.stores;
-    inputs.backend.branchesResolved = shared.branchesResolved;
-    inputs.frontend = frontend_.stats();
-    inputs.emissaryBits =
-        lanes->spec(lane).family ==
-        replacement::PolicyFamily::EmissaryP;
-
-    const auto hist = lanes->l2(lane).priorityDistribution();
     inputs.priorityDistribution.resize(hist.domain());
     for (std::size_t i = 0; i < hist.domain(); ++i)
         inputs.priorityDistribution[i] = hist.fraction(i);

@@ -122,15 +122,6 @@ class Simulator
      *  run() composes). Valid after run(). */
     MetricsInputs collect() const;
 
-    /**
-     * Raw inputs of one monitor lane of the attached PolicyLaneBank
-     * (fused multi-policy pass): the lane's own L2/L3 counters and
-     * the shared pipeline's event counters, with every cycle
-     * counter 0, since a monitor lane keeps no clock. Valid after
-     * run(); requires a bank attached via hierarchy().setLanes().
-     */
-    MetricsInputs collectLane(unsigned lane) const;
-
     cache::Hierarchy &hierarchy() { return hierarchy_; }
     frontend::FrontEnd &frontEnd() { return frontend_; }
     backend::Backend &backend() { return backend_; }

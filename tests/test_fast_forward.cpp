@@ -11,7 +11,8 @@
  * counter (including those Metrics never shows: re-steer-empty
  * cycles, starvation notes, starvation cycles by fill source), on
  * the sampler snapshots, byte for byte on the JSONL event trace, and
- * on the MetricsInputs of every lane of a fused group.
+ * on what every monitor lane of a fused group counts when it replays
+ * the pass's miss log.
  */
 
 #include <gtest/gtest.h>
@@ -116,8 +117,8 @@ steppedRun(Simulator &sim, const Simulator::Config &config,
     sim.hierarchy().stats().reset();
     sim.backend().stats().reset();
     sim.frontEnd().stats().reset();
-    if (cache::PolicyLaneBank *lanes = sim.hierarchy().lanes())
-        lanes->resetStats();
+    if (cache::MissLog *log = sim.hierarchy().missLog())
+        log->mark(cache::MissLog::Kind::WindowStart);
 
     std::uint64_t last_reset = 0;
     while (sim.committed() < config.measureInstructions) {
@@ -166,13 +167,7 @@ runCase(const Case &c,
         bool stepped)
 {
     const Simulator::Config config = simConfig(c);
-    std::vector<replacement::PolicySpec> specs;
-    for (const std::string &policy : c.monitors)
-        specs.push_back(replacement::PolicySpec::parse(policy));
-    std::unique_ptr<cache::PolicyLaneBank> bank;
-    if (!specs.empty())
-        bank = std::make_unique<cache::PolicyLaneBank>(
-            config.machine.hierarchy, specs, c.sampledSets);
+    cache::MissLog log(c.sampledSets);
 
     const std::string trace_path =
         (std::filesystem::path(::testing::TempDir()) /
@@ -180,8 +175,8 @@ runCase(const Case &c,
             .string();
     trace::ReplayCursor cursor(buffer);
     Simulator sim(config, cursor);
-    if (bank)
-        sim.hierarchy().setLanes(bank.get());
+    if (!c.monitors.empty())
+        sim.hierarchy().setMissLog(&log);
 
     Outcome outcome;
     stats::Sampler sampler(config.sampleInterval);
@@ -209,8 +204,19 @@ runCase(const Case &c,
     outcome.samples =
         (stepped ? sampler : sim.sampler()).toJson().dump(0);
     outcome.lanes.push_back(describe(sim.collect()));
-    for (unsigned lane = 0; lane < specs.size(); ++lane)
-        outcome.lanes.push_back(describe(sim.collectLane(lane)));
+    for (const std::string &policy : c.monitors) {
+        cache::MonitorLane lane(config.machine.hierarchy,
+                                replacement::PolicySpec::parse(policy),
+                                c.sampledSets);
+        lane.replay(log);
+        MetricsInputs inputs;
+        inputs.policy = lane.l2().policy().name();
+        inputs.hierarchy = lane.stats(sim.hierarchy().stats());
+        const auto hist = lane.l2().priorityDistribution();
+        for (std::size_t i = 0; i < hist.domain(); ++i)
+            inputs.priorityDistribution.push_back(hist.fraction(i));
+        outcome.lanes.push_back(describe(inputs));
+    }
     return outcome;
 }
 

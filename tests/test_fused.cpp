@@ -18,7 +18,13 @@
  *    docs/performance.md), and monitor lanes are untimed: every
  *    clock-derived field reads 0;
  *  - sampled-set monitors (fast mode) stay within a scaled-error
- *    envelope of their full-fidelity selves.
+ *    envelope of their full-fidelity selves;
+ *  - a monitor lane under the timing lane's own policy counts every
+ *    cache event the timing lane counts, under every knob that
+ *    reaches the L2/L3: its copies of the timing lane's L1s are
+ *    exact;
+ *  - a sampled lane counts the same from the log recorded for its
+ *    sampling factor as from the log of every event.
  */
 
 #include <gtest/gtest.h>
@@ -26,10 +32,15 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cache/lanes.hh"
+#include "core/config.hh"
 #include "core/experiment.hh"
 #include "core/grid.hh"
+#include "core/observability.hh"
+#include "core/simulator.hh"
 #include "core/threadpool.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
@@ -175,6 +186,92 @@ TEST(FusedRun, TimingLaneBitIdenticalToSequential)
     }
 }
 
+/** Lane 1 of core::run over {P, P} must count what lane 0 counts:
+ *  every registry key but the clock-derived starve.* and backend.*
+ *  (31 keys), and the priority distribution. Returns dram.writes. */
+double
+expectLaneOfTheTimingPolicy(
+    const std::shared_ptr<const trace::RecordBuffer> &buffer,
+    const std::string &policy, const RunOptions &options)
+{
+    const auto l1i = replacement::PolicySpec::parse(options.l1iPolicy);
+    const auto spec = replacement::PolicySpec::parse(policy);
+    core::RunTelemetry report;
+    const std::vector<Metrics> lanes =
+        core::run(buffer, {spec, spec}, 0, l1i, options, nullptr, &report);
+    const stats::Registry &timing = report.registries.at(0);
+    const stats::Registry &monitor = report.registries.at(1);
+    EXPECT_EQ(timing.names(), monitor.names());
+    std::size_t compared = 0;
+    for (const std::string &name : timing.names()) {
+        if (name.rfind("starve.", 0) == 0 || name.rfind("backend.", 0) == 0)
+            continue;
+        ++compared;
+        EXPECT_EQ(timing.value(name), monitor.value(name)) << name;
+    }
+    EXPECT_EQ(compared, 31u);
+    EXPECT_EQ(lanes.at(0).priorityDistribution,
+              lanes.at(1).priorityDistribution);
+    return timing.value("dram.writes");
+}
+
+TEST(FusedRun, LaneOfTheTimingPolicyReproducesTheTimingLane)
+{
+    // A monitor lane running the timing lane's own policy sees the
+    // stream that policy produced, so every cache counter it keeps
+    // must equal the timing lane's: the L1I priority shadows, the
+    // L1D dirty fold, the exclusive L3 and every knob that reaches
+    // the L2/L3 included. Only the clock-derived counters (starve.*
+    // and backend.*) are the timing lane's alone.
+    const std::vector<std::string> policies = {
+        "TPLRU", "LRU", "DRRIP", "PDP", "M:S&E", "P(8):S&E",
+        "P(8):S&E&R(1/32)"};
+    std::vector<std::pair<std::string, RunOptions>> knobs;
+    // Long enough for the L2 to evict.
+    RunOptions base;
+    base.warmupInstructions = 100'000;
+    base.measureInstructions = 300'000;
+    knobs.emplace_back("defaults", base);
+    knobs.emplace_back("bypass", base);
+    knobs.back().second.bypassLowPriorityInst = true;
+    knobs.emplace_back("reset", base);
+    knobs.back().second.priorityResetInstructions = 20'000;
+    knobs.emplace_back("l1i", base);
+    knobs.back().second.l1iPolicy = "P(2):S&E";
+    knobs.emplace_back("no-nlp", base);
+    knobs.back().second.nextLinePrefetch = false;
+    knobs.emplace_back("no-fdip", base);
+    knobs.back().second.fdip = false;
+    knobs.emplace_back("ideal-l2i", base);
+    knobs.back().second.idealL2Inst = true;
+    knobs.emplace_back("true-lru", base);
+    knobs.back().second.emissaryTreePlru = false;
+
+    for (const char *workload : {"tomcat", "verilator"}) {
+        SCOPED_TRACE(workload);
+        const auto buffer = packWorkload(workload, base);
+        for (const auto &[knob, options] : knobs) {
+            SCOPED_TRACE(knob);
+            for (const std::string &policy : policies) {
+                SCOPED_TRACE(policy);
+                expectLaneOfTheTimingPolicy(buffer, policy, options);
+            }
+        }
+    }
+
+    // Dirty lines leave the L3 only in a longer window: there the
+    // lane's copy of the L1D dirty lines decides dram.writes.
+    RunOptions long_window;
+    long_window.warmupInstructions = 1'000'000;
+    long_window.measureInstructions = 4'000'000;
+    const auto kafka = packWorkload("kafka", long_window);
+    for (const char *policy : {"TPLRU", "P(8):S&E"}) {
+        SCOPED_TRACE(std::string("kafka long ") + policy);
+        EXPECT_GT(expectLaneOfTheTimingPolicy(kafka, policy, long_window),
+                  0.0);
+    }
+}
+
 TEST(FusedRun, SingleLaneGroupMatchesSequential)
 {
     // A one-lane pass over the shared buffer is the sequential
@@ -217,7 +314,8 @@ TEST(FusedRun, MonitorLanesInvariantToGroupComposition)
     const std::vector<Metrics> many =
         core::run(buffer, large, 0, l1i, options);
     expectMetricsIdentical(few.at(1), many.at(3));
-    // And the shared timing lane is oblivious to the bank's width.
+    // And the shared timing lane is oblivious to how many lanes
+    // replay its log.
     expectMetricsIdentical(few.at(0), many.at(0));
 }
 
@@ -296,6 +394,70 @@ TEST(FusedRun, SampledMonitorStaysNearFullMonitor)
     }
 }
 
+TEST(FusedRun, SampledLogHoldsWhatASampledLaneReads)
+{
+    // A log recorded for 1-in-K monitors keeps only the events of the
+    // sampled residue's lines and the fills that displace one. A
+    // sampled lane must count the same from it as from the log of
+    // every event, under the knobs that add events of their own.
+    const RunOptions window = smallWindow();
+    std::vector<std::pair<std::string, core::MachineOptions>> knobs(3);
+    knobs[0].first = "defaults";
+    knobs[1].first = "reset + EMISSARY L1I";
+    knobs[1].second.l1iPolicy = "P(2):S&E";
+    knobs[2].first = "bypass";
+    knobs[2].second.bypassLowPriorityInst = true;
+    knobs[2].second.l2Policy = "P(8):S&E";
+    for (const char *workload : {"tomcat", "kafka"}) {
+        SCOPED_TRACE(workload);
+        const auto buffer = packWorkload(workload, window);
+        for (const auto &[knob, machine] : knobs) {
+            SCOPED_TRACE(knob);
+            core::Simulator::Config config;
+            config.machine = core::alderlakeConfig(machine);
+            config.warmupInstructions = window.warmupInstructions;
+            config.measureInstructions = window.measureInstructions;
+            if (knob == "reset + EMISSARY L1I")
+                config.priorityResetInstructions = 20'000;
+            for (const unsigned k : {8u, 16u}) {
+                SCOPED_TRACE("1-in-" + std::to_string(k));
+                cache::MissLog full;
+                cache::MissLog sampled(k);
+                cache::HierarchyStats shared;
+                for (cache::MissLog *log : {&full, &sampled}) {
+                    trace::ReplayCursor cursor(buffer);
+                    core::Simulator sim(config, cursor);
+                    sim.hierarchy().setMissLog(log);
+                    sim.run();
+                    shared = sim.hierarchy().stats();
+                }
+                EXPECT_LT(sampled.bytes() * 3, full.bytes());
+                for (const char *policy :
+                     {"TPLRU", "LRU", "DRRIP", "M:S&E", "P(8):S&E"}) {
+                    SCOPED_TRACE(policy);
+                    const auto spec = replacement::PolicySpec::parse(policy);
+                    std::vector<std::string> counts;
+                    for (const cache::MissLog *log : {&full, &sampled}) {
+                        cache::MonitorLane lane(config.machine.hierarchy,
+                                                spec, k);
+                        lane.replay(*log);
+                        stats::Registry registry;
+                        core::populateRegistry(registry, lane.stats(shared),
+                                               {}, {});
+                        std::string text =
+                            core::registryJson(registry).dump(0);
+                        const auto hist = lane.l2().priorityDistribution();
+                        for (std::size_t i = 0; i < hist.domain(); ++i)
+                            text += " " + std::to_string(hist.fraction(i));
+                        counts.push_back(std::move(text));
+                    }
+                    EXPECT_EQ(counts[0], counts[1]);
+                }
+            }
+        }
+    }
+}
+
 TEST(FusedGrid, MatchesSequentialTimingAndIsWorkerCountInvariant)
 {
     const RunOptions options = smallWindow();
@@ -347,8 +509,9 @@ TEST(FusedGrid, MatchesSequentialTimingAndIsWorkerCountInvariant)
 
 TEST(FusedGrid, ChunkedFusedRowsAreDeterministicAndTagged)
 {
-    // A fused row whose runs ask for time chunking runs the whole
-    // lane bank chunk-wise (core::run over a chunked window): the
+    // A fused row whose runs ask for time chunking records one log
+    // per time chunk, and each monitor replays them all (core::run
+    // over a chunked window): the
     // timing lane is tagged as the time-parallel approximation, the
     // monitors keep their fused tags, and — like every chunked
     // splice — no cell may move with the grid's worker count.

@@ -5,7 +5,7 @@
  *
  *  - fusion needs every column's RunOptions equal; otherwise the
  *    grid falls back and P(N) groups form;
- *  - a fused row wider than PolicyLaneBank::kMaxLanes splits into
+ *  - a fused row wider than core::kFusedLaneColumns splits into
  *    lane chunks, each with its own timing column;
  *  - P(N) leaders and pass order in a Fig. 5-shaped row;
  *  - cache roles, keys and hits, and the passes they leave;
@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/lanes.hh"
 #include "core/buildinfo.hh"
 #include "core/grid.hh"
 #include "core/threadpool.hh"
@@ -131,7 +130,7 @@ TEST(GridPlan, MixedRunKnobsFallBackAndFormPnGroups)
 
 TEST(GridPlan, WideFusedRowSplitsIntoLaneChunks)
 {
-    const std::size_t lanes = cache::PolicyLaneBank::kMaxLanes;
+    const std::size_t lanes = core::kFusedLaneColumns;
     std::vector<std::string> policies;
     for (std::size_t r = 0; r < lanes + 8; ++r)
         policies.push_back(r % 2 ? "LRU" : "TPLRU");
@@ -164,15 +163,55 @@ TEST(GridPlan, Fig5RowRunsLeadersFirstThenItsOtherCells)
     // Per row: P(14):S&E leads P(2/6/10):S&E, P(14):S&E&R(1/32)
     // leads its selection's P(2/6/10), then the five non-P(N) cells.
     const std::vector<GridPass> row = {
-        {0, {11}, {5, 7, 9}}, {0, {12}, {6, 8, 10}}, {0, {0}, {}},
-        {0, {1}, {}},         {0, {2}, {}},          {0, {3}, {}},
-        {0, {4}, {}}};
+        {0, {11}, {5, 7, 9}, {}}, {0, {12}, {6, 8, 10}, {}},
+        {0, {0}, {}, {}},         {0, {1}, {}, {}},
+        {0, {2}, {}, {}},         {0, {3}, {}, {}},
+        {0, {4}, {}, {}}};
     ASSERT_EQ(plan.passes.size(), 2 * row.size());
     for (std::size_t i = 0; i < plan.passes.size(); ++i) {
         const GridPass &want = row[i % row.size()];
         EXPECT_EQ(plan.passes[i].row, i / row.size());
         EXPECT_EQ(plan.passes[i].columns, want.columns) << i;
         EXPECT_EQ(plan.passes[i].members, want.members) << i;
+        EXPECT_TRUE(plan.passes[i].monitors.empty()) << i;
+    }
+}
+
+TEST(GridPlan, FusedFig5RowGroupsItsMonitorLanes)
+{
+    // A fused row is one timing pass; its monitor lanes group as the
+    // exact cells do (leaders first, then the single lanes), and
+    // every monitor column lands in exactly one lane job.
+    const PolicyGrid fig5 = suiteGrid(fig5Policies(), 2);
+    GridOptions fused;
+    fused.fused = true;
+    const GridPlan plan = planGrid(fig5, fused);
+    ASSERT_TRUE(plan.fused);
+    const std::vector<GridPass> lanes = {
+        {0, {11}, {5, 7, 9}, {}}, {0, {12}, {6, 8, 10}, {}},
+        {0, {1}, {}, {}},         {0, {2}, {}, {}},
+        {0, {3}, {}, {}},         {0, {4}, {}, {}}};
+    ASSERT_EQ(plan.passes.size(), 2u);
+    for (const GridPass &pass : plan.passes) {
+        EXPECT_EQ(pass.columns.size(), fig5.runs.size());
+        EXPECT_EQ(pass.columns.front(), 0u);
+        EXPECT_TRUE(pass.members.empty());
+        ASSERT_EQ(pass.monitors.size(), lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            EXPECT_EQ(pass.monitors[i].row, pass.row);
+            EXPECT_EQ(pass.monitors[i].columns, lanes[i].columns) << i;
+            EXPECT_EQ(pass.monitors[i].members, lanes[i].members) << i;
+        }
+    }
+
+    // Chunked columns never group, fused or not.
+    PolicyGrid chunked = fig5;
+    for (core::RunSpec &run : chunked.runs)
+        run.options.timeChunks = 4;
+    for (const GridPass &pass : planGrid(chunked, fused).passes) {
+        EXPECT_EQ(pass.monitors.size(), fig5.runs.size() - 1);
+        for (const GridPass &lane : pass.monitors)
+            EXPECT_TRUE(lane.members.empty());
     }
 }
 
@@ -337,7 +376,7 @@ TEST(GridPlan, ReplayRowsWithTwoMachinesOrMoreSharePredictions)
     EXPECT_EQ(planGrid(suiteGrid(fig5Policies()), fusedOptions(8))
                   .predictionColumns,
               none);
-    std::vector<std::string> wide(cache::PolicyLaneBank::kMaxLanes + 1,
+    std::vector<std::string> wide(core::kFusedLaneColumns + 1,
                                   "LRU");
     EXPECT_EQ(planGrid(suiteGrid(wide), fusedOptions(0)).predictionColumns,
               Keys{0});

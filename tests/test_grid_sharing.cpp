@@ -22,6 +22,11 @@
  * equals its own inline run at 1 and 4 workers; a fused row of two
  * lane chunks equals the same grid predicted inline; columns under
  * another seed predict for themselves and match their own runs.
+ *
+ * Fused lane sharing: the P(N) monitor lanes of a fused row group
+ * the same way, and each member lane that shares its leader lane's
+ * result equals its own replay behind the same timing lane, at 1 and
+ * 4 workers; some member lanes replay on their own.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/lanes.hh"
 #include "core/buildinfo.hh"
 #include "core/experiment.hh"
 #include "core/grid.hh"
@@ -492,7 +496,7 @@ TEST(PredictionSharing, Fig5CellsEqualTheirInlineRunsAtOneAndFourWorkers)
 TEST(PredictionSharing, TwoLaneChunkFusedRowEqualsInlinePrediction)
 {
     std::vector<std::string> policies;
-    while (policies.size() <= cache::PolicyLaneBank::kMaxLanes)
+    while (policies.size() <= core::kFusedLaneColumns)
         for (const std::string &policy : fig5Policies())
             policies.push_back(policy);
     const PolicyGrid grid = PolicyGrid::sweep(
@@ -521,6 +525,96 @@ TEST(PredictionSharing, TwoLaneChunkFusedRowEqualsInlinePrediction)
                       registryText(inline_grid, w, r))
                 << w << "," << r;
         }
+}
+
+TEST(FusedLaneSharing, SharedMemberLanesEqualTheirOwnReplays)
+{
+    // A fused row's P(N) monitor lanes of one selection replay as a
+    // group led by the largest N; a member inside the leader lane's
+    // same-path range takes the leader lane's result. That must be
+    // the member's own replay: the same policy behind the same timing
+    // lane in a two-column grid.
+    const PolicyGrid grid = PolicyGrid::sweep(
+        std::vector<trace::WorkloadProfile>{
+            trace::profileByName("tomcat"),
+            trace::profileByName("kafka"),
+            trace::profileByName("verilator")},
+        fig5Policies(), predictionWindow());
+    const std::size_t columns = grid.runs.size();
+    GridOptions fused;
+    fused.fused = true;
+    std::map<std::pair<std::size_t, std::size_t>, GridResults> alone;
+    const auto own_replay = [&](std::size_t w, std::size_t r)
+        -> const GridResults & {
+        auto found = alone.find({w, r});
+        if (found == alone.end()) {
+            PolicyGrid pair;
+            pair.workloads = {grid.workloads[w]};
+            pair.runs = {grid.runs[0], grid.runs[r]};
+            found = alone.emplace(std::make_pair(w, r),
+                                  runSharingGrid(pair, 2, fused))
+                        .first;
+        }
+        return found->second;
+    };
+
+    std::size_t shared = 0;
+    std::size_t replayed = 0;
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        stats::SpanRecorder recorder;
+        GridOptions traced = fused;
+        traced.collectRegistries = true;
+        core::ThreadPool pool(workers);
+        const GridResults results =
+            core::runGrid(grid, pool, traced, {}, &recorder);
+
+        // One lane slice per monitor cell; shared ones name the
+        // leader.
+        std::map<std::uint64_t, bool> lanes;
+        for (const auto &track : recorder.tracks())
+            for (const auto &span : track.spans) {
+                if (std::string(span.name) != "lane")
+                    continue;
+                std::uint64_t cell = 0;
+                bool is_shared = false;
+                for (const auto &[key, value] : span.args) {
+                    if (key == "cell")
+                        cell = value.asUint();
+                    is_shared = is_shared || key == "shared_with";
+                }
+                EXPECT_TRUE(lanes.emplace(cell, is_shared).second)
+                    << cell;
+            }
+        EXPECT_EQ(lanes.size(), grid.workloads.size() * (columns - 1));
+        for (const auto &[cell, is_shared] : lanes) {
+            const std::size_t w = cell / columns;
+            const std::size_t r = cell % columns;
+            EXPECT_EQ(results.executionAt(w, r),
+                      CellExecution::FusedMonitor);
+            if (PolicySpec::parse(grid.runs[r].l2Policy).family !=
+                    replacement::PolicyFamily::EmissaryP ||
+                leaderOf(grid, r) == r) {
+                EXPECT_FALSE(is_shared) << w << "," << r;
+                continue;
+            }
+            if (!is_shared) {
+                ++replayed;
+                continue;
+            }
+            ++shared;
+            const GridResults &pair = own_replay(w, r);
+            EXPECT_EQ(cellJson(results, w, r), cellJson(pair, 0, 1))
+                << w << "," << r;
+            EXPECT_EQ(registryText(results, w, r),
+                      registryText(pair, 0, 1))
+                << w << "," << r;
+        }
+    }
+    EXPECT_GT(shared, 0u);
+    // Some member lanes left their leader's range and replayed on
+    // their own.
+    EXPECT_GT(replayed, 0u);
 }
 
 TEST(PredictionSharing, OtherSeedColumnsPredictInlineAndMatchTheirRuns)

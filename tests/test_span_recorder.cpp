@@ -11,6 +11,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -317,6 +319,128 @@ TEST(SpanRecorderGrid, TraceFileReconcilesWithGrid)
         }
 
     std::remove(path.c_str());
+}
+
+/** A cell cache in memory, for the fused-trace test below. */
+class MapCache : public core::CellResultCache
+{
+  public:
+    bool
+    lookup(const std::string &key, const std::string &,
+           core::CellCacheEntry &out) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto found = entries.find(key);
+        if (found == entries.end())
+            return false;
+        out = found->second;
+        return true;
+    }
+
+    void
+    store(const std::string &key, const std::string &,
+          const core::CellCacheEntry &entry) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entries[key] = entry;
+    }
+
+    std::map<std::string, core::CellCacheEntry> entries;
+
+  private:
+    std::mutex mutex_;
+};
+
+/** Lane slices per cell index, true when the slice names a leader,
+ *  and the miss_log slices' args. */
+struct FusedTrace
+{
+    std::map<std::uint64_t, bool> lanes;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> logs;
+};
+
+FusedTrace
+fusedTrace(const SpanRecorder &recorder)
+{
+    FusedTrace trace;
+    for (const auto &track : recorder.tracks())
+        for (const auto &span : track.spans) {
+            const std::string name = span.name;
+            std::map<std::string, JsonValue> args;
+            for (const auto &[key, value] : span.args)
+                args.emplace(key, value);
+            if (name == "lane") {
+                EXPECT_TRUE(args.count("workload"));
+                EXPECT_TRUE(args.count("policy"));
+                EXPECT_GT(args.at("events").asUint(), 0u);
+                EXPECT_TRUE(trace.lanes
+                                .emplace(args.at("cell").asUint(),
+                                         args.count("shared_with") > 0)
+                                .second);
+            } else if (name == "miss_log") {
+                trace.logs.emplace_back(args.at("events").asUint(),
+                                        args.at("bytes").asUint());
+            }
+        }
+    return trace;
+}
+
+/**
+ * A fused grid records each timing pass's log as one "miss_log"
+ * slice and each fresh monitor cell as one "lane" slice, whose time
+ * is the cell's wall time (0 for a lane that shares its leader's
+ * result). Cached monitor cells get no slice.
+ */
+TEST(SpanRecorderGrid, FusedTraceHasOneLaneSlicePerFreshMonitorCell)
+{
+    core::RunOptions options;
+    options.warmupInstructions = 20'000;
+    options.measureInstructions = 50'000;
+    const core::PolicyGrid grid = core::PolicyGrid::sweep(
+        std::vector<trace::WorkloadProfile>{
+            trace::profileByName("tomcat"),
+            trace::profileByName("kafka")},
+        {"TPLRU", "P(8):S&E", "LRU", "P(2):S&E", "P(6):S&E"}, options);
+    const std::size_t columns = grid.runs.size();
+    MapCache cache;
+    core::GridOptions fused;
+    fused.fused = true;
+    fused.cellCache = &cache;
+    core::ThreadPool pool(2);
+
+    SpanRecorder cold;
+    const core::GridResults first =
+        core::runGrid(grid, pool, fused, {}, &cold);
+    const FusedTrace all = fusedTrace(cold);
+    EXPECT_EQ(all.lanes.size(), grid.workloads.size() * (columns - 1));
+    ASSERT_EQ(all.logs.size(), grid.workloads.size());
+    for (const auto &[events, bytes] : all.logs) {
+        EXPECT_GT(events, 0u);
+        EXPECT_GE(bytes, events);
+    }
+    for (const auto &[cell, shared] : all.lanes) {
+        const double seconds =
+            first.timing().runSeconds[cell / columns][cell % columns];
+        if (shared)
+            EXPECT_EQ(seconds, 0.0) << cell;
+        else
+            EXPECT_GT(seconds, 0.0) << cell;
+    }
+
+    // Forget one monitor cell: its row's timing pass runs again, and
+    // only that cell replays.
+    const core::GridPlan plan = core::planGrid(grid, fused);
+    ASSERT_EQ(cache.entries.erase(plan.cells[1][2].cacheKey), 1u);
+    SpanRecorder warm;
+    const core::GridResults second =
+        core::runGrid(grid, pool, fused, {}, &warm);
+    const FusedTrace fresh = fusedTrace(warm);
+    EXPECT_EQ(fresh.logs.size(), 1u);
+    ASSERT_EQ(fresh.lanes.size(), 1u);
+    EXPECT_EQ(fresh.lanes.begin()->first, columns + 2);
+    EXPECT_EQ(second.executionAt(1, 2), core::CellExecution::FusedMonitor);
+    EXPECT_EQ(second.at(1, 2).toJson().dump(0),
+              first.at(1, 2).toJson().dump(0));
 }
 
 } // namespace
