@@ -69,7 +69,7 @@ Hierarchy::requestData(std::uint64_t line_addr, std::uint64_t now,
         ++stats_.l1dAccesses;
 
     if (const CacheLine *line = l1d_.peek(line_addr)) {
-        if (write && log_ && !line->dirty && log_->keeps(line_addr)) {
+        if (write && log_ && !line->dirty) {
             unsigned set = 0, way = 0;
             l1d_.findPosition(line_addr, set, way);
             log_->dirtyStore(line_addr, set * l1d_.numWays() + way);
@@ -163,7 +163,7 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
         }
     }
 
-    if (log_ && log_->keeps(line_addr))
+    if (log_)
         log_->probe(line_addr, is_instruction, demandish);
 
     entry.readyCycle = now + latency;
@@ -216,13 +216,13 @@ Hierarchy::handleL2Eviction(const Cache::Eviction &ev)
     // L1I priority bit dies with the line (it is leaving both
     // caches); a dirty L1D copy folds its data into the victim.
     const Cache::Eviction ii = l1i_.invalidate(ev.lineAddr);
-    if (log_ && ii.valid && log_->keeps(ev.lineAddr))
+    if (log_ && ii.valid)
         log_->slotEvent(MissLog::Kind::L1IInvalidate,
                         ii.set * l1i_.numWays() + ii.way);
     const Cache::Eviction d = l1d_.invalidate(ev.lineAddr);
     if (d.valid && d.line.dirty) {
         dirty = true;
-        if (log_ && log_->keeps(ev.lineAddr))
+        if (log_)
             log_->slotEvent(MissLog::Kind::L1DInvalidate,
                             d.set * l1d_.numWays() + d.way);
     }
@@ -342,11 +342,7 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
             if (observer_)
                 observer_->onPriorityUpgrade(ev.lineAddr);
         }
-        // A sampled log also keeps a fill that displaces a sampled
-        // line: a lane must see that line leave the slot (and lend
-        // its P bit to the L2 copy).
-        if (log_ && (log_->keeps(line_addr) ||
-                     (ev.valid && log_->keeps(ev.lineAddr))))
+        if (log_)
             log_->instructionFill(line_addr, entry.starved,
                                   entry.iqEmpty, l1i_selected,
                                   ev.set * l1i_.numWays() + ev.way);
@@ -365,11 +361,7 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
             else
                 ++stats_.dramWrites;
         }
-        // Likewise a fill that displaces a dirty sampled line, which
-        // a lane writes back.
-        if (log_ && (log_->keeps(line_addr) ||
-                     (ev.valid && ev.line.dirty &&
-                      log_->keeps(ev.lineAddr))))
+        if (log_)
             log_->dataFill(line_addr, entry.starved, entry.iqEmpty,
                            entry.write, ev.set * l1d_.numWays() + ev.way);
     }

@@ -66,9 +66,6 @@ void
 MonitorLane::replay(const MissLog &log,
                     const std::function<void()> &on_window_start)
 {
-    if (log.sampledSets() != 1 && log.sampledSets() != sampleK_)
-        throw std::invalid_argument(
-            "MonitorLane: log recorded for another sampling factor");
     MissLog::Reader reader(log);
     MissLog::Event event;
     while (reader.next(event)) {
@@ -117,7 +114,7 @@ MonitorLane::probe(std::uint64_t line, bool is_instruction,
                    bool demand)
 {
     if (!sampled(line))
-        return;  // Only a full log holds other lines' probes.
+        return;
     unsigned code;
     if (demand) {
         if (is_instruction)

@@ -33,9 +33,9 @@
  * energy (core::Metrics::timed).
  *
  * An optional 1-in-K sampled-set mode shrinks the lane to sets/K
- * sets (Cache::Config::indexShift) and replays a log recorded for
- * that set residue (MissLog::keeps); counters are scaled back by K at
- * collection.
+ * sets (Cache::Config::indexShift): the lane replays the same log and
+ * skips the fills and probes of lines outside its set residue, and
+ * its counters are scaled back by K at collection.
  */
 
 #ifndef EMISSARY_CACHE_LANES_HH
@@ -70,13 +70,9 @@ class MonitorLane
                 unsigned sampled_sets = 0);
 
     /**
-     * Apply every event of @p log in order. A lane replays one log,
-     * recorded for its own sampling factor or for every set (the two
-     * give the same counts), from a fresh state. @p on_window_start
-     * fires at the log's WindowStart event, after the counters
-     * restart.
-     * @throws std::invalid_argument when the log was recorded for
-     *         another sampling factor.
+     * Apply every event of @p log in order, from a fresh state: a
+     * lane replays one log. @p on_window_start fires at the log's
+     * WindowStart event, after the counters restart.
      */
     void replay(const MissLog &log,
                 const std::function<void()> &on_window_start = {});

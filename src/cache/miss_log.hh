@@ -9,18 +9,17 @@
  * timing Hierarchy appends exactly those events here as they happen,
  * and each lane replays the finished log against its own L2/L3 on
  * any thread, the way DEW evaluates many cache configurations from
- * one recorded trace.
- *
- * A log for 1-in-K sampled lanes (MonitorLane's sampled_sets) keeps
- * only the events such a lane can see: those of lines in the sampled
- * residue (keeps), plus the fills that displace such a line.
+ * one recorded trace. The log holds every line's events: a 1-in-K
+ * sampled lane skips the lines outside its sets as it replays.
  *
  * Encoding: one header byte per event (kind in bits 0-2, flags in
  * bits 3-5), then for probes, fills and dirty stores the zigzag
  * varint of the line address minus the previous such event's line,
  * and for every L1 event the varint of its L1 slot (set * ways +
  * way). A Fig. 5 row logs 3.7-4.5 bytes per event, 0.4-1.7 KB per
- * thousand instructions (docs/performance.md).
+ * thousand instructions (docs/performance.md). The bytes live in
+ * fixed-size blocks that no event straddles, so a growing log never
+ * copies itself or holds more than one block of slack.
  */
 
 #ifndef EMISSARY_CACHE_MISS_LOG_HH
@@ -37,24 +36,6 @@ namespace emissary::cache
 class MissLog
 {
   public:
-    /** @param sampled_sets The lanes' 1-in-K set sampling (0 or 1 =
-     *  every set; otherwise a power of two). */
-    explicit MissLog(unsigned sampled_sets = 0)
-        : sampleMask_(sampled_sets > 1 ? sampled_sets - 1 : 0)
-    {
-    }
-
-    /** The sampling factor K the log was recorded for (1 = all). */
-    unsigned sampledSets() const { return sampleMask_ + 1; }
-
-    /** True when @p line falls in the sampled residue. The recorder
-     *  logs events of other lines only as fills that displace such a
-     *  line. */
-    bool keeps(std::uint64_t line) const
-    {
-        return (line & sampleMask_) == 0;
-    }
-
     enum class Kind : std::uint8_t
     {
         /** An L2 probe (Hierarchy::missBelowL1). Flags: kInstruction,
@@ -144,27 +125,41 @@ class MissLog
 
     void mark(Kind kind) { put(kind, 0); }
 
-    /** Release the growth slack once the pass is over. */
-    void finish() { bytes_.shrink_to_fit(); }
+    /** Release the last block's slack once the pass is over. */
+    void
+    finish()
+    {
+        if (!blocks_.empty())
+            blocks_.back().shrink_to_fit();
+    }
 
     std::uint64_t events() const { return events_; }
-    std::uint64_t bytes() const { return bytes_.size(); }
+
+    std::uint64_t
+    bytes() const
+    {
+        std::uint64_t total = 0;
+        for (const std::vector<std::uint8_t> &block : blocks_)
+            total += block.size();
+        return total;
+    }
 
     /** Decodes a finished log from its first event. */
     class Reader
     {
       public:
-        explicit Reader(const MissLog &log)
-            : at_(log.bytes_.data()),
-              end_(log.bytes_.data() + log.bytes_.size())
-        {
-        }
+        explicit Reader(const MissLog &log) : blocks_(log.blocks_) {}
 
         bool
         next(Event &event)
         {
-            if (at_ == end_)
-                return false;
+            while (at_ == end_) {
+                if (next_ == blocks_.size())
+                    return false;
+                const std::vector<std::uint8_t> &block = blocks_[next_++];
+                at_ = block.data();
+                end_ = at_ + block.size();
+            }
             const std::uint8_t header = *at_++;
             event.kind = static_cast<Kind>(header & 7);
             event.flags = static_cast<std::uint8_t>(header >> 3);
@@ -212,16 +207,27 @@ class MissLog
             return prevLine_;
         }
 
-        const std::uint8_t *at_;
-        const std::uint8_t *end_;
+        const std::vector<std::vector<std::uint8_t>> &blocks_;
+        std::size_t next_ = 0;
+        const std::uint8_t *at_ = nullptr;
+        const std::uint8_t *end_ = nullptr;
         std::uint64_t prevLine_ = 0;
     };
 
   private:
+    static constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+    /** Header, a 64-bit line varint and a 32-bit slot varint. */
+    static constexpr std::size_t kMaxEventBytes = 1 + 10 + 5;
+
+    /** Starts an event: its bytes go to the last block, which has
+     *  room for the largest one. */
     void
     put(Kind kind, unsigned flags)
     {
-        bytes_.push_back(static_cast<std::uint8_t>(
+        if (blocks_.empty() ||
+            blocks_.back().size() > kBlockBytes - kMaxEventBytes)
+            blocks_.emplace_back().reserve(kBlockBytes);
+        blocks_.back().push_back(static_cast<std::uint8_t>(
             static_cast<unsigned>(kind) | flags << 3));
         ++events_;
     }
@@ -229,11 +235,12 @@ class MissLog
     void
     putVarint(std::uint64_t value)
     {
+        std::vector<std::uint8_t> &tail = blocks_.back();
         while (value >= 0x80) {
-            bytes_.push_back(static_cast<std::uint8_t>(value | 0x80));
+            tail.push_back(static_cast<std::uint8_t>(value | 0x80));
             value >>= 7;
         }
-        bytes_.push_back(static_cast<std::uint8_t>(value));
+        tail.push_back(static_cast<std::uint8_t>(value));
     }
 
     void
@@ -245,8 +252,7 @@ class MissLog
         putVarint((delta << 1) ^ (0 - (delta >> 63)));
     }
 
-    std::uint64_t sampleMask_;
-    std::vector<std::uint8_t> bytes_;
+    std::vector<std::vector<std::uint8_t>> blocks_;
     std::uint64_t events_ = 0;
     std::uint64_t prevLine_ = 0;
 };

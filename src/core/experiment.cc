@@ -334,14 +334,34 @@ metricsOf(const MetricsInputs &inputs, std::uint64_t footprint,
     return m;
 }
 
-/** The timing lane of run(), recording a MonitorFeed for monitors
- *  sampled 1-in-@p sampled_sets into @p feed when set. */
-Metrics
-runPass(const RunSource &source, const replacement::PolicySpec &l2,
-        const replacement::PolicySpec &l1i, const RunOptions &options,
-        unsigned sampled_sets, ThreadPool *pool, RunTelemetry &report,
-        std::shared_ptr<const MonitorFeed> *feed)
+} // namespace
+
+std::uint64_t
+feedEvents(const MonitorFeed &feed)
 {
+    std::uint64_t events = 0;
+    for (const MonitorFeed::Chunk &chunk : feed.chunks)
+        events += chunk.log.events();
+    return events;
+}
+
+std::uint64_t
+feedBytes(const MonitorFeed &feed)
+{
+    std::uint64_t bytes = 0;
+    for (const MonitorFeed::Chunk &chunk : feed.chunks)
+        bytes += chunk.log.bytes();
+    return bytes;
+}
+
+Metrics
+runTiming(const RunSource &source, const replacement::PolicySpec &l2,
+          const replacement::PolicySpec &l1i, const RunOptions &options,
+          std::shared_ptr<const MonitorFeed> *feed, ThreadPool *pool,
+          RunTelemetry *telemetry)
+{
+    RunTelemetry unobserved;
+    RunTelemetry &report = telemetry ? *telemetry : unobserved;
     report.sampler = stats::Sampler();
     report.l2SameRunRange = replacement::ProtectRange{1, 0};
 
@@ -363,8 +383,6 @@ runPass(const RunSource &source, const replacement::PolicySpec &l2,
         recorded->hierarchy = machine.hierarchy;
         recorded->emissaryTreePlru = options.emissaryTreePlru;
         recorded->chunks.resize(plans.size());
-        for (MonitorFeed::Chunk &chunk : recorded->chunks)
-            chunk.log = cache::MissLog(sampled_sets);
     }
 
     std::vector<ChunkResult> chunks(plans.size());
@@ -504,40 +522,9 @@ runPass(const RunSource &source, const replacement::PolicySpec &l2,
     return metrics;
 }
 
-} // namespace
-
-std::uint64_t
-feedEvents(const MonitorFeed &feed)
-{
-    std::uint64_t events = 0;
-    for (const MonitorFeed::Chunk &chunk : feed.chunks)
-        events += chunk.log.events();
-    return events;
-}
-
-std::uint64_t
-feedBytes(const MonitorFeed &feed)
-{
-    std::uint64_t bytes = 0;
-    for (const MonitorFeed::Chunk &chunk : feed.chunks)
-        bytes += chunk.log.bytes();
-    return bytes;
-}
-
-Metrics
-runTiming(const RunSource &source, const replacement::PolicySpec &l2,
-          const replacement::PolicySpec &l1i, const RunOptions &options,
-          unsigned sampled_sets, std::shared_ptr<const MonitorFeed> &feed,
-          ThreadPool *pool, RunTelemetry *telemetry)
-{
-    RunTelemetry unobserved;
-    return runPass(source, l2, l1i, options, sampled_sets, pool,
-                   telemetry ? *telemetry : unobserved, &feed);
-}
-
 Metrics
 replayMonitor(const MonitorFeed &feed, const replacement::PolicySpec &l2,
-              RunTelemetry *telemetry)
+              unsigned sampled_sets, RunTelemetry *telemetry)
 {
     replacement::PolicySpec spec = l2;
     spec.emissaryTreePlru = feed.emissaryTreePlru;
@@ -547,8 +534,7 @@ replayMonitor(const MonitorFeed &feed, const replacement::PolicySpec &l2,
     replacement::ProtectRange same{1, 0};
     std::vector<MetricsInputs> chunks;
     for (const MonitorFeed::Chunk &chunk : feed.chunks) {
-        cache::MonitorLane lane(feed.hierarchy, spec,
-                                chunk.log.sampledSets());
+        cache::MonitorLane lane(feed.hierarchy, spec, sampled_sets);
         const auto chunk_start = Clock::now();
         auto window = chunk_start;
         lane.replay(chunk.log, [&window]() { window = Clock::now(); });
@@ -611,12 +597,12 @@ run(const RunSource &source,
     RunTelemetry &report = telemetry ? *telemetry : unobserved;
     std::shared_ptr<const MonitorFeed> feed;
     std::vector<Metrics> metrics{
-        runPass(source, l2_lanes.front(), l1i, options, sampled_sets,
-                pool, report, l2_lanes.size() > 1 ? &feed : nullptr)};
+        runTiming(source, l2_lanes.front(), l1i, options,
+                  l2_lanes.size() > 1 ? &feed : nullptr, pool, &report)};
     for (std::size_t lane = 1; lane < l2_lanes.size(); ++lane) {
         RunTelemetry monitor;
-        metrics.push_back(
-            replayMonitor(*feed, l2_lanes[lane], &monitor));
+        metrics.push_back(replayMonitor(*feed, l2_lanes[lane],
+                                        sampled_sets, &monitor));
         report.registries.push_back(
             std::move(monitor.registries.front()));
         report.wallSeconds += monitor.wallSeconds;

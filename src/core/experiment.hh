@@ -369,33 +369,33 @@ std::uint64_t feedEvents(const MonitorFeed &feed);
 std::uint64_t feedBytes(const MonitorFeed &feed);
 
 /**
- * The timing lane of a fused pass on its own: run @p l2 over
- * @p source as run() runs lane 0 of a lane list (the same Metrics,
- * registry and telemetry, bit for bit), recording into @p feed each
- * time chunk's below-L1 events that monitors modelling 1 set in
- * every @p sampled_sets (0 or 1 = every set) can see, for
- * replayMonitor.
+ * The timing lane of a run on its own: run @p l2 over @p source as
+ * run() runs lane 0 of a lane list (the same Metrics, registry and
+ * telemetry, bit for bit); a one-policy run is exactly this call.
+ * With @p feed set it also records into *@p feed each time chunk's
+ * below-L1 events, for replayMonitor.
  */
 Metrics runTiming(const RunSource &source,
                   const replacement::PolicySpec &l2,
                   const replacement::PolicySpec &l1i,
-                  const RunOptions &options, unsigned sampled_sets,
-                  std::shared_ptr<const MonitorFeed> &feed,
+                  const RunOptions &options,
+                  std::shared_ptr<const MonitorFeed> *feed = nullptr,
                   ThreadPool *pool = nullptr,
                   RunTelemetry *telemetry = nullptr);
 
 /**
  * One monitor lane of a fused pass: replay @p feed's logs against a
- * fresh L2/L3 under @p l2, sampled as the feed was recorded, one time
- * chunk after another, and splice the chunks as run() does. The
- * Metrics equal run()'s for that lane of the same pass. @p telemetry
- * receives the lane's registry (registries[0]), its replay seconds
- * (wallSeconds, split at the window start into warmupSeconds and
- * measureSeconds) and, for a one-chunk feed, the lane's
- * l2SameRunRange.
+ * fresh L2/L3 under @p l2 that models 1 set in every
+ * @p sampled_sets (0 or 1 = every set), one time chunk after
+ * another, and splice the chunks as run() does. The Metrics equal
+ * run()'s for that lane of the same pass. @p telemetry receives the
+ * lane's registry (registries[0]), its replay seconds (wallSeconds,
+ * split at the window start into warmupSeconds and measureSeconds)
+ * and, for a one-chunk feed, the lane's l2SameRunRange.
  */
 Metrics replayMonitor(const MonitorFeed &feed,
                       const replacement::PolicySpec &l2,
+                      unsigned sampled_sets,
                       RunTelemetry *telemetry = nullptr);
 
 /** The predictor part of the machine a run under @p options builds:

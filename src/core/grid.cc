@@ -725,6 +725,13 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     // the wait loop at the end. submit and the state the jobs use
     // live at this scope: they must outlive every job.
     //
+    // A lane job goes ahead of every queued pass (submitAhead): a
+    // finished pass's monitor lanes replay, and free its miss log,
+    // before another pass starts recording one. A pass starts only
+    // when no lane job is queued, so about one log per worker is
+    // live at a time. Lane jobs never wait, and every build is taken
+    // before the first pass ends, so the order cannot stall a build.
+    //
     // Once a job has thrown, the grid has failed: a cell job
     // submitted after it returns without simulating. The first
     // failure in submission order never skips, so it is still the
@@ -734,11 +741,12 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     std::mutex jobs_mutex;
     std::size_t first_failed = std::numeric_limits<std::size_t>::max();
     jobs.reserve(grid.workloads.size() + grid.cellCount());
-    const auto submit = [&](bool is_cell, std::function<void()> job) {
+    enum class Job { Build, Pass, Lane };
+    const auto submit = [&](Job kind, std::function<void()> job) {
         std::lock_guard<std::mutex> lock(jobs_mutex);
         const std::size_t index = jobs.size();
-        jobs.push_back(pool.submit([&, is_cell, index,
-                                    job = std::move(job)]() {
+        auto guarded = [&, is_cell = kind != Job::Build, index,
+                        job = std::move(job)]() {
             {
                 std::lock_guard<std::mutex> check(jobs_mutex);
                 if (is_cell && first_failed < index)
@@ -751,7 +759,10 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                 first_failed = std::min(first_failed, index);
                 throw;
             }
-        }));
+        };
+        jobs.push_back(kind == Job::Lane
+                           ? pool.submitAhead(std::move(guarded))
+                           : pool.submit(std::move(guarded)));
     };
 
     // Programs outlive the sources that reference them. A row's
@@ -778,7 +789,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         const RowSource kind = plan.sources[w];
         if (kind == RowSource::None)
             continue;
-        submit(false, [&, kind, w]() {
+        submit(Job::Build, [&, kind, w]() {
             try {
                 const auto build_start = std::chrono::steady_clock::now();
                 label_track();
@@ -895,12 +906,12 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     // slot unless it is a cached timing column, which drives the
     // pass but keeps its cached result: monitor results depend on the
     // timing lane's policy through the shared pipeline, and the cache
-    // keyed them under that policy. With @p record the pass also
-    // records the feed its monitor lanes replay. Returns the run's
-    // same-path N range (empty unless its L2 runs EMISSARY).
+    // keyed them under that policy. With @p feed set the pass also
+    // records there the feed its monitor lanes replay. Returns the
+    // run's same-path N range (empty unless its L2 runs EMISSARY).
     const auto run_pass = [&](std::size_t w, std::size_t lead,
-                              std::size_t lanes, bool record,
-                              std::shared_ptr<const MonitorFeed> &feed) {
+                              std::size_t lanes,
+                              std::shared_ptr<const MonitorFeed> *feed) {
         // Rethrows the row build's error, which fails this cell.
         source_ready[w].get();
         const auto pass_start = std::chrono::steady_clock::now();
@@ -909,20 +920,14 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         stats::ScopedTimer span(recorder, plan.fused ? "group" : "cell");
         RunTelemetry telemetry;
         telemetry.spans = recorder;
-        Metrics metrics =
-            record ? runTiming(*sources[w], plan.l2Specs[lead],
-                               plan.l1iSpecs[lead],
-                               grid.runs[lead].options, plan.sampledSets,
-                               feed, &pool, &telemetry)
-                   : run(*sources[w], {plan.l2Specs[lead]}, 0,
-                         plan.l1iSpecs[lead], grid.runs[lead].options,
-                         &pool, &telemetry)
-                         .front();
+        Metrics metrics = runTiming(
+            *sources[w], plan.l2Specs[lead], plan.l1iSpecs[lead],
+            grid.runs[lead].options, feed, &pool, &telemetry);
         const double pass_seconds = secondsSince(pass_start);
         if (feed && span.active()) {
             std::vector<std::pair<std::string, stats::JsonValue>> args;
-            args.emplace_back("events", stats::JsonValue(feedEvents(*feed)));
-            args.emplace_back("bytes", stats::JsonValue(feedBytes(*feed)));
+            args.emplace_back("events", stats::JsonValue(feedEvents(**feed)));
+            args.emplace_back("bytes", stats::JsonValue(feedBytes(**feed)));
             recorder->recordSpan(
                 "miss_log", recorder->toNs(pass_start),
                 recorder->toNs(std::chrono::steady_clock::now()),
@@ -980,7 +985,8 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
         stats::ScopedTimer span(recorder, "lane");
         RunTelemetry telemetry;
         Metrics metrics =
-            replayMonitor(feed, plan.l2Specs[r], &telemetry);
+            replayMonitor(feed, plan.l2Specs[r], plan.sampledSets,
+                          &telemetry);
         const std::uint64_t instructions = fill_cell(
             w, r, std::move(metrics), telemetry.registries.front(),
             monitor_execution,
@@ -1038,29 +1044,27 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
     // The one submission loop: every pass in plan order. The only
     // decisions left to running jobs are a P(N) member's: inside the
     // leader's same-path range it shares the leader's result,
-    // otherwise it re-runs (or replays) on its own, queued behind the
-    // jobs already submitted. A fused pass queues its monitor lanes
-    // when it ends; each lane job holds the pass's feed, which goes
-    // when the last of them ends.
+    // otherwise it re-runs on its own, queued behind the passes
+    // already submitted, or replays its lane ahead of them. A fused
+    // pass queues its monitor lanes when it ends; each lane job holds
+    // the pass's feed, which goes when the last of them ends.
     for (const GridPass &planned : plan.passes) {
-        submit(true, [&, pass = &planned]() {
+        submit(Job::Pass, [&, pass = &planned]() {
             const std::size_t w = pass->row;
             const std::size_t lead = pass->columns.front();
             std::shared_ptr<const MonitorFeed> feed;
             const replacement::ProtectRange same =
                 run_pass(w, lead, pass->columns.size(),
-                         !pass->monitors.empty(), feed);
+                         pass->monitors.empty() ? nullptr : &feed);
             for (const std::size_t r : pass->members) {
                 if (same.contains(plan.l2Specs[r].protectN))
                     share_cell(w, r, lead, nullptr);
                 else
-                    submit(true, [&, w, r]() {
-                        std::shared_ptr<const MonitorFeed> none;
-                        run_pass(w, r, 1, false, none);
-                    });
+                    submit(Job::Pass,
+                           [&, w, r]() { run_pass(w, r, 1, nullptr); });
             }
             for (const GridPass &lanes : pass->monitors) {
-                submit(true, [&, w, lanes = &lanes, feed]() mutable {
+                submit(Job::Lane, [&, w, lanes = &lanes, feed]() mutable {
                     const std::size_t leader = lanes->columns.front();
                     const replacement::ProtectRange lane_same =
                         run_lane(w, leader, *feed);
@@ -1068,7 +1072,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                         if (lane_same.contains(plan.l2Specs[r].protectN))
                             share_cell(w, r, leader, feed.get());
                         else
-                            submit(true, [&, w, r, feed]() mutable {
+                            submit(Job::Lane, [&, w, r, feed]() mutable {
                                 run_lane(w, r, *feed);
                                 feed.reset();
                             });

@@ -38,10 +38,11 @@
  * A fused lane chunk runs its timing lane as one pass that records
  * the below-L1 events (core::runTiming); when the pass ends, each of
  * its monitor lanes becomes its own job replaying that log
- * (core::replayMonitor). The monitor columns are grouped the same
- * way: a P(N) member lane whose N lies in its leader lane's range
- * takes the leader lane's result, which is its own replay bit for
- * bit, and keeps its fused_monitor tag.
+ * (core::replayMonitor), queued ahead of every pass not yet started
+ * so that about one log per worker is live. The monitor columns are
+ * grouped the same way: a P(N) member lane whose N lies in its
+ * leader lane's range takes the leader lane's result, which is its
+ * own replay bit for bit, and keeps its fused_monitor tag.
  */
 
 #ifndef EMISSARY_CORE_GRID_HH
@@ -362,7 +363,8 @@ struct GridPlan
     std::vector<std::optional<std::size_t>> predictionColumns;
     std::vector<std::vector<CellPlan>> cells; ///< [workload][run]
     /** Submission order, which the FIFO pool keeps: a row's P(N)
-     *  leaders come before its other cells. */
+     *  leaders come before its other cells. (Monitor lane jobs jump
+     *  the queued passes: ThreadPool::submitAhead.) */
     std::vector<GridPass> passes;
 };
 

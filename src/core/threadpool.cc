@@ -50,13 +50,27 @@ ThreadPool::defaultWorkerCount()
 }
 
 void
-ThreadPool::post(std::function<void()> job)
+ThreadPool::post(std::function<void()> job, bool ahead)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        jobs_.push_back(std::move(job));
+        if (ahead)
+            jobs_.insert(jobs_.begin() + static_cast<std::ptrdiff_t>(ahead_++),
+                         std::move(job));
+        else
+            jobs_.push_back(std::move(job));
     }
     wake_.notify_one();
+}
+
+std::function<void()>
+ThreadPool::take()
+{
+    std::function<void()> job = std::move(jobs_.front());
+    jobs_.pop_front();
+    if (ahead_ > 0)
+        --ahead_;
+    return job;
 }
 
 bool
@@ -67,8 +81,7 @@ ThreadPool::tryRunOne()
         std::lock_guard<std::mutex> lock(mutex_);
         if (jobs_.empty())
             return false;
-        job = std::move(jobs_.front());
-        jobs_.pop_front();
+        job = take();
     }
     job();
     return true;
@@ -102,8 +115,7 @@ ThreadPool::workerLoop(unsigned self)
             // Stopping with an empty queue: every job has drained.
             if (jobs_.empty())
                 return;
-            job = std::move(jobs_.front());
-            jobs_.pop_front();
+            job = take();
         }
         job();
     }

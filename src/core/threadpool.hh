@@ -9,10 +9,13 @@
  * Jobs therefore start in submission order, which the grid engine
  * relies on twice: a P(N) group leader submitted before its row's
  * other cells starts before them, and a row's buffer build starts
- * before any cell that reads the buffer while it packs. Submissions
- * return std::future so exceptions thrown inside a job surface at the
- * caller's get(), and the destructor drains every queued job before
- * joining.
+ * before any cell that reads the buffer while it packs. The one
+ * exception is submitAhead: such a job jumps every submit() job still
+ * queued (and stays behind earlier submitAhead jobs), which lets the
+ * grid replay a finished pass's monitor lanes, and free its miss log,
+ * before it starts another pass. Submissions return std::future so
+ * exceptions thrown inside a job surface at the caller's get(), and
+ * the destructor drains every queued job before joining.
  *
  * Sizing: std::thread::hardware_concurrency() by default, overridden
  * by the EMISSARY_JOBS environment variable.
@@ -22,6 +25,7 @@
 #define EMISSARY_CORE_THREADPOOL_HH
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -60,12 +64,18 @@ class ThreadPool
     std::future<std::invoke_result_t<std::decay_t<F>>>
     submit(F &&fn)
     {
-        using Result = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::forward<F>(fn));
-        std::future<Result> future = task->get_future();
-        post([task]() { (*task)(); });
-        return future;
+        return enqueue(std::forward<F>(fn), false);
+    }
+
+    /**
+     * Queue @p fn ahead of every submit() job still queued, behind
+     * every submitAhead() job still queued. Otherwise as submit().
+     */
+    template <typename F>
+    std::future<std::invoke_result_t<std::decay_t<F>>>
+    submitAhead(F &&fn)
+    {
+        return enqueue(std::forward<F>(fn), true);
     }
 
     unsigned
@@ -112,12 +122,28 @@ class ThreadPool
     static int currentWorkerIndex();
 
   private:
-    void post(std::function<void()> job);
+    template <typename F>
+    std::future<std::invoke_result_t<std::decay_t<F>>>
+    enqueue(F &&fn, bool ahead)
+    {
+        using Result = std::invoke_result_t<std::decay_t<F>>;
+        auto task = std::make_shared<std::packaged_task<Result()>>(
+            std::forward<F>(fn));
+        std::future<Result> future = task->get_future();
+        post([task]() { (*task)(); }, ahead);
+        return future;
+    }
+
+    void post(std::function<void()> job, bool ahead);
+    /** The oldest queued job, removed (the queue must not be empty). */
+    std::function<void()> take();
     void workerLoop(unsigned self);
 
     std::mutex mutex_;
     std::condition_variable wake_;
+    /** The first ahead_ jobs were queued by submitAhead. */
     std::deque<std::function<void()>> jobs_;
+    std::size_t ahead_ = 0;
     bool stopping_ = false;
     std::vector<std::thread> workers_;
 };

@@ -167,7 +167,7 @@ runCase(const Case &c,
         bool stepped)
 {
     const Simulator::Config config = simConfig(c);
-    cache::MissLog log(c.sampledSets);
+    cache::MissLog log;
 
     const std::string trace_path =
         (std::filesystem::path(::testing::TempDir()) /

@@ -30,12 +30,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/lanes.hh"
+#include "cache/miss_log.hh"
 #include "core/config.hh"
 #include "core/experiment.hh"
 #include "core/grid.hh"
@@ -215,6 +217,90 @@ expectLaneOfTheTimingPolicy(
     return timing.value("dram.writes");
 }
 
+TEST(MissLog, ReadsBackEveryEventAcrossBlocks)
+{
+    // Enough events of every kind, with line deltas of both signs and
+    // widths up to 64 bits and slots up to 32 bits, to fill several
+    // blocks: the reader returns them in order, unchanged.
+    using Kind = cache::MissLog::Kind;
+    cache::MissLog log;
+    std::vector<cache::MissLog::Event> written;
+    std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+    const auto random = [&state]() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    for (int i = 0; i < 60'000; ++i) {
+        cache::MissLog::Event event;
+        event.kind = static_cast<Kind>(i % 8);
+        const std::uint64_t line =
+            i % 5 == 0 ? random() : random() % 4096 + 0x40000;
+        const unsigned slot = static_cast<unsigned>(
+            i % 7 == 0 ? random() >> 32 : random() % 1024);
+        switch (event.kind) {
+          case Kind::Probe:
+            event.flags = static_cast<std::uint8_t>(i % 4);
+            event.line = line;
+            log.probe(line, event.flags & cache::MissLog::kInstruction,
+                      event.flags & cache::MissLog::kDemand);
+            break;
+          case Kind::InstructionFill:
+            event.flags = static_cast<std::uint8_t>(i % 8);
+            event.line = line;
+            event.slot = slot;
+            log.instructionFill(line, event.flags & 1, event.flags & 2,
+                                event.flags & 4, slot);
+            break;
+          case Kind::DataFill:
+            event.flags = static_cast<std::uint8_t>(i % 8);
+            event.line = line;
+            event.slot = slot;
+            log.dataFill(line, event.flags & 1, event.flags & 2,
+                         event.flags & 4, slot);
+            break;
+          case Kind::DirtyStore:
+            event.line = line;
+            event.slot = slot;
+            log.dirtyStore(line, slot);
+            break;
+          case Kind::L1IInvalidate:
+          case Kind::L1DInvalidate:
+            event.slot = slot;
+            log.slotEvent(event.kind, slot);
+            break;
+          case Kind::PriorityReset:
+          case Kind::WindowStart:
+            log.mark(event.kind);
+            break;
+        }
+        written.push_back(event);
+    }
+    log.finish();
+    EXPECT_EQ(log.events(), written.size());
+    EXPECT_GT(log.bytes(), std::uint64_t{4} << 16);
+
+    cache::MissLog::Reader reader(log);
+    cache::MissLog::Event event;
+    for (std::size_t i = 0; i < written.size(); ++i) {
+        ASSERT_TRUE(reader.next(event)) << i;
+        const cache::MissLog::Event &want = written[i];
+        ASSERT_EQ(event.kind, want.kind) << i;
+        ASSERT_EQ(event.flags, want.flags) << i;
+        if (want.kind == Kind::Probe || want.kind == Kind::DirtyStore ||
+            want.kind == Kind::InstructionFill ||
+            want.kind == Kind::DataFill) {
+            ASSERT_EQ(event.line, want.line) << i;
+        }
+        if (want.kind != Kind::Probe && want.kind != Kind::PriorityReset &&
+            want.kind != Kind::WindowStart) {
+            ASSERT_EQ(event.slot, want.slot) << i;
+        }
+    }
+    EXPECT_FALSE(reader.next(event));
+}
+
 TEST(FusedRun, LaneOfTheTimingPolicyReproducesTheTimingLane)
 {
     // A monitor lane running the timing lane's own policy sees the
@@ -391,70 +477,6 @@ TEST(FusedRun, SampledMonitorStaysNearFullMonitor)
         EXPECT_TRUE(near(got.l2DataMpki, want.l2DataMpki, 0.35, 1.0))
             << got.l2DataMpki << " vs " << want.l2DataMpki;
         expectUntimed(got);
-    }
-}
-
-TEST(FusedRun, SampledLogHoldsWhatASampledLaneReads)
-{
-    // A log recorded for 1-in-K monitors keeps only the events of the
-    // sampled residue's lines and the fills that displace one. A
-    // sampled lane must count the same from it as from the log of
-    // every event, under the knobs that add events of their own.
-    const RunOptions window = smallWindow();
-    std::vector<std::pair<std::string, core::MachineOptions>> knobs(3);
-    knobs[0].first = "defaults";
-    knobs[1].first = "reset + EMISSARY L1I";
-    knobs[1].second.l1iPolicy = "P(2):S&E";
-    knobs[2].first = "bypass";
-    knobs[2].second.bypassLowPriorityInst = true;
-    knobs[2].second.l2Policy = "P(8):S&E";
-    for (const char *workload : {"tomcat", "kafka"}) {
-        SCOPED_TRACE(workload);
-        const auto buffer = packWorkload(workload, window);
-        for (const auto &[knob, machine] : knobs) {
-            SCOPED_TRACE(knob);
-            core::Simulator::Config config;
-            config.machine = core::alderlakeConfig(machine);
-            config.warmupInstructions = window.warmupInstructions;
-            config.measureInstructions = window.measureInstructions;
-            if (knob == "reset + EMISSARY L1I")
-                config.priorityResetInstructions = 20'000;
-            for (const unsigned k : {8u, 16u}) {
-                SCOPED_TRACE("1-in-" + std::to_string(k));
-                cache::MissLog full;
-                cache::MissLog sampled(k);
-                cache::HierarchyStats shared;
-                for (cache::MissLog *log : {&full, &sampled}) {
-                    trace::ReplayCursor cursor(buffer);
-                    core::Simulator sim(config, cursor);
-                    sim.hierarchy().setMissLog(log);
-                    sim.run();
-                    shared = sim.hierarchy().stats();
-                }
-                EXPECT_LT(sampled.bytes() * 3, full.bytes());
-                for (const char *policy :
-                     {"TPLRU", "LRU", "DRRIP", "M:S&E", "P(8):S&E"}) {
-                    SCOPED_TRACE(policy);
-                    const auto spec = replacement::PolicySpec::parse(policy);
-                    std::vector<std::string> counts;
-                    for (const cache::MissLog *log : {&full, &sampled}) {
-                        cache::MonitorLane lane(config.machine.hierarchy,
-                                                spec, k);
-                        lane.replay(*log);
-                        stats::Registry registry;
-                        core::populateRegistry(registry, lane.stats(shared),
-                                               {}, {});
-                        std::string text =
-                            core::registryJson(registry).dump(0);
-                        const auto hist = lane.l2().priorityDistribution();
-                        for (std::size_t i = 0; i < hist.domain(); ++i)
-                            text += " " + std::to_string(hist.fraction(i));
-                        counts.push_back(std::move(text));
-                    }
-                    EXPECT_EQ(counts[0], counts[1]);
-                }
-            }
-        }
     }
 }
 

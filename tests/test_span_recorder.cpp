@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -441,6 +442,61 @@ TEST(SpanRecorderGrid, FusedTraceHasOneLaneSlicePerFreshMonitorCell)
     EXPECT_EQ(second.executionAt(1, 2), core::CellExecution::FusedMonitor);
     EXPECT_EQ(second.at(1, 2).toJson().dump(0),
               first.at(1, 2).toJson().dump(0));
+}
+
+/**
+ * A finished pass's lane jobs run before the next pass starts, so a
+ * grid holds about one miss log per worker, not one per row: on one
+ * worker every lane slice follows its own row's pass and precedes the
+ * next row's.
+ */
+TEST(SpanRecorderGrid, OneWorkerReplaysEachPassBeforeTheNextPass)
+{
+    core::RunOptions options;
+    options.warmupInstructions = 20'000;
+    options.measureInstructions = 50'000;
+    const core::PolicyGrid grid = core::PolicyGrid::sweep(
+        std::vector<trace::WorkloadProfile>{
+            trace::profileByName("tomcat"),
+            trace::profileByName("kafka"),
+            trace::profileByName("verilator")},
+        {"TPLRU", "P(8):S&E", "LRU", "P(2):S&E", "P(6):S&E"}, options);
+    core::GridOptions fused;
+    fused.fused = true;
+    core::ThreadPool pool(1);
+    SpanRecorder recorder;
+    core::runGrid(grid, pool, fused, {}, &recorder);
+
+    const auto tracks = recorder.tracks();
+    std::vector<const SpanRecorder::Span *> jobs;
+    for (const auto &track : tracks)
+        for (const auto &span : track.spans)
+            if (std::string(span.name) == "group" ||
+                std::string(span.name) == "lane")
+                jobs.push_back(&span);
+    std::sort(jobs.begin(), jobs.end(),
+              [](const SpanRecorder::Span *a, const SpanRecorder::Span *b) {
+                  return a->startNs < b->startNs;
+              });
+    const auto workload = [](const SpanRecorder::Span &span) {
+        for (const auto &[key, value] : span.args)
+            if (key == "workload")
+                return value.asString();
+        return std::string();
+    };
+    std::vector<std::string> passes;
+    std::size_t lanes = 0;
+    for (const SpanRecorder::Span *span : jobs) {
+        if (std::string(span->name) == "group") {
+            passes.push_back(workload(*span));
+            continue;
+        }
+        ++lanes;
+        ASSERT_FALSE(passes.empty());
+        EXPECT_EQ(workload(*span), passes.back());
+    }
+    EXPECT_EQ(passes.size(), grid.workloads.size());
+    EXPECT_EQ(lanes, grid.workloads.size() * (grid.runs.size() - 1));
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel experiment engine: ThreadPool semantics
  * (submit/wait, exception propagation, drain on destruction,
- * first-in first-out start order), the strict envU64 parser that
+ * first-in first-out start order, submitAhead), the strict envU64 parser that
  * sizes it, and the engine's headline guarantee — runGrid with 1, 2
  * and 4 workers produces identical Metrics for the same grid.
  */
@@ -108,6 +108,44 @@ TEST(ThreadPool, JobsStartInSubmissionOrder)
     std::vector<int> expected(16);
     for (int i = 0; i < 16; ++i)
         expected[i] = i;
+    EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPool, AheadJobsJumpEveryQueuedSubmitInTheirOwnOrder)
+{
+    // submitAhead queues behind the ahead jobs still queued and in
+    // front of every submit() job (the grid replays a finished pass's
+    // monitor lanes before it starts another pass), also when a
+    // running job queues it.
+    ThreadPool pool(1);
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    std::future<void> held = pool.submit([open]() { open.wait(); });
+
+    std::mutex mutex;
+    std::vector<std::string> order;
+    const auto note = [&mutex, &order](std::string name) {
+        std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(std::move(name));
+    };
+    std::future<void> queued_inside;
+    std::vector<std::future<void>> jobs;
+    jobs.push_back(pool.submit([&note]() { note("s0"); }));
+    jobs.push_back(pool.submitAhead([&note]() { note("a0"); }));
+    jobs.push_back(pool.submit([&note]() { note("s1"); }));
+    jobs.push_back(pool.submitAhead([&]() {
+        note("a1");
+        queued_inside = pool.submitAhead([&note]() { note("a3"); });
+    }));
+    jobs.push_back(pool.submitAhead([&note]() { note("a2"); }));
+    gate.set_value();
+    held.get();
+    for (std::future<void> &job : jobs)
+        job.get();
+    queued_inside.get();
+
+    const std::vector<std::string> expected{"a0", "a1", "a2", "a3",
+                                            "s0", "s1"};
     EXPECT_EQ(order, expected);
 }
 
