@@ -61,7 +61,8 @@ banner(const char *experiment, const char *paper_ref,
 
 /**
  * Grid scheduling from the environment: EMISSARY_FUSED=1 runs each
- * workload's policies as one fused trace pass (core::run lanes);
+ * workload's policies as one fused trace pass (a timing lane plus
+ * one monitor-lane replay per other policy);
  * EMISSARY_SAMPLED_SETS=K additionally samples the monitor lanes
  * 1-in-K (fast mode, implies fused). Unset = the sequential engine,
  * exactly as before.

@@ -6,6 +6,9 @@
 #      README.md, EXPERIMENTS.md or docs/ cite must exist; a cited
 #      glob must match a file, a <placeholder> never does, and a
 #      brace citation such as src/x/{a,b}.cc names every member
+#   0b. Build provenance ("buildsha"): in a throwaway clone, a new
+#      commit and then an edit to a tracked file must each reach
+#      core::buildInfo's sha at the next build, without a reconfigure
 #   1. Release build (whole-program IPO where the toolchain has it)
 #      + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
@@ -51,7 +54,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${CI_JOBS:-$(nproc)}"
-STAGES="${*:-evidence release smoke timeparallel tracepack service bench asan tsan}"
+STAGES="${*:-evidence buildsha release smoke timeparallel tracepack service bench asan tsan}"
 
 run_stage() { echo; echo "=== ci: $* ==="; }
 
@@ -117,6 +120,35 @@ for stage in $STAGES; do
             sed -E 's/^[ `(]//' | sort -u)
         [ "$missing" -eq 0 ] || exit 1
         echo "evidence OK"
+        ;;
+    buildsha)
+        run_stage "build_sha follows the commit at build time"
+        # Configure a throwaway clone once, then build only the sha
+        # target after each change and read the header it writes.
+        tmp="$(mktemp -d)"
+        git clone -q . "$tmp/src"
+        cmake -S "$tmp/src" -B "$tmp/build" >/dev/null
+        stamped() {
+            cmake --build "$tmp/build" --target emissary_git_sha >/dev/null
+            sed -n 's/^#define EMISSARY_GIT_SHA "\(.*\)"$/\1/p' \
+                "$tmp/build/src/core/git_sha.hh"
+        }
+        expect_sha() {
+            local got
+            got="$(stamped)"
+            [ "$got" = "$1" ] ||
+                { echo "$2: build stamps '$got', want '$1'" >&2; exit 1; }
+        }
+        expect_sha "$(git -C "$tmp/src" rev-parse --short=12 HEAD)" \
+            "clean clone"
+        git -C "$tmp/src" -c user.name=ci -c user.email=ci@localhost \
+            commit -q --allow-empty -m "empty commit"
+        sha="$(git -C "$tmp/src" rev-parse --short=12 HEAD)"
+        expect_sha "$sha" "after a new commit"
+        echo >>"$tmp/src/README.md"
+        expect_sha "$sha-dirty" "after editing a tracked file"
+        rm -rf "$tmp"
+        echo "buildsha OK"
         ;;
     release)
         run_stage "Release build + tests"

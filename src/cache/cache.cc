@@ -32,10 +32,9 @@ Cache::Cache(const Config &config)
                                     ": set count must be a power of 2");
     setShift_ = floorLog2(sets_);
     tagShift_ = setShift_ + config_.indexShift;
-    if (config_.indexShift >= 32 ||
-        config_.indexOffset >= (std::uint64_t{1} << config_.indexShift))
-        throw std::invalid_argument(
-            config_.name + ": indexOffset must fit in indexShift bits");
+    if (config_.indexShift >= 32)
+        throw std::invalid_argument(config_.name +
+                                    ": indexShift must be below 32");
     lines_.assign(std::size_t{sets_} * config_.ways, CacheLine{});
     tags_.assign(std::size_t{sets_} * config_.ways, kInvalidTag);
     policy_ = replacement::makePolicy(spec_, sets_, config_.ways,
@@ -277,8 +276,7 @@ Cache::insert(std::uint64_t line_addr, const replacement::LineInfo &info,
         CacheLine &victim = lineAt(set, static_cast<unsigned>(way));
         evicted.valid = true;
         evicted.lineAddr = (victim.tag << tagShift_) |
-                           (std::uint64_t{set} << config_.indexShift) |
-                           config_.indexOffset;
+                           (std::uint64_t{set} << config_.indexShift);
         evicted.line = victim;
         policyInvalidate(set, static_cast<unsigned>(way));
         victim = CacheLine{};

@@ -59,15 +59,13 @@ class Cache
         std::uint64_t seed = 0xCAFEF00DULL;
         /**
          * Sampled-set monitor support (UMON/DEW idiom): the array
-         * indexes with set = (line >> indexShift) & (sets-1) and the
-         * low indexShift address bits are the constant indexOffset.
-         * A 1-in-K sampled lane models sets/K sets with
-         * indexShift = log2(K) and indexOffset = the sampled residue;
-         * full-size caches keep the defaults (identical indexing to
-         * before).
+         * indexes with set = (line >> indexShift) & (sets-1), and
+         * the low indexShift address bits of every line it holds are
+         * 0. A 1-in-K sampled lane models sets/K sets with
+         * indexShift = log2(K) and holds residue-0 lines only;
+         * full-size caches keep the default 0.
          */
         unsigned indexShift = 0;
-        std::uint64_t indexOffset = 0;
     };
 
     /**

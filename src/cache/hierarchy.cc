@@ -7,12 +7,152 @@
 namespace emissary::cache
 {
 
+LowerLevels::LowerLevels(const Cache::Config &l2, const Cache::Config &l3,
+                         bool bypass_low_priority_inst)
+    : l2_(l2),
+      l3_(l3),
+      emissaryL2_(l2.policy.family ==
+                  replacement::PolicyFamily::EmissaryP),
+      bypassLowPriorityInst_(bypass_low_priority_inst)
+{
+}
+
+FillSource
+LowerLevels::probe(std::uint64_t line, bool is_instruction, bool demand)
+{
+    if (demand) {
+        if (is_instruction) {
+            ++stats_.l2InstAccesses;
+            if (observer_)
+                observer_->onL2InstAccess(line);
+        } else {
+            ++stats_.l2DataAccesses;
+        }
+    }
+
+    if (CacheLine *l2_line = l2_.peek(line)) {
+        if (is_instruction && l2_line->priority)
+            ++stats_.l2InstHitsProtected;
+        l2_.touch(line);
+        return FillSource::L2;
+    }
+    if (demand) {
+        if (is_instruction) {
+            ++stats_.l2InstMisses;
+            if (observer_)
+                observer_->onL2InstMiss(line);
+        } else {
+            ++stats_.l2DataMisses;
+        }
+        l2_.noteDemandMiss(line);
+    }
+
+    ++stats_.l3Accesses;
+    if (l3_.peek(line))
+        return FillSource::L3;
+    ++stats_.l3Misses;
+    ++stats_.dramReads;
+    return FillSource::Memory;
+}
+
+bool
+LowerLevels::select(const replacement::MissContext &ctx)
+{
+    // Mode selection happens exactly once per miss (§4.1); EMISSARY
+    // selects instruction lines only.
+    if (!ctx.isInstruction && emissaryL2_)
+        return false;
+    return l2_.spec().computePriority(ctx, l2_.selectionRng());
+}
+
+Cache::Eviction
+LowerLevels::fillL2(std::uint64_t line, FillSource source,
+                    bool is_instruction, bool selected)
+{
+    bool sfl = false;
+    if (source == FillSource::L3) {
+        l3_.invalidate(line);  // exclusive: move, not copy
+        sfl = true;
+    }
+    if (bypassLowPriorityInst_ && emissaryL2_ && is_instruction &&
+        !selected)
+        return {};
+    if (l2_.peek(line))
+        return {};  // Raced with another fill path; already resident.
+
+    replacement::LineInfo info;
+    info.isInstruction = is_instruction;
+    info.highPriority = !emissaryL2_ && selected;
+    const Cache::Eviction ev = l2_.insert(
+        line, info, is_instruction, /*dirty=*/false, sfl,
+        /*prefetched=*/false);
+    ++stats_.l2Fills;
+    if (observer_)
+        observer_->onL2Fill(line, is_instruction, info.highPriority);
+    if (ev.valid) {
+        ++stats_.l2Evictions;
+        if (ev.line.priority)
+            ++stats_.l2ProtectedEvictions;
+        if (observer_)
+            observer_->onL2Eviction(ev.lineAddr, ev.line.priority,
+                                    ev.line.dirty);
+    }
+    return ev;
+}
+
+void
+LowerLevels::evictToL3(const Cache::Eviction &victim, bool l1d_dirty)
+{
+    // Exclusive victim L3: the line enters L3 only now. The SFL bit
+    // recorded at L2-fill time selects MRU insertion (§5.1).
+    replacement::LineInfo info;
+    info.isInstruction = victim.line.isInstruction;
+    info.insertMru = victim.line.sfl;
+    const Cache::Eviction l3_ev = l3_.insert(
+        victim.lineAddr, info, victim.line.isInstruction,
+        victim.line.dirty || l1d_dirty, /*sfl=*/false,
+        /*prefetched=*/false);
+    if (l3_ev.valid && l3_ev.line.dirty)
+        ++stats_.dramWrites;
+}
+
+bool
+LowerLevels::l1iPriority(std::uint64_t line, bool selected,
+                         bool l1i_selected)
+{
+    bool priority = (emissaryL2_ && selected) || l1i_selected;
+    if (const CacheLine *l2_line = l2_.peek(line))
+        priority = priority || l2_line->priority;
+    if (priority)
+        ++stats_.highPriorityFills;
+    return priority;
+}
+
+void
+LowerLevels::upgrade(std::uint64_t line)
+{
+    l2_.raisePriority(line);
+    ++stats_.priorityUpgrades;
+    if (observer_)
+        observer_->onPriorityUpgrade(line);
+}
+
+void
+LowerLevels::writeBack(std::uint64_t line)
+{
+    // Present by inclusion except when a concurrent L2 eviction
+    // already pushed it out.
+    if (l2_.peek(line))
+        l2_.markDirty(line);
+    else
+        ++stats_.dramWrites;
+}
+
 Hierarchy::Hierarchy(const Config &config)
     : config_(config),
       l1i_(config.l1i),
       l1d_(config.l1d),
-      l2_(config.l2),
-      l3_(config.l3)
+      lower_(config.l2, config.l3, config.bypassLowPriorityInst)
 {
 }
 
@@ -33,7 +173,7 @@ Hierarchy::requestInstruction(std::uint64_t line_addr, std::uint64_t now,
     const bool demandish = kind != RequestKind::Nlp;
 
     if (demandish)
-        ++stats_.l1iAccesses;
+        ++stats().l1iAccesses;
 
     if (l1i_.peek(line_addr)) {
         l1i_.touch(line_addr);
@@ -42,18 +182,18 @@ Hierarchy::requestInstruction(std::uint64_t line_addr, std::uint64_t now,
 
     if (const std::size_t i = findMshr(line_addr); i != npos) {
         if (demandish)
-            ++stats_.l1iMisses;
+            ++stats().l1iMisses;
         return mshrs_[i].readyCycle;
     }
 
     if (demandish)
-        ++stats_.l1iMisses;
+        ++stats().l1iMisses;
 
     const std::uint64_t ready =
         missBelowL1(line_addr, now, true, false, demandish);
 
     if (config_.nextLinePrefetch && kind == RequestKind::Demand) {
-        ++stats_.nlpIssued;
+        ++stats().nlpIssued;
         requestInstruction(line_addr + 1, now, RequestKind::Nlp);
     }
     return ready;
@@ -66,7 +206,7 @@ Hierarchy::requestData(std::uint64_t line_addr, std::uint64_t now,
     const bool demandish = kind != RequestKind::Nlp;
 
     if (demandish)
-        ++stats_.l1dAccesses;
+        ++stats().l1dAccesses;
 
     if (const CacheLine *line = l1d_.peek(line_addr)) {
         if (write && log_ && !line->dirty) {
@@ -82,19 +222,19 @@ Hierarchy::requestData(std::uint64_t line_addr, std::uint64_t now,
 
     if (const std::size_t i = findMshr(line_addr); i != npos) {
         if (demandish)
-            ++stats_.l1dMisses;
+            ++stats().l1dMisses;
         mshrs_[i].write = mshrs_[i].write || write;
         return mshrs_[i].readyCycle;
     }
 
     if (demandish)
-        ++stats_.l1dMisses;
+        ++stats().l1dMisses;
 
     const std::uint64_t ready =
         missBelowL1(line_addr, now, false, write, demandish);
 
     if (config_.nextLinePrefetch && kind == RequestKind::Demand) {
-        ++stats_.nlpIssued;
+        ++stats().nlpIssued;
         requestData(line_addr + 1, now, false, RequestKind::Nlp);
     }
     return ready;
@@ -106,58 +246,23 @@ Hierarchy::missBelowL1(std::uint64_t line_addr, std::uint64_t now,
 {
     const unsigned l1_latency = is_instruction ? config_.l1i.hitLatency
                                                : config_.l1d.hitLatency;
-    unsigned latency = l1_latency;
     Mshr entry;
     entry.isInstruction = is_instruction;
     entry.write = write;
+    entry.source = lower_.probe(line_addr, is_instruction, demandish);
 
-    if (demandish) {
-        if (is_instruction) {
-            ++stats_.l2InstAccesses;
-            if (observer_)
-                observer_->onL2InstAccess(line_addr);
-        } else {
-            ++stats_.l2DataAccesses;
-        }
-    }
-
-    if (CacheLine *l2_line = l2_.peek(line_addr)) {
-        if (is_instruction && l2_line->priority)
-            ++stats_.l2InstHitsProtected;
-        l2_.touch(line_addr);
-        latency += config_.l2.hitLatency;
-        entry.source = FillSource::L2;
-    } else {
-        if (demandish) {
-            if (is_instruction) {
-                ++stats_.l2InstMisses;
-                if (observer_)
-                    observer_->onL2InstMiss(line_addr);
-            } else {
-                ++stats_.l2DataMisses;
-            }
-            l2_.noteDemandMiss(line_addr);
-        }
-
-        ++stats_.l3Accesses;
-        if (l3_.peek(line_addr)) {
-            latency += config_.l2.hitLatency + config_.l3.hitLatency;
-            entry.source = FillSource::L3;
-        } else {
-            ++stats_.l3Misses;
-            ++stats_.dramReads;
-            latency += config_.l2.hitLatency + config_.l3.hitLatency +
-                       config_.dramLatency;
-            entry.source = FillSource::Memory;
-        }
-
+    unsigned latency = l1_latency + config_.l2.hitLatency;
+    if (entry.source != FillSource::L2) {
+        latency += config_.l3.hitLatency;
+        if (entry.source == FillSource::Memory)
+            latency += config_.dramLatency;
         if (config_.idealL2Inst && is_instruction) {
             if (seenL2Inst_.count(line_addr)) {
                 // Capacity/conflict miss in the §5.6 ideal model:
                 // the fill still happens but latency collapses to an
                 // L2 hit.
                 latency = l1_latency + config_.l2.hitLatency;
-                ++stats_.idealCollapsedMisses;
+                ++stats().idealCollapsedMisses;
             }
             seenL2Inst_.insert(line_addr);
         }
@@ -192,85 +297,44 @@ Hierarchy::noteStarvation(std::uint64_t line_addr, bool iq_empty,
     entry.starved = true;
     entry.iqEmpty = entry.iqEmpty || iq_empty;
     entry.starveCycles += static_cast<std::uint32_t>(cycles);
-    stats_.starvationNotes += cycles;
+    stats().starvationNotes += cycles;
     if (observer_)
         for (std::uint64_t c = now; c < now + cycles; ++c)
             observer_->onStarvationCycle(line_addr, c);
 }
 
-void
-Hierarchy::handleL2Eviction(const Cache::Eviction &ev)
+bool
+Hierarchy::evictFromL1s(std::uint64_t line_addr)
 {
-    if (!ev.valid)
-        return;
-
-    bool dirty = ev.line.dirty;
-    ++stats_.l2Evictions;
-    if (ev.line.priority)
-        ++stats_.l2ProtectedEvictions;
-    if (observer_)
-        observer_->onL2Eviction(ev.lineAddr, ev.line.priority,
-                                ev.line.dirty);
-
     // Inclusive L2: remove stale copies from the L1s. A displaced
     // L1I priority bit dies with the line (it is leaving both
     // caches); a dirty L1D copy folds its data into the victim.
-    const Cache::Eviction ii = l1i_.invalidate(ev.lineAddr);
-    if (log_ && ii.valid)
+    const Cache::Eviction i = l1i_.invalidate(line_addr);
+    if (log_ && i.valid)
         log_->slotEvent(MissLog::Kind::L1IInvalidate,
-                        ii.set * l1i_.numWays() + ii.way);
-    const Cache::Eviction d = l1d_.invalidate(ev.lineAddr);
-    if (d.valid && d.line.dirty) {
-        dirty = true;
-        if (log_)
-            log_->slotEvent(MissLog::Kind::L1DInvalidate,
-                            d.set * l1d_.numWays() + d.way);
-    }
-
-    // Exclusive victim L3: the line enters L3 only now. The SFL bit
-    // recorded at L2-fill time selects MRU insertion (§5.1).
-    replacement::LineInfo info;
-    info.isInstruction = ev.line.isInstruction;
-    info.insertMru = ev.line.sfl;
-    const Cache::Eviction l3_ev = l3_.insert(
-        ev.lineAddr, info, ev.line.isInstruction, dirty,
-        /*sfl=*/false, /*prefetched=*/false);
-    if (l3_ev.valid && l3_ev.line.dirty)
-        ++stats_.dramWrites;
-}
-
-void
-Hierarchy::fillL2(std::uint64_t line_addr, bool is_instruction,
-                  bool high_priority, bool sfl)
-{
-    if (l2_.peek(line_addr))
-        return;  // Raced with another fill path; already resident.
-
-    replacement::LineInfo info;
-    info.isInstruction = is_instruction;
-    info.highPriority = high_priority;
-    const Cache::Eviction ev =
-        l2_.insert(line_addr, info, is_instruction, /*dirty=*/false,
-                   sfl, /*prefetched=*/false);
-    ++stats_.l2Fills;
-    if (observer_)
-        observer_->onL2Fill(line_addr, is_instruction, high_priority);
-    handleL2Eviction(ev);
+                        i.set * l1i_.numWays() + i.way);
+    const Cache::Eviction d = l1d_.invalidate(line_addr);
+    const bool dirty = d.valid && d.line.dirty;
+    if (log_ && dirty)
+        log_->slotEvent(MissLog::Kind::L1DInvalidate,
+                        d.set * l1d_.numWays() + d.way);
+    return dirty;
 }
 
 void
 Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
 {
     if (entry.starveCycles > 0) {
+        HierarchyStats &counters = stats();
         switch (entry.source) {
           case FillSource::L2:
-            stats_.starveCyclesL2 += entry.starveCycles;
+            counters.starveCyclesL2 += entry.starveCycles;
             break;
           case FillSource::L3:
-            stats_.starveCyclesL3 += entry.starveCycles;
+            counters.starveCyclesL3 += entry.starveCycles;
             break;
           case FillSource::Memory:
-            stats_.starveCyclesMem += entry.starveCycles;
+            counters.starveCyclesMem += entry.starveCycles;
             break;
         }
     }
@@ -280,68 +344,30 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
     ctx.causedStarvation = entry.starved;
     ctx.issueQueueEmpty = entry.iqEmpty;
 
-    const replacement::PolicySpec &l2_spec = l2_.spec();
-    const bool emissary_l2 =
-        l2_spec.family == replacement::PolicyFamily::EmissaryP;
-    const bool emissary_l1i =
-        l1i_.spec().family == replacement::PolicyFamily::EmissaryP;
-
-    // Mode selection happens exactly once per miss (§4.1). When the
-    // §3 ablation runs EMISSARY at the L1I instead of (or as well as)
-    // the L2, the L1I's own selector is evaluated with the same miss
-    // context.
-    bool selected = false;
-    if (entry.isInstruction || !emissary_l2)
-        selected = l2_spec.computePriority(ctx, l2_.selectionRng());
-    bool l1i_selected = false;
-    if (emissary_l1i && entry.isInstruction)
-        l1i_selected =
-            l1i_.spec().computePriority(ctx, l1i_.selectionRng());
-
-    // The L2 insertion. Under P(N) policies the L2 copy starts
-    // low-priority: priority is only communicated by a later L1I
-    // eviction (§3). Under M: policies the selection decides the
-    // insertion position right here.
-    if (entry.source != FillSource::L2) {
-        bool sfl = false;
-        if (entry.source == FillSource::L3) {
-            l3_.invalidate(line_addr);  // exclusive: move, not copy
-            sfl = true;
-        }
-        const bool bypass = config_.bypassLowPriorityInst &&
-                            emissary_l2 && entry.isInstruction &&
-                            !selected;
-        if (!bypass) {
-            const bool l2_priority = emissary_l2 ? false : selected;
-            fillL2(line_addr, entry.isInstruction, l2_priority, sfl);
-        }
-    }
+    const bool selected = lower_.fill(
+        line_addr, entry.source, ctx,
+        [this](std::uint64_t victim) { return evictFromL1s(victim); });
 
     if (entry.isInstruction) {
-        // The L1I copy carries the EMISSARY priority bit: set by this
-        // miss's selection outcome, or inherited from a resident L2
-        // copy (priority never changes while the line lives in either
-        // cache).
-        bool l1_priority = (emissary_l2 && selected) || l1i_selected;
-        if (const CacheLine *l2_line = l2_.peek(line_addr))
-            l1_priority = l1_priority || l2_line->priority;
-        if (l1_priority)
-            ++stats_.highPriorityFills;
+        // When the §3 ablation runs EMISSARY at the L1I instead of
+        // (or as well as) the L2, the L1I's own selector is evaluated
+        // with the same miss context, once per miss.
+        bool l1i_selected = false;
+        if (l1i_.spec().family == replacement::PolicyFamily::EmissaryP)
+            l1i_selected =
+                l1i_.spec().computePriority(ctx, l1i_.selectionRng());
 
         replacement::LineInfo info;
         info.isInstruction = true;
-        info.highPriority = l1_priority;
+        info.highPriority =
+            lower_.l1iPriority(line_addr, selected, l1i_selected);
         const Cache::Eviction ev = l1i_.insert(
             line_addr, info, /*is_instruction=*/true, /*dirty=*/false,
             /*sfl=*/false, /*prefetched=*/false);
-        if (ev.valid && ev.line.priority) {
+        if (ev.valid && ev.line.priority)
             // L1I eviction communicates starvation history to the L2
             // copy (§3) — the heart of EMISSARY's persistence.
-            l2_.raisePriority(ev.lineAddr);
-            ++stats_.priorityUpgrades;
-            if (observer_)
-                observer_->onPriorityUpgrade(ev.lineAddr);
-        }
+            lower_.upgrade(ev.lineAddr);
         if (log_)
             log_->instructionFill(line_addr, entry.starved,
                                   entry.iqEmpty, l1i_selected,
@@ -353,14 +379,8 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
         const Cache::Eviction ev = l1d_.insert(
             line_addr, info, /*is_instruction=*/false, entry.write,
             /*sfl=*/false, /*prefetched=*/false);
-        if (ev.valid && ev.line.dirty) {
-            // Write back into L2 (present by inclusion except when a
-            // concurrent L2 eviction already pushed it out).
-            if (l2_.peek(ev.lineAddr))
-                l2_.markDirty(ev.lineAddr);
-            else
-                ++stats_.dramWrites;
-        }
+        if (ev.valid && ev.line.dirty)
+            lower_.writeBack(ev.lineAddr);
         if (log_)
             log_->dataFill(line_addr, entry.starved, entry.iqEmpty,
                            entry.write, ev.set * l1d_.numWays() + ev.way);
@@ -399,7 +419,7 @@ void
 Hierarchy::resetPriorities()
 {
     l1i_.resetPriorities();
-    l2_.resetPriorities();
+    lower_.l2().resetPriorities();
     if (log_)
         log_->mark(MissLog::Kind::PriorityReset);
 }

@@ -22,7 +22,6 @@ sampledConfig(Cache::Config config, unsigned k)
     if (k > 1) {
         config.sizeBytes /= k;
         config.indexShift = floorLog2(k);
-        config.indexOffset = 0;
     }
     return config;
 }
@@ -32,6 +31,18 @@ withPolicy(Cache::Config config, const replacement::PolicySpec &spec)
 {
     config.policy = spec;
     return config;
+}
+
+/** The shared pipeline's miss context of a logged fill: lane
+ *  invariant, so a lane's selection differs by its RNG alone. */
+replacement::MissContext
+missContext(const MissLog::Event &event, bool is_instruction)
+{
+    replacement::MissContext ctx;
+    ctx.isInstruction = is_instruction;
+    ctx.causedStarvation = event.flags & MissLog::kStarved;
+    ctx.issueQueueEmpty = event.flags & MissLog::kIqEmpty;
+    return ctx;
 }
 
 } // namespace
@@ -47,11 +58,10 @@ MonitorLane::SlotCopy::SlotCopy(const Cache::Config &config)
 MonitorLane::MonitorLane(const Hierarchy::Config &timing,
                          const replacement::PolicySpec &l2,
                          unsigned sampled_sets)
-    : l2_(sampledConfig(withPolicy(timing.l2, l2),
-                        std::max(1u, sampled_sets))),
-      l3_(sampledConfig(timing.l3, std::max(1u, sampled_sets))),
-      emissaryL2_(l2.family == replacement::PolicyFamily::EmissaryP),
-      bypassLowPriorityInst_(timing.bypassLowPriorityInst),
+    : lower_(sampledConfig(withPolicy(timing.l2, l2),
+                           std::max(1u, sampled_sets)),
+             sampledConfig(timing.l3, std::max(1u, sampled_sets)),
+             timing.bypassLowPriorityInst),
       sampleK_(std::max(1u, sampled_sets)),
       l1i_(timing.l1i),
       l1iPriority_(l1i_.lines.size(), 0),
@@ -71,8 +81,12 @@ MonitorLane::replay(const MissLog &log,
     while (reader.next(event)) {
         switch (event.kind) {
           case MissLog::Kind::Probe:
-            probe(event.line, event.flags & MissLog::kInstruction,
-                  event.flags & MissLog::kDemand);
+            if (sampled(event.line))
+                outstanding_.emplace_back(
+                    event.line,
+                    lower_.probe(event.line,
+                                 event.flags & MissLog::kInstruction,
+                                 event.flags & MissLog::kDemand));
             break;
           case MissLog::Kind::InstructionFill:
             instructionFill(event);
@@ -95,13 +109,13 @@ MonitorLane::replay(const MissLog &log,
           case MissLog::Kind::PriorityReset:
             // The shared L1I clears its own P bits; the lane's view
             // of them lives in l1iPriority_.
-            l2_.resetPriorities();
+            lower_.l2().resetPriorities();
             std::fill(l1iPriority_.begin(), l1iPriority_.end(), 0);
             break;
           case MissLog::Kind::WindowStart:
             // Cache state persists, exactly like the timing arrays
             // across the warm-up boundary.
-            stats_.reset();
+            lower_.stats().reset();
             if (on_window_start)
                 on_window_start();
             break;
@@ -109,126 +123,29 @@ MonitorLane::replay(const MissLog &log,
     }
 }
 
-void
-MonitorLane::probe(std::uint64_t line, bool is_instruction,
-                   bool demand)
-{
-    if (!sampled(line))
-        return;
-    unsigned code;
-    if (demand) {
-        if (is_instruction)
-            ++stats_.l2InstAccesses;
-        else
-            ++stats_.l2DataAccesses;
-    }
-    if (CacheLine *l2_line = l2_.peek(line)) {
-        if (is_instruction && l2_line->priority)
-            ++stats_.l2InstHitsProtected;
-        l2_.touch(line);
-        code = static_cast<unsigned>(Hierarchy::FillSource::L2) + 1;
-    } else {
-        if (demand) {
-            if (is_instruction)
-                ++stats_.l2InstMisses;
-            else
-                ++stats_.l2DataMisses;
-            l2_.noteDemandMiss(line);
-        }
-        ++stats_.l3Accesses;
-        if (l3_.peek(line)) {
-            code = static_cast<unsigned>(Hierarchy::FillSource::L3) + 1;
-        } else {
-            ++stats_.l3Misses;
-            ++stats_.dramReads;
-            code =
-                static_cast<unsigned>(Hierarchy::FillSource::Memory) + 1;
-        }
-    }
-    outstanding_.emplace_back(line, code);
-}
-
-unsigned
-MonitorLane::takeSource(std::uint64_t line)
+bool
+MonitorLane::takeSource(std::uint64_t line, FillSource &source)
 {
     for (std::size_t i = 0; i < outstanding_.size(); ++i) {
         if (outstanding_[i].first != line)
             continue;
-        const unsigned code = outstanding_[i].second;
+        source = outstanding_[i].second;
         outstanding_[i] = outstanding_.back();
         outstanding_.pop_back();
-        return code;
+        return true;
     }
-    return 0;  // Not sampled.
-}
-
-void
-MonitorLane::fillL2(std::uint64_t line, bool is_instruction,
-                    bool high_priority, bool sfl)
-{
-    if (l2_.peek(line))
-        return;  // Raced with another fill path; already resident.
-
-    replacement::LineInfo info;
-    info.isInstruction = is_instruction;
-    info.highPriority = high_priority;
-    const Cache::Eviction ev =
-        l2_.insert(line, info, is_instruction, /*dirty=*/false, sfl,
-                   /*prefetched=*/false);
-    ++stats_.l2Fills;
-    if (!ev.valid)
-        return;
-
-    ++stats_.l2Evictions;
-    if (ev.line.priority)
-        ++stats_.l2ProtectedEvictions;
-
-    // Inclusion: the timing lane back-invalidates the L1s here. The
-    // L1s are the timing lane's, so the lane only drops its own P
-    // bit for the displaced line and folds a dirty L1D copy in.
-    bool dirty = ev.line.dirty;
-    if (const long slot = l1i_.find(ev.lineAddr); slot >= 0)
-        l1iPriority_[static_cast<std::size_t>(slot)] = 0;
-    if (l1dDirty_.find(ev.lineAddr) >= 0)
-        dirty = true;
-
-    // Exclusive victim L3 with the SFL insertion hint (§5.1).
-    replacement::LineInfo l3_info;
-    l3_info.isInstruction = ev.line.isInstruction;
-    l3_info.insertMru = ev.line.sfl;
-    const Cache::Eviction l3_ev = l3_.insert(
-        ev.lineAddr, l3_info, ev.line.isInstruction, dirty,
-        /*sfl=*/false, /*prefetched=*/false);
-    if (l3_ev.valid && l3_ev.line.dirty)
-        ++stats_.dramWrites;
+    return false;  // Not sampled.
 }
 
 bool
-MonitorLane::fill(std::uint64_t line, unsigned code,
-                  bool is_instruction,
-                  const replacement::MissContext &ctx)
+MonitorLane::evictFromL1s(std::uint64_t line)
 {
-    // Mode selection with the lane's own RNG — the only per-lane
-    // nondeterminism; the miss context itself is produced by the
-    // shared pipeline and is lane-invariant.
-    bool selected = false;
-    if (is_instruction || !emissaryL2_)
-        selected = l2_.spec().computePriority(ctx, l2_.selectionRng());
-
-    const auto source = static_cast<Hierarchy::FillSource>(code - 1);
-    if (source != Hierarchy::FillSource::L2) {
-        bool sfl = false;
-        if (source == Hierarchy::FillSource::L3) {
-            l3_.invalidate(line);  // exclusive: move
-            sfl = true;
-        }
-        const bool bypass = bypassLowPriorityInst_ && emissaryL2_ &&
-                            is_instruction && !selected;
-        if (!bypass)
-            fillL2(line, is_instruction,
-                   emissaryL2_ ? false : selected, sfl);
-    }
-    return selected;
+    // The L1s are the timing lane's, which back-invalidates them on
+    // its own evictions: the lane only drops its P bit for the line
+    // and reports a dirty L1D copy, which folds into the victim.
+    if (const long slot = l1i_.find(line); slot >= 0)
+        l1iPriority_[static_cast<std::size_t>(slot)] = 0;
+    return l1dDirty_.find(line) >= 0;
 }
 
 void
@@ -236,30 +153,22 @@ MonitorLane::instructionFill(const MissLog::Event &event)
 {
     // The shared L1I just placed the line into this slot, displacing
     // the copy's line there if any. The lane refreshes its P bit for
-    // the slot and, like the timing lane's raisePriority path, lets
-    // the displaced line's bit upgrade the lane's L2 copy (§3).
+    // the slot and, like the timing lane, lets the displaced line's
+    // bit upgrade the lane's L2 copy (§3).
     const std::size_t pos = event.slot;
     const std::uint64_t displaced = l1i_.lines[pos];
     l1i_.lines[pos] = event.line;
     const bool old_priority = l1iPriority_[pos] != 0;
     bool new_priority = false;
-    if (const unsigned code = takeSource(event.line); code != 0) {
-        replacement::MissContext ctx;
-        ctx.isInstruction = true;
-        ctx.causedStarvation = event.flags & MissLog::kStarved;
-        ctx.issueQueueEmpty = event.flags & MissLog::kIqEmpty;
-        const bool selected = fill(event.line, code, true, ctx);
-        new_priority = (emissaryL2_ && selected) ||
-                       (event.flags & MissLog::kSelected);
-        if (const CacheLine *l2_line = l2_.peek(event.line))
-            new_priority = new_priority || l2_line->priority;
-        if (new_priority)
-            ++stats_.highPriorityFills;
+    if (FillSource source; takeSource(event.line, source)) {
+        const bool selected = lower_.fill(
+            event.line, source, missContext(event, true),
+            [this](std::uint64_t victim) { return evictFromL1s(victim); });
+        new_priority = lower_.l1iPriority(
+            event.line, selected, event.flags & MissLog::kSelected);
     }
-    if (displaced != SlotCopy::kEmpty && old_priority) {
-        l2_.raisePriority(displaced);
-        ++stats_.priorityUpgrades;
-    }
+    if (displaced != SlotCopy::kEmpty && old_priority)
+        lower_.upgrade(displaced);
     l1iPriority_[pos] = new_priority ? 1 : 0;
 }
 
@@ -269,28 +178,20 @@ MonitorLane::dataFill(const MissLog::Event &event)
     const std::uint64_t displaced = l1dDirty_.lines[event.slot];
     l1dDirty_.lines[event.slot] =
         event.flags & MissLog::kWrite ? event.line : SlotCopy::kEmpty;
-    if (const unsigned code = takeSource(event.line); code != 0) {
-        replacement::MissContext ctx;
-        ctx.isInstruction = false;
-        ctx.causedStarvation = event.flags & MissLog::kStarved;
-        ctx.issueQueueEmpty = event.flags & MissLog::kIqEmpty;
-        fill(event.line, code, false, ctx);
-    }
-    if (displaced != SlotCopy::kEmpty && sampled(displaced)) {
-        // The shared L1D displaced a dirty line: fold it into the
-        // lane's L2 copy, or count a DRAM write when the lane no
-        // longer holds it.
-        if (l2_.peek(displaced))
-            l2_.markDirty(displaced);
-        else
-            ++stats_.dramWrites;
-    }
+    if (FillSource source; takeSource(event.line, source))
+        lower_.fill(
+            event.line, source, missContext(event, false),
+            [this](std::uint64_t victim) { return evictFromL1s(victim); });
+    // The shared L1D displaced a dirty line.
+    if (displaced != SlotCopy::kEmpty && sampled(displaced))
+        lower_.writeBack(displaced);
 }
 
 HierarchyStats
 MonitorLane::stats(const HierarchyStats &shared) const
 {
     const std::uint64_t k = sampleK_;
+    const HierarchyStats &own = lower_.stats();
     // Lane-invariant event counters (L1 traffic, NLP issue,
     // ideal-model hides) pass through from the shared pipeline;
     // policy-dependent counters come from the lane's own arrays,
@@ -302,20 +203,20 @@ MonitorLane::stats(const HierarchyStats &shared) const
     out.starveCyclesL2 = 0;
     out.starveCyclesL3 = 0;
     out.starveCyclesMem = 0;
-    out.l2InstAccesses = stats_.l2InstAccesses * k;
-    out.l2InstMisses = stats_.l2InstMisses * k;
-    out.l2DataAccesses = stats_.l2DataAccesses * k;
-    out.l2DataMisses = stats_.l2DataMisses * k;
-    out.l3Accesses = stats_.l3Accesses * k;
-    out.l3Misses = stats_.l3Misses * k;
-    out.dramReads = stats_.dramReads * k;
-    out.dramWrites = stats_.dramWrites * k;
-    out.l2Fills = stats_.l2Fills * k;
-    out.l2Evictions = stats_.l2Evictions * k;
-    out.highPriorityFills = stats_.highPriorityFills * k;
-    out.priorityUpgrades = stats_.priorityUpgrades * k;
-    out.l2InstHitsProtected = stats_.l2InstHitsProtected * k;
-    out.l2ProtectedEvictions = stats_.l2ProtectedEvictions * k;
+    out.l2InstAccesses = own.l2InstAccesses * k;
+    out.l2InstMisses = own.l2InstMisses * k;
+    out.l2DataAccesses = own.l2DataAccesses * k;
+    out.l2DataMisses = own.l2DataMisses * k;
+    out.l3Accesses = own.l3Accesses * k;
+    out.l3Misses = own.l3Misses * k;
+    out.dramReads = own.dramReads * k;
+    out.dramWrites = own.dramWrites * k;
+    out.l2Fills = own.l2Fills * k;
+    out.l2Evictions = own.l2Evictions * k;
+    out.highPriorityFills = own.highPriorityFills * k;
+    out.priorityUpgrades = own.priorityUpgrades * k;
+    out.l2InstHitsProtected = own.l2InstHitsProtected * k;
+    out.l2ProtectedEvictions = own.l2ProtectedEvictions * k;
     return out;
 }
 

@@ -6,19 +6,24 @@
  * backend, and the timing L2/L3).
  *
  * This is the auxiliary-tag-directory idiom of UMON (Qureshi &
- * Patt) and DEW-style trace-driven simulators: a lane replays every
- * replacement-relevant event of the shared pipeline — probe, fill,
- * exclusive L3 move, SFL bit, EMISSARY mode selection with the
- * lane's own RNG, L1I priority-bit shadowing and the eviction-time
- * priority upgrade (§3) — against its own arrays, so per-policy
- * hit/miss/protection counters come out of a single timing pass.
- * Each lane replays on its own, so the lanes of one pass can run on
- * any worker in any order.
+ * Patt) and DEW-style trace-driven simulators: a lane's levels below
+ * the L1s are a cache::LowerLevels, the same class and the same code
+ * the timing Hierarchy runs, driven by the log instead of by a live
+ * pipeline. Each probe, fill, L1I priority, §3 upgrade and dirty
+ * write-back of the log is one call to it, so mode selection (with
+ * the lane's own RNG), P(N) protection, the exclusive L3 and its SFL
+ * hint are the timing machine's rules by construction, and
+ * per-policy hit/miss/protection counters come out of a single
+ * timing pass. Each lane replays on its own, so the lanes of one pass
+ * can run on any worker in any order.
  *
- * In place of the live L1s, a lane keeps two small copies it updates
- * from the log: which line each L1I slot holds (with the lane's own
- * view of that line's P bit), and which L1D slots hold a dirty line.
- * They are exactly what a lane's L2 eviction reads of the shared L1s.
+ * The lane differs from the timing machine in its L1s only. In
+ * their place it keeps two small copies it updates from the log:
+ * which line each L1I slot holds (with the lane's own view of that
+ * line's P bit), and which L1D slots hold a dirty line. When the
+ * lane's L2 evicts a line, inclusion reads them instead of
+ * invalidating real L1s: the line's P bit drops and a dirty L1D copy
+ * folds into the victim.
  *
  * Fidelity contract: the timing lane (the Hierarchy that recorded
  * the log) is bit-identical to a sequential run of its policy.
@@ -86,7 +91,7 @@ class MonitorLane
      */
     HierarchyStats stats(const HierarchyStats &shared) const;
 
-    const Cache &l2() const { return l2_; }
+    const Cache &l2() const { return lower_.l2(); }
 
   private:
     /** Which line each slot of a shared L1 holds, as far as the lane
@@ -115,18 +120,14 @@ class MonitorLane
         }
     };
 
-    void probe(std::uint64_t line, bool is_instruction, bool demand);
-    /** The fill source the probe of @p line chose (0 = unsampled). */
-    unsigned takeSource(std::uint64_t line);
-    /** Mode selection and the L2/L3 insertion of one fill; returns
-     *  the lane's selection outcome. */
-    bool fill(std::uint64_t line, unsigned code, bool is_instruction,
-              const replacement::MissContext &ctx);
+    /** Removes the outstanding probe of @p line and returns its fill
+     *  source in @p source; false when the line is not sampled. */
+    bool takeSource(std::uint64_t line, FillSource &source);
     void instructionFill(const MissLog::Event &event);
     void dataFill(const MissLog::Event &event);
-    /** Mirror of fillL2 + handleL2Eviction against lane arrays. */
-    void fillL2(std::uint64_t line, bool is_instruction,
-                bool high_priority, bool sfl);
+    /** Inclusion against the L1 copies: @p line's P bit drops;
+     *  returns whether the L1D holds it dirty. */
+    bool evictFromL1s(std::uint64_t line);
 
     bool
     sampled(std::uint64_t line) const
@@ -134,15 +135,11 @@ class MonitorLane
         return sampleK_ == 1 || (line & (sampleK_ - 1)) == 0;
     }
 
-    Cache l2_;
-    Cache l3_;
-    bool emissaryL2_ = false;
-    bool bypassLowPriorityInst_ = false;
+    LowerLevels lower_;
     unsigned sampleK_ = 1;
-    HierarchyStats stats_;
-    /** Outstanding probes' fill sources (line, code): a line has at
-     *  most one outstanding miss. */
-    std::vector<std::pair<std::uint64_t, unsigned>> outstanding_;
+    /** Outstanding probes' fill sources: a line has at most one
+     *  outstanding miss. */
+    std::vector<std::pair<std::uint64_t, FillSource>> outstanding_;
     /** The shared L1I's lines and this lane's P bit for each. */
     SlotCopy l1i_;
     std::vector<std::uint8_t> l1iPriority_;

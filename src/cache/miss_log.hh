@@ -2,15 +2,18 @@
  * @file
  * The below-L1 event log of one fused pass.
  *
- * A monitor lane (cache/lanes.hh) depends on the timing machine only
- * through what happens below its L1s: the L2 probes, the fills with
- * their miss context, and the L1 state a lane's L2 eviction consults
- * (which L1I slot holds a line, which L1D lines are dirty). The
- * timing Hierarchy appends exactly those events here as they happen,
- * and each lane replays the finished log against its own L2/L3 on
- * any thread, the way DEW evaluates many cache configurations from
- * one recorded trace. The log holds every line's events: a 1-in-K
- * sampled lane skips the lines outside its sets as it replays.
+ * The timing Hierarchy and every monitor lane (cache/lanes.hh) run
+ * one model below the L1s, cache::LowerLevels, and differ only in the
+ * L1s above it. So a lane depends on the timing machine only through
+ * the calls the timing Hierarchy makes on its LowerLevels (the L2
+ * probes, the fills with their miss context) and the L1 state its own
+ * L1 inclusion consults (which L1I slot holds a line, which L1D
+ * lines are dirty). The timing Hierarchy appends exactly those events
+ * here as they happen, and each lane replays the finished log as the
+ * same calls on its own LowerLevels, on any thread, the way DEW
+ * evaluates many cache configurations from one recorded trace. The
+ * log holds every line's events: a 1-in-K sampled lane skips the
+ * lines outside its sets as it replays.
  *
  * Encoding: one header byte per event (kind in bits 0-2, flags in
  * bits 3-5), then for probes, fills and dirty stores the zigzag

@@ -1,8 +1,12 @@
 #include "core/buildinfo.hh"
 
-// The definitions are injected per-source by src/core/CMakeLists.txt;
-// the fallbacks keep the file compilable standalone (IDE indexers,
+// The build generates git_sha.hh (cmake/git_sha.cmake) and injects the
+// other definitions per-source (src/core/CMakeLists.txt); the
+// fallbacks keep the file compilable standalone (IDE indexers,
 // out-of-CMake builds).
+#if __has_include("git_sha.hh")
+#include "git_sha.hh"
+#endif
 #ifndef EMISSARY_GIT_SHA
 #define EMISSARY_GIT_SHA "unknown"
 #endif

@@ -36,8 +36,8 @@
  * That share-or-rerun is the one decision made while jobs run.
  *
  * A fused lane chunk runs its timing lane as one pass that records
- * the below-L1 events (core::runTiming); when the pass ends, each of
- * its monitor lanes becomes its own job replaying that log
+ * the below-L1 events (core::run with a feed); when the pass ends,
+ * each of its monitor lanes becomes its own job replaying that log
  * (core::replayMonitor), queued ahead of every pass not yet started
  * so that about one log per worker is live. The monitor columns are
  * grouped the same way: a P(N) member lane whose N lies in its
@@ -252,9 +252,9 @@ struct GridOptions
      *  whole grid fall back to per-cell scheduling (GridPlan). */
     bool fused = false;
     /** Fast mode: 1-in-K set sampling for the monitor lanes of
-     *  fused groups (core::run's sampled_sets; 0 or 1 = full fidelity
-     *  monitors; K a power of two, checkSampledSets). The timing lane
-     *  and sequential cells always model every set. */
+     *  fused groups (core::replayMonitor's sampled_sets; 0 or 1 =
+     *  full fidelity monitors; K a power of two, checkSampledSets).
+     *  The timing lane and sequential cells always model every set. */
     unsigned sampledSets = 0;
     /** Collect each cell's end-of-window counter registry into
      *  GridResults (implied by cellCache, which must store them). */

@@ -145,14 +145,14 @@ TEST(TraceFile, RecordedThenReplayedRunIsBitIdentical)
         SyntheticExecutor executor(program);
         TraceWriter writer(path);
         RecordingSource tee(executor, writer);
-        live = core::run(tee, {l2}, 0, l1i, options).front();
+        live = core::run(tee, l2, l1i, options);
         writer.finish();
     }
 
     // Replaying the recording must reproduce the run bit-exactly.
     FileTraceSource replay(path);
     core::Metrics replayed =
-        core::run(replay, {l2}, 0, l1i, options).front();
+        core::run(replay, l2, l1i, options);
     replayed.benchmark = live.benchmark;
     EXPECT_EQ(replayed.toJson().dump(), live.toJson().dump());
     std::remove(path.c_str());
