@@ -23,8 +23,9 @@
 #      sweep must print and write its monitor lanes' IPC,
 #      starvation and speedup as n/a (null in JSON), and a one-worker
 #      fused Fig. 5 sweep must finish within its deadline, equal the
-#      same sweep on four workers and trace one lane job per monitor
-#      cell, some P(N) member lanes sharing their leader's replay
+#      same sweep on four workers (its rows live on one worker and
+#      replayed on four) and trace one lane job per monitor cell,
+#      some P(N) member lanes sharing their leader's replay
 #   3. Time-parallel smoke: chunked single runs, trace replay and
 #      sweeps must be bit-identical across worker counts and carry
 #      the time_slicing provenance, the one-worker runs must finish
@@ -217,10 +218,11 @@ for stage in $STAGES; do
         done
         [ "$(block plain metrics)" = "$(block record metrics)" ] ||
             { echo "--record changed the run's metrics" >&2; exit 1; }
-        # Shared against inline branch prediction: a replay row with
-        # one pass predicts inline, and a row with three reads the
-        # outcomes its build job predicted once. Both sweeps run on
-        # one worker, and their TPLRU cells must agree bit for bit.
+        # Shared against inline branch prediction: a row with one
+        # pass predicts inline (on one worker it generates live), and
+        # a row with three reads the outcomes its build job predicted
+        # once. Both sweeps run on one worker, and their TPLRU cells
+        # must agree bit for bit.
         predict_sweep() {
             local name="$1" policies="$2"
             deadline 20 "one-worker $name-prediction sweep" \
@@ -307,7 +309,12 @@ for stage in $STAGES; do
         # inside its own job: on one worker they must not stall, and
         # they must give the results of four workers. The flight trace
         # holds one lane slice per monitor cell; some P(N) member lanes
-        # share their leader's replay (shared_with), not all.
+        # share their leader's replay (shared_with), not all. One
+        # timing pass reads each row, so the two sweeps fall on either
+        # side of the row-source rule: on one worker the two passes
+        # share it and each row generates live; on four, two workers
+        # are spare and each row packs beside its pass. Their metrics
+        # must still be equal.
         fig5_policies="TPLRU,M:0,M:R(1/32),M:S&E,M:S&E&R(1/32)"
         for n in 2 6 10 14; do
             fig5_policies+=",P($n):S&E,P($n):S&E&R(1/32)"
@@ -331,6 +338,16 @@ for stage in $STAGES; do
               "$(run_metrics "$art/fused_lanes_j4.json")" ] ||
             { echo "fused lane sweep differs between 1 and 4 workers" \
                 >&2; exit 1; }
+        sources() {
+            grep -o '"source": "[a-z]*"' "$1" | sort | uniq -c |
+                awk '{ printf "%s %s;", $1, $3 }'
+        }
+        [ "$(sources "$art/fused_lanes_j1.json")" = '26 "live";' ] &&
+            [ "$(sources "$art/fused_lanes_j4.json")" = '26 "replay";' ] ||
+            { echo "fused lane sweep sources: $(sources \
+                "$art/fused_lanes_j1.json") at 1 worker, $(sources \
+                "$art/fused_lanes_j4.json") at 4 (want 26 live," \
+                "26 replay)" >&2; exit 1; }
         lanes=$(grep -o '"name":"lane"' "$art/fused_lanes_trace.json" |
             wc -l)
         shared=$(grep -o '"shared_with":' "$art/fused_lanes_trace.json" |

@@ -65,6 +65,30 @@ recordsNeeded(const PolicyGrid &grid)
     return trace::RecordBuffer::recordsForWindow(window);
 }
 
+/**
+ * Replay buffers of @p records each that EMISSARY_REPLAY_BUDGET_MB
+ * (default 1024) holds. Counted by division, so nothing wraps: the
+ * budget's bytes reach 2^64 at its 2^44 MB cap.
+ * @throws std::invalid_argument naming the variable above the cap.
+ */
+std::uint64_t
+replayBufferSlots(std::uint64_t records)
+{
+    constexpr std::uint64_t kMaxBudgetMb = std::uint64_t{1} << 44;
+    const std::uint64_t mb = envU64("EMISSARY_REPLAY_BUDGET_MB", 1024);
+    if (mb > kMaxBudgetMb)
+        throw std::invalid_argument(
+            "EMISSARY_REPLAY_BUDGET_MB: " + std::to_string(mb) +
+            " MB is above the largest budget, 2^44 MB");
+    constexpr std::uint64_t per_record =
+        trace::RecordBuffer::kBytesPerRecord;
+    constexpr std::uint64_t mib = std::uint64_t{1} << 20;
+    // floor(mb * 2^20 / per_record) without forming the product.
+    const std::uint64_t budget_records =
+        mb / per_record * mib + mb % per_record * mib / per_record;
+    return records > 0 ? budget_records / records : 0;
+}
+
 /** CRC-32 of a whole file, streamed in 64 KiB chunks — the content
  *  identity of raw EMTR traces, which carry no per-block digests. */
 std::uint32_t
@@ -451,7 +475,8 @@ checkSampledSets(unsigned factor)
 }
 
 GridPlan
-planGrid(const PolicyGrid &grid, const GridOptions &options)
+planGrid(const PolicyGrid &grid, const GridOptions &options,
+         unsigned workers)
 {
     if (grid.workloads.empty() || grid.runs.empty())
         throw std::invalid_argument("planGrid: empty grid");
@@ -506,44 +531,6 @@ planGrid(const PolicyGrid &grid, const GridOptions &options)
             if (options.cellCache->lookup(cell.cacheKey,
                                           cell.cacheCanonical, entry))
                 cell.hit = std::move(entry);
-        }
-    }
-
-    // One source per row, shared by every pass of the row. EMTC rows
-    // stream: each pass, and each time-parallel chunk, opens the
-    // container at its own start record through the block index and
-    // decodes only the blocks it reads, so no cell waits on a
-    // whole-trace decode. Synthetic rows and raw EMTR rows
-    // (FileTraceSource loads the whole file at open) pack their
-    // stream once into a RecordBuffer that every pass replays, within
-    // the replay budget; past it, a synthetic row generates live and
-    // an EMTR row reopens its file per pass. A cursor that outruns its
-    // buffer continues from the buffer's tail. Every kind serves the
-    // same records, so the Metrics are bit-identical
-    // (tests/test_replay.cpp, tests/test_runner.cpp).
-    const std::uint64_t budget_bytes =
-        envU64("EMISSARY_REPLAY_BUDGET_MB", 1024) * 1024 * 1024;
-    const std::uint64_t bytes_per_buffer =
-        plan.bufferRecords * trace::RecordBuffer::kBytesPerRecord;
-    std::uint64_t buffers_left =
-        bytes_per_buffer > 0 ? budget_bytes / bytes_per_buffer : 0;
-    plan.sources.assign(rows, RowSource::None);
-    for (std::size_t w = 0; w < rows; ++w) {
-        // A fully cached row never simulates, so it needs no source
-        // either: the warm path costs identity probes only.
-        const std::vector<CellPlan> &cells = plan.cells[w];
-        if (std::all_of(cells.begin(), cells.end(),
-                        [](const CellPlan &cell) { return cell.cached(); }))
-            continue;
-        const GridWorkload &row = grid.workloads[w];
-        if (row.traceBacked() && isPackedTracePath(row.tracePath)) {
-            plan.sources[w] = RowSource::Stream;
-        } else if (buffers_left > 0) {
-            --buffers_left;
-            plan.sources[w] = RowSource::Replay;
-        } else {
-            plan.sources[w] =
-                row.traceBacked() ? RowSource::Stream : RowSource::Live;
         }
     }
 
@@ -621,22 +608,69 @@ planGrid(const PolicyGrid &grid, const GridOptions &options)
         }
     }
 
-    // A replay row predicts its block outcomes once when two or more
-    // machines replay it from record 0: two passes, or one P(N) group
-    // whose members may re-run. Its first pass keys the stream; a
-    // pass under another predictor config predicts inline.
-    plan.predictionColumns.assign(rows, std::nullopt);
+    // One source per row, chosen by the machines that read the row
+    // from record 0: a pass, a P(N) member counting as one since it
+    // may re-run. EMTC rows stream: each pass, and each time-parallel
+    // chunk, opens the container at its own start record through the
+    // block index and decodes only the blocks it reads. Any other row
+    // packs a RecordBuffer only when the pack pays, within the replay
+    // budget and in grid order: first the rows that two or more
+    // machines share or a chunked pass (which needs random access)
+    // reads, then the synthetic rows that one machine reads, each on
+    // a worker that no machine of the grid would use, beside its
+    // reader. A synthetic row that does not pack generates live inside
+    // its pass; an EMTR row (FileTraceSource loads the whole file at
+    // open) reopens its file per pass. A cursor that outruns its
+    // buffer continues from the buffer's tail. Every kind serves the
+    // same records, so the Metrics are bit-identical
+    // (tests/test_replay.cpp, tests/test_runner.cpp).
     std::vector<std::size_t> machines(rows, 0);
+    std::vector<char> chunked(rows, 0);
+    std::size_t grid_machines = 0;
     for (const GridPass &pass : plan.passes) {
-        if (plan.sources[pass.row] != RowSource::Replay)
-            continue;
-        if (machines[pass.row] == 0)
-            plan.predictionColumns[pass.row] = pass.columns.front();
         machines[pass.row] += 1 + pass.members.size();
+        grid_machines += 1 + pass.members.size();
+        chunked[pass.row] |=
+            grid.runs[pass.columns.front()].options.timeChunks > 1;
     }
-    for (std::size_t w = 0; w < rows; ++w)
-        if (machines[w] < 2)
-            plan.predictionColumns[w].reset();
+    std::uint64_t buffers_left = replayBufferSlots(plan.bufferRecords);
+    std::size_t spare_workers =
+        workers > grid_machines ? workers - grid_machines : 0;
+    plan.sources.assign(rows, RowSource::None);
+    for (const bool shared : {true, false}) {
+        for (std::size_t w = 0; w < rows; ++w) {
+            // A fully cached row runs no machine and needs no source:
+            // the warm path costs identity probes only.
+            const GridWorkload &row = grid.workloads[w];
+            if (machines[w] == 0 ||
+                (machines[w] > 1 || chunked[w]) != shared)
+                continue;
+            if (row.traceBacked() && isPackedTracePath(row.tracePath)) {
+                plan.sources[w] = RowSource::Stream;
+                continue;
+            }
+            const bool pack =
+                shared || (!row.traceBacked() && spare_workers > 0);
+            if (pack && buffers_left > 0) {
+                --buffers_left;
+                if (!shared)
+                    --spare_workers;
+                plan.sources[w] = RowSource::Replay;
+            } else {
+                plan.sources[w] =
+                    row.traceBacked() ? RowSource::Stream : RowSource::Live;
+            }
+        }
+    }
+
+    // A replay row that two or more machines read predicts its block
+    // outcomes once; its first pass keys the stream, and a pass under
+    // another predictor config predicts inline.
+    plan.predictionColumns.assign(rows, std::nullopt);
+    for (const GridPass &pass : plan.passes)
+        if (plan.sources[pass.row] == RowSource::Replay &&
+            machines[pass.row] > 1 && !plan.predictionColumns[pass.row])
+            plan.predictionColumns[pass.row] = pass.columns.front();
     return plan;
 }
 
@@ -647,7 +681,7 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
             &progress, stats::SpanRecorder *recorder)
 {
     const auto wall_start = std::chrono::steady_clock::now();
-    const GridPlan plan = planGrid(grid, options);
+    const GridPlan plan = planGrid(grid, options, pool.workerCount());
 
     // A disabled recorder behaves exactly like no recorder: all the
     // instrumentation below keys off this one pointer.

@@ -11,17 +11,21 @@
  * and seeded RNGs, so runGrid with EMISSARY_JOBS=1 and
  * EMISSARY_JOBS=N produce the same Metrics for the same grid.
  *
- * Within the EMISSARY_REPLAY_BUDGET_MB memory budget (default 1024,
- * 0 disables), each synthetic or raw EMTR row's stream is packed
- * once into a trace::RecordBuffer that all of its cells replay, so
- * the sweep costs O(workloads) synthetic execution instead of
- * O(workloads x policies); a synthetic row's cells read records as
- * its build job packs them. EMTC rows take no buffer: each pass (and
- * each time-parallel chunk) opens the container at its own start
- * record. Every source serves the same records, so the Metrics are
- * bit-identical (RowSource; docs/performance.md).
+ * A synthetic or raw EMTR row that two or more machines read (passes
+ * and P(N) members), or that a time-parallel pass reads, is packed
+ * once into a trace::RecordBuffer that all of its cells replay,
+ * within the EMISSARY_REPLAY_BUDGET_MB memory budget (default 1024,
+ * 0 disables), so the sweep costs O(workloads) synthetic execution
+ * instead of O(workloads x policies); a synthetic row's cells read
+ * records as its build job packs them. A row that one machine reads
+ * packs only when it is synthetic and a worker would otherwise sit
+ * idle; otherwise it generates live inside its one pass. EMTC rows
+ * take no buffer: each pass (and each time-parallel chunk) opens the
+ * container at its own start record. Every source serves the same
+ * records, so the Metrics are bit-identical (RowSource;
+ * docs/performance.md).
  *
- * A replay row with two or more passes also predicts its block
+ * A replay row that two or more machines read also predicts its block
  * outcomes once: the build job feeds every packed chunk to a
  * frontend::PredictionStream before publishing it, and each pass's
  * machine that starts at record 0 under the stream's predictor
@@ -292,12 +296,15 @@ const char *cellExecutionName(CellExecution execution);
 enum class RowSource : std::uint8_t
 {
     None,   ///< Nothing built: every cell of the row was cached.
-    Replay, ///< One RecordBuffer shared by the row's passes
-            ///< (synthetic and raw EMTR rows within the budget).
+    Replay, ///< One RecordBuffer shared by the row's passes, within
+            ///< the budget: a synthetic or raw EMTR row that two or
+            ///< more machines or a chunked pass read, or a synthetic
+            ///< row whose one reader leaves a worker spare.
     Stream, ///< Each pass opens the trace at its own start record
-            ///< (EMTC rows; EMTR rows past the budget).
-    Live,   ///< Each pass regenerates the synthetic stream (a
-            ///< synthetic row past the budget).
+            ///< (EMTC rows; other EMTR rows).
+    Live,   ///< Each pass regenerates the synthetic stream (other
+            ///< synthetic rows: one reader on a busy pool, or past
+            ///< the budget).
 };
 
 /** The row source's name as stored in the sweep JSON and the
@@ -353,13 +360,19 @@ struct GridPlan
     /** Each column's parsed L2 and L1I policies, read by every job. */
     std::vector<replacement::PolicySpec> l2Specs;
     std::vector<replacement::PolicySpec> l1iSpecs;
-    /** Per row; None when every cell of the row hit. */
+    /** Per row, from the machines that read it from record 0 (a
+     *  pass, a P(N) member counting as one since it may re-run):
+     *  Stream for EMTC; Replay, within the budget and in grid order,
+     *  for a row that two or more machines or a chunked pass read,
+     *  then for a synthetic row read by one while the grid has fewer
+     *  machines than workers (one worker each); else Live, or Stream
+     *  for EMTR. None when every cell of the row hit. */
     std::vector<RowSource> sources;
     /** Per row, the column whose predictor config
      *  (core::predictorConfig) keys the row's shared PredictionStream:
-     *  the row's first pass's. Set for a Replay row with at least two
-     *  passes, a P(N) member counting as one since it may re-run;
-     *  nullopt when every machine of the row predicts inline. */
+     *  the row's first pass's. Set for a Replay row that two or more
+     *  machines read, counted as for sources; nullopt when every
+     *  machine of the row predicts inline. */
     std::vector<std::optional<std::size_t>> predictionColumns;
     std::vector<std::vector<CellPlan>> cells; ///< [workload][run]
     /** Submission order, which the FIFO pool keeps: a row's P(N)
@@ -369,13 +382,16 @@ struct GridPlan
 };
 
 /**
- * Plan @p grid under @p options without a pool or a simulation. Reads
- * EMISSARY_REPLAY_BUDGET_MB and probes options.cellCache once per cell
- * (a trace row's identity reads its file).
- * @throws std::invalid_argument on an empty grid, bad notation or a
- *         sampling factor checkSampledSets rejects.
+ * Plan @p grid under @p options for a pool of @p workers without a
+ * pool or a simulation. Reads EMISSARY_REPLAY_BUDGET_MB and probes
+ * options.cellCache once per cell (a trace row's identity reads its
+ * file).
+ * @throws std::invalid_argument on an empty grid, bad notation, a
+ *         sampling factor checkSampledSets rejects or a replay budget
+ *         above 2^44 MB.
  */
-GridPlan planGrid(const PolicyGrid &grid, const GridOptions &options);
+GridPlan planGrid(const PolicyGrid &grid, const GridOptions &options,
+                  unsigned workers);
 
 /** Wall-clock accounting for one runGrid call. */
 struct GridTiming

@@ -9,8 +9,11 @@
  *    lane chunks, each with its own timing column;
  *  - P(N) leaders and pass order in a Fig. 5-shaped row;
  *  - cache roles, keys and hits, and the passes they leave;
- *  - row sources at EMISSARY_REPLAY_BUDGET_MB 0 and at exactly one
- *    buffer;
+ *  - row sources: a row packs when two or more machines or a chunked
+ *    pass read it, or when it is synthetic and a worker is spare;
+ *    the budget at 0, at exactly one buffer (which a shared row gets
+ *    first) and at its 2^44 MB cap, and a buffer whose byte count
+ *    would wrap;
  *  - which rows predict their block outcomes once, and which column
  *    keys the stream;
  *  - the sampling factor is stated only when a monitor lane exists,
@@ -24,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -45,6 +49,8 @@ namespace
 {
 
 using Columns = std::vector<std::size_t>;
+using Keys = std::vector<std::optional<std::size_t>>;
+using Sources = std::vector<RowSource>;
 
 RunOptions
 smallWindow()
@@ -112,7 +118,7 @@ TEST(GridPlan, MixedRunKnobsFallBackAndFormPnGroups)
     // Another window keeps P(8) out of the group and the grid out of
     // fusion.
     mixed.runs[2].options.measureInstructions = 60'000;
-    const GridPlan plan = planGrid(mixed, fusedOptions(8));
+    const GridPlan plan = planGrid(mixed, fusedOptions(8), 4);
 
     EXPECT_FALSE(plan.fused);
     EXPECT_EQ(plan.sampledSets, 0u);
@@ -135,7 +141,7 @@ TEST(GridPlan, WideFusedRowSplitsIntoLaneChunks)
     for (std::size_t r = 0; r < lanes + 8; ++r)
         policies.push_back(r % 2 ? "LRU" : "TPLRU");
     const PolicyGrid wide = suiteGrid(policies, 2);
-    const GridPlan plan = planGrid(wide, fusedOptions(0));
+    const GridPlan plan = planGrid(wide, fusedOptions(0), 4);
 
     EXPECT_TRUE(plan.fused);
     EXPECT_EQ(plan.sampledSets, 0u);
@@ -157,7 +163,7 @@ TEST(GridPlan, WideFusedRowSplitsIntoLaneChunks)
 TEST(GridPlan, Fig5RowRunsLeadersFirstThenItsOtherCells)
 {
     const PolicyGrid fig5 = suiteGrid(fig5Policies(), 2);
-    const GridPlan plan = planGrid(fig5, GridOptions{});
+    const GridPlan plan = planGrid(fig5, GridOptions{}, 4);
 
     EXPECT_FALSE(plan.fused);
     // Per row: P(14):S&E leads P(2/6/10):S&E, P(14):S&E&R(1/32)
@@ -185,7 +191,7 @@ TEST(GridPlan, FusedFig5RowGroupsItsMonitorLanes)
     const PolicyGrid fig5 = suiteGrid(fig5Policies(), 2);
     GridOptions fused;
     fused.fused = true;
-    const GridPlan plan = planGrid(fig5, fused);
+    const GridPlan plan = planGrid(fig5, fused, 4);
     ASSERT_TRUE(plan.fused);
     const std::vector<GridPass> lanes = {
         {0, {11}, {5, 7, 9}, {}}, {0, {12}, {6, 8, 10}, {}},
@@ -208,7 +214,7 @@ TEST(GridPlan, FusedFig5RowGroupsItsMonitorLanes)
     PolicyGrid chunked = fig5;
     for (core::RunSpec &run : chunked.runs)
         run.options.timeChunks = 4;
-    for (const GridPass &pass : planGrid(chunked, fused).passes) {
+    for (const GridPass &pass : planGrid(chunked, fused, 4).passes) {
         EXPECT_EQ(pass.monitors.size(), fig5.runs.size() - 1);
         for (const GridPass &lane : pass.monitors)
             EXPECT_TRUE(lane.members.empty());
@@ -262,7 +268,7 @@ TEST(GridPlan, CacheHitsShapeRolesPassesAndSources)
         cache.serve.insert(canonical(w, r));
     GridOptions options = fusedOptions(8);
     options.cellCache = &cache;
-    const GridPlan plan = planGrid(fused, options);
+    const GridPlan plan = planGrid(fused, options, 2);
 
     EXPECT_EQ(cache.lookups, fused.cellCount());
     EXPECT_TRUE(plan.fused);
@@ -284,32 +290,42 @@ TEST(GridPlan, CacheHitsShapeRolesPassesAndSources)
 
     // The cached timing column still drives row 0's fresh monitor; row
     // 1's fresh timing lane runs alone; row 2 neither runs nor builds.
+    // Each fresh row has one reader, its pass: on two workers neither
+    // packs, and on three the first takes the spare worker.
     ASSERT_EQ(plan.passes.size(), 2u);
     EXPECT_EQ(plan.passes[0].row, 0u);
     EXPECT_EQ(plan.passes[0].columns, Columns({0, 1}));
     EXPECT_EQ(plan.passes[1].row, 1u);
     EXPECT_EQ(plan.passes[1].columns, Columns({0}));
-    EXPECT_EQ(plan.sources[0], RowSource::Replay);
-    EXPECT_EQ(plan.sources[1], RowSource::Replay);
-    EXPECT_EQ(plan.sources[2], RowSource::None);
+    EXPECT_EQ(plan.sources,
+              (Sources{RowSource::Live, RowSource::Live, RowSource::None}));
+    EXPECT_EQ(planGrid(fused, options, 3).sources,
+              (Sources{RowSource::Replay, RowSource::Live, RowSource::None}));
 }
 
-TEST(GridPlan, ReplayBudgetAtZeroAndAtExactlyOneBuffer)
+/** A window whose buffer is exactly 25 MiB: 2^20 records of 25 B. */
+RunOptions
+oneBufferWindow()
 {
-    // A window whose buffer is exactly 25 MiB: 2^20 records of 25 B.
     RunOptions window;
     window.warmupInstructions = 0;
     window.measureInstructions =
         (std::uint64_t{1} << 20) - trace::RecordBuffer::recordsForWindow(0);
+    return window;
+}
+
+TEST(GridPlan, ReplayBudgetAtZeroAndAtExactlyOneBuffer)
+{
     const std::vector<trace::WorkloadProfile> suite =
         trace::datacenterSuite();
     // Files are never opened: without a cache, a trace row's plan
-    // reads only its path.
+    // reads only its path. Two machines read every row, so each
+    // packs while the budget lasts.
     const PolicyGrid rows = PolicyGrid::sweep(
         std::vector<GridWorkload>{GridWorkload("raw", "raw.emtr"),
                                   suite[0], suite[1],
                                   GridWorkload("packed", "packed.emtc")},
-        {"TPLRU"}, window);
+        {"TPLRU", "LRU"}, oneBufferWindow());
 
     const struct
     {
@@ -333,7 +349,7 @@ TEST(GridPlan, ReplayBudgetAtZeroAndAtExactlyOneBuffer)
         SCOPED_TRACE(test_case.budgetMb);
         const ScopedEnv budget("EMISSARY_REPLAY_BUDGET_MB",
                                test_case.budgetMb);
-        const GridPlan plan = planGrid(rows, GridOptions{});
+        const GridPlan plan = planGrid(rows, GridOptions{}, 1);
         EXPECT_EQ(plan.bufferRecords, std::uint64_t{1} << 20);
         EXPECT_EQ(plan.sources, test_case.sources);
     }
@@ -341,7 +357,8 @@ TEST(GridPlan, ReplayBudgetAtZeroAndAtExactlyOneBuffer)
 
 TEST(GridPlan, OnePolicyFusedGridSamplesNothing)
 {
-    const GridPlan one = planGrid(suiteGrid({"TPLRU"}, 2), fusedOptions(8));
+    const GridPlan one =
+        planGrid(suiteGrid({"TPLRU"}, 2), fusedOptions(8), 4);
     EXPECT_TRUE(one.fused);
     EXPECT_EQ(one.sampledSets, 0u);
     ASSERT_EQ(one.passes.size(), 2u);
@@ -349,37 +366,38 @@ TEST(GridPlan, OnePolicyFusedGridSamplesNothing)
     EXPECT_EQ(one.passes[1].columns, Columns({0}));
 
     const GridPlan two =
-        planGrid(suiteGrid({"TPLRU", "LRU"}, 2), fusedOptions(8));
+        planGrid(suiteGrid({"TPLRU", "LRU"}, 2), fusedOptions(8), 4);
     EXPECT_EQ(two.sampledSets, 8u);
     EXPECT_EQ(two.passes[1].columns, Columns({0, 1}));
 }
 
 TEST(GridPlan, ReplayRowsWithTwoMachinesOrMoreSharePredictions)
 {
-    using Keys = std::vector<std::optional<std::size_t>>;
     const Keys none = {std::nullopt};
 
     // A Fig. 5 row: its first pass, the P(14):S&E leader, keys it.
-    EXPECT_EQ(planGrid(suiteGrid(fig5Policies(), 2), GridOptions{})
+    EXPECT_EQ(planGrid(suiteGrid(fig5Policies(), 2), GridOptions{}, 4)
                   .predictionColumns,
               (Keys{11, 11}));
     // One P(N) group is one pass, but its member may re-run.
-    EXPECT_EQ(planGrid(suiteGrid({"P(2):S&E", "P(8):S&E"}), GridOptions{})
+    EXPECT_EQ(planGrid(suiteGrid({"P(2):S&E", "P(8):S&E"}), GridOptions{},
+                       4)
                   .predictionColumns,
               Keys{1});
-    // One machine per row predicts for itself: a one-policy grid, or
-    // a fused row of up to kMaxLanes lanes. A wider fused row runs
-    // two passes.
-    EXPECT_EQ(planGrid(suiteGrid({"TPLRU"}, 2), GridOptions{})
+    // One machine per row predicts for itself, even when its row packs
+    // on a spare worker: a one-policy grid, or a fused row of up to
+    // kFusedLaneColumns lanes. A wider fused row runs two passes.
+    EXPECT_EQ(planGrid(suiteGrid({"TPLRU"}, 2), GridOptions{}, 4)
                   .predictionColumns,
               (Keys{std::nullopt, std::nullopt}));
-    EXPECT_EQ(planGrid(suiteGrid(fig5Policies()), fusedOptions(8))
+    EXPECT_EQ(planGrid(suiteGrid(fig5Policies()), fusedOptions(8), 4)
                   .predictionColumns,
               none);
     std::vector<std::string> wide(core::kFusedLaneColumns + 1,
                                   "LRU");
-    EXPECT_EQ(planGrid(suiteGrid(wide), fusedOptions(0)).predictionColumns,
-              Keys{0});
+    EXPECT_EQ(
+        planGrid(suiteGrid(wide), fusedOptions(0), 4).predictionColumns,
+        Keys{0});
 
     // Only replay rows: an EMTC row streams, and past the budget a
     // synthetic row runs live and an EMTR row streams.
@@ -388,11 +406,11 @@ TEST(GridPlan, ReplayRowsWithTwoMachinesOrMoreSharePredictions)
                                   GridWorkload("packed", "packed.emtc"),
                                   GridWorkload("raw", "raw.emtr")},
         {"TPLRU", "LRU"}, smallWindow());
-    EXPECT_EQ(planGrid(mixed, GridOptions{}).predictionColumns,
+    EXPECT_EQ(planGrid(mixed, GridOptions{}, 4).predictionColumns,
               (Keys{0, std::nullopt, 0}));
     {
         const ScopedEnv budget("EMISSARY_REPLAY_BUDGET_MB", "0");
-        EXPECT_EQ(planGrid(mixed, GridOptions{}).predictionColumns,
+        EXPECT_EQ(planGrid(mixed, GridOptions{}, 4).predictionColumns,
                   (Keys{std::nullopt, std::nullopt, std::nullopt}));
     }
 
@@ -406,16 +424,142 @@ TEST(GridPlan, ReplayRowsWithTwoMachinesOrMoreSharePredictions)
             two.workloads[w], two.runs[r], "", 0, buildInfo().gitSha));
     GridOptions cached;
     cached.cellCache = &cache;
-    const GridPlan plan = planGrid(two, cached);
+    const GridPlan plan = planGrid(two, cached, 4);
     EXPECT_EQ(plan.sources[1], RowSource::None);
     EXPECT_EQ(plan.predictionColumns, (Keys{std::nullopt, std::nullopt}));
+}
+
+TEST(GridPlan, SingleReaderRowsPackOnlyOnSpareWorkers)
+{
+    // Four fused Fig. 5 rows: one timing pass reads each. On four
+    // workers none is spare, and every row generates live inside its
+    // pass; on six, two workers are spare, and the first two rows pack
+    // beside their passes.
+    const PolicyGrid fused = suiteGrid(fig5Policies(), 4);
+    const GridPlan busy = planGrid(fused, fusedOptions(0), 4);
+    EXPECT_EQ(busy.sources, Sources(4, RowSource::Live));
+    EXPECT_EQ(busy.predictionColumns, Keys(4));
+    const GridPlan spare = planGrid(fused, fusedOptions(0), 6);
+    EXPECT_EQ(spare.sources,
+              (Sources{RowSource::Replay, RowSource::Replay,
+                       RowSource::Live, RowSource::Live}));
+    EXPECT_EQ(spare.predictionColumns, Keys(4));
+
+    // One exact cell on one worker: its pass takes the only worker.
+    EXPECT_EQ(planGrid(suiteGrid({"TPLRU"}), GridOptions{}, 1).sources,
+              Sources{RowSource::Live});
+}
+
+TEST(GridPlan, SharedAndChunkedRowsPackOnABusyPool)
+{
+    // A fused row of kFusedLaneColumns + 1 columns runs two timing
+    // passes, so two machines read it.
+    const std::vector<std::string> wide(core::kFusedLaneColumns + 1,
+                                        "LRU");
+    const GridPlan two_passes =
+        planGrid(suiteGrid(wide), fusedOptions(0), 1);
+    ASSERT_EQ(two_passes.passes.size(), 2u);
+    EXPECT_EQ(two_passes.sources, Sources{RowSource::Replay});
+
+    // A P(N) pair is one pass whose member may re-run.
+    const GridPlan pair =
+        planGrid(suiteGrid({"P(2):S&E", "P(8):S&E"}), GridOptions{}, 1);
+    ASSERT_EQ(pair.passes.size(), 1u);
+    EXPECT_EQ(pair.sources, Sources{RowSource::Replay});
+    EXPECT_EQ(pair.predictionColumns, Keys{1});
+
+    // One chunked pass needs random access, and predicts inline.
+    PolicyGrid chunked = suiteGrid({"TPLRU"});
+    chunked.runs[0].options.timeChunks = 4;
+    const GridPlan chunks = planGrid(chunked, GridOptions{}, 1);
+    EXPECT_EQ(chunks.sources, Sources{RowSource::Replay});
+    EXPECT_EQ(chunks.predictionColumns, Keys(1));
+}
+
+TEST(GridPlan, SingleReaderEmtrRowStreamsUnlessChunked)
+{
+    // A spare worker does not make an EMTR row pack: its one reader
+    // opens the file once either way. A chunked pass still packs it.
+    PolicyGrid raw = PolicyGrid::sweep(
+        std::vector<GridWorkload>{GridWorkload("raw", "raw.emtr")},
+        {"TPLRU"}, smallWindow());
+    EXPECT_EQ(planGrid(raw, GridOptions{}, 4).sources,
+              Sources{RowSource::Stream});
+    raw.runs[0].options.timeChunks = 4;
+    EXPECT_EQ(planGrid(raw, GridOptions{}, 4).sources,
+              Sources{RowSource::Replay});
+}
+
+TEST(GridPlan, OneBufferGoesToASharedRowBeforeAnEarlierSingleReader)
+{
+    // Row 0's LRU cell is cached, so one machine reads row 0 and two
+    // read row 1. Four workers leave one spare, but a budget of one
+    // buffer serves the shared row first.
+    PolicyGrid grid = suiteGrid({"TPLRU", "LRU"}, 2);
+    for (RunSpec &run : grid.runs)
+        run.options = oneBufferWindow();
+    FakeCache cache;
+    cache.serve.insert(cellCacheCanonical(grid.workloads[0], grid.runs[1],
+                                          "", 0, buildInfo().gitSha));
+    GridOptions options;
+    options.cellCache = &cache;
+    {
+        const ScopedEnv budget("EMISSARY_REPLAY_BUDGET_MB", "25");
+        EXPECT_EQ(planGrid(grid, options, 4).sources,
+                  (Sources{RowSource::Live, RowSource::Replay}));
+    }
+    const ScopedEnv budget("EMISSARY_REPLAY_BUDGET_MB", "50");
+    EXPECT_EQ(planGrid(grid, options, 4).sources,
+              (Sources{RowSource::Replay, RowSource::Replay}));
+}
+
+TEST(GridPlan, ReplayBudgetCountsSlotsWithoutWrapping)
+{
+    const PolicyGrid two = suiteGrid({"TPLRU", "LRU"});
+    {
+        // 2^44 MB, the largest budget, is 2^64 bytes: it must not
+        // read as 0.
+        const ScopedEnv budget("EMISSARY_REPLAY_BUDGET_MB",
+                               "17592186044416");
+        EXPECT_EQ(planGrid(two, GridOptions{}, 1).sources,
+                  Sources{RowSource::Replay});
+    }
+    {
+        const ScopedEnv budget("EMISSARY_REPLAY_BUDGET_MB",
+                               "17592186044417");
+        try {
+            planGrid(two, GridOptions{}, 1);
+            ADD_FAILURE() << "a budget above 2^44 MB planned";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("EMISSARY_REPLAY_BUDGET_MB"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+
+    // A buffer of 2^64 + 9 bytes: its byte count would wrap to 9 and
+    // fit the default budget millions of times.
+    const std::uint64_t per_record = trace::RecordBuffer::kBytesPerRecord;
+    const std::uint64_t records =
+        std::numeric_limits<std::uint64_t>::max() / per_record + 1;
+    ASSERT_EQ(records * per_record, 9u);
+    PolicyGrid huge = two;
+    for (RunSpec &run : huge.runs) {
+        run.options.warmupInstructions = 0;
+        run.options.measureInstructions =
+            records - trace::RecordBuffer::recordsForWindow(0);
+    }
+    const GridPlan plan = planGrid(huge, GridOptions{}, 1);
+    EXPECT_EQ(plan.bufferRecords, records);
+    EXPECT_EQ(plan.sources, Sources{RowSource::Live});
 }
 
 TEST(GridPlan, SamplingFactorIsZeroOrAPowerOfTwo)
 {
     const PolicyGrid grid = suiteGrid({"TPLRU", "LRU"});
     try {
-        planGrid(grid, fusedOptions(3));
+        planGrid(grid, fusedOptions(3), 4);
         ADD_FAILURE() << "factor 3 planned";
     } catch (const std::invalid_argument &error) {
         EXPECT_NE(std::string(error.what()).find("sampling factor 3"),
@@ -425,14 +569,14 @@ TEST(GridPlan, SamplingFactorIsZeroOrAPowerOfTwo)
     // A sequential grid does not sample, but the request is still bad.
     GridOptions sequential;
     sequential.sampledSets = 12;
-    EXPECT_THROW(planGrid(grid, sequential), std::invalid_argument);
+    EXPECT_THROW(planGrid(grid, sequential, 4), std::invalid_argument);
     for (const unsigned factor : {0u, 1u, 8u})
-        EXPECT_NO_THROW(planGrid(grid, fusedOptions(factor))) << factor;
+        EXPECT_NO_THROW(planGrid(grid, fusedOptions(factor), 4)) << factor;
 }
 
 TEST(GridPlan, EmptyGridThrows)
 {
-    EXPECT_THROW(planGrid(PolicyGrid{}, GridOptions{}),
+    EXPECT_THROW(planGrid(PolicyGrid{}, GridOptions{}, 4),
                  std::invalid_argument);
 }
 
@@ -495,7 +639,7 @@ TEST(GridPlan, RunGridFollowsItsPlan)
         GridOptions options = fusedOptions(8);
         options.cellCache = &cache;
         // Lookups change nothing, so runGrid plans the same grid.
-        const GridPlan plan = planGrid(mixed, options);
+        const GridPlan plan = planGrid(mixed, options, workers);
         ThreadPool pool(workers);
         const GridResults results = runGrid(mixed, pool, options);
 

@@ -450,12 +450,13 @@ predictionWindow()
     return options;
 }
 
-/** Every row of @p grid predicts once under @p options' plan. */
+/** Every row of @p grid predicts once under @p options' plan on
+ *  four workers. */
 void
 expectEveryRowPredictsOnce(const PolicyGrid &grid,
                            const GridOptions &options)
 {
-    const core::GridPlan plan = core::planGrid(grid, options);
+    const core::GridPlan plan = core::planGrid(grid, options, 4);
     for (std::size_t w = 0; w < grid.workloads.size(); ++w)
         EXPECT_TRUE(plan.predictionColumns[w].has_value()) << w;
 }
@@ -469,7 +470,7 @@ TEST(PredictionSharing, Fig5CellsEqualTheirInlineRunsAtOneAndFourWorkers)
             trace::profileByName("kafka")},
         fig5Policies(), predictionWindow());
     expectEveryRowPredictsOnce(grid, GridOptions{});
-    const core::GridPlan plan = core::planGrid(grid, GridOptions{});
+    const core::GridPlan plan = core::planGrid(grid, GridOptions{}, 4);
     const std::vector<std::vector<CellRun>> oracle = perCellRuns(grid);
     std::size_t rerun_members = 0;
     for (const unsigned workers : {1u, 4u}) {
@@ -630,7 +631,7 @@ TEST(PredictionSharing, OtherSeedColumnsPredictInlineAndMatchTheirRuns)
                  core::RunSpec("TPLRU", seed_b),
                  core::RunSpec("P(8):S&E", seed_b)};
     // The first pass's seed keys the row's stream.
-    EXPECT_EQ(core::planGrid(grid, GridOptions{}).predictionColumns,
+    EXPECT_EQ(core::planGrid(grid, GridOptions{}, 4).predictionColumns,
               std::vector<std::optional<std::size_t>>{0});
     const std::vector<std::vector<CellRun>> oracle = perCellRuns(grid);
     const GridResults results = runSharingGrid(grid, 4);

@@ -430,7 +430,7 @@ TEST(SpanRecorderGrid, FusedTraceHasOneLaneSlicePerFreshMonitorCell)
 
     // Forget one monitor cell: its row's timing pass runs again, and
     // only that cell replays.
-    const core::GridPlan plan = core::planGrid(grid, fused);
+    const core::GridPlan plan = core::planGrid(grid, fused, 2);
     ASSERT_EQ(cache.entries.erase(plan.cells[1][2].cacheKey), 1u);
     SpanRecorder warm;
     const core::GridResults second =
