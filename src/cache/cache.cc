@@ -128,17 +128,93 @@ Cache::setIndex(std::uint64_t line_addr) const
                                  (sets_ - 1));
 }
 
-CacheLine &
-Cache::lineAt(unsigned set, unsigned way)
+namespace
 {
-    return lines_[std::size_t{set} * config_.ways + way];
+
+// matchChunk(tags, needle): bit i set when tags[i] == needle, over
+// the kChunk tags at tags (one vector compare).
+#if defined(__AVX2__)
+constexpr unsigned kChunk = 4;
+
+unsigned
+matchChunk(const std::uint64_t *tags, std::uint64_t needle)
+{
+    const __m256i lane =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(tags));
+    const __m256i eq = _mm256_cmpeq_epi64(
+        lane, _mm256_set1_epi64x(static_cast<long long>(needle)));
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
+}
+#elif defined(__SSE2__)
+constexpr unsigned kChunk = 2;
+
+unsigned
+matchChunk(const std::uint64_t *tags, std::uint64_t needle)
+{
+    const __m128i lane =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(tags));
+    const __m128i wanted = _mm_set1_epi64x(static_cast<long long>(needle));
+#if defined(__SSE4_1__)
+    const __m128i eq = _mm_cmpeq_epi64(lane, wanted);
+#else
+    // Plain SSE2 has no 64-bit compare: compare the 32-bit halves,
+    // then AND each half with its sibling so an element reads
+    // all-ones only when both halves matched.
+    const __m128i eq32 = _mm_cmpeq_epi32(lane, wanted);
+    const __m128i eq = _mm_and_si128(
+        eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
+#endif
+    return static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(eq)));
+}
+#elif defined(__ARM_NEON) && defined(__aarch64__)
+constexpr unsigned kChunk = 2;
+
+unsigned
+matchChunk(const std::uint64_t *tags, std::uint64_t needle)
+{
+    const uint64x2_t eq = vceqq_u64(vld1q_u64(tags), vdupq_n_u64(needle));
+    return (vgetq_lane_u64(eq, 0) ? 1u : 0u) |
+           (vgetq_lane_u64(eq, 1) ? 2u : 0u);
+}
+#else
+constexpr unsigned kChunk = 1;
+
+unsigned
+matchChunk(const std::uint64_t *tags, std::uint64_t needle)
+{
+    return tags[0] == needle ? 1u : 0u;
+}
+#endif
+
+/**
+ * Cache::findWayOrFree, with @p empty the invalid-way tag. Internal
+ * and inline so that insert() gets it inlined and keeps @p free in a
+ * register.
+ */
+inline int
+wayOrFree(const std::uint64_t *tags, unsigned ways, std::uint64_t tag,
+          std::uint64_t empty, int &free)
+{
+    free = -1;
+    unsigned w = 0;
+    for (; w + kChunk <= ways; w += kChunk) {
+        if (const unsigned hit = matchChunk(tags + w, tag))
+            return static_cast<int>(w + std::countr_zero(hit));
+        if (free < 0)
+            if (const unsigned empties = matchChunk(tags + w, empty))
+                free = static_cast<int>(w + std::countr_zero(empties));
+    }
+    for (; w < ways; ++w) {
+        if (tags[w] == tag)
+            return static_cast<int>(w);
+        if (free < 0 && tags[w] == empty)
+            free = static_cast<int>(w);
+    }
+    return -1;
 }
 
-const CacheLine &
-Cache::lineAt(unsigned set, unsigned way) const
-{
-    return lines_[std::size_t{set} * config_.ways + way];
-}
+} // namespace
 
 int
 Cache::findWayScalar(const std::uint64_t *tags, unsigned ways,
@@ -155,59 +231,19 @@ int
 Cache::findWayVector(const std::uint64_t *tags, unsigned ways,
                      std::uint64_t tag)
 {
-#if defined(__AVX2__)
     unsigned w = 0;
-    const __m256i needle =
-        _mm256_set1_epi64x(static_cast<long long>(tag));
-    for (; w + 4 <= ways; w += 4) {
-        const __m256i lane = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(
-            _mm256_cmpeq_epi64(lane, needle)));
-        if (mask)
-            return static_cast<int>(
-                w + std::countr_zero(static_cast<unsigned>(mask)));
-    }
+    for (; w + kChunk <= ways; w += kChunk)
+        if (const unsigned hit = matchChunk(tags + w, tag))
+            return static_cast<int>(w + std::countr_zero(hit));
     const int tail = findWayScalar(tags + w, ways - w, tag);
     return tail < 0 ? -1 : static_cast<int>(w) + tail;
-#elif defined(__SSE2__)
-    unsigned w = 0;
-    const __m128i needle =
-        _mm_set1_epi64x(static_cast<long long>(tag));
-    for (; w + 2 <= ways; w += 2) {
-        const __m128i lane = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(tags + w));
-#if defined(__SSE4_1__)
-        const __m128i eq = _mm_cmpeq_epi64(lane, needle);
-#else
-        // Plain SSE2 has no 64-bit compare: compare the 32-bit
-        // halves, then AND each half with its sibling so an element
-        // reads all-ones only when both halves matched.
-        const __m128i eq32 = _mm_cmpeq_epi32(lane, needle);
-        const __m128i eq = _mm_and_si128(
-            eq32,
-            _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-#endif
-        const int mask = _mm_movemask_pd(_mm_castsi128_pd(eq));
-        if (mask)
-            return static_cast<int>(
-                w + std::countr_zero(static_cast<unsigned>(mask)));
-    }
-    return w < ways && tags[w] == tag ? static_cast<int>(w) : -1;
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-    unsigned w = 0;
-    const uint64x2_t needle = vdupq_n_u64(tag);
-    for (; w + 2 <= ways; w += 2) {
-        const uint64x2_t eq = vceqq_u64(vld1q_u64(tags + w), needle);
-        if (vgetq_lane_u64(eq, 0))
-            return static_cast<int>(w);
-        if (vgetq_lane_u64(eq, 1))
-            return static_cast<int>(w + 1);
-    }
-    return w < ways && tags[w] == tag ? static_cast<int>(w) : -1;
-#else
-    return findWayScalar(tags, ways, tag);
-#endif
+}
+
+int
+Cache::findWayOrFree(const std::uint64_t *tags, unsigned ways,
+                     std::uint64_t tag, int &free)
+{
+    return wayOrFree(tags, ways, tag, kInvalidTag, free);
 }
 
 int
@@ -219,103 +255,100 @@ Cache::findWay(unsigned set, std::uint64_t tag) const
                          config_.ways, tag);
 }
 
+Cache::Slot
+Cache::lookup(std::uint64_t line_addr) const
+{
+    Slot slot;
+    slot.set = setIndex(line_addr);
+    if (const int way = findWay(slot.set, line_addr >> tagShift_); way >= 0)
+        slot.way = static_cast<unsigned>(way);
+    return slot;
+}
+
 const CacheLine *
 Cache::peek(std::uint64_t line_addr) const
 {
-    const unsigned set = setIndex(line_addr);
-    const int way = findWay(set, line_addr >> tagShift_);
-    return way < 0 ? nullptr : &lineAt(set, static_cast<unsigned>(way));
+    const Slot slot = lookup(line_addr);
+    return slot ? &line(slot) : nullptr;
 }
 
-CacheLine *
-Cache::peek(std::uint64_t line_addr)
+void
+Cache::touch(Slot slot)
 {
-    const unsigned set = setIndex(line_addr);
-    const int way = findWay(set, line_addr >> tagShift_);
-    return way < 0 ? nullptr : &lineAt(set, static_cast<unsigned>(way));
-}
-
-bool
-Cache::findPosition(std::uint64_t line_addr, unsigned &set,
-                    unsigned &way) const
-{
-    set = setIndex(line_addr);
-    const int found = findWay(set, line_addr >> tagShift_);
-    if (found < 0)
-        return false;
-    way = static_cast<unsigned>(found);
-    return true;
+    CacheLine &line = lines_[index(slot)];
+    line.prefetched = false;
+    replacement::LineInfo info;
+    info.isInstruction = line.isInstruction;
+    info.highPriority = line.priority;
+    policyHit(slot.set, slot.way, info);
 }
 
 void
 Cache::touch(std::uint64_t line_addr)
 {
-    const unsigned set = setIndex(line_addr);
-    const int way = findWay(set, line_addr >> tagShift_);
+    // findWay, not lookup(): the compiler inlines it here.
+    Slot slot;
+    slot.set = setIndex(line_addr);
+    const int way = findWay(slot.set, line_addr >> tagShift_);
     assert(way >= 0 && "touch on absent line");
-    CacheLine &line = lineAt(set, static_cast<unsigned>(way));
-    line.prefetched = false;
-    replacement::LineInfo info;
-    info.isInstruction = line.isInstruction;
-    info.highPriority = line.priority;
-    policyHit(set, static_cast<unsigned>(way), info);
+    slot.way = static_cast<unsigned>(way);
+    touch(slot);
 }
 
 Cache::Eviction
 Cache::insert(std::uint64_t line_addr, const replacement::LineInfo &info,
               bool is_instruction, bool dirty, bool sfl, bool prefetched)
 {
+    Eviction out;
     const unsigned set = setIndex(line_addr);
+    out.slot.set = set;
+    std::uint64_t *lane = tags_.data() + std::size_t{set} * config_.ways;
     const std::uint64_t tag = line_addr >> tagShift_;
-    assert(findWay(set, tag) < 0 && "double insert");
-
-    Eviction evicted;
-    int way = findWay(set, kInvalidTag);
-    if (way < 0) {
-        way = static_cast<int>(policySelectVictim(set));
-        CacheLine &victim = lineAt(set, static_cast<unsigned>(way));
-        evicted.valid = true;
-        evicted.lineAddr = (victim.tag << tagShift_) |
-                           (std::uint64_t{set} << config_.indexShift);
-        evicted.line = victim;
-        policyInvalidate(set, static_cast<unsigned>(way));
-        victim = CacheLine{};
+    int free = -1;
+    if (const int way = wayOrFree(lane, config_.ways, tag, kInvalidTag, free);
+        way >= 0) {
+        out.resident = true;
+        out.lineAddr = line_addr;
+        out.slot.way = static_cast<unsigned>(way);
+        out.line = line(out.slot);
+        return out;
     }
-    evicted.set = set;
-    evicted.way = static_cast<unsigned>(way);
 
-    CacheLine &line = lineAt(set, static_cast<unsigned>(way));
-    line.valid = true;
-    line.tag = tag;
-    line.dirty = dirty;
-    line.isInstruction = is_instruction;
-    line.priority = info.highPriority;
-    line.sfl = sfl;
-    line.prefetched = prefetched;
-    tags_[std::size_t{set} * config_.ways +
-          static_cast<unsigned>(way)] = tag;
-    policyInsert(set, static_cast<unsigned>(way), info);
-    return evicted;
+    if (free >= 0) {
+        out.slot.way = static_cast<unsigned>(free);
+    } else {
+        out.slot.way = policySelectVictim(set);
+        out.valid = true;
+        out.lineAddr = (lane[out.slot.way] << tagShift_) |
+                       (std::uint64_t{set} << config_.indexShift);
+        out.line = line(out.slot);
+        policyInvalidate(set, out.slot.way);
+    }
+    lane[out.slot.way] = tag;
+    CacheLine &placed = lines_[index(out.slot)];
+    placed.dirty = dirty;
+    placed.isInstruction = is_instruction;
+    placed.priority = info.highPriority;
+    placed.sfl = sfl;
+    placed.prefetched = prefetched;
+    policyInsert(set, out.slot.way, info);
+    return out;
 }
 
 Cache::Eviction
 Cache::invalidate(std::uint64_t line_addr)
 {
-    const unsigned set = setIndex(line_addr);
-    const int way = findWay(set, line_addr >> tagShift_);
     Eviction out;
-    if (way < 0)
+    out.slot = lookup(line_addr);
+    if (!out.slot)
         return out;
-    CacheLine &line = lineAt(set, static_cast<unsigned>(way));
+    CacheLine &line = lines_[index(out.slot)];
     out.valid = true;
     out.lineAddr = line_addr;
-    out.set = set;
-    out.way = static_cast<unsigned>(way);
     out.line = line;
-    policyInvalidate(set, static_cast<unsigned>(way));
+    policyInvalidate(out.slot.set, out.slot.way);
     line = CacheLine{};
-    tags_[std::size_t{set} * config_.ways +
-          static_cast<unsigned>(way)] = kInvalidTag;
+    tags_[index(out.slot)] = kInvalidTag;
     return out;
 }
 
@@ -326,23 +359,20 @@ Cache::noteDemandMiss(std::uint64_t line_addr)
 }
 
 void
-Cache::markDirty(std::uint64_t line_addr)
+Cache::markDirty(Slot slot)
 {
-    CacheLine *line = peek(line_addr);
-    assert(line && "markDirty on absent line");
-    line->dirty = true;
+    lines_[index(slot)].dirty = true;
 }
 
 void
 Cache::raisePriority(std::uint64_t line_addr)
 {
-    const unsigned set = setIndex(line_addr);
-    const int way = findWay(set, line_addr >> tagShift_);
-    if (way < 0)
+    const Slot slot = lookup(line_addr);
+    if (!slot)
         return;
-    CacheLine &line = lineAt(set, static_cast<unsigned>(way));
+    CacheLine &line = lines_[index(slot)];
     if (!line.priority &&
-        policy_->setPriority(set, static_cast<unsigned>(way), true)) {
+        policy_->setPriority(slot.set, slot.way, true)) {
         line.priority = true;
     }
 }
@@ -361,11 +391,8 @@ Cache::priorityDistribution() const
     stats::DenseHistogram hist(config_.ways + 1);
     for (unsigned set = 0; set < sets_; ++set) {
         unsigned count = 0;
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            const CacheLine &line = lineAt(set, w);
-            if (line.valid && line.priority)
-                ++count;
-        }
+        for (unsigned w = 0; w < config_.ways; ++w)
+            count += line({set, w}).priority;
         hist.sample(std::min(count, config_.ways));
     }
     return hist;
@@ -385,11 +412,8 @@ Cache::priorityOccupancy() const
     }
     for (unsigned set = 0; set < sets_; ++set) {
         unsigned count = 0;
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            const CacheLine &line = lineAt(set, w);
-            if (line.valid && line.priority)
-                ++count;
-        }
+        for (unsigned w = 0; w < config_.ways; ++w)
+            count += line({set, w}).priority;
         ++counts[std::min(count, config_.ways)];
     }
     return counts;
@@ -399,9 +423,8 @@ std::uint64_t
 Cache::highPriorityLineCount() const
 {
     std::uint64_t count = 0;
-    for (const auto &line : lines_)
-        if (line.valid && line.priority)
-            ++count;
+    for (const CacheLine &line : lines_)
+        count += line.priority;
     return count;
 }
 

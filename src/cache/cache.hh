@@ -2,8 +2,8 @@
  * @file
  * A single set-associative cache array.
  *
- * The cache owns line state (tag, valid, dirty, instruction/data,
- * the EMISSARY priority bit, and the SFL origin bit) and delegates
+ * The cache owns line state (tag, dirty, instruction/data, the
+ * EMISSARY priority bit, and the SFL origin bit) and delegates
  * victim choice and recency bookkeeping to a ReplacementPolicy.
  * Timing lives in the Hierarchy; this class is purely structural.
  */
@@ -29,20 +29,30 @@ class EmissaryPolicy;
 namespace emissary::cache
 {
 
-/** State of one cache line. */
+/**
+ * State of one cache line beside its tag: one byte of flags. The tag
+ * lives only in the array's tag lane, which also says whether a way
+ * is valid.
+ */
 struct CacheLine
 {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    bool isInstruction = false;
+    // Bit-fields take no default member initializers before C++20.
+    CacheLine()
+        : dirty(false), isInstruction(false), priority(false),
+          sfl(false), prefetched(false)
+    {
+    }
+
+    bool dirty : 1;
+    bool isInstruction : 1;
     /** EMISSARY sticky priority bit P (meaningful in L1I and L2). */
-    bool priority = false;
+    bool priority : 1;
     /** Served-From-Last-level origin bit (L2 only, §5.1). */
-    bool sfl = false;
+    bool sfl : 1;
     /** Filled by a prefetch and not yet demanded. */
-    bool prefetched = false;
+    bool prefetched : 1;
 };
+static_assert(sizeof(CacheLine) == 1, "CacheLine is one byte of flags");
 
 /** One set-associative array plus its replacement policy. */
 class Cache
@@ -69,18 +79,38 @@ class Cache
     };
 
     /**
-     * What insert() pushed out, if anything. set/way name the slot
-     * the operation touched — where the new line landed (insert) or
-     * the line was removed from (invalidate) — and are filled even
-     * when no line was displaced, so callers can maintain
-     * position-keyed state (the L1 slots of cache/miss_log.hh).
+     * Where a resident line lives. lookup() finds it with one tag
+     * compare over its set; the hit path, dirty marking and state
+     * reads then act on it without another. A slot stays valid until
+     * the next insert() or invalidate() on its set.
+     */
+    struct Slot
+    {
+        static constexpr unsigned kAbsent = ~0u;
+        unsigned set = 0;
+        unsigned way = kAbsent;
+
+        /** False for the slot of an absent line. */
+        explicit operator bool() const { return way != kAbsent; }
+    };
+
+    /**
+     * What insert() or invalidate() did. slot names the way the
+     * operation touched — where the new line landed or already lived
+     * (insert), or the line was removed from (invalidate) — so callers
+     * can act on the line, and keep position-keyed state (the L1
+     * slots of cache/miss_log.hh), without another lookup. valid: a
+     * line was displaced (insert) or removed (invalidate), with its
+     * address and state in lineAddr and line.
      */
     struct Eviction
     {
         bool valid = false;
+        /** insert() only: the line was already resident, at slot, and
+         *  nothing changed. */
+        bool resident = false;
         std::uint64_t lineAddr = 0;
-        unsigned set = 0;
-        unsigned way = 0;
+        Slot slot;
         CacheLine line;
     };
 
@@ -93,24 +123,38 @@ class Cache
     /** Set index for a line address (address already >> line bits). */
     unsigned setIndex(std::uint64_t line_addr) const;
 
+    /** Where @p line_addr lives; a false slot when absent. Touches no
+     *  replacement state. */
+    Slot lookup(std::uint64_t line_addr) const;
+
+    /** The line at @p slot, which must hold one. */
+    const CacheLine &
+    line(Slot slot) const
+    {
+        return lines_[index(slot)];
+    }
+
+    /** @p slot's position in the array, set * ways + way: the L1 slot
+     *  id of cache/miss_log.hh. */
+    unsigned
+    index(Slot slot) const
+    {
+        return slot.set * config_.ways + slot.way;
+    }
+
     /** Non-mutating lookup; nullptr when absent. */
     const CacheLine *peek(std::uint64_t line_addr) const;
-    CacheLine *peek(std::uint64_t line_addr);
 
-    /**
-     * Non-mutating position probe: where @p line_addr lives, without
-     * touching replacement state. The hierarchy names the L1D slot of
-     * a logged store with it (cache/miss_log.hh).
-     * @return true and fills @p set / @p way when resident.
-     */
-    bool findPosition(std::uint64_t line_addr, unsigned &set,
-                      unsigned &way) const;
-
-    /** Hit path: update replacement state; line must be present. */
+    /** Hit path: update replacement state of the line at @p slot. */
+    void touch(Slot slot);
+    /** touch() of @p line_addr's slot; the line must be present. */
     void touch(std::uint64_t line_addr);
 
     /**
-     * Fill @p line_addr, evicting if the set is full.
+     * Fill @p line_addr, evicting if the set is full. One pass over
+     * the set's tag lane finds the line or the first free way. A line
+     * that is already resident is reported (Eviction::resident, its
+     * slot and state) and left as it is.
      *
      * @param line_addr Line address to fill.
      * @param info Replacement-policy context (priority, MRU hint).
@@ -118,7 +162,7 @@ class Cache
      * @param dirty Fill already dirty (write-allocate store).
      * @param sfl Served-from-L3 origin bit.
      * @param prefetched Filled by a prefetch.
-     * @return The displaced line, if any.
+     * @return The displaced line, if any, and the line's slot.
      */
     Eviction insert(std::uint64_t line_addr,
                     const replacement::LineInfo &info,
@@ -134,8 +178,8 @@ class Cache
     /** Demand-miss feedback to set-dueling policies. */
     void noteDemandMiss(std::uint64_t line_addr);
 
-    /** Mark a store hit dirty. */
-    void markDirty(std::uint64_t line_addr);
+    /** Mark the line at @p slot dirty (a store hit, a write-back). */
+    void markDirty(Slot slot);
 
     /** EMISSARY: raise the priority bit of a resident line. */
     void raisePriority(std::uint64_t line_addr);
@@ -188,8 +232,6 @@ class Cache
         Generic,
     };
 
-    CacheLine &lineAt(unsigned set, unsigned way);
-    const CacheLine &lineAt(unsigned set, unsigned way) const;
     int findWay(unsigned set, std::uint64_t tag) const;
 
   public:
@@ -203,6 +245,13 @@ class Cache
     /** Vectorized tag compare (SSE2/AVX2/NEON; scalar fallback). */
     static int findWayVector(const std::uint64_t *tags, unsigned ways,
                              std::uint64_t tag);
+    /**
+     * insert()'s one pass: the way holding @p tag, or -1 with the
+     * first way holding kInvalidTag in @p free (-1 when the lane is
+     * full). Vectorized like findWayVector.
+     */
+    static int findWayOrFree(const std::uint64_t *tags, unsigned ways,
+                             std::uint64_t tag, int &free);
 
   private:
 
@@ -221,11 +270,10 @@ class Cache
     /** Bits below the tag: setShift_ + config.indexShift. */
     unsigned tagShift_;
     /**
-     * Lookup path, struct-of-arrays: per-set contiguous tags (invalid
-     * ways hold kInvalidTag), so findWay streams through one or two
-     * cache lines instead of striding over CacheLine structs.
-     * Invariant: tags_[set*ways+w] mirrors lines_[set*ways+w]
-     * (tag when valid, kInvalidTag otherwise).
+     * Struct-of-arrays: per-set contiguous tags, so findWay streams
+     * through one or two host cache lines, and one flag byte per way
+     * beside them. A way is valid iff its tag is not kInvalidTag (an
+     * invalid way's line is CacheLine{}).
      */
     std::vector<std::uint64_t> tags_;
     std::vector<CacheLine> lines_;

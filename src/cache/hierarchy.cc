@@ -30,10 +30,10 @@ LowerLevels::probe(std::uint64_t line, bool is_instruction, bool demand)
         }
     }
 
-    if (CacheLine *l2_line = l2_.peek(line)) {
-        if (is_instruction && l2_line->priority)
+    if (const Cache::Slot hit = l2_.lookup(line)) {
+        if (is_instruction && l2_.line(hit).priority)
             ++stats_.l2InstHitsProtected;
-        l2_.touch(line);
+        l2_.touch(hit);
         return FillSource::L2;
     }
     if (demand) {
@@ -48,7 +48,7 @@ LowerLevels::probe(std::uint64_t line, bool is_instruction, bool demand)
     }
 
     ++stats_.l3Accesses;
-    if (l3_.peek(line))
+    if (l3_.lookup(line))
         return FillSource::L3;
     ++stats_.l3Misses;
     ++stats_.dramReads;
@@ -75,10 +75,11 @@ LowerLevels::fillL2(std::uint64_t line, FillSource source,
         sfl = true;
     }
     if (bypassLowPriorityInst_ && emissaryL2_ && is_instruction &&
-        !selected)
-        return {};
-    if (l2_.peek(line))
-        return {};  // Raced with another fill path; already resident.
+        !selected) {
+        Cache::Eviction bypassed;
+        bypassed.slot = l2_.lookup(line);
+        return bypassed;
+    }
 
     replacement::LineInfo info;
     info.isInstruction = is_instruction;
@@ -86,6 +87,8 @@ LowerLevels::fillL2(std::uint64_t line, FillSource source,
     const Cache::Eviction ev = l2_.insert(
         line, info, is_instruction, /*dirty=*/false, sfl,
         /*prefetched=*/false);
+    if (ev.resident)
+        return ev;  // Raced with another fill path; already resident.
     ++stats_.l2Fills;
     if (observer_)
         observer_->onL2Fill(line, is_instruction, info.highPriority);
@@ -112,17 +115,17 @@ LowerLevels::evictToL3(const Cache::Eviction &victim, bool l1d_dirty)
         victim.lineAddr, info, victim.line.isInstruction,
         victim.line.dirty || l1d_dirty, /*sfl=*/false,
         /*prefetched=*/false);
+    assert(!l3_ev.resident && "double insert");
     if (l3_ev.valid && l3_ev.line.dirty)
         ++stats_.dramWrites;
 }
 
 bool
-LowerLevels::l1iPriority(std::uint64_t line, bool selected,
-                         bool l1i_selected)
+LowerLevels::l1iPriority(const Filled &filled, bool l1i_selected)
 {
-    bool priority = (emissaryL2_ && selected) || l1i_selected;
-    if (const CacheLine *l2_line = l2_.peek(line))
-        priority = priority || l2_line->priority;
+    bool priority = (emissaryL2_ && filled.selected) || l1i_selected;
+    if (filled.l2)
+        priority = priority || l2_.line(filled.l2).priority;
     if (priority)
         ++stats_.highPriorityFills;
     return priority;
@@ -142,8 +145,8 @@ LowerLevels::writeBack(std::uint64_t line)
 {
     // Present by inclusion except when a concurrent L2 eviction
     // already pushed it out.
-    if (l2_.peek(line))
-        l2_.markDirty(line);
+    if (const Cache::Slot slot = l2_.lookup(line))
+        l2_.markDirty(slot);
     else
         ++stats_.dramWrites;
 }
@@ -175,8 +178,8 @@ Hierarchy::requestInstruction(std::uint64_t line_addr, std::uint64_t now,
     if (demandish)
         ++stats().l1iAccesses;
 
-    if (l1i_.peek(line_addr)) {
-        l1i_.touch(line_addr);
+    if (const Cache::Slot hit = l1i_.lookup(line_addr)) {
+        l1i_.touch(hit);
         return now + config_.l1i.hitLatency;
     }
 
@@ -208,15 +211,12 @@ Hierarchy::requestData(std::uint64_t line_addr, std::uint64_t now,
     if (demandish)
         ++stats().l1dAccesses;
 
-    if (const CacheLine *line = l1d_.peek(line_addr)) {
-        if (write && log_ && !line->dirty) {
-            unsigned set = 0, way = 0;
-            l1d_.findPosition(line_addr, set, way);
-            log_->dirtyStore(line_addr, set * l1d_.numWays() + way);
-        }
-        l1d_.touch(line_addr);
+    if (const Cache::Slot hit = l1d_.lookup(line_addr)) {
+        if (write && log_ && !l1d_.line(hit).dirty)
+            log_->dirtyStore(line_addr, l1d_.index(hit));
+        l1d_.touch(hit);
         if (write)
-            l1d_.markDirty(line_addr);
+            l1d_.markDirty(hit);
         return now + config_.l1d.hitLatency;
     }
 
@@ -311,13 +311,11 @@ Hierarchy::evictFromL1s(std::uint64_t line_addr)
     // caches); a dirty L1D copy folds its data into the victim.
     const Cache::Eviction i = l1i_.invalidate(line_addr);
     if (log_ && i.valid)
-        log_->slotEvent(MissLog::Kind::L1IInvalidate,
-                        i.set * l1i_.numWays() + i.way);
+        log_->slotEvent(MissLog::Kind::L1IInvalidate, l1i_.index(i.slot));
     const Cache::Eviction d = l1d_.invalidate(line_addr);
     const bool dirty = d.valid && d.line.dirty;
     if (log_ && dirty)
-        log_->slotEvent(MissLog::Kind::L1DInvalidate,
-                        d.set * l1d_.numWays() + d.way);
+        log_->slotEvent(MissLog::Kind::L1DInvalidate, l1d_.index(d.slot));
     return dirty;
 }
 
@@ -344,7 +342,7 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
     ctx.causedStarvation = entry.starved;
     ctx.issueQueueEmpty = entry.iqEmpty;
 
-    const bool selected = lower_.fill(
+    const LowerLevels::Filled filled = lower_.fill(
         line_addr, entry.source, ctx,
         [this](std::uint64_t victim) { return evictFromL1s(victim); });
 
@@ -359,11 +357,11 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
 
         replacement::LineInfo info;
         info.isInstruction = true;
-        info.highPriority =
-            lower_.l1iPriority(line_addr, selected, l1i_selected);
+        info.highPriority = lower_.l1iPriority(filled, l1i_selected);
         const Cache::Eviction ev = l1i_.insert(
             line_addr, info, /*is_instruction=*/true, /*dirty=*/false,
             /*sfl=*/false, /*prefetched=*/false);
+        assert(!ev.resident && "double insert");
         if (ev.valid && ev.line.priority)
             // L1I eviction communicates starvation history to the L2
             // copy (§3) — the heart of EMISSARY's persistence.
@@ -371,7 +369,7 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
         if (log_)
             log_->instructionFill(line_addr, entry.starved,
                                   entry.iqEmpty, l1i_selected,
-                                  ev.set * l1i_.numWays() + ev.way);
+                                  l1i_.index(ev.slot));
     } else {
         replacement::LineInfo info;
         info.isInstruction = false;
@@ -379,11 +377,12 @@ Hierarchy::complete(std::uint64_t line_addr, const Mshr &entry)
         const Cache::Eviction ev = l1d_.insert(
             line_addr, info, /*is_instruction=*/false, entry.write,
             /*sfl=*/false, /*prefetched=*/false);
+        assert(!ev.resident && "double insert");
         if (ev.valid && ev.line.dirty)
             lower_.writeBack(ev.lineAddr);
         if (log_)
             log_->dataFill(line_addr, entry.starved, entry.iqEmpty,
-                           entry.write, ev.set * l1d_.numWays() + ev.way);
+                           entry.write, l1d_.index(ev.slot));
     }
 }
 

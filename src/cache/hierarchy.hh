@@ -200,6 +200,16 @@ class LowerLevels
     FillSource probe(std::uint64_t line, bool is_instruction,
                      bool demand);
 
+    /** What fill() did. */
+    struct Filled
+    {
+        /** The L2's selection outcome. */
+        bool selected = false;
+        /** For an instruction line, where the L2 holds it after the
+         *  fill (false when it does not): what l1iPriority() reads. */
+        Cache::Slot l2;
+    };
+
     /**
      * Complete the miss of @p line that probe() found at @p source:
      * mode selection with the L2's own RNG, then, for a line not
@@ -210,30 +220,34 @@ class LowerLevels
      * victim leaves the L1s through @p evict_from_l1s(victim_line),
      * which returns whether the L1D held it dirty, and enters the L3,
      * at MRU when its SFL bit is set (§5.1).
-     * @return The L2's selection outcome.
      */
     template <typename EvictFromL1s>
-    bool
+    Filled
     fill(std::uint64_t line, FillSource source,
          const replacement::MissContext &ctx,
          EvictFromL1s &&evict_from_l1s)
     {
-        const bool selected = select(ctx);
-        if (source != FillSource::L2) {
-            const Cache::Eviction victim =
-                fillL2(line, source, ctx.isInstruction, selected);
-            if (victim.valid)
-                evictToL3(victim, evict_from_l1s(victim.lineAddr));
+        Filled out;
+        out.selected = select(ctx);
+        if (source == FillSource::L2) {
+            // The probe hit, but a fill since may have evicted it.
+            if (ctx.isInstruction)
+                out.l2 = l2_.lookup(line);
+            return out;
         }
-        return selected;
+        const Cache::Eviction placed =
+            fillL2(line, source, ctx.isInstruction, out.selected);
+        out.l2 = placed.slot;
+        if (placed.valid)
+            evictToL3(placed, evict_from_l1s(placed.lineAddr));
+        return out;
     }
 
-    /** The P bit of @p line's L1I copy after its fill: this miss's
+    /** The P bit of the L1I copy of a line after its fill: the fill's
      *  L2 selection under EMISSARY, the L1I's own (@p l1i_selected),
      *  or a P=1 L2 copy. A priority never changes while the line
      *  lives in either cache. Counts a P=1 fill. */
-    bool l1iPriority(std::uint64_t line, bool selected,
-                     bool l1i_selected);
+    bool l1iPriority(const Filled &filled, bool l1i_selected);
 
     /** §3: a P=1 @p line left the L1I, so its L2 copy is raised. */
     void upgrade(std::uint64_t line);
@@ -259,7 +273,7 @@ class LowerLevels
     bool select(const replacement::MissContext &ctx);
 
     /** The L3 move, the bypass and the L2 insert of fill(); returns
-     *  the L2's victim, counted, if any. */
+     *  the L2's victim, counted, if any, and the line's L2 slot. */
     Cache::Eviction fillL2(std::uint64_t line, FillSource source,
                            bool is_instruction, bool selected);
 

@@ -161,11 +161,11 @@ MonitorLane::instructionFill(const MissLog::Event &event)
     const bool old_priority = l1iPriority_[pos] != 0;
     bool new_priority = false;
     if (FillSource source; takeSource(event.line, source)) {
-        const bool selected = lower_.fill(
+        const LowerLevels::Filled filled = lower_.fill(
             event.line, source, missContext(event, true),
             [this](std::uint64_t victim) { return evictFromL1s(victim); });
         new_priority = lower_.l1iPriority(
-            event.line, selected, event.flags & MissLog::kSelected);
+            filled, event.flags & MissLog::kSelected);
     }
     if (displaced != SlotCopy::kEmpty && old_priority)
         lower_.upgrade(displaced);

@@ -9,10 +9,9 @@ namespace emissary::replacement
 
 PlruTree::PlruTree(unsigned ways) : ways_(ways)
 {
-    if (!isPowerOfTwo(ways) || ways < 2)
+    if (!isPowerOfTwo(ways) || ways < 2 || ways > kMaxWays)
         throw std::invalid_argument("PlruTree: ways must be a power of "
-                                    "two >= 2");
-    bits_.assign(ways - 1, 0);
+                                    "two from 2 to 64");
 }
 
 void
@@ -25,11 +24,11 @@ PlruTree::touch(unsigned way)
         const unsigned mid = lo + (hi - lo) / 2;
         if (way < mid) {
             // Touched left half: point the node right.
-            bits_[node] = 1;
+            bits_ |= std::uint64_t{1} << node;
             node = 2 * node + 1;
             hi = mid;
         } else {
-            bits_[node] = 0;
+            bits_ &= ~(std::uint64_t{1} << node);
             node = 2 * node + 2;
             lo = mid;
         }
@@ -44,7 +43,7 @@ PlruTree::victim() const
     unsigned hi = ways_;
     while (hi - lo > 1) {
         const unsigned mid = lo + (hi - lo) / 2;
-        if (bits_[node]) {
+        if (bit(node)) {
             node = 2 * node + 2;
             lo = mid;
         } else {

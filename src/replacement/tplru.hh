@@ -20,12 +20,17 @@ namespace emissary::replacement
 
 /**
  * A standalone TPLRU tree over @p ways leaves (ways must be a power
- * of two). Exposed separately so EMISSARY can keep one tree per
- * priority class per set.
+ * of two from 2 to kMaxWays). Its ways-1 node bits live inline in one
+ * word, so a policy's per-set trees form one flat array. Exposed
+ * separately so EMISSARY can keep one tree per priority class per
+ * set.
  */
 class PlruTree
 {
   public:
+    /** The widest tree whose node bits fit the word. */
+    static constexpr unsigned kMaxWays = 64;
+
     explicit PlruTree(unsigned ways);
 
     /** Point every node on the path to @p way away from it. */
@@ -49,7 +54,7 @@ class PlruTree
         unsigned hi = ways_;
         while (hi - lo > 1) {
             const unsigned mid = lo + (hi - lo) / 2;
-            bool go_right = bits_[node] != 0;
+            bool go_right = bit(node);
             const bool left_ok = anyEligible(lo, mid, eligible);
             const bool right_ok = anyEligible(mid, hi, eligible);
             if (go_right && !right_ok)
@@ -70,6 +75,8 @@ class PlruTree
     unsigned ways() const { return ways_; }
 
   private:
+    bool bit(unsigned node) const { return (bits_ >> node) & 1; }
+
     template <typename Pred>
     bool
     anyEligible(unsigned lo, unsigned hi, Pred &eligible) const
@@ -80,8 +87,10 @@ class PlruTree
         return false;
     }
 
+    /** Node n (heap order: children 2n+1, 2n+2) is bit n; a set bit
+     *  points the node's victim search right. */
+    std::uint64_t bits_ = 0;
     unsigned ways_;
-    std::vector<std::uint8_t> bits_;  ///< ways-1 nodes, heap order.
 };
 
 /** Plain TPLRU replacement policy (the TPLRU + FDIP baseline).

@@ -105,7 +105,7 @@ TEST(Cache, DirtyTracking)
 {
     Cache cache(smallConfig());
     cache.insert(7, instrInfo(), false, false, false, false);
-    cache.markDirty(7);
+    cache.markDirty(cache.lookup(7));
     EXPECT_TRUE(cache.peek(7)->dirty);
 }
 

@@ -9,6 +9,9 @@
  * matching after invalidate, an empty-way probe missing a free way,
  * an eviction the model did not predict possible — fails here.
  *
+ * The slot operations (touch and dirty marking by slot, an insert of
+ * a resident line) are checked the same way, against a twin array.
+ *
  * Runs for TPLRU and EMISSARY (the devirtualized fast paths) and a
  * Generic-dispatch family, and is part of the ASan CI stage, which
  * catches out-of-bounds tag-lane indexing the assertions cannot.
@@ -90,6 +93,13 @@ class ReferenceModel
  * Random alias-heavy workout of one policy configuration. Addresses
  * are drawn from a pool that is a small multiple of one set's worth
  * of aliases, so sets fill, evict and reuse tags constantly.
+ *
+ * The slot operations ride along: a hit touches by slot or by
+ * address, a store marks dirty by slot, and an insert of a resident
+ * line must report that line's slot and state and change nothing. A
+ * twin array gets every operation except those inserts, so any state
+ * they changed would show as a later decision of the two arrays
+ * that differs.
  */
 void
 stressPolicy(const std::string &policy, std::uint64_t seed)
@@ -104,10 +114,12 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
     config.policy = replacement::PolicySpec::parse(policy);
     config.seed = seed;
     Cache cache(config);
+    Cache twin(config);
 
     const unsigned sets = cache.numSets();
     const unsigned ways = cache.numWays();
     ReferenceModel model(sets, ways);
+    std::set<std::uint64_t> dirty;  // The model's dirty lines.
 
     // 40 aliases per set: 2.5x associativity, so roughly every other
     // insert into a warm set evicts.
@@ -116,6 +128,7 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
 
     std::uint64_t inserts = 0;
     std::uint64_t evictions = 0;
+    std::uint64_t resident_inserts = 0;
     for (int op = 0; op < 200'000; ++op) {
         const unsigned set =
             static_cast<unsigned>(rng.nextBelow(sets));
@@ -128,22 +141,58 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
         const CacheLine *peeked = cache.peek(line_addr);
         ASSERT_EQ(peeked != nullptr, present_model)
             << "op " << op << " addr " << line_addr;
+        const Cache::Slot slot = cache.lookup(line_addr);
+        ASSERT_EQ(static_cast<bool>(slot), present_model);
+        ASSERT_EQ(slot.set, cache.setIndex(line_addr));
+        if (slot) {
+            ASSERT_LT(slot.way, ways);
+            ASSERT_EQ(&cache.line(slot), peeked);
+            ASSERT_EQ(cache.line(slot).dirty, dirty.count(line_addr) != 0)
+                << "op " << op;
+        }
 
-        const std::uint64_t action = rng.nextBelow(10);
+        replacement::LineInfo info;
+        const std::uint64_t action = rng.nextBelow(12);
         if (action < 6) {
-            // Access: touch on hit, fill on miss.
+            info.isInstruction = (action % 2) == 0;
+            info.highPriority = (action % 3) == 0;
             if (present_model) {
-                cache.touch(line_addr);
+                // Access hit: touch by slot, by address, or re-insert.
+                if (action % 3 == 0) {
+                    cache.touch(slot);
+                } else if (action % 3 == 1) {
+                    cache.touch(line_addr);
+                } else {
+                    const Cache::Eviction again = cache.insert(
+                        line_addr, info, info.isInstruction, false,
+                        false, false);
+                    ++resident_inserts;
+                    ASSERT_TRUE(again.resident) << "op " << op;
+                    ASSERT_FALSE(again.valid) << "op " << op;
+                    ASSERT_EQ(again.lineAddr, line_addr);
+                    ASSERT_EQ(again.slot.set, slot.set);
+                    ASSERT_EQ(again.slot.way, slot.way);
+                    ASSERT_EQ(again.line.dirty,
+                              dirty.count(line_addr) != 0);
+                    continue;  // The twin never sees it.
+                }
+                twin.touch(line_addr);
             } else {
-                replacement::LineInfo info;
-                info.isInstruction = (action % 2) == 0;
-                info.highPriority = (action % 3) == 0;
                 const bool was_full = model.setFull(line_addr);
                 const Cache::Eviction evicted = cache.insert(
                     line_addr, info, info.isInstruction, false,
                     false, false);
+                const Cache::Eviction twin_evicted = twin.insert(
+                    line_addr, info, info.isInstruction, false,
+                    false, false);
                 ++inserts;
+                ASSERT_FALSE(evicted.resident) << "op " << op;
                 ASSERT_EQ(evicted.valid, was_full) << "op " << op;
+                ASSERT_EQ(twin_evicted.valid, evicted.valid);
+                ASSERT_EQ(twin_evicted.lineAddr, evicted.lineAddr)
+                    << "op " << op;
+                ASSERT_EQ(twin_evicted.slot.way, evicted.slot.way);
+                ASSERT_EQ(cache.lookup(line_addr).way, evicted.slot.way);
                 if (evicted.valid) {
                     ++evictions;
                     // The victim must be a line the model knows is
@@ -154,6 +203,8 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
                         << "op " << op;
                     ASSERT_EQ(evicted.lineAddr & (sets - 1),
                               line_addr & (sets - 1));
+                    ASSERT_EQ(evicted.line.dirty,
+                              dirty.erase(evicted.lineAddr) != 0);
                     model.erase(evicted.lineAddr);
                     ASSERT_EQ(cache.peek(evicted.lineAddr), nullptr);
                 }
@@ -164,31 +215,61 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
             // Back-invalidate (present or not — both must work).
             const Cache::Eviction removed =
                 cache.invalidate(line_addr);
+            twin.invalidate(line_addr);
             ASSERT_EQ(removed.valid, present_model) << "op " << op;
+            if (removed.valid) {
+                ASSERT_EQ(removed.slot.way, slot.way);
+                ASSERT_EQ(removed.line.dirty,
+                          dirty.erase(line_addr) != 0);
+            }
             model.erase(line_addr);
             ASSERT_EQ(cache.peek(line_addr), nullptr);
         } else if (action < 9) {
-            if (present_model)
+            if (present_model) {
                 cache.raisePriority(line_addr);
+                twin.raisePriority(line_addr);
+            }
+        } else if (action < 10) {
+            // A store hit marks the line dirty by its slot.
+            if (present_model) {
+                cache.markDirty(slot);
+                twin.markDirty(twin.lookup(line_addr));
+                dirty.insert(line_addr);
+                ASSERT_TRUE(cache.peek(line_addr)->dirty);
+            }
         } else {
             cache.noteDemandMiss(line_addr);
+            twin.noteDemandMiss(line_addr);
         }
     }
 
-    // The workout must actually have exercised the eviction path.
+    // The workout must actually have exercised the eviction path and
+    // the resident inserts.
     EXPECT_GT(inserts, 50'000u);
     EXPECT_GT(evictions, 10'000u);
+    EXPECT_GT(resident_inserts, 5'000u);
 
-    // Final census: every model-resident line is peekable, and the
-    // cache holds nothing beyond the model.
+    // Final census: every model-resident line is peekable, with the
+    // twin's slot and flags, and the cache holds nothing beyond the
+    // model.
     std::uint64_t peekable = 0;
     for (unsigned set = 0; set < sets; ++set) {
         for (std::uint64_t alias = 0; alias < aliases; ++alias) {
             const std::uint64_t line_addr = (alias << 20) | set;
-            const bool in_cache = cache.peek(line_addr) != nullptr;
-            ASSERT_EQ(in_cache, model.contains(line_addr))
+            const Cache::Slot slot = cache.lookup(line_addr);
+            ASSERT_EQ(static_cast<bool>(slot),
+                      model.contains(line_addr))
                 << "addr " << line_addr;
-            peekable += in_cache ? 1 : 0;
+            const Cache::Slot twin_slot = twin.lookup(line_addr);
+            ASSERT_EQ(twin_slot.way, slot.way) << "addr " << line_addr;
+            if (!slot)
+                continue;
+            ++peekable;
+            const CacheLine &line = cache.line(slot);
+            const CacheLine &twin_line = twin.line(twin_slot);
+            EXPECT_EQ(line.dirty, twin_line.dirty);
+            EXPECT_EQ(line.isInstruction, twin_line.isInstruction);
+            EXPECT_EQ(line.priority, twin_line.priority);
         }
     }
     EXPECT_EQ(peekable, model.residentLines());
@@ -211,7 +292,8 @@ TEST(CacheModel, GenericDispatchMatchesReferenceModel)
 }
 
 /**
- * The vectorized tag compare must agree with the portable scalar
+ * The vectorized tag compares (findWayVector, and findWayOrFree's
+ * match-or-free pass) must agree with the portable scalar
  * reference on every lane shape the cache can produce: all
  * associativities 1..24 (covering remainders around the 2/4-lane
  * vector widths), hit at every way position, miss, and unaligned
@@ -260,9 +342,20 @@ TEST(CacheModel, VectorFindWayMatchesScalar)
                                   ? kInvalid
                                   : rng.nextBelow(ways + 4);
                 const std::uint64_t probe = rng.nextBelow(ways + 4);
+                const int expected =
+                    Cache::findWayScalar(tags, ways, probe);
                 ASSERT_EQ(Cache::findWayVector(tags, ways, probe),
-                          Cache::findWayScalar(tags, ways, probe))
+                          expected)
                     << "ways " << ways << " trial " << trial;
+                // insert()'s pass: the match, else the first free way.
+                int free = -2;
+                ASSERT_EQ(Cache::findWayOrFree(tags, ways, probe, free),
+                          expected);
+                if (expected < 0) {
+                    ASSERT_EQ(free,
+                              Cache::findWayScalar(tags, ways, kInvalid))
+                        << "ways " << ways << " trial " << trial;
+                }
             }
         }
     }

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -47,22 +48,32 @@ TEST(ThreadPool, SubmitRunsEveryJobAndFuturesComplete)
 
 TEST(ThreadPool, ExceptionsPropagateThroughFutures)
 {
-    ThreadPool pool(2);
-    auto ok = pool.submit([]() { return 7; });
-    auto bad = pool.submit([]() -> int {
-        throw std::runtime_error("job failed");
-    });
-    EXPECT_EQ(ok.get(), 7);
-    EXPECT_THROW(
-        {
-            try {
-                bad.get();
-            } catch (const std::runtime_error &e) {
-                EXPECT_STREQ(e.what(), "job failed");
-                throw;
-            }
-        },
-        std::runtime_error);
+    // The job's exception object is reference-counted inside the C++
+    // runtime, which TSan does not see. Holding a reference here until
+    // the pool has joined its workers makes this thread drop the last
+    // one, after the join, so the object is never freed on a worker
+    // while this thread may still read it.
+    std::exception_ptr thrown;
+    {
+        ThreadPool pool(2);
+        auto ok = pool.submit([]() { return 7; });
+        auto bad = pool.submit([]() -> int {
+            throw std::runtime_error("job failed");
+        });
+        EXPECT_EQ(ok.get(), 7);
+        EXPECT_THROW(
+            {
+                try {
+                    bad.get();
+                } catch (const std::runtime_error &e) {
+                    EXPECT_STREQ(e.what(), "job failed");
+                    thrown = std::current_exception();
+                    throw;
+                }
+            },
+            std::runtime_error);
+    }
+    EXPECT_TRUE(thrown);
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedJobs)

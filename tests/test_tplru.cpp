@@ -19,6 +19,8 @@ TEST(PlruTree, RejectsBadWays)
     EXPECT_THROW(PlruTree(3), std::invalid_argument);
     EXPECT_THROW(PlruTree(0), std::invalid_argument);
     EXPECT_THROW(PlruTree(1), std::invalid_argument);
+    // A power of two past the inline word's 63 node bits.
+    EXPECT_THROW(PlruTree(2 * PlruTree::kMaxWays), std::invalid_argument);
 }
 
 TEST(PlruTree, TouchedWayIsNotVictim)
