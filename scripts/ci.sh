@@ -13,8 +13,9 @@
 #      + full test suite
 #   2. Observability smoke: --stats-json / --sample-interval /
 #      --trace-out output must parse and carry the expected keys,
-#      bad flags must exit 2, the CLI's single-run paths (live,
-#      --record, --trace of the recording, --trace of a packed
+#      bad flags must exit 2 and --trace of a file that is not an
+#      EMTC container exit 1 naming it, the CLI's single-run paths
+#      (live, --record, --trace of the recording, --trace of a packed
 #      container) must agree, one-worker sweeps whose rows predict
 #      inline and share one prediction stream must give the same
 #      TPLRU cells, a short one-worker fig5 bench
@@ -35,7 +36,9 @@
 #      container, verify its CRCs, prove that verify *fails* on a
 #      flipped byte, import the committed ChampSim fixture, and run
 #      a 2x2 catalog sweep whose JSON must parse
-#   5. Service smoke: start the emissary_serve daemon, run a mixed
+#   5. Service smoke: out-of-range numeric flags of emissary_serve and
+#      emissary_client must exit 1 before a daemon or a connection
+#      starts; start the emissary_serve daemon, run a mixed
 #      synthetic + packed-trace catalog sweep twice (the second must
 #      be served >= 90% from the content-addressed result cache),
 #      validate every reply with json_check, prove malformed input
@@ -187,10 +190,22 @@ for stage in $STAGES; do
             [ "$rc" -eq 2 ] ||
                 { echo "'$bad' did not exit 2 (rc=$rc)" >&2; exit 1; }
         done
-        # One run four ways: live, teeing its stream to an EMTR file,
-        # that recording replayed, and a packed container of the same
-        # stream at --time-chunks 1. All must report the same cycles
-        # and counters, and recording must not change any metric.
+        # Every trace is an EMTC container: --trace of any other file
+        # (here 64 zero bytes) is an input error, exit 1, in the EMTC
+        # reader's error naming the file.
+        head -c 64 /dev/zero >"$out/not_a_container"
+        rc=0
+        build-ci-release/tools/emissary_sim --trace "$out/not_a_container" \
+            >/dev/null 2>"$out/trace_error.txt" || rc=$?
+        [ "$rc" -eq 1 ] &&
+            grep -qF "EMTC: $out/not_a_container:" "$out/trace_error.txt" ||
+            { echo "--trace of a non-container: rc=$rc, want 1 and" \
+                "an error naming the file" >&2; exit 1; }
+        # One run four ways: live, teeing its stream to an EMTC
+        # container, that recording replayed, and a packed container
+        # of the same stream at --time-chunks 1. All must report the
+        # same cycles and counters, and recording must not change any
+        # metric.
         run_one() {
             local name="$1"; shift
             build-ci-release/tools/emissary_sim --policy "P(8):S&E" \
@@ -204,8 +219,8 @@ for stage in $STAGES; do
                 "$out/$1.json"
         }
         run_one plain --benchmark tomcat
-        run_one record --benchmark tomcat --record "$out/tomcat.emtr"
-        run_one replay --trace "$out/tomcat.emtr"
+        run_one record --benchmark tomcat --record "$out/recorded.emtc"
+        run_one replay --trace "$out/recorded.emtc"
         build-ci-release/tools/trace_pack pack "$out/tomcat.emtc" \
             --benchmark tomcat --records 500000 >/dev/null
         run_one packed --trace "$out/tomcat.emtc" --time-chunks 1
@@ -439,7 +454,7 @@ EOF
             { echo "sweep JSON lacks time_parallel provenance" >&2
               exit 1; }
         # --record needs one sequential pass and must refuse chunks.
-        if "$sim" --benchmark tomcat --record "$out/no.emtr" \
+        if "$sim" --benchmark tomcat --record "$out/no.emtc" \
             --instructions 100000 --time-chunks 2 2>/dev/null; then
             echo "--time-chunks with --record did not fail" >&2
             exit 1
@@ -506,6 +521,20 @@ EOF
         [ -x "$serve" ] && [ -x "$client" ] ||
             { echo "run the release stage first" >&2; exit 1; }
         out="$(mktemp -d)"
+        # Out-of-range numeric flags exit 1, naming the flag, before
+        # a daemon, a pool or a connection starts; the timeout stops
+        # a daemon that would start anyway ($bad word-splits).
+        for bad in "$serve --port -1" "$serve --port 70000" \
+            "$serve --jobs 4097" \
+            "$serve --cache-budget-mb 17592186044417" \
+            "$client --port -1 --ping" "$client --port 70000 --ping" \
+            "$client --port 1 --concurrency -1 --ping" \
+            "$client --port 1 --min-cached-fraction 0,9 --ping"; do
+            rc=0
+            timeout 10 $bad >/dev/null 2>"$out/flag_error.txt" || rc=$?
+            [ "$rc" -eq 1 ] && grep -q "needs" "$out/flag_error.txt" ||
+                { echo "'$bad' was not rejected (rc=$rc)" >&2; exit 1; }
+        done
         # A mixed catalog: one live synthetic workload plus a packed
         # trace, swept under two policies.
         build-ci-release/tools/trace_pack pack "$out/tomcat.emtc" \

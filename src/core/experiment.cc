@@ -18,8 +18,8 @@
 #include "core/threadpool.hh"
 #include "stats/span_recorder.hh"
 #include "trace/executor.hh"
-#include "trace/file.hh"
 #include "util/strutil.hh"
+#include "workload/emtc.hh"
 
 namespace emissary::core
 {
@@ -36,8 +36,8 @@ runPolicy(const trace::SyntheticProgram &program,
 /**
  * One chunk's view of a RunSource: the stream its pass consumes,
  * opened at the chunk's start record, and the footprint rule of the
- * source's kind. Kinds without random access only ever run one
- * chunk, which starts at record 0 (the stream's current position).
+ * source's kind. A live program has no random access, so it only
+ * ever runs one chunk, from record 0.
  */
 class ChunkStream
 {
@@ -63,15 +63,13 @@ class ChunkStream
             if ((*buffer)->synthetic())
                 cursor_ = cursor.get();
             owned_ = std::move(cursor);
-        } else if (const auto *open = std::get_if<ChunkSourceFactory>(
-                       &source.kind_)) {
-            owned_ = (*open)(start_record);
+        } else {
+            owned_ = std::get<ChunkSourceFactory>(source.kind_)(
+                start_record);
         }
-        stream_ = owned_ ? owned_.get()
-                         : std::get<trace::TraceSource *>(source.kind_);
     }
 
-    trace::TraceSource &stream() { return *stream_; }
+    trace::TraceSource &stream() { return *owned_; }
 
     /** Unique code lines the stream served (synthetic kinds), or the
      *  source's census (trace kinds). */
@@ -101,7 +99,6 @@ class ChunkStream
 
   private:
     std::unique_ptr<trace::TraceSource> owned_;
-    trace::TraceSource *stream_ = nullptr;
     const trace::SyntheticExecutor *executor_ = nullptr;
     const trace::ReplayCursor *cursor_ = nullptr;
     const trace::ReplayCursor *replay_ = nullptr;
@@ -388,9 +385,9 @@ run(const RunSource &source, const replacement::PolicySpec &l2,
     const auto run_chunk = [&](std::size_t i) {
         ChunkStream chunk(source, plans[i].startRecord);
         trace::TraceSource *stream = &chunk.stream();
-        std::unique_ptr<trace::RecordingSource> tee;
+        std::unique_ptr<workload::RecordingSource> tee;
         if (whole && report.recordTo) {
-            tee = std::make_unique<trace::RecordingSource>(
+            tee = std::make_unique<workload::RecordingSource>(
                 *stream, *report.recordTo);
             stream = tee.get();
         }

@@ -39,9 +39,9 @@ class TraceSink;
 class SpanRecorder;
 }
 
-namespace emissary::trace
+namespace emissary::workload
 {
-class TraceWriter;
+class PackedTraceWriter;
 }
 
 namespace emissary::frontend
@@ -90,19 +90,20 @@ struct RunOptions
      * these records without counting. Ignored when timeChunks <= 1.
      */
     std::uint64_t chunkWarmupRecords = 250'000;
+
+    /** Every knob equal: two runs then share one machine and window,
+     *  and may share a fused pass or a P(N) result (core::planGrid). */
+    bool operator==(const RunOptions &) const = default;
 };
 
 /**
  * Calls @p visit(key, member) once per RunOptions field, with its
  * JSON key and a pointer to the member, in the one order every use
- * of the knobs follows: operator==, the manifest "config"
- * (runOptionsJson), the cache identity (canonicalRunOptions) and the
- * service's request parser. A field left out here would be missing
- * from all four, so two configs that differ in it would share a
- * cache entry: a new field joins this list, append-only. Written
- * over member pointers rather than as a defaulted operator== so the
- * header stays C++17: the benchmark harness (bench/e2e) includes it
- * from a C++17 target.
+ * of the knobs follows: the manifest "config" (runOptionsJson), the
+ * cache identity (canonicalRunOptions) and the service's request
+ * parser. A field left out here would be missing from all three, so
+ * two configs that differ in it would share a cache entry: a new
+ * field joins this list, append-only.
  */
 template <typename Visit>
 void
@@ -122,18 +123,6 @@ forEachRunOption(Visit &&visit)
     visit("seed", &RunOptions::seed);
     visit("time_chunks", &RunOptions::timeChunks);
     visit("chunk_warmup_records", &RunOptions::chunkWarmupRecords);
-}
-
-/** Every knob equal: two runs then share one machine and window, and
- *  may share a fused pass or a P(N) result (core::planGrid). */
-inline bool
-operator==(const RunOptions &a, const RunOptions &b)
-{
-    bool equal = true;
-    forEachRunOption([&](const char *, auto member) {
-        equal = equal && a.*member == b.*member;
-    });
-    return equal;
 }
 
 /**
@@ -161,7 +150,7 @@ using ChunkSourceFactory =
         std::uint64_t start_record)>;
 
 /**
- * The record stream of one run: exactly one of four kinds. The kind
+ * The record stream of one run: exactly one of three kinds. The kind
  * decides whether the window can be chunked (random access) and how
  * the run counts Metrics::codeFootprintLines. Kinds serving the same
  * records give bit-identical results up to that footprint rule and
@@ -202,20 +191,12 @@ class RunSource
     {
     }
 
-    /** A stream consumed from its current position (not owned): no
-     *  random access. The footprint is @p census. */
-    RunSource(trace::TraceSource &stream, std::uint64_t census = 0)
-        : kind_(&stream), census_(census)
-    {
-    }
-
     /** True when a chunk may start at any record of the stream. */
     bool
     randomAccess() const
     {
-        return std::holds_alternative<
-                   std::shared_ptr<const trace::RecordBuffer>>(kind_) ||
-               std::holds_alternative<ChunkSourceFactory>(kind_);
+        return !std::holds_alternative<const trace::SyntheticProgram *>(
+            kind_);
     }
 
     /** The block outcomes shared by the source's passes, if any. */
@@ -231,7 +212,7 @@ class RunSource
 
     std::variant<const trace::SyntheticProgram *,
                  std::shared_ptr<const trace::RecordBuffer>,
-                 ChunkSourceFactory, trace::TraceSource *>
+                 ChunkSourceFactory>
         kind_;
     std::uint64_t census_ = 0;
     std::shared_ptr<const frontend::PredictionStream> predictions_;
@@ -251,9 +232,9 @@ struct RunTelemetry
     /** JSONL event sink, armed for the measurement window only
      *  (nullptr = off). Not owned. */
     stats::TraceSink *traceSink = nullptr;
-    /** Every record the run consumes is also appended here
-     *  (nullptr = off). Not owned. */
-    trace::TraceWriter *recordTo = nullptr;
+    /** Every record the run consumes is also appended to this EMTC
+     *  container (nullptr = off). Not owned. */
+    workload::PackedTraceWriter *recordTo = nullptr;
     /** Flight recorder (nullptr = none). Not owned. A one-chunk run
      *  records "warmup", "measure" and "stat_export" slices on the
      *  calling thread's track, a chunked run one "chunk" slice per

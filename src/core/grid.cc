@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <fstream>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -15,11 +14,9 @@
 #include "core/observability.hh"
 #include "core/replay_build.hh"
 #include "frontend/frontend.hh"
-#include "trace/file.hh"
 #include "trace/program.hh"
 #include "trace/replay.hh"
 #include "util/bitutil.hh"
-#include "util/crc32.hh"
 #include "util/hash.hh"
 #include "util/strutil.hh"
 #include "workload/emtc.hh"
@@ -38,16 +35,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/** Pack-time unique-code-line census of an EMTC container (0 for
- *  EMTR traces, which carry no footprint metadata). */
-std::uint64_t
-traceFootprintLines(const GridWorkload &w)
-{
-    if (!w.traceBacked() || !isPackedTracePath(w.tracePath))
-        return 0;
-    return readTraceInfo(w.tracePath).uniqueCodeLines;
 }
 
 /**
@@ -89,23 +76,6 @@ replayBufferSlots(std::uint64_t records)
     return records > 0 ? budget_records / records : 0;
 }
 
-/** CRC-32 of a whole file, streamed in 64 KiB chunks — the content
- *  identity of raw EMTR traces, which carry no per-block digests. */
-std::uint32_t
-fileCrc32(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error(
-            "cellCacheCanonical: cannot open trace '" + path + "'");
-    std::uint32_t crc = 0;
-    char chunk[64 * 1024];
-    while (in.read(chunk, sizeof(chunk)).gcount() > 0)
-        crc = emissary::crc32(crc, chunk,
-                              static_cast<std::size_t>(in.gcount()));
-    return crc;
-}
-
 } // namespace
 
 std::string
@@ -123,31 +93,24 @@ cellCacheCanonical(const GridWorkload &workload, const RunSpec &run,
     // must not change its cached result.
     JsonValue source = JsonValue::object();
     if (workload.traceBacked()) {
-        if (isPackedTracePath(workload.tracePath)) {
-            // The index CRC transitively digests every block's own
-            // CRC, so these header fields identify the full payload
-            // without decoding it.
-            const auto info = readTraceInfo(workload.tracePath);
-            source.set("type", JsonValue("emtc"));
-            source.set("records", JsonValue(info.recordCount));
-            source.set("records_per_block",
-                       JsonValue(static_cast<std::uint64_t>(
-                           info.recordsPerBlock)));
-            source.set("blocks",
-                       JsonValue(static_cast<std::uint64_t>(
-                           info.blockCount)));
-            source.set("unique_code_lines",
-                       JsonValue(info.uniqueCodeLines));
-            source.set("file_bytes", JsonValue(info.fileBytes));
-            source.set("index_crc",
-                       JsonValue(static_cast<std::uint64_t>(
-                           info.indexCrc)));
-        } else {
-            source.set("type", JsonValue("emtr"));
-            source.set("file_crc",
-                       JsonValue(static_cast<std::uint64_t>(
-                           fileCrc32(workload.tracePath))));
-        }
+        // The index CRC transitively digests every block's own CRC,
+        // so these header fields identify the full payload without
+        // decoding it.
+        const auto info = readTraceInfo(workload.tracePath);
+        source.set("type", JsonValue("emtc"));
+        source.set("records", JsonValue(info.recordCount));
+        source.set("records_per_block",
+                   JsonValue(static_cast<std::uint64_t>(
+                       info.recordsPerBlock)));
+        source.set("blocks",
+                   JsonValue(static_cast<std::uint64_t>(
+                       info.blockCount)));
+        source.set("unique_code_lines",
+                   JsonValue(info.uniqueCodeLines));
+        source.set("file_bytes", JsonValue(info.fileBytes));
+        source.set("index_crc",
+                   JsonValue(static_cast<std::uint64_t>(
+                       info.indexCrc)));
         source.set("skip_records", JsonValue(workload.skipRecords));
         source.set("max_records", JsonValue(workload.maxRecords));
     } else {
@@ -610,20 +573,19 @@ planGrid(const PolicyGrid &grid, const GridOptions &options,
 
     // One source per row, chosen by the machines that read the row
     // from record 0: a pass, a P(N) member counting as one since it
-    // may re-run. EMTC rows stream: each pass, and each time-parallel
+    // may re-run. Trace rows stream: each pass, and each time-parallel
     // chunk, opens the container at its own start record through the
-    // block index and decodes only the blocks it reads. Any other row
-    // packs a RecordBuffer only when the pack pays, within the replay
-    // budget and in grid order: first the rows that two or more
-    // machines share or a chunked pass (which needs random access)
-    // reads, then the synthetic rows that one machine reads, each on
-    // a worker that no machine of the grid would use, beside its
-    // reader. A synthetic row that does not pack generates live inside
-    // its pass; an EMTR row (FileTraceSource loads the whole file at
-    // open) reopens its file per pass. A cursor that outruns its
-    // buffer continues from the buffer's tail. Every kind serves the
-    // same records, so the Metrics are bit-identical
-    // (tests/test_replay.cpp, tests/test_runner.cpp).
+    // block index and decodes only the blocks it reads. A synthetic
+    // row packs a RecordBuffer only when the pack pays, within the
+    // replay budget and in grid order: first the rows that two or
+    // more machines share or a chunked pass (which needs random
+    // access) reads, then the rows that one machine reads, each on a
+    // worker that no machine of the grid would use, beside its
+    // reader. A row that does not pack generates live inside its
+    // pass. A cursor that outruns its buffer continues from the
+    // buffer's tail. Every kind serves the same records, so the
+    // Metrics are bit-identical (tests/test_replay.cpp,
+    // tests/test_runner.cpp).
     std::vector<std::size_t> machines(rows, 0);
     std::vector<char> chunked(rows, 0);
     std::size_t grid_machines = 0;
@@ -645,20 +607,15 @@ planGrid(const PolicyGrid &grid, const GridOptions &options,
             if (machines[w] == 0 ||
                 (machines[w] > 1 || chunked[w]) != shared)
                 continue;
-            if (row.traceBacked() && isPackedTracePath(row.tracePath)) {
+            if (row.traceBacked()) {
                 plan.sources[w] = RowSource::Stream;
-                continue;
-            }
-            const bool pack =
-                shared || (!row.traceBacked() && spare_workers > 0);
-            if (pack && buffers_left > 0) {
+            } else if ((shared || spare_workers > 0) && buffers_left > 0) {
                 --buffers_left;
                 if (!shared)
                     --spare_workers;
                 plan.sources[w] = RowSource::Replay;
             } else {
-                plan.sources[w] =
-                    row.traceBacked() ? RowSource::Stream : RowSource::Live;
+                plan.sources[w] = RowSource::Live;
             }
         }
     }
@@ -848,29 +805,15 @@ runGrid(const PolicyGrid &grid, ThreadPool &pool,
                     };
                 }
                 if (row.traceBacked()) {
-                    // The buffer unrolls the trace's wrap-around, so
-                    // any window length replays correctly; a cursor
-                    // that still overruns re-opens the file at the
-                    // overrun position via the tail factory. Both
-                    // kinds report the container's pack-time
-                    // footprint census. A raw EMTR row packs (and
-                    // predicts) before it publishes.
-                    const std::uint64_t census = traceFootprintLines(row);
-                    if (kind == RowSource::Replay) {
-                        auto buffer = buildTraceReplay(
-                            row, plan.bufferRecords, pool, predict);
-                        if (predictions)
-                            predictions->finish();
-                        sources[w].emplace(std::move(buffer), census,
-                                           predictions);
-                    } else
-                        sources[w].emplace(
-                            ChunkSourceFactory(
-                                [&row](std::uint64_t start_record) {
-                                    return openTraceSource(
-                                        row, start_record);
-                                }),
-                            census);
+                    // Each pass opens the container at its own start
+                    // record, and reports the container's pack-time
+                    // footprint census.
+                    sources[w].emplace(
+                        ChunkSourceFactory(
+                            [&row](std::uint64_t start_record) {
+                                return openTraceSource(row, start_record);
+                            }),
+                        readTraceInfo(row.tracePath).uniqueCodeLines);
                 } else {
                     programs[w] =
                         std::make_unique<trace::SyntheticProgram>(
@@ -1161,15 +1104,11 @@ workloadProvenanceJson(const GridWorkload &row)
     provenance.set("path", JsonValue(row.tracePath));
     provenance.set("skip_records", JsonValue(row.skipRecords));
     provenance.set("max_records", JsonValue(row.maxRecords));
-    if (isPackedTracePath(row.tracePath)) {
-        const auto info = readTraceInfo(row.tracePath);
-        provenance.set("records", JsonValue(info.recordCount));
-        provenance.set("unique_code_lines",
-                       JsonValue(info.uniqueCodeLines));
-        provenance.set("file_bytes", JsonValue(info.fileBytes));
-        provenance.set("compression_ratio",
-                       JsonValue(info.compressionRatio()));
-    }
+    const auto info = readTraceInfo(row.tracePath);
+    provenance.set("records", JsonValue(info.recordCount));
+    provenance.set("unique_code_lines", JsonValue(info.uniqueCodeLines));
+    provenance.set("file_bytes", JsonValue(info.fileBytes));
+    provenance.set("compression_ratio", JsonValue(info.compressionRatio()));
     return provenance;
 }
 

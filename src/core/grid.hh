@@ -11,19 +11,18 @@
  * and seeded RNGs, so runGrid with EMISSARY_JOBS=1 and
  * EMISSARY_JOBS=N produce the same Metrics for the same grid.
  *
- * A synthetic or raw EMTR row that two or more machines read (passes
- * and P(N) members), or that a time-parallel pass reads, is packed
- * once into a trace::RecordBuffer that all of its cells replay,
- * within the EMISSARY_REPLAY_BUDGET_MB memory budget (default 1024,
- * 0 disables), so the sweep costs O(workloads) synthetic execution
- * instead of O(workloads x policies); a synthetic row's cells read
- * records as its build job packs them. A row that one machine reads
- * packs only when it is synthetic and a worker would otherwise sit
- * idle; otherwise it generates live inside its one pass. EMTC rows
- * take no buffer: each pass (and each time-parallel chunk) opens the
- * container at its own start record. Every source serves the same
- * records, so the Metrics are bit-identical (RowSource;
- * docs/performance.md).
+ * A synthetic row that two or more machines read (passes and P(N)
+ * members), or that a time-parallel pass reads, is packed once into a
+ * trace::RecordBuffer that all of its cells replay, within the
+ * EMISSARY_REPLAY_BUDGET_MB memory budget (default 1024, 0 disables),
+ * so the sweep costs O(workloads) synthetic execution instead of
+ * O(workloads x policies); the row's cells read records as its build
+ * job packs them. A row that one machine reads packs only when a
+ * worker would otherwise sit idle; otherwise it generates live inside
+ * its one pass. Trace rows (EMTC containers) take no buffer: each
+ * pass (and each time-parallel chunk) opens the container at its own
+ * start record. Every source serves the same records, so the Metrics
+ * are bit-identical (RowSource; docs/performance.md).
  *
  * A replay row that two or more machines read also predicts its block
  * outcomes once: the build job feeds every packed chunk to a
@@ -98,8 +97,8 @@ struct RunSpec
 
 /**
  * One row of a sweep: a named workload, either synthetic (generated
- * from a WorkloadProfile) or trace-backed (streamed from an EMTR or
- * EMTC file on disk). Implicitly convertible from WorkloadProfile so
+ * from a WorkloadProfile) or trace-backed (streamed from an EMTC
+ * container on disk). Implicitly convertible from WorkloadProfile so
  * profile-based call sites keep working unchanged.
  */
 struct GridWorkload
@@ -107,7 +106,7 @@ struct GridWorkload
     std::string name;
     /** Generator parameters; used when tracePath is empty. */
     trace::WorkloadProfile profile;
-    /** Path to an .emtr / .emtc trace; empty = synthetic. */
+    /** Path to an EMTC container; empty = synthetic. */
     std::string tracePath;
     /** Records dropped from the front of the trace (warmup skip). */
     std::uint64_t skipRecords = 0;
@@ -200,9 +199,8 @@ class CellResultCache
  *  - workload content: every generator parameter incl. seed for
  *    synthetic rows; for trace rows the container's content digest
  *    (EMTC header fields + the block-index CRC, which covers every
- *    block's own CRC) or a whole-file CRC for raw EMTR files, plus
- *    the skip/max window. The display name is excluded — renaming a
- *    workload does not change its result.
+ *    block's own CRC), plus the skip/max window. The display name is
+ *    excluded — renaming a workload does not change its result.
  *  - the L2 policy in canonical notation (aliases like "EMISSARY"
  *    normalise to their expansion);
  *  - every RunOptions knob incl. seed (canonicalRunOptions);
@@ -218,8 +216,9 @@ class CellResultCache
  *    identical driver;
  *  - @p build_sha, the binary's code version (core::buildInfo).
  *
- * @throws std::runtime_error when a trace-backed workload's file
- *         cannot be read (identity must be content-addressed).
+ * @throws std::runtime_error naming the path when a trace-backed
+ *         workload's file is not a readable EMTC container (identity
+ *         must be content-addressed).
  */
 std::string cellCacheCanonical(const GridWorkload &workload,
                                const RunSpec &run,
@@ -297,11 +296,11 @@ enum class RowSource : std::uint8_t
 {
     None,   ///< Nothing built: every cell of the row was cached.
     Replay, ///< One RecordBuffer shared by the row's passes, within
-            ///< the budget: a synthetic or raw EMTR row that two or
-            ///< more machines or a chunked pass read, or a synthetic
-            ///< row whose one reader leaves a worker spare.
+            ///< the budget: a synthetic row that two or more machines
+            ///< or a chunked pass read, or whose one reader leaves a
+            ///< worker spare.
     Stream, ///< Each pass opens the trace at its own start record
-            ///< (EMTC rows; other EMTR rows).
+            ///< (every trace row).
     Live,   ///< Each pass regenerates the synthetic stream (other
             ///< synthetic rows: one reader on a busy pool, or past
             ///< the budget).
@@ -362,11 +361,11 @@ struct GridPlan
     std::vector<replacement::PolicySpec> l1iSpecs;
     /** Per row, from the machines that read it from record 0 (a
      *  pass, a P(N) member counting as one since it may re-run):
-     *  Stream for EMTC; Replay, within the budget and in grid order,
-     *  for a row that two or more machines or a chunked pass read,
-     *  then for a synthetic row read by one while the grid has fewer
-     *  machines than workers (one worker each); else Live, or Stream
-     *  for EMTR. None when every cell of the row hit. */
+     *  Stream for a trace row; for a synthetic row Replay, within
+     *  the budget and in grid order, when two or more machines or a
+     *  chunked pass read it, then when one reads it while the grid
+     *  has fewer machines than workers (one worker each); else Live.
+     *  None when every cell of the row hit. */
     std::vector<RowSource> sources;
     /** Per row, the column whose predictor config
      *  (core::predictorConfig) keys the row's shared PredictionStream:
@@ -554,7 +553,8 @@ class GridResults
  *        stats::ChromeTraceWriter. A null recorder costs one
  *        pointer test per instrumentation point.
  *
- * Exceptions thrown by a row build (an unreadable trace) or a cell
+ * Exceptions thrown by a row build (a trace that is not a readable
+ * EMTC container: the reader's error names the path) or a cell
  * (bad policy notation, simulator budget overrun) are rethrown here,
  * the first in submission order, once every started job has
  * finished. A failure stops the grid: a cell that has not started

@@ -5,7 +5,6 @@
 #include <future>
 #include <vector>
 
-#include "trace/file.hh"
 #include "workload/emtc.hh"
 
 namespace emissary::core
@@ -25,56 +24,30 @@ constexpr std::uint64_t kBlockRecords =
 
 } // namespace
 
-bool
-isPackedTracePath(const std::string &path)
-{
-    static const std::string suffix = ".emtc";
-    return path.size() >= suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
 std::unique_ptr<trace::TraceSource>
-openTraceSource(const GridWorkload &w,
-                std::uint64_t extra_skip)
+openTraceSource(const GridWorkload &w, std::uint64_t extra_skip)
 {
-    std::unique_ptr<trace::TraceSource> source;
-    if (isPackedTracePath(w.tracePath)) {
-        auto packed = std::make_unique<workload::PackedTraceSource>(
-            w.tracePath, w.skipRecords,
-            w.maxRecords);
-        if (extra_skip)
-            packed->skipRecords(extra_skip);
-        source = std::move(packed);
-    } else {
-        auto file = std::make_unique<trace::FileTraceSource>(
-            w.tracePath, w.skipRecords,
-            w.maxRecords);
-        if (extra_skip)
-            file->skipRecords(extra_skip);
-        source = std::move(file);
-    }
+    auto source = std::make_unique<workload::PackedTraceSource>(
+        w.tracePath, w.skipRecords, w.maxRecords);
+    if (extra_skip)
+        source->skipRecords(extra_skip);
     return source;
 }
 
 std::shared_ptr<const trace::RecordBuffer>
 buildTraceReplay(const GridWorkload &w, std::uint64_t records,
-                 ThreadPool &pool,
-                 const trace::RecordBuffer::ChunkObserver &observer)
+                 ThreadPool &pool)
 {
     trace::RecordBuffer::TailFactory tail =
         [w](std::uint64_t position) {
             return openTraceSource(w, position);
         };
 
-    // Raw EMTR files have no block index, so a mid-stream seek costs
-    // a record-by-record skip that would erase the parallel win;
-    // short windows are not worth the per-task file opens either.
-    if (observer || !isPackedTracePath(w.tracePath) ||
-        pool.workerCount() <= 1 || records < 2 * kMinTaskRecords) {
+    // Short windows are not worth the per-task file opens.
+    if (pool.workerCount() <= 1 || records < 2 * kMinTaskRecords) {
         auto source = openTraceSource(w);
         return std::make_shared<const trace::RecordBuffer>(
-            *source, records, std::move(tail), observer);
+            *source, records, std::move(tail));
     }
 
     // The probe names the buffer exactly as the streaming build would

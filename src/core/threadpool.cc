@@ -46,7 +46,7 @@ ThreadPool::defaultWorkerCount()
         std::max(1u, std::thread::hardware_concurrency());
     const std::uint64_t jobs = envU64("EMISSARY_JOBS", hardware);
     return static_cast<unsigned>(
-        std::clamp<std::uint64_t>(jobs, 1, 4096));
+        std::clamp<std::uint64_t>(jobs, 1, kMaxWorkers));
 }
 
 void

@@ -84,8 +84,13 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
+    /** The most workers a count from the user may ask for:
+     *  EMISSARY_JOBS is clamped to it, and every tool's --jobs (and
+     *  emissary_client's --concurrency) rejects more. */
+    static constexpr unsigned kMaxWorkers = 4096;
+
     /** EMISSARY_JOBS if set (strictly parsed), else
-     *  hardware_concurrency(), never less than 1. */
+     *  hardware_concurrency(), clamped to [1, kMaxWorkers]. */
     static unsigned defaultWorkerCount();
 
     /**

@@ -101,9 +101,9 @@ class TraceSource
      * The front-end consumes the stream through this batched call so
      * the per-instruction virtual next() dispatch is amortized over a
      * whole batch; sources with a cheap bulk path (SyntheticExecutor,
-     * ReplayCursor, FileTraceSource) override it with a tight
-     * non-virtual loop. The stream is infinite, so all @p n records
-     * are always produced.
+     * ReplayCursor, workload::PackedTraceSource) override it with a
+     * tight non-virtual loop. The stream is infinite, so all @p n
+     * records are always produced.
      */
     virtual void
     fill(TraceRecord *out, std::size_t n)

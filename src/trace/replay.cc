@@ -76,8 +76,7 @@ RecordBuffer::waitPacked(std::uint64_t records) const
 }
 
 RecordBuffer::RecordBuffer(TraceSource &source, std::uint64_t records,
-                           TailFactory tail_factory,
-                           const ChunkObserver &observer)
+                           TailFactory tail_factory)
     : records_(records),
       name_(source.name()),
       tailFactory_(std::move(tail_factory))
@@ -86,7 +85,7 @@ RecordBuffer::RecordBuffer(TraceSource &source, std::uint64_t records,
     nextPc_.reserve(records);
     memAddr_.reserve(records);
     clsTaken_.reserve(records);
-    appendFrom(source, records, observer);
+    appendFrom(source, records, {});
 }
 
 RecordBuffer::RecordBuffer(std::string name, std::uint64_t records,

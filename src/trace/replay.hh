@@ -130,8 +130,7 @@ class RecordBuffer
         std::uint64_t position)>;
 
     /**
-     * Pack the next @p records pulled from @p source — the generic
-     * path the grid engine uses for raw EMTR workloads (the
+     * Pack the next @p records pulled from @p source, serially (the
      * source's wrap-around is unrolled into the buffer). No
      * footprint bitmap is kept: trace-backed cells take their
      * Fig. 4 footprint from the container's pack-time metadata, not
@@ -140,11 +139,9 @@ class RecordBuffer
      * @param tail_factory Optional overrun fallback; a cursor that
      *        runs off the buffer continues from the source this
      *        produces. Without one, overrun throws.
-     * @param observer Optional; sees every packed chunk (pack()).
      */
     RecordBuffer(TraceSource &source, std::uint64_t records,
-                 TailFactory tail_factory,
-                 const ChunkObserver &observer = {});
+                 TailFactory tail_factory);
 
     /**
      * Preallocated trace-backed buffer of @p records zeroed slots,

@@ -1,11 +1,13 @@
 /**
  * @file
- * EMTC: the compressed, block-indexed trace container.
+ * EMTC: the compressed, block-indexed trace container, and the one
+ * on-disk trace format: emissary_sim --record writes it
+ * (RecordingSource), and every trace path a run, a catalog or a
+ * service request names opens as one.
  *
- * The raw EMTR format (trace/file.hh) stores 26 bytes per record and
- * is fully buffered into RAM on replay, which caps it at toy trace
- * sizes. EMTC stores the same committed-path stream delta-encoded in
- * self-contained blocks — a sequential instruction costs one byte —
+ * EMTC stores the committed-path stream delta-encoded in
+ * self-contained blocks — a sequential instruction costs one byte,
+ * against 26 bytes for the record's fields unpacked —
  * behind a fixed-size block index, so a reader streams with bounded
  * memory (one packed + one decoded block in flight) and seeks to any
  * record through the index. Every block and the index itself carry a
@@ -86,18 +88,19 @@ struct TraceInfo
      */
     std::uint32_t indexCrc = 0;
 
-    /** Bytes the same stream costs as a raw EMTR file. */
+    /** Bytes the same stream costs unpacked: 26 per record (pc,
+     *  nextPc, memAddr, class, taken) behind a 16-byte header. */
     std::uint64_t
-    rawEmtrBytes() const
+    unpackedBytes() const
     {
         return 16 + recordCount * 26;
     }
 
-    /** Size reduction vs. raw EMTR (>1 means EMTC is smaller). */
+    /** Size reduction vs. unpackedBytes (>1 means EMTC is smaller). */
     double
     compressionRatio() const
     {
-        return fileBytes > 0 ? static_cast<double>(rawEmtrBytes()) /
+        return fileBytes > 0 ? static_cast<double>(unpackedBytes()) /
                                    static_cast<double>(fileBytes)
                              : 0.0;
     }
@@ -170,6 +173,43 @@ class PackedTraceWriter
     std::uint64_t payloadBytes_ = 0;
     std::unordered_set<std::uint64_t> codeLines_;
     bool finished_ = false;
+};
+
+/**
+ * Decorator that tees a source into a PackedTraceWriter while the
+ * pipeline consumes it (core::RunTelemetry::recordTo). Overrides
+ * fill() so the batched frontend feed records whole batches through
+ * the inner source's bulk path; a recorded-then-replayed run is
+ * bit-identical to the live run (tests/test_tracefile.cpp).
+ */
+class RecordingSource final : public trace::TraceSource
+{
+  public:
+    RecordingSource(trace::TraceSource &inner, PackedTraceWriter &writer)
+        : inner_(inner), writer_(writer)
+    {
+    }
+
+    trace::TraceRecord
+    next() override
+    {
+        const trace::TraceRecord rec = inner_.next();
+        writer_.append(rec);
+        return rec;
+    }
+
+    void
+    fill(trace::TraceRecord *out, std::size_t n) override
+    {
+        inner_.fill(out, n);
+        writer_.append(out, n);
+    }
+
+    const char *name() const override { return inner_.name(); }
+
+  private:
+    trace::TraceSource &inner_;
+    PackedTraceWriter &writer_;
 };
 
 /**

@@ -4,13 +4,15 @@
  * defect named), relative path resolution, selection by name, and the
  * headline grid contract — a catalog sweep over a trace-backed
  * workload produces bit-identical Metrics whether the cells replay a
- * RecordBuffer or stream the container per cell.
+ * RecordBuffer or stream the container per cell, and a trace that is
+ * not a container fails the grid naming its path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -257,6 +259,42 @@ TEST(WorkloadCatalog, GridMetricsIdenticalAcrossReplayBudgets)
     EXPECT_EQ(streamed.at(1, 0).codeFootprintLines, footprint);
     EXPECT_EQ(replayed.at(1, 0).codeFootprintLines, footprint);
 
+    std::remove(path.c_str());
+}
+
+/**
+ * Every trace path opens as an EMTC container: a catalog row whose
+ * file is in any other format (here an old raw trace) fails the grid
+ * with the reader's error, which names the path.
+ */
+TEST(WorkloadCatalog, GridOverATraceThatIsNotAContainerNamesThePath)
+{
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/emissary_catalog_old.raw";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "EMTR" << std::string(60, '\0');
+    }
+    const WorkloadCatalog catalog = WorkloadCatalog::parse(
+        R"({"schema": "emissary.catalog.v1",
+            "workloads": [{"name": "old", "trace": {"path": ")" +
+            path + R"("}}]})",
+        "", "<test>");
+    core::RunOptions options;
+    options.warmupInstructions = 1'000;
+    options.measureInstructions = 4'000;
+    const core::PolicyGrid grid = core::PolicyGrid::sweep(
+        catalog.workloads(), {"TPLRU"}, options);
+    core::ThreadPool pool(1);
+    try {
+        core::runGrid(grid, pool);
+        ADD_FAILURE() << "a file that is not a container was swept";
+    } catch (const std::runtime_error &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("not an EMTC container"), std::string::npos)
+            << what;
+    }
     std::remove(path.c_str());
 }
 

@@ -2,25 +2,27 @@
  * @file
  * Tests for the EMTC compressed trace container: the pack -> unpack
  * round trip must be record-exact, a simulation fed from the
- * streaming decoder must be bit-identical to one fed from the
- * buffered EMTR path, corruption anywhere must be caught by a CRC,
- * skip/limit windows must wrap exactly like the legacy source, and
- * the block decoder must name every defect of a crafted block the
- * same way wherever in the block it sits.
+ * streaming decoder must be bit-identical to the live run of the
+ * same program, corruption anywhere must be caught by a CRC, a
+ * header or tail defect (a file that is not a container included)
+ * must be named with the path, skip/limit windows must wrap within
+ * the window, and the block decoder must name every defect of a
+ * crafted block the same way wherever in the block it sits.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/grid.hh"
+#include "core/replay_build.hh"
 #include "trace/executor.hh"
-#include "trace/file.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
 #include "util/crc32.hh"
@@ -135,8 +137,7 @@ TEST(Emtc, RoundTripIsRecordExact)
         ++consumed;
     }
     // The stream wraps to stay infinite (wrap counted eagerly when
-    // the last window record is served, exactly like
-    // FileTraceSource).
+    // the last window record is served).
     EXPECT_EQ(source.wraps(), 1u);
     expectRecordsEqual(source.next(), records.front(),
                        records.size());
@@ -180,17 +181,12 @@ TEST(Emtc, FootprintCensusMatchesTheGenerator)
     std::remove(path.c_str());
 }
 
-TEST(Emtc, StreamingRunMatchesBufferedEmtrRun)
+TEST(Emtc, StreamingRunMatchesTheLiveRun)
 {
-    // Same stream, both on-disk formats.
+    // The container holds the program's stream: a run streamed from
+    // it is the live run.
     const auto records = generate(120'000);
-    const std::string emtc_path = packRecords(records, "runpolicy");
-    const std::string emtr_path = tempPath("runpolicy", ".emtr");
-    {
-        trace::TraceWriter writer(emtr_path);
-        writer.append(records.data(), records.size());
-        writer.finish();
-    }
+    const std::string path = packRecords(records, "runpolicy");
 
     core::RunOptions options;
     options.warmupInstructions = 20'000;
@@ -198,33 +194,35 @@ TEST(Emtc, StreamingRunMatchesBufferedEmtrRun)
     const auto l2 = replacement::PolicySpec::parse("P(8):S&E");
     const auto l1i = replacement::PolicySpec::parse("TPLRU");
 
-    core::RunTelemetry emtr_instr;
-    trace::FileTraceSource emtr_source(emtr_path);
-    core::Metrics emtr_metrics =
-        core::run(emtr_source, l2, l1i, options, nullptr, nullptr,
-                  &emtr_instr);
+    const trace::SyntheticProgram program(tinyProfile());
+    core::RunTelemetry live_instr;
+    core::Metrics live_metrics = core::run(program, l2, l1i, options,
+                                           nullptr, nullptr, &live_instr);
 
+    const core::GridWorkload row("runpolicy", path);
     core::RunTelemetry emtc_instr;
-    workload::PackedTraceSource emtc_source(emtc_path);
-    core::Metrics emtc_metrics =
-        core::run(emtc_source, l2, l1i, options, nullptr, nullptr,
-                  &emtc_instr);
+    core::Metrics emtc_metrics = core::run(
+        core::ChunkSourceFactory([&row](std::uint64_t start_record) {
+            return core::openTraceSource(row, start_record);
+        }),
+        l2, l1i, options, nullptr, nullptr, &emtc_instr);
 
-    // The sources describe themselves differently; everything the
-    // simulation computed must not.
-    emtc_metrics.benchmark = emtr_metrics.benchmark;
+    // The sources describe themselves differently, and the container
+    // reports no footprint without a census; everything the
+    // simulation computed must not differ.
+    emtc_metrics.benchmark = live_metrics.benchmark;
+    emtc_metrics.codeFootprintLines = live_metrics.codeFootprintLines;
     EXPECT_EQ(emtc_metrics.toJson().dump(),
-              emtr_metrics.toJson().dump());
+              live_metrics.toJson().dump());
 
     ASSERT_EQ(emtc_instr.registry.names(),
-              emtr_instr.registry.names());
+              live_instr.registry.names());
     for (const std::string &name : emtc_instr.registry.names())
         EXPECT_EQ(emtc_instr.registry.value(name),
-                  emtr_instr.registry.value(name))
+                  live_instr.registry.value(name))
             << name;
 
-    std::remove(emtc_path.c_str());
-    std::remove(emtr_path.c_str());
+    std::remove(path.c_str());
 }
 
 TEST(Emtc, VerifyDetectsASingleFlippedByte)
@@ -265,22 +263,69 @@ TEST(Emtc, VerifyDetectsASingleFlippedByte)
     std::remove(path.c_str());
 }
 
+/** Opening @p path, for its metadata and as a stream, must fail
+ *  with an error naming the path and @p defect. */
+void
+expectOpenFails(const std::string &path, const char *defect)
+{
+    for (const bool stream : {false, true}) {
+        try {
+            if (stream)
+                workload::PackedTraceSource source(path);
+            else
+                workload::readTraceInfo(path);
+            ADD_FAILURE() << "accepted " << path;
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(path), std::string::npos)
+                << "error must name the path: " << what;
+            EXPECT_NE(what.find(defect), std::string::npos)
+                << "wanted '" << defect << "' in: " << what;
+        }
+    }
+}
+
 TEST(Emtc, MetadataDefectsAreNamed)
 {
-    EXPECT_THROW(workload::readTraceInfo("/nonexistent/x.emtc"),
-                 std::runtime_error);
+    expectOpenFails("/nonexistent/x.emtc", "cannot open");
 
-    // Truncating the tail destroys the footer.
-    const auto records = generate(2'000);
-    const std::string path = packRecords(records, "metadata");
-    std::FILE *f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(truncate(path.c_str(), size - 8), 0);
-    EXPECT_THROW(workload::readTraceInfo(path), std::runtime_error);
-    std::remove(path.c_str());
+    const std::string packed = packRecords(generate(2'000), "metadata");
+    const std::string good = readFileBytes(packed);
+    std::remove(packed.c_str());
+    std::string bad_version = good;
+    bad_version[4] = 9;
+    std::string empty = good;
+    std::fill(empty.begin() + 8, empty.begin() + 16, '\0');
+
+    const struct
+    {
+        const char *tag;
+        std::string bytes;
+        const char *defect;
+    } kCases[] = {
+        {"short_header", "EMTC\x01", "truncated header"},
+        // An old raw trace, or any other file, is not a container.
+        {"not_a_container", std::string("EMTR") + std::string(60, '\0'),
+         "bad magic (not an EMTC container)"},
+        {"bad_version", bad_version, "unsupported version 9"},
+        {"empty", empty, "empty trace"},
+        // Truncating the tail destroys the footer.
+        {"truncated_tail", good.substr(0, good.size() - 8),
+         "bad end magic"},
+    };
+    for (const auto &test_case : kCases) {
+        SCOPED_TRACE(test_case.tag);
+        const std::string path = tempPath(test_case.tag, ".emtc");
+        {
+            std::FILE *f = std::fopen(path.c_str(), "wb");
+            ASSERT_NE(f, nullptr) << path;
+            std::fwrite(test_case.bytes.data(), 1, test_case.bytes.size(),
+                        f);
+            std::fclose(f);
+        }
+        expectOpenFails(path, test_case.defect);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Emtc, SkipAndLimitWindowWraps)
@@ -339,28 +384,6 @@ TEST(Emtc, CommittedFixtureBytesAreStable)
     }
     EXPECT_EQ(readFileBytes(fresh), readFileBytes(committed));
     std::remove(fresh.c_str());
-}
-
-TEST(Emtc, WindowMatchesFileTraceSourceWindow)
-{
-    const auto records = generate(5'000);
-    const std::string emtc_path = packRecords(records, "window-eq");
-    const std::string emtr_path = tempPath("window_eq", ".emtr");
-    {
-        trace::TraceWriter writer(emtr_path);
-        writer.append(records.data(), records.size());
-        writer.finish();
-    }
-
-    workload::PackedTraceSource packed(emtc_path, 700, 3'000);
-    trace::FileTraceSource buffered(emtr_path, 700, 3'000);
-    ASSERT_EQ(packed.recordCount(), buffered.recordCount());
-    for (std::uint64_t i = 0; i < 7'000; ++i)
-        expectRecordsEqual(packed.next(), buffered.next(), i);
-    EXPECT_EQ(packed.wraps(), buffered.wraps());
-
-    std::remove(emtc_path.c_str());
-    std::remove(emtr_path.c_str());
 }
 
 /**

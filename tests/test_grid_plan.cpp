@@ -9,11 +9,11 @@
  *    lane chunks, each with its own timing column;
  *  - P(N) leaders and pass order in a Fig. 5-shaped row;
  *  - cache roles, keys and hits, and the passes they leave;
- *  - row sources: a row packs when two or more machines or a chunked
- *    pass read it, or when it is synthetic and a worker is spare;
- *    the budget at 0, at exactly one buffer (which a shared row gets
- *    first) and at its 2^44 MB cap, and a buffer whose byte count
- *    would wrap;
+ *  - row sources: a trace row always streams; a synthetic row packs
+ *    when two or more machines or a chunked pass read it, or when a
+ *    worker is spare; the budget at 0, at exactly one buffer (which a
+ *    shared row gets first) and at its 2^44 MB cap, and a buffer
+ *    whose byte count would wrap;
  *  - which rows predict their block outcomes once, and which column
  *    keys the stream;
  *  - the sampling factor is stated only when a monitor lane exists,
@@ -320,11 +320,12 @@ TEST(GridPlan, ReplayBudgetAtZeroAndAtExactlyOneBuffer)
         trace::datacenterSuite();
     // Files are never opened: without a cache, a trace row's plan
     // reads only its path. Two machines read every row, so each
-    // packs while the budget lasts.
+    // synthetic row packs while the budget lasts; the trace row
+    // streams at every budget and takes none of it.
     const PolicyGrid rows = PolicyGrid::sweep(
-        std::vector<GridWorkload>{GridWorkload("raw", "raw.emtr"),
-                                  suite[0], suite[1],
-                                  GridWorkload("packed", "packed.emtc")},
+        std::vector<GridWorkload>{suite[0],
+                                  GridWorkload("packed", "packed.emtc"),
+                                  suite[1], suite[2]},
         {"TPLRU", "LRU"}, oneBufferWindow());
 
     const struct
@@ -333,17 +334,17 @@ TEST(GridPlan, ReplayBudgetAtZeroAndAtExactlyOneBuffer)
         std::vector<RowSource> sources;
     } kCases[] = {
         {"0",
-         {RowSource::Stream, RowSource::Live, RowSource::Live,
-          RowSource::Stream}},
+         {RowSource::Live, RowSource::Stream, RowSource::Live,
+          RowSource::Live}},
         {"24",
-         {RowSource::Stream, RowSource::Live, RowSource::Live,
-          RowSource::Stream}},
+         {RowSource::Live, RowSource::Stream, RowSource::Live,
+          RowSource::Live}},
         {"25",
-         {RowSource::Replay, RowSource::Live, RowSource::Live,
-          RowSource::Stream}},
+         {RowSource::Replay, RowSource::Stream, RowSource::Live,
+          RowSource::Live}},
         {"50",
-         {RowSource::Replay, RowSource::Replay, RowSource::Live,
-          RowSource::Stream}},
+         {RowSource::Replay, RowSource::Stream, RowSource::Replay,
+          RowSource::Live}},
     };
     for (const auto &test_case : kCases) {
         SCOPED_TRACE(test_case.budgetMb);
@@ -399,12 +400,12 @@ TEST(GridPlan, ReplayRowsWithTwoMachinesOrMoreSharePredictions)
         planGrid(suiteGrid(wide), fusedOptions(0), 4).predictionColumns,
         Keys{0});
 
-    // Only replay rows: an EMTC row streams, and past the budget a
-    // synthetic row runs live and an EMTR row streams.
+    // Only replay rows: a trace row streams, and past the budget a
+    // synthetic row runs live.
     const PolicyGrid mixed = PolicyGrid::sweep(
         std::vector<GridWorkload>{trace::datacenterSuite()[0],
                                   GridWorkload("packed", "packed.emtc"),
-                                  GridWorkload("raw", "raw.emtr")},
+                                  trace::datacenterSuite()[1]},
         {"TPLRU", "LRU"}, smallWindow());
     EXPECT_EQ(planGrid(mixed, GridOptions{}, 4).predictionColumns,
               (Keys{0, std::nullopt, 0}));
@@ -474,20 +475,15 @@ TEST(GridPlan, SharedAndChunkedRowsPackOnABusyPool)
     const GridPlan chunks = planGrid(chunked, GridOptions{}, 1);
     EXPECT_EQ(chunks.sources, Sources{RowSource::Replay});
     EXPECT_EQ(chunks.predictionColumns, Keys(1));
-}
 
-TEST(GridPlan, SingleReaderEmtrRowStreamsUnlessChunked)
-{
-    // A spare worker does not make an EMTR row pack: its one reader
-    // opens the file once either way. A chunked pass still packs it.
-    PolicyGrid raw = PolicyGrid::sweep(
-        std::vector<GridWorkload>{GridWorkload("raw", "raw.emtr")},
-        {"TPLRU"}, smallWindow());
-    EXPECT_EQ(planGrid(raw, GridOptions{}, 4).sources,
+    // A trace row has random access through its block index: shared,
+    // chunked or on spare workers, it streams.
+    PolicyGrid packed = PolicyGrid::sweep(
+        std::vector<GridWorkload>{GridWorkload("packed", "packed.emtc")},
+        {"P(2):S&E", "P(8):S&E"}, smallWindow());
+    packed.runs[0].options.timeChunks = 4;
+    EXPECT_EQ(planGrid(packed, GridOptions{}, 4).sources,
               Sources{RowSource::Stream});
-    raw.runs[0].options.timeChunks = 4;
-    EXPECT_EQ(planGrid(raw, GridOptions{}, 4).sources,
-              Sources{RowSource::Replay});
 }
 
 TEST(GridPlan, OneBufferGoesToASharedRowBeforeAnEarlierSingleReader)

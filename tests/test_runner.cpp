@@ -1,22 +1,21 @@
 /**
  * @file
- * Tests for the single runner (core::run) over its four source kinds.
+ * Tests for the single runner (core::run) over its three source kinds.
  *
  * Contract under test:
  *  - every RunSource kind serves the identical records, so a live
  *    program and a synthetic buffer give bit-identical Metrics and
- *    registries, and an EMTC container of the same stream, read as a
- *    stream or through a chunk factory at T = 1, gives identical
- *    counters (only the footprint rule differs by kind);
+ *    registries, and an EMTC container of the same stream, opened
+ *    through a chunk factory at T = 1, gives identical counters (only
+ *    the footprint rule differs by kind);
  *  - a chunked window on a source without random access runs one
  *    exact pass and reports one chunk; the grid marks such a cell
  *    sequential while a trace row stays time-parallel;
  *  - the record tee captures the stream without changing the run;
- *  - runGrid streams EMTC rows (RowSource::Stream) and still gives
+ *  - runGrid streams trace rows (RowSource::Stream) and still gives
  *    what core::run gives over the row's replay buffer, while
- *    synthetic and raw EMTR rows keep their buffer within the replay
- *    budget; the sweep JSON and the "replay_build" slices name each
- *    row's source;
+ *    synthetic rows keep their buffer within the replay budget; the
+ *    sweep JSON and the "replay_build" slices name each row's source;
  *  - a row whose build fails fails the grid with the build's own
  *    error, and only after every other row's build and cell is done.
  */
@@ -39,7 +38,6 @@
 #include "fused_pass.hh"
 #include "stats/span_recorder.hh"
 #include "trace/executor.hh"
-#include "trace/file.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
 #include "trace/replay.hh"
@@ -88,19 +86,6 @@ packProgram(const trace::SyntheticProgram &program,
         writer.append(chunk.data(), n);
         done += n;
     }
-    writer.finish();
-}
-
-/** Write @p records of @p program's stream as a raw EMTR file. */
-void
-writeProgram(const trace::SyntheticProgram &program,
-             const std::string &path, std::uint64_t records)
-{
-    trace::SyntheticExecutor executor(program);
-    trace::TraceWriter writer(path);
-    std::vector<trace::TraceRecord> all(records);
-    executor.fill(all.data(), all.size());
-    writer.append(all.data(), all.size());
     writer.finish();
 }
 
@@ -168,23 +153,14 @@ TEST(Runner, SourceKindsServeTheSameRun)
     EXPECT_EQ(buffered.toJson().dump(0), live.toJson().dump(0));
     EXPECT_EQ(registryText(buffer_report), registryText(live_report));
 
-    // The same stream as an EMTC container: consumed as a stream and
-    // opened through a chunk factory at T = 1. Both report the
-    // container's census as their footprint.
+    // The same stream as an EMTC container, opened through a chunk
+    // factory at T = 1: it reports the container's census as its
+    // footprint.
     const std::string path =
         std::string(::testing::TempDir()) + "/emissary_runner.emtc";
     packProgram(program, path, windowRecords(options));
     const std::uint64_t census =
         workload::readTraceInfo(path).uniqueCodeLines;
-
-    workload::PackedTraceSource stream(path);
-    RunTelemetry stream_report;
-    const Metrics streamed =
-        core::run(core::RunSource(stream, census), l2, l1i, options, nullptr,
-                  nullptr, &stream_report);
-    EXPECT_EQ(streamed.cycles, live.cycles);
-    EXPECT_EQ(streamed.codeFootprintLines, census);
-    EXPECT_EQ(registryText(stream_report), registryText(live_report));
 
     const core::GridWorkload row("tomcat.emtc", path);
     const core::RunSource factory(
@@ -198,7 +174,8 @@ TEST(Runner, SourceKindsServeTheSameRun)
     const Metrics opened = core::run(factory, l2, l1i, options, nullptr, &pool,
                                      &factory_report);
     EXPECT_EQ(factory_report.chunks, 1u);
-    EXPECT_EQ(opened.toJson().dump(0), streamed.toJson().dump(0));
+    EXPECT_EQ(opened.cycles, live.cycles);
+    EXPECT_EQ(opened.codeFootprintLines, census);
     EXPECT_EQ(registryText(factory_report), registryText(live_report));
     std::remove(path.c_str());
 }
@@ -248,14 +225,14 @@ TEST(Runner, RecordTeeKeepsTheRunAndCapturesTheStream)
     const PolicySpec l1i = PolicySpec::parse(options.l1iPolicy);
     const trace::SyntheticProgram program(
         trace::profileByName("verilator"));
-    const std::string path =
-        std::string(::testing::TempDir()) + "/emissary_runner.emtr";
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/emissary_runner_record.emtc";
 
     const Metrics plain = core::run(program, l2, l1i, options);
     RunTelemetry report;
     Metrics recorded;
     {
-        trace::TraceWriter writer(path);
+        workload::PackedTraceWriter writer(path, program.profile().name);
         report.recordTo = &writer;
         recorded = core::run(program, l2, l1i, options, nullptr, nullptr,
                              &report);
@@ -265,10 +242,13 @@ TEST(Runner, RecordTeeKeepsTheRunAndCapturesTheStream)
     EXPECT_EQ(recorded.toJson().dump(0), plain.toJson().dump(0));
 
     // Replaying the recording reproduces every counter.
-    trace::FileTraceSource replay(path);
+    const core::GridWorkload row("verilator.emtc", path);
     RunTelemetry replay_report;
-    const Metrics replayed = core::run(replay, l2, l1i, options, nullptr,
-                                       nullptr, &replay_report);
+    const Metrics replayed = core::run(
+        core::ChunkSourceFactory([&row](std::uint64_t start_record) {
+            return core::openTraceSource(row, start_record);
+        }),
+        l2, l1i, options, nullptr, nullptr, &replay_report);
     EXPECT_EQ(replayed.cycles, plain.cycles);
     EXPECT_EQ(registryText(replay_report), registryText(report));
     std::remove(path.c_str());
@@ -387,24 +367,19 @@ TEST(RunnerGrid, EmtcRowsStreamAndMatchTheirReplayBuffer)
 
 TEST(RunnerGrid, SourcesAreNamedPerRow)
 {
-    // One stream three ways: generated, packed as EMTC and written as
-    // raw EMTR. Within the budget the synthetic and EMTR rows replay
-    // a buffer and the EMTC row streams; without one the synthetic
-    // row runs live and the EMTR row reopens its file per pass.
+    // One stream two ways: generated and packed as EMTC. Within the
+    // budget the synthetic row replays a buffer and the EMTC row
+    // streams; without one the synthetic row runs live.
     const trace::SyntheticProgram program(
         trace::profileByName("tomcat"));
     const RunOptions options = smallWindow();
     const std::string emtc = std::string(::testing::TempDir()) +
                              "/emissary_runner_sources.emtc";
-    const std::string emtr = std::string(::testing::TempDir()) +
-                             "/emissary_runner_sources.emtr";
     packProgram(program, emtc, windowRecords(options));
-    writeProgram(program, emtr, windowRecords(options));
     const core::PolicyGrid grid = core::PolicyGrid::sweep(
         std::vector<core::GridWorkload>{
             core::GridWorkload(trace::profileByName("tomcat")),
-            core::GridWorkload("tomcat.emtc", emtc),
-            core::GridWorkload("tomcat.emtr", emtr)},
+            core::GridWorkload("tomcat.emtc", emtc)},
         {"TPLRU", "P(8):S&E"}, options);
     core::GridOptions grid_options;
     grid_options.collectRegistries = true;
@@ -415,10 +390,9 @@ TEST(RunnerGrid, SourcesAreNamedPerRow)
         core::runGrid(grid, pool, grid_options, {}, &recorder);
     EXPECT_EQ(buffered.sourceAt(0), RowSource::Replay);
     EXPECT_EQ(buffered.sourceAt(1), RowSource::Stream);
-    EXPECT_EQ(buffered.sourceAt(2), RowSource::Replay);
     EXPECT_EQ(sweepSources(grid, buffered),
               (std::vector<std::string>{"replay", "replay", "stream",
-                                        "stream", "replay", "replay"}));
+                                        "stream"}));
     std::map<std::string, std::string> slices;
     std::map<std::string, double> predicted;
     for (const stats::SpanRecorder::Track &track : recorder.tracks())
@@ -434,25 +408,23 @@ TEST(RunnerGrid, SourcesAreNamedPerRow)
         }
     EXPECT_EQ(slices, (std::map<std::string, std::string>{
                           {"tomcat", "replay"},
-                          {"tomcat.emtc", "stream"},
-                          {"tomcat.emtr", "replay"}}));
-    // Both replay rows predict their one stream for their two cells;
-    // the streamed row's cells predict for themselves.
+                          {"tomcat.emtc", "stream"}}));
+    // The replay row predicts its one stream for its two cells; the
+    // streamed row's cells predict for themselves.
     EXPECT_GT(predicted["tomcat"], 0.0);
-    EXPECT_GT(predicted["tomcat.emtr"], 0.0);
     EXPECT_EQ(predicted["tomcat.emtc"], 0.0);
 
-    // The EMTR row matches the EMTC row in every counter; only the
-    // name and the footprint rule (EMTR carries no census) differ.
+    // The EMTC row matches the synthetic row in every counter; only
+    // the name and the footprint rule (the container's census) differ.
     for (std::size_t r = 0; r < grid.runs.size(); ++r) {
-        EXPECT_EQ(registryText(buffered.registryAt(2, r)),
-                  registryText(buffered.registryAt(1, r)));
-        Metrics emtr_cell = buffered.at(2, r);
-        emtr_cell.benchmark = buffered.at(1, r).benchmark;
-        emtr_cell.codeFootprintLines =
-            buffered.at(1, r).codeFootprintLines;
-        EXPECT_EQ(emtr_cell.toJson().dump(0),
-                  buffered.at(1, r).toJson().dump(0));
+        EXPECT_EQ(registryText(buffered.registryAt(1, r)),
+                  registryText(buffered.registryAt(0, r)));
+        Metrics emtc_cell = buffered.at(1, r);
+        emtc_cell.benchmark = buffered.at(0, r).benchmark;
+        emtc_cell.codeFootprintLines =
+            buffered.at(0, r).codeFootprintLines;
+        EXPECT_EQ(emtc_cell.toJson().dump(0),
+                  buffered.at(0, r).toJson().dump(0));
     }
 
     const ScopedEnv no_budget("EMISSARY_REPLAY_BUDGET_MB", "0");
@@ -460,7 +432,6 @@ TEST(RunnerGrid, SourcesAreNamedPerRow)
         core::runGrid(grid, pool, grid_options);
     EXPECT_EQ(unbuffered.sourceAt(0), RowSource::Live);
     EXPECT_EQ(unbuffered.sourceAt(1), RowSource::Stream);
-    EXPECT_EQ(unbuffered.sourceAt(2), RowSource::Stream);
     for (std::size_t w = 0; w < grid.workloads.size(); ++w)
         for (std::size_t r = 0; r < grid.runs.size(); ++r) {
             EXPECT_EQ(unbuffered.at(w, r).toJson().dump(0),
@@ -469,7 +440,6 @@ TEST(RunnerGrid, SourcesAreNamedPerRow)
                       registryText(buffered.registryAt(w, r)));
         }
     std::remove(emtc.c_str());
-    std::remove(emtr.c_str());
 }
 
 TEST(RunnerGrid, FailedRowBuildThrowsAfterEveryOtherJob)

@@ -5,7 +5,7 @@
  *
  *  - cell identity (core::cellCacheCanonical) covers exactly the
  *    inputs that can change a cell's Metrics — policy, config,
- *    workload content (synthetic seed, EMTR/EMTC bytes), execution
+ *    workload content (synthetic seed, EMTC container), execution
  *    role and build SHA — and nothing cosmetic (display names);
  *  - the ResultCache round-trips entries, verifies canonicals,
  *    survives restarts through its disk tier, spills past its
@@ -224,25 +224,6 @@ TEST(CellKey, RoleKeyingSeparatesExactAndMonitorResults)
     EXPECT_NE(canonicalOf(w, "LRU", "P(8):S&E", 0), monitor);
 }
 
-TEST(CellKey, EmtrIdentityIsFileContent)
-{
-    const std::string path_a = tempPath("emtr_a", ".emtr");
-    const std::string path_b = tempPath("emtr_b", ".emtr");
-    writeFile(path_a, "emtr-payload-0123456789");
-    writeFile(path_b, "emtr-payload-0123456789");
-
-    const GridWorkload a("a", path_a, 10, 100);
-    const GridWorkload b("b", path_b, 10, 100);
-    EXPECT_EQ(canonicalOf(a), canonicalOf(b));
-
-    // One changed byte changes the identity; so does the window.
-    writeFile(path_b, "emtr-payload-0123456780");
-    EXPECT_NE(canonicalOf(b), canonicalOf(a));
-
-    const GridWorkload shifted("a", path_a, 11, 100);
-    EXPECT_NE(canonicalOf(shifted), canonicalOf(a));
-}
-
 TEST(CellKey, EmtcIdentityIsContainerContent)
 {
     trace::WorkloadProfile profile = trace::profileByName("tomcat");
@@ -280,10 +261,19 @@ TEST(CellKey, EmtcIdentityIsContainerContent)
 
 TEST(CellKey, UnreadableTraceThrows)
 {
-    const GridWorkload gone("gone", tempPath("missing", ".emtr"));
+    // A missing file, and a file that is not an EMTC container
+    // whatever its name, have no content identity.
+    const GridWorkload gone("gone", tempPath("missing", ".emtc"));
     EXPECT_THROW(canonicalOf(gone), std::runtime_error);
-    const GridWorkload packed("gone", tempPath("missing", ".emtc"));
-    EXPECT_THROW(canonicalOf(packed), std::runtime_error);
+    const std::string path = tempPath("not_a_container", ".raw");
+    writeFile(path, "emtr-payload-0123456789");
+    try {
+        canonicalOf(GridWorkload("raw", path));
+        ADD_FAILURE() << "a file that is not a container was keyed";
+    } catch (const std::runtime_error &error) {
+        EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(CellKey, KeyIsAStableContentAddress)
@@ -926,6 +916,35 @@ TEST(SweepService, FailingSweepIsAnErrorNotACrash)
     const JsonValue pong = JsonValue::parse(svc.handle(
         R"({"schema": "emissary.request.v1", "op": "ping"})"));
     EXPECT_TRUE(pong.find("ok")->asBool());
+}
+
+TEST(SweepService, TraceThatIsNotAContainerIsAnErrorNotACrash)
+{
+    // Every trace path opens as an EMTC container, so a file in any
+    // other format (an old raw trace, say) fails its sweep with the
+    // reader's error, which names the path.
+    const std::string path = tempPath("old_trace", ".raw");
+    writeFile(path, std::string("EMTR") + std::string(60, '\0'));
+    SweepService svc(tinyServiceOptions());
+    const JsonValue reply = JsonValue::parse(svc.handle(
+        R"({"schema": "emissary.request.v1", "id": "old-trace",)"
+        R"( "op": "sweep",)"
+        R"( "catalog": {"schema": "emissary.catalog.v1",)"
+        R"( "workloads": [{"name": "t", "trace": {"path": ")" +
+        path + R"("}}]}, "policies": ["TPLRU"]})"));
+    EXPECT_EQ(reply.find("schema")->asString(), "emissary.error.v1");
+    EXPECT_EQ(reply.find("field")->asString(), "sweep");
+    EXPECT_EQ(reply.find("id")->asString(), "old-trace");
+    const std::string error = reply.find("error")->asString();
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    EXPECT_NE(error.find("not an EMTC container"), std::string::npos)
+        << error;
+
+    // Still alive.
+    const JsonValue pong = JsonValue::parse(svc.handle(
+        R"({"schema": "emissary.request.v1", "op": "ping"})"));
+    EXPECT_TRUE(pong.find("ok")->asBool());
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------

@@ -27,12 +27,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -45,7 +47,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/threadpool.hh"
 #include "stats/json.hh"
+#include "util/strutil.hh"
 
 namespace
 {
@@ -70,13 +74,13 @@ usage(const char *argv0, int exit_code)
         "client-side JSON check\n"
         "  --load-test N              send the request N times\n"
         "  --concurrency C            over C connections (default "
-        "1)\n"
+        "1, at most 4096)\n"
         "  --label NAME               label for the --out line "
         "(default \"run\")\n"
         "  --out PATH                 append one result line to "
         "PATH\n"
         "  --min-cached-fraction X    fail (exit 3) when the "
-        "cached-cell fraction is below X\n",
+        "cached-cell fraction is below X (0 to 1)\n",
         argv0);
     std::exit(exit_code);
 }
@@ -156,22 +160,40 @@ struct Connection
     }
 };
 
+/** Strict unsigned parse: any non-digit, or a value above @p max,
+ *  is a usage error (exit 1) before any thread or socket exists. */
 std::uint64_t
 parseU64(const char *argv0, const std::string &flag,
-         const std::string &text)
+         const std::string &text, std::uint64_t max)
 {
-    try {
-        std::size_t used = 0;
-        const unsigned long long value = std::stoull(text, &used);
-        if (used != text.size())
-            throw std::invalid_argument(text);
-        return value;
-    } catch (const std::exception &) {
-        std::fprintf(stderr, "%s: %s needs an unsigned integer, got "
-                             "'%s'\n",
+    std::uint64_t value = 0;
+    if (!emissary::parseDecimal(text, max, value)) {
+        std::fprintf(stderr,
+                     "%s: %s needs an unsigned decimal integer of at "
+                     "most %llu, got '%s'\n",
+                     argv0, flag.c_str(),
+                     static_cast<unsigned long long>(max), text.c_str());
+        std::exit(1);
+    }
+    return value;
+}
+
+/** Strict fraction parse: a plain decimal number in [0, 1]. A typo
+ *  such as "0,9" is a usage error (exit 1), not a silent 0. */
+double
+parseFraction(const char *argv0, const std::string &flag,
+              const std::string &text)
+{
+    double value = -1.0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end ||
+        !(value >= 0.0 && value <= 1.0)) {
+        std::fprintf(stderr, "%s: %s needs a number in [0, 1], got '%s'\n",
                      argv0, flag.c_str(), text.c_str());
         std::exit(1);
     }
+    return value;
 }
 
 std::string
@@ -255,13 +277,13 @@ main(int argc, char **argv)
             usage(argv[0], 0);
         } else if (flag == "--port") {
             port = static_cast<std::uint16_t>(
-                parseU64(argv[0], flag, value()));
+                parseU64(argv[0], flag, value(), 65535));
             have_port = true;
         } else if (flag == "--port-file") {
             const std::string text = readFile(argv[0], value());
             port = static_cast<std::uint16_t>(parseU64(
                 argv[0], flag,
-                text.substr(0, text.find_first_of("\r\n"))));
+                text.substr(0, text.find_first_of("\r\n")), 65535));
             have_port = true;
         } else if (flag == "--ping" || flag == "--stats" ||
                    flag == "--shutdown") {
@@ -272,15 +294,18 @@ main(int argc, char **argv)
         } else if (flag == "--raw") {
             raw = true;
         } else if (flag == "--load-test") {
-            load_requests = parseU64(argv[0], flag, value());
+            load_requests = parseU64(
+                argv[0], flag, value(),
+                std::numeric_limits<std::uint64_t>::max());
         } else if (flag == "--concurrency") {
-            concurrency = parseU64(argv[0], flag, value());
+            concurrency = parseU64(argv[0], flag, value(),
+                                   emissary::core::ThreadPool::kMaxWorkers);
         } else if (flag == "--label") {
             label = value();
         } else if (flag == "--out") {
             out_path = value();
         } else if (flag == "--min-cached-fraction") {
-            min_cached_fraction = std::atof(value().c_str());
+            min_cached_fraction = parseFraction(argv[0], flag, value());
         } else {
             std::fprintf(stderr, "%s: unknown flag %s\n", argv[0],
                          flag.c_str());

@@ -17,15 +17,17 @@
  * client can also send {"op": "shutdown"}.
  */
 
-#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "core/threadpool.hh"
 #include "service/server.hh"
 #include "service/service.hh"
+#include "util/strutil.hh"
 
 namespace
 {
@@ -49,38 +51,41 @@ usage(const char *argv0, int exit_code)
     std::fprintf(
         exit_code == 0 ? stdout : stderr,
         "usage: %s [options]\n"
-        "  --port N            TCP port on 127.0.0.1 (default 0 = "
-        "ephemeral)\n"
+        "  --port N            TCP port on 127.0.0.1, at most 65535 "
+        "(default 0 = ephemeral)\n"
         "  --port-file PATH    write the bound port to PATH\n"
         "  --cache-dir DIR     on-disk result store (default: "
         "memory-only)\n"
-        "  --cache-budget-mb N in-memory cache budget (default 0 = "
-        "unbounded)\n"
-        "  --jobs N            simulation worker threads (default: "
-        "hardware)\n"
+        "  --cache-budget-mb N in-memory cache budget, at most 2^44 "
+        "(default 0 = unbounded)\n"
+        "  --jobs N            simulation worker threads, at most 4096 "
+        "(default: hardware)\n"
         "  --trace-dir DIR     write a flight-recorder trace per "
         "sweep job\n",
         argv0);
     std::exit(exit_code);
 }
 
+/** Strict unsigned parse: any non-digit, or a value above @p max,
+ *  is a usage error (exit 1) before any pool or socket exists. */
 std::uint64_t
 parseU64(const char *argv0, const std::string &flag,
-         const std::string &text)
+         const std::string &text, std::uint64_t max)
 {
-    try {
-        std::size_t used = 0;
-        const unsigned long long value = std::stoull(text, &used);
-        if (used != text.size())
-            throw std::invalid_argument(text);
-        return value;
-    } catch (const std::exception &) {
-        std::fprintf(stderr, "%s: %s needs an unsigned integer, got "
-                             "'%s'\n",
-                     argv0, flag.c_str(), text.c_str());
+    std::uint64_t value = 0;
+    if (!parseDecimal(text, max, value)) {
+        std::fprintf(stderr,
+                     "%s: %s needs an unsigned decimal integer of at "
+                     "most %llu, got '%s'\n",
+                     argv0, flag.c_str(),
+                     static_cast<unsigned long long>(max), text.c_str());
         std::exit(1);
     }
+    return value;
 }
+
+/** The largest --cache-budget-mb: 2^44 MB is 2^64 bytes. */
+constexpr std::uint64_t kMaxCacheBudgetMb = std::uint64_t{1} << 44;
 
 } // namespace
 
@@ -105,17 +110,22 @@ main(int argc, char **argv)
             usage(argv[0], 0);
         } else if (flag == "--port") {
             port = static_cast<std::uint16_t>(
-                parseU64(argv[0], flag, value()));
+                parseU64(argv[0], flag, value(), 65535));
         } else if (flag == "--port-file") {
             port_file = value();
         } else if (flag == "--cache-dir") {
             service_options.cacheDir = value();
         } else if (flag == "--cache-budget-mb") {
+            const std::uint64_t mb =
+                parseU64(argv[0], flag, value(), kMaxCacheBudgetMb);
+            // The largest budget saturates rather than wrap to 0.
             service_options.cacheBudgetBytes =
-                parseU64(argv[0], flag, value()) * 1024 * 1024;
+                mb < kMaxCacheBudgetMb
+                    ? mb << 20
+                    : std::numeric_limits<std::uint64_t>::max();
         } else if (flag == "--jobs") {
-            service_options.jobs = static_cast<unsigned>(
-                parseU64(argv[0], flag, value()));
+            service_options.jobs = static_cast<unsigned>(parseU64(
+                argv[0], flag, value(), core::ThreadPool::kMaxWorkers));
         } else if (flag == "--trace-dir") {
             service_options.traceDir = value();
         } else {

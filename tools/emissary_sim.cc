@@ -9,8 +9,8 @@
  * Examples:
  *   emissary_sim --benchmark tomcat --policy "P(8):S&E&R(1/32)"
  *   emissary_sim --benchmark verilator --policy DRRIP --csv
- *   emissary_sim --benchmark kafka --record kafka.trc
- *   emissary_sim --trace kafka.trc --policy "P(8):S&E"
+ *   emissary_sim --benchmark kafka --record kafka.emtc
+ *   emissary_sim --trace kafka.emtc --policy "P(8):S&E"
  *   emissary_sim --benchmark tomcat --no-fdip --policy TPLRU
  *
  * Sweeps fan out over the parallel experiment engine:
@@ -44,7 +44,6 @@
 #include "stats/span_recorder.hh"
 #include "stats/table.hh"
 #include "stats/trace_sink.hh"
-#include "trace/file.hh"
 #include "util/strutil.hh"
 #include "workload/emtc.hh"
 
@@ -86,10 +85,10 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --benchmark NAME     suite benchmark (default tomcat)\n"
         "  --list               list suite benchmarks and exit\n"
-        "  --trace FILE         replay a recorded trace instead\n"
-        "                       (.emtc containers stream; .emtr/.trc\n"
-        "                       files are fully buffered)\n"
-        "  --record FILE        record the trace while simulating\n"
+        "  --trace FILE         replay an EMTC trace container\n"
+        "                       instead (streamed)\n"
+        "  --record FILE        record the run's stream as an EMTC\n"
+        "                       container\n"
         "  --catalog FILE       sweep the workloads of a JSON\n"
         "                       manifest (docs/workloads.md);\n"
         "                       --benchmarks selects by name\n"
@@ -291,7 +290,7 @@ main(int argc, char **argv)
     core::RunOptions run_options;
     run_options.measureInstructions = 1'500'000;
     std::uint64_t warmup = 0;
-    std::uint64_t jobs = 0;
+    unsigned jobs = 0;
     bool fused = false;
     bool fast_mode = false;
     unsigned sampled_sets = 0;
@@ -332,7 +331,8 @@ main(int argc, char **argv)
         } else if (arg == "--policies") {
             policies_csv = value();
         } else if (arg == "--jobs") {
-            jobs = parseU64(arg, value());
+            jobs = static_cast<unsigned>(
+                parseU64(arg, value(), core::ThreadPool::kMaxWorkers));
         } else if (arg == "--fused") {
             fused = true;
         } else if (arg == "--fast-mode") {
@@ -467,7 +467,7 @@ main(int argc, char **argv)
 
             const core::PolicyGrid grid = core::PolicyGrid::sweep(
                 workloads, policies, run_options);
-            core::ThreadPool pool(static_cast<unsigned>(jobs));
+            core::ThreadPool pool(jobs);
 
             std::unique_ptr<stats::SpanRecorder> flight;
             if (!perf_trace_path.empty())
@@ -564,7 +564,7 @@ main(int argc, char **argv)
         // before the program goes.
         const core::GridWorkload row(benchmark, trace_path);
         std::unique_ptr<trace::SyntheticProgram> program;
-        core::ThreadPool pool(static_cast<unsigned>(jobs));
+        core::ThreadPool pool(jobs);
         const core::RunSource source = [&]() -> core::RunSource {
             if (row.traceBacked())
                 return core::RunSource(
@@ -573,10 +573,7 @@ main(int argc, char **argv)
                             return core::openTraceSource(row,
                                                          start_record);
                         }),
-                    core::isPackedTracePath(trace_path)
-                        ? workload::readTraceInfo(trace_path)
-                              .uniqueCodeLines
-                        : 0);
+                    workload::readTraceInfo(trace_path).uniqueCodeLines);
             program = std::make_unique<trace::SyntheticProgram>(
                 trace::profileByName(benchmark));
             if (!chunked)
@@ -599,9 +596,12 @@ main(int argc, char **argv)
                                                       trace_categories);
             telemetry.traceSink = sink.get();
         }
-        std::unique_ptr<trace::TraceWriter> writer;
+        std::unique_ptr<workload::PackedTraceWriter> writer;
         if (!record_path.empty()) {
-            writer = std::make_unique<trace::TraceWriter>(record_path);
+            writer = std::make_unique<workload::PackedTraceWriter>(
+                record_path, row.traceBacked()
+                                 ? workload::readTraceInfo(trace_path).name
+                                 : benchmark);
             telemetry.recordTo = writer.get();
         }
         std::unique_ptr<stats::SpanRecorder> flight;

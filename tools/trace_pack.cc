@@ -3,14 +3,13 @@
  * trace_pack: build, inspect and verify EMTC trace containers.
  *
  * Subcommands:
- *   pack             EMTR file, or a synthetic benchmark, -> EMTC
+ *   pack             synthetic benchmark -> EMTC
  *   import-champsim  decompressed ChampSim trace -> EMTC
  *   export-champsim  synthetic benchmark -> ChampSim trace (fixtures)
  *   info             print container metadata, no block decoding
  *   verify           decode every block, check every CRC
  *
  * Examples:
- *   trace_pack pack kafka.trc kafka.emtc
  *   trace_pack pack --benchmark tomcat --records 2000000 tomcat.emtc
  *   xz -dc server.champsim.xz > server.champsim
  *   trace_pack import-champsim server.champsim server.emtc
@@ -18,18 +17,16 @@
  *   trace_pack verify server.emtc
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "trace/executor.hh"
-#include "trace/file.hh"
 #include "trace/profile.hh"
 #include "trace/program.hh"
+#include "util/strutil.hh"
 #include "workload/champsim.hh"
 #include "workload/emtc.hh"
 
@@ -38,21 +35,19 @@ namespace
 
 using namespace emissary;
 
+/** Strict unsigned parse: any non-digit, or a value above @p max,
+ *  is a usage error (exit 2). */
 std::uint64_t
-parseU64(const std::string &flag, const char *text)
+parseU64(const std::string &flag, const char *text,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    const std::string value = text;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos ||
-        end != value.c_str() + value.size() || errno == ERANGE) {
+    std::uint64_t parsed = 0;
+    if (!parseDecimal(text, max, parsed)) {
         std::fprintf(stderr,
-                     "%s: expected an unsigned decimal integer, "
-                     "got '%s'\n",
-                     flag.c_str(), text);
+                     "%s: expected an unsigned decimal integer of at "
+                     "most %llu, got '%s'\n",
+                     flag.c_str(), static_cast<unsigned long long>(max),
+                     text);
         std::exit(2);
     }
     return parsed;
@@ -64,10 +59,10 @@ usage(const char *argv0)
     std::printf(
         "usage: %s <command> [options]\n"
         "\n"
-        "  pack [IN.emtr] OUT.emtc [--benchmark NAME --records N]\n"
+        "  pack OUT.emtc --benchmark NAME --records N\n"
         "                          [--records-per-block N]\n"
-        "      Convert a recorded EMTR trace to EMTC, or generate\n"
-        "      one directly from a suite benchmark.\n"
+        "      Pack N records of a suite benchmark's stream.\n"
+        "      (emissary_sim --record writes a run's own stream.)\n"
         "  import-champsim IN OUT.emtc [--name NAME]\n"
         "                          [--max-records N]\n"
         "      Convert a *decompressed* ChampSim trace. ChampSim\n"
@@ -104,17 +99,15 @@ printInfo(const workload::TraceInfo &info)
                     ? static_cast<double>(info.packedPayloadBytes) /
                           static_cast<double>(info.recordCount)
                     : 0.0);
-    std::printf("raw EMTR bytes:     %llu\n",
-                static_cast<unsigned long long>(info.rawEmtrBytes()));
-    std::printf("compression ratio:  %.2fx vs EMTR\n",
+    std::printf("unpacked bytes:     %llu (26 B/record)\n",
+                static_cast<unsigned long long>(info.unpackedBytes()));
+    std::printf("compression ratio:  %.2fx vs unpacked\n",
                 info.compressionRatio());
 }
 
 int
 cmdPack(const std::vector<std::string> &args)
 {
-    std::string input;
-    std::string output;
     std::string benchmark;
     std::uint64_t records = 0;
     std::uint32_t records_per_block = workload::kDefaultRecordsPerBlock;
@@ -131,64 +124,37 @@ cmdPack(const std::vector<std::string> &args)
         if (args[i] == "--benchmark")
             benchmark = value();
         else if (args[i] == "--records")
-            records = parseU64(args[i], value());
+            records = parseU64("--records", value());
         else if (args[i] == "--records-per-block")
             records_per_block = static_cast<std::uint32_t>(
-                parseU64(args[i], value()));
+                parseU64("--records-per-block", value(),
+                         std::numeric_limits<std::uint32_t>::max()));
         else
             positional.push_back(args[i]);
     }
-
-    if (!benchmark.empty()) {
-        if (positional.size() != 1 || records == 0) {
-            std::fprintf(stderr,
-                         "pack --benchmark needs --records N and "
-                         "exactly one output path\n");
-            return 2;
-        }
-        output = positional[0];
-        const trace::SyntheticProgram program(
-            trace::profileByName(benchmark));
-        trace::SyntheticExecutor executor(program);
-        workload::PackedTraceWriter writer(output, benchmark,
-                                           records_per_block);
-        constexpr std::size_t kChunk = 4096;
-        std::vector<trace::TraceRecord> chunk(kChunk);
-        std::uint64_t remaining = records;
-        while (remaining > 0) {
-            const std::size_t n = static_cast<std::size_t>(
-                remaining < kChunk ? remaining : kChunk);
-            executor.fill(chunk.data(), n);
-            writer.append(chunk.data(), n);
-            remaining -= n;
-        }
-        writer.finish();
-    } else {
-        if (positional.size() != 2) {
-            std::fprintf(stderr,
-                         "pack needs an input EMTR and an output "
-                         "EMTC path\n");
-            return 2;
-        }
-        input = positional[0];
-        output = positional[1];
-        trace::FileTraceSource source(input);
-        workload::PackedTraceWriter writer(
-            output, std::string("trace:") + input,
-            records_per_block);
-        const std::uint64_t total = source.recordCount();
-        constexpr std::size_t kChunk = 4096;
-        std::vector<trace::TraceRecord> chunk(kChunk);
-        std::uint64_t remaining = total;
-        while (remaining > 0) {
-            const std::size_t n = static_cast<std::size_t>(
-                remaining < kChunk ? remaining : kChunk);
-            source.fill(chunk.data(), n);
-            writer.append(chunk.data(), n);
-            remaining -= n;
-        }
-        writer.finish();
+    if (benchmark.empty() || positional.size() != 1 || records == 0) {
+        std::fprintf(stderr, "pack needs --benchmark NAME, --records N "
+                             "and exactly one output path\n");
+        return 2;
     }
+
+    const std::string &output = positional[0];
+    const trace::SyntheticProgram program(
+        trace::profileByName(benchmark));
+    trace::SyntheticExecutor executor(program);
+    workload::PackedTraceWriter writer(output, benchmark,
+                                       records_per_block);
+    constexpr std::size_t kChunk = 4096;
+    std::vector<trace::TraceRecord> chunk(kChunk);
+    std::uint64_t remaining = records;
+    while (remaining > 0) {
+        const std::size_t n = static_cast<std::size_t>(
+            remaining < kChunk ? remaining : kChunk);
+        executor.fill(chunk.data(), n);
+        writer.append(chunk.data(), n);
+        remaining -= n;
+    }
+    writer.finish();
     printInfo(workload::readTraceInfo(output));
     return 0;
 }
@@ -211,7 +177,7 @@ cmdImportChampsim(const std::vector<std::string> &args)
         if (args[i] == "--name")
             name = value();
         else if (args[i] == "--max-records")
-            max_records = parseU64(args[i], value());
+            max_records = parseU64("--max-records", value());
         else
             positional.push_back(args[i]);
     }
@@ -254,7 +220,7 @@ cmdExportChampsim(const std::vector<std::string> &args)
         if (args[i] == "--benchmark")
             benchmark = value();
         else if (args[i] == "--records")
-            records = parseU64(args[i], value());
+            records = parseU64("--records", value());
         else
             positional.push_back(args[i]);
     }
