@@ -14,9 +14,11 @@
 #   2. Observability smoke: --stats-json / --sample-interval /
 #      --trace-out output must parse and carry the expected keys,
 #      bad flags must exit 2 and --trace of a file that is not an
-#      EMTC container exit 1 naming it, the CLI's single-run paths
-#      (live, --record, --trace of the recording, --trace of a packed
-#      container) must agree, one-worker sweeps whose rows predict
+#      EMTC container exit 1 naming it, a bad --policy or
+#      --l1i-policy exit 1 before --record writes a file, the CLI's
+#      single-run paths (live, --record, --trace of the recording,
+#      --trace of a packed container) must agree, one-worker sweeps
+#      whose rows predict
 #      inline and share one prediction stream must give the same
 #      TPLRU cells, a short one-worker fig5 bench
 #      sweep, plain and fused, must write a parseable flight trace
@@ -50,7 +52,8 @@
 #      perturbed value trips the check), then --smoke runs every
 #      benchmark workload at tiny windows with its exactness and
 #      determinism checks
-#   7. AddressSanitizer build + full test suite
+#   7. AddressSanitizer + UBSan build (with libstdc++ assertions)
+#      + full test suite
 #   8. ThreadSanitizer build + the "threaded" test label
 #
 # Stages can be selected: ./scripts/ci.sh release smoke
@@ -201,6 +204,17 @@ for stage in $STAGES; do
             grep -qF "EMTC: $out/not_a_container:" "$out/trace_error.txt" ||
             { echo "--trace of a non-container: rc=$rc, want 1 and" \
                 "an error naming the file" >&2; exit 1; }
+        # A bad L2 or L1I policy is an input error, exit 1, found
+        # before --record opens its container: no file is left.
+        for flag in --policy --l1i-policy; do
+            rc=0
+            build-ci-release/tools/emissary_sim --benchmark tomcat \
+                --record "$out/junk.emtc" "$flag" "P(0):X" \
+                >/dev/null 2>&1 || rc=$?
+            [ "$rc" -eq 1 ] && [ ! -e "$out/junk.emtc" ] ||
+                { echo "--record with a bad $flag: rc=$rc, want 1" \
+                    "and no container written" >&2; exit 1; }
+        done
         # One run four ways: live, teeing its stream to an EMTC
         # container, that recording replayed, and a packed container
         # of the same stream at --time-chunks 1. All must report the
@@ -608,7 +622,7 @@ EOF
         echo "bench OK"
         ;;
     asan)
-        run_stage "AddressSanitizer build + tests"
+        run_stage "AddressSanitizer + UBSan build + tests"
         CTEST_ARGS=()
         configure_build_test build-ci-asan \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo \

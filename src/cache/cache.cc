@@ -5,8 +5,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "replacement/emissary.hh"
-#include "replacement/tplru.hh"
 #include "util/bitutil.hh"
 
 #if defined(__AVX2__) || defined(__SSE2__)
@@ -18,107 +16,39 @@
 namespace emissary::cache
 {
 
-Cache::Cache(const Config &config)
-    : config_(config), spec_(config.policy), rng_(config.seed)
+namespace
 {
-    const std::uint64_t lines =
-        config_.sizeBytes / config_.lineBytes;
-    if (lines == 0 || lines % config_.ways != 0)
-        throw std::invalid_argument(config_.name +
-                                    ": size/ways mismatch");
-    sets_ = static_cast<unsigned>(lines / config_.ways);
-    if (!isPowerOfTwo(sets_))
-        throw std::invalid_argument(config_.name +
-                                    ": set count must be a power of 2");
-    setShift_ = floorLog2(sets_);
-    tagShift_ = setShift_ + config_.indexShift;
-    if (config_.indexShift >= 32)
-        throw std::invalid_argument(config_.name +
-                                    ": indexShift must be below 32");
-    lines_.assign(std::size_t{sets_} * config_.ways, CacheLine{});
-    tags_.assign(std::size_t{sets_} * config_.ways, kInvalidTag);
-    policy_ = replacement::makePolicy(spec_, sets_, config_.ways,
-                                      config_.seed ^ 0x9E3779B9ULL);
-    switch (spec_.family) {
-      case replacement::PolicyFamily::TreePlru:
-        hotPolicy_ = HotPolicy::TreePlru;
-        treePlru_ =
-            static_cast<replacement::TreePlru *>(policy_.get());
-        break;
-      case replacement::PolicyFamily::EmissaryP:
-        hotPolicy_ = HotPolicy::Emissary;
-        emissary_ =
-            static_cast<replacement::EmissaryPolicy *>(policy_.get());
-        break;
-      default:
-        hotPolicy_ = HotPolicy::Generic;
-        break;
-    }
-}
 
-void
-Cache::policyHit(unsigned set, unsigned way,
-                 const replacement::LineInfo &info)
-{
-    switch (hotPolicy_) {
-      case HotPolicy::TreePlru:
-        treePlru_->replacement::TreePlru::onHit(set, way, info);
-        break;
-      case HotPolicy::Emissary:
-        emissary_->replacement::EmissaryPolicy::onHit(set, way, info);
-        break;
-      default:
-        policy_->onHit(set, way, info);
-        break;
-    }
-}
-
-void
-Cache::policyInsert(unsigned set, unsigned way,
-                    const replacement::LineInfo &info)
-{
-    switch (hotPolicy_) {
-      case HotPolicy::TreePlru:
-        treePlru_->replacement::TreePlru::onInsert(set, way, info);
-        break;
-      case HotPolicy::Emissary:
-        emissary_->replacement::EmissaryPolicy::onInsert(set, way,
-                                                         info);
-        break;
-      default:
-        policy_->onInsert(set, way, info);
-        break;
-    }
-}
-
-void
-Cache::policyInvalidate(unsigned set, unsigned way)
-{
-    switch (hotPolicy_) {
-      case HotPolicy::TreePlru:
-        treePlru_->replacement::TreePlru::onInvalidate(set, way);
-        break;
-      case HotPolicy::Emissary:
-        emissary_->replacement::EmissaryPolicy::onInvalidate(set, way);
-        break;
-      default:
-        policy_->onInvalidate(set, way);
-        break;
-    }
-}
-
+/** The set count of @p config's geometry, which it checks. */
 unsigned
-Cache::policySelectVictim(unsigned set)
+checkedSets(const Cache::Config &config)
 {
-    switch (hotPolicy_) {
-      case HotPolicy::TreePlru:
-        return treePlru_->replacement::TreePlru::selectVictim(set);
-      case HotPolicy::Emissary:
-        return emissary_->replacement::EmissaryPolicy::selectVictim(
-            set);
-      default:
-        return policy_->selectVictim(set);
-    }
+    const std::uint64_t lines = config.sizeBytes / config.lineBytes;
+    if (lines == 0 || lines % config.ways != 0)
+        throw std::invalid_argument(config.name + ": size/ways mismatch");
+    const auto sets = static_cast<unsigned>(lines / config.ways);
+    if (!isPowerOfTwo(sets))
+        throw std::invalid_argument(config.name +
+                                    ": set count must be a power of 2");
+    if (config.indexShift >= 32)
+        throw std::invalid_argument(config.name +
+                                    ": indexShift must be below 32");
+    return sets;
+}
+
+} // namespace
+
+Cache::Cache(const Config &config)
+    : config_(config),
+      sets_(checkedSets(config)),
+      setShift_(floorLog2(sets_)),
+      tagShift_(setShift_ + config.indexShift),
+      tags_(std::size_t{sets_} * config.ways, kInvalidTag),
+      lines_(std::size_t{sets_} * config.ways),
+      policy_(config.policy, sets_, config.ways,
+              config.seed ^ 0x9E3779B9ULL),
+      rng_(config.seed)
+{
 }
 
 unsigned
@@ -280,7 +210,7 @@ Cache::touch(Slot slot)
     replacement::LineInfo info;
     info.isInstruction = line.isInstruction;
     info.highPriority = line.priority;
-    policyHit(slot.set, slot.way, info);
+    policy_.onHit(slot.set, slot.way, info);
 }
 
 void
@@ -317,12 +247,12 @@ Cache::insert(std::uint64_t line_addr, const replacement::LineInfo &info,
     if (free >= 0) {
         out.slot.way = static_cast<unsigned>(free);
     } else {
-        out.slot.way = policySelectVictim(set);
+        out.slot.way = policy_.selectVictim(set);
         out.valid = true;
         out.lineAddr = (lane[out.slot.way] << tagShift_) |
                        (std::uint64_t{set} << config_.indexShift);
         out.line = line(out.slot);
-        policyInvalidate(set, out.slot.way);
+        policy_.onInvalidate(set, out.slot.way);
     }
     lane[out.slot.way] = tag;
     CacheLine &placed = lines_[index(out.slot)];
@@ -331,7 +261,7 @@ Cache::insert(std::uint64_t line_addr, const replacement::LineInfo &info,
     placed.priority = info.highPriority;
     placed.sfl = sfl;
     placed.prefetched = prefetched;
-    policyInsert(set, out.slot.way, info);
+    policy_.onInsert(set, out.slot.way, info);
     return out;
 }
 
@@ -346,7 +276,7 @@ Cache::invalidate(std::uint64_t line_addr)
     out.valid = true;
     out.lineAddr = line_addr;
     out.line = line;
-    policyInvalidate(out.slot.set, out.slot.way);
+    policy_.onInvalidate(out.slot.set, out.slot.way);
     line = CacheLine{};
     tags_[index(out.slot)] = kInvalidTag;
     return out;
@@ -355,7 +285,7 @@ Cache::invalidate(std::uint64_t line_addr)
 void
 Cache::noteDemandMiss(std::uint64_t line_addr)
 {
-    policy_->onMiss(setIndex(line_addr));
+    policy_.onMiss(setIndex(line_addr));
 }
 
 void
@@ -372,7 +302,7 @@ Cache::raisePriority(std::uint64_t line_addr)
         return;
     CacheLine &line = lines_[index(slot)];
     if (!line.priority &&
-        policy_->setPriority(slot.set, slot.way, true)) {
+        policy_.setPriority(slot.set, slot.way, true)) {
         line.priority = true;
     }
 }
@@ -382,7 +312,7 @@ Cache::resetPriorities()
 {
     for (auto &line : lines_)
         line.priority = false;
-    policy_->resetPriorities();
+    policy_.resetPriorities();
 }
 
 stats::DenseHistogram
@@ -402,11 +332,8 @@ std::vector<std::uint64_t>
 Cache::priorityOccupancy() const
 {
     std::vector<std::uint64_t> counts(config_.ways + 1, 0);
-    if (spec_.family == replacement::PolicyFamily::EmissaryP) {
-        const auto &emissary =
-            static_cast<const replacement::EmissaryPolicy &>(
-                *policy_);
-        for (const std::uint16_t high : emissary.protectedCounts())
+    if (const auto *emissary = policy_.emissary()) {
+        for (const std::uint16_t high : emissary->protectedCounts())
             ++counts[std::min<unsigned>(high, config_.ways)];
         return counts;
     }

@@ -4,27 +4,21 @@
  *
  * The cache owns line state (tag, dirty, instruction/data, the
  * EMISSARY priority bit, and the SFL origin bit) and delegates
- * victim choice and recency bookkeeping to a ReplacementPolicy.
- * Timing lives in the Hierarchy; this class is purely structural.
+ * victim choice and recency bookkeeping to the ReplacementPolicy it
+ * holds by value. Timing lives in the Hierarchy; this class is
+ * purely structural, and an ordinary copyable value.
  */
 
 #ifndef EMISSARY_CACHE_CACHE_HH
 #define EMISSARY_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "replacement/spec.hh"
 #include "stats/histogram.hh"
 #include "util/rng.hh"
-
-namespace emissary::replacement
-{
-class TreePlru;
-class EmissaryPolicy;
-} // namespace emissary::replacement
 
 namespace emissary::cache
 {
@@ -203,12 +197,12 @@ class Cache
     /** Number of resident lines with P=1 (testing). */
     std::uint64_t highPriorityLineCount() const;
 
-    replacement::ReplacementPolicy &policy() { return *policy_; }
+    replacement::ReplacementPolicy &policy() { return policy_; }
     const replacement::ReplacementPolicy &policy() const
     {
-        return *policy_;
+        return policy_;
     }
-    const replacement::PolicySpec &spec() const { return spec_; }
+    const replacement::PolicySpec &spec() const { return config_.policy; }
 
     /** RNG used for mode selection draws (R(r) terms). */
     Rng &selectionRng() { return rng_; }
@@ -220,17 +214,6 @@ class Cache
      * all-ones can never collide with a resident line.
      */
     static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
-
-    /** Concrete policy type behind policy_, resolved once at
-     *  construction so the per-access hit/insert/victim dispatch for
-     *  the dominant TPLRU / EMISSARY sweeps is a switch plus a direct
-     *  (qualified, non-virtual) call instead of virtual dispatch. */
-    enum class HotPolicy : std::uint8_t
-    {
-        TreePlru,
-        Emissary,
-        Generic,
-    };
 
     int findWay(unsigned set, std::uint64_t tag) const;
 
@@ -254,17 +237,7 @@ class Cache
                              std::uint64_t tag, int &free);
 
   private:
-
-    // Devirtualized policy notifications (cache.cc).
-    void policyHit(unsigned set, unsigned way,
-                   const replacement::LineInfo &info);
-    void policyInsert(unsigned set, unsigned way,
-                      const replacement::LineInfo &info);
-    void policyInvalidate(unsigned set, unsigned way);
-    unsigned policySelectVictim(unsigned set);
-
     Config config_;
-    replacement::PolicySpec spec_;
     unsigned sets_;
     unsigned setShift_;
     /** Bits below the tag: setShift_ + config.indexShift. */
@@ -277,10 +250,7 @@ class Cache
      */
     std::vector<std::uint64_t> tags_;
     std::vector<CacheLine> lines_;
-    std::unique_ptr<replacement::ReplacementPolicy> policy_;
-    HotPolicy hotPolicy_ = HotPolicy::Generic;
-    replacement::TreePlru *treePlru_ = nullptr;
-    replacement::EmissaryPolicy *emissary_ = nullptr;
+    replacement::ReplacementPolicy policy_;
     Rng rng_;
 };
 

@@ -16,9 +16,7 @@ alderlakeConfig(const MachineOptions &options)
         replacement::PolicySpec::parse("DRRIP");
 
     replacement::PolicySpec l2_spec =
-        options.l2Spec
-            ? *options.l2Spec
-            : replacement::PolicySpec::parse(options.l2Policy);
+        replacement::PolicySpec::parse(options.l2Policy);
     l2_spec.emissaryTreePlru = options.emissaryTreePlru;
 
     m.hierarchy.l1i.name = "l1i";
@@ -26,9 +24,7 @@ alderlakeConfig(const MachineOptions &options)
     m.hierarchy.l1i.ways = 8;
     m.hierarchy.l1i.hitLatency = 2;
     m.hierarchy.l1i.policy =
-        options.l1iSpec
-            ? *options.l1iSpec
-            : replacement::PolicySpec::parse(options.l1iPolicy);
+        replacement::PolicySpec::parse(options.l1iPolicy);
     m.hierarchy.l1i.seed = options.seed ^ 0x11;
 
     m.hierarchy.l1d.name = "l1d";

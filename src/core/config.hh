@@ -6,7 +6,6 @@
 #ifndef EMISSARY_CORE_CONFIG_HH
 #define EMISSARY_CORE_CONFIG_HH
 
-#include <optional>
 #include <string>
 
 #include "backend/backend.hh"
@@ -33,14 +32,6 @@ struct MachineOptions
 
     /** L1I replacement policy (§3 ablation: run EMISSARY there). */
     std::string l1iPolicy = "TPLRU";
-
-    /** Pre-parsed L2 spec: set by callers that parse the notation
-     *  once per sweep (the grid engine) so alderlakeConfig skips the
-     *  per-run parse; when absent, l2Policy is parsed. */
-    std::optional<replacement::PolicySpec> l2Spec;
-
-    /** Pre-parsed L1I spec, same contract as l2Spec. */
-    std::optional<replacement::PolicySpec> l1iSpec;
 
     /** §2 ablation: unselected instruction lines bypass the L2. */
     bool bypassLowPriorityInst = false;

@@ -284,8 +284,7 @@ simulatePass(trace::TraceSource &source,
     if (whole) {
         whole->sampler = simulator.sampler();
         if (const auto *emissary =
-                dynamic_cast<const replacement::EmissaryPolicy *>(
-                    &simulator.hierarchy().l2().policy()))
+                simulator.hierarchy().l2().policy().emissary())
             whole->l2SameRunRange = emissary->sameRunRange();
     }
     if (log)
@@ -367,8 +366,6 @@ run(const RunSource &source, const replacement::PolicySpec &l2,
     stats::SpanRecorder *spans = report.spans;
 
     MachineOptions machine_options = machineOptions(options);
-    machine_options.l2Spec = l2;
-    machine_options.l1iSpec = l1i;
     machine_options.l2Policy = l2.toString();
     machine_options.l1iPolicy = l1i.toString();
     const MachineConfig machine = alderlakeConfig(machine_options);
@@ -559,9 +556,7 @@ replayMonitor(const MonitorFeed &feed, const replacement::PolicySpec &l2,
         chunks.push_back(std::move(inputs));
 
         if (feed.chunks.size() == 1)
-            if (const auto *emissary =
-                    dynamic_cast<const replacement::EmissaryPolicy *>(
-                        &lane.l2().policy()))
+            if (const auto *emissary = lane.l2().policy().emissary())
                 same = emissary->sameRunRange();
     }
 

@@ -6,7 +6,7 @@ namespace emissary::replacement
 {
 
 DclipPolicy::DclipPolicy(unsigned num_sets, unsigned num_ways)
-    : ReplacementPolicy(num_sets, num_ways)
+    : sets_(num_sets), ways_(num_ways)
 {
     rrpv_.assign(std::size_t{num_sets} * num_ways, kMaxRrpv);
     isInst_.assign(std::size_t{num_sets} * num_ways, 0);

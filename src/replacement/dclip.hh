@@ -16,6 +16,7 @@
 #define EMISSARY_REPLACEMENT_DCLIP_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "replacement/policy.hh"
@@ -24,18 +25,19 @@ namespace emissary::replacement
 {
 
 /** Dynamic code-line preservation over a 2-bit RRIP substrate. */
-class DclipPolicy : public ReplacementPolicy
+class DclipPolicy
 {
   public:
     DclipPolicy(unsigned num_sets, unsigned num_ways);
 
-    std::string name() const override { return "DCLIP"; }
-    unsigned selectVictim(unsigned set) override;
-    void onInsert(unsigned set, unsigned way,
-                  const LineInfo &info) override;
-    void onHit(unsigned set, unsigned way, const LineInfo &info) override;
-    void onInvalidate(unsigned set, unsigned way) override;
-    void onMiss(unsigned set) override;
+    std::string name() const { return "DCLIP"; }
+    unsigned selectVictim(unsigned set);
+    void onInsert(unsigned set, unsigned way, const LineInfo &info);
+    void onHit(unsigned set, unsigned way, const LineInfo &info);
+    void onInvalidate(unsigned set, unsigned way);
+
+    /** Demand-miss feedback to the CLIP/SRRIP set dueling. */
+    void onMiss(unsigned set);
 
     /** True when follower sets currently preserve code lines. */
     bool clipEngaged() const { return psel_ <= 0; }
@@ -60,6 +62,8 @@ class DclipPolicy : public ReplacementPolicy
     bool useClip(unsigned set) const;
     std::uint8_t &rrpvRef(unsigned set, unsigned way);
 
+    unsigned sets_;
+    unsigned ways_;
     std::vector<std::uint8_t> rrpv_;
     std::vector<std::uint8_t> isInst_;
     int psel_ = 0;  ///< <= 0 favours CLIP, > 0 favours SRRIP.

@@ -23,8 +23,8 @@ countBit(unsigned count)
 EmissaryPolicy::EmissaryPolicy(unsigned num_sets, unsigned num_ways,
                                unsigned max_protected, bool tree_plru,
                                std::string label)
-    : ReplacementPolicy(num_sets, num_ways),
-      label_(std::move(label)),
+    : label_(std::move(label)),
+      ways_(num_ways),
       maxProtected_(max_protected),
       treePlru_(tree_plru)
 {

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "replacement/policy.hh"
@@ -54,9 +55,8 @@ struct ProtectRange
     bool contains(unsigned n) const { return lo <= n && n <= hi; }
 };
 
-/** EMISSARY bimodal treatment P(N).
- *  Sealed: Cache devirtualizes its per-access notifications. */
-class EmissaryPolicy final : public ReplacementPolicy
+/** EMISSARY bimodal treatment P(N). */
+class EmissaryPolicy
 {
   public:
     /**
@@ -72,15 +72,29 @@ class EmissaryPolicy final : public ReplacementPolicy
                    unsigned max_protected, bool tree_plru,
                    std::string label);
 
-    std::string name() const override { return label_; }
-    unsigned selectVictim(unsigned set) override;
-    void onInsert(unsigned set, unsigned way,
-                  const LineInfo &info) override;
-    void onHit(unsigned set, unsigned way, const LineInfo &info) override;
-    void onInvalidate(unsigned set, unsigned way) override;
-    bool setPriority(unsigned set, unsigned way, bool high) override;
-    unsigned protectedCount(unsigned set) const override;
-    void resetPriorities() override;
+    std::string name() const { return label_; }
+    unsigned selectVictim(unsigned set);
+    void onInsert(unsigned set, unsigned way, const LineInfo &info);
+    void onHit(unsigned set, unsigned way, const LineInfo &info);
+    void onInvalidate(unsigned set, unsigned way);
+
+    /**
+     * Update the sticky priority bit of a resident line (e.g. when an
+     * L1I eviction communicates starvation history to the L2 copy,
+     * §3).
+     *
+     * @return True when the update was accepted. Upgrades are refused
+     *         once a set already protects its full quota of N lines —
+     *         consistent with the paper's Fig. 8, whose per-set
+     *         occupancy never exceeds N.
+     */
+    bool setPriority(unsigned set, unsigned way, bool high);
+
+    /** Current number of high-priority lines in @p set. */
+    unsigned protectedCount(unsigned set) const;
+
+    /** Clear every priority bit (§6 reset mechanism). */
+    void resetPriorities();
 
     /** The N parameter of P(N). */
     unsigned maxProtected() const { return maxProtected_; }
@@ -116,6 +130,7 @@ class EmissaryPolicy final : public ReplacementPolicy
     unsigned victimTree(unsigned set, bool among_high);
 
     std::string label_;
+    unsigned ways_;
     unsigned maxProtected_;
     bool treePlru_;
 

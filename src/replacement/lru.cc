@@ -9,7 +9,7 @@ namespace emissary::replacement
 
 InsertionLru::InsertionLru(unsigned num_sets, unsigned num_ways,
                            std::string label)
-    : ReplacementPolicy(num_sets, num_ways), label_(std::move(label))
+    : label_(std::move(label)), ways_(num_ways)
 {
     stamps_.assign(std::size_t{num_sets} * num_ways,
                    std::numeric_limits<std::int64_t>::min() / 2);

@@ -10,6 +10,7 @@
 #define EMISSARY_REPLACEMENT_LRU_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "replacement/policy.hh"
@@ -25,7 +26,7 @@ namespace emissary::replacement
  * otherwise; with the Always selector this is classic LRU, with the
  * Never selector it is LIP, with R(1/32) it is BIP [49].
  */
-class InsertionLru : public ReplacementPolicy
+class InsertionLru
 {
   public:
     /**
@@ -36,12 +37,11 @@ class InsertionLru : public ReplacementPolicy
     InsertionLru(unsigned num_sets, unsigned num_ways,
                  std::string label = "M:1");
 
-    std::string name() const override { return label_; }
-    unsigned selectVictim(unsigned set) override;
-    void onInsert(unsigned set, unsigned way,
-                  const LineInfo &info) override;
-    void onHit(unsigned set, unsigned way, const LineInfo &info) override;
-    void onInvalidate(unsigned set, unsigned way) override;
+    std::string name() const { return label_; }
+    unsigned selectVictim(unsigned set);
+    void onInsert(unsigned set, unsigned way, const LineInfo &info);
+    void onHit(unsigned set, unsigned way, const LineInfo &info);
+    void onInvalidate(unsigned set, unsigned way);
 
     /** Recency rank of a way: 0 = LRU ... ways-1 = MRU (testing). */
     unsigned recencyRank(unsigned set, unsigned way) const;
@@ -51,6 +51,7 @@ class InsertionLru : public ReplacementPolicy
     const std::int64_t &stamp(unsigned set, unsigned way) const;
 
     std::string label_;
+    unsigned ways_;
     std::vector<std::int64_t> stamps_;
     std::int64_t clock_ = 0;
 };

@@ -7,8 +7,7 @@ namespace emissary::replacement
 
 PdpPolicy::PdpPolicy(unsigned num_sets, unsigned num_ways,
                      unsigned protecting_distance)
-    : ReplacementPolicy(num_sets, num_ways),
-      distance_(protecting_distance)
+    : ways_(num_ways), distance_(protecting_distance)
 {
     rpd_.assign(std::size_t{num_sets} * num_ways, 0);
 }

@@ -14,6 +14,7 @@
 #define EMISSARY_REPLACEMENT_PDP_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "replacement/policy.hh"
@@ -22,7 +23,7 @@ namespace emissary::replacement
 {
 
 /** Static protecting-distance replacement. */
-class PdpPolicy : public ReplacementPolicy
+class PdpPolicy
 {
   public:
     /**
@@ -35,12 +36,11 @@ class PdpPolicy : public ReplacementPolicy
     PdpPolicy(unsigned num_sets, unsigned num_ways,
               unsigned protecting_distance = 64);
 
-    std::string name() const override { return "PDP"; }
-    unsigned selectVictim(unsigned set) override;
-    void onInsert(unsigned set, unsigned way,
-                  const LineInfo &info) override;
-    void onHit(unsigned set, unsigned way, const LineInfo &info) override;
-    void onInvalidate(unsigned set, unsigned way) override;
+    std::string name() const { return "PDP"; }
+    unsigned selectVictim(unsigned set);
+    void onInsert(unsigned set, unsigned way, const LineInfo &info);
+    void onHit(unsigned set, unsigned way, const LineInfo &info);
+    void onInvalidate(unsigned set, unsigned way);
 
     /** Remaining protecting distance of a line, for tests. */
     unsigned remaining(unsigned set, unsigned way) const;
@@ -49,6 +49,7 @@ class PdpPolicy : public ReplacementPolicy
     void ageSet(unsigned set);
     std::uint16_t &rpd(unsigned set, unsigned way);
 
+    unsigned ways_;
     unsigned distance_;
     std::vector<std::uint16_t> rpd_;
 };

@@ -1,21 +1,17 @@
 /**
  * @file
- * Replacement-policy interface shared by every cache level.
+ * The context every replacement policy is notified with.
  *
- * The cache owns tag/valid/dirty state; the policy owns whatever
- * recency/priority metadata it needs, kept in sync through the
- * onInsert / onHit / onInvalidate / setPriority notifications. The
- * EMISSARY-specific hooks (setPriority, protectedCount,
- * resetPriorities) have no-op defaults so conventional policies
- * ignore them.
+ * The cache owns tag/valid/dirty state; a policy owns whatever
+ * recency/priority metadata it needs, kept in sync through its
+ * onInsert / onHit / onInvalidate notifications. The six policy
+ * families (tplru.hh, emissary.hh, lru.hh, rrip.hh, pdp.hh, dclip.hh)
+ * share no base class: replacement::ReplacementPolicy (spec.hh) holds
+ * exactly one of them and is the one dispatch every array calls.
  */
 
 #ifndef EMISSARY_REPLACEMENT_POLICY_HH
 #define EMISSARY_REPLACEMENT_POLICY_HH
-
-#include <cstdint>
-#include <memory>
-#include <string>
 
 namespace emissary::replacement
 {
@@ -35,83 +31,6 @@ struct LineInfo
     /** Victim-cache hint: insert at MRU regardless of policy (the
      *  SFL mechanism for L2->L3 evictions, §5.1). */
     bool insertMru = false;
-};
-
-/** Abstract replacement policy for one set-associative array. */
-class ReplacementPolicy
-{
-  public:
-    ReplacementPolicy(unsigned num_sets, unsigned num_ways)
-        : sets_(num_sets), ways_(num_ways)
-    {}
-
-    virtual ~ReplacementPolicy() = default;
-
-    /** Short name for reports (e.g. "P(8):S&E&R(1/32)"). */
-    virtual std::string name() const = 0;
-
-    /**
-     * Choose the victim way in a full set.
-     * @param set Set index; every way is valid when this is called.
-     * @return Way index to evict.
-     */
-    virtual unsigned selectVictim(unsigned set) = 0;
-
-    /** Notify a fill into (set, way). */
-    virtual void onInsert(unsigned set, unsigned way,
-                          const LineInfo &info) = 0;
-
-    /** Notify a hit on (set, way). */
-    virtual void onHit(unsigned set, unsigned way,
-                       const LineInfo &info) = 0;
-
-    /** Notify that (set, way) was invalidated (back-invalidation,
-     *  exclusive-hierarchy promotion, ...). */
-    virtual void onInvalidate(unsigned set, unsigned way) = 0;
-
-    /** Demand-miss feedback for set-dueling policies (DRRIP, DCLIP). */
-    virtual void
-    onMiss(unsigned set)
-    {
-        (void)set;
-    }
-
-    /**
-     * EMISSARY: update the sticky priority bit of a resident line
-     * (e.g. when an L1I eviction communicates starvation history to
-     * the L2 copy, §3).
-     *
-     * @return True when the update was accepted. EMISSARY refuses
-     *         upgrades once a set already protects its full quota of
-     *         N lines — consistent with the paper's Fig. 8, whose
-     *         per-set occupancy never exceeds N.
-     */
-    virtual bool
-    setPriority(unsigned set, unsigned way, bool high)
-    {
-        (void)set;
-        (void)way;
-        (void)high;
-        return true;
-    }
-
-    /** EMISSARY: current number of high-priority lines in @p set. */
-    virtual unsigned
-    protectedCount(unsigned set) const
-    {
-        (void)set;
-        return 0;
-    }
-
-    /** EMISSARY: clear every priority bit (§6 reset mechanism). */
-    virtual void resetPriorities() {}
-
-    unsigned numSets() const { return sets_; }
-    unsigned numWays() const { return ways_; }
-
-  protected:
-    unsigned sets_;
-    unsigned ways_;
 };
 
 } // namespace emissary::replacement

@@ -9,7 +9,8 @@ namespace emissary::replacement
 RripPolicy::RripPolicy(unsigned num_sets, unsigned num_ways,
                        RripMode mode, Rational bip_rate,
                        std::uint64_t seed)
-    : ReplacementPolicy(num_sets, num_ways),
+    : sets_(num_sets),
+      ways_(num_ways),
       mode_(mode),
       bipRate_(bip_rate),
       rng_(seed)

@@ -9,6 +9,7 @@
 #define EMISSARY_REPLACEMENT_RRIP_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "replacement/policy.hh"
@@ -35,7 +36,7 @@ enum class RripMode : std::uint8_t
  * steers follower sets with a 10-bit PSEL counter updated on leader
  * demand misses.
  */
-class RripPolicy : public ReplacementPolicy
+class RripPolicy
 {
   public:
     /**
@@ -49,13 +50,15 @@ class RripPolicy : public ReplacementPolicy
                Rational bip_rate = Rational(1, 32),
                std::uint64_t seed = 0x5EED00B1ULL);
 
-    std::string name() const override;
-    unsigned selectVictim(unsigned set) override;
-    void onInsert(unsigned set, unsigned way,
-                  const LineInfo &info) override;
-    void onHit(unsigned set, unsigned way, const LineInfo &info) override;
-    void onInvalidate(unsigned set, unsigned way) override;
-    void onMiss(unsigned set) override;
+    std::string name() const;
+    unsigned selectVictim(unsigned set);
+    void onInsert(unsigned set, unsigned way, const LineInfo &info);
+    void onHit(unsigned set, unsigned way, const LineInfo &info);
+    void onInvalidate(unsigned set, unsigned way);
+
+    /** Demand-miss feedback to DRRIP's set dueling (a leader set's
+     *  miss moves PSEL); the static modes ignore it. */
+    void onMiss(unsigned set);
 
     /** RRPV of a line, for tests. */
     unsigned rrpv(unsigned set, unsigned way) const;
@@ -68,12 +71,14 @@ class RripPolicy : public ReplacementPolicy
     static constexpr unsigned kLeaderSets = 32; ///< Per policy.
     static constexpr int kPselMax = 511;        ///< 10-bit saturating.
 
-  protected:
+  private:
     /** True when @p set should use bimodal (BRRIP-style) insertion. */
     bool useBimodalInsert(unsigned set);
 
     std::uint8_t &rrpvRef(unsigned set, unsigned way);
 
+    unsigned sets_;
+    unsigned ways_;
     RripMode mode_;
     Rational bipRate_;
     Rng rng_;

@@ -3,12 +3,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "replacement/dclip.hh"
-#include "replacement/emissary.hh"
-#include "replacement/lru.hh"
-#include "replacement/pdp.hh"
-#include "replacement/rrip.hh"
-#include "replacement/tplru.hh"
 #include "util/strutil.hh"
 
 namespace emissary::replacement
@@ -151,39 +145,50 @@ PolicySpec::computePriority(const MissContext &ctx, Rng &rng) const
     }
 }
 
+ReplacementPolicy::ReplacementPolicy(const PolicySpec &spec,
+                                     unsigned num_sets, unsigned num_ways,
+                                     std::uint64_t seed)
+    : sets_(num_sets),
+      ways_(num_ways),
+      policy_(build(spec, num_sets, num_ways, seed))
+{
+}
+
+ReplacementPolicy::Family
+ReplacementPolicy::build(const PolicySpec &spec, unsigned num_sets,
+                         unsigned num_ways, std::uint64_t seed)
+{
+    switch (spec.family) {
+      case PolicyFamily::InsertionLru:
+        return InsertionLru(num_sets, num_ways, spec.toString());
+      case PolicyFamily::TreePlru:
+        return TreePlru(num_sets, num_ways);
+      case PolicyFamily::EmissaryP:
+        return EmissaryPolicy(num_sets, num_ways, spec.protectN,
+                              spec.emissaryTreePlru, spec.toString());
+      case PolicyFamily::Srrip:
+        return RripPolicy(num_sets, num_ways, RripMode::Static,
+                          Rational(1, 32), seed);
+      case PolicyFamily::Brrip:
+        return RripPolicy(num_sets, num_ways, RripMode::Bimodal,
+                          Rational(1, 32), seed);
+      case PolicyFamily::Drrip:
+        return RripPolicy(num_sets, num_ways, RripMode::Dynamic,
+                          Rational(1, 32), seed);
+      case PolicyFamily::Pdp:
+        return PdpPolicy(num_sets, num_ways, spec.pdpDistance);
+      case PolicyFamily::Dclip:
+        return DclipPolicy(num_sets, num_ways);
+    }
+    throw std::logic_error("makePolicy: unreachable family");
+}
+
 std::unique_ptr<ReplacementPolicy>
 makePolicy(const PolicySpec &spec, unsigned num_sets, unsigned num_ways,
            std::uint64_t seed)
 {
-    switch (spec.family) {
-      case PolicyFamily::InsertionLru:
-        return std::make_unique<InsertionLru>(num_sets, num_ways,
-                                              spec.toString());
-      case PolicyFamily::TreePlru:
-        return std::make_unique<TreePlru>(num_sets, num_ways);
-      case PolicyFamily::EmissaryP:
-        return std::make_unique<EmissaryPolicy>(
-            num_sets, num_ways, spec.protectN, spec.emissaryTreePlru,
-            spec.toString());
-      case PolicyFamily::Srrip:
-        return std::make_unique<RripPolicy>(num_sets, num_ways,
-                                            RripMode::Static,
-                                            Rational(1, 32), seed);
-      case PolicyFamily::Brrip:
-        return std::make_unique<RripPolicy>(num_sets, num_ways,
-                                            RripMode::Bimodal,
-                                            Rational(1, 32), seed);
-      case PolicyFamily::Drrip:
-        return std::make_unique<RripPolicy>(num_sets, num_ways,
-                                            RripMode::Dynamic,
-                                            Rational(1, 32), seed);
-      case PolicyFamily::Pdp:
-        return std::make_unique<PdpPolicy>(num_sets, num_ways,
-                                           spec.pdpDistance);
-      case PolicyFamily::Dclip:
-        return std::make_unique<DclipPolicy>(num_sets, num_ways);
-    }
-    throw std::logic_error("makePolicy: unreachable family");
+    return std::make_unique<ReplacementPolicy>(spec, num_sets, num_ways,
+                                               seed);
 }
 
 std::vector<std::string>

@@ -56,9 +56,8 @@ PlruTree::victim() const
 
 TreePlru::TreePlru(unsigned num_sets, unsigned num_ways,
                    std::string label)
-    : ReplacementPolicy(num_sets, num_ways), label_(std::move(label))
+    : label_(std::move(label)), trees_(num_sets, PlruTree(num_ways))
 {
-    trees_.assign(num_sets, PlruTree(num_ways));
 }
 
 unsigned

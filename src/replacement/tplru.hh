@@ -11,6 +11,7 @@
 #define EMISSARY_REPLACEMENT_TPLRU_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "replacement/policy.hh"
@@ -93,20 +94,18 @@ class PlruTree
     unsigned ways_;
 };
 
-/** Plain TPLRU replacement policy (the TPLRU + FDIP baseline).
- *  Sealed: Cache devirtualizes its per-access notifications. */
-class TreePlru final : public ReplacementPolicy
+/** Plain TPLRU replacement policy (the TPLRU + FDIP baseline). */
+class TreePlru
 {
   public:
     TreePlru(unsigned num_sets, unsigned num_ways,
              std::string label = "TPLRU");
 
-    std::string name() const override { return label_; }
-    unsigned selectVictim(unsigned set) override;
-    void onInsert(unsigned set, unsigned way,
-                  const LineInfo &info) override;
-    void onHit(unsigned set, unsigned way, const LineInfo &info) override;
-    void onInvalidate(unsigned set, unsigned way) override;
+    std::string name() const { return label_; }
+    unsigned selectVictim(unsigned set);
+    void onInsert(unsigned set, unsigned way, const LineInfo &info);
+    void onHit(unsigned set, unsigned way, const LineInfo &info);
+    void onInvalidate(unsigned set, unsigned way);
 
   private:
     std::string label_;

@@ -12,8 +12,10 @@
  * The slot operations (touch and dirty marking by slot, an insert of
  * a resident line) are checked the same way, against a twin array.
  *
- * Runs for TPLRU and EMISSARY (the devirtualized fast paths) and a
- * Generic-dispatch family, and is part of the ASan CI stage, which
+ * Runs for every alternative of replacement::ReplacementPolicy, the
+ * one dispatch every array calls: TPLRU, EMISSARY on its dual trees
+ * and on true LRU, the M: family (LRU, BIP), SRRIP, BRRIP, DRRIP,
+ * PDP and DCLIP. It is part of the ASan + UBSan CI stage, which
  * catches out-of-bounds tag-lane indexing the assertions cannot.
  */
 
@@ -102,9 +104,11 @@ class ReferenceModel
  * that differs.
  */
 void
-stressPolicy(const std::string &policy, std::uint64_t seed)
+stressPolicy(const std::string &policy, std::uint64_t seed,
+             bool emissary_tree_plru = true)
 {
     SCOPED_TRACE(policy);
+    SCOPED_TRACE(emissary_tree_plru ? "tree PLRU" : "true LRU");
 
     Cache::Config config;
     config.name = "stress";
@@ -112,6 +116,7 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
     config.ways = 16;
     config.lineBytes = 64;
     config.policy = replacement::PolicySpec::parse(policy);
+    config.policy.emissaryTreePlru = emissary_tree_plru;
     config.seed = seed;
     Cache cache(config);
     Cache twin(config);
@@ -275,20 +280,83 @@ stressPolicy(const std::string &policy, std::uint64_t seed)
     EXPECT_EQ(peekable, model.residentLines());
 }
 
-TEST(CacheModel, TreePlruFastPathMatchesReferenceModel)
+TEST(CacheModel, TreePlruMatchesReferenceModel)
 {
     stressPolicy("TPLRU", 0x7E57ULL);
 }
 
-TEST(CacheModel, EmissaryFastPathMatchesReferenceModel)
+TEST(CacheModel, EmissaryMatchesReferenceModel)
 {
     stressPolicy("P(8):S&E&R(1/32)", 0x7E58ULL);
+    stressPolicy("P(8):S&E", 0x7E5BULL, false);
 }
 
-TEST(CacheModel, GenericDispatchMatchesReferenceModel)
+TEST(CacheModel, InsertionLruMatchesReferenceModel)
+{
+    stressPolicy("M:R(1/32)", 0x7E5AULL);
+    stressPolicy("LRU", 0x7E5CULL);
+}
+
+TEST(CacheModel, RripMatchesReferenceModel)
 {
     stressPolicy("DRRIP", 0x7E59ULL);
-    stressPolicy("M:R(1/32)", 0x7E5AULL);
+    stressPolicy("SRRIP", 0x7E5DULL);
+    stressPolicy("BRRIP", 0x7E5EULL);
+}
+
+TEST(CacheModel, PdpAndDclipMatchReferenceModel)
+{
+    stressPolicy("PDP", 0x7E5FULL);
+    stressPolicy("DCLIP", 0x7E60ULL);
+}
+
+/**
+ * A Cache is an ordinary value: a copy taken mid-run holds the
+ * original's lines and policy state, so the two make the same
+ * decisions from then on, and neither sees the other's.
+ */
+TEST(CacheModel, CopyContinuesLikeItsOriginal)
+{
+    for (const char *policy : {"TPLRU", "P(8):S&E", "LRU", "DRRIP",
+                               "PDP", "DCLIP"}) {
+        SCOPED_TRACE(policy);
+        Cache::Config config;
+        config.sizeBytes = 16 * 1024;  // 16 sets x 16 ways x 64 B.
+        config.policy = replacement::PolicySpec::parse(policy);
+        Cache cache(config);
+        Rng rng(0xC0B1ULL);
+        const auto step = [](Cache &array, Rng &draws) {
+            const std::uint64_t line = draws.nextBelow(16 * 40);
+            replacement::LineInfo info;
+            info.isInstruction = draws.oneIn(2);
+            info.highPriority = draws.oneIn(4);
+            if (array.peek(line)) {
+                array.touch(line);
+                if (draws.oneIn(8))
+                    array.raisePriority(line);
+                return std::uint64_t{0};
+            }
+            array.noteDemandMiss(line);
+            const Cache::Eviction out = array.insert(
+                line, info, info.isInstruction, false, false, false);
+            return out.valid ? out.lineAddr + 1 : 0;
+        };
+        for (int op = 0; op < 5'000; ++op)
+            step(cache, rng);
+
+        Cache copy = cache;
+        Rng copy_rng = rng;
+        for (int op = 0; op < 20'000; ++op)
+            ASSERT_EQ(step(copy, copy_rng), step(cache, rng))
+                << "op " << op;
+        EXPECT_EQ(copy.highPriorityLineCount(),
+                  cache.highPriorityLineCount());
+
+        // A later change to the original leaves the copy alone.
+        cache.resetPriorities();
+        EXPECT_EQ(cache.highPriorityLineCount(), 0u);
+        EXPECT_GT(copy.highPriorityLineCount(), 0u);
+    }
 }
 
 /**

@@ -107,7 +107,7 @@ TEST_P(PolicyProperty, ResetAndPriorityHooksAreSafe)
     li.isInstruction = true;
     for (unsigned w = 0; w < 8; ++w)
         policy->onInsert(0, w, li);
-    // These are EMISSARY-specific hooks with no-op defaults; they
+    // These EMISSARY hooks do nothing under the other families; they
     // must be harmless for every policy.
     policy->setPriority(0, 3, true);
     EXPECT_LE(policy->protectedCount(0), 8u);
@@ -121,6 +121,18 @@ TEST_P(PolicyProperty, NameIsStable)
     EXPECT_FALSE(policy->name().empty());
     EXPECT_EQ(policy->numSets(), 2u);
     EXPECT_EQ(policy->numWays(), 4u);
+}
+
+// emissary() reaches P(N)'s own state, and only P(N) has it.
+TEST_P(PolicyProperty, EmissaryStateOnlyUnderPN)
+{
+    auto policy = make(2, 4);
+    const bool pn = PolicySpec::parse(GetParam()).family ==
+                    PolicyFamily::EmissaryP;
+    ASSERT_EQ(policy->emissary() != nullptr, pn);
+    if (pn) {
+        EXPECT_EQ(policy->emissary()->name(), policy->name());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -543,7 +543,12 @@ main(int argc, char **argv)
         // Single run: one source choice and one core::run call.
         // Interval sampling, event traces and recording observe one
         // sequential machine; a chunked run cannot record and
-        // ignores the other two.
+        // ignores the other two. The policies parse before any
+        // output file opens, so a bad one leaves no file behind.
+        const replacement::PolicySpec l2_spec =
+            replacement::PolicySpec::parse(l2_policy);
+        const replacement::PolicySpec l1i_spec =
+            replacement::PolicySpec::parse(run_options.l1iPolicy);
         const bool chunked = run_options.timeChunks > 1;
         if (chunked && !record_path.empty()) {
             std::fprintf(stderr, "error: --time-chunks cannot be "
@@ -615,10 +620,8 @@ main(int argc, char **argv)
             stats::ScopedTimer span(flight.get(), "run");
             span.arg("benchmark", stats::JsonValue(row.name));
             span.arg("policy", stats::JsonValue(l2_policy));
-            m = core::run(source, replacement::PolicySpec::parse(l2_policy),
-                          replacement::PolicySpec::parse(
-                              run_options.l1iPolicy),
-                          run_options, nullptr, &pool, &telemetry);
+            m = core::run(source, l2_spec, l1i_spec, run_options, nullptr,
+                          &pool, &telemetry);
         }
         if (flight)
             stats::ChromeTraceWriter::write(perf_trace_path, *flight);
